@@ -71,6 +71,7 @@ class RotorGeometry:
         return self._alloc
 
     def allocation_matrix(self):
+        """6x2n map from [T cos(nu); T sin(nu)] to [f; tau], rank-checked."""
         A = self.wrench_map()
         if np.linalg.matrix_rank(A, tol=1e-9) < 6:
             raise AllocationError("rotor geometry is rank deficient")
@@ -107,14 +108,6 @@ def _component_map(geometry):
         A[3:, i] = np.cross(r, Z_AXIS) + s * k * Z_AXIS
         A[:3, n + i] = t
         A[3:, n + i] = np.cross(r, t) + s * k * t
-    return A
-
-
-def build_allocation(geometry):
-    """6x8 map from decomposed components [T cos(nu); T sin(nu)] to [f; tau]."""
-    A = _component_map(geometry)
-    if np.linalg.matrix_rank(A, tol=1e-9) < 6:
-        raise AllocationError("rotor geometry is rank deficient")
     return A
 
 

@@ -55,7 +55,6 @@ def cmd_run(args):
 
 
 def cmd_ablate(args):
-    cfg = _load(args)
     results = {}
     for variant in VARIANTS:
         cfg_v = _load(args)

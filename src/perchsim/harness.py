@@ -18,8 +18,8 @@ from .control import AttitudeIntegral, Setpoint, nominal_wrench, perch_wrench, \
 from .geometry import B3, pitch_of, quat_of, rotation_error
 from .planner import Plan, connect, hold_segment, perch_setpoints
 from .scenario import ScenarioConfig
-from .supervisor import Mode, SupervisorState, mode_policy, no_freeze_policy, \
-    no_transition_policy, transition, transition_two_mode
+from .supervisor import VARIANTS, Mode, SupervisorState, transition, \
+    transition_two_mode
 from .vehicle import ActuatorState, ContactState, Disturbances, \
     NumericalDivergenceError, VehicleState, integrate, step_actuators, \
     update_contact
@@ -152,14 +152,8 @@ def run_scenario(cfg):
     """Run one scenario to completion; deterministic for a given config+seed."""
     params, wall, gains, switch, plan_cfg = cfg.build()
     rotors = params.rotors
-    two_mode = cfg.variant.startswith("no-transitions")
-    if two_mode:
-        transition_fn, policy_fn = transition_two_mode, no_transition_policy
-    elif cfg.variant == "no-freeze":
-        transition_fn, policy_fn = transition, no_freeze_policy
-    else:
-        transition_fn, policy_fn = transition, mode_policy
-    uses_freeze = cfg.variant == "proposed"
+    variant = VARIANTS[cfg.variant]
+    transition_fn = transition_two_mode if variant.two_mode else transition
 
     state = VehicleState.at_rest(
         np.asarray(plan_cfg.hover_p) + np.asarray(cfg.initial_offset),
@@ -168,6 +162,7 @@ def run_scenario(cfg):
     trim = Wrench(params.m * params.g * state.R.T @ B3, np.zeros(3))
     trim_cmd = allocate(trim, rotors, params.T_max, np.zeros(rotors.n_rotors))
     act = ActuatorState(trim_cmd.thrust.copy(), trim_cmd.tilt.copy(), 0.0)
+    w_act = forward_wrench(act.thrust, act.tilt, rotors)
     contact = ContactState(gap=wall.gap_of(state))
     sup = SupervisorState()
     integ = AttitudeIntegral(clamp=cfg.integral_clamp)
@@ -213,7 +208,7 @@ def run_scenario(cfg):
         s_p2f = "s_p2f" in kinds
         for kind in kinds:
             events.append((t, "operator", kind))
-        new_sup = transition_fn(sup, lam_c, s_f2p, s_p2f, switch, t)
+        new_sup = transition_fn(sup, lam_c, s_f2p, s_p2f, switch)
         if new_sup.mode is not sup.mode:
             events.append((t, "mode",
                            f"{sup.mode.value}->{new_sup.mode.value}"))
@@ -228,27 +223,27 @@ def run_scenario(cfg):
         if new_sup.eta_d != sup.eta_d:
             events.append((t, "eta_d",
                            "perch" if new_sup.eta_d else "unperch"))
-            if two_mode and new_sup.eta_d == 1.0:
+            if variant.two_mode and new_sup.eta_d == 1.0:
                 planner.start_approach(t)
                 sp = planner.sample(t)
         sup = new_sup
-        pol = policy_fn(sup.mode)
+        pol = variant.policies[sup.mode]
 
         # 3. estimation (consumes the wrench applied over the last interval)
-        w_prev = forward_wrench(act.thrust, act.tilt, rotors)
-        if pol.rejection_frozen or (uses_freeze and contact.attached):
+        if pol.rejection_frozen or (variant.freeze_while_attached
+                                    and contact.attached):
             # While attached the estimate would absorb the constraint force,
             # so the hold extends until the wall actually lets go.
             est_rej = estimation.freeze(est_rej)
         else:
             if est_rej.frozen:
                 est_rej = estimation.unfreeze(est_rej, meas, params)
-            est_rej = estimation.update(est_rej, meas, w_prev.f, params,
+            est_rej = estimation.update(est_rej, meas, w_act.f, params,
                                         cfg.dt)
         if pol.contact_active:
             if not contact_was_active:
                 est_con = estimation.rebase(est_con, meas, params)
-            est_con = estimation.update(est_con, meas, w_prev.f, params,
+            est_con = estimation.update(est_con, meas, w_act.f, params,
                                         cfg.dt)
             lam_c = estimation.contact_normal_force(est_con, wall)
         contact_was_active = pol.contact_active
@@ -272,8 +267,8 @@ def run_scenario(cfg):
 
         # 7. contact
         dist = _disturbance_at(cfg, t)
-        w_now = forward_wrench(act.thrust, act.tilt, rotors)
-        applied_world = state.R @ w_now.f + dist.delta_f
+        w_act = forward_wrench(act.thrust, act.tilt, rotors)
+        applied_world = state.R @ w_act.f + dist.delta_f
         new_contact = update_contact(state, act, applied_world, contact,
                                      wall, params)
         if new_contact.attached and not contact.attached:

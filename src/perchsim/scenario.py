@@ -14,13 +14,10 @@ from .allocation import RotorGeometry
 from .control import Gains
 from .geometry import rot_y
 from .planner import PerchPlanConfig
-from .supervisor import SwitchConfig
+from .supervisor import VARIANTS, SwitchConfig
 from .vehicle import VehicleParams, WallModel
 
 SCHEMA_VERSION = 1
-
-VARIANTS = ("proposed", "no-transitions-rho0", "no-transitions-rho0.5",
-            "no-freeze")
 
 MISSIONS = ("perch", "hover")
 
@@ -114,12 +111,9 @@ class ScenarioConfig:
             F_mag=self.magnet_force, d_mag=self.magnet_range,
             eps_attach=self.attach_tol, c_m=np.asarray(self.magnet_offset))
         gains = Gains(self.k_tp, self.k_td, self.k_rp, self.k_rd, self.k_ri)
-        rho = self.rho
-        if self.variant == "no-transitions-rho0":
-            rho = 0.0
-        elif self.variant == "no-transitions-rho0.5":
-            rho = 0.5
-        switch = SwitchConfig(self.lambda_f2p, self.lambda_p2f, rho)
+        rho = VARIANTS[self.variant].rho
+        switch = SwitchConfig(self.lambda_f2p, self.lambda_p2f,
+                              self.rho if rho is None else rho)
         plan = PerchPlanConfig(
             d_off=self.standoff, delta_in=self.penetration,
             T12=self.t_approach, T23=self.t_contact,
@@ -153,6 +147,14 @@ def _parse_value(key, raw):
         raise ScenarioError(f"bad value for {key}: {raw!r}") from exc
 
 
+def _number(lineno, key, raw):
+    try:
+        return float(raw)
+    except ValueError as exc:
+        raise ScenarioError(
+            f"line {lineno}: bad number for {key}: {raw!r}") from exc
+
+
 def parse_scenario(text):
     """Parse scenario text into a ScenarioConfig; raises ScenarioError."""
     cfg = ScenarioConfig()
@@ -176,9 +178,10 @@ def parse_scenario(text):
             parts = raw.split()
             if len(parts) != 2:
                 raise ScenarioError(f"line {lineno}: event expects 'time kind'")
-            cfg.events.append((float(parts[0]), parts[1].lower()))
+            cfg.events.append((_number(lineno, key, parts[0]),
+                               parts[1].lower()))
         elif key == "disturbance":
-            parts = [float(x) for x in raw.split()]
+            parts = [_number(lineno, key, x) for x in raw.split()]
             if len(parts) != 8:
                 raise ScenarioError(
                     f"line {lineno}: disturbance expects 8 numbers "

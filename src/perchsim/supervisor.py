@@ -4,10 +4,12 @@ Operator signals are latched until their edge consumes them.  The perch-servo
 target eta_d toggles only on the F->F2P edge (engage) and the P2F->F edge
 (disengage).  The two-mode machine used by the no-transition ablations skips
 both transition modes and collapses the eta_d edges onto its single switches.
+VARIANTS maps each controller variant's name to its machine, per-mode
+policies and overrides.
 """
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 class Mode(enum.Enum):
@@ -34,53 +36,35 @@ class SupervisorState:
     eta_d: float = 0.0
     pending_f2p: bool = False
     pending_p2f: bool = False
-    entered_at: float = 0.0
-
-    def copy(self):
-        return replace(self)
 
 
-@dataclass
+@dataclass(frozen=True)
 class PolicyDescriptor:
-    """Per-mode wiring of controller, estimators, and planner target."""
+    """Per-mode wiring of controller and estimators."""
     wrench: str                      # "full" | "nominal" | "perch"
     rejection_frozen: bool
     contact_active: bool
-    planner_phase: str               # "free-flight" | "approach" | "hold" | "depart"
 
 
-def transition(sup, lam_c, s_f2p, s_p2f, cfg, t=0.0):
+def transition(sup, lam_c, s_f2p, s_p2f, cfg):
     """One supervisor tick of the proposed four-mode machine."""
     pending_f2p = sup.pending_f2p or s_f2p
     pending_p2f = sup.pending_p2f or s_p2f
     mode, eta_d = sup.mode, sup.eta_d
-    entered = sup.entered_at
 
     if mode is Mode.F and pending_f2p:
-        mode, eta_d, pending_f2p, entered = Mode.F2P, 1.0, False, t
+        mode, eta_d, pending_f2p = Mode.F2P, 1.0, False
     elif mode is Mode.F2P and lam_c > cfg.lambda_f2p:
-        mode, entered = Mode.P, t
+        mode = Mode.P
     elif mode is Mode.P and pending_p2f:
-        mode, pending_p2f, entered = Mode.P2F, False, t
+        mode, pending_p2f = Mode.P2F, False
     elif mode is Mode.P2F and lam_c < cfg.lambda_p2f:
-        mode, eta_d, entered = Mode.F, 0.0, t
+        mode, eta_d = Mode.F, 0.0
 
-    return SupervisorState(mode, eta_d, pending_f2p, pending_p2f, entered)
-
-
-_POLICIES = {
-    Mode.F: PolicyDescriptor("full", False, False, "free-flight"),
-    Mode.F2P: PolicyDescriptor("nominal", True, True, "approach"),
-    Mode.P: PolicyDescriptor("perch", True, True, "hold"),
-    Mode.P2F: PolicyDescriptor("nominal", True, True, "depart"),
-}
+    return SupervisorState(mode, eta_d, pending_f2p, pending_p2f)
 
 
-def mode_policy(mode):
-    return _POLICIES[mode]
-
-
-def transition_two_mode(sup, lam_c, s_f2p, s_p2f, cfg, t=0.0):
+def transition_two_mode(sup, lam_c, s_f2p, s_p2f, cfg):
     """Ablation machine without transition modes: F <-> P directly.
 
     The perch signal arms the servo immediately (eta_d <- 1); the switch to P
@@ -90,38 +74,52 @@ def transition_two_mode(sup, lam_c, s_f2p, s_p2f, cfg, t=0.0):
     pending_f2p = sup.pending_f2p or s_f2p
     pending_p2f = sup.pending_p2f or s_p2f
     mode, eta_d = sup.mode, sup.eta_d
-    entered = sup.entered_at
 
     if mode is Mode.F:
         if pending_f2p and eta_d < 1.0:
             eta_d = 1.0
         if pending_f2p and lam_c > cfg.lambda_f2p:
-            mode, pending_f2p, entered = Mode.P, False, t
+            mode, pending_f2p = Mode.P, False
     elif mode is Mode.P and pending_p2f:
-        mode, eta_d, pending_p2f, entered = Mode.F, 0.0, False, t
+        mode, eta_d, pending_p2f = Mode.F, 0.0, False
 
-    return SupervisorState(mode, eta_d, pending_f2p, pending_p2f, entered)
+    return SupervisorState(mode, eta_d, pending_f2p, pending_p2f)
 
+
+@dataclass(frozen=True)
+class Variant:
+    """Everything that sets one controller variant apart in the tick loop."""
+    two_mode: bool                   # transition_two_mode; replan on eta_d edge
+    policies: dict                   # Mode -> PolicyDescriptor
+    rho: float = None                # perch wrench fraction; None: scenario's
+    freeze_while_attached: bool = False
+
+
+_FOUR_MODE_POLICIES = {
+    Mode.F: PolicyDescriptor("full", False, False),
+    Mode.F2P: PolicyDescriptor("nominal", True, True),
+    Mode.P: PolicyDescriptor("perch", True, True),
+    Mode.P2F: PolicyDescriptor("nominal", True, True),
+}
 
 _TWO_MODE_POLICIES = {
-    Mode.F: PolicyDescriptor("full", False, True, "free-flight"),
-    Mode.P: PolicyDescriptor("perch", False, True, "hold"),
+    Mode.F: PolicyDescriptor("full", False, True),
+    Mode.P: PolicyDescriptor("perch", False, True),
 }
 
-
-def no_transition_policy(mode):
-    return _TWO_MODE_POLICIES[mode]
-
-
+# Never freezes estimation and keeps motion control active while perched
+# (saturation ablation).
 _NO_FREEZE_POLICIES = {
-    Mode.F: PolicyDescriptor("full", False, False, "free-flight"),
-    Mode.F2P: PolicyDescriptor("full", False, True, "approach"),
-    Mode.P: PolicyDescriptor("full", False, True, "hold"),
-    Mode.P2F: PolicyDescriptor("full", False, True, "depart"),
+    Mode.F: PolicyDescriptor("full", False, False),
+    Mode.F2P: PolicyDescriptor("full", False, True),
+    Mode.P: PolicyDescriptor("full", False, True),
+    Mode.P2F: PolicyDescriptor("full", False, True),
 }
 
-
-def no_freeze_policy(mode):
-    """Four-mode wiring that never freezes estimation and keeps motion
-    control active while perched (saturation ablation)."""
-    return _NO_FREEZE_POLICIES[mode]
+VARIANTS = {
+    "proposed": Variant(False, _FOUR_MODE_POLICIES,
+                        freeze_while_attached=True),
+    "no-transitions-rho0": Variant(True, _TWO_MODE_POLICIES, rho=0.0),
+    "no-transitions-rho0.5": Variant(True, _TWO_MODE_POLICIES, rho=0.5),
+    "no-freeze": Variant(False, _NO_FREEZE_POLICIES),
+}

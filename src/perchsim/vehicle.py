@@ -5,7 +5,7 @@ pose is rigidly locked (all derivatives zero) until the perch servo peels the
 magnets off tangentially or the normal pull exceeds the magnet capacity.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -4,20 +4,20 @@ import numpy as np
 import pytest
 
 from perchsim.allocation import (AllocationError, RotorGeometry, Wrench,
-                                 allocate, build_allocation, forward_wrench)
+                                 allocate, forward_wrench)
 
 MG = 1.65 * 9.81
 
 
-def test_build_allocation_rank_six():
-    A = build_allocation(RotorGeometry.x_config())
+def test_allocation_matrix_rank_six():
+    A = RotorGeometry.x_config().allocation_matrix()
     assert A.shape == (6, 8)
     assert np.linalg.matrix_rank(A, tol=1e-9) == 6
 
 
 def test_zero_drag_ratio_yaw_row():
     geom = RotorGeometry.x_config(k_tau=0.0)
-    A = build_allocation(geom)
+    A = geom.allocation_matrix()
     # Planar rotor arms: vertical components produce no yaw without drag.
     assert np.allclose(A[5, :4], 0.0, atol=1e-15)
     assert np.linalg.norm(A[5, 4:]) > 0.0
@@ -27,7 +27,7 @@ def test_degenerate_geometry_rejected():
     pos = np.tile([0.1, 0.0, 0.0], (4, 1))
     geom = RotorGeometry(pos, np.array([1.0, -1.0, 1.0, -1.0]), 0.016)
     with pytest.raises(AllocationError):
-        build_allocation(geom)
+        geom.allocation_matrix()
 
 
 def test_zero_position_rejected():
@@ -96,7 +96,7 @@ def test_roundtrip_random_wrenches():
 
 def test_min_norm_against_kkt_oracle():
     geom = RotorGeometry.x_config()
-    A = build_allocation(geom)
+    A = geom.allocation_matrix()
     rng = np.random.default_rng(13)
     worst = 0.0
     for _ in range(100):

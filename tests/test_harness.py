@@ -1,6 +1,9 @@
 """Harness tests: metrics arithmetic, determinism, regulation, comparisons."""
 
+import hashlib
+
 import numpy as np
+import pytest
 
 from perchsim.acceptance import run_variant
 from perchsim.harness import (CSV_COLUMNS, _COL, _NUM_COLUMNS, SimResult,
@@ -146,3 +149,22 @@ def test_mission_metrics_sane():
     assert m.completed and m.failure == ""
     assert m.min_clearance > 0.05
     assert m.z_drop < 0.2
+
+
+# SHA-256 of the default-mission CSV of each ablation variant.  Criterion 11
+# pins only the proposed variant, so these guard the VARIANTS table wiring of
+# the other three (two-mode machine, rho override, no-freeze policies).
+ABLATION_SHA256 = {
+    "no-transitions-rho0":
+        "b787284f10059db360116579e5ee07403d088256945d190d7b76faaa50b3310e",
+    "no-transitions-rho0.5":
+        "e70d3c5bd269d816b9691c105310c8f3e52eafd7ec0b9d535436d519895b2922",
+    "no-freeze":
+        "22846248c91be609c3b7a08db6d267ffb41f98619125dbe98167393341bee1e7",
+}
+
+
+@pytest.mark.parametrize("variant", sorted(ABLATION_SHA256))
+def test_ablation_csv_pinned(variant):
+    csv = run_variant(variant).to_csv()
+    assert hashlib.sha256(csv.encode()).hexdigest() == ABLATION_SHA256[variant]

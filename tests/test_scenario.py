@@ -73,6 +73,8 @@ def test_bad_event():
         parse_scenario(MINIMAL + "event = 3.0\n")
     with pytest.raises(ScenarioError):
         parse_scenario(MINIMAL + "event = 3.0 s_warp\n")
+    with pytest.raises(ScenarioError, match="line 2"):
+        parse_scenario(MINIMAL + "event = abc s_f2p\n")
 
 
 def test_unsorted_events():
@@ -83,6 +85,8 @@ def test_unsorted_events():
 def test_bad_disturbance_arity():
     with pytest.raises(ScenarioError):
         parse_scenario(MINIMAL + "disturbance = 1.0 5.0 0.5\n")
+    with pytest.raises(ScenarioError, match="line 2"):
+        parse_scenario(MINIMAL + "disturbance = 0 1 x 0 0 0 0 0\n")
 
 
 def test_missing_equals():
@@ -123,6 +127,10 @@ def test_variant_overrides_rho():
     assert cfg.build()[3].rho == 0.0
     cfg.variant = "no-transitions-rho0.5"
     assert cfg.build()[3].rho == 0.5
+    cfg.rho = 0.3
+    for variant in ("proposed", "no-freeze"):
+        cfg.variant = variant
+        assert cfg.build()[3].rho == 0.3
 
 
 def test_schema_doc_mentions_exit_codes():

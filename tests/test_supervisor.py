@@ -1,11 +1,13 @@
 """Supervisor tests: transition edges, eta_d discipline, per-mode policies."""
 
+import itertools
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
-from perchsim.supervisor import (Mode, SupervisorState, SwitchConfig,
-                                 mode_policy, no_freeze_policy,
-                                 no_transition_policy, transition,
+from perchsim.supervisor import (VARIANTS, Mode, SupervisorState,
+                                 SwitchConfig, transition,
                                  transition_two_mode)
 
 CFG = SwitchConfig()
@@ -85,15 +87,16 @@ def test_eta_d_only_on_specified_edges():
 
 
 def test_mode_policies():
-    pol = mode_policy(Mode.F)
+    policies = VARIANTS["proposed"].policies
+    pol = policies[Mode.F]
     assert pol.wrench == "full" and not pol.rejection_frozen
     assert not pol.contact_active
-    pol = mode_policy(Mode.F2P)
+    pol = policies[Mode.F2P]
     assert pol.wrench == "nominal" and pol.rejection_frozen
     assert pol.contact_active
-    pol = mode_policy(Mode.P)
+    pol = policies[Mode.P]
     assert pol.wrench == "perch" and pol.rejection_frozen
-    pol = mode_policy(Mode.P2F)
+    pol = policies[Mode.P2F]
     assert pol.wrench == "nominal" and pol.rejection_frozen
 
 
@@ -119,16 +122,40 @@ def test_two_mode_self_loop():
 
 
 def test_no_transition_policies():
-    assert no_transition_policy(Mode.F).wrench == "full"
-    assert no_transition_policy(Mode.P).wrench == "perch"
-    assert not no_transition_policy(Mode.P).rejection_frozen
+    for name in ("no-transitions-rho0", "no-transitions-rho0.5"):
+        policies = VARIANTS[name].policies
+        assert policies[Mode.F].wrench == "full"
+        assert policies[Mode.P].wrench == "perch"
+        assert not policies[Mode.P].rejection_frozen
 
 
 def test_no_freeze_policies_never_freeze():
     for mode in Mode:
-        pol = no_freeze_policy(mode)
+        pol = VARIANTS["no-freeze"].policies[mode]
         assert pol.wrench == "full"
         assert not pol.rejection_frozen
+
+
+def _reachable(transition_fn):
+    """Modes the machine reaches from rest under any lam_c band and signals."""
+    seen, frontier = set(), [SupervisorState()]
+    while frontier:
+        sup = frontier.pop()
+        if astuple(sup) in seen:
+            continue
+        seen.add(astuple(sup))
+        for lam, s_f2p, s_p2f in itertools.product(
+                (-2.0, 0.0, 2.0), (False, True), (False, True)):
+            frontier.append(transition_fn(sup, lam, s_f2p, s_p2f, CFG))
+    return {mode for mode, *_ in seen}
+
+
+def test_variant_policies_cover_reachable_modes():
+    assert _reachable(transition) == set(Mode)
+    assert _reachable(transition_two_mode) == {Mode.F, Mode.P}
+    for name, variant in VARIANTS.items():
+        fn = transition_two_mode if variant.two_mode else transition
+        assert _reachable(fn) <= set(variant.policies), name
 
 
 def test_switch_config_validation():
