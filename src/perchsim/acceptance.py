@@ -14,11 +14,10 @@ import numpy as np
 
 from . import estimation
 from .allocation import Wrench, allocate, forward_wrench
-from .control import AttitudeIntegral, Gains, Setpoint, nominal_wrench, \
-    rejection_force
+from .control import AttitudeIntegral, nominal_wrench, rejection_force
 from .estimation import EstimatorState
-from .harness import run_scenario
-from .planner import TranslationSegment, min_jerk_segment, perch_setpoints
+from .harness import run_scenario, settle_index
+from .planner import min_jerk_segment, perch_setpoints
 from .scenario import ScenarioConfig, default_scenario
 from .supervisor import Mode, SupervisorState, SwitchConfig, transition
 from .vehicle import ActuatorState, ContactState, Disturbances, \
@@ -162,7 +161,7 @@ def check_3_freeze_semantics():
 
 def check_4_allocation():
     rotors = VehicleParams().rotors
-    A = rotors.allocation_matrix()
+    A = rotors.A
     rng = np.random.default_rng(4)
     worst_rt = 0.0
     worst_mn = 0.0
@@ -201,12 +200,8 @@ def check_5_pitch90_hover():
     eR = result.column("eR_norm")
     sat = result.column("sat_any")
     t = result.column("t")
-    conv = None
-    good = (ep < 0.01) & (eR < 0.01)
-    for j in range(len(good)):
-        if good[j:].all():
-            conv = t[j]
-            break
+    j = settle_index((ep < 0.01) & (eR < 0.01))
+    conv = None if j is None else t[j]
     ok = conv is not None and conv <= 5.0 and not sat.any()
     return CheckResult(5, "90-degree-pitch hover", ok,
                        f"converged at t={conv} s, saturated ticks="

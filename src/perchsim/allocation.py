@@ -6,11 +6,11 @@ thrust components, solved by a min-norm pseudo-inverse, and recovered as
 both by the dynamics and as the round-trip test oracle's counterpart.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-Z_AXIS = np.array([0.0, 0.0, 1.0])
+from .geometry import B3
 
 # Below this thrust the recovered tilt angle is held at its previous value.
 THRUST_EPS = 1e-6
@@ -36,12 +36,14 @@ class Wrench:
 
 @dataclass
 class RotorGeometry:
-    """Rotor positions, tilt axes, spin signs, and drag-to-thrust ratio."""
+    """Rotor positions, tilt axes, spin signs, and drag-to-thrust ratio.
+
+    `A` is the 6x2n map from [T cos(nu); T sin(nu)] to [f; tau], checked to
+    have full rank; `A_pinv` is its pseudo-inverse.
+    """
     positions: np.ndarray        # (4, 3) m
     spin_signs: np.ndarray       # (4,) in {+1, -1}
     k_tau: float                 # m
-    _alloc: np.ndarray = field(default=None, repr=False, compare=False)
-    _pinv: np.ndarray = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.positions = np.asarray(self.positions, dtype=float)
@@ -50,7 +52,21 @@ class RotorGeometry:
         if np.any(norms < 1e-9):
             raise AllocationError("rotor positions must be nonzero")
         self.tilt_axes = self.positions / norms[:, None]
-        self.lateral_dirs = np.cross(Z_AXIS, self.tilt_axes)
+        self.lateral_dirs = np.cross(B3, self.tilt_axes)
+        n = self.n_rotors
+        A = np.zeros((6, 2 * n))
+        for i in range(n):
+            r = self.positions[i]
+            t = self.lateral_dirs[i]
+            sk = self.spin_signs[i] * self.k_tau
+            A[:3, i] = B3
+            A[3:, i] = np.cross(r, B3) + sk * B3
+            A[:3, n + i] = t
+            A[3:, n + i] = np.cross(r, t) + sk * t
+        if np.linalg.matrix_rank(A, tol=1e-9) < 6:
+            raise AllocationError("rotor geometry is rank deficient")
+        self.A = A
+        self.A_pinv = np.linalg.pinv(A)
 
     @property
     def n_rotors(self):
@@ -63,24 +79,6 @@ class RotorGeometry:
         positions = arm_length * np.stack(
             [np.cos(angles), np.sin(angles), np.zeros(4)], axis=1)
         return cls(positions, np.array([1.0, -1.0, 1.0, -1.0]), k_tau)
-
-    def wrench_map(self):
-        """6x2n map from decomposed components to wrench, no rank check."""
-        if self._alloc is None:
-            self._alloc = _component_map(self)
-        return self._alloc
-
-    def allocation_matrix(self):
-        """6x2n map from [T cos(nu); T sin(nu)] to [f; tau], rank-checked."""
-        A = self.wrench_map()
-        if np.linalg.matrix_rank(A, tol=1e-9) < 6:
-            raise AllocationError("rotor geometry is rank deficient")
-        return A
-
-    def allocation_pinv(self):
-        if self._pinv is None:
-            self._pinv = np.linalg.pinv(self.allocation_matrix())
-        return self._pinv
 
 
 @dataclass
@@ -96,42 +94,22 @@ class ActuatorCommand:
             self.saturated = np.zeros(len(self.thrust), dtype=bool)
 
 
-def _component_map(geometry):
-    n = geometry.n_rotors
-    A = np.zeros((6, 2 * n))
-    for i in range(n):
-        r = geometry.positions[i]
-        t = geometry.lateral_dirs[i]
-        s = geometry.spin_signs[i]
-        k = geometry.k_tau
-        A[:3, i] = Z_AXIS
-        A[3:, i] = np.cross(r, Z_AXIS) + s * k * Z_AXIS
-        A[:3, n + i] = t
-        A[3:, n + i] = np.cross(r, t) + s * k * t
-    return A
-
-
 def allocate(w, geometry, T_max, prev_tilt=None):
     """Min-norm actuator command realizing wrench w, clamped to [0, T_max]."""
     n = geometry.n_rotors
-    x = geometry.allocation_pinv() @ w.as_vector()
+    x = geometry.A_pinv @ w.as_vector()
     xv, xl = x[:n], x[n:]
     thrust = np.hypot(xv, xl)
-    tilt = np.empty(n)
-    saturated = np.zeros(n, dtype=bool)
-    for i in range(n):
-        if thrust[i] < THRUST_EPS:
-            tilt[i] = prev_tilt[i] if prev_tilt is not None else 0.0
-        else:
-            tilt[i] = np.arctan2(xl[i], xv[i])
-        if thrust[i] > T_max:
-            thrust[i] = T_max
-            saturated[i] = True
+    tilt = np.arctan2(xl, xv)
+    idle = thrust < THRUST_EPS
+    tilt[idle] = 0.0 if prev_tilt is None else prev_tilt[idle]
+    saturated = thrust > T_max
+    thrust[saturated] = T_max
     return ActuatorCommand(thrust, tilt, saturated=saturated)
 
 
 def forward_wrench(thrust, tilt, geometry):
     """Exact body wrench produced by the given thrusts and tilt angles."""
-    w = geometry.wrench_map() @ np.concatenate(
+    w = geometry.A @ np.concatenate(
         [thrust * np.cos(tilt), thrust * np.sin(tilt)])
     return Wrench(w[:3], w[3:])

@@ -12,7 +12,7 @@ from .vehicle import NumericalDivergenceError
 
 EXIT_OK = 0
 EXIT_SCHEMA = 2
-EXIT_NUMERICAL = 3
+EXIT_FAILED = 3                   # numerical abort or ground contact
 
 
 def _load(args):
@@ -49,9 +49,7 @@ def cmd_run(args):
     result = run_scenario(cfg)
     _write_run(result, args.out)
     print(json.dumps(result.metrics.to_dict(), indent=2))
-    if result.metrics.failure == "numerical-abort":
-        return EXIT_NUMERICAL
-    return EXIT_OK
+    return EXIT_OK if result.metrics.completed else EXIT_FAILED
 
 
 def cmd_ablate(args):
@@ -130,7 +128,7 @@ def main(argv=None):
         return EXIT_SCHEMA
     except NumericalDivergenceError as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        return EXIT_FAILED
 
 
 if __name__ == "__main__":

@@ -13,25 +13,13 @@ from .allocation import Wrench
 from .geometry import B3, rotation_error
 
 
-@dataclass
+@dataclass(frozen=True)
 class Gains:
-    K_tp: np.ndarray = None
-    K_td: np.ndarray = None
-    K_rp: np.ndarray = None
-    K_rd: np.ndarray = None
-    K_ri: np.ndarray = None
-
-    def __post_init__(self):
-        defaults = {"K_tp": 10.0, "K_td": 6.0, "K_rp": 60.0,
-                    "K_rd": 15.0, "K_ri": 3.0}
-        for name, scale in defaults.items():
-            val = getattr(self, name)
-            if val is None:
-                val = scale
-            val = np.asarray(val, dtype=float)
-            if val.ndim == 0:
-                val = float(val) * np.eye(3)
-            setattr(self, name, val)
+    K_tp: float = 10.0
+    K_td: float = 6.0
+    K_rp: float = 60.0
+    K_rd: float = 15.0
+    K_ri: float = 3.0
 
 
 @dataclass
@@ -65,13 +53,13 @@ def nominal_wrench(state, sp, gains, integ, params, dt):
     """PD + feedforward translational force and PID attitude torque."""
     e_p = sp.p - state.p
     e_v = sp.v - state.v
-    f = params.m * (state.R.T @ (params.g * B3 + gains.K_tp @ e_p
-                                 + gains.K_td @ e_v + sp.a))
+    f = params.m * (state.R.T @ (params.g * B3 + gains.K_tp * e_p
+                                 + gains.K_td * e_v + sp.a))
     psi = state.R.T @ sp.R
     e_R = rotation_error(state.R, sp.R)
     e_w = psi @ sp.omega - state.omega
     acc = np.clip(integ.value + e_R * dt, -integ.clamp, integ.clamp)
-    tau = params.Jb @ (gains.K_rp @ e_R + gains.K_rd @ e_w + gains.K_ri @ acc)
+    tau = params.Jb @ (gains.K_rp * e_R + gains.K_rd * e_w + gains.K_ri * acc)
     return Wrench(f, tau), AttitudeIntegral(acc, integ.clamp)
 
 

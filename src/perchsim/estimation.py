@@ -18,14 +18,11 @@ class EstimatorState:
     delta_hat: np.ndarray            # estimated world-frame force, N
     accumulator: np.ndarray          # integral of (R f - m g b3 + delta_hat), N s
     p_m0: np.ndarray                 # reference momentum, kg m/s
-    K_e: np.ndarray                  # 3x3 positive-definite gain, 1/s
+    K_e: float                       # positive scalar gain, 1/s
     frozen: bool = False
 
     @staticmethod
     def fresh(state, params, K_e):
-        K_e = np.asarray(K_e, dtype=float)
-        if K_e.ndim == 0:
-            K_e = float(K_e) * np.eye(3)
         return EstimatorState(np.zeros(3), np.zeros(3),
                               params.m * state.v.copy(), K_e)
 
@@ -36,7 +33,7 @@ def update(est, state, f_body, params, dt):
         return est
     acc = est.accumulator + (state.R @ f_body - params.m * params.g * B3
                              + est.delta_hat) * dt
-    delta_hat = est.K_e @ (params.m * state.v - est.p_m0 - acc)
+    delta_hat = est.K_e * (params.m * state.v - est.p_m0 - acc)
     return EstimatorState(delta_hat, acc, est.p_m0, est.K_e, False)
 
 
@@ -50,7 +47,7 @@ def unfreeze(est, state, params):
     """Clear the freeze flag, re-based so delta_hat resumes continuously."""
     if not est.frozen:
         return est
-    p_m0 = params.m * state.v - np.linalg.solve(est.K_e, est.delta_hat)
+    p_m0 = params.m * state.v - est.delta_hat / est.K_e
     return EstimatorState(est.delta_hat.copy(), np.zeros(3), p_m0,
                           est.K_e, False)
 

@@ -100,7 +100,6 @@ class MissionPlanner:
     """Owns the active plan; rebuilds it on supervisor edges."""
 
     def __init__(self, cfg, wall, plan_cfg):
-        self.cfg = cfg
         self.plan_cfg = plan_cfg
         self.t0 = 0.0
         if cfg.mission == "hover":
@@ -328,6 +327,13 @@ def run_scenario(cfg):
     return result
 
 
+def settle_index(ok):
+    """First index from which `ok` stays true to the end, or None."""
+    bad = np.flatnonzero(~ok)
+    j = bad[-1] + 1 if len(bad) else 0
+    return int(j) if j < len(ok) else None
+
+
 def compute_metrics(result, completed=True, failure=""):
     """Derive outcome measures from a finished (possibly aborted) run."""
     if len(result.modes) == 0:
@@ -373,14 +379,9 @@ def compute_metrics(result, completed=True, failure=""):
                 m.min_clearance = float(np.min(g_after))
             # settling: first time ep stays below tolerance for good
             idx = np.nonzero(after)[0]
-            ok = ep[idx] < cfg.settle_tol
-            settle = None
-            for j in range(len(ok)):
-                if ok[j:].all():
-                    settle = t[idx[j]] - t_release
-                    break
-            if settle is not None:
-                m.settle_time_after_release = float(settle)
+            j = settle_index(ep[idx] < cfg.settle_tol)
+            if j is not None:
+                m.settle_time_after_release = float(t[idx[j]] - t_release)
 
     for mode in ("F", "F2P", "P", "P2F"):
         sel = modes == mode

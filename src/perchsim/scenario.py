@@ -5,7 +5,6 @@ values are whitespace-separated numbers; ``event`` and ``disturbance`` keys
 may repeat.  The first non-comment line must set ``schema_version = 1``.
 """
 
-import math
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -122,43 +121,38 @@ class ScenarioConfig:
         return params, wall, gains, switch, plan
 
 
-_VEC3_KEYS = {"wall_point", "wall_normal", "magnet_offset", "hover_position",
-              "initial_offset", "inertia_diag"}
-_STR_KEYS = {"name", "variant", "mission"}
-_INT_KEYS = {"seed", "schema_version"}
-
-
-def _parse_value(key, raw):
+def _numbers(lineno, key, raw, n):
+    """The `n` whitespace-separated floats of `raw`, as a tuple."""
     parts = raw.split()
+    if len(parts) != n:
+        raise ScenarioError(f"line {lineno}: {key} expects {n} number"
+                            + ("s" if n > 1 else ""))
     try:
-        if key in _STR_KEYS:
-            return raw.strip()
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _VEC3_KEYS:
-            vals = tuple(float(x) for x in parts)
-            if len(vals) != 3:
-                raise ScenarioError(f"{key} expects 3 numbers")
-            return vals
-        if len(parts) != 1:
-            raise ScenarioError(f"{key} expects a single number")
-        return float(raw)
-    except ValueError as exc:
-        raise ScenarioError(f"bad value for {key}: {raw!r}") from exc
-
-
-def _number(lineno, key, raw):
-    try:
-        return float(raw)
+        return tuple(float(x) for x in parts)
     except ValueError as exc:
         raise ScenarioError(
             f"line {lineno}: bad number for {key}: {raw!r}") from exc
 
 
+def _value(lineno, key, raw, default):
+    """`raw` parsed as the type of the field's default value."""
+    if isinstance(default, str):
+        return raw
+    if isinstance(default, tuple):
+        return _numbers(lineno, key, raw, len(default))
+    (x,) = _numbers(lineno, key, raw, 1)
+    if isinstance(default, int):
+        if not x.is_integer():
+            raise ScenarioError(f"line {lineno}: {key} expects an integer")
+        return int(x)
+    return x
+
+
 def parse_scenario(text):
     """Parse scenario text into a ScenarioConfig; raises ScenarioError."""
     cfg = ScenarioConfig()
-    known = set(asdict(cfg)) - {"events", "disturbances"}
+    defaults = {k: v for k, v in asdict(cfg).items()
+                if k not in ("events", "disturbances")}
     saw_version = False
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
@@ -170,7 +164,7 @@ def parse_scenario(text):
         if not saw_version:
             if key != "schema_version":
                 raise ScenarioError("first entry must be schema_version")
-            if _parse_value(key, raw) != SCHEMA_VERSION:
+            if _value(lineno, key, raw, SCHEMA_VERSION) != SCHEMA_VERSION:
                 raise ScenarioError(f"unsupported schema_version {raw}")
             saw_version = True
             continue
@@ -178,17 +172,13 @@ def parse_scenario(text):
             parts = raw.split()
             if len(parts) != 2:
                 raise ScenarioError(f"line {lineno}: event expects 'time kind'")
-            cfg.events.append((_number(lineno, key, parts[0]),
+            cfg.events.append((_numbers(lineno, key, parts[0], 1)[0],
                                parts[1].lower()))
         elif key == "disturbance":
-            parts = [_number(lineno, key, x) for x in raw.split()]
-            if len(parts) != 8:
-                raise ScenarioError(
-                    f"line {lineno}: disturbance expects 8 numbers "
-                    "(start end fx fy fz rx ry rz)")
-            cfg.disturbances.append(tuple(parts))
-        elif key in known:
-            setattr(cfg, key, _parse_value(key, raw))
+            cfg.disturbances.append(_numbers(
+                lineno, "disturbance (start end fx fy fz rx ry rz)", raw, 8))
+        elif key in defaults:
+            setattr(cfg, key, _value(lineno, key, raw, defaults[key]))
         else:
             raise ScenarioError(f"line {lineno}: unknown key {key!r}")
     if not saw_version:
@@ -225,7 +215,7 @@ Scalars (floats unless noted):
   mass (kg), gravity (m/s^2), arm_length (m), k_tau (m), thrust_max (N),
   rotor_tau (s), tilt_rate_max (rad/s), perch_servo_time (s)
   magnet_force (N), magnet_range (m), attach_tol (m)
-  k_tp, k_td, k_rp, k_rd, k_ri     diagonal controller gains
+  k_tp, k_td, k_rp, k_rd, k_ri     scalar controller gains
   integral_clamp (rad s), estimator_gain (1/s)
   lambda_f2p (N), lambda_p2f (N), rho
   hover_pitch (rad), standoff (m), penetration (m),
@@ -242,5 +232,6 @@ Repeatable:
   disturbance = <start_s> <end_s> <fx> <fy> <fz> <rx> <ry> <rz>
                 (world-frame force N, body-frame angular accel rad/s^2)
 
-Exit codes of the CLI: 0 ok, 2 scenario/schema error, 3 numerical abort.
+Exit codes of the CLI: 0 ok, 2 scenario/schema error,
+3 run failed (numerical abort or ground contact).
 """

@@ -1,8 +1,9 @@
 """Rigid-body tiltrotor dynamics with actuator lag and magnetic wall contact.
 
 The vehicle is a fully actuated rigid body.  While attached to the wall the
-pose is rigidly locked (all derivatives zero) until the perch servo peels the
-magnets off tangentially or the normal pull exceeds the magnet capacity.
+pose is rigidly locked (integrate returns the state unchanged) until the
+perch servo peels the magnets off tangentially or the normal pull exceeds the
+magnet capacity.
 """
 
 from dataclasses import dataclass
@@ -113,7 +114,6 @@ class ContactState:
     anchor_p: np.ndarray = None
     anchor_R: np.ndarray = None
     nearfield_force: np.ndarray = None  # world-frame magnet attraction, N
-    released: bool = False           # tangential peel completed
 
     def __post_init__(self):
         if self.nearfield_force is None:
@@ -142,11 +142,11 @@ def update_contact(state, act, applied_world_force, contact, wall, params):
         eta_hold = 1.0 if act.eta >= 0.95 else act.eta
         if act.eta <= 0.05:
             # Perch servo finished its unperch travel: tangential peel.
-            return ContactState(False, gap, 0.0, released=True)
+            return ContactState(False, gap, 0.0)
         pull = max(0.0, float(n @ (applied_world_force
                                    - params.m * params.g * B3)))
         if pull > wall.F_mag * eta_hold:
-            return ContactState(False, gap, 0.0, released=True)
+            return ContactState(False, gap, 0.0)
         lam = wall.F_mag * eta_hold + float(
             n @ (params.m * params.g * B3 - applied_world_force))
         return ContactState(True, 0.0, lam,
@@ -157,26 +157,25 @@ def update_contact(state, act, applied_world_force, contact, wall, params):
         return ContactState(True, 0.0, wall.F_mag,
                             anchor_p=state.p.copy(),
                             anchor_R=state.R.copy())
-    out = ContactState(False, gap, 0.0, released=contact.released)
+    out = ContactState(False, gap, 0.0)
     if act.eta >= 0.95 and 0.0 < gap < wall.d_mag:
         out.nearfield_force = -wall.F_mag * (1.0 - gap / wall.d_mag) * n
     return out
 
 
-def derivative(state, wrench, dist, contact, params):
-    """(dp, dv, dphi, domega) of the rigid body; zero while attached."""
-    if contact.attached:
-        z = np.zeros(3)
-        return z, z, z, z
-    f_world = state.R @ wrench.f + contact.nearfield_force + dist.delta_f
+def derivative(R, w, wrench, dist, contact, params):
+    """(dv, domega) of the free body at attitude R and body rate w.
+
+    The position and rotation derivatives are v and w themselves.
+    """
+    f_world = R @ wrench.f + contact.nearfield_force + dist.delta_f
     dv = f_world / params.m - params.g * B3
-    w = state.omega
     Jw = params.Jb @ w
     gyro = np.array([Jw[1] * w[2] - Jw[2] * w[1],
                      Jw[2] * w[0] - Jw[0] * w[2],
                      Jw[0] * w[1] - Jw[1] * w[0]])
     domega = params.Jb_inv @ (gyro + wrench.tau) + dist.delta_r
-    return state.v, dv, state.omega, domega
+    return dv, domega
 
 
 def integrate(state, act, dist, contact, wall, params, dt):
@@ -186,25 +185,25 @@ def integrate(state, act, dist, contact, wall, params, dt):
     if contact.attached:
         return state
     wrench = forward_wrench(act.thrust, act.tilt, params.rotors)
-
-    def f(p, v, R, w):
-        st = VehicleState(p, v, R, w)
-        return derivative(st, wrench, dist, contact, params)
-
-    p, v, R, w = state.p, state.v, state.R, state.omega
-    k1 = f(p, v, R, w)
+    # Stage i has derivative (v_i, a_i, w_i, b_i); no stage reads position.
+    p, v1, R, w1 = state.p, state.v, state.R, state.omega
     h = 0.5 * dt
-    k2 = f(p + h * k1[0], v + h * k1[1], R @ exp_so3(h * k1[2]), w + h * k1[3])
-    k3 = f(p + h * k2[0], v + h * k2[1], R @ exp_so3(h * k2[2]), w + h * k2[3])
-    k4 = f(p + dt * k3[0], v + dt * k3[1], R @ exp_so3(dt * k3[2]),
-           w + dt * k3[3])
+    a1, b1 = derivative(R, w1, wrench, dist, contact, params)
+    v2, w2 = v1 + h * a1, w1 + h * b1
+    a2, b2 = derivative(R @ exp_so3(h * w1), w2, wrench, dist, contact,
+                        params)
+    v3, w3 = v1 + h * a2, w1 + h * b2
+    a3, b3 = derivative(R @ exp_so3(h * w2), w3, wrench, dist, contact,
+                        params)
+    v4, w4 = v1 + dt * a3, w1 + dt * b3
+    a4, b4 = derivative(R @ exp_so3(dt * w3), w4, wrench, dist, contact,
+                        params)
 
     s = dt / 6.0
-    p_new = p + s * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
-    v_new = v + s * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
-    phi = s * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
-    R_new = renormalize(R @ exp_so3(phi))
-    w_new = w + s * (k1[3] + 2.0 * k2[3] + 2.0 * k3[3] + k4[3])
+    p_new = p + s * (v1 + 2.0 * v2 + 2.0 * v3 + v4)
+    v_new = v1 + s * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+    R_new = renormalize(R @ exp_so3(s * (w1 + 2.0 * w2 + 2.0 * w3 + w4)))
+    w_new = w1 + s * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
 
     if not (np.isfinite(p_new).all() and np.isfinite(v_new).all()
             and np.isfinite(R_new).all() and np.isfinite(w_new).all()):

@@ -3,21 +3,20 @@
 import numpy as np
 import pytest
 
-from perchsim.allocation import (AllocationError, RotorGeometry, Wrench,
-                                 allocate, forward_wrench)
+from perchsim.allocation import (THRUST_EPS, AllocationError, RotorGeometry,
+                                 Wrench, allocate, forward_wrench)
 
 MG = 1.65 * 9.81
 
 
 def test_allocation_matrix_rank_six():
-    A = RotorGeometry.x_config().allocation_matrix()
+    A = RotorGeometry.x_config().A
     assert A.shape == (6, 8)
     assert np.linalg.matrix_rank(A, tol=1e-9) == 6
 
 
 def test_zero_drag_ratio_yaw_row():
-    geom = RotorGeometry.x_config(k_tau=0.0)
-    A = geom.allocation_matrix()
+    A = RotorGeometry.x_config(k_tau=0.0).A
     # Planar rotor arms: vertical components produce no yaw without drag.
     assert np.allclose(A[5, :4], 0.0, atol=1e-15)
     assert np.linalg.norm(A[5, 4:]) > 0.0
@@ -25,9 +24,8 @@ def test_zero_drag_ratio_yaw_row():
 
 def test_degenerate_geometry_rejected():
     pos = np.tile([0.1, 0.0, 0.0], (4, 1))
-    geom = RotorGeometry(pos, np.array([1.0, -1.0, 1.0, -1.0]), 0.016)
     with pytest.raises(AllocationError):
-        geom.allocation_matrix()
+        RotorGeometry(pos, np.array([1.0, -1.0, 1.0, -1.0]), 0.016)
 
 
 def test_zero_position_rejected():
@@ -96,7 +94,7 @@ def test_roundtrip_random_wrenches():
 
 def test_min_norm_against_kkt_oracle():
     geom = RotorGeometry.x_config()
-    A = geom.allocation_matrix()
+    A = geom.A
     rng = np.random.default_rng(13)
     worst = 0.0
     for _ in range(100):
@@ -125,3 +123,22 @@ def test_near_zero_thrust_holds_previous_tilt():
     prev = np.array([0.3, -0.2, 0.1, 0.0])
     cmd = allocate(Wrench.zero(), geom, 8.0, prev_tilt=prev)
     assert np.array_equal(cmd.tilt, prev)
+
+
+def test_allocate_matches_per_rotor_loop():
+    # Reference: the per-rotor recovery of thrust and tilt, one at a time.
+    geom = RotorGeometry.x_config()
+    rng = np.random.default_rng(14)
+    prev = rng.uniform(-1.0, 1.0, 4)
+    for scale in (0.0, 1e-9, 1.0, 30.0):
+        for _ in range(50):
+            w = _random_wrench(rng, f_max=scale, tau_max=0.05 * scale)
+            cmd = allocate(w, geom, 8.0, prev_tilt=prev)
+            x = geom.A_pinv @ w.as_vector()
+            for i in range(4):
+                thrust = float(np.hypot(x[i], x[4 + i]))
+                tilt = prev[i] if thrust < THRUST_EPS \
+                    else float(np.arctan2(x[4 + i], x[i]))
+                assert cmd.tilt[i] == tilt
+                assert cmd.thrust[i] == min(thrust, 8.0)
+                assert cmd.saturated[i] == (thrust > 8.0)

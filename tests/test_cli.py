@@ -2,7 +2,7 @@
 
 import json
 
-from perchsim.cli import EXIT_OK, EXIT_SCHEMA, main
+from perchsim.cli import EXIT_FAILED, EXIT_OK, EXIT_SCHEMA, main
 
 HOVER = """\
 schema_version = 1
@@ -36,6 +36,16 @@ def test_run_dt_override(tmp_path):
     assert code == EXIT_OK
     body = (out / "log.csv").read_text().splitlines()
     assert body[2].startswith("0.005,")
+
+
+def test_ground_contact_exit_code(tmp_path, capsys):
+    # Rotors too weak to hold altitude: the run ends on the ground.
+    scen = tmp_path / "weak.scn"
+    scen.write_text(HOVER + "thrust_max = 1\n")
+    code = main(["run", "--scenario", str(scen), "--out", str(tmp_path / "o")])
+    assert code == EXIT_FAILED
+    printed = json.loads(capsys.readouterr().out)
+    assert printed["failure"] == "ground-contact"
 
 
 def test_malformed_scenario_exit_code(tmp_path, capsys):

@@ -113,9 +113,3 @@ def test_contact_press_convergence():
         est = estimation.update(est, state, f_body, PARAMS, 0.001)
     lam = estimation.contact_normal_force(est, WALL)
     assert abs(lam - 2.0) < 0.05
-
-
-def test_scalar_gain_promoted_to_matrix():
-    est = fresh(VehicleState.at_rest([0.0, 0.0, 1.2]))
-    assert est.K_e.shape == (3, 3)
-    assert np.allclose(est.K_e, 20.0 * np.eye(3))

@@ -7,8 +7,10 @@ import pytest
 
 from perchsim.acceptance import run_variant
 from perchsim.harness import (CSV_COLUMNS, _COL, _NUM_COLUMNS, SimResult,
-                              compare, compute_metrics, run_scenario)
-from perchsim.scenario import ScenarioConfig, default_scenario
+                              compare, compute_metrics, run_scenario,
+                              settle_index)
+from perchsim.scenario import ScenarioConfig, default_scenario, \
+    parse_scenario
 
 
 def synthetic_result(z_after, gaps_after, ep_after, sat_p):
@@ -69,6 +71,19 @@ def test_metrics_penetration_counts_as_recontact():
         ep_after=[0.0] * 7, sat_p=[])
     m = compute_metrics(res)
     assert m.min_clearance == -0.05
+
+
+def test_settle_index_matches_brute_force():
+    def brute(ok):
+        return next((j for j in range(len(ok)) if ok[j:].all()), None)
+
+    rng = np.random.default_rng(5)
+    cases = [np.ones(6, bool), np.zeros(6, bool), np.zeros(0, bool),
+             np.array([True, True, False])]
+    cases += [rng.random(rng.integers(1, 40)) < p
+              for p in (0.5, 0.9, 0.99) for _ in range(100)]
+    for ok in cases:
+        assert settle_index(ok) == brute(ok)
 
 
 def test_compare_identical_runs():
@@ -168,3 +183,26 @@ ABLATION_SHA256 = {
 def test_ablation_csv_pinned(variant):
     csv = run_variant(variant).to_csv()
     assert hashlib.sha256(csv.encode()).hexdigest() == ABLATION_SHA256[variant]
+
+
+# SHA-256 of a short noisy, disturbed, pitched hover CSV.  The default
+# mission is noise-free, so this is the only pin on the measurement-noise
+# path and the disturbance schedule in free flight.
+NOISY_HOVER = """\
+schema_version = 1
+mission = hover
+duration = 0.5
+seed = 5
+noise_std_pos = 0.002
+noise_std_vel = 0.01
+hover_pitch = 0.4
+initial_offset = 0.02 -0.01 0.03
+disturbance = 0.1 0.3 0.8 -0.5 0.3 0.2 -0.1 0.3
+"""
+NOISY_HOVER_SHA256 = \
+    "2d8c3b51cedbc854e8af7a67eb6d9ba89f1af426f17751b92691a8a72da2dab4"
+
+
+def test_noisy_hover_pinned():
+    csv = run_scenario(parse_scenario(NOISY_HOVER)).to_csv()
+    assert hashlib.sha256(csv.encode()).hexdigest() == NOISY_HOVER_SHA256

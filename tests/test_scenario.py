@@ -59,12 +59,12 @@ def test_unknown_key():
 
 
 def test_bad_value():
-    with pytest.raises(ScenarioError):
+    with pytest.raises(ScenarioError, match="line 2"):
         parse_scenario(MINIMAL + "mass = heavy\n")
 
 
 def test_vector_arity():
-    with pytest.raises(ScenarioError):
+    with pytest.raises(ScenarioError, match="line 2"):
         parse_scenario(MINIMAL + "wall_point = 1.0 2.0\n")
 
 
@@ -116,7 +116,7 @@ def test_build_instantiates_params():
     params, wall, gains, switch, plan = default_scenario().build()
     assert params.m == 1.65
     assert np.allclose(wall.normal, [-1.0, 0.0, 0.0])
-    assert gains.K_tp.shape == (3, 3)
+    assert gains.K_tp == 10.0
     assert switch.lambda_f2p == 1.0
     assert plan.d_off == 0.5
 

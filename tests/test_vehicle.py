@@ -22,30 +22,16 @@ def detached(gap=10.0):
 
 
 def test_derivative_free_fall():
-    state = VehicleState.at_rest([0.0, 0.0, 5.0])
-    _, dv, _, _ = derivative(state, Wrench.zero(), Disturbances.none(),
-                             detached(), PARAMS)
+    dv, _ = derivative(np.eye(3), np.zeros(3), Wrench.zero(),
+                       Disturbances.none(), detached(), PARAMS)
     assert np.allclose(dv, [0.0, 0.0, -9.81], atol=1e-12)
 
 
 def test_derivative_hover_balance():
-    state = VehicleState.at_rest([0.0, 0.0, 5.0])
     w = Wrench(PARAMS.m * PARAMS.g * B3, np.zeros(3))
-    _, dv, _, _ = derivative(state, w, Disturbances.none(), detached(),
-                             PARAMS)
+    dv, _ = derivative(np.eye(3), np.zeros(3), w, Disturbances.none(),
+                       detached(), PARAMS)
     assert np.allclose(dv, 0.0, atol=1e-12)
-
-
-def test_derivative_attached_is_zero():
-    state = VehicleState.at_rest([1.0, 0.0, 1.2])
-    state.v = np.array([1.0, 2.0, 3.0])
-    anchored = ContactState(attached=True, gap=0.0,
-                            anchor_p=state.p, anchor_R=state.R)
-    dp, dv, dphi, dw = derivative(state, Wrench(np.ones(3), np.ones(3)),
-                                  Disturbances(np.ones(3), np.ones(3)),
-                                  anchored, PARAMS)
-    for d in (dp, dv, dphi, dw):
-        assert np.array_equal(d, np.zeros(3))
 
 
 def test_step_actuators_thrust_lag():
@@ -131,7 +117,6 @@ def test_contact_release_on_unperch_travel():
                             anchor_p=st.p, anchor_R=st.R)
     out = update_contact(st, act, np.zeros(3), anchored, WALL, PARAMS)
     assert not out.attached
-    assert out.released
 
 
 def test_contact_forcible_detach_over_capacity():
