@@ -1,6 +1,9 @@
 """Harness tests: metrics arithmetic, determinism, regulation, comparisons."""
 
 import hashlib
+import importlib.util
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -206,3 +209,58 @@ NOISY_HOVER_SHA256 = \
 def test_noisy_hover_pinned():
     csv = run_scenario(parse_scenario(NOISY_HOVER)).to_csv()
     assert hashlib.sha256(csv.encode()).hexdigest() == NOISY_HOVER_SHA256
+
+
+def _make_reference():
+    path = Path(__file__).parent / "data" / "make_reference.py"
+    spec = importlib.util.spec_from_file_location("make_reference", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+REFERENCE = _make_reference()
+REF_RTOL = 1e-9   # |new - ref| <= REF_RTOL * max(1, |ref|)
+
+
+def _numbers(metrics, prefix=""):
+    """Flatten a metrics dict into {dotted key: leaf value}."""
+    out = {}
+    for key, value in metrics.items():
+        if isinstance(value, dict):
+            out.update(_numbers(value, f"{prefix}{key}."))
+        else:
+            out[prefix + key] = value
+    return out
+
+
+@pytest.mark.parametrize("name", [*REFERENCE.VARIANTS, "noisy-hover"])
+def test_matches_pre_scalar_reference(name):
+    """Runs match traces recorded with the numpy-array integrator.
+
+    Modes, events and tick counts must be identical; every sampled CSV value
+    and every numeric metric must lie within REF_RTOL (relative above 1).
+    """
+    with np.load(REFERENCE.OUT) as npz:
+        ref = {key.rsplit(".", 1)[1]: npz[key] for key in npz.files
+               if key.rsplit(".", 1)[0] == name}
+    if name == "noisy-hover":
+        result = run_scenario(parse_scenario(NOISY_HOVER))
+    else:
+        result = run_variant(name)
+    new = REFERENCE.summary(result, int(ref["stride"]))
+    for key in ("ticks", "mode_names", "mode_runs", "events"):
+        assert np.array_equal(new[key], ref[key]), key
+    assert new["rows"].shape == ref["rows"].shape
+    scale = np.maximum(1.0, np.abs(ref["rows"]))
+    worst = np.max(np.abs(new["rows"] - ref["rows"]) / scale)
+    assert worst <= REF_RTOL, f"rows deviate by {worst:.3g}"
+    m_new = _numbers(json.loads(str(new["metrics"])))
+    m_ref = _numbers(json.loads(str(ref["metrics"])))
+    assert m_new.keys() == m_ref.keys()
+    for key, r in m_ref.items():
+        x = m_new[key]
+        if isinstance(r, float) and isinstance(x, float):
+            assert abs(x - r) <= REF_RTOL * max(1.0, abs(r)), key
+        else:
+            assert x == r, key
