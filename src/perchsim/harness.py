@@ -37,6 +37,10 @@ CSV_COLUMNS = [
 # Numeric columns in row order (mode is interleaved only at CSV render time).
 _NUM_COLUMNS = [c for c in CSV_COLUMNS if c != "mode"]
 _COL = {name: i for i, name in enumerate(_NUM_COLUMNS)}
+# A CSV row is _CSV_HEAD % (values before mode) + mode + _CSV_TAIL % (rest).
+_MODE_POS = CSV_COLUMNS.index("mode")
+_CSV_HEAD = "%.12g," * _MODE_POS
+_CSV_TAIL = ",%.12g" * (len(_NUM_COLUMNS) - _MODE_POS)
 
 
 @dataclass
@@ -88,11 +92,10 @@ class SimResult:
 
     def to_csv(self):
         lines = [",".join(CSV_COLUMNS)]
-        mode_pos = CSV_COLUMNS.index("mode")
-        for i in range(len(self.modes)):
-            vals = [format(x, ".12g") for x in self.rows[i]]
-            vals.insert(mode_pos, self.modes[i])
-            lines.append(",".join(vals))
+        for row, mode in zip(self.rows, self.modes):
+            vals = row.tolist()
+            lines.append(_CSV_HEAD % tuple(vals[:_MODE_POS]) + mode
+                         + _CSV_TAIL % tuple(vals[_MODE_POS:]))
         return "\n".join(lines) + "\n"
 
 

@@ -135,17 +135,19 @@ class Plan:
 
     def __init__(self, segments):
         self.segments = segments
-        self.duration = segments[-1].start + segments[-1].translation.duration
+        last = segments[-1]
+        T = last.translation.duration
+        self.duration = last.start + T
+        p, _, _ = last.translation.eval(T)
+        R, _ = last.rotation.eval(T)
+        # Shared by every sample past the end; no caller mutates a Setpoint.
+        self.terminal = Setpoint(p, np.zeros(3), np.zeros(3), R, np.zeros(3))
 
     def sample(self, t):
         if t < 0:
             t = 0.0
         if t >= self.duration:
-            seg = self.segments[-1]
-            T = seg.translation.duration
-            p, _, _ = seg.translation.eval(T)
-            R, _ = seg.rotation.eval(T)
-            return Setpoint(p, np.zeros(3), np.zeros(3), R, np.zeros(3))
+            return self.terminal
         for seg in reversed(self.segments):
             if t >= seg.start:
                 tau = t - seg.start
