@@ -1,7 +1,9 @@
 """SO(3) math kernel: hat/vee, exp/log maps, rotation error, Euler pitch.
 
-All rotations are 3x3 numpy arrays (body-to-world), vectors are shape-(3,)
-float arrays.  Everything here is stateless.
+Rotations are body-to-world.  The integrator's kernel (`exp_so3`,
+`mat_mul`, `renormalize`) works on plain floats: a rotation is a row-major
+9-tuple and a vector three floats.  Everything else takes 3x3 numpy arrays
+and shape-(3,) float arrays.  Everything here is stateless.
 """
 
 import math
@@ -37,15 +39,33 @@ def _vee_unchecked(M):
     return np.array([M[2, 1], M[0, 2], M[1, 0]])
 
 
-def exp_so3(v):
-    """Rodrigues' formula, with a Taylor series below the small-angle threshold."""
-    theta = math.sqrt(v[0] * v[0] + v[1] * v[1] + v[2] * v[2])
-    K = hat(v)
+def exp_so3(x, y, z):
+    """Rotation of the vector (x, y, z) as a row-major 9-tuple.
+
+    Rodrigues' formula I + a K + b K^2 with K = hat(x, y, z), with a Taylor
+    series below the small-angle threshold.
+    """
+    xx, yy, zz = x * x, y * y, z * z
+    theta = math.sqrt(xx + yy + zz)
     if theta < _SMALL_ANGLE:
-        return np.eye(3) + K + 0.5 * (K @ K)
-    a = math.sin(theta) / theta
-    b = (1.0 - math.cos(theta)) / (theta * theta)
-    return np.eye(3) + a * K + b * (K @ K)
+        a, b = 1.0, 0.5
+    else:
+        a = math.sin(theta) / theta
+        b = (1.0 - math.cos(theta)) / (theta * theta)
+    ax, ay, az = a * x, a * y, a * z
+    bxy, bxz, byz = b * (x * y), b * (x * z), b * (y * z)
+    return (1.0 - b * (zz + yy), bxy - az, bxz + ay,
+            bxy + az, 1.0 - b * (zz + xx), byz - ax,
+            bxz - ay, byz + ax, 1.0 - b * (yy + xx))
+
+
+def mat_mul(A, B):
+    """Product of two row-major 3x3 9-tuples."""
+    a, b, c, d, e, f, g, h, i = A
+    j, k, l, m, n, o, p, q, r = B
+    return (a * j + b * m + c * p, a * k + b * n + c * q, a * l + b * o + c * r,
+            d * j + e * m + f * p, d * k + e * n + f * q, d * l + e * o + f * r,
+            g * j + h * m + i * p, g * k + h * n + i * q, g * l + h * o + i * r)
 
 
 def log_so3(R):
@@ -116,8 +136,17 @@ def right_jacobian_inv(v):
 
 
 def renormalize(R):
-    """Project a near-orthonormal matrix back onto SO(3) (first-order)."""
-    return R @ (1.5 * np.eye(3) - 0.5 * (R.T @ R))
+    """Project a near-orthonormal 9-tuple back onto SO(3) (first-order).
+
+    R (1.5 I - 0.5 R^T R), as a row-major 9-tuple.
+    """
+    a, b, c, d, e, f, g, h, i = R
+    s01 = -0.5 * (a * b + d * e + g * h)
+    s02 = -0.5 * (a * c + d * f + g * i)
+    s12 = -0.5 * (b * c + e * f + h * i)
+    return mat_mul(R, (1.5 - 0.5 * (a * a + d * d + g * g), s01, s02,
+                       s01, 1.5 - 0.5 * (b * b + e * e + h * h), s12,
+                       s02, s12, 1.5 - 0.5 * (c * c + f * f + i * i)))
 
 
 def quat_of(R):

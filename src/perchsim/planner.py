@@ -99,7 +99,7 @@ class RotationSegment:
         c = self.coeffs
         phi = c[:, 1] * t + c[:, 2] * t ** 2 + c[:, 3] * t ** 3
         dphi = c[:, 1] + 2 * c[:, 2] * t + 3 * c[:, 3] * t ** 2
-        R = self.R0 @ exp_so3(phi)
+        R = self.R0 @ np.reshape(exp_so3(*phi.tolist()), (3, 3))
         omega = right_jacobian(phi) @ dphi
         return R, omega
 

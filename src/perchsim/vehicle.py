@@ -6,12 +6,13 @@ perch servo peels the magnets off tangentially or the normal pull exceeds the
 magnet capacity.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .allocation import RotorGeometry, forward_wrench
-from .geometry import B3, exp_so3, renormalize
+from .geometry import B3, exp_so3, mat_mul, renormalize
 
 
 class NumericalDivergenceError(RuntimeError):
@@ -163,50 +164,84 @@ def update_contact(state, act, applied_world_force, contact, wall, params):
     return out
 
 
-def derivative(R, w, wrench, dist, contact, params):
+def derivative(R, w, load, body):
     """(dv, domega) of the free body at attitude R and body rate w.
 
-    The position and rotation derivatives are v and w themselves.
+    R is a row-major 9-tuple, w three floats.  `load` is (body force, body
+    torque, world near-field force, world disturbance force, body disturbance
+    acceleration), each three floats; `body` is (m, g, Jb, Jb_inv) with the
+    inertia and its inverse as row-major 9-tuples.  The position and rotation
+    derivatives are v and w themselves.
     """
-    f_world = R @ wrench.f + contact.nearfield_force + dist.delta_f
-    dv = f_world / params.m - params.g * B3
-    Jw = params.Jb @ w
-    gyro = np.array([Jw[1] * w[2] - Jw[2] * w[1],
-                     Jw[2] * w[0] - Jw[0] * w[2],
-                     Jw[0] * w[1] - Jw[1] * w[0]])
-    domega = params.Jb_inv @ (gyro + wrench.tau) + dist.delta_r
-    return dv, domega
+    r00, r01, r02, r10, r11, r12, r20, r21, r22 = R
+    wx, wy, wz = w
+    (fx, fy, fz), (tx, ty, tz), (nx, ny, nz), (dx, dy, dz), dr = load
+    m, g, (j00, j01, j02, j10, j11, j12, j20, j21, j22), Ji = body
+    dv = ((r00 * fx + r01 * fy + r02 * fz + nx + dx) / m,
+          (r10 * fx + r11 * fy + r12 * fz + ny + dy) / m,
+          (r20 * fx + r21 * fy + r22 * fz + nz + dz) / m - g)
+    jx = j00 * wx + j01 * wy + j02 * wz
+    jy = j10 * wx + j11 * wy + j12 * wz
+    jz = j20 * wx + j21 * wy + j22 * wz
+    ux = jy * wz - jz * wy + tx
+    uy = jz * wx - jx * wz + ty
+    uz = jx * wy - jy * wx + tz
+    return dv, (Ji[0] * ux + Ji[1] * uy + Ji[2] * uz + dr[0],
+                Ji[3] * ux + Ji[4] * uy + Ji[5] * uz + dr[1],
+                Ji[6] * ux + Ji[7] * uy + Ji[8] * uz + dr[2])
+
+
+def _axpy(x, h, y):
+    """x + h * y on three floats."""
+    return x[0] + h * y[0], x[1] + h * y[1], x[2] + h * y[2]
+
+
+def _rk4_sum(k1, k2, k3, k4):
+    """k1 + 2 k2 + 2 k3 + k4 on three floats, summed left to right."""
+    return [a + 2.0 * b + 2.0 * c + d for a, b, c, d in zip(k1, k2, k3, k4)]
 
 
 def integrate(state, act, dist, contact, wall, params, dt):
-    """One RK4 step; rotation advanced on the exponential map, renormalized."""
+    """One RK4 step; rotation advanced on the exponential map, renormalized.
+
+    The stages run on plain floats (see `derivative`); only the result is
+    built as numpy arrays.
+    """
     if not 0.0 < dt <= 0.01:
         raise ValueError("dt must lie in (0, 0.01]")
     if contact.attached:
         return state
     wrench = forward_wrench(act.thrust, act.tilt, params.rotors)
+    load = (wrench.f.tolist(), wrench.tau.tolist(),
+            contact.nearfield_force.tolist(), dist.delta_f.tolist(),
+            dist.delta_r.tolist())
+    body = (params.m, params.g, params.Jb.ravel().tolist(),
+            params.Jb_inv.ravel().tolist())
     # Stage i has derivative (v_i, a_i, w_i, b_i); no stage reads position.
-    p, v1, R, w1 = state.p, state.v, state.R, state.omega
+    R = state.R.ravel().tolist()
+    v1, w1 = state.v.tolist(), state.omega.tolist()
     h = 0.5 * dt
-    a1, b1 = derivative(R, w1, wrench, dist, contact, params)
-    v2, w2 = v1 + h * a1, w1 + h * b1
-    a2, b2 = derivative(R @ exp_so3(h * w1), w2, wrench, dist, contact,
-                        params)
-    v3, w3 = v1 + h * a2, w1 + h * b2
-    a3, b3 = derivative(R @ exp_so3(h * w2), w3, wrench, dist, contact,
-                        params)
-    v4, w4 = v1 + dt * a3, w1 + dt * b3
-    a4, b4 = derivative(R @ exp_so3(dt * w3), w4, wrench, dist, contact,
-                        params)
+    a1, b1 = derivative(R, w1, load, body)
+    v2, w2 = _axpy(v1, h, a1), _axpy(w1, h, b1)
+    a2, b2 = derivative(mat_mul(R, exp_so3(h * w1[0], h * w1[1], h * w1[2])),
+                        w2, load, body)
+    v3, w3 = _axpy(v1, h, a2), _axpy(w1, h, b2)
+    a3, b3 = derivative(mat_mul(R, exp_so3(h * w2[0], h * w2[1], h * w2[2])),
+                        w3, load, body)
+    v4, w4 = _axpy(v1, dt, a3), _axpy(w1, dt, b3)
+    a4, b4 = derivative(mat_mul(R, exp_so3(dt * w3[0], dt * w3[1],
+                                           dt * w3[2])),
+                        w4, load, body)
 
     s = dt / 6.0
-    p_new = p + s * (v1 + 2.0 * v2 + 2.0 * v3 + v4)
-    v_new = v1 + s * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
-    R_new = renormalize(R @ exp_so3(s * (w1 + 2.0 * w2 + 2.0 * w3 + w4)))
-    w_new = w1 + s * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+    dw = _rk4_sum(w1, w2, w3, w4)
+    p_new = _axpy(state.p.tolist(), s, _rk4_sum(v1, v2, v3, v4))
+    v_new = _axpy(v1, s, _rk4_sum(a1, a2, a3, a4))
+    R_new = renormalize(mat_mul(R, exp_so3(s * dw[0], s * dw[1], s * dw[2])))
+    w_new = _axpy(w1, s, _rk4_sum(b1, b2, b3, b4))
 
-    if not (np.isfinite(p_new).all() and np.isfinite(v_new).all()
-            and np.isfinite(R_new).all() and np.isfinite(w_new).all()):
+    if not all(map(math.isfinite, p_new + v_new + R_new + w_new)):
         raise NumericalDivergenceError(
             "non-finite state after integration step")
-    return VehicleState(p_new, v_new, R_new, w_new)
+    return VehicleState(np.array(p_new), np.array(v_new),
+                        np.reshape(R_new, (3, 3)), np.array(w_new))

@@ -11,10 +11,15 @@ from perchsim.geometry import (B3, exp_so3, hat, log_so3, pitch_of,
                                rotation_error, vee)
 
 
+def exp_matrix(v):
+    """exp_so3 of a rotation vector, as a 3x3 array."""
+    return np.reshape(exp_so3(*v), (3, 3))
+
+
 def random_rotation(rng, max_angle=math.pi - 1e-3):
     axis = rng.normal(size=3)
     axis /= np.linalg.norm(axis)
-    return exp_so3(rng.uniform(0.0, max_angle) * axis)
+    return exp_matrix(rng.uniform(0.0, max_angle) * axis)
 
 
 def test_hat_zero():
@@ -57,24 +62,24 @@ def test_vee_rejects_non_skew():
 
 
 def test_exp_zero_is_identity():
-    assert np.allclose(exp_so3(np.zeros(3)), np.eye(3), atol=1e-15)
+    assert np.allclose(exp_matrix(np.zeros(3)), np.eye(3), atol=1e-15)
 
 
 def test_exp_quarter_turn_about_z():
-    R = exp_so3(np.array([0.0, 0.0, math.pi / 2]))
+    R = exp_matrix(np.array([0.0, 0.0, math.pi / 2]))
     assert np.allclose(R @ np.array([1.0, 0.0, 0.0]),
                        [0.0, 1.0, 0.0], atol=1e-12)
 
 
 def test_exp_pi_about_x():
-    R = exp_so3(np.array([math.pi, 0.0, 0.0]))
+    R = exp_matrix(np.array([math.pi, 0.0, 0.0]))
     assert np.allclose(R, np.diag([1.0, -1.0, -1.0]), atol=1e-12)
 
 
 def test_exp_orthonormal():
     rng = np.random.default_rng(3)
     for _ in range(50):
-        R = exp_so3(rng.normal(size=3))
+        R = exp_matrix(rng.normal(size=3))
         assert np.linalg.norm(R.T @ R - np.eye(3)) < 1e-9
         assert abs(np.linalg.det(R) - 1.0) < 1e-9
 
@@ -93,7 +98,7 @@ def test_log_exp_roundtrip_random():
     worst = 0.0
     for _ in range(1000):
         R = random_rotation(rng)
-        err = np.linalg.norm(exp_so3(log_so3(R)) - R)
+        err = np.linalg.norm(exp_matrix(log_so3(R)) - R)
         worst = max(worst, err)
     assert worst < 1e-9
 
@@ -104,7 +109,7 @@ def test_exp_log_roundtrip_in_vector():
         axis = rng.normal(size=3)
         axis /= np.linalg.norm(axis)
         v = rng.uniform(0.0, math.pi - 1e-3) * axis
-        assert np.linalg.norm(log_so3(exp_so3(v)) - v) < 1e-9
+        assert np.linalg.norm(log_so3(exp_matrix(v)) - v) < 1e-9
 
 
 def test_log_near_pi_branch():
@@ -113,8 +118,8 @@ def test_log_near_pi_branch():
         axis = rng.normal(size=3)
         axis /= np.linalg.norm(axis)
         v = (math.pi - 1e-9) * axis
-        w = log_so3(exp_so3(v))
-        assert np.linalg.norm(exp_so3(w) - exp_so3(v)) < 1e-7
+        w = log_so3(exp_matrix(v))
+        assert np.linalg.norm(exp_matrix(w) - exp_matrix(v)) < 1e-7
         assert np.linalg.norm(w) <= math.pi + 1e-12
 
 
@@ -123,7 +128,7 @@ def test_log_exact_pi_deterministic():
     v = log_so3(R)
     assert abs(np.linalg.norm(v) - math.pi) < 1e-9
     assert v[0] > 0.0  # first nonzero axis component nonnegative
-    assert np.linalg.norm(exp_so3(v) - R) < 1e-9
+    assert np.linalg.norm(exp_matrix(v) - R) < 1e-9
 
 
 def test_rotation_error_zero_iff_equal():
@@ -174,16 +179,16 @@ def test_right_jacobian_finite_difference():
         phi = rng.normal(size=3)
         dphi = rng.normal(size=3)
         eps = 1e-7
-        dR = (exp_so3(phi + eps * dphi) - exp_so3(phi)) / eps
-        omega_fd = vee(0.5 * (exp_so3(phi).T @ dR
-                              - (exp_so3(phi).T @ dR).T))
+        dR = (exp_matrix(phi + eps * dphi) - exp_matrix(phi)) / eps
+        omega_fd = vee(0.5 * (exp_matrix(phi).T @ dR
+                              - (exp_matrix(phi).T @ dR).T))
         assert np.allclose(omega_fd, right_jacobian(phi) @ dphi, atol=1e-5)
 
 
 def test_renormalize_projects_back():
     rng = np.random.default_rng(11)
     R = random_rotation(rng) + 1e-9 * rng.normal(size=(3, 3))
-    Rn = renormalize(R)
+    Rn = np.reshape(renormalize(R.ravel().tolist()), (3, 3))
     assert np.linalg.norm(Rn.T @ Rn - np.eye(3)) < 1e-12
 
 

@@ -174,11 +174,11 @@ def test_mission_metrics_sane():
 # the other three (two-mode machine, rho override, no-freeze policies).
 ABLATION_SHA256 = {
     "no-transitions-rho0":
-        "b787284f10059db360116579e5ee07403d088256945d190d7b76faaa50b3310e",
+        "009db10cb9f08db36388a235d1d3d62fb9756cb9b8dd17adf78f46affb3bcff7",
     "no-transitions-rho0.5":
-        "e70d3c5bd269d816b9691c105310c8f3e52eafd7ec0b9d535436d519895b2922",
+        "2d8febed5f42db4e697fdcfdab9b2ad4b067787c37dae58c5342936ac0a44a40",
     "no-freeze":
-        "22846248c91be609c3b7a08db6d267ffb41f98619125dbe98167393341bee1e7",
+        "72974689a8005396cb286eddb4a6801165b7f347c06f0ced1c9792d52c1041f9",
 }
 
 
@@ -203,7 +203,7 @@ initial_offset = 0.02 -0.01 0.03
 disturbance = 0.1 0.3 0.8 -0.5 0.3 0.2 -0.1 0.3
 """
 NOISY_HOVER_SHA256 = \
-    "2d8c3b51cedbc854e8af7a67eb6d9ba89f1af426f17751b92691a8a72da2dab4"
+    "87bd49dbca5fdf2cad6ee98d30f596b1aa1e67228ad5953fa8a11b51a0d7e0a7"
 
 
 def test_noisy_hover_pinned():

@@ -15,6 +15,10 @@ WALL = WallModel(point=np.array([1.0, 0.0, 1.2]),
                  normal=np.array([-1.0, 0.0, 0.0]))
 
 
+def exp_matrix(v):
+    return np.reshape(exp_so3(*v), (3, 3))
+
+
 def interface_x(sp):
     return float((sp.p + sp.R @ WALL.c_m)[0])
 
@@ -119,8 +123,9 @@ def test_min_accel_endpoint_exactness():
     rng = np.random.default_rng(18)
     for _ in range(100):
         a0, a1 = rng.normal(size=(2, 3))
-        R0 = exp_so3(a0 / np.linalg.norm(a0) * rng.uniform(0, 2.0))
-        Rf = R0 @ exp_so3(a1 / np.linalg.norm(a1) * rng.uniform(0, 2.5))
+        R0 = exp_matrix(a0 / np.linalg.norm(a0) * rng.uniform(0, 2.0))
+        Rf = R0 @ exp_matrix(a1 / np.linalg.norm(a1)
+                             * rng.uniform(0, 2.5))
         w0, wf = 0.3 * rng.normal(size=(2, 3))
         T = rng.uniform(0.5, 4.0)
         seg = min_accel_rotation(R0, Rf, w0, wf, T)

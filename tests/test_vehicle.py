@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from perchsim.allocation import ActuatorCommand, Wrench
-from perchsim.geometry import B3, rot_z
+from perchsim.allocation import ActuatorCommand, Wrench, forward_wrench
+from perchsim.geometry import B3, rot_x, rot_y, rot_z
 from perchsim.vehicle import (ActuatorState, ContactState, Disturbances,
                               VehicleParams, VehicleState, WallModel,
                               derivative, integrate, step_actuators,
@@ -21,16 +21,24 @@ def detached(gap=10.0):
     return ContactState(attached=False, gap=gap)
 
 
+def rates_at_rest(wrench, params=PARAMS):
+    """derivative() at R = I, w = 0 with no near-field force or disturbance."""
+    load = (wrench.f.tolist(), wrench.tau.tolist(), (0.0, 0.0, 0.0),
+            (0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
+    body = (params.m, params.g, params.Jb.ravel().tolist(),
+            params.Jb_inv.ravel().tolist())
+    return derivative(np.eye(3).ravel().tolist(), (0.0, 0.0, 0.0), load,
+                      body)
+
+
 def test_derivative_free_fall():
-    dv, _ = derivative(np.eye(3), np.zeros(3), Wrench.zero(),
-                       Disturbances.none(), detached(), PARAMS)
+    dv, _ = rates_at_rest(Wrench.zero())
     assert np.allclose(dv, [0.0, 0.0, -9.81], atol=1e-12)
 
 
 def test_derivative_hover_balance():
     w = Wrench(PARAMS.m * PARAMS.g * B3, np.zeros(3))
-    dv, _ = derivative(np.eye(3), np.zeros(3), w, Disturbances.none(),
-                       detached(), PARAMS)
+    dv, _ = rates_at_rest(w)
     assert np.allclose(dv, 0.0, atol=1e-12)
 
 
@@ -160,6 +168,59 @@ def test_integrate_principal_axis_rotation():
         state = integrate(state, act, Disturbances.none(), contact,
                           WALL, params, dt)
     assert np.linalg.norm(state.R - rot_z(math.pi / 2)) < 1e-6
+
+
+def test_integrate_matches_numpy_rk4():
+    # Non-diagonal inertia, near-field pull and disturbances all active.
+    J = np.array([[9e-3, 4e-4, -3e-4],
+                  [4e-4, 8e-3, 2e-4],
+                  [-3e-4, 2e-4, 1.4e-2]])
+    params = VehicleParams(Jb=J)
+    state = VehicleState(np.array([0.1, -0.2, 1.3]),
+                         np.array([0.4, -0.1, 0.2]),
+                         rot_z(0.4) @ rot_y(-0.3) @ rot_x(0.2),
+                         np.array([1.5, -2.0, 0.7]))
+    act = ActuatorState(np.array([3.0, 4.5, 2.0, 5.0]),
+                        np.array([0.1, -0.3, 0.2, 0.05]), 1.0)
+    dist = Disturbances(np.array([1.5, -0.5, 0.3]),
+                        np.array([0.2, -0.1, 0.4]))
+    contact = ContactState(gap=0.02,
+                           nearfield_force=np.array([-16.0, 0.0, 0.0]))
+    dt = 0.004
+    out = integrate(state, act, dist, contact, WALL, params, dt)
+
+    wrench = forward_wrench(act.thrust, act.tilt, params.rotors)
+
+    def expm(phi):
+        theta = np.linalg.norm(phi)
+        K = np.cross(np.eye(3), phi / theta)      # hat of the unit axis
+        return np.eye(3) + math.sin(theta) * K \
+            + (1.0 - math.cos(theta)) * (K @ K)
+
+    def rates(R, w):
+        f = R @ wrench.f + contact.nearfield_force + dist.delta_f
+        dv = f / params.m - np.array([0.0, 0.0, params.g])
+        dw = np.linalg.solve(J, np.cross(J @ w, w) + wrench.tau) \
+            + dist.delta_r
+        return dv, dw
+
+    R, v1, w1 = state.R, state.v, state.omega
+    a1, b1 = rates(R, w1)
+    v2, w2 = v1 + dt / 2 * a1, w1 + dt / 2 * b1
+    a2, b2 = rates(R @ expm(dt / 2 * w1), w2)
+    v3, w3 = v1 + dt / 2 * a2, w1 + dt / 2 * b2
+    a3, b3 = rates(R @ expm(dt / 2 * w2), w3)
+    v4, w4 = v1 + dt * a3, w1 + dt * b3
+    a4, b4 = rates(R @ expm(dt * w3), w4)
+    p = state.p + dt / 6 * (v1 + 2 * v2 + 2 * v3 + v4)
+    v = v1 + dt / 6 * (a1 + 2 * a2 + 2 * a3 + a4)
+    U, _, Vt = np.linalg.svd(R @ expm(dt / 6 * (w1 + 2 * w2 + 2 * w3 + w4)))
+    w = w1 + dt / 6 * (b1 + 2 * b2 + 2 * b3 + b4)
+
+    assert np.max(np.abs(out.omega - state.omega)) > 1e-3
+    for new, ref in ((out.p, p), (out.v, v), (out.R, U @ Vt),
+                     (out.omega, w)):
+        assert np.max(np.abs(new - ref)) < 1e-12
 
 
 def test_integrate_attached_passthrough():
