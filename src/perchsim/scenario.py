@@ -5,7 +5,8 @@ values are whitespace-separated numbers; ``event`` and ``disturbance`` keys
 may repeat.  The first non-comment line must set ``schema_version = 1``.
 """
 
-from dataclasses import dataclass, field, asdict
+import math
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -19,6 +20,15 @@ from .vehicle import VehicleParams, WallModel
 SCHEMA_VERSION = 1
 
 MISSIONS = ("perch", "hover")
+
+# Fields that must be > 0 and >= 0; every number must also be finite.
+_POSITIVE = ("duration", "mass", "inertia_diag", "gravity", "arm_length",
+             "thrust_max", "rotor_tau", "tilt_rate_max", "perch_servo_time",
+             "magnet_force", "magnet_range", "attach_tol", "integral_clamp",
+             "estimator_gain", "standoff", "t_approach", "t_contact",
+             "hold_time", "clearance_arm", "settle_tol")
+_NONNEGATIVE = ("seed", "k_tau", "k_tp", "k_td", "k_rp", "k_rd", "k_ri",
+                "penetration", "noise_std_pos", "noise_std_vel")
 
 
 class ScenarioError(ValueError):
@@ -82,10 +92,32 @@ class ScenarioConfig:
     disturbances: list = field(default_factory=list)  # (t0, t1, fx..rz)
 
     def validate(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name == "events":
+                value = [t for t, _ in value]
+            elif f.name == "disturbances":
+                value = [x for d in value for x in d]
+            elif isinstance(value, str):
+                continue
+            if not all(map(math.isfinite, np.ravel(value))):
+                raise ScenarioError(f"{f.name} must be finite")
+        for name in _POSITIVE:
+            if np.min(getattr(self, name)) <= 0:
+                raise ScenarioError(f"{name} must be positive")
+        for name in _NONNEGATIVE:
+            if getattr(self, name) < 0:
+                raise ScenarioError(f"{name} must not be negative")
+        nx, ny, nz = self.wall_normal
+        if math.hypot(nx, ny, nz) < 1e-9:
+            raise ScenarioError("wall_normal must be a nonzero vector")
+        if self.mission == "perch" \
+                and math.hypot(nx, ny) < 1e-9 * math.hypot(nx, ny, nz):
+            raise ScenarioError("a perch mission needs a non-vertical wall")
+        if not 0.0 <= self.rho < 1.0:
+            raise ScenarioError("rho must lie in [0, 1)")
         if not 0.0 < self.dt <= 0.01:
             raise ScenarioError("dt must lie in (0, 0.01]")
-        if self.duration <= 0:
-            raise ScenarioError("duration must be positive")
         if self.variant not in VARIANTS:
             raise ScenarioError(f"unknown variant {self.variant!r}")
         if self.mission not in MISSIONS:
@@ -206,6 +238,14 @@ Scenario file schema (version 1)
 ================================
 Flat text, one `key = value` per line, `#` starts a comment.
 The first entry must be `schema_version = 1`.
+
+Every number must be finite.  Positive: duration, mass, inertia_diag,
+gravity, arm_length, thrust_max, rotor_tau, tilt_rate_max,
+perch_servo_time, magnet_force, magnet_range, attach_tol, integral_clamp,
+estimator_gain, standoff, t_approach, t_contact, hold_time, clearance_arm,
+settle_tol.  Not negative: seed, k_tau, the five gains, penetration,
+noise_std_pos, noise_std_vel.  rho lies in [0, 1); wall_normal is nonzero,
+and not vertical on a perch mission.
 
 Scalars (floats unless noted):
   name, variant, mission           strings; variant in {proposed,

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from perchsim.cli import EXIT_FAILED, EXIT_OK, EXIT_SCHEMA, main
 
 HOVER = """\
@@ -52,6 +54,22 @@ def test_malformed_scenario_exit_code(tmp_path, capsys):
     scen = tmp_path / "bad.scn"
     scen.write_text("mass = 1.65\n")
     assert main(["run", "--scenario", str(scen)]) == EXIT_SCHEMA
+    assert "scenario error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", [
+    "estimator_gain = 0", "estimator_gain = -1", "duration = inf",
+    "magnet_force = -1", "mass = nan", "wall_normal = 0 0 0",
+    "thrust_max = inf", "inertia_diag = 0.008 0 0.014", "rho = 1",
+    "hold_time = 0", "seed = -1", "noise_std_vel = -0.1",
+    "disturbance = 0 inf 1 0 0 0 0 0", "event = nan s_f2p",
+    "mission = perch\nwall_normal = 0 0 1"])
+def test_invalid_value_exit_code(tmp_path, capsys, line):
+    # Unchecked, each of these would run, crash or exit 0.
+    scen = tmp_path / "bad.scn"
+    scen.write_text(HOVER + line + "\n")
+    assert main(["run", "--scenario", str(scen), "--out",
+                 str(tmp_path / "o")]) == EXIT_SCHEMA
     assert "scenario error" in capsys.readouterr().err
 
 
