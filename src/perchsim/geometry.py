@@ -11,6 +11,7 @@ import math
 import numpy as np
 
 B3 = np.array([0.0, 0.0, 1.0])
+_EYE = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)
 
 _SMALL_ANGLE = 1e-8
 _SKEW_TOL = 1e-9
@@ -40,16 +41,14 @@ def _vee_unchecked(M):
 
 
 def exp_so3(x, y, z):
-    """Rotation of the vector (x, y, z) as a row-major 9-tuple.
+    """Rodrigues' formula I + a K + b K^2, K = hat(x, y, z), as a 9-tuple.
 
-    Rodrigues' formula I + a K + b K^2 with K = hat(x, y, z), with a Taylor
-    series below the small-angle threshold.
+    Below the small-angle threshold a Taylor series gives a and b.
     """
     xx, yy, zz = x * x, y * y, z * z
     theta = math.sqrt(xx + yy + zz)
-    if theta < _SMALL_ANGLE:
-        a, b = 1.0, 0.5
-    else:
+    a, b = 1.0, 0.5
+    if theta >= _SMALL_ANGLE:
         a = math.sin(theta) / theta
         b = (1.0 - math.cos(theta)) / (theta * theta)
     ax, ay, az = a * x, a * y, a * z
@@ -136,17 +135,10 @@ def right_jacobian_inv(v):
 
 
 def renormalize(R):
-    """Project a near-orthonormal 9-tuple back onto SO(3) (first-order).
-
-    R (1.5 I - 0.5 R^T R), as a row-major 9-tuple.
-    """
+    """Project a near-orthonormal 9-tuple onto SO(3): R (1.5 I - 0.5 R^T R)."""
     a, b, c, d, e, f, g, h, i = R
-    s01 = -0.5 * (a * b + d * e + g * h)
-    s02 = -0.5 * (a * c + d * f + g * i)
-    s12 = -0.5 * (b * c + e * f + h * i)
-    return mat_mul(R, (1.5 - 0.5 * (a * a + d * d + g * g), s01, s02,
-                       s01, 1.5 - 0.5 * (b * b + e * e + h * h), s12,
-                       s02, s12, 1.5 - 0.5 * (c * c + f * f + i * i)))
+    RtR = mat_mul((a, d, g, b, e, h, c, f, i), R)
+    return mat_mul(R, [1.5 * u - 0.5 * s for u, s in zip(_EYE, RtR)])
 
 
 def quat_of(R):

@@ -96,11 +96,8 @@ class ScenarioConfig:
             value = getattr(self, f.name)
             if f.name == "events":
                 value = [t for t, _ in value]
-            elif f.name == "disturbances":
-                value = [x for d in value for x in d]
-            elif isinstance(value, str):
-                continue
-            if not all(map(math.isfinite, np.ravel(value))):
+            if not isinstance(value, str) \
+                    and not np.isfinite(np.asarray(value, float)).all():
                 raise ScenarioError(f"{f.name} must be finite")
         for name in _POSITIVE:
             if np.min(getattr(self, name)) <= 0:
@@ -239,13 +236,11 @@ Scenario file schema (version 1)
 Flat text, one `key = value` per line, `#` starts a comment.
 The first entry must be `schema_version = 1`.
 
-Every number must be finite.  Positive: duration, mass, inertia_diag,
-gravity, arm_length, thrust_max, rotor_tau, tilt_rate_max,
-perch_servo_time, magnet_force, magnet_range, attach_tol, integral_clamp,
-estimator_gain, standoff, t_approach, t_contact, hold_time, clearance_arm,
-settle_tol.  Not negative: seed, k_tau, the five gains, penetration,
-noise_std_pos, noise_std_vel.  rho lies in [0, 1); wall_normal is nonzero,
-and not vertical on a perch mission.
+Every number must be finite.  Of the scalars, lambda_f2p, lambda_p2f and
+hover_pitch take any sign, rho lies in [0, 1), the gains, k_tau,
+penetration, noise levels and seed must not be negative, and all others
+must be positive, as must inertia_diag.  wall_normal must be nonzero, and
+not vertical on a perch mission.
 
 Scalars (floats unless noted):
   name, variant, mission           strings; variant in {proposed,
