@@ -34,7 +34,8 @@ VARIANTS = ("proposed", "no-transitions-rho0", "no-transitions-rho0.5",
 def summary(result, stride):
     """The arrays that stand for one run: sampled rows, modes, events..."""
     modes = result.modes
-    starts = [i for i in range(len(modes)) if i == 0 or modes[i] != modes[i - 1]]
+    starts = [i for i in range(len(modes))
+              if i == 0 or modes[i] != modes[i - 1]]
     return {
         "rows": result.rows[::stride],
         "stride": np.array(stride),

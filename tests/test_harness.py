@@ -223,12 +223,12 @@ REFERENCE = _make_reference()
 REF_RTOL = 1e-9   # |new - ref| <= REF_RTOL * max(1, |ref|)
 
 
-def _numbers(metrics, prefix=""):
+def _leaves(metrics, prefix=""):
     """Flatten a metrics dict into {dotted key: leaf value}."""
     out = {}
     for key, value in metrics.items():
         if isinstance(value, dict):
-            out.update(_numbers(value, f"{prefix}{key}."))
+            out.update(_leaves(value, f"{prefix}{key}."))
         else:
             out[prefix + key] = value
     return out
@@ -255,8 +255,8 @@ def test_matches_pre_scalar_reference(name):
     scale = np.maximum(1.0, np.abs(ref["rows"]))
     worst = np.max(np.abs(new["rows"] - ref["rows"]) / scale)
     assert worst <= REF_RTOL, f"rows deviate by {worst:.3g}"
-    m_new = _numbers(json.loads(str(new["metrics"])))
-    m_ref = _numbers(json.loads(str(ref["metrics"])))
+    m_new = _leaves(json.loads(str(new["metrics"])))
+    m_ref = _leaves(json.loads(str(ref["metrics"])))
     assert m_new.keys() == m_ref.keys()
     for key, r in m_ref.items():
         x = m_new[key]

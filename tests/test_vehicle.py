@@ -21,12 +21,12 @@ def detached(gap=10.0):
     return ContactState(attached=False, gap=gap)
 
 
-def rates_at_rest(wrench, params=PARAMS):
+def rates_at_rest(wrench):
     """derivative() at R = I, w = 0 with no near-field force or disturbance."""
     load = (wrench.f.tolist(), wrench.tau.tolist(), (0.0, 0.0, 0.0),
             (0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
-    body = (params.m, params.g, params.Jb.ravel().tolist(),
-            params.Jb_inv.ravel().tolist())
+    body = (PARAMS.m, PARAMS.g, PARAMS.Jb.ravel().tolist(),
+            PARAMS.Jb_inv.ravel().tolist())
     return derivative(np.eye(3).ravel().tolist(), (0.0, 0.0, 0.0), load,
                       body)
 
