@@ -36,10 +36,11 @@ class Wrench:
 
 @dataclass
 class RotorGeometry:
-    """Rotor positions, tilt axes, spin signs, and drag-to-thrust ratio.
+    """Rotor positions, spin signs, and drag-to-thrust ratio.
 
-    `A` is the 6x2n map from [T cos(nu); T sin(nu)] to [f; tau], checked to
-    have full rank; `A_pinv` is its pseudo-inverse.
+    Each rotor tilts about its arm.  `A` is the 6x2n map from
+    [T cos(nu); T sin(nu)] to [f; tau], checked to have full rank; `A_pinv`
+    is its pseudo-inverse.
     """
     positions: np.ndarray        # (4, 3) m
     spin_signs: np.ndarray       # (4,) in {+1, -1}
@@ -51,13 +52,12 @@ class RotorGeometry:
         norms = np.linalg.norm(self.positions, axis=1)
         if np.any(norms < 1e-9):
             raise AllocationError("rotor positions must be nonzero")
-        self.tilt_axes = self.positions / norms[:, None]
-        self.lateral_dirs = np.cross(B3, self.tilt_axes)
+        lateral = np.cross(B3, self.positions / norms[:, None])
         n = self.n_rotors
         A = np.zeros((6, 2 * n))
         for i in range(n):
             r = self.positions[i]
-            t = self.lateral_dirs[i]
+            t = lateral[i]
             sk = self.spin_signs[i] * self.k_tau
             A[:3, i] = B3
             A[3:, i] = np.cross(r, B3) + sk * B3

@@ -12,7 +12,7 @@ from .vehicle import NumericalDivergenceError
 
 EXIT_OK = 0
 EXIT_SCHEMA = 2
-EXIT_FAILED = 3                   # numerical abort or ground contact
+EXIT_FAILED = 3                   # a run aborted numerically or hit the ground
 
 
 def _load(args):
@@ -65,15 +65,15 @@ def cmd_ablate(args):
     for variant in VARIANTS:
         if variant == "proposed":
             continue
-        report["comparisons"].append(compare(base, results[variant]).to_dict())
+        report["comparisons"].append(compare(base, results[variant]))
     report["metrics"] = {v: r.metrics.to_dict() for v, r in results.items()}
     path = os.path.join(args.out, "comparison.json")
-    os.makedirs(args.out, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2)
         fh.write("\n")
     print(json.dumps(report["comparisons"], indent=2))
-    return EXIT_OK
+    ok = all(r.metrics.completed for r in results.values())
+    return EXIT_OK if ok else EXIT_FAILED
 
 
 def cmd_verify(args):

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .allocation import Wrench
-from .geometry import B3, rotation_error
+from .geometry import B3
 
 
 @dataclass(frozen=True)
@@ -20,6 +20,7 @@ class Gains:
     K_rp: float = 60.0
     K_rd: float = 15.0
     K_ri: float = 3.0
+    integral_clamp: float = 0.5      # rad s per attitude-integral component
 
 
 @dataclass
@@ -36,31 +37,19 @@ class Setpoint:
                         np.asarray(R, float), np.zeros(3))
 
 
-@dataclass
-class AttitudeIntegral:
-    value: np.ndarray = None
-    clamp: float = 0.5               # rad s per component
-
-    def __post_init__(self):
-        if self.value is None:
-            self.value = np.zeros(3)
-
-    def reset(self):
-        return AttitudeIntegral(np.zeros(3), self.clamp)
-
-
-def nominal_wrench(state, sp, gains, integ, params, dt):
-    """PD + feedforward translational force and PID attitude torque."""
+def nominal_wrench(state, sp, e_R, gains, integ, params, dt):
+    """PD + feedforward force, PID torque on e_R = Log(R^T R_d)^vee; returns
+    the wrench and the updated attitude integral (a 3-array)."""
     e_p = sp.p - state.p
     e_v = sp.v - state.v
     f = params.m * (state.R.T @ (params.g * B3 + gains.K_tp * e_p
                                  + gains.K_td * e_v + sp.a))
     psi = state.R.T @ sp.R
-    e_R = rotation_error(state.R, sp.R)
     e_w = psi @ sp.omega - state.omega
-    acc = np.clip(integ.value + e_R * dt, -integ.clamp, integ.clamp)
+    clamp = gains.integral_clamp
+    acc = np.clip(integ + e_R * dt, -clamp, clamp)
     tau = params.Jb @ (gains.K_rp * e_R + gains.K_rd * e_w + gains.K_ri * acc)
-    return Wrench(f, tau), AttitudeIntegral(acc, integ.clamp)
+    return Wrench(f, tau), acc
 
 
 def rejection_force(est, R):

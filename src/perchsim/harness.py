@@ -13,10 +13,9 @@ import numpy as np
 
 from . import estimation
 from .allocation import Wrench, allocate, forward_wrench
-from .control import AttitudeIntegral, Setpoint, nominal_wrench, perch_wrench, \
-    rejection_force
+from .control import Setpoint, nominal_wrench, perch_wrench, rejection_force
 from .geometry import B3, pitch_of, quat_of, rotation_error
-from .planner import Plan, connect, hold_segment, perch_setpoints
+from .planner import Plan, connect, perch_setpoints
 from .scenario import ScenarioConfig
 from .supervisor import VARIANTS, Mode, SupervisorState, transition, \
     transition_two_mode
@@ -108,12 +107,12 @@ class MissionPlanner:
         if cfg.mission == "hover":
             sp = Setpoint.hold(plan_cfg.hover_p, plan_cfg.hover_R)
             self.setpoints = [sp, sp, sp]
-            self.plan = Plan([hold_segment(sp.p, sp.R, 1.0)])
+            self.plan = Plan([connect(sp, sp, 1.0)])
             return
         self.setpoints = perch_setpoints(wall, plan_cfg)
         sp1, sp2, _ = self.setpoints
         self.plan = Plan([
-            hold_segment(sp1.p, sp1.R, cfg.hold_time),
+            connect(sp1, sp1, cfg.hold_time),
             connect(sp1, sp2, plan_cfg.T12, start=cfg.hold_time),
         ])
 
@@ -126,12 +125,9 @@ class MissionPlanner:
         self.plan = Plan([connect(cur, self.setpoints[2], self.plan_cfg.T23)])
         self.t0 = t
 
-    def start_departure(self, t, contact, state):
-        """Fly from the anchored pose out to (2) and back to hover (1)."""
-        if contact.attached:
-            start = Setpoint.hold(contact.anchor_p, contact.anchor_R)
-        else:
-            start = Setpoint.hold(state.p, state.R)
+    def start_departure(self, t, state):
+        """Fly from `state` (the anchor while attached) to (2), then (1)."""
+        start = Setpoint.hold(state.p, state.R)
         sp1, sp2, _ = self.setpoints
         self.plan = Plan([
             connect(start, sp2, self.plan_cfg.T23),
@@ -162,18 +158,17 @@ def run_scenario(cfg):
         plan_cfg.hover_R)
     # Start at hover trim for the initial attitude, not from dead rotors.
     trim = Wrench(params.m * params.g * state.R.T @ B3, np.zeros(3))
-    trim_cmd = allocate(trim, rotors, params.T_max, np.zeros(rotors.n_rotors))
-    act = ActuatorState(trim_cmd.thrust.copy(), trim_cmd.tilt.copy(), 0.0)
+    cmd = allocate(trim, rotors, params.T_max, np.zeros(rotors.n_rotors))
+    act = ActuatorState(cmd.thrust, cmd.tilt, 0.0)
     w_act = forward_wrench(act.thrust, act.tilt, rotors)
     contact = ContactState(gap=wall.gap_of(state))
     sup = SupervisorState()
-    integ = AttitudeIntegral(clamp=cfg.integral_clamp)
+    integ = np.zeros(3)              # attitude integral of nominal_wrench
     planner = MissionPlanner(cfg, wall, plan_cfg)
     est_rej = estimation.EstimatorState.fresh(state, params, cfg.estimator_gain)
     est_con = estimation.EstimatorState.fresh(state, params, cfg.estimator_gain)
     contact_was_active = False
     lam_c = 0.0
-    prev_tilt = trim_cmd.tilt.copy()
 
     noisy = cfg.noise_std_pos > 0 or cfg.noise_std_vel > 0
     rng = np.random.default_rng(cfg.seed) if noisy else None
@@ -187,17 +182,15 @@ def run_scenario(cfg):
     modes = []
     gaps = np.empty(n_ticks)
     events = []
-    completed = True
     failure = ""
-    n_done = 0
 
     for k in range(n_ticks):
         t = k * cfg.dt
 
         if noisy:
-            meas = state.copy()
-            meas.p = meas.p + rng.normal(0.0, cfg.noise_std_pos, 3)
-            meas.v = meas.v + rng.normal(0.0, cfg.noise_std_vel, 3)
+            meas = VehicleState(state.p + rng.normal(0.0, cfg.noise_std_pos, 3),
+                                state.v + rng.normal(0.0, cfg.noise_std_vel, 3),
+                                state.R, state.omega)
         else:
             meas = state
 
@@ -211,21 +204,20 @@ def run_scenario(cfg):
         for kind in kinds:
             events.append((t, "operator", kind))
         new_sup = transition_fn(sup, lam_c, s_f2p, s_p2f, switch)
+        # The approach starts when eta_d rises (F -> F2P with four modes),
+        # the departure on entering P2F.  Two-mode P -> F keeps the stale
+        # approach plan, so no inputs for detaching are generated in advance.
         if new_sup.mode is not sup.mode:
             events.append((t, "mode",
                            f"{sup.mode.value}->{new_sup.mode.value}"))
-            integ = integ.reset()
-            if new_sup.mode is Mode.F2P:
-                planner.start_approach(t)
-            elif new_sup.mode is Mode.P2F:
-                planner.start_departure(t, contact, state)
-            # Two-mode ablation: P -> F keeps the stale approach plan, so no
-            # control inputs for detaching are generated in advance.
-            sp = planner.sample(t)
+            integ = np.zeros(3)
+            if new_sup.mode is Mode.P2F:
+                planner.start_departure(t, state)
+                sp = planner.sample(t)
         if new_sup.eta_d != sup.eta_d:
             events.append((t, "eta_d",
                            "perch" if new_sup.eta_d else "unperch"))
-            if variant.two_mode and new_sup.eta_d == 1.0:
+            if new_sup.eta_d == 1.0:
                 planner.start_approach(t)
                 sp = planner.sample(t)
         sup = new_sup
@@ -250,19 +242,20 @@ def run_scenario(cfg):
             lam_c = estimation.contact_normal_force(est_con, wall)
         contact_was_active = pol.contact_active
 
-        # 4. control
+        # 4. control (noise and the attach snap leave R alone, so e_R is
+        # also the logged attitude error)
+        e_R = rotation_error(state.R, sp.R)
         if pol.wrench == "perch":
             wrench = perch_wrench(switch.rho, meas, params)
         else:
-            wrench, integ = nominal_wrench(meas, sp, gains, integ, params,
-                                           cfg.dt)
+            wrench, integ = nominal_wrench(meas, sp, e_R, gains, integ,
+                                           params, cfg.dt)
             if pol.wrench == "full":
                 wrench.f = wrench.f + rejection_force(est_rej, meas.R)
 
         # 5. allocation
-        cmd = allocate(wrench, rotors, params.T_max, prev_tilt)
+        cmd = allocate(wrench, rotors, params.T_max, cmd.tilt)
         cmd.eta_d = sup.eta_d
-        prev_tilt = cmd.tilt
 
         # 6. actuators
         act = step_actuators(act, cmd, cfg.dt, params)
@@ -276,8 +269,8 @@ def run_scenario(cfg):
         if new_contact.attached and not contact.attached:
             # Rigid inelastic lock: the impact velocity is absorbed by the
             # wall, so the state snaps to the anchored pose at rest.
-            state = VehicleState(new_contact.anchor_p.copy(), np.zeros(3),
-                                 new_contact.anchor_R.copy(), np.zeros(3))
+            state = VehicleState.at_rest(new_contact.anchor_p,
+                                         new_contact.anchor_R)
             events.append((t, "contact", "attach"))
         elif contact.attached and not new_contact.attached:
             detail = "release" if act.eta <= 0.05 else "forcible-detach"
@@ -285,7 +278,6 @@ def run_scenario(cfg):
         contact = new_contact
 
         # log the state the controller acted on, plus this tick's outputs
-        e_R = rotation_error(state.R, sp.R)
         q = quat_of(state.R)
         row = rows[k]
         row[0] = t
@@ -307,26 +299,23 @@ def run_scenario(cfg):
         row[36] = np.linalg.norm(sp.p - state.p)
         row[37] = 1.0 if cmd.saturated.any() else 0.0
         modes.append(sup.mode.value)
-        gaps[k] = contact.gap if not contact.attached else 0.0
-        n_done = k + 1
+        gaps[k] = contact.gap
 
         # 8. integrate
         try:
-            state = integrate(state, act, dist, contact, wall, params, cfg.dt)
+            state = integrate(state, act, dist, contact, params, cfg.dt)
         except NumericalDivergenceError as exc:
             events.append((t, "failure", f"numerical-abort: {exc}"))
-            completed = False
             failure = "numerical-abort"
             break
         if state.p[2] <= 0.0:
             events.append((t, "failure", "ground-contact"))
-            completed = False
             failure = "ground-contact"
             break
 
-    result = SimResult(cfg, rows[:n_done], modes, gaps[:n_done], events)
-    result.metrics = compute_metrics(result, completed=completed,
-                                     failure=failure)
+    n = len(modes)
+    result = SimResult(cfg, rows[:n], modes, gaps[:n], events)
+    result.metrics = compute_metrics(result, failure)
     return result
 
 
@@ -337,8 +326,8 @@ def settle_index(ok):
     return int(j) if j < len(ok) else None
 
 
-def compute_metrics(result, completed=True, failure=""):
-    """Derive outcome measures from a finished (possibly aborted) run."""
+def compute_metrics(result, failure=""):
+    """Outcome measures of a run; `failure` names why it stopped early."""
     if len(result.modes) == 0:
         raise ValueError("cannot compute metrics from an empty log")
     cfg = result.cfg
@@ -350,7 +339,7 @@ def compute_metrics(result, completed=True, failure=""):
     sat = result.column("sat_any") > 0.5
     modes = np.array(result.modes)
 
-    m = Metrics(completed=completed, failure=failure)
+    m = Metrics(completed=not failure, failure=failure)
 
     t_signal = next((te for te, kind, detail in result.events
                      if kind == "operator" and detail == "s_f2p"), None)
@@ -395,25 +384,8 @@ def compute_metrics(result, completed=True, failure=""):
     return m
 
 
-@dataclass
-class ComparisonReport:
-    base_variant: str
-    other_variant: str
-    deltas: dict
-    orderings: list                  # (description, bool)
-
-    def to_dict(self):
-        return {
-            "base_variant": self.base_variant,
-            "other_variant": self.other_variant,
-            "metric_deltas": self.deltas,
-            "orderings": [
-                {"check": desc, "holds": ok} for desc, ok in self.orderings],
-        }
-
-
 def compare(run_a, run_b):
-    """Side-by-side metric deltas and ablation-ordering checks."""
+    """Side-by-side metric deltas and ablation-ordering checks, as JSON."""
     ma, mb = run_a.metrics.to_dict(), run_b.metrics.to_dict()
     deltas = {}
     for key in ("z_drop_m", "min_clearance_m", "time_to_perch_s",
@@ -429,5 +401,9 @@ def compare(run_a, run_b):
             and mb.get("min_clearance_m") is not None:
         orderings.append(("other min_clearance <= base min_clearance",
                           mb["min_clearance_m"] <= ma["min_clearance_m"]))
-    return ComparisonReport(run_a.cfg.variant, run_b.cfg.variant,
-                            deltas, orderings)
+    return {
+        "base_variant": run_a.cfg.variant,
+        "other_variant": run_b.cfg.variant,
+        "metric_deltas": deltas,
+        "orderings": [{"check": desc, "holds": ok} for desc, ok in orderings],
+    }

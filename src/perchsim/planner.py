@@ -93,7 +93,6 @@ def min_jerk_segment(p0, v0, a0, pf, vf, af, T):
 class RotationSegment:
     R0: np.ndarray
     coeffs: np.ndarray               # (3, 4) ascending cubic for phi(t)
-    duration: float
 
     def eval(self, t):
         c = self.coeffs
@@ -120,7 +119,7 @@ def min_accel_rotation(R0, Rf, w0, wf, T):
         rhs = np.array([phi_f[ax] - dphi0[ax] * T, dphif[ax] - dphi0[ax]])
         M = np.array([[T ** 2, T ** 3], [2 * T, 3 * T ** 2]])
         coeffs[ax, 2:] = np.linalg.solve(M, rhs)
-    return RotationSegment(np.asarray(R0, float).copy(), coeffs, float(T))
+    return RotationSegment(np.asarray(R0, float).copy(), coeffs)
 
 
 @dataclass
@@ -157,14 +156,6 @@ class Plan:
         raise AssertionError("unreachable")
 
 
-def hold_segment(p, R, T, start=0.0):
-    """Constant-pose segment used for hovers and terminal waits."""
-    tr = min_jerk_segment(p, np.zeros(3), np.zeros(3),
-                          p, np.zeros(3), np.zeros(3), T)
-    rot = min_accel_rotation(R, R, np.zeros(3), np.zeros(3), T)
-    return PlanSegment(tr, rot, start)
-
-
 def perch_orientation(wall):
     """Body attitude at the wall: bottom (-b3) facing the wall, x axis up."""
     n = wall.normal
@@ -191,7 +182,8 @@ def perch_setpoints(wall, cfg):
 
 
 def connect(sp_from, sp_to, T, start=0.0):
-    """Min-jerk translation + min-accel rotation between two setpoints."""
+    """Min-jerk translation + min-accel rotation between two setpoints;
+    `connect(sp, sp, T)` holds a rest setpoint `sp` for T seconds."""
     tr = min_jerk_segment(sp_from.p, sp_from.v, sp_from.a,
                           sp_to.p, sp_to.v, sp_to.a, T)
     rot = min_accel_rotation(sp_from.R, sp_to.R, sp_from.omega, sp_to.omega, T)

@@ -13,7 +13,7 @@ import numpy as np
 from .allocation import RotorGeometry
 from .control import Gains
 from .geometry import rot_y
-from .planner import PerchPlanConfig
+from .planner import PerchPlanConfig, min_accel_rotation, perch_orientation
 from .supervisor import VARIANTS, SwitchConfig
 from .vehicle import VehicleParams, WallModel
 
@@ -105,16 +105,16 @@ class ScenarioConfig:
         for name in _NONNEGATIVE:
             if getattr(self, name) < 0:
                 raise ScenarioError(f"{name} must not be negative")
-        nx, ny, nz = self.wall_normal
-        if math.hypot(nx, ny, nz) < 1e-9:
+        if math.hypot(*self.wall_normal) < 1e-9:
             raise ScenarioError("wall_normal must be a nonzero vector")
-        if self.mission == "perch" \
-                and math.hypot(nx, ny) < 1e-9 * math.hypot(nx, ny, nz):
-            raise ScenarioError("a perch mission needs a non-vertical wall")
+        if not self.lambda_f2p > self.lambda_p2f:
+            raise ScenarioError("lambda_f2p must exceed lambda_p2f")
         if not 0.0 <= self.rho < 1.0:
             raise ScenarioError("rho must lie in [0, 1)")
         if not 0.0 < self.dt <= 0.01:
             raise ScenarioError("dt must lie in (0, 0.01]")
+        if not self.duration / self.dt > 0.5:     # round(duration / dt) ticks
+            raise ScenarioError("duration must last at least one tick (dt)")
         if self.variant not in VARIANTS:
             raise ScenarioError(f"unknown variant {self.variant!r}")
         if self.mission not in MISSIONS:
@@ -124,6 +124,17 @@ class ScenarioConfig:
         for t, kind in self.events:
             if kind not in ("s_f2p", "s_p2f"):
                 raise ScenarioError(f"unknown event kind {kind!r}")
+        try:
+            # Full-rank rotors; on a perch mission, a wall that is not
+            # horizontal and a hover attitude not antipodal to the perch one.
+            RotorGeometry.x_config(self.arm_length, self.k_tau)
+            if self.mission == "perch":
+                R = perch_orientation(WallModel(self.wall_point,
+                                                self.wall_normal))
+                min_accel_rotation(rot_y(self.hover_pitch), R, np.zeros(3),
+                                   np.zeros(3), 1.0)
+        except ValueError as exc:
+            raise ScenarioError(str(exc)) from exc
         return self
 
     def build(self):
@@ -138,7 +149,8 @@ class ScenarioConfig:
             point=np.asarray(self.wall_point), normal=np.asarray(self.wall_normal),
             F_mag=self.magnet_force, d_mag=self.magnet_range,
             eps_attach=self.attach_tol, c_m=np.asarray(self.magnet_offset))
-        gains = Gains(self.k_tp, self.k_td, self.k_rp, self.k_rd, self.k_ri)
+        gains = Gains(self.k_tp, self.k_td, self.k_rp, self.k_rd, self.k_ri,
+                      self.integral_clamp)
         rho = VARIANTS[self.variant].rho
         switch = SwitchConfig(self.lambda_f2p, self.lambda_p2f,
                               self.rho if rho is None else rho)
@@ -239,8 +251,12 @@ The first entry must be `schema_version = 1`.
 Every number must be finite.  Of the scalars, lambda_f2p, lambda_p2f and
 hover_pitch take any sign, rho lies in [0, 1), the gains, k_tau,
 penetration, noise levels and seed must not be negative, and all others
-must be positive, as must inertia_diag.  wall_normal must be nonzero, and
-not vertical on a perch mission.
+must be positive, as must inertia_diag.  lambda_f2p must exceed
+lambda_p2f; duration must last at least one tick of dt (also after --dt);
+arm_length and k_tau must give a full-rank rotor geometry.  wall_normal
+must be nonzero; on a perch mission it may not be vertical, and the hover
+attitude may not be antipodal to the perch attitude (as hover_pitch = pi/2
+is to the default wall's pitch of -pi/2).
 
 Scalars (floats unless noted):
   name, variant, mission           strings; variant in {proposed,

@@ -54,10 +54,6 @@ class VehicleState:
                             np.eye(3) if R is None else np.asarray(R, float),
                             np.zeros(3))
 
-    def copy(self):
-        return VehicleState(self.p.copy(), self.v.copy(),
-                            self.R.copy(), self.omega.copy())
-
 
 @dataclass
 class ActuatorState:
@@ -144,13 +140,11 @@ def update_contact(state, act, applied_world_force, contact, wall, params):
         if act.eta <= 0.05:
             # Perch servo finished its unperch travel: tangential peel.
             return ContactState(False, gap, 0.0)
-        pull = max(0.0, float(n @ (applied_world_force
-                                   - params.m * params.g * B3)))
+        # Net pull away from the wall; negative when pressing into it.
+        pull = float(n @ (applied_world_force - params.m * params.g * B3))
         if pull > wall.F_mag * eta_hold:
             return ContactState(False, gap, 0.0)
-        lam = wall.F_mag * eta_hold + float(
-            n @ (params.m * params.g * B3 - applied_world_force))
-        return ContactState(True, 0.0, lam,
+        return ContactState(True, 0.0, wall.F_mag * eta_hold - pull,
                             anchor_p=contact.anchor_p,
                             anchor_R=contact.anchor_R)
     # Detached.
@@ -201,7 +195,7 @@ def _rk4_sum(k1, k2, k3, k4):
     return [a + 2.0 * b + 2.0 * c + d for a, b, c, d in zip(k1, k2, k3, k4)]
 
 
-def integrate(state, act, dist, contact, wall, params, dt):
+def integrate(state, act, dist, contact, params, dt):
     """One RK4 step; rotation advanced on the exponential map, renormalized.
 
     The stages run on plain floats (see `derivative`); only the result is

@@ -63,7 +63,9 @@ def test_malformed_scenario_exit_code(tmp_path, capsys):
     "thrust_max = inf", "inertia_diag = 0.008 0 0.014", "rho = 1",
     "hold_time = 0", "seed = -1", "noise_std_vel = -0.1",
     "disturbance = 0 inf 1 0 0 0 0 0", "event = nan s_f2p",
-    "mission = perch\nwall_normal = 0 0 1"])
+    "mission = perch\nwall_normal = 0 0 1", "lambda_f2p = -2",
+    "duration = 0.0001", "arm_length = 1e-10", "arm_length = 1e300",
+    "mission = perch\nhover_pitch = 1.5707963267948966"])
 def test_invalid_value_exit_code(tmp_path, capsys, line):
     # Unchecked, each of these would run, crash or exit 0.
     scen = tmp_path / "bad.scn"
@@ -83,6 +85,24 @@ def test_bad_dt_override_exit_code(tmp_path):
     scen.write_text(HOVER)
     assert main(["run", "--scenario", str(scen), "--out",
                  str(tmp_path / "o"), "--dt", "0.5"]) == EXIT_SCHEMA
+    # Four ticks at the default dt, but less than one at dt = 0.01.
+    scen.write_text(HOVER + "duration = 0.004\n")
+    assert main(["run", "--scenario", str(scen), "--out",
+                 str(tmp_path / "o"), "--dt", "0.01"]) == EXIT_SCHEMA
+
+
+def test_ablate_exit_code(tmp_path, capsys):
+    # Every variant writes its outputs; any failed run makes ablate fail.
+    scen = tmp_path / "hover.scn"
+    for extra, code in (("", EXIT_OK), ("thrust_max = 1\n", EXIT_FAILED)):
+        scen.write_text(HOVER + extra)
+        out = tmp_path / ("o" + str(code))
+        assert main(["ablate", "--scenario", str(scen), "--out",
+                     str(out)]) == code
+        report = json.loads((out / "comparison.json").read_text())
+        for variant, metrics in report["metrics"].items():
+            assert (out / variant / "log.csv").exists()
+            assert metrics["completed"] is (code == EXIT_OK)
 
 
 def test_print_schema(capsys):

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from perchsim import estimation
-from perchsim.control import (AttitudeIntegral, Gains, Setpoint,
-                              nominal_wrench, perch_wrench, rejection_force)
-from perchsim.geometry import rot_y
+from perchsim.control import (Gains, Setpoint, nominal_wrench, perch_wrench,
+                              rejection_force)
+from perchsim.geometry import rot_y, rotation_error
 from perchsim.vehicle import VehicleParams, VehicleState
 
 PARAMS = VehicleParams()
@@ -23,16 +23,22 @@ def at_setpoint(R=None):
     return state, sp
 
 
+def nominal(state, sp, integ=np.zeros(3), gains=GAINS):
+    """nominal_wrench with the attitude error taken as the harness does."""
+    return nominal_wrench(state, sp, rotation_error(state.R, sp.R), gains,
+                          integ, PARAMS, 0.001)
+
+
 def test_hover_gravity_feedforward():
     state, sp = at_setpoint()
-    w, _ = nominal_wrench(state, sp, GAINS, AttitudeIntegral(), PARAMS, 0.001)
+    w, _ = nominal(state, sp)
     assert np.allclose(w.f, [0.0, 0.0, MG], atol=1e-9)
     assert np.allclose(w.tau, 0.0, atol=1e-12)
 
 
 def test_gravity_feedforward_rotated_frame():
     state, sp = at_setpoint(rot_y(math.pi / 2))
-    w, _ = nominal_wrench(state, sp, GAINS, AttitudeIntegral(), PARAMS, 0.001)
+    w, _ = nominal(state, sp)
     assert np.allclose(w.f, [-MG, 0.0, 0.0], atol=1e-9)
     assert np.allclose(w.tau, 0.0, atol=1e-12)
 
@@ -40,7 +46,7 @@ def test_gravity_feedforward_rotated_frame():
 def test_position_error_gain_arithmetic():
     state, sp = at_setpoint()
     sp.p = state.p + np.array([0.1, 0.0, 0.0])
-    w, _ = nominal_wrench(state, sp, GAINS, AttitudeIntegral(), PARAMS, 0.001)
+    w, _ = nominal(state, sp)
     assert np.allclose(w.f, [1.65, 0.0, MG], atol=1e-9)
 
 
@@ -48,11 +54,10 @@ def test_translational_superposition():
     # For fixed R the force is affine in (e_p, e_v, a_d).
     rng = np.random.default_rng(15)
     state = VehicleState.at_rest([0.0, 0.0, 1.2])
-    integ = AttitudeIntegral()
 
     def force(ep, ev, ad):
         sp = Setpoint(state.p + ep, ev, ad, np.eye(3), np.zeros(3))
-        w, _ = nominal_wrench(state, sp, GAINS, integ, PARAMS, 0.001)
+        w, _ = nominal(state, sp)
         return w.f
 
     base = force(np.zeros(3), np.zeros(3), np.zeros(3))
@@ -70,18 +75,12 @@ def test_translational_superposition():
 def test_attitude_integral_clamp():
     state = VehicleState.at_rest([0.0, 0.0, 1.2])
     sp = Setpoint.hold(state.p, rot_y(1.0))
-    integ = AttitudeIntegral(clamp=0.5)
+    gains = Gains(integral_clamp=0.5)
+    integ = np.zeros(3)
     for _ in range(2000):
-        _, integ = nominal_wrench(state, sp, GAINS, integ, PARAMS, 0.001)
-        assert np.all(np.abs(integ.value) <= 0.5 + 1e-12)
-    assert integ.value[1] == 0.5
-
-
-def test_integral_reset():
-    integ = AttitudeIntegral(np.array([0.1, 0.2, 0.3]), 0.5)
-    out = integ.reset()
-    assert np.array_equal(out.value, np.zeros(3))
-    assert out.clamp == 0.5
+        _, integ = nominal(state, sp, integ, gains)
+        assert np.all(np.abs(integ) <= 0.5 + 1e-12)
+    assert integ[1] == 0.5
 
 
 def test_rejection_force_zero():

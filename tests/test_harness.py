@@ -96,8 +96,8 @@ def test_compare_identical_runs():
         ep_after=[0.0] * 7, sat_p=[])
     res.metrics = compute_metrics(res)
     report = compare(res, res)
-    assert all(d == 0.0 for d in report.deltas.values())
-    assert all(ok for _, ok in report.orderings)
+    assert all(d == 0.0 for d in report["metric_deltas"].values())
+    assert all(o["holds"] for o in report["orderings"])
 
 
 def test_compare_orderings():
@@ -111,8 +111,8 @@ def test_compare_orderings():
         ep_after=[0.0] * 7, sat_p=[])
     a.metrics, b.metrics = compute_metrics(a), compute_metrics(b)
     report = compare(a, b)
-    assert report.deltas["z_drop_m"] > 0.0
-    checks = dict(report.orderings)
+    assert report["metric_deltas"]["z_drop_m"] > 0.0
+    checks = {o["check"]: o["holds"] for o in report["orderings"]}
     assert checks["other z_drop >= base z_drop"]
     assert checks["other min_clearance <= base min_clearance"]
 

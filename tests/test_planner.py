@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from perchsim.geometry import exp_so3, pitch_of, rot_y
-from perchsim.planner import (PerchPlanConfig, Plan, connect, hold_segment,
+from perchsim.planner import (PerchPlanConfig, Plan, connect,
                               min_accel_rotation, min_jerk_segment,
                               perch_orientation, perch_setpoints)
 from perchsim.vehicle import WallModel
@@ -146,7 +146,7 @@ def test_min_accel_rejects_antipodal():
 def _two_segment_plan():
     cfg = PerchPlanConfig()
     sp1, sp2, _ = perch_setpoints(WALL, cfg)
-    return Plan([hold_segment(sp1.p, sp1.R, 1.0),
+    return Plan([connect(sp1, sp1, 1.0),
                  connect(sp1, sp2, 4.0, start=1.0)]), sp1, sp2
 
 

@@ -1,10 +1,15 @@
 """Scenario format tests: parsing, validation, schema documentation."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from perchsim.scenario import (SCHEMA_DOC, ScenarioConfig, ScenarioError,
-                               default_scenario, parse_scenario)
+from perchsim.scenario import (MISSIONS, SCHEMA_DOC, VARIANTS, ScenarioConfig,
+                               ScenarioError, default_scenario,
+                               parse_scenario)
 
 MINIMAL = "schema_version = 1\n"
 
@@ -136,3 +141,41 @@ def test_variant_overrides_rho():
 def test_schema_doc_mentions_exit_codes():
     assert "schema_version" in SCHEMA_DOC
     assert "0 ok" in SCHEMA_DOC and "2" in SCHEMA_DOC and "3" in SCHEMA_DOC
+
+
+_NUMBER = st.floats() | st.integers(-3, 3)
+
+
+def _numbers(n):
+    return st.lists(_NUMBER, min_size=n, max_size=n).map(
+        lambda xs: " ".join(map(repr, xs)))
+
+
+def _entry(key, default):
+    """`key = value` lines whose value has the default's type and arity."""
+    if isinstance(default, str):
+        raw = st.sampled_from([*VARIANTS, *MISSIONS, "demo", "bogus"])
+    elif isinstance(default, tuple):
+        raw = _numbers(len(default))
+    else:
+        raw = _numbers(1)
+    return raw.map(lambda v: f"{key} = {v}")
+
+
+_ENTRIES = st.one_of(
+    *[_entry(k, v) for k, v in asdict(ScenarioConfig()).items()
+      if k not in ("events", "disturbances")],
+    st.tuples(_numbers(1), st.sampled_from(["s_f2p", "s_p2f"])).map(
+        lambda e: f"event = {e[0]} {e[1]}"),
+    _numbers(8).map(lambda v: f"disturbance = {v}"))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(st.lists(_ENTRIES, max_size=6))
+def test_parsed_scenario_builds(lines):
+    # Whatever parse_scenario accepts must also build.
+    try:
+        cfg = parse_scenario("\n".join(["schema_version = 1", *lines]))
+    except ScenarioError:
+        return
+    cfg.build()

@@ -118,6 +118,19 @@ def test_contact_lambda_true_gravity_offset():
     assert abs(out.lambda_true - WALL.F_mag) < 1e-12
 
 
+def test_contact_lambda_true_counts_push_and_pull():
+    # Pressing into the wall adds to the hold force; pulling takes from it.
+    st = _state_at_gap(0.0)
+    anchored = ContactState(attached=True, gap=0.0,
+                            anchor_p=st.p, anchor_R=st.R)
+    for eta, pull in ((1.0, -3.0), (1.0, 2.0), (0.5, -3.0), (0.5, 2.0)):
+        act = ActuatorState(np.zeros(4), np.zeros(4), eta=eta)
+        applied = PARAMS.m * PARAMS.g * B3 + pull * WALL.normal
+        out = update_contact(st, act, applied, anchored, WALL, PARAMS)
+        assert out.attached
+        assert abs(out.lambda_true - (WALL.F_mag * eta - pull)) < 1e-12
+
+
 def test_contact_release_on_unperch_travel():
     st = _state_at_gap(0.0)
     act = ActuatorState(np.zeros(4), np.zeros(4), eta=0.0)
@@ -151,7 +164,7 @@ def test_integrate_free_fall_closed_form():
     contact = detached()
     for _ in range(1000):
         state = integrate(state, act, Disturbances.none(), contact,
-                          WALL, PARAMS, 0.001)
+                          PARAMS, 0.001)
     assert abs(state.v[2] + 9.81) < 1e-9
     assert abs((10.0 - state.p[2]) - 4.905) < 1e-6
 
@@ -166,7 +179,7 @@ def test_integrate_principal_axis_rotation():
     dt = (math.pi / 2) / n
     for _ in range(n):
         state = integrate(state, act, Disturbances.none(), contact,
-                          WALL, params, dt)
+                          params, dt)
     assert np.linalg.norm(state.R - rot_z(math.pi / 2)) < 1e-6
 
 
@@ -187,7 +200,7 @@ def test_integrate_matches_numpy_rk4():
     contact = ContactState(gap=0.02,
                            nearfield_force=np.array([-16.0, 0.0, 0.0]))
     dt = 0.004
-    out = integrate(state, act, dist, contact, WALL, params, dt)
+    out = integrate(state, act, dist, contact, params, dt)
 
     wrench = forward_wrench(act.thrust, act.tilt, params.rotors)
 
@@ -228,7 +241,7 @@ def test_integrate_attached_passthrough():
     anchored = ContactState(attached=True, gap=0.0,
                             anchor_p=state.p, anchor_R=state.R)
     out = integrate(state, ActuatorState.at_rest(), Disturbances.none(),
-                    anchored, WALL, PARAMS, 0.001)
+                    anchored, PARAMS, 0.001)
     assert out is state
 
 
@@ -236,7 +249,7 @@ def test_integrate_rejects_bad_dt():
     state = VehicleState.at_rest([0.0, 0.0, 1.0])
     with pytest.raises(ValueError):
         integrate(state, ActuatorState.at_rest(), Disturbances.none(),
-                  detached(), WALL, PARAMS, 0.02)
+                  detached(), PARAMS, 0.02)
 
 
 def test_params_validation():
