@@ -16,7 +16,7 @@ from . import estimation
 from .allocation import Wrench, allocate, forward_wrench
 from .control import nominal_wrench, rejection_force
 from .estimation import EstimatorState
-from .geometry import rotation_error
+from .geometry import EYE, ZERO3, mat_vec, rotation_error
 from .harness import run_scenario, settle_index
 from .planner import min_jerk_segment, perch_setpoints
 from .scenario import ScenarioConfig, default_scenario
@@ -26,7 +26,7 @@ from .vehicle import ActuatorState, ContactState, Disturbances, \
 
 # SHA-256 of the default proposed-variant CSV log; regenerated whenever the
 # default configuration or the tick loop changes (see criterion 11).
-GOLDEN_SHA256 = "cead31398b72ff8090b966d97ad919c41e6601013fff778790af84a7e45519c7"
+GOLDEN_SHA256 = "ce340d55e0349e07d65a0b1a9b917e3fc91238742fd78803017aeda87cf303d1"
 
 
 @dataclass
@@ -124,31 +124,33 @@ def check_3_freeze_semantics():
     params, wall, gains, switch, plan_cfg = cfg.build()
     sp3 = perch_setpoints(wall, plan_cfg)[2]
     # Pose-locked on the wall surface, setpoint (3) inside the wall.
-    lock = VehicleState.at_rest(wall.point - sp3.R @ wall.c_m, sp3.R)
+    lock = VehicleState.at_rest(
+        np.subtract(wall.point, mat_vec(sp3.R, wall.c_m)), sp3.R)
     e_R = rotation_error(lock.R, sp3.R)
     dt = 1e-3
 
     # Frozen estimator: bitwise constant over 10 s of updates.
     est = EstimatorState.fresh(lock, params, cfg.estimator_gain)
-    integ = np.zeros(3)
+    integ = ZERO3
     for _ in range(100):
         w, integ = nominal_wrench(lock, sp3, e_R, gains, integ, params, dt)
         est = estimation.update(est, lock, w.f, params, dt)
     est = estimation.freeze(est)
-    snap = est.delta_hat.tobytes()
+    snap = np.array(est.delta_hat).tobytes()
     for k in range(10_000):
         w, integ = nominal_wrench(lock, sp3, e_R, gains, integ, params, dt)
-        est = estimation.update(est, lock, w.f + float(k) * 0.001, params, dt)
-    frozen_ok = est.delta_hat.tobytes() == snap
+        est = estimation.update(est, lock, np.add(w.f, float(k) * 0.001),
+                                params, dt)
+    frozen_ok = np.array(est.delta_hat).tobytes() == snap
 
     # No-freeze: active estimator on the locked plant winds up monotonically.
     est = EstimatorState.fresh(lock, params, cfg.estimator_gain)
-    integ = np.zeros(3)
+    integ = ZERO3
     norms = []
     t_pass = None
     for k in range(int(3.0 / dt)):
         w, integ = nominal_wrench(lock, sp3, e_R, gains, integ, params, dt)
-        f = w.f + rejection_force(est, lock.R)
+        f = np.add(w.f, rejection_force(est, lock.R))
         est = estimation.update(est, lock, f, params, dt)
         norms.append(np.linalg.norm(est.delta_hat))
         if t_pass is None and norms[-1] > 5.0:
@@ -163,7 +165,7 @@ def check_3_freeze_semantics():
 
 def check_4_allocation():
     rotors = VehicleParams().rotors
-    A = rotors.A
+    A = np.array(rotors.A)
     rng = np.random.default_rng(4)
     worst_rt = 0.0
     worst_mn = 0.0
@@ -181,9 +183,10 @@ def check_4_allocation():
         w = Wrench(f, tau)
         cmd = allocate(w, rotors, T_max=50.0)
         back = forward_wrench(cmd.thrust, cmd.tilt, rotors)
-        worst_rt = max(worst_rt, np.max(np.abs(back.as_vector()
-                                               - w.as_vector())))
-        rhs = np.concatenate([np.zeros(2 * n), w.as_vector()])
+        w_vec = np.concatenate([w.f, w.tau])
+        worst_rt = max(worst_rt, np.max(np.abs(np.concatenate(
+            [back.f, back.tau]) - w_vec)))
+        rhs = np.concatenate([np.zeros(2 * n), w_vec])
         x_kkt = np.linalg.solve(K, rhs)[:2 * n]
         x_got = np.concatenate([cmd.thrust * np.cos(cmd.tilt),
                                 cmd.thrust * np.sin(cmd.tilt)])
@@ -246,7 +249,7 @@ def check_6_trajectory_optimality():
         T = 1.0 + 3.0 * rng.random()
         seg = min_jerk_segment(p0, v0, a0, pf, vf, af, T)
         for t_b, want in ((0.0, (p0, v0, a0)), (T, (pf, vf, af))):
-            got = seg.eval(t_b)
+            got = np.array(seg.eval(t_b))
             for g, w in zip(got, want):
                 worst_bc = max(worst_bc, np.max(np.abs(g - w)))
         oracle = sum(
@@ -257,9 +260,9 @@ def check_6_trajectory_optimality():
             worst_ratio = max(worst_ratio, seg.jerk_cost() / oracle)
         dh = 1e-4
         for tq in (0.3 * T, 0.7 * T):
-            pp, vp, ap = seg.eval(tq + dh)
-            pm, vm, am = seg.eval(tq - dh)
-            _, v, a = seg.eval(tq)
+            pp, vp, ap = np.array(seg.eval(tq + dh))
+            pm, vm, am = np.array(seg.eval(tq - dh))
+            _, v, a = np.array(seg.eval(tq))
             worst_fd = max(worst_fd, np.max(np.abs((pp - pm) / (2 * dh) - v)),
                            np.max(np.abs((vp - vm) / (2 * dh) - a)))
     ok = worst_ratio <= 1.01 and worst_bc < 1e-9 and worst_fd < 1e-5
@@ -328,18 +331,24 @@ def check_11_determinism():
                        f"{'matches' if sha == GOLDEN_SHA256 else sha}")
 
 
+def _orthonormality(R):
+    R = np.reshape(R, (3, 3))
+    return np.max(np.abs(R.T @ R - np.eye(3)))
+
+
 def check_12_physics_sanity():
     params = VehicleParams(g=0.0)
-    state = VehicleState(np.zeros(3), np.array([0.3, -0.2, 0.5]),
-                         np.eye(3), np.array([2.0, -1.5, 1.0]))
+    state = VehicleState(ZERO3, (0.3, -0.2, 0.5), EYE, (2.0, -1.5, 1.0))
     act = ActuatorState.at_rest()
     dist = Disturbances.none()
     contact = ContactState(gap=1e6)
     dt = 1e-3
 
+    Jb = np.reshape(params.Jb, (3, 3))
+
     def energy(s):
-        return 0.5 * params.m * s.v @ s.v \
-            + 0.5 * s.omega @ params.Jb @ s.omega
+        v, omega = np.array(s.v), np.array(s.omega)
+        return 0.5 * params.m * v @ v + 0.5 * omega @ Jb @ omega
 
     e0 = energy(state)
     worst_e = 0.0
@@ -349,10 +358,8 @@ def check_12_physics_sanity():
         if k < 10_000:
             worst_e = max(worst_e, abs(energy(state) - e0) / e0)
         if k % 1000 == 999:
-            worst_orth = max(worst_orth, np.max(np.abs(
-                state.R.T @ state.R - np.eye(3))))
-    worst_orth = max(worst_orth,
-                     np.max(np.abs(state.R.T @ state.R - np.eye(3))))
+            worst_orth = max(worst_orth, _orthonormality(state.R))
+    worst_orth = max(worst_orth, _orthonormality(state.R))
     ok = worst_e < 1e-6 and worst_orth < 1e-8
     return CheckResult(12, "physics sanity", ok,
                        f"energy drift {worst_e:.2e} (tol 1e-6), "

@@ -6,11 +6,12 @@ thrust components, solved by a min-norm pseudo-inverse, and recovered as
 both by the dynamics and as the round-trip test oracle's counterpart.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import B3
+from .geometry import B3, ZERO3
 
 # Below this thrust the recovered tilt angle is held at its previous value.
 THRUST_EPS = 1e-6
@@ -22,16 +23,13 @@ class AllocationError(ValueError):
 
 @dataclass
 class Wrench:
-    """Body-frame force (N) and torque (N*m)."""
-    f: np.ndarray
-    tau: np.ndarray
+    """Body-frame force (N) and torque (N*m), three floats each."""
+    f: tuple
+    tau: tuple
 
     @staticmethod
     def zero():
-        return Wrench(np.zeros(3), np.zeros(3))
-
-    def as_vector(self):
-        return np.concatenate([self.f, self.tau])
+        return Wrench(ZERO3, ZERO3)
 
 
 @dataclass
@@ -39,8 +37,9 @@ class RotorGeometry:
     """Rotor positions, spin signs, and drag-to-thrust ratio.
 
     Each rotor tilts about its arm.  `A` is the 6x2n map from
-    [T cos(nu); T sin(nu)] to [f; tau], checked to have full rank; `A_pinv`
-    is its pseudo-inverse.
+    [T cos(nu); T sin(nu)] to [f; tau], checked to have full rank.  The tick
+    reads plain floats: `A_pinv`, its pseudo-inverse as 2n row tuples, and
+    `columns`, A's vertical and lateral columns as one 6-tuple per rotor.
     """
     positions: np.ndarray        # (4, 3) m
     spin_signs: np.ndarray       # (4,) in {+1, -1}
@@ -66,7 +65,9 @@ class RotorGeometry:
         if np.linalg.matrix_rank(A, tol=1e-9) < 6:
             raise AllocationError("rotor geometry is rank deficient")
         self.A = A
-        self.A_pinv = np.linalg.pinv(A)
+        self.columns = (tuple(map(tuple, A.T[:n].tolist())),
+                        tuple(map(tuple, A.T[n:].tolist())))
+        self.A_pinv = tuple(map(tuple, np.linalg.pinv(A).tolist()))
 
     @property
     def n_rotors(self):
@@ -84,32 +85,43 @@ class RotorGeometry:
 @dataclass
 class ActuatorCommand:
     """Commanded thrusts (N), tilt angles (rad), perch-servo target, flags."""
-    thrust: np.ndarray
-    tilt: np.ndarray
+    thrust: tuple
+    tilt: tuple
     eta_d: float = 0.0
-    saturated: np.ndarray = None
+    saturated: tuple = None
 
     def __post_init__(self):
         if self.saturated is None:
-            self.saturated = np.zeros(len(self.thrust), dtype=bool)
+            self.saturated = (False,) * len(self.thrust)
 
 
 def allocate(w, geometry, T_max, prev_tilt=None):
     """Min-norm actuator command realizing wrench w, clamped to [0, T_max]."""
     n = geometry.n_rotors
-    x = geometry.A_pinv @ w.as_vector()
-    xv, xl = x[:n], x[n:]
-    thrust = np.hypot(xv, xl)
-    tilt = np.arctan2(xl, xv)
-    idle = thrust < THRUST_EPS
-    tilt[idle] = 0.0 if prev_tilt is None else prev_tilt[idle]
-    saturated = thrust > T_max
-    thrust[saturated] = T_max
-    return ActuatorCommand(thrust, tilt, saturated=saturated)
+    (f0, f1, f2), (t0, t1, t2) = w.f, w.tau
+    x = [a * f0 + b * f1 + c * f2 + d * t0 + e * t1 + g * t2
+         for a, b, c, d, e, g in geometry.A_pinv]
+    if prev_tilt is None:
+        prev_tilt = (0.0,) * n
+    thrust, tilt = [], []
+    for xv, xl, prev in zip(x[:n], x[n:], prev_tilt):
+        T = math.hypot(xv, xl)
+        thrust.append(T)
+        tilt.append(prev if T < THRUST_EPS else math.atan2(xl, xv))
+    return ActuatorCommand(tuple([min(T, T_max) for T in thrust]), tuple(tilt),
+                           saturated=tuple([T > T_max for T in thrust]))
 
 
 def forward_wrench(thrust, tilt, geometry):
     """Exact body wrench produced by the given thrusts and tilt angles."""
-    w = geometry.A @ np.concatenate(
-        [thrust * np.cos(tilt), thrust * np.sin(tilt)])
-    return Wrench(w[:3], w[3:])
+    w0 = w1 = w2 = w3 = w4 = w5 = 0.0
+    for T, nu, (a0, a1, a2, a3, a4, a5), (b0, b1, b2, b3, b4, b5) in zip(
+            thrust, tilt, geometry.columns[0], geometry.columns[1]):
+        u, l = T * math.cos(nu), T * math.sin(nu)
+        w0 += a0 * u + b0 * l
+        w1 += a1 * u + b1 * l
+        w2 += a2 * u + b2 * l
+        w3 += a3 * u + b3 * l
+        w4 += a4 * u + b4 * l
+        w5 += a5 * u + b5 * l
+    return Wrench((w0, w1, w2), (w3, w4, w5))

@@ -7,10 +7,8 @@ fraction of gravity compensation while the vehicle is rigidly attached.
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .allocation import Wrench
-from .geometry import B3
+from .geometry import ZERO3, mat_t_vec, mat_vec
 
 
 @dataclass(frozen=True)
@@ -25,36 +23,44 @@ class Gains:
 
 @dataclass
 class Setpoint:
-    p: np.ndarray
-    v: np.ndarray
-    a: np.ndarray
-    R: np.ndarray
-    omega: np.ndarray
+    p: tuple                         # three floats each; R a row-major 9-tuple
+    v: tuple
+    a: tuple
+    R: tuple
+    omega: tuple
 
     @staticmethod
     def hold(p, R):
-        return Setpoint(np.asarray(p, float), np.zeros(3), np.zeros(3),
-                        np.asarray(R, float), np.zeros(3))
+        return Setpoint(tuple(map(float, p)), ZERO3, ZERO3,
+                        tuple(map(float, R)), ZERO3)
 
 
 def nominal_wrench(state, sp, e_R, gains, integ, params, dt):
     """PD + feedforward force, PID torque on e_R = Log(R^T R_d)^vee; returns
-    the wrench and the updated attitude integral (a 3-array)."""
-    e_p = sp.p - state.p
-    e_v = sp.v - state.v
-    f = params.m * (state.R.T @ (params.g * B3 + gains.K_tp * e_p
-                                 + gains.K_td * e_v + sp.a))
-    psi = state.R.T @ sp.R
-    e_w = psi @ sp.omega - state.omega
+    the wrench and the updated attitude integral (three floats)."""
+    K_tp, K_td, g = gains.K_tp, gains.K_td, params.g
+    (px, py, pz), (vx, vy, vz) = state.p, state.v
+    (dpx, dpy, dpz), (dvx, dvy, dvz), (ax, ay, az) = sp.p, sp.v, sp.a
+    u = mat_t_vec(state.R, (K_tp * (dpx - px) + K_td * (dvx - vx) + ax,
+                            K_tp * (dpy - py) + K_td * (dvy - vy) + ay,
+                            g + K_tp * (dpz - pz) + K_td * (dvz - vz) + az))
+    m = params.m
+    f = (m * u[0], m * u[1], m * u[2])
+    e_w = mat_t_vec(state.R, mat_vec(sp.R, sp.omega))
     clamp = gains.integral_clamp
-    acc = np.clip(integ + e_R * dt, -clamp, clamp)
-    tau = params.Jb @ (gains.K_rp * e_R + gains.K_rd * e_w + gains.K_ri * acc)
+    acc = tuple([min(max(i + e * dt, -clamp), clamp)
+                 for i, e in zip(integ, e_R)])
+    K_rp, K_rd, K_ri = gains.K_rp, gains.K_rd, gains.K_ri
+    tau = mat_vec(params.Jb, [K_rp * e + K_rd * (w_d - w) + K_ri * i
+                              for e, w_d, w, i
+                              in zip(e_R, e_w, state.omega, acc)])
     return Wrench(f, tau), acc
 
 
 def rejection_force(est, R):
     """Body-frame force canceling the estimated world-frame external force."""
-    return -(R.T @ est.delta_hat)
+    x, y, z = mat_t_vec(R, est.delta_hat)
+    return -x, -y, -z
 
 
 def perch_wrench(rho, state, params):
@@ -63,5 +69,6 @@ def perch_wrench(rho, state, params):
         raise ValueError("rho must lie in [0, 1)")
     if rho == 0.0:
         return Wrench.zero()
-    f = rho * params.m * params.g * (state.R.T @ B3)
-    return Wrench(f, np.zeros(3))
+    s = rho * params.m * params.g
+    R = state.R
+    return Wrench((s * R[6], s * R[7], s * R[8]), ZERO3)

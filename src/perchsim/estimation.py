@@ -8,33 +8,39 @@ to produce the normal contact force that drives mode switching.
 
 from dataclasses import dataclass, replace
 
-import numpy as np
-
-from .geometry import B3
+from .geometry import ZERO3, mat_vec
 
 
 @dataclass
 class EstimatorState:
-    delta_hat: np.ndarray            # estimated world-frame force, N
-    accumulator: np.ndarray          # integral of (R f - m g b3 + delta_hat), N s
-    p_m0: np.ndarray                 # reference momentum, kg m/s
+    delta_hat: tuple                 # estimated world-frame force, N
+    accumulator: tuple               # integral of R f - m g b3 + delta_hat
+    p_m0: tuple                      # reference momentum, kg m/s
     K_e: float                       # positive scalar gain, 1/s
     frozen: bool = False
 
     @staticmethod
     def fresh(state, params, K_e):
-        return EstimatorState(np.zeros(3), np.zeros(3),
-                              params.m * state.v.copy(), K_e)
+        return EstimatorState(ZERO3, ZERO3, _momentum(state, params), K_e)
+
+
+def _momentum(state, params):
+    m = params.m
+    return tuple([m * v for v in state.v])
 
 
 def update(est, state, f_body, params, dt):
     """One explicit-Euler estimator step; identity while frozen."""
     if est.frozen:
         return est
-    acc = est.accumulator + (state.R @ f_body - params.m * params.g * B3
-                             + est.delta_hat) * dt
-    delta_hat = est.K_e * (params.m * state.v - est.p_m0 - acc)
-    return EstimatorState(delta_hat, acc, est.p_m0, est.K_e, False)
+    fx, fy, fz = mat_vec(state.R, f_body)
+    (ax, ay, az), (dx, dy, dz) = est.accumulator, est.delta_hat
+    acc = (ax + (fx + dx) * dt, ay + (fy + dy) * dt,
+           az + (fz - params.m * params.g + dz) * dt)
+    K_e = est.K_e
+    delta_hat = tuple([K_e * (mv - p0 - a) for mv, p0, a
+                       in zip(_momentum(state, params), est.p_m0, acc)])
+    return EstimatorState(delta_hat, acc, est.p_m0, K_e, False)
 
 
 def freeze(est):
@@ -47,17 +53,18 @@ def unfreeze(est, state, params):
     """Clear the freeze flag, re-based so delta_hat resumes continuously."""
     if not est.frozen:
         return est
-    p_m0 = params.m * state.v - est.delta_hat / est.K_e
-    return EstimatorState(est.delta_hat.copy(), np.zeros(3), p_m0,
-                          est.K_e, False)
+    p_m0 = tuple([mv - d / est.K_e
+                  for mv, d in zip(_momentum(state, params), est.delta_hat)])
+    return EstimatorState(est.delta_hat, ZERO3, p_m0, est.K_e, False)
 
 
 def rebase(est, state, params):
     """Restart the estimate from zero at the current momentum."""
-    return EstimatorState(np.zeros(3), np.zeros(3),
-                          params.m * state.v.copy(), est.K_e, est.frozen)
+    return EstimatorState(ZERO3, ZERO3, _momentum(state, params), est.K_e,
+                          est.frozen)
 
 
 def contact_normal_force(est, wall):
     """Estimated contact force along the wall normal; compression positive."""
-    return float(wall.normal @ est.delta_hat)
+    (nx, ny, nz), (dx, dy, dz) = wall.normal, est.delta_hat
+    return nx * dx + ny * dy + nz * dz

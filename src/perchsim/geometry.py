@@ -1,43 +1,42 @@
-"""SO(3) math kernel: hat/vee, exp/log maps, rotation error, Euler pitch.
+"""SO(3) math kernel on plain floats: products, exp/log maps, Jacobians.
 
-Rotations are body-to-world.  The integrator's kernel (`exp_so3`,
-`mat_mul`, `renormalize`) works on plain floats: a rotation is a row-major
-9-tuple and a vector three floats.  Everything else takes 3x3 numpy arrays
-and shape-(3,) float arrays.  Everything here is stateless.
+Rotations are body-to-world row-major 9-tuples and vectors three floats,
+so the 1 kHz tick pays no numpy call overhead.  `mat_vec` and `mat_t_vec`
+are the one statement of R x and R^T x.  Everything here is stateless.
 """
 
 import math
 
 import numpy as np
 
-B3 = np.array([0.0, 0.0, 1.0])
-_EYE = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)
+B3 = np.array([0.0, 0.0, 1.0])       # world up, for numpy set-up code
+ZERO3 = (0.0, 0.0, 0.0)
+EYE = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)
 
 _SMALL_ANGLE = 1e-8
-_SKEW_TOL = 1e-9
 _NEAR_PI = 1e-6
 
 
-def hat(v):
-    """Skew-symmetric matrix such that hat(v) @ w == cross(v, w)."""
-    x, y, z = v
-    return np.array([
-        [0.0, -z, y],
-        [z, 0.0, -x],
-        [-y, x, 0.0],
-    ])
+def mat_vec(R, x):
+    """R x for a 9-tuple R and three floats x."""
+    a, b, c, d, e, f, g, h, i = R
+    x0, x1, x2 = x
+    return (a * x0 + b * x1 + c * x2, d * x0 + e * x1 + f * x2,
+            g * x0 + h * x1 + i * x2)
 
 
-def vee(M):
-    """Inverse of hat. Rejects matrices whose symmetric part exceeds tolerance."""
-    sym = 0.5 * (M + M.T)
-    if np.max(np.abs(sym)) > _SKEW_TOL:
-        raise ValueError("matrix is not skew-symmetric within tolerance")
-    return _vee_unchecked(M)
+def mat_t_vec(R, x):
+    """R^T x for a 9-tuple R and three floats x."""
+    a, b, c, d, e, f, g, h, i = R
+    x0, x1, x2 = x
+    return (a * x0 + d * x1 + g * x2, b * x0 + e * x1 + h * x2,
+            c * x0 + f * x1 + i * x2)
 
 
-def _vee_unchecked(M):
-    return np.array([M[2, 1], M[0, 2], M[1, 0]])
+def cross(u, v):
+    u0, u1, u2 = u
+    v0, v1, v2 = v
+    return u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0
 
 
 def exp_so3(x, y, z):
@@ -67,113 +66,115 @@ def mat_mul(A, B):
             g * j + h * m + i * p, g * k + h * n + i * q, g * l + h * o + i * r)
 
 
+def mat_t_mul(A, B):
+    """A^T B of two row-major 9-tuples."""
+    a, b, c, d, e, f, g, h, i = A
+    return mat_mul((a, d, g, b, e, h, c, f, i), B)
+
+
 def log_so3(R):
     """Principal-branch rotation vector of R, with norm <= pi."""
-    tr = R[0, 0] + R[1, 1] + R[2, 2]
-    cos_theta = min(1.0, max(-1.0, 0.5 * (tr - 1.0)))
+    r00, r01, r02, r10, r11, r12, r20, r21, r22 = R
+    cos_theta = min(1.0, max(-1.0, 0.5 * (r00 + r11 + r22 - 1.0)))
     theta = math.acos(cos_theta)
-    w = 0.5 * _vee_unchecked(R - R.T)  # == sin(theta) * axis
+    # Half the vee of the skew part: sin(theta) * axis.
+    w = (0.5 * (r21 - r12), 0.5 * (r02 - r20), 0.5 * (r10 - r01))
     if theta < _SMALL_ANGLE:
         return w
     if math.pi - theta > _NEAR_PI:
-        return (theta / math.sin(theta)) * w
-    # Near pi the skew part vanishes; recover the axis from the symmetric part
-    # via the largest diagonal element, and sharpen theta from |w| = sin(theta).
-    S = 0.5 * (R + np.eye(3))
-    k = int(np.argmax(np.diag(S)))
-    axis = S[:, k] / math.sqrt(S[k, k])
-    axis = axis / np.linalg.norm(axis)
-    s = np.linalg.norm(w)
+        s = theta / math.sin(theta)
+        return s * w[0], s * w[1], s * w[2]
+    # Near pi the skew part vanishes; recover the axis from column k of the
+    # symmetric part (R + I) / 2, k the largest diagonal element, and sharpen
+    # theta from |w| = sin(theta).
+    diag = (r00, r11, r22)
+    k = diag.index(max(diag))
+    col = [0.5 * R[3 * j + k] for j in range(3)]
+    col[k] = 0.5 * (diag[k] + 1.0)
+    root = math.sqrt(col[k])
+    axis = [c / root for c in col]
+    n = math.sqrt(axis[0] * axis[0] + axis[1] * axis[1] + axis[2] * axis[2])
+    axis = [c / n for c in axis]
+    s = math.sqrt(w[0] * w[0] + w[1] * w[1] + w[2] * w[2])
     if s > 1e-12:
         theta = math.pi - math.asin(min(1.0, s))
-        if np.dot(w, axis) < 0.0:
-            axis = -axis
+        if w[0] * axis[0] + w[1] * axis[1] + w[2] * axis[2] < 0.0:
+            theta = -theta
     else:
         # Exactly pi: resolve the +/- axis tie deterministically.
-        for c in axis:
-            if abs(c) > 1e-12:
-                if c < 0.0:
-                    axis = -axis
-                break
-    return theta * axis
+        first = next((c for c in axis if abs(c) > 1e-12), 1.0)
+        if first < 0.0:
+            theta = -theta
+    return theta * axis[0], theta * axis[1], theta * axis[2]
 
 
 def rotation_error(R, Rd):
     """Log-map attitude error (Log(R^T Rd))^vee; zero iff R == Rd."""
-    return log_so3(R.T @ Rd)
+    return log_so3(mat_t_mul(R, Rd))
 
 
 def pitch_of(R):
     """Z-Y-X Euler pitch in [-pi/2, pi/2]; used for logging only."""
-    s = min(1.0, max(-1.0, -R[2, 0]))
-    return math.asin(s)
+    return math.asin(min(1.0, max(-1.0, -R[6])))
 
 
-def right_jacobian(v):
-    """Right Jacobian of SO(3): omega = right_jacobian(phi) @ dphi/dt."""
-    theta2 = float(v @ v)
-    K = hat(v)
-    K2 = K @ K
+def _jacobian_series(phi, x, c1, c2):
+    """(I + c1 K + c2 K^2) x with K = hat(phi)."""
+    u = cross(phi, x)
+    w = cross(phi, u)
+    return (x[0] + c1 * u[0] + c2 * w[0], x[1] + c1 * u[1] + c2 * w[1],
+            x[2] + c1 * u[2] + c2 * w[2])
+
+
+def right_jacobian(phi, x):
+    """J_r(phi) x: the body rate of exp(phi(t)) when dphi/dt = x."""
+    theta2 = phi[0] * phi[0] + phi[1] * phi[1] + phi[2] * phi[2]
     if theta2 < _SMALL_ANGLE:
-        return np.eye(3) - 0.5 * K + K2 / 6.0
+        return _jacobian_series(phi, x, -0.5, 1.0 / 6.0)
     theta = math.sqrt(theta2)
-    a = (1.0 - math.cos(theta)) / theta2
-    b = (theta - math.sin(theta)) / (theta2 * theta)
-    return np.eye(3) - a * K + b * K2
+    return _jacobian_series(phi, x, -(1.0 - math.cos(theta)) / theta2,
+                            (theta - math.sin(theta)) / (theta2 * theta))
 
 
-def right_jacobian_inv(v):
-    """Closed-form inverse of the right Jacobian."""
-    theta2 = float(v @ v)
-    K = hat(v)
-    K2 = K @ K
+def right_jacobian_inv(phi, x):
+    """J_r(phi)^-1 x, in closed form."""
+    theta2 = phi[0] * phi[0] + phi[1] * phi[1] + phi[2] * phi[2]
     if theta2 < _SMALL_ANGLE:
-        return np.eye(3) + 0.5 * K + K2 / 12.0
+        return _jacobian_series(phi, x, 0.5, 1.0 / 12.0)
     theta = math.sqrt(theta2)
-    c = 1.0 / theta2 - (1.0 + math.cos(theta)) / (2.0 * theta * math.sin(theta))
-    return np.eye(3) + 0.5 * K + c * K2
+    return _jacobian_series(phi, x, 0.5, 1.0 / theta2 - (1.0 + math.cos(theta))
+                            / (2.0 * theta * math.sin(theta)))
 
 
 def renormalize(R):
     """Project a near-orthonormal 9-tuple onto SO(3): R (1.5 I - 0.5 R^T R)."""
-    a, b, c, d, e, f, g, h, i = R
-    RtR = mat_mul((a, d, g, b, e, h, c, f, i), R)
-    return mat_mul(R, [1.5 * u - 0.5 * s for u, s in zip(_EYE, RtR)])
+    RtR = mat_t_mul(R, R)
+    return mat_mul(R, [1.5 * u - 0.5 * s for u, s in zip(EYE, RtR)])
 
 
 def quat_of(R):
     """Unit quaternion (w, x, y, z) of a rotation matrix, w >= 0."""
-    tr = R[0, 0] + R[1, 1] + R[2, 2]
+    r00, r01, r02, r10, r11, r12, r20, r21, r22 = R
+    tr = r00 + r11 + r22
     if tr > 0.0:
         s = math.sqrt(tr + 1.0) * 2.0
-        q = np.array([0.25 * s,
-                      (R[2, 1] - R[1, 2]) / s,
-                      (R[0, 2] - R[2, 0]) / s,
-                      (R[1, 0] - R[0, 1]) / s])
+        q = [0.25 * s, (r21 - r12) / s, (r02 - r20) / s, (r10 - r01) / s]
     else:
-        k = int(np.argmax(np.diag(R)))
+        diag = (r00, r11, r22)
+        k = diag.index(max(diag))
         i, j = (k + 1) % 3, (k + 2) % 3
-        s = math.sqrt(1.0 + R[k, k] - R[i, i] - R[j, j]) * 2.0
-        q = np.empty(4)
-        q[0] = (R[j, i] - R[i, j]) / s
+        s = math.sqrt(1.0 + diag[k] - diag[i] - diag[j]) * 2.0
+        q = [0.0] * 4
+        q[0] = (R[3 * j + i] - R[3 * i + j]) / s
         q[1 + k] = 0.25 * s
-        q[1 + i] = (R[i, k] + R[k, i]) / s
-        q[1 + j] = (R[j, k] + R[k, j]) / s
+        q[1 + i] = (R[3 * i + k] + R[3 * k + i]) / s
+        q[1 + j] = (R[3 * j + k] + R[3 * k + j]) / s
     if q[0] < 0.0:
-        q = -q
-    return q / np.linalg.norm(q)
-
-
-def rot_x(a):
-    c, s = math.cos(a), math.sin(a)
-    return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
+        q = [-c for c in q]
+    n = math.sqrt(q[0] * q[0] + q[1] * q[1] + q[2] * q[2] + q[3] * q[3])
+    return q[0] / n, q[1] / n, q[2] / n, q[3] / n
 
 
 def rot_y(a):
     c, s = math.cos(a), math.sin(a)
-    return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
-
-
-def rot_z(a):
-    c, s = math.cos(a), math.sin(a)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    return (c, 0.0, s, 0.0, 1.0, 0.0, -s, 0.0, c)

@@ -8,13 +8,15 @@ identical configuration and seed produce byte-identical CSV output.
 
 import math
 from dataclasses import dataclass, field
+from operator import add, sub
 
 import numpy as np
 
 from . import estimation
 from .allocation import Wrench, allocate, forward_wrench
 from .control import Setpoint, nominal_wrench, perch_wrench, rejection_force
-from .geometry import B3, pitch_of, quat_of, rotation_error
+from .geometry import ZERO3, mat_t_vec, mat_vec, pitch_of, quat_of, \
+    rotation_error
 from .planner import Plan, connect, perch_setpoints
 from .scenario import ScenarioConfig
 from .supervisor import VARIANTS, Mode, SupervisorState, transition, \
@@ -137,13 +139,12 @@ class MissionPlanner:
 
 
 def _disturbance_at(cfg, t):
-    df = np.zeros(3)
-    dr = np.zeros(3)
-    for (t0, t1, fx, fy, fz, rx, ry, rz) in cfg.disturbances:
+    fx = fy = fz = rx = ry = rz = 0.0
+    for (t0, t1, dfx, dfy, dfz, drx, dry, drz) in cfg.disturbances:
         if t0 <= t < t1:
-            df += (fx, fy, fz)
-            dr += (rx, ry, rz)
-    return Disturbances(df, dr)
+            fx, fy, fz = fx + dfx, fy + dfy, fz + dfz
+            rx, ry, rz = rx + drx, ry + dry, rz + drz
+    return Disturbances((fx, fy, fz), (rx, ry, rz))
 
 
 def run_scenario(cfg):
@@ -154,16 +155,15 @@ def run_scenario(cfg):
     transition_fn = transition_two_mode if variant.two_mode else transition
 
     state = VehicleState.at_rest(
-        np.asarray(plan_cfg.hover_p) + np.asarray(cfg.initial_offset),
-        plan_cfg.hover_R)
+        map(add, plan_cfg.hover_p, cfg.initial_offset), plan_cfg.hover_R)
     # Start at hover trim for the initial attitude, not from dead rotors.
-    trim = Wrench(params.m * params.g * state.R.T @ B3, np.zeros(3))
-    cmd = allocate(trim, rotors, params.T_max, np.zeros(rotors.n_rotors))
+    trim = Wrench(mat_t_vec(state.R, (0.0, 0.0, params.m * params.g)), ZERO3)
+    cmd = allocate(trim, rotors, params.T_max, (0.0,) * rotors.n_rotors)
     act = ActuatorState(cmd.thrust, cmd.tilt, 0.0)
     w_act = forward_wrench(act.thrust, act.tilt, rotors)
     contact = ContactState(gap=wall.gap_of(state))
     sup = SupervisorState()
-    integ = np.zeros(3)              # attitude integral of nominal_wrench
+    integ = ZERO3                    # attitude integral of nominal_wrench
     planner = MissionPlanner(cfg, wall, plan_cfg)
     est_rej = estimation.EstimatorState.fresh(state, params, cfg.estimator_gain)
     est_con = estimation.EstimatorState.fresh(state, params, cfg.estimator_gain)
@@ -188,9 +188,11 @@ def run_scenario(cfg):
         t = k * cfg.dt
 
         if noisy:
-            meas = VehicleState(state.p + rng.normal(0.0, cfg.noise_std_pos, 3),
-                                state.v + rng.normal(0.0, cfg.noise_std_vel, 3),
-                                state.R, state.omega)
+            dp = rng.normal(0.0, cfg.noise_std_pos, 3).tolist()
+            dv = rng.normal(0.0, cfg.noise_std_vel, 3).tolist()
+            meas = VehicleState(tuple(map(add, state.p, dp)),
+                                tuple(map(add, state.v, dv)), state.R,
+                                state.omega)
         else:
             meas = state
 
@@ -210,7 +212,7 @@ def run_scenario(cfg):
         if new_sup.mode is not sup.mode:
             events.append((t, "mode",
                            f"{sup.mode.value}->{new_sup.mode.value}"))
-            integ = np.zeros(3)
+            integ = ZERO3
             if new_sup.mode is Mode.P2F:
                 planner.start_departure(t, state)
                 sp = planner.sample(t)
@@ -251,7 +253,8 @@ def run_scenario(cfg):
             wrench, integ = nominal_wrench(meas, sp, e_R, gains, integ,
                                            params, cfg.dt)
             if pol.wrench == "full":
-                wrench.f = wrench.f + rejection_force(est_rej, meas.R)
+                wrench.f = tuple(map(add, wrench.f,
+                                     rejection_force(est_rej, meas.R)))
 
         # 5. allocation
         cmd = allocate(wrench, rotors, params.T_max, cmd.tilt)
@@ -263,7 +266,8 @@ def run_scenario(cfg):
         # 7. contact
         dist = _disturbance_at(cfg, t)
         w_act = forward_wrench(act.thrust, act.tilt, rotors)
-        applied_world = state.R @ w_act.f + dist.delta_f
+        applied_world = tuple(map(add, mat_vec(state.R, w_act.f),
+                                  dist.delta_f))
         new_contact = update_contact(state, act, applied_world, contact,
                                      wall, params)
         if new_contact.attached and not contact.attached:
@@ -278,26 +282,16 @@ def run_scenario(cfg):
         contact = new_contact
 
         # log the state the controller acted on, plus this tick's outputs
-        q = quat_of(state.R)
-        row = rows[k]
-        row[0] = t
-        row[1:4] = state.p
-        row[4:7] = state.v
-        row[7] = pitch_of(state.R)
-        row[8:12] = q
-        row[12:15] = state.omega
-        row[15] = 1.0 if contact.attached else 0.0
-        row[16] = sup.eta_d
-        row[17] = act.eta
-        row[18:22] = act.thrust
-        row[22:26] = cmd.thrust
-        row[26:30] = act.tilt
-        row[30:33] = est_rej.delta_hat
-        row[33] = lam_c
-        row[34] = contact.lambda_true
-        row[35] = np.linalg.norm(e_R)
-        row[36] = np.linalg.norm(sp.p - state.p)
-        row[37] = 1.0 if cmd.saturated.any() else 0.0
+        ex, ey, ez = e_R
+        dx, dy, dz = map(sub, sp.p, state.p)
+        rows[k] = (t, *state.p, *state.v, pitch_of(state.R),
+                   *quat_of(state.R), *state.omega,
+                   1.0 if contact.attached else 0.0, sup.eta_d, act.eta,
+                   *act.thrust, *cmd.thrust, *act.tilt, *est_rej.delta_hat,
+                   lam_c, contact.lambda_true,
+                   math.sqrt(ex * ex + ey * ey + ez * ez),
+                   math.sqrt(dx * dx + dy * dy + dz * dz),
+                   1.0 if any(cmd.saturated) else 0.0)
         modes.append(sup.mode.value)
         gaps[k] = contact.gap
 

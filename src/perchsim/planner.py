@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .control import Setpoint
-from .geometry import B3, exp_so3, log_so3, right_jacobian, right_jacobian_inv
+from .geometry import B3, EYE, ZERO3, exp_so3, log_so3, mat_mul, mat_t_mul, \
+    right_jacobian, right_jacobian_inv
 
 
 @dataclass
@@ -22,41 +23,38 @@ class PerchPlanConfig:
     delta_in: float = 0.1            # penetration of setpoint (3), m
     T12: float = 4.0                 # hover -> standoff duration, s
     T23: float = 3.0                 # standoff -> contact duration, s
-    hover_p: np.ndarray = None
-    hover_R: np.ndarray = None
+    hover_p: tuple = (0.0, 0.0, 1.2)
+    hover_R: tuple = EYE             # row-major 9-tuple
 
     def __post_init__(self):
         if self.d_off <= 0 or self.delta_in < 0:
             raise ValueError("d_off must be positive, delta_in nonnegative")
         if self.T12 <= 0 or self.T23 <= 0:
             raise ValueError("segment durations must be positive")
-        if self.hover_p is None:
-            self.hover_p = np.array([0.0, 0.0, 1.2])
-        if self.hover_R is None:
-            self.hover_R = np.eye(3)
-        self.hover_p = np.asarray(self.hover_p, dtype=float)
-        self.hover_R = np.asarray(self.hover_R, dtype=float)
 
 
 @dataclass
 class TranslationSegment:
-    coeffs: np.ndarray               # (3, 6) ascending quintic coefficients
+    coeffs: tuple                    # per axis, ascending quintic coefficients
     duration: float
 
     def eval(self, t):
-        c = self.coeffs
-        t2, t3, t4, t5 = t * t, t ** 3, t ** 4, t ** 5
-        p = c @ np.array([1.0, t, t2, t3, t4, t5])
-        v = c @ np.array([0.0, 1.0, 2 * t, 3 * t2, 4 * t3, 5 * t4])
-        a = c @ np.array([0.0, 0.0, 2.0, 6 * t, 12 * t2, 20 * t3])
-        return p, v, a
+        """Position, velocity and acceleration at t, each by Horner's rule."""
+        p, v, a = [], [], []
+        for c0, c1, c2, c3, c4, c5 in self.coeffs:
+            p.append(c0 + t * (c1 + t * (c2 + t * (c3 + t * (c4 + t * c5)))))
+            v.append(c1 + t * (2.0 * c2 + t * (3.0 * c3 + t * (
+                4.0 * c4 + t * 5.0 * c5))))
+            a.append(2.0 * c2 + t * (6.0 * c3 + t * (
+                12.0 * c4 + t * 20.0 * c5)))
+        return tuple(p), tuple(v), tuple(a)
 
     def jerk_cost(self):
         """Exact integral of squared jerk over the segment."""
         T = self.duration
         total = 0.0
         for ax in range(3):
-            c3, c4, c5 = self.coeffs[ax, 3:6]
+            c3, c4, c5 = self.coeffs[ax][3:6]
             # jerk = 6 c3 + 24 c4 t + 60 c5 t^2
             j0, j1, j2 = 6.0 * c3, 24.0 * c4, 60.0 * c5
             total += (j0 * j0 * T + j0 * j1 * T ** 2
@@ -86,40 +84,39 @@ def min_jerk_segment(p0, v0, a0, pf, vf, af, T):
         ])
         c345 = np.linalg.solve(M, rhs)
         coeffs[ax] = [c0, c1, c2, *c345]
-    return TranslationSegment(coeffs, float(T))
+    return TranslationSegment(tuple(map(tuple, coeffs.tolist())), float(T))
 
 
 @dataclass
 class RotationSegment:
-    R0: np.ndarray
-    coeffs: np.ndarray               # (3, 4) ascending cubic for phi(t)
+    R0: tuple                        # row-major 9-tuple
+    coeffs: tuple                    # per axis, (c1, c2, c3) of phi(t)
 
     def eval(self, t):
-        c = self.coeffs
-        phi = c[:, 1] * t + c[:, 2] * t ** 2 + c[:, 3] * t ** 3
-        dphi = c[:, 1] + 2 * c[:, 2] * t + 3 * c[:, 3] * t ** 2
-        R = self.R0 @ np.reshape(exp_so3(*phi.tolist()), (3, 3))
-        omega = right_jacobian(phi) @ dphi
-        return R, omega
+        phi, dphi = [], []
+        for c1, c2, c3 in self.coeffs:
+            phi.append(t * (c1 + t * (c2 + t * c3)))
+            dphi.append(c1 + t * (2.0 * c2 + t * 3.0 * c3))
+        return (mat_mul(self.R0, exp_so3(*phi)),
+                right_jacobian(phi, dphi))
 
 
 def min_accel_rotation(R0, Rf, w0, wf, T):
     """Cubic in exponential coordinates from R0, exact at both endpoints."""
     if T <= 0:
         raise ValueError("segment duration must be positive")
-    phi_f = log_so3(np.asarray(R0, float).T @ np.asarray(Rf, float))
-    if np.linalg.norm(phi_f) >= math.pi - 1e-6:
+    phi_f = log_so3(mat_t_mul(R0, Rf))
+    if math.hypot(*phi_f) >= math.pi - 1e-6:
         raise ValueError("rotation endpoints are antipodal or nearly so")
     dphi0 = np.asarray(w0, dtype=float)              # J_r(0) = I
-    dphif = right_jacobian_inv(phi_f) @ np.asarray(wf, dtype=float)
-    coeffs = np.zeros((3, 4))
-    coeffs[:, 1] = dphi0
+    dphif = right_jacobian_inv(phi_f, wf)
+    coeffs = []
     # Solve a T^2 + b T^3 = phi_f - dphi0 T ; 2 a T + 3 b T^2 = dphif - dphi0
+    M = np.array([[T ** 2, T ** 3], [2 * T, 3 * T ** 2]])
     for ax in range(3):
         rhs = np.array([phi_f[ax] - dphi0[ax] * T, dphif[ax] - dphi0[ax]])
-        M = np.array([[T ** 2, T ** 3], [2 * T, 3 * T ** 2]])
-        coeffs[ax, 2:] = np.linalg.solve(M, rhs)
-    return RotationSegment(np.asarray(R0, float).copy(), coeffs)
+        coeffs.append((float(dphi0[ax]), *np.linalg.solve(M, rhs).tolist()))
+    return RotationSegment(tuple(map(float, R0)), tuple(coeffs))
 
 
 @dataclass
@@ -140,7 +137,7 @@ class Plan:
         p, _, _ = last.translation.eval(T)
         R, _ = last.rotation.eval(T)
         # Shared by every sample past the end; no caller mutates a Setpoint.
-        self.terminal = Setpoint(p, np.zeros(3), np.zeros(3), R, np.zeros(3))
+        self.terminal = Setpoint(p, ZERO3, ZERO3, R, ZERO3)
 
     def sample(self, t):
         if t < 0:
@@ -158,22 +155,22 @@ class Plan:
 
 def perch_orientation(wall):
     """Body attitude at the wall: bottom (-b3) facing the wall, x axis up."""
-    n = wall.normal
+    n = np.asarray(wall.normal)
     up = B3 - (B3 @ n) * n
     nu = np.linalg.norm(up)
     if nu < 1e-9:
         raise ValueError("wall normal may not be vertical")
     up = up / nu
-    return np.column_stack([up, np.cross(n, up), n])
+    return tuple(np.column_stack([up, np.cross(n, up), n]).ravel().tolist())
 
 
 def perch_setpoints(wall, cfg):
     """Hover (1), standoff (2), and behind-surface (3) pose setpoints."""
     R = perch_orientation(wall)
-    offset = R @ wall.c_m
-    n = wall.normal
-    p2 = wall.point + cfg.d_off * n - offset
-    p3 = wall.point - cfg.delta_in * n - offset
+    n, point = np.asarray(wall.normal), np.asarray(wall.point)
+    offset = np.reshape(R, (3, 3)) @ wall.c_m
+    p2 = point + cfg.d_off * n - offset
+    p3 = point - cfg.delta_in * n - offset
     return [
         Setpoint.hold(cfg.hover_p, cfg.hover_R),
         Setpoint.hold(p2, R),

@@ -12,7 +12,7 @@ import numpy as np
 
 from .allocation import RotorGeometry
 from .control import Gains
-from .geometry import rot_y
+from .geometry import ZERO3, rot_y
 from .planner import PerchPlanConfig, min_accel_rotation, perch_orientation
 from .supervisor import VARIANTS, SwitchConfig
 from .vehicle import VehicleParams, WallModel
@@ -29,6 +29,13 @@ _POSITIVE = ("duration", "mass", "inertia_diag", "gravity", "arm_length",
              "hold_time", "clearance_arm", "settle_tol")
 _NONNEGATIVE = ("seed", "k_tau", "k_tp", "k_td", "k_rp", "k_rd", "k_ri",
                 "penetration", "noise_std_pos", "noise_std_vel")
+# Plan segment durations lie in [dt, MAX_SEGMENT_S]: T ** 5 must neither
+# overflow nor underflow in the quintic solve.
+_SEGMENTS = ("hold_time", "t_approach", "t_contact")
+MAX_SEGMENT_S = 1e4
+MIN_DT_S = 1e-6
+# 2e6 ticks keep the preallocated log near 600 MB.
+MAX_TICKS = 2_000_000
 
 
 class ScenarioError(ValueError):
@@ -111,10 +118,16 @@ class ScenarioConfig:
             raise ScenarioError("lambda_f2p must exceed lambda_p2f")
         if not 0.0 <= self.rho < 1.0:
             raise ScenarioError("rho must lie in [0, 1)")
-        if not 0.0 < self.dt <= 0.01:
-            raise ScenarioError("dt must lie in (0, 0.01]")
-        if not self.duration / self.dt > 0.5:     # round(duration / dt) ticks
-            raise ScenarioError("duration must last at least one tick (dt)")
+        if not MIN_DT_S <= self.dt <= 0.01:
+            raise ScenarioError(f"dt must lie in [{MIN_DT_S:g}, 0.01]")
+        ticks = self.duration / self.dt           # round(ticks) are run
+        if not 0.5 < ticks <= MAX_TICKS:
+            raise ScenarioError("duration must last at least one tick (dt) "
+                                f"and at most {MAX_TICKS} ticks")
+        for name in _SEGMENTS:
+            if not self.dt <= getattr(self, name) <= MAX_SEGMENT_S:
+                raise ScenarioError(
+                    f"{name} must lie in [dt, {MAX_SEGMENT_S:g}] s")
         if self.variant not in VARIANTS:
             raise ScenarioError(f"unknown variant {self.variant!r}")
         if self.mission not in MISSIONS:
@@ -131,8 +144,8 @@ class ScenarioConfig:
             if self.mission == "perch":
                 R = perch_orientation(WallModel(self.wall_point,
                                                 self.wall_normal))
-                min_accel_rotation(rot_y(self.hover_pitch), R, np.zeros(3),
-                                   np.zeros(3), 1.0)
+                min_accel_rotation(rot_y(self.hover_pitch), R, ZERO3, ZERO3,
+                                   1.0)
         except ValueError as exc:
             raise ScenarioError(str(exc)) from exc
         return self
@@ -146,9 +159,9 @@ class ScenarioConfig:
             rotors=rotors, T_max=self.thrust_max, tau_rotor=self.rotor_tau,
             tilt_rate_max=self.tilt_rate_max, t_ps=self.perch_servo_time)
         wall = WallModel(
-            point=np.asarray(self.wall_point), normal=np.asarray(self.wall_normal),
+            point=self.wall_point, normal=self.wall_normal,
             F_mag=self.magnet_force, d_mag=self.magnet_range,
-            eps_attach=self.attach_tol, c_m=np.asarray(self.magnet_offset))
+            eps_attach=self.attach_tol, c_m=self.magnet_offset)
         gains = Gains(self.k_tp, self.k_td, self.k_rp, self.k_rd, self.k_ri,
                       self.integral_clamp)
         rho = VARIANTS[self.variant].rho
@@ -157,7 +170,7 @@ class ScenarioConfig:
         plan = PerchPlanConfig(
             d_off=self.standoff, delta_in=self.penetration,
             T12=self.t_approach, T23=self.t_contact,
-            hover_p=np.asarray(self.hover_position),
+            hover_p=tuple(self.hover_position),
             hover_R=rot_y(self.hover_pitch))
         return params, wall, gains, switch, plan
 
@@ -252,17 +265,18 @@ Every number must be finite.  Of the scalars, lambda_f2p, lambda_p2f and
 hover_pitch take any sign, rho lies in [0, 1), the gains, k_tau,
 penetration, noise levels and seed must not be negative, and all others
 must be positive, as must inertia_diag.  lambda_f2p must exceed
-lambda_p2f; duration must last at least one tick of dt (also after --dt);
-arm_length and k_tau must give a full-rank rotor geometry.  wall_normal
-must be nonzero; on a perch mission it may not be vertical, and the hover
-attitude may not be antipodal to the perch attitude (as hover_pitch = pi/2
-is to the default wall's pitch of -pi/2).
+lambda_p2f; duration must last at least one tick of dt and at most
+2000000 ticks (also after --dt); hold_time, t_approach and t_contact lie
+in [dt, 1e4] s; arm_length and k_tau must give a full-rank rotor
+geometry.  wall_normal must be nonzero; on a perch mission it may not be
+vertical, and the hover attitude may not be antipodal to the perch
+attitude (as hover_pitch = pi/2 is to the default wall's pitch of -pi/2).
 
 Scalars (floats unless noted):
   name, variant, mission           strings; variant in {proposed,
                                    no-transitions-rho0, no-transitions-rho0.5,
                                    no-freeze}; mission in {perch, hover}
-  dt (s, in (0, 0.01]), duration (s), seed (int)
+  dt (s, in [1e-6, 0.01]), duration (s), seed (int)
   mass (kg), gravity (m/s^2), arm_length (m), k_tau (m), thrust_max (N),
   rotor_tau (s), tilt_rate_max (rad/s), perch_servo_time (s)
   magnet_force (N), magnet_range (m), attach_tol (m)

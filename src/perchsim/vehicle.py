@@ -12,17 +12,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .allocation import RotorGeometry, forward_wrench
-from .geometry import B3, exp_so3, mat_mul, renormalize
+from .geometry import EYE, ZERO3, exp_so3, mat_mul, mat_vec, renormalize
 
 
 class NumericalDivergenceError(RuntimeError):
     """Raised when the integrator produces a non-finite state."""
 
 
+def _floats(x):
+    return tuple(map(float, x))
+
+
 @dataclass
 class VehicleParams:
     m: float = 1.65                  # kg
-    Jb: np.ndarray = None            # kg m^2
+    Jb: tuple = None                 # kg m^2, row-major 9-tuple
     g: float = 9.81                  # m/s^2
     rotors: RotorGeometry = None
     T_max: float = 8.0               # N per rotor
@@ -37,70 +41,70 @@ class VehicleParams:
             self.rotors = RotorGeometry.x_config()
         if self.m <= 0 or self.T_max <= 0 or self.tau_rotor <= 0:
             raise ValueError("mass, T_max and tau_rotor must be positive")
-        self.Jb = np.asarray(self.Jb, dtype=float)
-        self.Jb_inv = np.linalg.inv(self.Jb)
+        J = np.reshape(np.asarray(self.Jb, dtype=float), (3, 3))
+        self.Jb = tuple(J.ravel().tolist())
+        self.Jb_inv = tuple(np.linalg.inv(J).ravel().tolist())
 
 
 @dataclass
 class VehicleState:
-    p: np.ndarray                    # world position, m
-    v: np.ndarray                    # world velocity, m/s
-    R: np.ndarray                    # body-to-world rotation
-    omega: np.ndarray                # body angular velocity, rad/s
+    p: tuple                         # world position, m
+    v: tuple                         # world velocity, m/s
+    R: tuple                         # body-to-world rotation, row-major
+    omega: tuple                     # body angular velocity, rad/s
 
     @staticmethod
-    def at_rest(p, R=None):
-        return VehicleState(np.asarray(p, dtype=float), np.zeros(3),
-                            np.eye(3) if R is None else np.asarray(R, float),
-                            np.zeros(3))
+    def at_rest(p, R=EYE):
+        return VehicleState(_floats(p), ZERO3, _floats(R), ZERO3)
 
 
 @dataclass
 class ActuatorState:
-    thrust: np.ndarray               # actual thrusts, N
-    tilt: np.ndarray                 # actual tilt angles, rad
+    thrust: tuple                    # actual thrusts, N
+    tilt: tuple                      # actual tilt angles, rad
     eta: float = 0.0                 # perch servo, 0 = unperch .. 1 = perch
 
     @staticmethod
     def at_rest(n_rotors=4):
-        return ActuatorState(np.zeros(n_rotors), np.zeros(n_rotors), 0.0)
+        return ActuatorState((0.0,) * n_rotors, (0.0,) * n_rotors, 0.0)
 
 
 @dataclass
 class Disturbances:
-    delta_f: np.ndarray              # world-frame force, N
-    delta_r: np.ndarray              # body-frame angular acceleration, rad/s^2
+    delta_f: tuple = ZERO3           # world-frame force, N
+    delta_r: tuple = ZERO3           # body-frame angular acceleration, rad/s^2
 
     @staticmethod
     def none():
-        return Disturbances(np.zeros(3), np.zeros(3))
+        return Disturbances()
 
 
 @dataclass
 class WallModel:
-    point: np.ndarray                # a point on the wall plane, m
-    normal: np.ndarray               # outward unit normal into free space
+    point: tuple                     # a point on the wall plane, m
+    normal: tuple                    # outward unit normal into free space
     F_mag: float = 40.0              # magnet pull capacity, N
     d_mag: float = 0.05              # near-field range, m
     eps_attach: float = 0.001        # attach gap tolerance, m
-    c_m: np.ndarray = None           # magnet face offset in body frame, m
+    c_m: tuple = (0.0, 0.0, -0.05)   # magnet face offset in body frame, m
 
     def __post_init__(self):
-        self.point = np.asarray(self.point, dtype=float)
-        self.normal = np.asarray(self.normal, dtype=float)
-        n = np.linalg.norm(self.normal)
+        normal = np.asarray(self.normal, dtype=float)
+        n = np.linalg.norm(normal)
         if abs(n - 1.0) > 1e-9:
-            self.normal = self.normal / n
+            normal = normal / n
         if self.F_mag <= 0 or self.d_mag <= 0:
             raise ValueError("F_mag and d_mag must be positive")
-        if self.c_m is None:
-            self.c_m = np.array([0.0, 0.0, -0.05])
-        self.c_m = np.asarray(self.c_m, dtype=float)
+        self.point = _floats(self.point)
+        self.normal = _floats(normal)
+        self.c_m = _floats(self.c_m)
 
     def gap_of(self, state):
         """Signed magnet-face-to-plane distance (positive in free space)."""
-        face = state.p + state.R @ self.c_m
-        return float(self.normal @ (face - self.point))
+        (px, py, pz), (qx, qy, qz), (nx, ny, nz) = \
+            state.p, self.point, self.normal
+        fx, fy, fz = mat_vec(state.R, self.c_m)
+        return nx * (px + fx - qx) + ny * (py + fy - qy) + nz * (pz + fz - qz)
 
 
 @dataclass
@@ -108,23 +112,22 @@ class ContactState:
     attached: bool = False
     gap: float = float("inf")
     lambda_true: float = 0.0         # ground-truth normal force, compression > 0
-    anchor_p: np.ndarray = None
-    anchor_R: np.ndarray = None
-    nearfield_force: np.ndarray = None  # world-frame magnet attraction, N
-
-    def __post_init__(self):
-        if self.nearfield_force is None:
-            self.nearfield_force = np.zeros(3)
+    anchor_p: tuple = None
+    anchor_R: tuple = None
+    nearfield_force: tuple = ZERO3   # world-frame magnet attraction, N
 
 
 def step_actuators(act, cmd, dt, params):
     """First-order thrust lag, tilt rate limit, perch-servo travel."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    thrust = act.thrust + (cmd.thrust - act.thrust) * (dt / params.tau_rotor)
-    np.clip(thrust, 0.0, params.T_max, out=thrust)
+    k, T_max = dt / params.tau_rotor, params.T_max
+    # The clamped value goes first in max/min, so a NaN passes through.
+    thrust = tuple([min(max(a + (c - a) * k, 0.0), T_max)
+                    for a, c in zip(act.thrust, cmd.thrust)])
     dmax = params.tilt_rate_max * dt
-    tilt = act.tilt + np.clip(cmd.tilt - act.tilt, -dmax, dmax)
+    tilt = tuple([a + min(max(c - a, -dmax), dmax)
+                  for a, c in zip(act.tilt, cmd.tilt)])
     step = dt / params.t_ps
     eta = act.eta + min(step, max(-step, cmd.eta_d - act.eta))
     eta = min(1.0, max(0.0, eta))
@@ -134,14 +137,15 @@ def step_actuators(act, cmd, dt, params):
 def update_contact(state, act, applied_world_force, contact, wall, params):
     """Attach/release logic, ground-truth contact force, near-field magnet pull."""
     gap = wall.gap_of(state)
-    n = wall.normal
+    nx, ny, nz = wall.normal
     if contact.attached:
         eta_hold = 1.0 if act.eta >= 0.95 else act.eta
         if act.eta <= 0.05:
             # Perch servo finished its unperch travel: tangential peel.
             return ContactState(False, gap, 0.0)
         # Net pull away from the wall; negative when pressing into it.
-        pull = float(n @ (applied_world_force - params.m * params.g * B3))
+        fx, fy, fz = applied_world_force
+        pull = nx * fx + ny * fy + nz * (fz - params.m * params.g)
         if pull > wall.F_mag * eta_hold:
             return ContactState(False, gap, 0.0)
         return ContactState(True, 0.0, wall.F_mag * eta_hold - pull,
@@ -150,11 +154,11 @@ def update_contact(state, act, applied_world_force, contact, wall, params):
     # Detached.
     if act.eta >= 0.95 and gap <= wall.eps_attach:
         return ContactState(True, 0.0, wall.F_mag,
-                            anchor_p=state.p.copy(),
-                            anchor_R=state.R.copy())
+                            anchor_p=state.p, anchor_R=state.R)
     out = ContactState(False, gap, 0.0)
     if act.eta >= 0.95 and 0.0 < gap < wall.d_mag:
-        out.nearfield_force = -wall.F_mag * (1.0 - gap / wall.d_mag) * n
+        s = -wall.F_mag * (1.0 - gap / wall.d_mag)
+        out.nearfield_force = (s * nx, s * ny, s * nz)
     return out
 
 
@@ -198,22 +202,18 @@ def _rk4_sum(k1, k2, k3, k4):
 def integrate(state, act, dist, contact, params, dt):
     """One RK4 step; rotation advanced on the exponential map, renormalized.
 
-    The stages run on plain floats (see `derivative`); only the result is
-    built as numpy arrays.
+    The stages run on plain floats (see `derivative`).
     """
     if not 0.0 < dt <= 0.01:
         raise ValueError("dt must lie in (0, 0.01]")
     if contact.attached:
         return state
     wrench = forward_wrench(act.thrust, act.tilt, params.rotors)
-    load = (wrench.f.tolist(), wrench.tau.tolist(),
-            contact.nearfield_force.tolist(), dist.delta_f.tolist(),
-            dist.delta_r.tolist())
-    body = (params.m, params.g, params.Jb.ravel().tolist(),
-            params.Jb_inv.ravel().tolist())
+    load = (wrench.f, wrench.tau, contact.nearfield_force, dist.delta_f,
+            dist.delta_r)
+    body = (params.m, params.g, params.Jb, params.Jb_inv)
     # Stage i has derivative (v_i, a_i, w_i, b_i); no stage reads position.
-    R = state.R.ravel().tolist()
-    v1, w1 = state.v.tolist(), state.omega.tolist()
+    R, v1, w1 = state.R, state.v, state.omega
     h = 0.5 * dt
     a1, b1 = derivative(R, w1, load, body)
     v2, w2 = _axpy(v1, h, a1), _axpy(w1, h, b1)
@@ -229,7 +229,7 @@ def integrate(state, act, dist, contact, params, dt):
 
     s = dt / 6.0
     dw = _rk4_sum(w1, w2, w3, w4)
-    p_new = _axpy(state.p.tolist(), s, _rk4_sum(v1, v2, v3, v4))
+    p_new = _axpy(state.p, s, _rk4_sum(v1, v2, v3, v4))
     v_new = _axpy(v1, s, _rk4_sum(a1, a2, a3, a4))
     R_new = renormalize(mat_mul(R, exp_so3(s * dw[0], s * dw[1], s * dw[2])))
     w_new = _axpy(w1, s, _rk4_sum(b1, b2, b3, b4))
@@ -237,5 +237,4 @@ def integrate(state, act, dist, contact, params, dt):
     if not all(map(math.isfinite, p_new + v_new + R_new + w_new)):
         raise NumericalDivergenceError(
             "non-finite state after integration step")
-    return VehicleState(np.array(p_new), np.array(v_new),
-                        np.reshape(R_new, (3, 3)), np.array(w_new))
+    return VehicleState(p_new, v_new, R_new, w_new)

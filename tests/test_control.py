@@ -8,8 +8,9 @@ import pytest
 from perchsim import estimation
 from perchsim.control import (Gains, Setpoint, nominal_wrench, perch_wrench,
                               rejection_force)
-from perchsim.geometry import rot_y, rotation_error
+from perchsim.geometry import EYE, rot_y, rotation_error
 from perchsim.vehicle import VehicleParams, VehicleState
+from so3 import mat
 
 PARAMS = VehicleParams()
 GAINS = Gains()
@@ -17,7 +18,7 @@ MG = PARAMS.m * PARAMS.g
 
 
 def at_setpoint(R=None):
-    R = np.eye(3) if R is None else R
+    R = EYE if R is None else R
     state = VehicleState.at_rest([0.0, 0.0, 1.2], R)
     sp = Setpoint.hold(state.p, R)
     return state, sp
@@ -56,9 +57,9 @@ def test_translational_superposition():
     state = VehicleState.at_rest([0.0, 0.0, 1.2])
 
     def force(ep, ev, ad):
-        sp = Setpoint(state.p + ep, ev, ad, np.eye(3), np.zeros(3))
+        sp = Setpoint(state.p + ep, ev, ad, EYE, np.zeros(3))
         w, _ = nominal(state, sp)
-        return w.f
+        return np.array(w.f)
 
     base = force(np.zeros(3), np.zeros(3), np.zeros(3))
     for _ in range(20):
@@ -86,14 +87,14 @@ def test_attitude_integral_clamp():
 def test_rejection_force_zero():
     est = estimation.EstimatorState.fresh(
         VehicleState.at_rest([0.0, 0.0, 1.2]), PARAMS, 20.0)
-    assert np.array_equal(rejection_force(est, np.eye(3)), np.zeros(3))
+    assert np.array_equal(rejection_force(est, EYE), np.zeros(3))
 
 
 def test_rejection_force_sign_flip():
     est = estimation.EstimatorState.fresh(
         VehicleState.at_rest([0.0, 0.0, 1.2]), PARAMS, 20.0)
     est.delta_hat = np.array([0.0, 0.0, -5.0])
-    assert np.allclose(rejection_force(est, np.eye(3)), [0.0, 0.0, 5.0])
+    assert np.allclose(rejection_force(est, EYE), [0.0, 0.0, 5.0])
 
 
 def test_rejection_force_rotated_frame():
@@ -124,7 +125,7 @@ def test_perch_wrench_rotated_frame():
     w = perch_wrench(0.5, state, PARAMS)
     assert np.allclose(w.f, [-0.5 * MG, 0.0, 0.0], atol=1e-9)
     # World-frame force is still half of gravity compensation.
-    assert np.allclose(state.R @ w.f, [0.0, 0.0, 0.5 * MG], atol=1e-9)
+    assert np.allclose(mat(state.R) @ w.f, [0.0, 0.0, 0.5 * MG], atol=1e-9)
 
 
 def test_perch_wrench_rejects_bad_rho():

@@ -53,7 +53,7 @@ def test_freeze_holds_bitwise_over_updates():
     for k in range(100):
         state.v = np.array([0.0, 0.0, -0.01 * k])
         est = estimation.update(est, state, HOVER_F, PARAMS, 0.001)
-    held = est.delta_hat.copy()
+    held = est.delta_hat
     est = estimation.freeze(est)
     rng = np.random.default_rng(14)
     for _ in range(1000):
@@ -70,13 +70,13 @@ def test_unfreeze_continuity():
     for k in range(500):
         state.v = delta / PARAMS.m * ((k + 1) * dt)
         est = estimation.update(est, state, HOVER_F, PARAMS, dt)
-    before = est.delta_hat.copy()
+    before = est.delta_hat
     est = estimation.unfreeze(estimation.freeze(est), state, PARAMS)
-    assert np.max(np.abs(est.delta_hat - before)) < 1e-9
+    assert np.max(np.abs(np.subtract(est.delta_hat, before))) < 1e-9
     # The next update continues smoothly from the held value.
     state.v = delta / PARAMS.m * (501 * dt)
     est = estimation.update(est, state, HOVER_F, PARAMS, dt)
-    assert np.max(np.abs(est.delta_hat - before)) < 0.05
+    assert np.max(np.abs(np.subtract(est.delta_hat, before))) < 0.05
 
 
 def test_freeze_idempotent():
@@ -107,7 +107,7 @@ def test_contact_normal_force_sign():
 def test_contact_press_convergence():
     # Locked plant (v = 0) pressed 2 N into the wall along -n.
     state = VehicleState.at_rest([1.05, 0.0, 1.2])
-    f_body = HOVER_F - 2.0 * WALL.normal
+    f_body = HOVER_F - np.multiply(2.0, WALL.normal)
     est = fresh(state)
     for _ in range(500):
         est = estimation.update(est, state, f_body, PARAMS, 0.001)

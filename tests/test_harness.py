@@ -174,11 +174,11 @@ def test_mission_metrics_sane():
 # the other three (two-mode machine, rho override, no-freeze policies).
 ABLATION_SHA256 = {
     "no-transitions-rho0":
-        "009db10cb9f08db36388a235d1d3d62fb9756cb9b8dd17adf78f46affb3bcff7",
+        "147ff198701fc866da28e56e99f38eccd22223b5dc24907b5343c5a63fc0cca1",
     "no-transitions-rho0.5":
-        "2d8febed5f42db4e697fdcfdab9b2ad4b067787c37dae58c5342936ac0a44a40",
+        "54f4d97f891a9d3d0e201fe77988e52a6efe6efdb7d2bc9ff2d5f60864f12b9b",
     "no-freeze":
-        "72974689a8005396cb286eddb4a6801165b7f347c06f0ced1c9792d52c1041f9",
+        "41e38b56374543b9afa520b935a8d9166ce45bd6d340b91cdad9fe7570478176",
 }
 
 
@@ -203,7 +203,7 @@ initial_offset = 0.02 -0.01 0.03
 disturbance = 0.1 0.3 0.8 -0.5 0.3 0.2 -0.1 0.3
 """
 NOISY_HOVER_SHA256 = \
-    "87bd49dbca5fdf2cad6ee98d30f596b1aa1e67228ad5953fa8a11b51a0d7e0a7"
+    "d53cf85373145947b4b65ff80384fbc64b4f24b3772a0326b15d676550919efd"
 
 
 def test_noisy_hover_pinned():

@@ -5,22 +5,23 @@ import math
 import numpy as np
 import pytest
 
-from perchsim.geometry import exp_so3, pitch_of, rot_y
+from perchsim.geometry import EYE, exp_so3, mat_vec, pitch_of, rot_y
 from perchsim.planner import (PerchPlanConfig, Plan, connect,
                               min_accel_rotation, min_jerk_segment,
                               perch_orientation, perch_setpoints)
 from perchsim.vehicle import WallModel
+from so3 import flat, mat
 
 WALL = WallModel(point=np.array([1.0, 0.0, 1.2]),
                  normal=np.array([-1.0, 0.0, 0.0]))
 
 
 def exp_matrix(v):
-    return np.reshape(exp_so3(*v), (3, 3))
+    return mat(exp_so3(*v))
 
 
 def interface_x(sp):
-    return float((sp.p + sp.R @ WALL.c_m)[0])
+    return float((np.add(sp.p, mat_vec(sp.R, WALL.c_m)))[0])
 
 
 def test_setpoint_standoff_interface():
@@ -38,12 +39,12 @@ def test_setpoint_zero_penetration_on_surface():
 
 
 def test_perch_orientation_faces_wall():
-    R = perch_orientation(WALL)
+    R = mat(perch_orientation(WALL))
     # Bottom (-b3) aligned with -n: magnet face toward the wall.
-    assert np.allclose(R @ np.array([0.0, 0.0, -1.0]), -WALL.normal,
-                       atol=1e-12)
+    assert np.allclose(R @ np.array([0.0, 0.0, -1.0]),
+                       -np.asarray(WALL.normal), atol=1e-12)
     assert np.linalg.norm(R.T @ R - np.eye(3)) < 1e-12
-    assert abs(abs(pitch_of(R)) - math.pi / 2) < 1e-9
+    assert abs(abs(pitch_of(flat(R))) - math.pi / 2) < 1e-9
 
 
 def test_perch_orientation_rejects_horizontal_wall():
@@ -96,7 +97,7 @@ def test_jerk_cost_matches_quadrature():
         T = rng.uniform(0.5, 3.0)
         seg = min_jerk_segment(*b, T)
         ts = np.linspace(0.0, T, 20001)
-        c = seg.coeffs
+        c = np.array(seg.coeffs)
         jerk = (6.0 * c[:, 3:4] + 24.0 * c[:, 4:5] * ts
                 + 60.0 * c[:, 5:6] * ts ** 2)
         quad = np.trapezoid(np.sum(jerk ** 2, axis=0), ts)
@@ -113,7 +114,7 @@ def test_min_accel_constant_rotation():
 
 
 def test_min_accel_cubic_midpoint_pitch():
-    seg = min_accel_rotation(np.eye(3), rot_y(math.pi / 2),
+    seg = min_accel_rotation(EYE, rot_y(math.pi / 2),
                              np.zeros(3), np.zeros(3), 2.0)
     Rt, _ = seg.eval(1.0)
     assert abs(pitch_of(Rt) - math.pi / 4) < 1e-9
@@ -128,18 +129,18 @@ def test_min_accel_endpoint_exactness():
                              * rng.uniform(0, 2.5))
         w0, wf = 0.3 * rng.normal(size=(2, 3))
         T = rng.uniform(0.5, 4.0)
-        seg = min_accel_rotation(R0, Rf, w0, wf, T)
+        seg = min_accel_rotation(flat(R0), flat(Rf), w0, wf, T)
         Rt0, om0 = seg.eval(0.0)
         RtT, omT = seg.eval(T)
-        assert np.linalg.norm(Rt0 - R0) < 1e-9
-        assert np.linalg.norm(RtT - Rf) < 1e-9
+        assert np.linalg.norm(mat(Rt0) - R0) < 1e-9
+        assert np.linalg.norm(mat(RtT) - Rf) < 1e-9
         assert np.max(np.abs(om0 - w0)) < 1e-9
         assert np.max(np.abs(omT - wf)) < 1e-9
 
 
 def test_min_accel_rejects_antipodal():
     with pytest.raises(ValueError):
-        min_accel_rotation(np.eye(3), np.diag([1.0, -1.0, -1.0]),
+        min_accel_rotation(EYE, flat(np.diag([1.0, -1.0, -1.0])),
                            np.zeros(3), np.zeros(3), 1.0)
 
 
@@ -163,7 +164,7 @@ def test_plan_terminal_hold():
     assert np.allclose(out.p, sp2.p, atol=1e-9)
     assert np.array_equal(out.v, np.zeros(3))
     assert np.array_equal(out.omega, np.zeros(3))
-    assert np.linalg.norm(out.R - sp2.R) < 1e-9
+    assert np.linalg.norm(np.subtract(out.R, sp2.R)) < 1e-9
 
 
 def test_plan_derivative_consistency():
@@ -173,11 +174,11 @@ def test_plan_derivative_consistency():
         a = plan.sample(t - dt)
         b = plan.sample(t + dt)
         mid = plan.sample(t)
-        fd_v = (b.p - a.p) / (2 * dt)
+        fd_v = np.subtract(b.p, a.p) / (2 * dt)
         assert np.max(np.abs(fd_v - mid.v)) < 1e-5
         # Body rate: R^T dR/dt is the hat of omega.
-        dR = (b.R - a.R) / (2 * dt)
-        W = mid.R.T @ dR
+        dR = (mat(b.R) - mat(a.R)) / (2 * dt)
+        W = mat(mid.R).T @ dR
         omega_fd = np.array([W[2, 1], W[0, 2], W[1, 0]])
         assert np.max(np.abs(omega_fd - mid.omega)) < 1e-5
 
@@ -187,9 +188,9 @@ def test_plan_c1_continuity_at_joint():
     eps = 1e-9
     a = plan.sample(1.0 - eps)
     b = plan.sample(1.0 + eps)
-    assert np.max(np.abs(a.p - b.p)) < 1e-6
-    assert np.max(np.abs(a.v - b.v)) < 1e-6
-    assert np.max(np.abs(a.omega - b.omega)) < 1e-6
+    assert np.max(np.abs(np.subtract(a.p, b.p))) < 1e-6
+    assert np.max(np.abs(np.subtract(a.v, b.v))) < 1e-6
+    assert np.max(np.abs(np.subtract(a.omega, b.omega))) < 1e-6
 
 
 def test_plan_config_validation():

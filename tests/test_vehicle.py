@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 from perchsim.allocation import ActuatorCommand, Wrench, forward_wrench
-from perchsim.geometry import B3, rot_x, rot_y, rot_z
+from perchsim.geometry import B3, EYE, rot_y
 from perchsim.vehicle import (ActuatorState, ContactState, Disturbances,
                               VehicleParams, VehicleState, WallModel,
                               derivative, integrate, step_actuators,
                               update_contact)
+from so3 import flat, mat, rot_x, rot_z
 
 PARAMS = VehicleParams()
 WALL = WallModel(point=np.array([1.0, 0.0, 1.2]),
@@ -23,12 +24,10 @@ def detached(gap=10.0):
 
 def rates_at_rest(wrench):
     """derivative() at R = I, w = 0 with no near-field force or disturbance."""
-    load = (wrench.f.tolist(), wrench.tau.tolist(), (0.0, 0.0, 0.0),
-            (0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
-    body = (PARAMS.m, PARAMS.g, PARAMS.Jb.ravel().tolist(),
-            PARAMS.Jb_inv.ravel().tolist())
-    return derivative(np.eye(3).ravel().tolist(), (0.0, 0.0, 0.0), load,
-                      body)
+    load = (wrench.f, wrench.tau, (0.0, 0.0, 0.0), (0.0, 0.0, 0.0),
+            (0.0, 0.0, 0.0))
+    body = (PARAMS.m, PARAMS.g, PARAMS.Jb, PARAMS.Jb_inv)
+    return derivative(EYE, (0.0, 0.0, 0.0), load, body)
 
 
 def test_derivative_free_fall():
@@ -84,7 +83,8 @@ def test_step_actuators_rejects_bad_dt():
 
 def _state_at_gap(gap):
     # Magnet face at distance `gap` in front of the wall plane.
-    p = WALL.point + (gap - WALL.c_m[2] * 0.0) * WALL.normal - WALL.c_m
+    p = np.asarray(WALL.point) + (gap - WALL.c_m[2] * 0.0) \
+        * np.asarray(WALL.normal) - WALL.c_m
     st = VehicleState.at_rest(p)
     assert abs(WALL.gap_of(st) - gap) < 1e-12
     return st
@@ -125,7 +125,7 @@ def test_contact_lambda_true_counts_push_and_pull():
                             anchor_p=st.p, anchor_R=st.R)
     for eta, pull in ((1.0, -3.0), (1.0, 2.0), (0.5, -3.0), (0.5, 2.0)):
         act = ActuatorState(np.zeros(4), np.zeros(4), eta=eta)
-        applied = PARAMS.m * PARAMS.g * B3 + pull * WALL.normal
+        applied = PARAMS.m * PARAMS.g * B3 + np.multiply(pull, WALL.normal)
         out = update_contact(st, act, applied, anchored, WALL, PARAMS)
         assert out.attached
         assert abs(out.lambda_true - (WALL.F_mag * eta - pull)) < 1e-12
@@ -145,7 +145,8 @@ def test_contact_forcible_detach_over_capacity():
     act = ActuatorState(np.zeros(4), np.zeros(4), eta=1.0)
     anchored = ContactState(attached=True, gap=0.0,
                             anchor_p=st.p, anchor_R=st.R)
-    pull = PARAMS.m * PARAMS.g * B3 + (WALL.F_mag + 1.0) * WALL.normal
+    pull = PARAMS.m * PARAMS.g * B3 \
+        + np.multiply(WALL.F_mag + 1.0, WALL.normal)
     out = update_contact(st, act, pull, anchored, WALL, PARAMS)
     assert not out.attached
 
@@ -154,7 +155,8 @@ def test_contact_nearfield_ramp():
     st = _state_at_gap(0.025)
     act = ActuatorState(np.zeros(4), np.zeros(4), eta=1.0)
     out = update_contact(st, act, np.zeros(3), detached(), WALL, PARAMS)
-    expect = -WALL.F_mag * (1.0 - 0.025 / WALL.d_mag) * WALL.normal
+    expect = np.multiply(-WALL.F_mag * (1.0 - 0.025 / WALL.d_mag),
+                         WALL.normal)
     assert np.allclose(out.nearfield_force, expect, atol=1e-9)
 
 
@@ -180,7 +182,7 @@ def test_integrate_principal_axis_rotation():
     for _ in range(n):
         state = integrate(state, act, Disturbances.none(), contact,
                           params, dt)
-    assert np.linalg.norm(state.R - rot_z(math.pi / 2)) < 1e-6
+    assert np.linalg.norm(mat(state.R) - rot_z(math.pi / 2)) < 1e-6
 
 
 def test_integrate_matches_numpy_rk4():
@@ -191,7 +193,7 @@ def test_integrate_matches_numpy_rk4():
     params = VehicleParams(Jb=J)
     state = VehicleState(np.array([0.1, -0.2, 1.3]),
                          np.array([0.4, -0.1, 0.2]),
-                         rot_z(0.4) @ rot_y(-0.3) @ rot_x(0.2),
+                         flat(rot_z(0.4) @ mat(rot_y(-0.3)) @ rot_x(0.2)),
                          np.array([1.5, -2.0, 0.7]))
     act = ActuatorState(np.array([3.0, 4.5, 2.0, 5.0]),
                         np.array([0.1, -0.3, 0.2, 0.05]), 1.0)
@@ -217,7 +219,7 @@ def test_integrate_matches_numpy_rk4():
             + dist.delta_r
         return dv, dw
 
-    R, v1, w1 = state.R, state.v, state.omega
+    R, v1, w1 = mat(state.R), state.v, state.omega
     a1, b1 = rates(R, w1)
     v2, w2 = v1 + dt / 2 * a1, w1 + dt / 2 * b1
     a2, b2 = rates(R @ expm(dt / 2 * w1), w2)
@@ -231,7 +233,7 @@ def test_integrate_matches_numpy_rk4():
     w = w1 + dt / 6 * (b1 + 2 * b2 + 2 * b3 + b4)
 
     assert np.max(np.abs(out.omega - state.omega)) > 1e-3
-    for new, ref in ((out.p, p), (out.v, v), (out.R, U @ Vt),
+    for new, ref in ((out.p, p), (out.v, v), (mat(out.R), U @ Vt),
                      (out.omega, w)):
         assert np.max(np.abs(new - ref)) < 1e-12
 
