@@ -65,7 +65,9 @@ def test_malformed_scenario_exit_code(tmp_path, capsys):
     "disturbance = 0 inf 1 0 0 0 0 0", "event = nan s_f2p",
     "mission = perch\nwall_normal = 0 0 1", "lambda_f2p = -2",
     "duration = 0.0001", "arm_length = 1e-10", "arm_length = 1e300",
-    "mission = perch\nhover_pitch = 1.5707963267948966"])
+    "mission = perch\nhover_pitch = 1.5707963267948966",
+    "mission = perch\nhold_time = 1e62", "mission = perch\nt_approach = 3e-279",
+    "t_contact = 0.0005", "duration = 1e300", "duration = 2000.5"])
 def test_invalid_value_exit_code(tmp_path, capsys, line):
     # Unchecked, each of these would run, crash or exit 0.
     scen = tmp_path / "bad.scn"
@@ -89,6 +91,11 @@ def test_bad_dt_override_exit_code(tmp_path):
     scen.write_text(HOVER + "duration = 0.004\n")
     assert main(["run", "--scenario", str(scen), "--out",
                  str(tmp_path / "o"), "--dt", "0.01"]) == EXIT_SCHEMA
+    # duration / dt is inf; over the tick cap; dt under its 1e-6 floor.
+    for duration, dt in (("1", "1e-320"), ("3", "1e-6"), ("1", "1e-7")):
+        scen.write_text(HOVER + f"duration = {duration}\n")
+        assert main(["run", "--scenario", str(scen), "--out",
+                     str(tmp_path / "o"), "--dt", dt]) == EXIT_SCHEMA
 
 
 def test_ablate_exit_code(tmp_path, capsys):

@@ -4,9 +4,10 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from perchsim.harness import MissionPlanner
 from perchsim.scenario import (MISSIONS, SCHEMA_DOC, VARIANTS, ScenarioConfig,
                                ScenarioError, default_scenario,
                                parse_scenario)
@@ -172,10 +173,14 @@ _ENTRIES = st.one_of(
 
 @settings(derandomize=True, max_examples=200, deadline=None, database=None)
 @given(st.lists(_ENTRIES, max_size=6))
+@example(["hold_time = 1e62"])          # T ** 5 overflows
+@example(["t_approach = 3e-279"])       # the quintic solve is singular
 def test_parsed_scenario_builds(lines):
-    # Whatever parse_scenario accepts must also build.
+    # Whatever parse_scenario accepts must also build, and plan: run_scenario
+    # builds the MissionPlanner before its first tick.
     try:
         cfg = parse_scenario("\n".join(["schema_version = 1", *lines]))
     except ScenarioError:
         return
-    cfg.build()
+    params, wall, gains, switch, plan_cfg = cfg.build()
+    MissionPlanner(cfg, wall, plan_cfg)
