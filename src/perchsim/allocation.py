@@ -88,11 +88,7 @@ class ActuatorCommand:
     thrust: tuple
     tilt: tuple
     eta_d: float = 0.0
-    saturated: tuple = None
-
-    def __post_init__(self):
-        if self.saturated is None:
-            self.saturated = (False,) * len(self.thrust)
+    saturated: tuple = ()            # per rotor, set by allocate
 
 
 def allocate(w, geometry, T_max, prev_tilt=None):

@@ -8,7 +8,7 @@ fraction of gravity compensation while the vehicle is rigidly attached.
 from dataclasses import dataclass
 
 from .allocation import Wrench
-from .geometry import ZERO3, mat_t_vec, mat_vec
+from .geometry import ZERO3, floats, mat_t_vec, mat_vec
 
 
 @dataclass(frozen=True)
@@ -31,8 +31,7 @@ class Setpoint:
 
     @staticmethod
     def hold(p, R):
-        return Setpoint(tuple(map(float, p)), ZERO3, ZERO3,
-                        tuple(map(float, R)), ZERO3)
+        return Setpoint(floats(p), ZERO3, ZERO3, floats(R), ZERO3)
 
 
 def nominal_wrench(state, sp, e_R, gains, integ, params, dt):

@@ -17,6 +17,11 @@ _SMALL_ANGLE = 1e-8
 _NEAR_PI = 1e-6
 
 
+def floats(x):
+    """A vector, or a rotation's nine entries, as a tuple of floats."""
+    return tuple(map(float, x))
+
+
 def mat_vec(R, x):
     """R x for a 9-tuple R and three floats x."""
     a, b, c, d, e, f, g, h, i = R

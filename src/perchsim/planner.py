@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .control import Setpoint
-from .geometry import B3, EYE, ZERO3, exp_so3, log_so3, mat_mul, mat_t_mul, \
-    right_jacobian, right_jacobian_inv
+from .geometry import B3, EYE, ZERO3, exp_so3, floats, log_so3, mat_mul, \
+    mat_t_mul, right_jacobian, right_jacobian_inv
 
 
 @dataclass
@@ -116,7 +116,7 @@ def min_accel_rotation(R0, Rf, w0, wf, T):
     for ax in range(3):
         rhs = np.array([phi_f[ax] - dphi0[ax] * T, dphif[ax] - dphi0[ax]])
         coeffs.append((float(dphi0[ax]), *np.linalg.solve(M, rhs).tolist()))
-    return RotationSegment(tuple(map(float, R0)), tuple(coeffs))
+    return RotationSegment(floats(R0), tuple(coeffs))
 
 
 @dataclass

@@ -12,15 +12,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .allocation import RotorGeometry, forward_wrench
-from .geometry import EYE, ZERO3, exp_so3, mat_mul, mat_vec, renormalize
+from .geometry import EYE, ZERO3, exp_so3, floats, mat_mul, mat_vec, \
+    renormalize
 
 
 class NumericalDivergenceError(RuntimeError):
     """Raised when the integrator produces a non-finite state."""
-
-
-def _floats(x):
-    return tuple(map(float, x))
 
 
 @dataclass
@@ -55,7 +52,7 @@ class VehicleState:
 
     @staticmethod
     def at_rest(p, R=EYE):
-        return VehicleState(_floats(p), ZERO3, _floats(R), ZERO3)
+        return VehicleState(floats(p), ZERO3, floats(R), ZERO3)
 
 
 @dataclass
@@ -95,9 +92,9 @@ class WallModel:
             normal = normal / n
         if self.F_mag <= 0 or self.d_mag <= 0:
             raise ValueError("F_mag and d_mag must be positive")
-        self.point = _floats(self.point)
-        self.normal = _floats(normal)
-        self.c_m = _floats(self.c_m)
+        self.point = floats(self.point)
+        self.normal = floats(normal)
+        self.c_m = floats(self.c_m)
 
     def gap_of(self, state):
         """Signed magnet-face-to-plane distance (positive in free space)."""

@@ -13,9 +13,9 @@ events, its tick count and `metrics.to_dict()`.
 `test_matches_pre_scalar_reference` compares new runs against this file, so
 a change that moves trajectories by rounding only can show that modes,
 events and tick counts are unchanged and every value stays within its stated
-tolerance.  The committed file was recorded with the numpy-array integrator,
-before `vehicle.integrate` moved to plain floats; regenerate it only on
-purpose.
+tolerance.  The committed file was recorded with the numpy-array
+implementation, before `vehicle.integrate` and then every other stage of the
+tick moved to plain floats; regenerate it only on purpose.
 """
 
 import json

@@ -236,7 +236,9 @@ def _leaves(metrics, prefix=""):
 
 @pytest.mark.parametrize("name", [*REFERENCE.VARIANTS, "noisy-hover"])
 def test_matches_pre_scalar_reference(name):
-    """Runs match traces recorded with the numpy-array integrator.
+    """Runs match traces recorded with the numpy-array implementation.
+
+    The traces predate the plain-float integrator and the plain-float tick.
 
     Modes, events and tick counts must be identical; every sampled CSV value
     and every numeric metric must lie within REF_RTOL (relative above 1).
