@@ -165,7 +165,7 @@ def check_3_freeze_semantics():
 
 def check_4_allocation():
     rotors = VehicleParams().rotors
-    A = np.array(rotors.A)
+    A = rotors.A
     rng = np.random.default_rng(4)
     worst_rt = 0.0
     worst_mn = 0.0

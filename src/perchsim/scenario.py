@@ -29,13 +29,12 @@ _POSITIVE = ("duration", "mass", "inertia_diag", "gravity", "arm_length",
              "hold_time", "clearance_arm", "settle_tol")
 _NONNEGATIVE = ("seed", "k_tau", "k_tp", "k_td", "k_rp", "k_rd", "k_ri",
                 "penetration", "noise_std_pos", "noise_std_vel")
-# Plan segment durations lie in [dt, MAX_SEGMENT_S]: T ** 5 must neither
-# overflow nor underflow in the quintic solve.
+# Plan segments last [dt, MAX_SEGMENT_S] and dt >= MIN_DT_S, so T ** 5 in
+# the quintic solve neither overflows nor underflows.
 _SEGMENTS = ("hold_time", "t_approach", "t_contact")
 MAX_SEGMENT_S = 1e4
 MIN_DT_S = 1e-6
-# 2e6 ticks keep the preallocated log near 600 MB.
-MAX_TICKS = 2_000_000
+MAX_TICKS = 2_000_000             # the preallocated log stays near 600 MB
 
 
 class ScenarioError(ValueError):

@@ -216,7 +216,7 @@ def test_controllers_match_numpy():
 
 def _idle_and_saturated_wrench(geom):
     """A wrench whose min-norm solution idles rotor 0 and saturates one."""
-    A = np.array(geom.A)
+    A = geom.A
     # Row-space vectors A^T y with both of rotor 0's components zero.
     null = np.linalg.svd(A[:, [0, 4]].T)[2][2:]
     x = A.T @ null.T @ np.array([1.0, -0.5, 0.3, 0.8])
@@ -226,7 +226,7 @@ def _idle_and_saturated_wrench(geom):
 
 def test_allocation_matches_numpy():
     geom = RotorGeometry.x_config()
-    A, A_pinv = np.array(geom.A), np.array(geom.A_pinv)
+    A, A_pinv = geom.A, np.array(geom.A_pinv)
     prev = (0.3, -0.2, 0.1, 0.05)
     w = _idle_and_saturated_wrench(geom)
     cmd = allocation.allocate(w, geom, 8.0, prev)
