@@ -3,7 +3,6 @@
 import math
 
 import numpy as np
-import pytest
 
 from perchsim.geometry import (B3, EYE, cross, exp_so3, log_so3, pitch_of,
                                renormalize, right_jacobian,
