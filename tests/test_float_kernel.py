@@ -373,7 +373,7 @@ def test_plan_segments_match_numpy():
         ref = (c @ [1.0, t, t ** 2, t ** 3, t ** 4, t ** 5],
                c @ [0.0, 1.0, 2 * t, 3 * t ** 2, 4 * t ** 3, 5 * t ** 4],
                c @ [0.0, 0.0, 2.0, 6 * t, 12 * t ** 2, 20 * t ** 3])
-        assert all(close(x, y, 1e-11) for x, y in zip(seg.eval(t), ref))
+        assert all(close(x, y) for x, y in zip(seg.eval(t), ref))
         phi = cr[:, 1] * t + cr[:, 2] * t ** 2 + cr[:, 3] * t ** 3
         dphi = cr[:, 1] + 2 * cr[:, 2] * t + 3 * cr[:, 3] * t ** 2
         R, omega = rot.eval(t)
