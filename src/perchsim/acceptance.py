@@ -20,7 +20,7 @@ from .geometry import EYE, ZERO3, mat_vec, rotation_error
 from .harness import run_scenario, settle_index
 from .planner import min_jerk_segment, perch_setpoints
 from .scenario import ScenarioConfig, default_scenario
-from .supervisor import Mode, SupervisorState, SwitchConfig, transition
+from .supervisor import Mode, SupervisorState, transition
 from .vehicle import ActuatorState, ContactState, Disturbances, \
     VehicleParams, VehicleState, integrate
 
@@ -71,7 +71,7 @@ def _expected_transition(mode, s_f2p, s_p2f, lam, cfg):
 
 
 def check_1_mode_machine():
-    cfg = SwitchConfig(lambda_f2p=1.0, lambda_p2f=-1.0)
+    cfg = ScenarioConfig(lambda_f2p=1.0, lambda_p2f=-1.0)
     bands = {"tension": -2.0, "neutral": 0.0, "compression": 2.0}
     t0 = time.perf_counter()
     bad = []
@@ -121,8 +121,8 @@ def check_2_estimator_law():
 
 def check_3_freeze_semantics():
     cfg = default_scenario()
-    params, wall, gains, switch, plan_cfg = cfg.build()
-    sp3 = perch_setpoints(wall, plan_cfg)[2]
+    params, wall = cfg.build()
+    sp3 = perch_setpoints(wall, cfg)[2]
     # Pose-locked on the wall surface, setpoint (3) inside the wall.
     lock = VehicleState.at_rest(
         np.subtract(wall.point, mat_vec(sp3.R, wall.c_m)), sp3.R)
@@ -133,12 +133,12 @@ def check_3_freeze_semantics():
     est = EstimatorState.fresh(lock, params, cfg.estimator_gain)
     integ = ZERO3
     for _ in range(100):
-        w, integ = nominal_wrench(lock, sp3, e_R, gains, integ, params, dt)
+        w, integ = nominal_wrench(lock, sp3, e_R, cfg, integ, params, dt)
         est = estimation.update(est, lock, w.f, params, dt)
     est = estimation.freeze(est)
     snap = np.array(est.delta_hat).tobytes()
     for k in range(10_000):
-        w, integ = nominal_wrench(lock, sp3, e_R, gains, integ, params, dt)
+        w, integ = nominal_wrench(lock, sp3, e_R, cfg, integ, params, dt)
         est = estimation.update(est, lock, np.add(w.f, float(k) * 0.001),
                                 params, dt)
     frozen_ok = np.array(est.delta_hat).tobytes() == snap
@@ -149,7 +149,7 @@ def check_3_freeze_semantics():
     norms = []
     t_pass = None
     for k in range(int(3.0 / dt)):
-        w, integ = nominal_wrench(lock, sp3, e_R, gains, integ, params, dt)
+        w, integ = nominal_wrench(lock, sp3, e_R, cfg, integ, params, dt)
         f = np.add(w.f, rejection_force(est, lock.R))
         est = estimation.update(est, lock, f, params, dt)
         norms.append(np.linalg.norm(est.delta_hat))
@@ -276,18 +276,18 @@ def check_7_full_pipeline():
     m = result.metrics
     checks = {
         "perch within 30 s of signal": m.perch_achieved
-                                       and m.time_to_perch <= 30.0,
+                                       and m.time_to_perch_s <= 30.0,
         "release occurs": m.unperch_achieved,
-        "min_clearance > 0.05 m": m.min_clearance > 0.05,
-        "z_drop < 0.2 m": m.z_drop < 0.2,
-        "settles within 5 s": m.settle_time_after_release <= 5.0,
+        "min_clearance > 0.05 m": m.min_clearance_m > 0.05,
+        "z_drop < 0.2 m": m.z_drop_m < 0.2,
+        "settles within 5 s": m.settle_time_after_release_s <= 5.0,
         "runtime < 60 s": result.wall_time < 60.0,
     }
     bad = [k for k, v in checks.items() if not v]
     return CheckResult(7, "full pipeline (proposed)", not bad,
-                       f"perch {m.time_to_perch:.3f} s, clearance "
-                       f"{m.min_clearance:.4f} m, drop {m.z_drop:.4f} m, "
-                       f"settle {m.settle_time_after_release:.3f} s, wall "
+                       f"perch {m.time_to_perch_s:.3f} s, clearance "
+                       f"{m.min_clearance_m:.4f} m, drop {m.z_drop_m:.4f} m, "
+                       f"settle {m.settle_time_after_release_s:.3f} s, wall "
                        f"{result.wall_time:.1f} s"
                        + (f"; failed: {bad}" if bad else ""))
 
@@ -295,19 +295,19 @@ def check_7_full_pipeline():
 def check_8_ablation_drop():
     base = run_variant("proposed").metrics
     ab = run_variant("no-transitions-rho0").metrics
-    ok = ab.unperch_achieved and ab.z_drop >= 2.0 * base.z_drop
+    ok = ab.unperch_achieved and ab.z_drop_m >= 2.0 * base.z_drop_m
     return CheckResult(8, "ablation B drop (rho=0)", ok,
-                       f"z_drop {ab.z_drop:.4f} m vs 2x proposed "
-                       f"{2.0 * base.z_drop:.4f} m")
+                       f"z_drop {ab.z_drop_m:.4f} m vs 2x proposed "
+                       f"{2.0 * base.z_drop_m:.4f} m")
 
 
 def check_9_ablation_recontact():
     base = run_variant("proposed").metrics
     ab = run_variant("no-transitions-rho0.5").metrics
-    ok = ab.min_clearance <= 0.0 and base.min_clearance > 0.05
+    ok = ab.min_clearance_m <= 0.0 and base.min_clearance_m > 0.05
     return CheckResult(9, "ablation C re-contact (rho=0.5)", ok,
-                       f"min_clearance {ab.min_clearance:.4f} m (<= 0) vs "
-                       f"proposed {base.min_clearance:.4f} m (> 0.05)")
+                       f"min_clearance {ab.min_clearance_m:.4f} m (<= 0) vs "
+                       f"proposed {base.min_clearance_m:.4f} m (> 0.05)")
 
 
 def check_10_saturation_ablation():
@@ -340,6 +340,7 @@ def check_12_physics_sanity():
     params = VehicleParams(g=0.0)
     state = VehicleState(ZERO3, (0.3, -0.2, 0.5), EYE, (2.0, -1.5, 1.0))
     act = ActuatorState.at_rest()
+    wrench = forward_wrench(act.thrust, act.tilt, params.rotors)
     dist = Disturbances.none()
     contact = ContactState(gap=1e6)
     dt = 1e-3
@@ -354,7 +355,7 @@ def check_12_physics_sanity():
     worst_e = 0.0
     worst_orth = 0.0
     for k in range(1_000_000):
-        state = integrate(state, act, dist, contact, params, dt)
+        state = integrate(state, wrench, dist, contact, params, dt)
         if k < 10_000:
             worst_e = max(worst_e, abs(energy(state) - e0) / e0)
         if k % 1000 == 999:

@@ -11,16 +11,6 @@ from .allocation import Wrench
 from .geometry import ZERO3, floats, mat_t_vec, mat_vec
 
 
-@dataclass(frozen=True)
-class Gains:
-    K_tp: float = 10.0
-    K_td: float = 6.0
-    K_rp: float = 60.0
-    K_rd: float = 15.0
-    K_ri: float = 3.0
-    integral_clamp: float = 0.5      # rad s per attitude-integral component
-
-
 @dataclass
 class Setpoint:
     p: tuple                         # three floats each; R a row-major 9-tuple
@@ -34,10 +24,11 @@ class Setpoint:
         return Setpoint(floats(p), ZERO3, ZERO3, floats(R), ZERO3)
 
 
-def nominal_wrench(state, sp, e_R, gains, integ, params, dt):
-    """PD + feedforward force, PID torque on e_R = Log(R^T R_d)^vee; returns
+def nominal_wrench(state, sp, e_R, cfg, integ, params, dt):
+    """PD + feedforward force, PID torque on e_R = Log(R^T R_d)^vee, with the
+    keys k_tp, k_td, k_rp, k_rd, k_ri and integral_clamp of `cfg`; returns
     the wrench and the updated attitude integral (three floats)."""
-    K_tp, K_td, g = gains.K_tp, gains.K_td, params.g
+    K_tp, K_td, g = cfg.k_tp, cfg.k_td, params.g
     (px, py, pz), (vx, vy, vz) = state.p, state.v
     (dpx, dpy, dpz), (dvx, dvy, dvz), (ax, ay, az) = sp.p, sp.v, sp.a
     u = mat_t_vec(state.R, (K_tp * (dpx - px) + K_td * (dvx - vx) + ax,
@@ -46,10 +37,10 @@ def nominal_wrench(state, sp, e_R, gains, integ, params, dt):
     m = params.m
     f = (m * u[0], m * u[1], m * u[2])
     e_w = mat_t_vec(state.R, mat_vec(sp.R, sp.omega))
-    clamp = gains.integral_clamp
+    clamp = cfg.integral_clamp
     acc = tuple([min(max(i + e * dt, -clamp), clamp)
                  for i, e in zip(integ, e_R)])
-    K_rp, K_rd, K_ri = gains.K_rp, gains.K_rd, gains.K_ri
+    K_rp, K_rd, K_ri = cfg.k_rp, cfg.k_rd, cfg.k_ri
     tau = mat_vec(params.Jb, [K_rp * e + K_rd * (w_d - w) + K_ri * i
                               for e, w_d, w, i
                               in zip(e_R, e_w, state.omega, acc)])

@@ -7,7 +7,7 @@ identical configuration and seed produce byte-identical CSV output.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from operator import add, sub
 
 import numpy as np
@@ -17,7 +17,7 @@ from .allocation import Wrench, allocate, forward_wrench
 from .control import Setpoint, nominal_wrench, perch_wrench, rejection_force
 from .geometry import ZERO3, mat_t_vec, mat_vec, pitch_of, quat_of, \
     rotation_error
-from .planner import Plan, connect, perch_setpoints
+from .planner import Plan, connect, hover_setpoint, perch_setpoints
 from .scenario import ScenarioConfig
 from .supervisor import VARIANTS, Mode, SupervisorState, transition, \
     transition_two_mode
@@ -46,37 +46,24 @@ _CSV_TAIL = ",%.12g" * (len(_NUM_COLUMNS) - _MODE_POS)
 
 @dataclass
 class Metrics:
+    """Outcome measures; each attribute is named as its metrics.json key."""
     perch_achieved: bool = False
-    perch_time: float = math.nan
-    time_to_perch: float = math.nan
+    perch_time_s: float = math.nan
+    time_to_perch_s: float = math.nan
     unperch_achieved: bool = False
-    release_time: float = math.nan
-    z_drop: float = math.nan
-    min_clearance: float = math.nan
+    release_time_s: float = math.nan
+    z_drop_m: float = math.nan
+    min_clearance_m: float = math.nan
     saturation_fraction: dict = field(default_factory=dict)
-    max_eR: dict = field(default_factory=dict)
-    settle_time_after_release: float = math.nan
+    max_eR_rad: dict = field(default_factory=dict)
+    settle_time_after_release_s: float = math.nan
     completed: bool = True
     failure: str = ""
 
     def to_dict(self):
-        def clean(x):
-            return None if isinstance(x, float) and math.isnan(x) else x
-        return {
-            "perch_achieved": self.perch_achieved,
-            "perch_time_s": clean(self.perch_time),
-            "time_to_perch_s": clean(self.time_to_perch),
-            "unperch_achieved": self.unperch_achieved,
-            "release_time_s": clean(self.release_time),
-            "z_drop_m": clean(self.z_drop),
-            "min_clearance_m": clean(self.min_clearance),
-            "saturation_fraction": self.saturation_fraction,
-            "max_eR_rad": self.max_eR,
-            "settle_time_after_release_s": clean(
-                self.settle_time_after_release),
-            "completed": self.completed,
-            "failure": self.failure,
-        }
+        """The JSON form: NaN (not measured) becomes None."""
+        return {k: None if isinstance(v, float) and math.isnan(v) else v
+                for k, v in asdict(self).items()}
 
 
 @dataclass
@@ -97,25 +84,27 @@ class SimResult:
             vals = row.tolist()
             lines.append(_CSV_HEAD % tuple(vals[:_MODE_POS]) + mode
                          + _CSV_TAIL % tuple(vals[_MODE_POS:]))
-        return "\n".join(lines) + "\n"
+        lines.append("")             # the final newline, without a copy
+        return "\n".join(lines)
 
 
 class MissionPlanner:
-    """Owns the active plan; rebuilds it on supervisor edges."""
+    """Owns the active plan; rebuilds it on supervisor edges.  Segments last
+    the scenario's hold_time, t_approach (1->2) and t_contact (2->3)."""
 
-    def __init__(self, cfg, wall, plan_cfg):
-        self.plan_cfg = plan_cfg
+    def __init__(self, cfg, wall):
+        self.cfg = cfg
         self.t0 = 0.0
         if cfg.mission == "hover":
-            sp = Setpoint.hold(plan_cfg.hover_p, plan_cfg.hover_R)
+            sp = hover_setpoint(cfg)
             self.setpoints = [sp, sp, sp]
             self.plan = Plan([connect(sp, sp, 1.0)])
             return
-        self.setpoints = perch_setpoints(wall, plan_cfg)
+        self.setpoints = perch_setpoints(wall, cfg)
         sp1, sp2, _ = self.setpoints
         self.plan = Plan([
             connect(sp1, sp1, cfg.hold_time),
-            connect(sp1, sp2, plan_cfg.T12, start=cfg.hold_time),
+            connect(sp1, sp2, cfg.t_approach, start=cfg.hold_time),
         ])
 
     def sample(self, t):
@@ -124,16 +113,17 @@ class MissionPlanner:
     def start_approach(self, t):
         """Fly from the current setpoint to the behind-surface target (3)."""
         cur = self.sample(t)
-        self.plan = Plan([connect(cur, self.setpoints[2], self.plan_cfg.T23)])
+        self.plan = Plan([connect(cur, self.setpoints[2], self.cfg.t_contact)])
         self.t0 = t
 
     def start_departure(self, t, state):
         """Fly from `state` (the anchor while attached) to (2), then (1)."""
         start = Setpoint.hold(state.p, state.R)
         sp1, sp2, _ = self.setpoints
+        cfg = self.cfg
         self.plan = Plan([
-            connect(start, sp2, self.plan_cfg.T23),
-            connect(sp2, sp1, self.plan_cfg.T12, start=self.plan_cfg.T23),
+            connect(start, sp2, cfg.t_contact),
+            connect(sp2, sp1, cfg.t_approach, start=cfg.t_contact),
         ])
         self.t0 = t
 
@@ -149,13 +139,16 @@ def _disturbance_at(cfg, t):
 
 def run_scenario(cfg):
     """Run one scenario to completion; deterministic for a given config+seed."""
-    params, wall, gains, switch, plan_cfg = cfg.build()
+    params, wall = cfg.build()
     rotors = params.rotors
     variant = VARIANTS[cfg.variant]
     transition_fn = transition_two_mode if variant.two_mode else transition
+    rho = cfg.rho if variant.rho is None else variant.rho
+    planner = MissionPlanner(cfg, wall)
 
-    state = VehicleState.at_rest(
-        map(add, plan_cfg.hover_p, cfg.initial_offset), plan_cfg.hover_R)
+    hover = planner.setpoints[0]
+    state = VehicleState.at_rest(map(add, hover.p, cfg.initial_offset),
+                                 hover.R)
     # Start at hover trim for the initial attitude, not from dead rotors.
     trim = Wrench(mat_t_vec(state.R, (0.0, 0.0, params.m * params.g)), ZERO3)
     cmd = allocate(trim, rotors, params.T_max, (0.0,) * rotors.n_rotors)
@@ -164,7 +157,6 @@ def run_scenario(cfg):
     contact = ContactState(gap=wall.gap_of(state))
     sup = SupervisorState()
     integ = ZERO3                    # attitude integral of nominal_wrench
-    planner = MissionPlanner(cfg, wall, plan_cfg)
     est_rej = estimation.EstimatorState.fresh(state, params, cfg.estimator_gain)
     est_con = estimation.EstimatorState.fresh(state, params, cfg.estimator_gain)
     contact_was_active = False
@@ -205,7 +197,7 @@ def run_scenario(cfg):
         s_p2f = "s_p2f" in kinds
         for kind in kinds:
             events.append((t, "operator", kind))
-        new_sup = transition_fn(sup, lam_c, s_f2p, s_p2f, switch)
+        new_sup = transition_fn(sup, lam_c, s_f2p, s_p2f, cfg)
         # The approach starts when eta_d rises (F -> F2P with four modes),
         # the departure on entering P2F.  Two-mode P -> F keeps the stale
         # approach plan, so no inputs for detaching are generated in advance.
@@ -248,10 +240,10 @@ def run_scenario(cfg):
         # also the logged attitude error)
         e_R = rotation_error(state.R, sp.R)
         if pol.wrench == "perch":
-            wrench = perch_wrench(switch.rho, meas, params)
+            wrench = perch_wrench(rho, meas, params)
         else:
-            wrench, integ = nominal_wrench(meas, sp, e_R, gains, integ,
-                                           params, cfg.dt)
+            wrench, integ = nominal_wrench(meas, sp, e_R, cfg, integ, params,
+                                           cfg.dt)
             if pol.wrench == "full":
                 wrench.f = tuple(map(add, wrench.f,
                                      rejection_force(est_rej, meas.R)))
@@ -297,7 +289,7 @@ def run_scenario(cfg):
 
         # 8. integrate
         try:
-            state = integrate(state, act, dist, contact, params, cfg.dt)
+            state = integrate(state, w_act, dist, contact, params, cfg.dt)
         except NumericalDivergenceError as exc:
             events.append((t, "failure", f"numerical-abort: {exc}"))
             failure = "numerical-abort"
@@ -341,40 +333,40 @@ def compute_metrics(result, failure=""):
                      if kind == "contact" and detail == "attach"), None)
     if t_attach is not None:
         m.perch_achieved = True
-        m.perch_time = t_attach
+        m.perch_time_s = t_attach
         if t_signal is not None:
-            m.time_to_perch = t_attach - t_signal
+            m.time_to_perch_s = t_attach - t_signal
     t_release = next((te for te, kind, detail in result.events
                       if kind == "contact" and detail == "release"), None)
     if t_release is not None:
         m.unperch_achieved = True
-        m.release_time = t_release
+        m.release_time_s = t_release
         after = t > t_release
         if after.any():
             z_rel = float(z[np.searchsorted(t, t_release, side="right") - 1])
-            m.z_drop = float(np.max(z_rel - z[after]))
+            m.z_drop_m = float(np.max(z_rel - z[after]))
             g_after = result.gaps[after]
             armed = np.nonzero(g_after >= cfg.clearance_arm)[0]
             if g_after.min() < 0.0:
                 # Wall penetration after release is re-contact regardless of
                 # how far the vehicle got first.
-                m.min_clearance = float(g_after.min())
+                m.min_clearance_m = float(g_after.min())
             elif len(armed):
-                m.min_clearance = float(np.min(g_after[armed[0]:]))
+                m.min_clearance_m = float(np.min(g_after[armed[0]:]))
             else:
-                m.min_clearance = float(np.min(g_after))
+                m.min_clearance_m = float(np.min(g_after))
             # settling: first time ep stays below tolerance for good
             idx = np.nonzero(after)[0]
             j = settle_index(ep[idx] < cfg.settle_tol)
             if j is not None:
-                m.settle_time_after_release = float(t[idx[j]] - t_release)
+                m.settle_time_after_release_s = float(t[idx[j]] - t_release)
 
     for mode in ("F", "F2P", "P", "P2F"):
         sel = modes == mode
         n = int(sel.sum())
         if n:
             m.saturation_fraction[mode] = float(sat[sel].sum() / n)
-            m.max_eR[mode] = float(eR[sel].max())
+            m.max_eR_rad[mode] = float(eR[sel].max())
     return m
 
 

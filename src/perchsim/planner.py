@@ -13,24 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .control import Setpoint
-from .geometry import B3, EYE, ZERO3, exp_so3, floats, log_so3, mat_mul, \
-    mat_t_mul, right_jacobian, right_jacobian_inv
-
-
-@dataclass
-class PerchPlanConfig:
-    d_off: float = 0.5               # standoff of setpoint (2) from surface, m
-    delta_in: float = 0.1            # penetration of setpoint (3), m
-    T12: float = 4.0                 # hover -> standoff duration, s
-    T23: float = 3.0                 # standoff -> contact duration, s
-    hover_p: tuple = (0.0, 0.0, 1.2)
-    hover_R: tuple = EYE             # row-major 9-tuple
-
-    def __post_init__(self):
-        if self.d_off <= 0 or self.delta_in < 0:
-            raise ValueError("d_off must be positive, delta_in nonnegative")
-        if self.T12 <= 0 or self.T23 <= 0:
-            raise ValueError("segment durations must be positive")
+from .geometry import B3, ZERO3, exp_so3, floats, log_so3, mat_mul, \
+    mat_t_mul, right_jacobian, right_jacobian_inv, rot_y
 
 
 @dataclass
@@ -164,15 +148,21 @@ def perch_orientation(wall):
     return tuple(np.column_stack([up, np.cross(n, up), n]).ravel().tolist())
 
 
+def hover_setpoint(cfg):
+    """Setpoint (1): the scenario's hover_position at rot_y(hover_pitch)."""
+    return Setpoint.hold(cfg.hover_position, rot_y(cfg.hover_pitch))
+
+
 def perch_setpoints(wall, cfg):
-    """Hover (1), standoff (2), and behind-surface (3) pose setpoints."""
+    """Hover (1), standoff (2), and behind-surface (3) pose setpoints; reads
+    the keys hover_position, hover_pitch, standoff and penetration of `cfg`."""
     R = perch_orientation(wall)
     n, point = np.asarray(wall.normal), np.asarray(wall.point)
     offset = np.reshape(R, (3, 3)) @ wall.c_m
-    p2 = point + cfg.d_off * n - offset
-    p3 = point - cfg.delta_in * n - offset
+    p2 = point + cfg.standoff * n - offset
+    p3 = point - cfg.penetration * n - offset
     return [
-        Setpoint.hold(cfg.hover_p, cfg.hover_R),
+        hover_setpoint(cfg),
         Setpoint.hold(p2, R),
         Setpoint.hold(p3, R),
     ]

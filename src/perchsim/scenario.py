@@ -11,10 +11,9 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .allocation import RotorGeometry
-from .control import Gains
 from .geometry import ZERO3, rot_y
-from .planner import PerchPlanConfig, min_accel_rotation, perch_orientation
-from .supervisor import VARIANTS, SwitchConfig
+from .planner import min_accel_rotation, perch_orientation
+from .supervisor import VARIANTS
 from .vehicle import VehicleParams, WallModel
 
 SCHEMA_VERSION = 1
@@ -150,7 +149,7 @@ class ScenarioConfig:
         return self
 
     def build(self):
-        """Instantiate the module-level parameter objects."""
+        """(VehicleParams, WallModel): the records holding derived data."""
         self.validate()
         rotors = RotorGeometry.x_config(self.arm_length, self.k_tau)
         params = VehicleParams(
@@ -161,17 +160,7 @@ class ScenarioConfig:
             point=self.wall_point, normal=self.wall_normal,
             F_mag=self.magnet_force, d_mag=self.magnet_range,
             eps_attach=self.attach_tol, c_m=self.magnet_offset)
-        gains = Gains(self.k_tp, self.k_td, self.k_rp, self.k_rd, self.k_ri,
-                      self.integral_clamp)
-        rho = VARIANTS[self.variant].rho
-        switch = SwitchConfig(self.lambda_f2p, self.lambda_p2f,
-                              self.rho if rho is None else rho)
-        plan = PerchPlanConfig(
-            d_off=self.standoff, delta_in=self.penetration,
-            T12=self.t_approach, T23=self.t_contact,
-            hover_p=tuple(self.hover_position),
-            hover_R=rot_y(self.hover_pitch))
-        return params, wall, gains, switch, plan
+        return params, wall
 
 
 def _numbers(lineno, key, raw, n):

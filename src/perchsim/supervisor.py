@@ -20,17 +20,6 @@ class Mode(enum.Enum):
 
 
 @dataclass
-class SwitchConfig:
-    lambda_f2p: float = 1.0          # N, compression threshold into P
-    lambda_p2f: float = -1.0         # N, tension threshold back to F
-    rho: float = 0.5                 # perch wrench gravity fraction
-
-    def __post_init__(self):
-        if not self.lambda_f2p > self.lambda_p2f:
-            raise ValueError("lambda_f2p must exceed lambda_p2f")
-
-
-@dataclass
 class SupervisorState:
     mode: Mode = Mode.F
     eta_d: float = 0.0
@@ -47,7 +36,7 @@ class PolicyDescriptor:
 
 
 def transition(sup, lam_c, s_f2p, s_p2f, cfg):
-    """One supervisor tick of the proposed four-mode machine."""
+    """One tick of the four-mode machine; reads cfg.lambda_f2p, lambda_p2f."""
     pending_f2p = sup.pending_f2p or s_f2p
     pending_p2f = sup.pending_p2f or s_p2f
     mode, eta_d = sup.mode, sup.eta_d
@@ -69,7 +58,7 @@ def transition_two_mode(sup, lam_c, s_f2p, s_p2f, cfg):
 
     The perch signal arms the servo immediately (eta_d <- 1); the switch to P
     fires once armed and the contact force confirms attachment.  The unperch
-    signal drops straight back to F in one step.
+    signal drops straight back to F in one step.  Reads lambda_f2p (N).
     """
     pending_f2p = sup.pending_f2p or s_f2p
     pending_p2f = sup.pending_p2f or s_p2f

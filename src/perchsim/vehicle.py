@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .allocation import RotorGeometry, forward_wrench
+# Unused here, but perfbench's tracer wraps vehicle.forward_wrench by name.
+from .allocation import RotorGeometry, forward_wrench  # noqa: F401
 from .geometry import EYE, ZERO3, exp_so3, floats, mat_mul, mat_vec, \
     renormalize
 
@@ -196,16 +197,15 @@ def _rk4_sum(k1, k2, k3, k4):
     return [a + 2.0 * b + 2.0 * c + d for a, b, c, d in zip(k1, k2, k3, k4)]
 
 
-def integrate(state, act, dist, contact, params, dt):
-    """One RK4 step; rotation advanced on the exponential map, renormalized.
-
-    The stages run on plain floats (see `derivative`).
+def integrate(state, wrench, dist, contact, params, dt):
+    """One RK4 step under the body-frame rotor `wrench` (`forward_wrench` of
+    the actuator state); rotation advanced on the exponential map,
+    renormalized.  The stages run on plain floats (see `derivative`).
     """
     if not 0.0 < dt <= 0.01:
         raise ValueError("dt must lie in (0, 0.01]")
     if contact.attached:
         return state
-    wrench = forward_wrench(act.thrust, act.tilt, params.rotors)
     load = (wrench.f, wrench.tau, contact.nearfield_force, dist.delta_f,
             dist.delta_r)
     body = (params.m, params.g, params.Jb, params.Jb_inv)

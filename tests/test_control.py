@@ -6,14 +6,15 @@ import numpy as np
 import pytest
 
 from perchsim import estimation
-from perchsim.control import (Gains, Setpoint, nominal_wrench, perch_wrench,
+from perchsim.control import (Setpoint, nominal_wrench, perch_wrench,
                               rejection_force)
 from perchsim.geometry import EYE, rot_y, rotation_error
+from perchsim.scenario import ScenarioConfig
 from perchsim.vehicle import VehicleParams, VehicleState
 from so3 import mat
 
 PARAMS = VehicleParams()
-GAINS = Gains()
+CFG = ScenarioConfig()
 MG = PARAMS.m * PARAMS.g
 
 
@@ -24,9 +25,9 @@ def at_setpoint(R=None):
     return state, sp
 
 
-def nominal(state, sp, integ=np.zeros(3), gains=GAINS):
+def nominal(state, sp, integ=np.zeros(3), cfg=CFG):
     """nominal_wrench with the attitude error taken as the harness does."""
-    return nominal_wrench(state, sp, rotation_error(state.R, sp.R), gains,
+    return nominal_wrench(state, sp, rotation_error(state.R, sp.R), cfg,
                           integ, PARAMS, 0.001)
 
 
@@ -76,10 +77,10 @@ def test_translational_superposition():
 def test_attitude_integral_clamp():
     state = VehicleState.at_rest([0.0, 0.0, 1.2])
     sp = Setpoint.hold(state.p, rot_y(1.0))
-    gains = Gains(integral_clamp=0.5)
+    cfg = ScenarioConfig(integral_clamp=0.5)
     integ = np.zeros(3)
     for _ in range(2000):
-        _, integ = nominal(state, sp, integ, gains)
+        _, integ = nominal(state, sp, integ, cfg)
         assert np.all(np.abs(integ) <= 0.5 + 1e-12)
     assert integ[1] == 0.5
 

@@ -17,7 +17,7 @@ import pytest
 from perchsim import allocation, control, estimation, geometry, harness, \
     planner, vehicle
 from perchsim.allocation import ActuatorCommand, RotorGeometry, Wrench
-from perchsim.control import Gains, Setpoint
+from perchsim.control import Setpoint
 from perchsim.scenario import ScenarioConfig
 from perchsim.vehicle import ActuatorState, ContactState, VehicleParams, \
     VehicleState, WallModel
@@ -187,20 +187,20 @@ def test_controllers_match_numpy():
     Rd = ROTATIONS["large"]
     sp = Setpoint((0.3, 0.1, 1.1), (0.2, 0.0, -0.1), (0.5, -0.3, 0.2),
                   flat(Rd), (0.1, 0.4, -0.2))
-    gains = Gains(integral_clamp=0.05)
+    cfg = ScenarioConfig(integral_clamp=0.05)
     e_R = geometry.rotation_error(state.R, sp.R)
     integ = (0.049, -0.04, 0.0)
-    w, acc = control.nominal_wrench(state, sp, e_R, gains, integ, PARAMS,
+    w, acc = control.nominal_wrench(state, sp, e_R, cfg, integ, PARAMS,
                                     0.01)
 
     e_p = np.subtract(sp.p, state.p)
     e_v = np.subtract(sp.v, state.v)
-    f = PARAMS.m * (R.T @ (PARAMS.g * B3 + gains.K_tp * e_p
-                           + gains.K_td * e_v + np.array(sp.a)))
+    f = PARAMS.m * (R.T @ (PARAMS.g * B3 + cfg.k_tp * e_p
+                           + cfg.k_td * e_v + np.array(sp.a)))
     e_w = R.T @ Rd @ sp.omega - np.array(state.omega)
     acc_ref = np.clip(np.add(integ, np.multiply(e_R, 0.01)), -0.05, 0.05)
-    tau = mat(PARAMS.Jb) @ (gains.K_rp * np.array(e_R) + gains.K_rd * e_w
-                            + gains.K_ri * acc_ref)
+    tau = mat(PARAMS.Jb) @ (cfg.k_rp * np.array(e_R) + cfg.k_rd * e_w
+                            + cfg.k_ri * acc_ref)
     assert acc_ref[1] == -0.05          # one component clamps
     assert close(w.f, f) and close(w.tau, tau) and close(acc, acc_ref)
 

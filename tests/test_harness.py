@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from perchsim.acceptance import run_variant
+from perchsim.cli import _write_run
 from perchsim.harness import (CSV_COLUMNS, _COL, _NUM_COLUMNS, SimResult,
                               compare, compute_metrics, run_scenario,
                               settle_index)
@@ -42,12 +43,12 @@ def test_metrics_z_drop_arithmetic():
         ep_after=[0.5, 0.5, 0.1, 0.01, 0.01, 0.01, 0.01],
         sat_p=[])
     m = compute_metrics(res)
-    assert m.perch_achieved and m.perch_time == 1.0
-    assert m.time_to_perch == 1.0
-    assert m.unperch_achieved and m.release_time == 2.0
-    assert abs(m.z_drop - 0.4) < 1e-12
-    assert abs(m.min_clearance - 0.1) < 1e-12
-    assert m.settle_time_after_release == 4.0
+    assert m.perch_achieved and m.perch_time_s == 1.0
+    assert m.time_to_perch_s == 1.0
+    assert m.unperch_achieved and m.release_time_s == 2.0
+    assert abs(m.z_drop_m - 0.4) < 1e-12
+    assert abs(m.min_clearance_m - 0.1) < 1e-12
+    assert m.settle_time_after_release_s == 4.0
 
 
 def test_metrics_saturation_counting():
@@ -73,7 +74,7 @@ def test_metrics_penetration_counts_as_recontact():
         gaps_after=[0.1, 0.2, -0.05, 0.2, 0.3, 0.3, 0.3],
         ep_after=[0.0] * 7, sat_p=[])
     m = compute_metrics(res)
-    assert m.min_clearance == -0.05
+    assert m.min_clearance_m == -0.05
 
 
 def test_settle_index_matches_brute_force():
@@ -165,8 +166,8 @@ def test_mission_metrics_sane():
     m = run_variant("proposed").metrics
     assert m.perch_achieved and m.unperch_achieved
     assert m.completed and m.failure == ""
-    assert m.min_clearance > 0.05
-    assert m.z_drop < 0.2
+    assert m.min_clearance_m > 0.05
+    assert m.z_drop_m < 0.2
 
 
 # SHA-256 of the default-mission CSV of each ablation variant.  Criterion 11
@@ -186,6 +187,28 @@ ABLATION_SHA256 = {
 def test_ablation_csv_pinned(variant):
     csv = run_variant(variant).to_csv()
     assert hashlib.sha256(csv.encode()).hexdigest() == ABLATION_SHA256[variant]
+
+
+# SHA-256 of each default-mission variant's metrics.json as `perchsim run`
+# writes it: every metric key in order, null for an unmeasured one, and the
+# event log.  The CSV pins above do not cover these bytes.
+METRICS_JSON_SHA256 = {
+    "proposed":
+        "0743dc7459b12f92abd74b7c13df944e619fb97d27dbc0bfdf9852708070c9f7",
+    "no-transitions-rho0":
+        "8f0ada614de8f406e2e70b55fa183c5a455a8a2b6a248855c021de8ba0a2572e",
+    "no-transitions-rho0.5":
+        "50a87eddba47ffdae5a38a17845d670959a740f4d02ee7f396e064690ce5129f",
+    "no-freeze":
+        "a625aa4d9f1bbd51b3d19fec1c80944f1168da6d45768b9b821fc9f736beb296",
+}
+
+
+@pytest.mark.parametrize("variant", sorted(METRICS_JSON_SHA256))
+def test_metrics_json_pinned(variant, tmp_path):
+    _write_run(run_variant(variant), tmp_path)
+    data = (tmp_path / "metrics.json").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == METRICS_JSON_SHA256[variant]
 
 
 # SHA-256 of a short noisy, disturbed, pitched hover CSV.  The default

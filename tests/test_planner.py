@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from perchsim.geometry import EYE, exp_so3, mat_vec, pitch_of, rot_y
-from perchsim.planner import (PerchPlanConfig, Plan, connect,
-                              min_accel_rotation, min_jerk_segment,
-                              perch_orientation, perch_setpoints)
+from perchsim.planner import (Plan, connect, min_accel_rotation,
+                              min_jerk_segment, perch_orientation,
+                              perch_setpoints)
+from perchsim.scenario import ScenarioConfig
 from perchsim.vehicle import WallModel
 from so3 import flat, mat
 
@@ -25,15 +26,15 @@ def interface_x(sp):
 
 
 def test_setpoint_standoff_interface():
-    cfg = PerchPlanConfig(d_off=0.5, delta_in=0.1)
+    cfg = ScenarioConfig(standoff=0.5, penetration=0.1)
     sp1, sp2, sp3 = perch_setpoints(WALL, cfg)
     assert abs(interface_x(sp2) - 0.5) < 1e-12
     assert abs(interface_x(sp3) - 1.1) < 1e-12
-    assert np.allclose(sp1.p, cfg.hover_p)
+    assert np.allclose(sp1.p, cfg.hover_position)
 
 
 def test_setpoint_zero_penetration_on_surface():
-    cfg = PerchPlanConfig(d_off=0.5, delta_in=0.0)
+    cfg = ScenarioConfig(standoff=0.5, penetration=0.0)
     _, _, sp3 = perch_setpoints(WALL, cfg)
     assert abs(interface_x(sp3) - 1.0) < 1e-12
 
@@ -145,7 +146,7 @@ def test_min_accel_rejects_antipodal():
 
 
 def _two_segment_plan():
-    cfg = PerchPlanConfig()
+    cfg = ScenarioConfig()
     sp1, sp2, _ = perch_setpoints(WALL, cfg)
     return Plan([connect(sp1, sp1, 1.0),
                  connect(sp1, sp2, 4.0, start=1.0)]), sp1, sp2
@@ -195,13 +196,13 @@ def test_plan_c1_continuity_at_joint():
 
 def test_plan_config_validation():
     with pytest.raises(ValueError):
-        PerchPlanConfig(d_off=0.0)
+        ScenarioConfig(standoff=0.0).validate()
     with pytest.raises(ValueError):
-        PerchPlanConfig(T12=0.0)
+        ScenarioConfig(t_approach=0.0).validate()
 
 
 def test_press_force_sizing_rule():
     # delta_in must press harder than lambda_f2p at the locked plant.
-    cfg = PerchPlanConfig()
-    press = 1.65 * 10.0 * cfg.delta_in
+    cfg = ScenarioConfig()
+    press = 1.65 * 10.0 * cfg.penetration
     assert press > 1.0

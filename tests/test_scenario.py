@@ -7,7 +7,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from perchsim.harness import MissionPlanner
+from perchsim import harness
+from perchsim.control import perch_wrench
+from perchsim.harness import MissionPlanner, run_scenario
 from perchsim.scenario import (MISSIONS, SCHEMA_DOC, VARIANTS, ScenarioConfig,
                                ScenarioError, default_scenario,
                                parse_scenario)
@@ -119,24 +121,30 @@ def test_default_scenario_valid():
 
 
 def test_build_instantiates_params():
-    params, wall, gains, switch, plan = default_scenario().build()
+    params, wall = default_scenario().build()
     assert params.m == 1.65
     assert np.allclose(wall.normal, [-1.0, 0.0, 0.0])
-    assert gains.K_tp == 10.0
-    assert switch.lambda_f2p == 1.0
-    assert plan.d_off == 0.5
 
 
-def test_variant_overrides_rho():
+def test_variant_overrides_rho(monkeypatch):
+    # The two-mode variants press with their own rho and proposed with the
+    # scenario's; no-freeze flies its full controller in P and never presses.
+    pressed = []
+
+    def spy(rho, state, params):
+        pressed.append(rho)
+        return perch_wrench(rho, state, params)
+
+    monkeypatch.setattr(harness, "perch_wrench", spy)
     cfg = default_scenario()
-    cfg.variant = "no-transitions-rho0"
-    assert cfg.build()[3].rho == 0.0
-    cfg.variant = "no-transitions-rho0.5"
-    assert cfg.build()[3].rho == 0.5
-    cfg.rho = 0.3
-    for variant in ("proposed", "no-freeze"):
+    cfg.duration, cfg.rho = 9.0, 0.3
+    for variant, want in (("no-transitions-rho0", {0.0}),
+                          ("no-transitions-rho0.5", {0.5}),
+                          ("proposed", {0.3}), ("no-freeze", set())):
         cfg.variant = variant
-        assert cfg.build()[3].rho == 0.3
+        pressed.clear()
+        assert "P" in run_scenario(cfg).modes, variant
+        assert set(pressed) == want, variant
 
 
 def test_schema_doc_mentions_exit_codes():
@@ -182,5 +190,5 @@ def test_parsed_scenario_builds(lines):
         cfg = parse_scenario("\n".join(["schema_version = 1", *lines]))
     except ScenarioError:
         return
-    params, wall, gains, switch, plan_cfg = cfg.build()
-    MissionPlanner(cfg, wall, plan_cfg)
+    params, wall = cfg.build()
+    MissionPlanner(cfg, wall)

@@ -6,11 +6,11 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
-from perchsim.supervisor import (VARIANTS, Mode, SupervisorState,
-                                 SwitchConfig, transition,
+from perchsim.scenario import ScenarioConfig
+from perchsim.supervisor import (VARIANTS, Mode, SupervisorState, transition,
                                  transition_two_mode)
 
-CFG = SwitchConfig()
+CFG = ScenarioConfig()
 
 
 def test_f_to_f2p_on_signal():
@@ -160,4 +160,4 @@ def test_variant_policies_cover_reachable_modes():
 
 def test_switch_config_validation():
     with pytest.raises(ValueError):
-        SwitchConfig(lambda_f2p=-1.0, lambda_p2f=1.0)
+        ScenarioConfig(lambda_f2p=-1.0, lambda_p2f=1.0).validate()

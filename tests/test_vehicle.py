@@ -160,13 +160,17 @@ def test_contact_nearfield_ramp():
     assert np.allclose(out.nearfield_force, expect, atol=1e-9)
 
 
+def rotor_wrench(act, params=PARAMS):
+    return forward_wrench(act.thrust, act.tilt, params.rotors)
+
+
 def test_integrate_free_fall_closed_form():
     state = VehicleState.at_rest([0.0, 0.0, 10.0])
     act = ActuatorState.at_rest()
     contact = detached()
     for _ in range(1000):
-        state = integrate(state, act, Disturbances.none(), contact,
-                          PARAMS, 0.001)
+        state = integrate(state, rotor_wrench(act), Disturbances.none(),
+                          contact, PARAMS, 0.001)
     assert abs(state.v[2] + 9.81) < 1e-9
     assert abs((10.0 - state.p[2]) - 4.905) < 1e-6
 
@@ -180,8 +184,8 @@ def test_integrate_principal_axis_rotation():
     n = 2000
     dt = (math.pi / 2) / n
     for _ in range(n):
-        state = integrate(state, act, Disturbances.none(), contact,
-                          params, dt)
+        state = integrate(state, rotor_wrench(act, params),
+                          Disturbances.none(), contact, params, dt)
     assert np.linalg.norm(mat(state.R) - rot_z(math.pi / 2)) < 1e-6
 
 
@@ -202,9 +206,8 @@ def test_integrate_matches_numpy_rk4():
     contact = ContactState(gap=0.02,
                            nearfield_force=np.array([-16.0, 0.0, 0.0]))
     dt = 0.004
-    out = integrate(state, act, dist, contact, params, dt)
-
-    wrench = forward_wrench(act.thrust, act.tilt, params.rotors)
+    wrench = rotor_wrench(act, params)
+    out = integrate(state, wrench, dist, contact, params, dt)
 
     def expm(phi):
         theta = np.linalg.norm(phi)
@@ -242,16 +245,16 @@ def test_integrate_attached_passthrough():
     state = VehicleState.at_rest([1.0, 0.0, 1.2])
     anchored = ContactState(attached=True, gap=0.0,
                             anchor_p=state.p, anchor_R=state.R)
-    out = integrate(state, ActuatorState.at_rest(), Disturbances.none(),
-                    anchored, PARAMS, 0.001)
+    out = integrate(state, rotor_wrench(ActuatorState.at_rest()),
+                    Disturbances.none(), anchored, PARAMS, 0.001)
     assert out is state
 
 
 def test_integrate_rejects_bad_dt():
     state = VehicleState.at_rest([0.0, 0.0, 1.0])
     with pytest.raises(ValueError):
-        integrate(state, ActuatorState.at_rest(), Disturbances.none(),
-                  detached(), PARAMS, 0.02)
+        integrate(state, rotor_wrench(ActuatorState.at_rest()),
+                  Disturbances.none(), detached(), PARAMS, 0.02)
 
 
 def test_params_validation():
