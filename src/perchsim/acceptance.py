@@ -8,7 +8,7 @@ pipeline, ablation, and determinism checks share work.
 import hashlib
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from .planner import min_jerk_segment, perch_setpoints
 from .scenario import ScenarioConfig, default_scenario
 from .supervisor import Mode, SupervisorState, transition
 from .vehicle import ActuatorState, ContactState, Disturbances, \
-    VehicleParams, VehicleState, integrate
+    VehicleState, integrate
 
 # SHA-256 of the default proposed-variant CSV log; regenerated whenever the
 # default configuration or the tick loop changes (see criterion 11).
@@ -101,7 +101,7 @@ def check_1_mode_machine():
 
 
 def check_2_estimator_law():
-    params = VehicleParams()
+    params, _ = ScenarioConfig().build()
     dt = 1e-3
     delta = np.array([5.0, 0.0, 0.0])
     state = VehicleState.at_rest([0.0, 0.0, 0.0])
@@ -164,7 +164,7 @@ def check_3_freeze_semantics():
 
 
 def check_4_allocation():
-    rotors = VehicleParams().rotors
+    rotors = ScenarioConfig().build()[0].rotors
     A = rotors.A
     rng = np.random.default_rng(4)
     worst_rt = 0.0
@@ -337,11 +337,11 @@ def _orthonormality(R):
 
 
 def check_12_physics_sanity():
-    params = VehicleParams(g=0.0)
+    params = replace(ScenarioConfig().build()[0], g=0.0)
     state = VehicleState(ZERO3, (0.3, -0.2, 0.5), EYE, (2.0, -1.5, 1.0))
     act = ActuatorState.at_rest()
     wrench = forward_wrench(act.thrust, act.tilt, params.rotors)
-    dist = Disturbances.none()
+    dist = Disturbances()
     contact = ContactState(gap=1e6)
     dt = 1e-3
 

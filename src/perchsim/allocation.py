@@ -74,7 +74,7 @@ class RotorGeometry:
         return len(self.positions)
 
     @classmethod
-    def x_config(cls, arm_length=0.13, k_tau=0.016):
+    def x_config(cls, arm_length, k_tau):
         """Symmetric X configuration with alternating spin signs."""
         angles = np.deg2rad([45.0, 135.0, 225.0, 315.0])
         positions = arm_length * np.stack(

@@ -4,6 +4,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 from .harness import compare, run_scenario
 from .scenario import SCHEMA_DOC, VARIANTS, ScenarioError, default_scenario, \
@@ -24,9 +25,6 @@ def _load(args):
         cfg.seed = args.seed
     if args.dt is not None:
         cfg.dt = args.dt
-    if args.variant is not None:
-        cfg.variant = args.variant
-    cfg.validate()
     return cfg
 
 
@@ -46,6 +44,8 @@ def _write_run(result, out_dir):
 
 def cmd_run(args):
     cfg = _load(args)
+    if args.variant is not None:
+        cfg.variant = args.variant
     result = run_scenario(cfg)
     _write_run(result, args.out)
     print(json.dumps(result.metrics.to_dict(), indent=2))
@@ -53,11 +53,10 @@ def cmd_run(args):
 
 
 def cmd_ablate(args):
+    cfg = _load(args)
     results = {}
     for variant in VARIANTS:
-        cfg_v = _load(args)
-        cfg_v.variant = variant
-        result = run_scenario(cfg_v)
+        result = run_scenario(replace(cfg, variant=variant))
         results[variant] = result
         _write_run(result, os.path.join(args.out, variant))
     base = results["proposed"]
@@ -98,10 +97,10 @@ def build_parser():
         p.add_argument("--out", default=out_default, help="output directory")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--dt", type=float, default=None)
-        p.add_argument("--variant", choices=VARIANTS, default=None)
 
     p_run = sub.add_parser("run", help="run one scenario, write logs+metrics")
     add_common(p_run, "out/run")
+    p_run.add_argument("--variant", choices=VARIANTS, default=None)
     p_run.set_defaults(func=cmd_run)
 
     p_ab = sub.add_parser("ablate",

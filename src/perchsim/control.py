@@ -55,8 +55,6 @@ def rejection_force(est, R):
 
 def perch_wrench(rho, state, params):
     """Press wrench while perched: rho * m * g anti-gravity, zero torque."""
-    if not 0.0 <= rho < 1.0:
-        raise ValueError("rho must lie in [0, 1)")
     if rho == 0.0:
         return Wrench.zero()
     s = rho * params.m * params.g

@@ -21,7 +21,7 @@ from .planner import Plan, connect, hover_setpoint, perch_setpoints
 from .scenario import ScenarioConfig
 from .supervisor import VARIANTS, Mode, SupervisorState, transition, \
     transition_two_mode
-from .vehicle import ActuatorState, ContactState, Disturbances, \
+from .vehicle import ETA_OPEN, ActuatorState, ContactState, Disturbances, \
     NumericalDivergenceError, VehicleState, integrate, step_actuators, \
     update_contact
 
@@ -269,7 +269,7 @@ def run_scenario(cfg):
                                          new_contact.anchor_R)
             events.append((t, "contact", "attach"))
         elif contact.attached and not new_contact.attached:
-            detail = "release" if act.eta <= 0.05 else "forcible-detach"
+            detail = "release" if act.eta <= ETA_OPEN else "forcible-detach"
             events.append((t, "contact", detail))
         contact = new_contact
 

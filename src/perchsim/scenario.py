@@ -96,7 +96,12 @@ class ScenarioConfig:
     events: list = field(default_factory=list)        # (time, "s_f2p"|"s_p2f")
     disturbances: list = field(default_factory=list)  # (t0, t1, fx..rz)
 
-    def validate(self):
+    def build(self):
+        """(VehicleParams, WallModel) of a valid config; raises ScenarioError.
+
+        The one place the schema's rules are checked: the stages trust the
+        config and the records built here.
+        """
         for f in fields(self):
             value = getattr(self, f.name)
             if f.name == "events":
@@ -135,31 +140,29 @@ class ScenarioConfig:
         for t, kind in self.events:
             if kind not in ("s_f2p", "s_p2f"):
                 raise ScenarioError(f"unknown event kind {kind!r}")
+            if t < 0.0:
+                raise ScenarioError("event times must not be negative")
+        for t0, t1, *_ in self.disturbances:
+            if not t1 > t0:
+                raise ScenarioError("a disturbance must end after it starts")
         try:
             # Full-rank rotors; on a perch mission, a wall that is not
             # horizontal and a hover attitude not antipodal to the perch one.
-            RotorGeometry.x_config(self.arm_length, self.k_tau)
+            rotors = RotorGeometry.x_config(self.arm_length, self.k_tau)
+            params = VehicleParams(
+                m=self.mass, Jb=np.diag(self.inertia_diag), g=self.gravity,
+                rotors=rotors, T_max=self.thrust_max,
+                tau_rotor=self.rotor_tau, tilt_rate_max=self.tilt_rate_max,
+                t_ps=self.perch_servo_time)
+            wall = WallModel(
+                point=self.wall_point, normal=self.wall_normal,
+                F_mag=self.magnet_force, d_mag=self.magnet_range,
+                eps_attach=self.attach_tol, c_m=self.magnet_offset)
             if self.mission == "perch":
-                R = perch_orientation(WallModel(self.wall_point,
-                                                self.wall_normal))
-                min_accel_rotation(rot_y(self.hover_pitch), R, ZERO3, ZERO3,
-                                   1.0)
+                min_accel_rotation(rot_y(self.hover_pitch),
+                                   perch_orientation(wall), ZERO3, ZERO3, 1.0)
         except ValueError as exc:
             raise ScenarioError(str(exc)) from exc
-        return self
-
-    def build(self):
-        """(VehicleParams, WallModel): the records holding derived data."""
-        self.validate()
-        rotors = RotorGeometry.x_config(self.arm_length, self.k_tau)
-        params = VehicleParams(
-            m=self.mass, Jb=np.diag(self.inertia_diag), g=self.gravity,
-            rotors=rotors, T_max=self.thrust_max, tau_rotor=self.rotor_tau,
-            tilt_rate_max=self.tilt_rate_max, t_ps=self.perch_servo_time)
-        wall = WallModel(
-            point=self.wall_point, normal=self.wall_normal,
-            F_mag=self.magnet_force, d_mag=self.magnet_range,
-            eps_attach=self.attach_tol, c_m=self.magnet_offset)
         return params, wall
 
 
@@ -225,7 +228,7 @@ def parse_scenario(text):
             raise ScenarioError(f"line {lineno}: unknown key {key!r}")
     if not saw_version:
         raise ScenarioError("missing schema_version header")
-    cfg.validate()
+    cfg.build()
     return cfg
 
 
@@ -240,7 +243,7 @@ def default_scenario():
     cfg.events = [(6.0, "s_f2p"), (15.0, "s_p2f")]
     # Near-wall attraction/aero bias, active once the approach begins.
     cfg.disturbances = [(4.0, 30.0, 1.5, 0.0, 0.0, 0.0, 0.0, 0.0)]
-    return cfg.validate()
+    return cfg
 
 
 SCHEMA_DOC = """\
@@ -259,6 +262,8 @@ in [dt, 1e4] s; arm_length and k_tau must give a full-rank rotor
 geometry.  wall_normal must be nonzero; on a perch mission it may not be
 vertical, and the hover attitude may not be antipodal to the perch
 attitude (as hover_pitch = pi/2 is to the default wall's pitch of -pi/2).
+Event times must not be negative, and a disturbance must end after it
+starts.
 
 Scalars (floats unless noted):
   name, variant, mission           strings; variant in {proposed,

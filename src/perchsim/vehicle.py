@@ -16,6 +16,9 @@ from .allocation import RotorGeometry, forward_wrench  # noqa: F401
 from .geometry import EYE, ZERO3, exp_so3, floats, mat_mul, mat_vec, \
     renormalize
 
+ETA_ENGAGED = 0.95       # perch servo at or above: magnets hold, may attach
+ETA_OPEN = 0.05          # perch servo at or below: magnets peeled off
+
 
 class NumericalDivergenceError(RuntimeError):
     """Raised when the integrator produces a non-finite state."""
@@ -23,22 +26,16 @@ class NumericalDivergenceError(RuntimeError):
 
 @dataclass
 class VehicleParams:
-    m: float = 1.65                  # kg
-    Jb: tuple = None                 # kg m^2, row-major 9-tuple
-    g: float = 9.81                  # m/s^2
-    rotors: RotorGeometry = None
-    T_max: float = 8.0               # N per rotor
-    tau_rotor: float = 0.05          # s, thrust first-order lag
-    tilt_rate_max: float = 8.0       # rad/s
-    t_ps: float = 0.05               # s, perch-servo full travel time
+    m: float                         # kg
+    Jb: tuple                        # kg m^2, row-major 9-tuple
+    g: float                         # m/s^2
+    rotors: RotorGeometry
+    T_max: float                     # N per rotor
+    tau_rotor: float                 # s, thrust first-order lag
+    tilt_rate_max: float             # rad/s
+    t_ps: float                      # s, perch-servo full travel time
 
     def __post_init__(self):
-        if self.Jb is None:
-            self.Jb = np.diag([8e-3, 8e-3, 1.4e-2])
-        if self.rotors is None:
-            self.rotors = RotorGeometry.x_config()
-        if self.m <= 0 or self.T_max <= 0 or self.tau_rotor <= 0:
-            raise ValueError("mass, T_max and tau_rotor must be positive")
         J = np.reshape(np.asarray(self.Jb, dtype=float), (3, 3))
         self.Jb = tuple(J.ravel().tolist())
         self.Jb_inv = tuple(np.linalg.inv(J).ravel().tolist())
@@ -72,27 +69,21 @@ class Disturbances:
     delta_f: tuple = ZERO3           # world-frame force, N
     delta_r: tuple = ZERO3           # body-frame angular acceleration, rad/s^2
 
-    @staticmethod
-    def none():
-        return Disturbances()
-
 
 @dataclass
 class WallModel:
     point: tuple                     # a point on the wall plane, m
     normal: tuple                    # outward unit normal into free space
-    F_mag: float = 40.0              # magnet pull capacity, N
-    d_mag: float = 0.05              # near-field range, m
-    eps_attach: float = 0.001        # attach gap tolerance, m
-    c_m: tuple = (0.0, 0.0, -0.05)   # magnet face offset in body frame, m
+    F_mag: float                     # magnet pull capacity, N
+    d_mag: float                     # near-field range, m
+    eps_attach: float                # attach gap tolerance, m
+    c_m: tuple                       # magnet face offset in body frame, m
 
     def __post_init__(self):
         normal = np.asarray(self.normal, dtype=float)
         n = np.linalg.norm(normal)
         if abs(n - 1.0) > 1e-9:
             normal = normal / n
-        if self.F_mag <= 0 or self.d_mag <= 0:
-            raise ValueError("F_mag and d_mag must be positive")
         self.point = floats(self.point)
         self.normal = floats(normal)
         self.c_m = floats(self.c_m)
@@ -117,8 +108,6 @@ class ContactState:
 
 def step_actuators(act, cmd, dt, params):
     """First-order thrust lag, tilt rate limit, perch-servo travel."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
     k, T_max = dt / params.tau_rotor, params.T_max
     # The clamped value goes first in max/min, so a NaN passes through.
     thrust = tuple([min(max(a + (c - a) * k, 0.0), T_max)
@@ -137,8 +126,8 @@ def update_contact(state, act, applied_world_force, contact, wall, params):
     gap = wall.gap_of(state)
     nx, ny, nz = wall.normal
     if contact.attached:
-        eta_hold = 1.0 if act.eta >= 0.95 else act.eta
-        if act.eta <= 0.05:
+        eta_hold = 1.0 if act.eta >= ETA_ENGAGED else act.eta
+        if act.eta <= ETA_OPEN:
             # Perch servo finished its unperch travel: tangential peel.
             return ContactState(False, gap, 0.0)
         # Net pull away from the wall; negative when pressing into it.
@@ -150,11 +139,11 @@ def update_contact(state, act, applied_world_force, contact, wall, params):
                             anchor_p=contact.anchor_p,
                             anchor_R=contact.anchor_R)
     # Detached.
-    if act.eta >= 0.95 and gap <= wall.eps_attach:
+    if act.eta >= ETA_ENGAGED and gap <= wall.eps_attach:
         return ContactState(True, 0.0, wall.F_mag,
                             anchor_p=state.p, anchor_R=state.R)
     out = ContactState(False, gap, 0.0)
-    if act.eta >= 0.95 and 0.0 < gap < wall.d_mag:
+    if act.eta >= ETA_ENGAGED and 0.0 < gap < wall.d_mag:
         s = -wall.F_mag * (1.0 - gap / wall.d_mag)
         out.nearfield_force = (s * nx, s * ny, s * nz)
     return out
@@ -202,8 +191,6 @@ def integrate(state, wrench, dist, contact, params, dt):
     the actuator state); rotation advanced on the exponential map,
     renormalized.  The stages run on plain floats (see `derivative`).
     """
-    if not 0.0 < dt <= 0.01:
-        raise ValueError("dt must lie in (0, 0.01]")
     if contact.attached:
         return state
     load = (wrench.f, wrench.tau, contact.nearfield_force, dist.delta_f,

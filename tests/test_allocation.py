@@ -7,7 +7,10 @@ import pytest
 
 from perchsim.allocation import (THRUST_EPS, AllocationError, RotorGeometry,
                                  Wrench, allocate, forward_wrench)
+from perchsim.scenario import ScenarioConfig
 
+CFG = ScenarioConfig()
+GEOM = CFG.build()[0].rotors
 MG = 1.65 * 9.81
 
 
@@ -17,13 +20,13 @@ def vec(w):
 
 
 def test_allocation_matrix_rank_six():
-    A = RotorGeometry.x_config().A
+    A = GEOM.A
     assert A.shape == (6, 8)
     assert np.linalg.matrix_rank(A, tol=1e-9) == 6
 
 
 def test_zero_drag_ratio_yaw_row():
-    A = RotorGeometry.x_config(k_tau=0.0).A
+    A = RotorGeometry.x_config(CFG.arm_length, 0.0).A
     # Planar rotor arms: vertical components produce no yaw without drag.
     assert np.allclose(A[5, :4], 0.0, atol=1e-15)
     assert np.linalg.norm(A[5, 4:]) > 0.0
@@ -41,14 +44,13 @@ def test_zero_position_rejected():
 
 
 def test_allocate_zero_wrench():
-    cmd = allocate(Wrench.zero(), RotorGeometry.x_config(), 8.0)
+    cmd = allocate(Wrench.zero(), GEOM, 8.0)
     assert np.allclose(cmd.thrust, 0.0, atol=1e-12)
     assert not any(cmd.saturated)
 
 
 def test_allocate_hover():
-    geom = RotorGeometry.x_config()
-    cmd = allocate(Wrench(np.array([0.0, 0.0, MG]), np.zeros(3)), geom, 8.0)
+    cmd = allocate(Wrench(np.array([0.0, 0.0, MG]), np.zeros(3)), GEOM, 8.0)
     assert np.allclose(cmd.thrust, MG / 4.0, atol=1e-9)
     assert np.allclose(cmd.thrust, 4.05, atol=0.01)
     assert np.allclose(cmd.tilt, 0.0, atol=1e-9)
@@ -56,24 +58,21 @@ def test_allocate_hover():
 
 
 def test_allocate_lateral_force_feasible():
-    geom = RotorGeometry.x_config()
     w = Wrench(np.array([-MG, 0.0, 0.0]), np.zeros(3))
-    cmd = allocate(w, geom, 8.0)
-    back = forward_wrench(cmd.thrust, cmd.tilt, geom)
+    cmd = allocate(w, GEOM, 8.0)
+    back = forward_wrench(cmd.thrust, cmd.tilt, GEOM)
     assert np.linalg.norm(vec(back) - vec(w)) < 1e-9
     assert max(cmd.thrust) < 8.0
     assert not any(cmd.saturated)
 
 
 def test_forward_wrench_zero():
-    geom = RotorGeometry.x_config()
-    w = forward_wrench(np.zeros(4), np.zeros(4), geom)
+    w = forward_wrench(np.zeros(4), np.zeros(4), GEOM)
     assert np.allclose(vec(w), 0.0, atol=1e-15)
 
 
 def test_forward_wrench_hover_sum():
-    geom = RotorGeometry.x_config()
-    w = forward_wrench(np.full(4, MG / 4.0), np.zeros(4), geom)
+    w = forward_wrench(np.full(4, MG / 4.0), np.zeros(4), GEOM)
     assert np.allclose(w.f, [0.0, 0.0, MG], atol=1e-9)
     assert np.allclose(w.tau, 0.0, atol=1e-9)
 
@@ -87,26 +86,24 @@ def _random_wrench(rng, f_max=10.0, tau_max=0.5):
 
 
 def test_roundtrip_random_wrenches():
-    geom = RotorGeometry.x_config()
     rng = np.random.default_rng(12)
     worst = 0.0
     for _ in range(1000):
         w = _random_wrench(rng)
-        cmd = allocate(w, geom, 50.0)
+        cmd = allocate(w, GEOM, 50.0)
         assert not any(cmd.saturated)
-        back = forward_wrench(cmd.thrust, cmd.tilt, geom)
+        back = forward_wrench(cmd.thrust, cmd.tilt, GEOM)
         worst = max(worst, np.max(np.abs(vec(back) - vec(w))))
     assert worst < 1e-9
 
 
 def test_min_norm_against_kkt_oracle():
-    geom = RotorGeometry.x_config()
-    A = geom.A
+    A = GEOM.A
     rng = np.random.default_rng(13)
     worst = 0.0
     for _ in range(100):
         w = _random_wrench(rng)
-        cmd = allocate(w, geom, 50.0)
+        cmd = allocate(w, GEOM, 50.0)
         x = np.concatenate([cmd.thrust * np.cos(cmd.tilt),
                             cmd.thrust * np.sin(cmd.tilt)])
         # KKT system of min ||x||^2 s.t. A x = w.
@@ -117,32 +114,29 @@ def test_min_norm_against_kkt_oracle():
 
 
 def test_saturation_clamp_and_flag():
-    geom = RotorGeometry.x_config()
     cmd = allocate(Wrench(np.array([0.0, 0.0, 100.0]), np.zeros(3)),
-                   geom, 8.0)
+                   GEOM, 8.0)
     assert np.all(np.array(cmd.thrust) <= 8.0)
     assert all(cmd.saturated)
 
 
 def test_near_zero_thrust_holds_previous_tilt():
-    geom = RotorGeometry.x_config()
     prev = np.array([0.3, -0.2, 0.1, 0.0])
-    cmd = allocate(Wrench.zero(), geom, 8.0, prev_tilt=prev)
+    cmd = allocate(Wrench.zero(), GEOM, 8.0, prev_tilt=prev)
     assert np.array_equal(cmd.tilt, prev)
 
 
 def test_allocate_matches_per_rotor_loop():
     # Reference: the per-rotor recovery of thrust and tilt, one at a time.
-    geom = RotorGeometry.x_config()
     rng = np.random.default_rng(14)
     prev = rng.uniform(-1.0, 1.0, 4)
     for scale in (0.0, 1e-9, 1.0, 30.0):
         for _ in range(50):
             w = _random_wrench(rng, f_max=scale, tau_max=0.05 * scale)
-            cmd = allocate(w, geom, 8.0, prev_tilt=prev)
+            cmd = allocate(w, GEOM, 8.0, prev_tilt=prev)
             f0, f1, f2, t0, t1, t2 = vec(w).tolist()
             x = [a * f0 + b * f1 + c * f2 + d * t0 + e * t1 + g * t2
-                 for a, b, c, d, e, g in geom.A_pinv]
+                 for a, b, c, d, e, g in GEOM.A_pinv]
             for i in range(4):
                 thrust = math.hypot(x[i], x[4 + i])
                 tilt = prev[i] if thrust < THRUST_EPS \

@@ -4,7 +4,10 @@ import json
 
 import pytest
 
+from perchsim.allocation import RotorGeometry
 from perchsim.cli import EXIT_FAILED, EXIT_OK, EXIT_SCHEMA, main
+from perchsim.harness import run_scenario
+from perchsim.scenario import ScenarioConfig
 
 HOVER = """\
 schema_version = 1
@@ -67,7 +70,10 @@ def test_malformed_scenario_exit_code(tmp_path, capsys):
     "duration = 0.0001", "arm_length = 1e-10", "arm_length = 1e300",
     "mission = perch\nhover_pitch = 1.5707963267948966",
     "mission = perch\nhold_time = 1e62", "mission = perch\nt_approach = 3e-279",
-    "t_contact = 0.0005", "duration = 1e300", "duration = 2000.5"])
+    "t_contact = 0.0005", "duration = 1e300", "duration = 2000.5",
+    "mass = -1", "thrust_max = 0", "rotor_tau = 0", "magnet_range = 0",
+    "rho = -0.1", "dt = 0", "disturbance = 5 1 3 0 0 0 0 0",
+    "event = -1 s_f2p"])
 def test_invalid_value_exit_code(tmp_path, capsys, line):
     # Unchecked, each of these would run, crash or exit 0.
     scen = tmp_path / "bad.scn"
@@ -110,6 +116,35 @@ def test_ablate_exit_code(tmp_path, capsys):
         for variant, metrics in report["metrics"].items():
             assert (out / variant / "log.csv").exists()
             assert metrics["completed"] is (code == EXIT_OK)
+
+
+def test_ablate_rejects_variant(tmp_path, capsys):
+    # ablate runs every variant; a --variant would be silently overridden.
+    with pytest.raises(SystemExit) as exc:
+        main(["ablate", "--variant", "no-freeze", "--out", str(tmp_path)])
+    assert exc.value.code == EXIT_SCHEMA
+    assert "--variant" in capsys.readouterr().err
+
+
+def test_rotor_geometry_built_once_per_build(tmp_path, monkeypatch):
+    # ScenarioConfig.build() is the one place that makes the rotor geometry:
+    # run_scenario builds once, `run --scenario` twice (parse, then run).
+    built = []
+    post_init = RotorGeometry.__post_init__
+
+    def spy(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(RotorGeometry, "__post_init__", spy)
+    run_scenario(ScenarioConfig(mission="hover", duration=0.01))
+    assert len(built) == 1
+    scen = tmp_path / "hover.scn"
+    scen.write_text(HOVER)
+    built.clear()
+    assert main(["run", "--scenario", str(scen), "--out",
+                 str(tmp_path / "o")]) == EXIT_OK
+    assert len(built) == 2
 
 
 def test_print_schema(capsys):

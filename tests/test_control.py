@@ -3,18 +3,17 @@
 import math
 
 import numpy as np
-import pytest
 
 from perchsim import estimation
 from perchsim.control import (Setpoint, nominal_wrench, perch_wrench,
                               rejection_force)
 from perchsim.geometry import EYE, rot_y, rotation_error
 from perchsim.scenario import ScenarioConfig
-from perchsim.vehicle import VehicleParams, VehicleState
+from perchsim.vehicle import VehicleState
 from so3 import mat
 
-PARAMS = VehicleParams()
 CFG = ScenarioConfig()
+PARAMS, _ = CFG.build()
 MG = PARAMS.m * PARAMS.g
 
 
@@ -127,11 +126,3 @@ def test_perch_wrench_rotated_frame():
     assert np.allclose(w.f, [-0.5 * MG, 0.0, 0.0], atol=1e-9)
     # World-frame force is still half of gravity compensation.
     assert np.allclose(mat(state.R) @ w.f, [0.0, 0.0, 0.5 * MG], atol=1e-9)
-
-
-def test_perch_wrench_rejects_bad_rho():
-    state = VehicleState.at_rest([1.0, 0.0, 1.2])
-    with pytest.raises(ValueError):
-        perch_wrench(1.0, state, PARAMS)
-    with pytest.raises(ValueError):
-        perch_wrench(-0.1, state, PARAMS)

@@ -6,11 +6,10 @@ import numpy as np
 
 from perchsim import estimation
 from perchsim.geometry import B3
-from perchsim.vehicle import VehicleParams, VehicleState, WallModel
+from perchsim.scenario import ScenarioConfig
+from perchsim.vehicle import VehicleState
 
-PARAMS = VehicleParams()
-WALL = WallModel(point=np.array([1.0, 0.0, 1.2]),
-                 normal=np.array([-1.0, 0.0, 0.0]))
+PARAMS, WALL = ScenarioConfig().build()
 HOVER_F = PARAMS.m * PARAMS.g * B3  # body force balancing gravity at R = I
 
 

@@ -10,23 +10,24 @@ of the tick, so its output does not depend on the interpreter's summation.
 import ast
 import inspect
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from perchsim import allocation, control, estimation, geometry, harness, \
     planner, vehicle
-from perchsim.allocation import ActuatorCommand, RotorGeometry, Wrench
+from perchsim.allocation import ActuatorCommand, Wrench
 from perchsim.control import Setpoint
 from perchsim.scenario import ScenarioConfig
-from perchsim.vehicle import ActuatorState, ContactState, VehicleParams, \
-    VehicleState, WallModel
+from perchsim.vehicle import ActuatorState, ContactState, VehicleState
 from so3 import flat, mat, rot_x, rot_z
 
 TOL = 1e-12
-PARAMS = VehicleParams(Jb=[[9e-3, 4e-4, -3e-4], [4e-4, 8e-3, 2e-4],
-                           [-3e-4, 2e-4, 1.4e-2]])
-WALL = WallModel(point=(1.0, 0.2, 1.2), normal=(-0.8, 0.5, 0.2))
+DEFAULT_PARAMS, DEFAULT_WALL = ScenarioConfig().build()
+PARAMS = replace(DEFAULT_PARAMS, Jb=[[9e-3, 4e-4, -3e-4], [4e-4, 8e-3, 2e-4],
+                                     [-3e-4, 2e-4, 1.4e-2]])
+WALL = replace(DEFAULT_WALL, point=(1.0, 0.2, 1.2), normal=(-0.8, 0.5, 0.2))
 B3 = np.array([0.0, 0.0, 1.0])
 
 
@@ -225,7 +226,7 @@ def _idle_and_saturated_wrench(geom):
 
 
 def test_allocation_matches_numpy():
-    geom = RotorGeometry.x_config()
+    geom = DEFAULT_PARAMS.rotors
     A, A_pinv = geom.A, np.array(geom.A_pinv)
     prev = (0.3, -0.2, 0.1, 0.05)
     w = _idle_and_saturated_wrench(geom)
@@ -272,7 +273,7 @@ def test_estimator_matches_numpy():
 
 
 def test_actuators_match_numpy():
-    params = VehicleParams(T_max=5.0)
+    params = replace(DEFAULT_PARAMS, T_max=5.0)
     act = ActuatorState((0.02, 4.99, 3.0, 2.0), (0.1, -0.2, 0.0, 0.3), 0.5)
     cmd = ActuatorCommand((-3.0, 9.0, 3.5, 2.0), (0.5, -0.2002, -1.0, 0.3),
                           eta_d=1.0)

@@ -119,8 +119,7 @@ def test_compare_orderings():
 
 
 def _hover_cfg():
-    cfg = ScenarioConfig(mission="hover", duration=2.0)
-    return cfg.validate()
+    return ScenarioConfig(mission="hover", duration=2.0)
 
 
 def test_hover_regulation():

@@ -1,6 +1,7 @@
 """Planner tests: setpoint geometry, quintic/cubic primitives, sampling."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,11 +11,9 @@ from perchsim.planner import (Plan, connect, min_accel_rotation,
                               min_jerk_segment, perch_orientation,
                               perch_setpoints)
 from perchsim.scenario import ScenarioConfig
-from perchsim.vehicle import WallModel
 from so3 import flat, mat
 
-WALL = WallModel(point=np.array([1.0, 0.0, 1.2]),
-                 normal=np.array([-1.0, 0.0, 0.0]))
+_, WALL = ScenarioConfig().build()
 
 
 def exp_matrix(v):
@@ -49,7 +48,7 @@ def test_perch_orientation_faces_wall():
 
 
 def test_perch_orientation_rejects_horizontal_wall():
-    wall = WallModel(point=np.zeros(3), normal=np.array([0.0, 0.0, 1.0]))
+    wall = replace(WALL, point=np.zeros(3), normal=np.array([0.0, 0.0, 1.0]))
     with pytest.raises(ValueError):
         perch_orientation(wall)
 
@@ -196,9 +195,9 @@ def test_plan_c1_continuity_at_joint():
 
 def test_plan_config_validation():
     with pytest.raises(ValueError):
-        ScenarioConfig(standoff=0.0).validate()
+        ScenarioConfig(standoff=0.0).build()
     with pytest.raises(ValueError):
-        ScenarioConfig(t_approach=0.0).validate()
+        ScenarioConfig(t_approach=0.0).build()
 
 
 def test_press_force_sizing_rule():

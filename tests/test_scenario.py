@@ -104,20 +104,20 @@ def test_missing_equals():
 
 def test_validate_ranges():
     with pytest.raises(ScenarioError):
-        ScenarioConfig(dt=0.05).validate()
+        ScenarioConfig(dt=0.05).build()
     with pytest.raises(ScenarioError):
-        ScenarioConfig(duration=-1.0).validate()
+        ScenarioConfig(duration=-1.0).build()
     with pytest.raises(ScenarioError):
-        ScenarioConfig(variant="bogus").validate()
+        ScenarioConfig(variant="bogus").build()
     with pytest.raises(ScenarioError):
-        ScenarioConfig(mission="swim").validate()
+        ScenarioConfig(mission="swim").build()
 
 
 def test_default_scenario_valid():
     cfg = default_scenario()
     assert cfg.events == [(6.0, "s_f2p"), (15.0, "s_p2f")]
     assert len(cfg.disturbances) == 1
-    cfg.validate()
+    cfg.build()
 
 
 def test_build_instantiates_params():

@@ -160,4 +160,4 @@ def test_variant_policies_cover_reachable_modes():
 
 def test_switch_config_validation():
     with pytest.raises(ValueError):
-        ScenarioConfig(lambda_f2p=-1.0, lambda_p2f=1.0).validate()
+        ScenarioConfig(lambda_f2p=-1.0, lambda_p2f=1.0).build()

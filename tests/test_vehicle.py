@@ -1,21 +1,19 @@
 """Dynamics tests: derivative, actuator stepping, contact logic, integrator."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
-import pytest
 
 from perchsim.allocation import ActuatorCommand, Wrench, forward_wrench
 from perchsim.geometry import B3, EYE, rot_y
+from perchsim.scenario import ScenarioConfig
 from perchsim.vehicle import (ActuatorState, ContactState, Disturbances,
-                              VehicleParams, VehicleState, WallModel,
-                              derivative, integrate, step_actuators,
-                              update_contact)
+                              VehicleState, derivative, integrate,
+                              step_actuators, update_contact)
 from so3 import flat, mat, rot_x, rot_z
 
-PARAMS = VehicleParams()
-WALL = WallModel(point=np.array([1.0, 0.0, 1.2]),
-                 normal=np.array([-1.0, 0.0, 0.0]))
+PARAMS, WALL = ScenarioConfig().build()
 
 
 def detached(gap=10.0):
@@ -73,12 +71,6 @@ def test_step_actuators_perch_servo_travel():
     for _ in range(1000):
         out = step_actuators(out, cmd, 0.001, PARAMS)
     assert out.eta == 1.0
-
-
-def test_step_actuators_rejects_bad_dt():
-    with pytest.raises(ValueError):
-        step_actuators(ActuatorState.at_rest(),
-                       ActuatorCommand(np.zeros(4), np.zeros(4)), 0.0, PARAMS)
 
 
 def _state_at_gap(gap):
@@ -169,14 +161,14 @@ def test_integrate_free_fall_closed_form():
     act = ActuatorState.at_rest()
     contact = detached()
     for _ in range(1000):
-        state = integrate(state, rotor_wrench(act), Disturbances.none(),
+        state = integrate(state, rotor_wrench(act), Disturbances(),
                           contact, PARAMS, 0.001)
     assert abs(state.v[2] + 9.81) < 1e-9
     assert abs((10.0 - state.p[2]) - 4.905) < 1e-6
 
 
 def test_integrate_principal_axis_rotation():
-    params = VehicleParams(Jb=0.01 * np.eye(3))
+    params = replace(PARAMS, Jb=0.01 * np.eye(3))
     state = VehicleState.at_rest([0.0, 0.0, 10.0])
     state.omega = np.array([0.0, 0.0, 1.0])
     act = ActuatorState.at_rest()
@@ -185,7 +177,7 @@ def test_integrate_principal_axis_rotation():
     dt = (math.pi / 2) / n
     for _ in range(n):
         state = integrate(state, rotor_wrench(act, params),
-                          Disturbances.none(), contact, params, dt)
+                          Disturbances(), contact, params, dt)
     assert np.linalg.norm(mat(state.R) - rot_z(math.pi / 2)) < 1e-6
 
 
@@ -194,7 +186,7 @@ def test_integrate_matches_numpy_rk4():
     J = np.array([[9e-3, 4e-4, -3e-4],
                   [4e-4, 8e-3, 2e-4],
                   [-3e-4, 2e-4, 1.4e-2]])
-    params = VehicleParams(Jb=J)
+    params = replace(PARAMS, Jb=J)
     state = VehicleState(np.array([0.1, -0.2, 1.3]),
                          np.array([0.4, -0.1, 0.2]),
                          flat(rot_z(0.4) @ mat(rot_y(-0.3)) @ rot_x(0.2)),
@@ -246,20 +238,5 @@ def test_integrate_attached_passthrough():
     anchored = ContactState(attached=True, gap=0.0,
                             anchor_p=state.p, anchor_R=state.R)
     out = integrate(state, rotor_wrench(ActuatorState.at_rest()),
-                    Disturbances.none(), anchored, PARAMS, 0.001)
+                    Disturbances(), anchored, PARAMS, 0.001)
     assert out is state
-
-
-def test_integrate_rejects_bad_dt():
-    state = VehicleState.at_rest([0.0, 0.0, 1.0])
-    with pytest.raises(ValueError):
-        integrate(state, rotor_wrench(ActuatorState.at_rest()),
-                  Disturbances.none(), detached(), PARAMS, 0.02)
-
-
-def test_params_validation():
-    with pytest.raises(ValueError):
-        VehicleParams(m=-1.0)
-    with pytest.raises(ValueError):
-        WallModel(point=np.zeros(3), normal=np.array([-1.0, 0.0, 0.0]),
-                  F_mag=-1.0)
