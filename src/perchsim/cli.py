@@ -31,7 +31,7 @@ def _load(args):
 def _write_run(result, out_dir):
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "log.csv"), "w", encoding="utf-8") as fh:
-        fh.write(result.to_csv())
+        result.to_csv(fh)
     payload = result.metrics.to_dict()
     payload["events"] = [
         {"t": t, "kind": kind, "detail": detail}
@@ -54,24 +54,22 @@ def cmd_run(args):
 
 def cmd_ablate(args):
     cfg = _load(args)
-    results = {}
+    metrics = {}
     for variant in VARIANTS:
         result = run_scenario(replace(cfg, variant=variant))
-        results[variant] = result
         _write_run(result, os.path.join(args.out, variant))
-    base = results["proposed"]
-    report = {"comparisons": []}
-    for variant in VARIANTS:
-        if variant == "proposed":
-            continue
-        report["comparisons"].append(compare(base, results[variant]))
-    report["metrics"] = {v: r.metrics.to_dict() for v, r in results.items()}
+        metrics[variant] = result.metrics
+        del result                # free this log before the next run starts
+    report = {"comparisons": [
+        compare("proposed", metrics["proposed"], v, metrics[v])
+        for v in VARIANTS if v != "proposed"]}
+    report["metrics"] = {v: m.to_dict() for v, m in metrics.items()}
     path = os.path.join(args.out, "comparison.json")
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2)
         fh.write("\n")
     print(json.dumps(report["comparisons"], indent=2))
-    ok = all(r.metrics.completed for r in results.values())
+    ok = all(m.completed for m in metrics.values())
     return EXIT_OK if ok else EXIT_FAILED
 
 
@@ -122,7 +120,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ScenarioError, FileNotFoundError) as exc:
+    except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
     except NumericalDivergenceError as exc:

@@ -38,10 +38,11 @@ CSV_COLUMNS = [
 # Numeric columns in row order (mode is interleaved only at CSV render time).
 _NUM_COLUMNS = [c for c in CSV_COLUMNS if c != "mode"]
 _COL = {name: i for i, name in enumerate(_NUM_COLUMNS)}
-# A CSV row is _CSV_HEAD % (values before mode) + mode + _CSV_TAIL % (rest).
+# A CSV line is _CSV_HEAD % (values before mode) + mode + _CSV_TAIL % (rest).
 _MODE_POS = CSV_COLUMNS.index("mode")
 _CSV_HEAD = "%.12g," * _MODE_POS
-_CSV_TAIL = ",%.12g" * (len(_NUM_COLUMNS) - _MODE_POS)
+_CSV_TAIL = ",%.12g" * (len(_NUM_COLUMNS) - _MODE_POS) + "\n"
+_CSV_BLOCK = 2048                # rows rendered (and written) at a time
 
 
 @dataclass
@@ -78,14 +79,21 @@ class SimResult:
     def column(self, name):
         return self.rows[:, _COL[name]]
 
-    def to_csv(self):
-        lines = [",".join(CSV_COLUMNS)]
-        for row, mode in zip(self.rows, self.modes):
-            vals = row.tolist()
-            lines.append(_CSV_HEAD % tuple(vals[:_MODE_POS]) + mode
-                         + _CSV_TAIL % tuple(vals[_MODE_POS:]))
-        lines.append("")             # the final newline, without a copy
-        return "\n".join(lines)
+    def to_csv(self, fh=None):
+        """The log as CSV text, or, given a text file `fh`, written to it.
+        Rendering goes _CSV_BLOCK rows at a time, so writing to `fh` holds
+        one block of text, not the whole log's."""
+        def blocks():
+            yield ",".join(CSV_COLUMNS) + "\n"
+            for i in range(0, len(self.modes), _CSV_BLOCK):
+                yield "".join([
+                    _CSV_HEAD % tuple(vals[:_MODE_POS]) + mode
+                    + _CSV_TAIL % tuple(vals[_MODE_POS:]) for vals, mode in
+                    zip(self.rows[i:i + _CSV_BLOCK].tolist(),
+                        self.modes[i:i + _CSV_BLOCK])])
+        if fh is None:
+            return "".join(blocks())
+        fh.writelines(blocks())
 
 
 class MissionPlanner:
@@ -370,9 +378,9 @@ def compute_metrics(result, failure=""):
     return m
 
 
-def compare(run_a, run_b):
+def compare(variant_a, metrics_a, variant_b, metrics_b):
     """Side-by-side metric deltas and ablation-ordering checks, as JSON."""
-    ma, mb = run_a.metrics.to_dict(), run_b.metrics.to_dict()
+    ma, mb = metrics_a.to_dict(), metrics_b.to_dict()
     deltas = {}
     for key in ("z_drop_m", "min_clearance_m", "time_to_perch_s",
                 "settle_time_after_release_s"):
@@ -388,8 +396,8 @@ def compare(run_a, run_b):
         orderings.append(("other min_clearance <= base min_clearance",
                           mb["min_clearance_m"] <= ma["min_clearance_m"]))
     return {
-        "base_variant": run_a.cfg.variant,
-        "other_variant": run_b.cfg.variant,
+        "base_variant": variant_a,
+        "other_variant": variant_b,
         "metric_deltas": deltas,
         "orderings": [{"check": desc, "holds": ok} for desc, ok in orderings],
     }

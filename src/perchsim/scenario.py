@@ -233,8 +233,12 @@ def parse_scenario(text):
 
 
 def load_scenario(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_scenario(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ScenarioError(f"cannot read {path}: {exc}") from exc
+    return parse_scenario(text)
 
 
 def default_scenario():

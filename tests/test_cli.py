@@ -88,6 +88,18 @@ def test_missing_scenario_exit_code(tmp_path):
         == EXIT_SCHEMA
 
 
+@pytest.mark.parametrize("make", [
+    lambda path: path.mkdir(),
+    lambda path: path.write_bytes(b"schema_version = 1\nname = caf\xe9\n")],
+    ids=["directory", "not-utf8"])
+def test_unreadable_scenario_exit_code(tmp_path, capsys, make):
+    scen = tmp_path / "bad.scn"
+    make(scen)
+    assert main(["run", "--scenario", str(scen), "--out",
+                 str(tmp_path / "o")]) == EXIT_SCHEMA
+    assert "scenario error" in capsys.readouterr().err
+
+
 def test_bad_dt_override_exit_code(tmp_path):
     scen = tmp_path / "hover.scn"
     scen.write_text(HOVER)

@@ -2,17 +2,19 @@
 
 import hashlib
 import importlib.util
+import io
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from perchsim.acceptance import run_variant
+from perchsim.acceptance import GOLDEN_SHA256, run_variant
 from perchsim.cli import _write_run
-from perchsim.harness import (CSV_COLUMNS, _COL, _NUM_COLUMNS, SimResult,
-                              compare, compute_metrics, run_scenario,
-                              settle_index)
+from perchsim.harness import (CSV_COLUMNS, _COL, _CSV_BLOCK, _NUM_COLUMNS,
+                              SimResult, compare, compute_metrics,
+                              run_scenario, settle_index)
 from perchsim.scenario import ScenarioConfig, default_scenario, \
     parse_scenario
 
@@ -96,9 +98,10 @@ def test_compare_identical_runs():
         gaps_after=[0.1, 0.2, 0.3, 0.3, 0.3, 0.3, 0.3],
         ep_after=[0.0] * 7, sat_p=[])
     res.metrics = compute_metrics(res)
-    report = compare(res, res)
+    report = compare("proposed", res.metrics, "proposed", res.metrics)
     assert all(d == 0.0 for d in report["metric_deltas"].values())
     assert all(o["holds"] for o in report["orderings"])
+    assert report["base_variant"] == report["other_variant"] == "proposed"
 
 
 def test_compare_orderings():
@@ -111,8 +114,9 @@ def test_compare_orderings():
         gaps_after=[0.1, -0.02, 0.3, 0.3, 0.3, 0.3, 0.3],
         ep_after=[0.0] * 7, sat_p=[])
     a.metrics, b.metrics = compute_metrics(a), compute_metrics(b)
-    report = compare(a, b)
+    report = compare("proposed", a.metrics, "no-freeze", b.metrics)
     assert report["metric_deltas"]["z_drop_m"] > 0.0
+    assert report["other_variant"] == "no-freeze"
     checks = {o["check"]: o["holds"] for o in report["orderings"]}
     assert checks["other z_drop >= base z_drop"]
     assert checks["other min_clearance <= base min_clearance"]
@@ -142,6 +146,56 @@ def test_csv_header_and_shape():
     assert all(len(line.split(",")) == len(CSV_COLUMNS) for line in lines[1:])
     mode_pos = CSV_COLUMNS.index("mode")
     assert lines[1].split(",")[mode_pos] == "F"
+
+
+def random_log(n):
+    """An n-tick SimResult of random values and modes; no simulation."""
+    rng = np.random.default_rng(n)
+    rows = rng.normal(size=(n, len(_NUM_COLUMNS)))
+    modes = rng.choice(["F", "F2P", "P", "P2F"], n).tolist()
+    return SimResult(default_scenario(), rows, modes, np.zeros(n), [])
+
+
+@pytest.mark.parametrize("n", [0, 1, _CSV_BLOCK - 1, _CSV_BLOCK,
+                               _CSV_BLOCK + 1, 2 * _CSV_BLOCK + 3])
+def test_csv_streamed_across_block_boundaries(n):
+    res = random_log(n)
+    sink = io.StringIO()
+    assert res.to_csv(sink) is None
+    text = sink.getvalue()
+    # Reference: each value formatted on its own, one line per tick.
+    pos = CSV_COLUMNS.index("mode")
+    lines = [",".join(CSV_COLUMNS)] + [
+        ",".join(["%.12g" % v for v in vals[:pos]] + [mode]
+                 + ["%.12g" % v for v in vals[pos:]])
+        for vals, mode in zip(res.rows.tolist(), res.modes)]
+    assert text == res.to_csv() == "\n".join(lines) + "\n"
+    assert text.count("\n") == n + 1
+
+
+class CharCounter(io.TextIOBase):
+    """A text sink that counts the characters written and keeps none."""
+
+    def __init__(self):
+        self.chars = 0
+
+    def write(self, s):
+        self.chars += len(s)
+        return len(s)
+
+
+def test_csv_stream_memory_bounded():
+    # Streamed, the peak is one block's rows and text (about 4 MB) at any
+    # length; building the whole text first peaks at twice the CSV's size.
+    res = random_log(10 * _CSV_BLOCK)
+    sink = CharCounter()
+    tracemalloc.start()
+    try:
+        res.to_csv(sink)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < sink.chars / 2
 
 
 def test_mission_chain_events():
@@ -190,7 +244,8 @@ def test_ablation_csv_pinned(variant):
 
 # SHA-256 of each default-mission variant's metrics.json as `perchsim run`
 # writes it: every metric key in order, null for an unmeasured one, and the
-# event log.  The CSV pins above do not cover these bytes.
+# event log.  The CSV pins above hash `to_csv()`; the test below also holds
+# the streamed log.csv that `perchsim run` writes to them.
 METRICS_JSON_SHA256 = {
     "proposed":
         "0743dc7459b12f92abd74b7c13df944e619fb97d27dbc0bfdf9852708070c9f7",
@@ -208,6 +263,9 @@ def test_metrics_json_pinned(variant, tmp_path):
     _write_run(run_variant(variant), tmp_path)
     data = (tmp_path / "metrics.json").read_bytes()
     assert hashlib.sha256(data).hexdigest() == METRICS_JSON_SHA256[variant]
+    csv = (tmp_path / "log.csv").read_bytes()
+    assert hashlib.sha256(csv).hexdigest() == (
+        GOLDEN_SHA256 if variant == "proposed" else ABLATION_SHA256[variant])
 
 
 # SHA-256 of a short noisy, disturbed, pitched hover CSV.  The default
