@@ -9,6 +9,7 @@ import hashlib
 import math
 import time
 from dataclasses import dataclass, replace
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -321,13 +322,24 @@ def check_10_saturation_ablation():
                        f"{base_sat:.3f} (= 0)")
 
 
+def _csv_sha256(result):
+    """SHA-256 of a run's CSV, fed one rendered block at a time through
+    `to_csv(fh)`, so the whole text is never held."""
+    sha = hashlib.sha256()
+
+    def writelines(blocks):
+        for block in blocks:
+            sha.update(block.encode())
+    result.to_csv(SimpleNamespace(writelines=writelines))
+    return sha.hexdigest()
+
+
 def check_11_determinism():
-    csv_a = run_variant("proposed").to_csv()
-    csv_b = run_scenario(default_scenario()).to_csv()
-    sha = hashlib.sha256(csv_a.encode()).hexdigest()
-    ok = csv_a == csv_b and sha == GOLDEN_SHA256
+    sha = _csv_sha256(run_variant("proposed"))
+    repeat = _csv_sha256(run_scenario(default_scenario()))
+    ok = sha == repeat and sha == GOLDEN_SHA256
     return CheckResult(11, "determinism", ok,
-                       f"repeat identical={csv_a == csv_b}, sha256 "
+                       f"repeat identical={sha == repeat}, sha256 "
                        f"{'matches' if sha == GOLDEN_SHA256 else sha}")
 
 

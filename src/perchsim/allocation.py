@@ -99,13 +99,14 @@ def allocate(w, geometry, T_max, prev_tilt=None):
          for a, b, c, d, e, g in geometry.A_pinv]
     if prev_tilt is None:
         prev_tilt = (0.0,) * n
-    thrust, tilt = [], []
+    thrust, tilt, saturated = [], [], []
     for xv, xl, prev in zip(x[:n], x[n:], prev_tilt):
         T = math.hypot(xv, xl)
-        thrust.append(T)
+        thrust.append(T_max if T_max < T else T)        # min(T, T_max)
+        saturated.append(T > T_max)
         tilt.append(prev if T < THRUST_EPS else math.atan2(xl, xv))
-    return ActuatorCommand(tuple([min(T, T_max) for T in thrust]), tuple(tilt),
-                           saturated=tuple([T > T_max for T in thrust]))
+    return ActuatorCommand(tuple(thrust), tuple(tilt),
+                           saturated=tuple(saturated))
 
 
 def forward_wrench(thrust, tilt, geometry):

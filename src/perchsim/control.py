@@ -28,23 +28,27 @@ def nominal_wrench(state, sp, e_R, cfg, integ, params, dt):
     """PD + feedforward force, PID torque on e_R = Log(R^T R_d)^vee, with the
     keys k_tp, k_td, k_rp, k_rd, k_ri and integral_clamp of `cfg`; returns
     the wrench and the updated attitude integral (three floats)."""
-    K_tp, K_td, g = cfg.k_tp, cfg.k_td, params.g
+    K_tp, K_td, g, m = cfg.k_tp, cfg.k_td, params.g, params.m
     (px, py, pz), (vx, vy, vz) = state.p, state.v
     (dpx, dpy, dpz), (dvx, dvy, dvz), (ax, ay, az) = sp.p, sp.v, sp.a
-    u = mat_t_vec(state.R, (K_tp * (dpx - px) + K_td * (dvx - vx) + ax,
-                            K_tp * (dpy - py) + K_td * (dvy - vy) + ay,
-                            g + K_tp * (dpz - pz) + K_td * (dvz - vz) + az))
-    m = params.m
-    f = (m * u[0], m * u[1], m * u[2])
-    e_w = mat_t_vec(state.R, mat_vec(sp.R, sp.omega))
-    clamp = cfg.integral_clamp
-    acc = tuple([min(max(i + e * dt, -clamp), clamp)
-                 for i, e in zip(integ, e_R)])
+    ux, uy, uz = mat_t_vec(state.R, (
+        K_tp * (dpx - px) + K_td * (dvx - vx) + ax,
+        K_tp * (dpy - py) + K_td * (dvy - vy) + ay,
+        g + K_tp * (dpz - pz) + K_td * (dvz - vz) + az))
+    (ex, ey, ez), (ix, iy, iz), (wx, wy, wz) = e_R, integ, state.omega
+    wdx, wdy, wdz = mat_t_vec(state.R, mat_vec(sp.R, sp.omega))
+    # min(max(i + e dt, -c), c) per axis as comparisons: a NaN passes through.
+    lo, hi = -cfg.integral_clamp, cfg.integral_clamp
+    ix, iy, iz = ix + ex * dt, iy + ey * dt, iz + ez * dt
+    ix, iy, iz = (lo if lo > ix else ix, lo if lo > iy else iy,
+                  lo if lo > iz else iz)
+    ix, iy, iz = (hi if hi < ix else ix, hi if hi < iy else iy,
+                  hi if hi < iz else iz)
     K_rp, K_rd, K_ri = cfg.k_rp, cfg.k_rd, cfg.k_ri
-    tau = mat_vec(params.Jb, [K_rp * e + K_rd * (w_d - w) + K_ri * i
-                              for e, w_d, w, i
-                              in zip(e_R, e_w, state.omega, acc)])
-    return Wrench(f, tau), acc
+    tau = mat_vec(params.Jb, (K_rp * ex + K_rd * (wdx - wx) + K_ri * ix,
+                              K_rp * ey + K_rd * (wdy - wy) + K_ri * iy,
+                              K_rp * ez + K_rd * (wdz - wz) + K_ri * iz))
+    return Wrench((m * ux, m * uy, m * uz), tau), (ix, iy, iz)
 
 
 def rejection_force(est, R):

@@ -35,12 +35,13 @@ def update(est, state, f_body, params, dt):
         return est
     fx, fy, fz = mat_vec(state.R, f_body)
     (ax, ay, az), (dx, dy, dz) = est.accumulator, est.delta_hat
-    acc = (ax + (fx + dx) * dt, ay + (fy + dy) * dt,
-           az + (fz - params.m * params.g + dz) * dt)
-    K_e = est.K_e
-    delta_hat = tuple([K_e * (mv - p0 - a) for mv, p0, a
-                       in zip(_momentum(state, params), est.p_m0, acc)])
-    return EstimatorState(delta_hat, acc, est.p_m0, K_e, False)
+    m, K_e = params.m, est.K_e
+    ax, ay, az = (ax + (fx + dx) * dt, ay + (fy + dy) * dt,
+                  az + (fz - m * params.g + dz) * dt)
+    (vx, vy, vz), (qx, qy, qz) = state.v, est.p_m0
+    return EstimatorState((K_e * (m * vx - qx - ax), K_e * (m * vy - qy - ay),
+                           K_e * (m * vz - qz - az)),
+                          (ax, ay, az), est.p_m0, K_e, False)
 
 
 def freeze(est):

@@ -74,14 +74,17 @@ def mat_mul(A, B):
 def mat_t_mul(A, B):
     """A^T B of two row-major 9-tuples."""
     a, b, c, d, e, f, g, h, i = A
-    return mat_mul((a, d, g, b, e, h, c, f, i), B)
+    j, k, l, m, n, o, p, q, r = B
+    return (a * j + d * m + g * p, a * k + d * n + g * q, a * l + d * o + g * r,
+            b * j + e * m + h * p, b * k + e * n + h * q, b * l + e * o + h * r,
+            c * j + f * m + i * p, c * k + f * n + i * q, c * l + f * o + i * r)
 
 
 def log_so3(R):
     """Principal-branch rotation vector of R, with norm <= pi."""
     r00, r01, r02, r10, r11, r12, r20, r21, r22 = R
-    cos_theta = min(1.0, max(-1.0, 0.5 * (r00 + r11 + r22 - 1.0)))
-    theta = math.acos(cos_theta)
+    c = 0.5 * (r00 + r11 + r22 - 1.0)            # min(1, max(-1, c))
+    theta = math.acos((c if c < 1.0 else 1.0) if c > -1.0 else -1.0)
     # Half the vee of the skew part: sin(theta) * axis.
     w = (0.5 * (r21 - r12), 0.5 * (r02 - r20), 0.5 * (r10 - r01))
     if theta < _SMALL_ANGLE:
@@ -120,7 +123,8 @@ def rotation_error(R, Rd):
 
 def pitch_of(R):
     """Z-Y-X Euler pitch in [-pi/2, pi/2]; used for logging only."""
-    return math.asin(min(1.0, max(-1.0, -R[6])))
+    s = -R[6]                                    # min(1, max(-1, s))
+    return math.asin((s if s < 1.0 else 1.0) if s > -1.0 else -1.0)
 
 
 def _jacobian_series(phi, x, c1, c2):
@@ -153,8 +157,11 @@ def right_jacobian_inv(phi, x):
 
 def renormalize(R):
     """Project a near-orthonormal 9-tuple onto SO(3): R (1.5 I - 0.5 R^T R)."""
-    RtR = mat_t_mul(R, R)
-    return mat_mul(R, [1.5 * u - 0.5 * s for u, s in zip(EYE, RtR)])
+    a, b, c, d, e, f, g, h, i = mat_t_mul(R, R)
+    # 0.0 - x off the diagonal, as 1.5 * 0.0 - x was: -x flips a zero's sign.
+    return mat_mul(R, (1.5 - 0.5 * a, 0.0 - 0.5 * b, 0.0 - 0.5 * c,
+                       0.0 - 0.5 * d, 1.5 - 0.5 * e, 0.0 - 0.5 * f,
+                       0.0 - 0.5 * g, 0.0 - 0.5 * h, 1.5 - 0.5 * i))
 
 
 def quat_of(R):

@@ -8,7 +8,7 @@ identical configuration and seed produce byte-identical CSV output.
 
 import math
 from dataclasses import asdict, dataclass, field
-from operator import add, sub
+from operator import add
 
 import numpy as np
 
@@ -170,8 +170,10 @@ def run_scenario(cfg):
     contact_was_active = False
     lam_c = 0.0
 
-    noisy = cfg.noise_std_pos > 0 or cfg.noise_std_vel > 0
-    rng = np.random.default_rng(cfg.seed) if noisy else None
+    sd_p, sd_v = cfg.noise_std_pos, cfg.noise_std_vel
+    rng = np.random.default_rng(cfg.seed) if sd_p > 0 or sd_v > 0 else None
+    edges = sorted({e for pulse in cfg.disturbances for e in pulse[:2]})
+    next_edge = -math.inf
 
     n_ticks = int(round(cfg.duration / cfg.dt))
     event_ticks = {}
@@ -187,12 +189,15 @@ def run_scenario(cfg):
     for k in range(n_ticks):
         t = k * cfg.dt
 
-        if noisy:
-            dp = rng.normal(0.0, cfg.noise_std_pos, 3).tolist()
-            dv = rng.normal(0.0, cfg.noise_std_vel, 3).tolist()
-            meas = VehicleState(tuple(map(add, state.p, dp)),
-                                tuple(map(add, state.v, dv)), state.R,
-                                state.omega)
+        if rng is not None:
+            # The stream of rng.normal(0.0, sd, 3) for p, then for v.
+            z0, z1, z2, z3, z4, z5 = rng.standard_normal(6).tolist()
+            (px, py, pz), (vx, vy, vz) = state.p, state.v
+            meas = VehicleState(
+                (px + (0.0 + sd_p * z0), py + (0.0 + sd_p * z1),
+                 pz + (0.0 + sd_p * z2)),
+                (vx + (0.0 + sd_v * z3), vy + (0.0 + sd_v * z4),
+                 vz + (0.0 + sd_v * z5)), state.R, state.omega)
         else:
             meas = state
 
@@ -253,8 +258,9 @@ def run_scenario(cfg):
             wrench, integ = nominal_wrench(meas, sp, e_R, cfg, integ, params,
                                            cfg.dt)
             if pol.wrench == "full":
-                wrench.f = tuple(map(add, wrench.f,
-                                     rejection_force(est_rej, meas.R)))
+                rx, ry, rz = rejection_force(est_rej, meas.R)
+                fx, fy, fz = wrench.f
+                wrench.f = (fx + rx, fy + ry, fz + rz)
 
         # 5. allocation
         cmd = allocate(wrench, rotors, params.T_max, cmd.tilt)
@@ -264,10 +270,12 @@ def run_scenario(cfg):
         act = step_actuators(act, cmd, cfg.dt, params)
 
         # 7. contact
-        dist = _disturbance_at(cfg, t)
+        if t >= next_edge:           # a pulse starts or ends: sum again
+            dist = _disturbance_at(cfg, t)
+            next_edge = next((e for e in edges if e > t), math.inf)
         w_act = forward_wrench(act.thrust, act.tilt, rotors)
-        applied_world = tuple(map(add, mat_vec(state.R, w_act.f),
-                                  dist.delta_f))
+        (fx, fy, fz), (dfx, dfy, dfz) = mat_vec(state.R, w_act.f), dist.delta_f
+        applied_world = (fx + dfx, fy + dfy, fz + dfz)
         new_contact = update_contact(state, act, applied_world, contact,
                                      wall, params)
         if new_contact.attached and not contact.attached:
@@ -283,7 +291,8 @@ def run_scenario(cfg):
 
         # log the state the controller acted on, plus this tick's outputs
         ex, ey, ez = e_R
-        dx, dy, dz = map(sub, sp.p, state.p)
+        (px, py, pz), (spx, spy, spz) = state.p, sp.p
+        dx, dy, dz = spx - px, spy - py, spz - pz
         rows[k] = (t, *state.p, *state.v, pitch_of(state.R),
                    *quat_of(state.R), *state.omega,
                    1.0 if contact.attached else 0.0, sup.eta_d, act.eta,

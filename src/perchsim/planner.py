@@ -24,14 +24,19 @@ class TranslationSegment:
 
     def eval(self, t):
         """Position, velocity and acceleration at t, each by Horner's rule."""
-        p, v, a = [], [], []
-        for c0, c1, c2, c3, c4, c5 in self.coeffs:
-            p.append(c0 + t * (c1 + t * (c2 + t * (c3 + t * (c4 + t * c5)))))
-            v.append(c1 + t * (2.0 * c2 + t * (3.0 * c3 + t * (
-                4.0 * c4 + t * 5.0 * c5))))
-            a.append(2.0 * c2 + t * (6.0 * c3 + t * (
-                12.0 * c4 + t * 20.0 * c5)))
-        return tuple(p), tuple(v), tuple(a)
+        (a0, a1, a2, a3, a4, a5), (b0, b1, b2, b3, b4, b5), \
+            (c0, c1, c2, c3, c4, c5) = self.coeffs
+        t5 = t * 5.0
+        p = (a0 + t * (a1 + t * (a2 + t * (a3 + t * (a4 + t * a5)))),
+             b0 + t * (b1 + t * (b2 + t * (b3 + t * (b4 + t * b5)))),
+             c0 + t * (c1 + t * (c2 + t * (c3 + t * (c4 + t * c5)))))
+        v = (a1 + t * (2.0 * a2 + t * (3.0 * a3 + t * (4.0 * a4 + t5 * a5))),
+             b1 + t * (2.0 * b2 + t * (3.0 * b3 + t * (4.0 * b4 + t5 * b5))),
+             c1 + t * (2.0 * c2 + t * (3.0 * c3 + t * (4.0 * c4 + t5 * c5))))
+        a = (2.0 * a2 + t * (6.0 * a3 + t * (12.0 * a4 + t * 20.0 * a5)),
+             2.0 * b2 + t * (6.0 * b3 + t * (12.0 * b4 + t * 20.0 * b5)),
+             2.0 * c2 + t * (6.0 * c3 + t * (12.0 * c4 + t * 20.0 * c5)))
+        return p, v, a
 
     def jerk_cost(self):
         """Exact integral of squared jerk over the segment."""

@@ -109,16 +109,22 @@ class ContactState:
 def step_actuators(act, cmd, dt, params):
     """First-order thrust lag, tilt rate limit, perch-servo travel."""
     k, T_max = dt / params.tau_rotor, params.T_max
-    # The clamped value goes first in max/min, so a NaN passes through.
-    thrust = tuple([min(max(a + (c - a) * k, 0.0), T_max)
-                    for a, c in zip(act.thrust, cmd.thrust)])
-    dmax = params.tilt_rate_max * dt
-    tilt = tuple([a + min(max(c - a, -dmax), dmax)
-                  for a, c in zip(act.tilt, cmd.tilt)])
+    hi = params.tilt_rate_max * dt
+    # Each clamp is min/max as comparisons, in the builtins' argument order:
+    # thrust and tilt step are min(max(x, lo), hi), so a NaN passes through;
+    # the eta step is min(step, max(-step, x)), so a NaN becomes -step.
+    thrust, tilt = [], []
+    for a, c, b, d in zip(act.thrust, cmd.thrust, act.tilt, cmd.tilt):
+        x, y = a + (c - a) * k, d - b
+        x, y = (0.0 if 0.0 > x else x), (-hi if -hi > y else y)
+        thrust.append(T_max if T_max < x else x)
+        tilt.append(b + (hi if hi < y else y))
     step = dt / params.t_ps
-    eta = act.eta + min(step, max(-step, cmd.eta_d - act.eta))
-    eta = min(1.0, max(0.0, eta))
-    return ActuatorState(thrust, tilt, eta)
+    x = cmd.eta_d - act.eta
+    x = x if x > -step else -step
+    eta = act.eta + (x if x < step else step)
+    eta = (eta if eta < 1.0 else 1.0) if eta > 0.0 else 0.0
+    return ActuatorState(tuple(thrust), tuple(tilt), eta)
 
 
 def update_contact(state, act, applied_world_force, contact, wall, params):
@@ -149,74 +155,73 @@ def update_contact(state, act, applied_world_force, contact, wall, params):
     return out
 
 
-def derivative(R, w, load, body):
-    """(dv, domega) of the free body at attitude R and body rate w.
+def derivative(wrench, nearfield_force, dist, params):
+    """The rates (R, wx, wy, wz) -> (dv, domega), six floats, of the free
+    body under a fixed load, unpacked once; R is a row-major 9-tuple.  The
+    position and rotation derivatives are v and w themselves."""
+    (fx, fy, fz), (tx, ty, tz) = wrench.f, wrench.tau
+    (nx, ny, nz), (dx, dy, dz) = nearfield_force, dist.delta_f
+    (ex, ey, ez), m, g = dist.delta_r, params.m, params.g
+    j00, j01, j02, j10, j11, j12, j20, j21, j22 = params.Jb
+    i00, i01, i02, i10, i11, i12, i20, i21, i22 = params.Jb_inv
 
-    R is a row-major 9-tuple, w three floats.  `load` is (body force, body
-    torque, world near-field force, world disturbance force, body disturbance
-    acceleration), each three floats; `body` is (m, g, Jb, Jb_inv) with the
-    inertia and its inverse as row-major 9-tuples.  The position and rotation
-    derivatives are v and w themselves.
-    """
-    r00, r01, r02, r10, r11, r12, r20, r21, r22 = R
-    wx, wy, wz = w
-    (fx, fy, fz), (tx, ty, tz), (nx, ny, nz), (dx, dy, dz), dr = load
-    m, g, (j00, j01, j02, j10, j11, j12, j20, j21, j22), Ji = body
-    dv = ((r00 * fx + r01 * fy + r02 * fz + nx + dx) / m,
-          (r10 * fx + r11 * fy + r12 * fz + ny + dy) / m,
-          (r20 * fx + r21 * fy + r22 * fz + nz + dz) / m - g)
-    jx = j00 * wx + j01 * wy + j02 * wz
-    jy = j10 * wx + j11 * wy + j12 * wz
-    jz = j20 * wx + j21 * wy + j22 * wz
-    ux = jy * wz - jz * wy + tx
-    uy = jz * wx - jx * wz + ty
-    uz = jx * wy - jy * wx + tz
-    return dv, (Ji[0] * ux + Ji[1] * uy + Ji[2] * uz + dr[0],
-                Ji[3] * ux + Ji[4] * uy + Ji[5] * uz + dr[1],
-                Ji[6] * ux + Ji[7] * uy + Ji[8] * uz + dr[2])
-
-
-def _axpy(x, h, y):
-    """x + h * y on three floats."""
-    return x[0] + h * y[0], x[1] + h * y[1], x[2] + h * y[2]
-
-
-def _rk4_sum(k1, k2, k3, k4):
-    """k1 + 2 k2 + 2 k3 + k4 on three floats, summed left to right."""
-    return [a + 2.0 * b + 2.0 * c + d for a, b, c, d in zip(k1, k2, k3, k4)]
+    def rates(R, wx, wy, wz):
+        r00, r01, r02, r10, r11, r12, r20, r21, r22 = R
+        jx = j00 * wx + j01 * wy + j02 * wz
+        jy = j10 * wx + j11 * wy + j12 * wz
+        jz = j20 * wx + j21 * wy + j22 * wz
+        ux = jy * wz - jz * wy + tx
+        uy = jz * wx - jx * wz + ty
+        uz = jx * wy - jy * wx + tz
+        return ((r00 * fx + r01 * fy + r02 * fz + nx + dx) / m,
+                (r10 * fx + r11 * fy + r12 * fz + ny + dy) / m,
+                (r20 * fx + r21 * fy + r22 * fz + nz + dz) / m - g,
+                i00 * ux + i01 * uy + i02 * uz + ex,
+                i10 * ux + i11 * uy + i12 * uz + ey,
+                i20 * ux + i21 * uy + i22 * uz + ez)
+    return rates
 
 
 def integrate(state, wrench, dist, contact, params, dt):
     """One RK4 step under the body-frame rotor `wrench` (`forward_wrench` of
     the actuator state); rotation advanced on the exponential map,
-    renormalized.  The stages run on plain floats (see `derivative`).
+    renormalized.  Plain floats throughout, every sum left to right.
     """
     if contact.attached:
         return state
-    load = (wrench.f, wrench.tau, contact.nearfield_force, dist.delta_f,
-            dist.delta_r)
-    body = (params.m, params.g, params.Jb, params.Jb_inv)
+    rates = derivative(wrench, contact.nearfield_force, dist, params)
     # Stage i has derivative (v_i, a_i, w_i, b_i); no stage reads position.
-    R, v1, w1 = state.R, state.v, state.omega
+    R, (v1x, v1y, v1z), (w1x, w1y, w1z) = state.R, state.v, state.omega
     h = 0.5 * dt
-    a1, b1 = derivative(R, w1, load, body)
-    v2, w2 = _axpy(v1, h, a1), _axpy(w1, h, b1)
-    a2, b2 = derivative(mat_mul(R, exp_so3(h * w1[0], h * w1[1], h * w1[2])),
-                        w2, load, body)
-    v3, w3 = _axpy(v1, h, a2), _axpy(w1, h, b2)
-    a3, b3 = derivative(mat_mul(R, exp_so3(h * w2[0], h * w2[1], h * w2[2])),
-                        w3, load, body)
-    v4, w4 = _axpy(v1, dt, a3), _axpy(w1, dt, b3)
-    a4, b4 = derivative(mat_mul(R, exp_so3(dt * w3[0], dt * w3[1],
-                                           dt * w3[2])),
-                        w4, load, body)
+    a1x, a1y, a1z, b1x, b1y, b1z = rates(R, w1x, w1y, w1z)
+    v2x, v2y, v2z = v1x + h * a1x, v1y + h * a1y, v1z + h * a1z
+    w2x, w2y, w2z = w1x + h * b1x, w1y + h * b1y, w1z + h * b1z
+    a2x, a2y, a2z, b2x, b2y, b2z = rates(
+        mat_mul(R, exp_so3(h * w1x, h * w1y, h * w1z)), w2x, w2y, w2z)
+    v3x, v3y, v3z = v1x + h * a2x, v1y + h * a2y, v1z + h * a2z
+    w3x, w3y, w3z = w1x + h * b2x, w1y + h * b2y, w1z + h * b2z
+    a3x, a3y, a3z, b3x, b3y, b3z = rates(
+        mat_mul(R, exp_so3(h * w2x, h * w2y, h * w2z)), w3x, w3y, w3z)
+    v4x, v4y, v4z = v1x + dt * a3x, v1y + dt * a3y, v1z + dt * a3z
+    w4x, w4y, w4z = w1x + dt * b3x, w1y + dt * b3y, w1z + dt * b3z
+    a4x, a4y, a4z, b4x, b4y, b4z = rates(
+        mat_mul(R, exp_so3(dt * w3x, dt * w3y, dt * w3z)), w4x, w4y, w4z)
 
-    s = dt / 6.0
-    dw = _rk4_sum(w1, w2, w3, w4)
-    p_new = _axpy(state.p, s, _rk4_sum(v1, v2, v3, v4))
-    v_new = _axpy(v1, s, _rk4_sum(a1, a2, a3, a4))
-    R_new = renormalize(mat_mul(R, exp_so3(s * dw[0], s * dw[1], s * dw[2])))
-    w_new = _axpy(w1, s, _rk4_sum(b1, b2, b3, b4))
+    # x_new = x + s (k1 + 2 k2 + 2 k3 + k4), summed left to right.
+    s, (px, py, pz) = dt / 6.0, state.p
+    p_new = (px + s * (v1x + 2.0 * v2x + 2.0 * v3x + v4x),
+             py + s * (v1y + 2.0 * v2y + 2.0 * v3y + v4y),
+             pz + s * (v1z + 2.0 * v2z + 2.0 * v3z + v4z))
+    v_new = (v1x + s * (a1x + 2.0 * a2x + 2.0 * a3x + a4x),
+             v1y + s * (a1y + 2.0 * a2y + 2.0 * a3y + a4y),
+             v1z + s * (a1z + 2.0 * a2z + 2.0 * a3z + a4z))
+    R_new = renormalize(mat_mul(R, exp_so3(
+        s * (w1x + 2.0 * w2x + 2.0 * w3x + w4x),
+        s * (w1y + 2.0 * w2y + 2.0 * w3y + w4y),
+        s * (w1z + 2.0 * w2z + 2.0 * w3z + w4z))))
+    w_new = (w1x + s * (b1x + 2.0 * b2x + 2.0 * b3x + b4x),
+             w1y + s * (b1y + 2.0 * b2y + 2.0 * b3y + b4y),
+             w1z + s * (b1z + 2.0 * b2z + 2.0 * b3z + b4z))
 
     if not all(map(math.isfinite, p_new + v_new + R_new + w_new)):
         raise NumericalDivergenceError(

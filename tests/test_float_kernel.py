@@ -4,7 +4,8 @@ Each stage of the 1 kHz loop runs on float tuples.  Every test here restates
 a stage's formula with numpy arrays, as the stage was written before it moved
 to floats, and requires agreement to 1e-12, on inputs that also reach the
 branches the default mission never takes.  The last test keeps `sum()` out
-of the tick, so its output does not depend on the interpreter's summation.
+of the tick, so its output does not depend on the interpreter's summation,
+and keeps the tick's clamps in their comparison form.
 """
 
 import ast
@@ -401,10 +402,17 @@ TICK_MODULES = (allocation, control, estimation, geometry, harness, planner,
                 vehicle)
 
 
+def _calls(node, name):
+    return isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+        and node.func.id == name
+
+
 @pytest.mark.parametrize("module", TICK_MODULES, ids=lambda m: m.__name__)
 def test_tick_modules_sum_left_to_right(module):
     # Python 3.12 made sum() of floats compensated, and math.fsum always is:
     # either in the tick would tie the pinned CSV bytes to the interpreter.
+    # A clamp is written as comparisons (about 190 ns cheaper per call than
+    # min(max(..))), so a nested min/max pair is rejected too.
     calls = []
     for node in ast.walk(ast.parse(inspect.getsource(module))):
         if isinstance(node, ast.Call):
@@ -412,4 +420,9 @@ def test_tick_modules_sum_left_to_right(module):
             if isinstance(f, ast.Name) and f.id in ("sum", "fsum") or \
                     isinstance(f, ast.Attribute) and f.attr == "fsum":
                 calls.append(f"line {node.lineno}")
-    assert not calls, f"sum()/fsum() in {module.__name__}: {calls}"
+            for outer, inner in (("min", "max"), ("max", "min")):
+                if _calls(node, outer) \
+                        and any(_calls(arg, inner) for arg in node.args):
+                    calls.append(f"{outer}({inner}(..)) line {node.lineno}")
+    assert not calls, \
+        f"sum()/fsum() or a min/max clamp in {module.__name__}: {calls}"

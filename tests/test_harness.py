@@ -12,9 +12,10 @@ import pytest
 
 from perchsim.acceptance import GOLDEN_SHA256, run_variant
 from perchsim.cli import _write_run
+from perchsim import harness
 from perchsim.harness import (CSV_COLUMNS, _COL, _CSV_BLOCK, _NUM_COLUMNS,
-                              SimResult, compare, compute_metrics,
-                              run_scenario, settle_index)
+                              SimResult, _disturbance_at, compare,
+                              compute_metrics, run_scenario, settle_index)
 from perchsim.scenario import ScenarioConfig, default_scenario, \
     parse_scenario
 
@@ -130,6 +131,39 @@ def test_hover_regulation():
     res = run_scenario(_hover_cfg())
     assert res.metrics.completed
     assert res.column("ep_norm").max() < 0.01
+
+
+DT = 0.001
+PULSES = {
+    "none": [],
+    "on ticks": [(37 * DT, 80 * DT, 1.0, -0.5, 0.25, 0.1, 0.2, -0.3)],
+    "between ticks": [(0.0375, 0.0805, 1.0, -0.5, 0.25, 0.1, 0.2, -0.3)],
+    "overlapping": [(0.02, 0.09, 0.3, 0.2, -0.1, 0.05, -0.1, 0.4),
+                    (0.05, 0.07, 1.0, -0.5, 0.25, 0.1, 0.2, -0.3),
+                    (0.05, 0.12, 9.0, 9.0, 9.0, 9.0, 9.0, 9.0)],
+    "from t = 0": [(0.0, 0.04, 1.5, 0.0, 0.0, 0.0, 0.0, 0.0),
+                   (0.04, 1e4, 0.0, 0.7, 0.0, 0.0, 0.0, 0.1)],
+}
+
+
+@pytest.mark.parametrize("pulses", PULSES.values(), ids=PULSES.keys())
+def test_disturbance_edges_match_full_rescan(pulses, monkeypatch):
+    # run_scenario re-sums the pulses only when t reaches an edge; the sum
+    # handed to integrate must equal a rescan of every pulse at each tick.
+    seen = []
+
+    def spy(state, w_act, dist, *rest):
+        seen.append((dist.delta_f, dist.delta_r))
+        return integrate(state, w_act, dist, *rest)
+    integrate = harness.integrate
+    monkeypatch.setattr(harness, "integrate", spy)
+    cfg = ScenarioConfig(mission="hover", duration=0.15, dt=DT,
+                         disturbances=pulses)
+    run_scenario(cfg)
+    assert len(seen) == 150
+    for k, got in enumerate(seen):
+        want = _disturbance_at(cfg, k * DT)
+        assert got == (want.delta_f, want.delta_r), k
 
 
 def test_determinism_byte_identical_csv():

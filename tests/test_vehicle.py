@@ -22,10 +22,9 @@ def detached(gap=10.0):
 
 def rates_at_rest(wrench):
     """derivative() at R = I, w = 0 with no near-field force or disturbance."""
-    load = (wrench.f, wrench.tau, (0.0, 0.0, 0.0), (0.0, 0.0, 0.0),
-            (0.0, 0.0, 0.0))
-    body = (PARAMS.m, PARAMS.g, PARAMS.Jb, PARAMS.Jb_inv)
-    return derivative(EYE, (0.0, 0.0, 0.0), load, body)
+    rates = derivative(wrench, (0.0, 0.0, 0.0), Disturbances(), PARAMS)
+    out = rates(EYE, 0.0, 0.0, 0.0)
+    return out[:3], out[3:]
 
 
 def test_derivative_free_fall():
