@@ -323,13 +323,13 @@ def check_10_saturation_ablation():
 
 
 def _csv_sha256(result):
-    """SHA-256 of a run's CSV, fed one rendered block at a time through
+    """SHA-256 of a run's CSV, fed one rendered line at a time through
     `to_csv(fh)`, so the whole text is never held."""
     sha = hashlib.sha256()
 
-    def writelines(blocks):
-        for block in blocks:
-            sha.update(block.encode())
+    def writelines(lines):
+        for line in lines:
+            sha.update(line.encode())
     result.to_csv(SimpleNamespace(writelines=writelines))
     return sha.hexdigest()
 

@@ -7,8 +7,10 @@ identical configuration and seed produce byte-identical CSV output.
 """
 
 import math
+import struct
 from dataclasses import asdict, dataclass, field
-from operator import add
+from itertools import chain
+from operator import add, mod
 
 import numpy as np
 
@@ -38,11 +40,11 @@ CSV_COLUMNS = [
 # Numeric columns in row order (mode is interleaved only at CSV render time).
 _NUM_COLUMNS = [c for c in CSV_COLUMNS if c != "mode"]
 _COL = {name: i for i, name in enumerate(_NUM_COLUMNS)}
-# A CSV line is _CSV_HEAD % (values before mode) + mode + _CSV_TAIL % (rest).
+# A row is one float64 record; its CSV line is _CSV_LINE[mode] % row.
+_ROW = struct.Struct("%dd" % len(_NUM_COLUMNS))
 _MODE_POS = CSV_COLUMNS.index("mode")
-_CSV_HEAD = "%.12g," * _MODE_POS
-_CSV_TAIL = ",%.12g" * (len(_NUM_COLUMNS) - _MODE_POS) + "\n"
-_CSV_BLOCK = 2048                # rows rendered (and written) at a time
+_CSV_LINE = {m.value: "%.12g," * _MODE_POS + m.value
+             + ",%.12g" * (len(_NUM_COLUMNS) - _MODE_POS) + "\n" for m in Mode}
 
 
 @dataclass
@@ -80,20 +82,16 @@ class SimResult:
         return self.rows[:, _COL[name]]
 
     def to_csv(self, fh=None):
-        """The log as CSV text, or, given a text file `fh`, written to it.
-        Rendering goes _CSV_BLOCK rows at a time, so writing to `fh` holds
-        one block of text, not the whole log's."""
-        def blocks():
-            yield ",".join(CSV_COLUMNS) + "\n"
-            for i in range(0, len(self.modes), _CSV_BLOCK):
-                yield "".join([
-                    _CSV_HEAD % tuple(vals[:_MODE_POS]) + mode
-                    + _CSV_TAIL % tuple(vals[_MODE_POS:]) for vals, mode in
-                    zip(self.rows[i:i + _CSV_BLOCK].tolist(),
-                        self.modes[i:i + _CSV_BLOCK])])
+        """The log as CSV text, or, given a text file `fh`, written to it a
+        line at a time: at most one row is held as floats and text."""
+        rows = np.ascontiguousarray(self.rows, dtype=np.float64)
+        if rows.shape != (len(self.modes), len(_NUM_COLUMNS)):
+            raise ValueError(f"{rows.shape} rows for {len(self.modes)} modes")
+        lines = chain((",".join(CSV_COLUMNS) + "\n",), map(mod, map(
+            _CSV_LINE.__getitem__, self.modes), _ROW.iter_unpack(rows)))
         if fh is None:
-            return "".join(blocks())
-        fh.writelines(blocks())
+            return "".join(lines)
+        fh.writelines(lines)
 
 
 class MissionPlanner:
@@ -293,14 +291,14 @@ def run_scenario(cfg):
         ex, ey, ez = e_R
         (px, py, pz), (spx, spy, spz) = state.p, sp.p
         dx, dy, dz = spx - px, spy - py, spz - pz
-        rows[k] = (t, *state.p, *state.v, pitch_of(state.R),
-                   *quat_of(state.R), *state.omega,
-                   1.0 if contact.attached else 0.0, sup.eta_d, act.eta,
-                   *act.thrust, *cmd.thrust, *act.tilt, *est_rej.delta_hat,
-                   lam_c, contact.lambda_true,
-                   math.sqrt(ex * ex + ey * ey + ez * ez),
-                   math.sqrt(dx * dx + dy * dy + dz * dz),
-                   1.0 if any(cmd.saturated) else 0.0)
+        _ROW.pack_into(rows, k * _ROW.size, t, *state.p, *state.v,
+                       pitch_of(state.R), *quat_of(state.R), *state.omega,
+                       1.0 if contact.attached else 0.0, sup.eta_d, act.eta,
+                       *act.thrust, *cmd.thrust, *act.tilt,
+                       *est_rej.delta_hat, lam_c, contact.lambda_true,
+                       math.sqrt(ex * ex + ey * ey + ez * ez),
+                       math.sqrt(dx * dx + dy * dy + dz * dz),
+                       1.0 if any(cmd.saturated) else 0.0)
         modes.append(sup.mode.value)
         gaps[k] = contact.gap
 

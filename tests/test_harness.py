@@ -4,20 +4,24 @@ import hashlib
 import importlib.util
 import io
 import json
+import math
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from perchsim.acceptance import GOLDEN_SHA256, run_variant
 from perchsim.cli import _write_run
 from perchsim import harness
-from perchsim.harness import (CSV_COLUMNS, _COL, _CSV_BLOCK, _NUM_COLUMNS,
+from perchsim.harness import (CSV_COLUMNS, _COL, _NUM_COLUMNS, _ROW, Metrics,
                               SimResult, _disturbance_at, compare,
                               compute_metrics, run_scenario, settle_index)
 from perchsim.scenario import ScenarioConfig, default_scenario, \
     parse_scenario
+from perchsim.supervisor import Mode
 
 
 def synthetic_result(z_after, gaps_after, ep_after, sat_p):
@@ -190,21 +194,73 @@ def random_log(n):
     return SimResult(default_scenario(), rows, modes, np.zeros(n), [])
 
 
-@pytest.mark.parametrize("n", [0, 1, _CSV_BLOCK - 1, _CSV_BLOCK,
-                               _CSV_BLOCK + 1, 2 * _CSV_BLOCK + 3])
+def reference_csv(rows, modes):
+    """The CSV with each value formatted on its own, one line per tick."""
+    pos = CSV_COLUMNS.index("mode")
+    lines = [",".join(CSV_COLUMNS)] + [
+        ",".join(["%.12g" % v for v in vals[:pos]] + [mode]
+                 + ["%.12g" % v for v in vals[pos:]])
+        for vals, mode in zip(rows, modes)]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 4099])
 def test_csv_streamed_across_block_boundaries(n):
     res = random_log(n)
     sink = io.StringIO()
     assert res.to_csv(sink) is None
     text = sink.getvalue()
-    # Reference: each value formatted on its own, one line per tick.
-    pos = CSV_COLUMNS.index("mode")
-    lines = [",".join(CSV_COLUMNS)] + [
-        ",".join(["%.12g" % v for v in vals[:pos]] + [mode]
-                 + ["%.12g" % v for v in vals[pos:]])
-        for vals, mode in zip(res.rows.tolist(), res.modes)]
-    assert text == res.to_csv() == "\n".join(lines) + "\n"
+    assert text == res.to_csv() == reference_csv(res.rows.tolist(), res.modes)
     assert text.count("\n") == n + 1
+
+
+def test_csv_renders_any_float_layout():
+    # A Fortran-order or float32 array built by hand renders as its float64
+    # C-order copy would.
+    res = random_log(5)
+    want = res.to_csv()
+    res.rows = np.asfortranarray(res.rows)
+    assert res.to_csv() == want
+    res.rows = res.rows.astype(np.float32)
+    assert res.to_csv() == reference_csv(
+        res.rows.astype(np.float64).tolist(), res.modes)
+
+
+def test_csv_rejects_rows_modes_mismatch():
+    res = random_log(5)
+    res.modes = res.modes[:4]
+    with pytest.raises(ValueError):
+        res.to_csv()
+    with pytest.raises(ValueError):
+        res.to_csv(io.StringIO())
+
+
+# Every float64 class: signed zeros, infinities, nan, subnormals, extremes.
+_ROW_VALUES = st.lists(
+    st.floats(width=64) | st.sampled_from(
+        [-0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+         2.2250738585072014e-308, 1.7e308, -1.7e308]),
+    min_size=len(_NUM_COLUMNS), max_size=len(_NUM_COLUMNS))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(st.lists(st.tuples(_ROW_VALUES, st.sampled_from(Mode)), max_size=4))
+@example([(([-0.0, math.inf, -math.inf, math.nan, 5e-324, 1.7e308,
+             -1.7e308] * 6)[:len(_NUM_COLUMNS)], Mode.P2F)])
+def test_csv_packed_rows_match_reference(ticks):
+    n = len(ticks)
+    packed = np.empty((n, len(_NUM_COLUMNS)))
+    assigned = np.empty((n, len(_NUM_COLUMNS)))
+    for k, (vals, _) in enumerate(ticks):
+        _ROW.pack_into(packed, k * _ROW.size, *vals)
+        assigned[k] = tuple(vals)
+    assert packed.tobytes() == assigned.tobytes()
+    modes = [mode.value for _, mode in ticks]
+    res = SimResult(default_scenario(), packed, modes, np.zeros(n), [])
+    want = reference_csv([vals for vals, _ in ticks], modes)
+    sink = io.StringIO()
+    res.to_csv(sink)
+    assert res.to_csv() == sink.getvalue() == want
 
 
 class CharCounter(io.TextIOBase):
@@ -219,17 +275,34 @@ class CharCounter(io.TextIOBase):
 
 
 def test_csv_stream_memory_bounded():
-    # Streamed, the peak is one block's rows and text (about 4 MB) at any
-    # length; building the whole text first peaks at twice the CSV's size.
-    res = random_log(10 * _CSV_BLOCK)
-    sink = CharCounter()
+    # Streamed a line at a time, the traced peak is one row's floats and
+    # text (about 2 KB measured) at any length; these CSVs are 12 and 24 MB.
+    for n in (20480, 40960):
+        res = random_log(n)
+        sink = CharCounter()
+        tracemalloc.start()
+        try:
+            res.to_csv(sink)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024, n
+        assert sink.chars > 500 * n
+
+
+def test_write_run_memory_bounded(tmp_path):
+    # `perchsim run` writes log.csv through the file's own buffer: a 30 000
+    # tick log (a 17 MB CSV) peaks at about 24 KB traced.
+    res = random_log(30000)
+    res.metrics = Metrics()
     tracemalloc.start()
     try:
-        res.to_csv(sink)
+        _write_run(res, tmp_path)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < sink.chars / 2
+    assert peak < 1 << 20
+    assert (tmp_path / "log.csv").stat().st_size > 500 * 30000
 
 
 def test_mission_chain_events():
