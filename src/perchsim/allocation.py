@@ -52,7 +52,7 @@ class RotorGeometry:
         if np.any(norms < 1e-9):
             raise AllocationError("rotor positions must be nonzero")
         lateral = np.cross(B3, self.positions / norms[:, None])
-        n = self.n_rotors
+        n = self.n_rotors = len(self.positions)
         A = np.zeros((6, 2 * n))
         for i in range(n):
             r = self.positions[i]
@@ -68,10 +68,6 @@ class RotorGeometry:
         self.columns = (tuple(map(tuple, A.T[:n].tolist())),
                         tuple(map(tuple, A.T[n:].tolist())))
         self.A_pinv = tuple(map(tuple, np.linalg.pinv(A).tolist()))
-
-    @property
-    def n_rotors(self):
-        return len(self.positions)
 
     @classmethod
     def x_config(cls, arm_length, k_tau):
@@ -105,8 +101,7 @@ def allocate(w, geometry, T_max, prev_tilt=None):
         thrust.append(T_max if T_max < T else T)        # min(T, T_max)
         saturated.append(T > T_max)
         tilt.append(prev if T < THRUST_EPS else math.atan2(xl, xv))
-    return ActuatorCommand(tuple(thrust), tuple(tilt),
-                           saturated=tuple(saturated))
+    return ActuatorCommand(tuple(thrust), tuple(tilt), 0.0, tuple(saturated))
 
 
 def forward_wrench(thrust, tilt, geometry):

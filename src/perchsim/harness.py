@@ -45,6 +45,9 @@ _ROW = struct.Struct("%dd" % len(_NUM_COLUMNS))
 _MODE_POS = CSV_COLUMNS.index("mode")
 _CSV_LINE = {m.value: "%.12g," * _MODE_POS + m.value
              + ",%.12g" * (len(_NUM_COLUMNS) - _MODE_POS) + "\n" for m in Mode}
+# Ticks of measurement noise drawn per numpy call; small, so the block's
+# floats stay a few kB.
+_NOISE_BLOCK = 64
 
 
 @dataclass
@@ -143,6 +146,16 @@ def _disturbance_at(cfg, t):
     return Disturbances((fx, fy, fz), (rx, ry, rz))
 
 
+def _noise(rng, sd_p, sd_v, n_ticks):
+    """Each tick's position and velocity noise, six floats: the stream of
+    rng.normal(0.0, sd, 3) for p, then for v, drawn _NOISE_BLOCK ticks at
+    a time."""
+    scale = (sd_p, sd_p, sd_p, sd_v, sd_v, sd_v)
+    for k in range(0, n_ticks, _NOISE_BLOCK):
+        z = rng.standard_normal((min(_NOISE_BLOCK, n_ticks - k), 6))
+        yield from (0.0 + scale * z).tolist()
+
+
 def run_scenario(cfg):
     """Run one scenario to completion; deterministic for a given config+seed."""
     params, wall = cfg.build()
@@ -168,12 +181,13 @@ def run_scenario(cfg):
     contact_was_active = False
     lam_c = 0.0
 
+    n_ticks = int(round(cfg.duration / cfg.dt))
     sd_p, sd_v = cfg.noise_std_pos, cfg.noise_std_vel
-    rng = np.random.default_rng(cfg.seed) if sd_p > 0 or sd_v > 0 else None
+    noise = _noise(np.random.default_rng(cfg.seed), sd_p, sd_v, n_ticks) \
+        if sd_p > 0 or sd_v > 0 else None
     edges = sorted({e for pulse in cfg.disturbances for e in pulse[:2]})
     next_edge = -math.inf
 
-    n_ticks = int(round(cfg.duration / cfg.dt))
     event_ticks = {}
     for t_ev, kind in cfg.events:
         event_ticks.setdefault(int(round(t_ev / cfg.dt)), []).append(kind)
@@ -183,19 +197,17 @@ def run_scenario(cfg):
     gaps = np.empty(n_ticks)
     events = []
     failure = ""
+    pol, mode_name = variant.policies[sup.mode], sup.mode.value
 
     for k in range(n_ticks):
         t = k * cfg.dt
 
-        if rng is not None:
-            # The stream of rng.normal(0.0, sd, 3) for p, then for v.
-            z0, z1, z2, z3, z4, z5 = rng.standard_normal(6).tolist()
+        if noise is not None:
+            z0, z1, z2, z3, z4, z5 = next(noise)
             (px, py, pz), (vx, vy, vz) = state.p, state.v
-            meas = VehicleState(
-                (px + (0.0 + sd_p * z0), py + (0.0 + sd_p * z1),
-                 pz + (0.0 + sd_p * z2)),
-                (vx + (0.0 + sd_v * z3), vy + (0.0 + sd_v * z4),
-                 vz + (0.0 + sd_v * z5)), state.R, state.omega)
+            meas = VehicleState((px + z0, py + z1, pz + z2),
+                                (vx + z3, vy + z4, vz + z5), state.R,
+                                state.omega)
         else:
             meas = state
 
@@ -213,8 +225,9 @@ def run_scenario(cfg):
         # the departure on entering P2F.  Two-mode P -> F keeps the stale
         # approach plan, so no inputs for detaching are generated in advance.
         if new_sup.mode is not sup.mode:
-            events.append((t, "mode",
-                           f"{sup.mode.value}->{new_sup.mode.value}"))
+            pol = variant.policies[new_sup.mode]
+            events.append((t, "mode", f"{mode_name}->{new_sup.mode.value}"))
+            mode_name = new_sup.mode.value
             integ = ZERO3
             if new_sup.mode is Mode.P2F:
                 planner.start_departure(t, state)
@@ -226,7 +239,6 @@ def run_scenario(cfg):
                 planner.start_approach(t)
                 sp = planner.sample(t)
         sup = new_sup
-        pol = variant.policies[sup.mode]
 
         # 3. estimation (consumes the wrench applied over the last interval)
         if pol.rejection_frozen or (variant.freeze_while_attached
@@ -287,7 +299,8 @@ def run_scenario(cfg):
             events.append((t, "contact", detail))
         contact = new_contact
 
-        # log the state the controller acted on, plus this tick's outputs
+        # log the state the controller acted on, plus this tick's outputs;
+        # on the attach tick, the snapped anchor state instead (v = w = 0)
         ex, ey, ez = e_R
         (px, py, pz), (spx, spy, spz) = state.p, sp.p
         dx, dy, dz = spx - px, spy - py, spz - pz
@@ -299,7 +312,7 @@ def run_scenario(cfg):
                        math.sqrt(ex * ex + ey * ey + ez * ez),
                        math.sqrt(dx * dx + dy * dy + dz * dz),
                        1.0 if any(cmd.saturated) else 0.0)
-        modes.append(sup.mode.value)
+        modes.append(mode_name)
         gaps[k] = contact.gap
 
         # 8. integrate

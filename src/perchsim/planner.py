@@ -82,12 +82,13 @@ class RotationSegment:
     coeffs: tuple                    # per axis, (c1, c2, c3) of phi(t)
 
     def eval(self, t):
-        phi, dphi = [], []
-        for c1, c2, c3 in self.coeffs:
-            phi.append(t * (c1 + t * (c2 + t * c3)))
-            dphi.append(c1 + t * (2.0 * c2 + t * 3.0 * c3))
-        return (mat_mul(self.R0, exp_so3(*phi)),
-                right_jacobian(phi, dphi))
+        (a1, a2, a3), (b1, b2, b3), (c1, c2, c3) = self.coeffs
+        phi = (t * (a1 + t * (a2 + t * a3)), t * (b1 + t * (b2 + t * b3)),
+               t * (c1 + t * (c2 + t * c3)))
+        dphi = (a1 + t * (2.0 * a2 + t * 3.0 * a3),
+                b1 + t * (2.0 * b2 + t * 3.0 * b3),
+                c1 + t * (2.0 * c2 + t * 3.0 * c3))
+        return mat_mul(self.R0, exp_so3(*phi)), right_jacobian(phi, dphi)
 
 
 def min_accel_rotation(R0, Rf, w0, wf, T):

@@ -155,33 +155,6 @@ def update_contact(state, act, applied_world_force, contact, wall, params):
     return out
 
 
-def derivative(wrench, nearfield_force, dist, params):
-    """The rates (R, wx, wy, wz) -> (dv, domega), six floats, of the free
-    body under a fixed load, unpacked once; R is a row-major 9-tuple.  The
-    position and rotation derivatives are v and w themselves."""
-    (fx, fy, fz), (tx, ty, tz) = wrench.f, wrench.tau
-    (nx, ny, nz), (dx, dy, dz) = nearfield_force, dist.delta_f
-    (ex, ey, ez), m, g = dist.delta_r, params.m, params.g
-    j00, j01, j02, j10, j11, j12, j20, j21, j22 = params.Jb
-    i00, i01, i02, i10, i11, i12, i20, i21, i22 = params.Jb_inv
-
-    def rates(R, wx, wy, wz):
-        r00, r01, r02, r10, r11, r12, r20, r21, r22 = R
-        jx = j00 * wx + j01 * wy + j02 * wz
-        jy = j10 * wx + j11 * wy + j12 * wz
-        jz = j20 * wx + j21 * wy + j22 * wz
-        ux = jy * wz - jz * wy + tx
-        uy = jz * wx - jx * wz + ty
-        uz = jx * wy - jy * wx + tz
-        return ((r00 * fx + r01 * fy + r02 * fz + nx + dx) / m,
-                (r10 * fx + r11 * fy + r12 * fz + ny + dy) / m,
-                (r20 * fx + r21 * fy + r22 * fz + nz + dz) / m - g,
-                i00 * ux + i01 * uy + i02 * uz + ex,
-                i10 * ux + i11 * uy + i12 * uz + ey,
-                i20 * ux + i21 * uy + i22 * uz + ez)
-    return rates
-
-
 def integrate(state, wrench, dist, contact, params, dt):
     """One RK4 step under the body-frame rotor `wrench` (`forward_wrench` of
     the actuator state); rotation advanced on the exponential map,
@@ -189,39 +162,49 @@ def integrate(state, wrench, dist, contact, params, dt):
     """
     if contact.attached:
         return state
-    rates = derivative(wrench, contact.nearfield_force, dist, params)
-    # Stage i has derivative (v_i, a_i, w_i, b_i); no stage reads position.
+    (fx, fy, fz), (tx, ty, tz) = wrench.f, wrench.tau
+    (nx, ny, nz), (dx, dy, dz) = contact.nearfield_force, dist.delta_f
+    (ex, ey, ez), m, g = dist.delta_r, params.m, params.g
+    j00, j01, j02, j10, j11, j12, j20, j21, j22 = params.Jb
+    i00, i01, i02, i10, i11, i12, i20, i21, i22 = params.Jb_inv
     R, (v1x, v1y, v1z), (w1x, w1y, w1z) = state.R, state.v, state.omega
+    # Stage i is (R_i, v_i, w_i) with rates (a_i, b_i); no stage reads
+    # position.  The sums s* of weight * (v, a, w, b) start at -0.0, which
+    # adds to any float exactly, so they are k1 + 2 k2 + 2 k3 + k4 left to
+    # right.  Each row: this stage's weight, the next stage's offset.
+    r, vx, vy, vz, wx, wy, wz = R, v1x, v1y, v1z, w1x, w1y, w1z
+    svx = svy = svz = sax = say = saz = -0.0
+    swx = swy = swz = sbx = sby = sbz = -0.0
     h = 0.5 * dt
-    a1x, a1y, a1z, b1x, b1y, b1z = rates(R, w1x, w1y, w1z)
-    v2x, v2y, v2z = v1x + h * a1x, v1y + h * a1y, v1z + h * a1z
-    w2x, w2y, w2z = w1x + h * b1x, w1y + h * b1y, w1z + h * b1z
-    a2x, a2y, a2z, b2x, b2y, b2z = rates(
-        mat_mul(R, exp_so3(h * w1x, h * w1y, h * w1z)), w2x, w2y, w2z)
-    v3x, v3y, v3z = v1x + h * a2x, v1y + h * a2y, v1z + h * a2z
-    w3x, w3y, w3z = w1x + h * b2x, w1y + h * b2y, w1z + h * b2z
-    a3x, a3y, a3z, b3x, b3y, b3z = rates(
-        mat_mul(R, exp_so3(h * w2x, h * w2y, h * w2z)), w3x, w3y, w3z)
-    v4x, v4y, v4z = v1x + dt * a3x, v1y + dt * a3y, v1z + dt * a3z
-    w4x, w4y, w4z = w1x + dt * b3x, w1y + dt * b3y, w1z + dt * b3z
-    a4x, a4y, a4z, b4x, b4y, b4z = rates(
-        mat_mul(R, exp_so3(dt * w3x, dt * w3y, dt * w3z)), w4x, w4y, w4z)
+    for weight, c in ((1.0, h), (2.0, h), (2.0, dt), (1.0, None)):
+        r00, r01, r02, r10, r11, r12, r20, r21, r22 = r
+        jx = j00 * wx + j01 * wy + j02 * wz
+        jy = j10 * wx + j11 * wy + j12 * wz
+        jz = j20 * wx + j21 * wy + j22 * wz
+        ux = jy * wz - jz * wy + tx
+        uy = jz * wx - jx * wz + ty
+        uz = jx * wy - jy * wx + tz
+        ax = (r00 * fx + r01 * fy + r02 * fz + nx + dx) / m
+        ay = (r10 * fx + r11 * fy + r12 * fz + ny + dy) / m
+        az = (r20 * fx + r21 * fy + r22 * fz + nz + dz) / m - g
+        bx = i00 * ux + i01 * uy + i02 * uz + ex
+        by = i10 * ux + i11 * uy + i12 * uz + ey
+        bz = i20 * ux + i21 * uy + i22 * uz + ez
+        svx, svy, svz = svx + weight * vx, svy + weight * vy, svz + weight * vz
+        sax, say, saz = sax + weight * ax, say + weight * ay, saz + weight * az
+        swx, swy, swz = swx + weight * wx, swy + weight * wy, swz + weight * wz
+        sbx, sby, sbz = sbx + weight * bx, sby + weight * by, sbz + weight * bz
+        if c is None:
+            break
+        r = mat_mul(R, exp_so3(c * wx, c * wy, c * wz))
+        vx, vy, vz = v1x + c * ax, v1y + c * ay, v1z + c * az
+        wx, wy, wz = w1x + c * bx, w1y + c * by, w1z + c * bz
 
-    # x_new = x + s (k1 + 2 k2 + 2 k3 + k4), summed left to right.
     s, (px, py, pz) = dt / 6.0, state.p
-    p_new = (px + s * (v1x + 2.0 * v2x + 2.0 * v3x + v4x),
-             py + s * (v1y + 2.0 * v2y + 2.0 * v3y + v4y),
-             pz + s * (v1z + 2.0 * v2z + 2.0 * v3z + v4z))
-    v_new = (v1x + s * (a1x + 2.0 * a2x + 2.0 * a3x + a4x),
-             v1y + s * (a1y + 2.0 * a2y + 2.0 * a3y + a4y),
-             v1z + s * (a1z + 2.0 * a2z + 2.0 * a3z + a4z))
-    R_new = renormalize(mat_mul(R, exp_so3(
-        s * (w1x + 2.0 * w2x + 2.0 * w3x + w4x),
-        s * (w1y + 2.0 * w2y + 2.0 * w3y + w4y),
-        s * (w1z + 2.0 * w2z + 2.0 * w3z + w4z))))
-    w_new = (w1x + s * (b1x + 2.0 * b2x + 2.0 * b3x + b4x),
-             w1y + s * (b1y + 2.0 * b2y + 2.0 * b3y + b4y),
-             w1z + s * (b1z + 2.0 * b2z + 2.0 * b3z + b4z))
+    p_new = (px + s * svx, py + s * svy, pz + s * svz)
+    v_new = (v1x + s * sax, v1y + s * say, v1z + s * saz)
+    R_new = renormalize(mat_mul(R, exp_so3(s * swx, s * swy, s * swz)))
+    w_new = (w1x + s * sbx, w1y + s * sby, w1z + s * sbz)
 
     if not all(map(math.isfinite, p_new + v_new + R_new + w_new)):
         raise NumericalDivergenceError(

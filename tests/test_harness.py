@@ -398,6 +398,59 @@ def test_noisy_hover_pinned():
     assert hashlib.sha256(csv.encode()).hexdigest() == NOISY_HOVER_SHA256
 
 
+# The same hover for 2300 ticks, recorded while the harness drew one
+# standard_normal(6) per tick: the noise is now drawn 64 ticks at a time, so
+# this run crosses 35 block edges and ends 60 ticks into a block.
+NOISY_HOVER_LONG = NOISY_HOVER.replace("duration = 0.5", "duration = 2.3")
+NOISY_HOVER_LONG_SHA256 = \
+    "075782b1c77d64bb3d5cbf95069b605a631edb3578643e6b789efc76e2a0b938"
+
+
+def test_long_noisy_hover_pinned():
+    result = run_scenario(parse_scenario(NOISY_HOVER_LONG))
+    assert len(result.modes) == 2300 and result.metrics.completed
+    csv = result.to_csv()
+    assert hashlib.sha256(csv.encode()).hexdigest() == NOISY_HOVER_LONG_SHA256
+
+
+def test_tick_calls_kernels_through_module_globals(monkeypatch):
+    """perfbench's tracer replaces module attributes, so it sees a kernel
+    only if the tick calls it through its module global: 4 exp_so3 calls
+    per free integrate step (3 stages, 1 update) and none while attached,
+    and one forward_wrench per tick plus the initial trim."""
+    from perchsim import vehicle
+    calls = {"exp_so3": 0, "forward_wrench": 0, "free": 0, "attached": 0}
+
+    def spy(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+        return counted
+
+    def integrate_spy(state, wrench, dist, contact, params, dt):
+        before = calls["exp_so3"]
+        out = integrate(state, wrench, dist, contact, params, dt)
+        free = not contact.attached
+        calls["free" if free else "attached"] += 1
+        assert calls["exp_so3"] - before == (4 if free else 0)
+        return out
+
+    integrate = harness.integrate
+    monkeypatch.setattr(vehicle, "exp_so3", spy("exp_so3", vehicle.exp_so3))
+    monkeypatch.setattr(harness, "forward_wrench",
+                        spy("forward_wrench", harness.forward_wrench))
+    monkeypatch.setattr(harness, "integrate", integrate_spy)
+    cfg = default_scenario()
+    cfg.events, cfg.duration = [(1.0, "s_f2p"), (3.5, "s_p2f")], 5.0
+    result = run_scenario(cfg)
+    assert set(result.modes) == {"F", "F2P", "P", "P2F"}
+    ticks = len(result.modes)
+    assert ticks == 5000 and calls["attached"] > 0
+    assert calls["free"] + calls["attached"] == ticks
+    assert calls["exp_so3"] == 4 * calls["free"]
+    assert calls["forward_wrench"] == ticks + 1
+
+
 def _make_reference():
     path = Path(__file__).parent / "data" / "make_reference.py"
     spec = importlib.util.spec_from_file_location("make_reference", path)

@@ -1,4 +1,4 @@
-"""Dynamics tests: derivative, actuator stepping, contact logic, integrator."""
+"""Dynamics tests: actuator stepping, contact logic, integrator."""
 
 import math
 from dataclasses import replace
@@ -9,7 +9,7 @@ from perchsim.allocation import ActuatorCommand, Wrench, forward_wrench
 from perchsim.geometry import B3, EYE, rot_y
 from perchsim.scenario import ScenarioConfig
 from perchsim.vehicle import (ActuatorState, ContactState, Disturbances,
-                              VehicleState, derivative, integrate,
+                              VehicleState, integrate,
                               step_actuators, update_contact)
 from so3 import flat, mat, rot_x, rot_z
 
@@ -20,22 +20,29 @@ def detached(gap=10.0):
     return ContactState(attached=False, gap=gap)
 
 
-def rates_at_rest(wrench):
-    """derivative() at R = I, w = 0 with no near-field force or disturbance."""
-    rates = derivative(wrench, (0.0, 0.0, 0.0), Disturbances(), PARAMS)
-    out = rates(EYE, 0.0, 0.0, 0.0)
-    return out[:3], out[3:]
+def step_from_rest(wrench, dt=0.001):
+    """One integrate step from rest at R = I, with no near-field force or
+    disturbance: under a constant force the step is exact to rounding."""
+    start = VehicleState.at_rest((0.0, 0.0, 10.0))
+    return start, integrate(start, wrench, Disturbances(), detached(),
+                            PARAMS, dt)
 
 
-def test_derivative_free_fall():
-    dv, _ = rates_at_rest(Wrench.zero())
-    assert np.allclose(dv, [0.0, 0.0, -9.81], atol=1e-12)
+def test_integrate_free_fall_one_step():
+    dt = 0.001
+    start, out = step_from_rest(Wrench.zero(), dt)
+    assert np.allclose(out.v, [0.0, 0.0, -9.81 * dt], rtol=0, atol=1e-15)
+    assert np.allclose(out.p, [0.0, 0.0, 10.0 - 0.5 * 9.81 * dt * dt],
+                       rtol=0, atol=1e-15)
+    assert out.R == EYE and out.omega == start.omega
 
 
-def test_derivative_hover_balance():
+def test_integrate_hover_balance_one_step():
     w = Wrench(PARAMS.m * PARAMS.g * B3, np.zeros(3))
-    dv, _ = rates_at_rest(w)
-    assert np.allclose(dv, 0.0, atol=1e-12)
+    start, out = step_from_rest(w)
+    assert np.allclose(out.v, 0.0, rtol=0, atol=1e-15)
+    assert np.allclose(out.p, start.p, rtol=0, atol=1e-15)
+    assert out.R == EYE and out.omega == start.omega
 
 
 def test_step_actuators_thrust_lag():
