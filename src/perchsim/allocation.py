@@ -80,10 +80,9 @@ class RotorGeometry:
 
 @dataclass
 class ActuatorCommand:
-    """Commanded thrusts (N), tilt angles (rad), perch-servo target, flags."""
+    """Commanded thrusts (N), tilt angles (rad), saturation flags."""
     thrust: tuple
     tilt: tuple
-    eta_d: float = 0.0
     saturated: tuple = ()            # per rotor, set by allocate
 
 
@@ -101,7 +100,7 @@ def allocate(w, geometry, T_max, prev_tilt=None):
         thrust.append(T_max if T_max < T else T)        # min(T, T_max)
         saturated.append(T > T_max)
         tilt.append(prev if T < THRUST_EPS else math.atan2(xl, xv))
-    return ActuatorCommand(tuple(thrust), tuple(tilt), 0.0, tuple(saturated))
+    return ActuatorCommand(tuple(thrust), tuple(tilt), tuple(saturated))
 
 
 def forward_wrench(thrust, tilt, geometry):

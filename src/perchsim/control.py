@@ -59,8 +59,6 @@ def rejection_force(est, R):
 
 def perch_wrench(rho, state, params):
     """Press wrench while perched: rho * m * g anti-gravity, zero torque."""
-    if rho == 0.0:
-        return Wrench.zero()
     s = rho * params.m * params.g
     R = state.R
     return Wrench((s * R[6], s * R[7], s * R[8]), ZERO3)

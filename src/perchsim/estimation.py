@@ -20,13 +20,12 @@ class EstimatorState:
     frozen: bool = False
 
     @staticmethod
-    def fresh(state, params, K_e):
-        return EstimatorState(ZERO3, ZERO3, _momentum(state, params), K_e)
-
-
-def _momentum(state, params):
-    m = params.m
-    return tuple([m * v for v in state.v])
+    def fresh(state, params, K_e, delta_hat=ZERO3):
+        """Start the observer at this momentum with this estimate, so that
+        delta_hat resumes continuously (from zero by default)."""
+        m = params.m
+        return EstimatorState(delta_hat, ZERO3, tuple(
+            [m * v - d / K_e for v, d in zip(state.v, delta_hat)]), K_e)
 
 
 def update(est, state, f_body, params, dt):
@@ -48,21 +47,6 @@ def freeze(est):
     if est.frozen:
         return est
     return replace(est, frozen=True)
-
-
-def unfreeze(est, state, params):
-    """Clear the freeze flag, re-based so delta_hat resumes continuously."""
-    if not est.frozen:
-        return est
-    p_m0 = tuple([mv - d / est.K_e
-                  for mv, d in zip(_momentum(state, params), est.delta_hat)])
-    return EstimatorState(est.delta_hat, ZERO3, p_m0, est.K_e, False)
-
-
-def rebase(est, state, params):
-    """Restart the estimate from zero at the current momentum."""
-    return EstimatorState(ZERO3, ZERO3, _momentum(state, params), est.K_e,
-                          est.frozen)
 
 
 def contact_normal_force(est, wall):

@@ -23,7 +23,7 @@ from .planner import Plan, connect, hover_setpoint, perch_setpoints
 from .scenario import ScenarioConfig
 from .supervisor import VARIANTS, Mode, SupervisorState, transition, \
     transition_two_mode
-from .vehicle import ETA_OPEN, ActuatorState, ContactState, Disturbances, \
+from .vehicle import ActuatorState, ContactState, Disturbances, \
     NumericalDivergenceError, VehicleState, integrate, step_actuators, \
     update_contact
 
@@ -126,7 +126,7 @@ class MissionPlanner:
         self.t0 = t
 
     def start_departure(self, t, state):
-        """Fly from `state` (the anchor while attached) to (2), then (1)."""
+        """Fly from `state` (the wall pose while attached) to (2), then (1)."""
         start = Setpoint.hold(state.p, state.R)
         sp1, sp2, _ = self.setpoints
         cfg = self.cfg
@@ -190,7 +190,8 @@ def run_scenario(cfg):
 
     event_ticks = {}
     for t_ev, kind in cfg.events:
-        event_ticks.setdefault(int(round(t_ev / cfg.dt)), []).append(kind)
+        if t_ev < cfg.duration:      # a later event could never fire
+            event_ticks.setdefault(int(round(t_ev / cfg.dt)), []).append(kind)
 
     rows = np.empty((n_ticks, len(_NUM_COLUMNS)))
     modes = []
@@ -247,13 +248,15 @@ def run_scenario(cfg):
             # so the hold extends until the wall actually lets go.
             est_rej = estimation.freeze(est_rej)
         else:
-            if est_rej.frozen:
-                est_rej = estimation.unfreeze(est_rej, meas, params)
+            if est_rej.frozen:       # resume from the held estimate
+                est_rej = estimation.EstimatorState.fresh(
+                    meas, params, est_rej.K_e, est_rej.delta_hat)
             est_rej = estimation.update(est_rej, meas, w_act.f, params,
                                         cfg.dt)
         if pol.contact_active:
             if not contact_was_active:
-                est_con = estimation.rebase(est_con, meas, params)
+                est_con = estimation.EstimatorState.fresh(
+                    meas, params, est_con.K_e)
             est_con = estimation.update(est_con, meas, w_act.f, params,
                                         cfg.dt)
             lam_c = estimation.contact_normal_force(est_con, wall)
@@ -274,10 +277,9 @@ def run_scenario(cfg):
 
         # 5. allocation
         cmd = allocate(wrench, rotors, params.T_max, cmd.tilt)
-        cmd.eta_d = sup.eta_d
 
         # 6. actuators
-        act = step_actuators(act, cmd, cfg.dt, params)
+        act = step_actuators(act, cmd, sup.eta_d, cfg.dt, params)
 
         # 7. contact
         if t >= next_edge:           # a pulse starts or ends: sum again
@@ -286,21 +288,18 @@ def run_scenario(cfg):
         w_act = forward_wrench(act.thrust, act.tilt, rotors)
         (fx, fy, fz), (dfx, dfy, dfz) = mat_vec(state.R, w_act.f), dist.delta_f
         applied_world = (fx + dfx, fy + dfy, fz + dfz)
-        new_contact = update_contact(state, act, applied_world, contact,
-                                     wall, params)
-        if new_contact.attached and not contact.attached:
+        contact, edge = update_contact(state, act, applied_world, contact,
+                                       wall, params)
+        if edge is not None:
+            events.append((t, "contact", edge))
+        if edge == "attach":
             # Rigid inelastic lock: the impact velocity is absorbed by the
-            # wall, so the state snaps to the anchored pose at rest.
-            state = VehicleState.at_rest(new_contact.anchor_p,
-                                         new_contact.anchor_R)
-            events.append((t, "contact", "attach"))
-        elif contact.attached and not new_contact.attached:
-            detail = "release" if act.eta <= ETA_OPEN else "forcible-detach"
-            events.append((t, "contact", detail))
-        contact = new_contact
+            # wall, so the state comes to rest at its current pose, which
+            # integrate then holds until the magnets let go.
+            state = VehicleState.at_rest(state.p, state.R)
 
         # log the state the controller acted on, plus this tick's outputs;
-        # on the attach tick, the snapped anchor state instead (v = w = 0)
+        # on the attach tick, the state at rest instead (v = w = 0)
         ex, ey, ez = e_R
         (px, py, pz), (spx, spy, spz) = state.p, sp.p
         dx, dy, dz = spx - px, spy - py, spz - pz
@@ -315,10 +314,10 @@ def run_scenario(cfg):
         modes.append(mode_name)
         gaps[k] = contact.gap
 
-        # 8. integrate
+        # 8. integrate (an overflowing body rate fails in exp_so3's math)
         try:
             state = integrate(state, w_act, dist, contact, params, cfg.dt)
-        except NumericalDivergenceError as exc:
+        except (NumericalDivergenceError, ArithmeticError, ValueError) as exc:
             events.append((t, "failure", f"numerical-abort: {exc}"))
             failure = "numerical-abort"
             break

@@ -101,13 +101,11 @@ class ContactState:
     attached: bool = False
     gap: float = float("inf")
     lambda_true: float = 0.0         # ground-truth normal force, compression > 0
-    anchor_p: tuple = None
-    anchor_R: tuple = None
     nearfield_force: tuple = ZERO3   # world-frame magnet attraction, N
 
 
-def step_actuators(act, cmd, dt, params):
-    """First-order thrust lag, tilt rate limit, perch-servo travel."""
+def step_actuators(act, cmd, eta_d, dt, params):
+    """First-order thrust lag, tilt rate limit, perch-servo travel to eta_d."""
     k, T_max = dt / params.tau_rotor, params.T_max
     hi = params.tilt_rate_max * dt
     # Each clamp is min/max as comparisons, in the builtins' argument order:
@@ -120,7 +118,7 @@ def step_actuators(act, cmd, dt, params):
         thrust.append(T_max if T_max < x else x)
         tilt.append(b + (hi if hi < y else y))
     step = dt / params.t_ps
-    x = cmd.eta_d - act.eta
+    x = eta_d - act.eta
     x = x if x > -step else -step
     eta = act.eta + (x if x < step else step)
     eta = (eta if eta < 1.0 else 1.0) if eta > 0.0 else 0.0
@@ -128,31 +126,31 @@ def step_actuators(act, cmd, dt, params):
 
 
 def update_contact(state, act, applied_world_force, contact, wall, params):
-    """Attach/release logic, ground-truth contact force, near-field magnet pull."""
+    """Attach/release logic, ground-truth contact force, near-field magnet
+    pull.  Returns the new ContactState and the edge this tick crossed:
+    "attach", "release" (peeled off), "forcible-detach" (pulled off), or
+    None.  An attached pose is the state's own, as integrate holds it."""
     gap = wall.gap_of(state)
     nx, ny, nz = wall.normal
     if contact.attached:
         eta_hold = 1.0 if act.eta >= ETA_ENGAGED else act.eta
         if act.eta <= ETA_OPEN:
             # Perch servo finished its unperch travel: tangential peel.
-            return ContactState(False, gap, 0.0)
+            return ContactState(False, gap, 0.0), "release"
         # Net pull away from the wall; negative when pressing into it.
         fx, fy, fz = applied_world_force
         pull = nx * fx + ny * fy + nz * (fz - params.m * params.g)
         if pull > wall.F_mag * eta_hold:
-            return ContactState(False, gap, 0.0)
-        return ContactState(True, 0.0, wall.F_mag * eta_hold - pull,
-                            anchor_p=contact.anchor_p,
-                            anchor_R=contact.anchor_R)
+            return ContactState(False, gap, 0.0), "forcible-detach"
+        return ContactState(True, 0.0, wall.F_mag * eta_hold - pull), None
     # Detached.
     if act.eta >= ETA_ENGAGED and gap <= wall.eps_attach:
-        return ContactState(True, 0.0, wall.F_mag,
-                            anchor_p=state.p, anchor_R=state.R)
+        return ContactState(True, 0.0, wall.F_mag), "attach"
     out = ContactState(False, gap, 0.0)
     if act.eta >= ETA_ENGAGED and 0.0 < gap < wall.d_mag:
         s = -wall.F_mag * (1.0 - gap / wall.d_mag)
         out.nearfield_force = (s * nx, s * ny, s * nz)
-    return out
+    return out, None
 
 
 def integrate(state, wrench, dist, contact, params, dt):

@@ -57,18 +57,18 @@ def test_step_actuators_clamps(data):
     else:
         start = ((-0.0,) * 4, (0.0,) * 4, start)
     act = ActuatorState(*start)
-    cmd = ActuatorCommand(tuple(thrust), tuple(tilt), eta_d)
+    cmd = ActuatorCommand(tuple(thrust), tuple(tilt))
     params = replace(PARAMS, T_max=T_max, tau_rotor=tau, tilt_rate_max=rate,
                      t_ps=t_ps)
 
-    out = step_actuators(act, cmd, dt, params)
+    out = step_actuators(act, cmd, eta_d, dt, params)
 
     k, dmax = dt / tau, rate * dt
     old_thrust = [min(max(a + (c - a) * k, 0.0), T_max)
                   for a, c in zip(act.thrust, cmd.thrust)]
     old_tilt = [a + min(max(c - a, -dmax), dmax)
                 for a, c in zip(act.tilt, cmd.tilt)]
-    eta = act.eta + min(step, max(-step, cmd.eta_d - act.eta))
+    eta = act.eta + min(step, max(-step, eta_d - act.eta))
     old_eta = min(1.0, max(0.0, eta))
     assert bits(out.thrust) == bits(old_thrust)
     assert bits(out.tilt) == bits(old_tilt)

@@ -1,13 +1,14 @@
 """CLI tests: subcommands, output files, exit codes."""
 
 import json
+from dataclasses import fields
 
 import pytest
 
 from perchsim.allocation import RotorGeometry
 from perchsim.cli import EXIT_FAILED, EXIT_OK, EXIT_SCHEMA, main
 from perchsim.harness import run_scenario
-from perchsim.scenario import ScenarioConfig
+from perchsim.scenario import ScenarioConfig, parse_scenario
 
 HOVER = """\
 schema_version = 1
@@ -157,6 +158,65 @@ def test_rotor_geometry_built_once_per_build(tmp_path, monkeypatch):
     assert main(["run", "--scenario", str(scen), "--out",
                  str(tmp_path / "o")]) == EXIT_OK
     assert len(built) == 2
+
+
+def test_event_past_run_end_is_ignored(tmp_path, capsys):
+    # An event time whose tick index overflows an int cannot fire.
+    text = HOVER + "duration = 0.05\n"
+    scen = tmp_path / "late.scn"
+    scen.write_text(text + "event = 1e308 s_f2p\n")
+    assert main(["run", "--scenario", str(scen), "--out",
+                 str(tmp_path / "o")]) == EXIT_OK
+    late = run_scenario(parse_scenario(scen.read_text()))
+    plain = run_scenario(parse_scenario(text))
+    assert late.rows.tobytes() == plain.rows.tobytes()
+    assert late.events == plain.events and late.modes == plain.modes
+
+
+@pytest.mark.parametrize("line", [
+    "inertia_diag = 1e-308 1e-308 1e-308",
+    "disturbance = 0 1 0 0 0 1e308 0 0"])
+def test_overflowing_body_rate_aborts(tmp_path, capsys, line):
+    # The body rate overflows to inf inside an RK4 stage, and exp_so3's
+    # trigonometry raises; the run ends as a numerical abort.
+    scen = tmp_path / "wild.scn"
+    scen.write_text(HOVER + "duration = 0.05\n" + line + "\n")
+    out = tmp_path / "o"
+    assert main(["run", "--scenario", str(scen), "--out", str(out)]) \
+        == EXIT_FAILED
+    metrics = json.loads((out / "metrics.json").read_text())
+    assert metrics["failure"] == "numerical-abort"
+    assert (out / "log.csv").read_text().startswith("t,px,")
+
+
+EXTREMES = ("1e308", "-1e308", "1e-308", "5e-324")
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_input_contract_sweep(tmp_path, capsys):
+    # Every numeric key at each extreme value, on short perch and hover
+    # missions: the CLI accepts (0), rejects (2) or reports a failed run
+    # (3), and never raises.
+    cfg = ScenarioConfig()
+    lines = []
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if isinstance(value, (int, float, tuple)):
+            n = len(value) if isinstance(value, tuple) else 1
+            lines += [f"{f.name} = " + " ".join([x] * n) for x in EXTREMES]
+    lines += [f"event = {x} s_f2p" for x in EXTREMES]
+    lines += [f"disturbance = 0 1 {x} {x} {x} {x} {x} {x}" for x in EXTREMES]
+    lines += ["disturbance = 0 1 0 0 0 1e308 0 0"]
+    scen, out = tmp_path / "x.scn", str(tmp_path / "o")
+    codes = {}
+    for mission in ("perch", "hover"):
+        head = f"schema_version = 1\nmission = {mission}\nduration = 0.05\n"
+        for line in lines:
+            scen.write_text(head + line + "\n")
+            code = main(["run", "--scenario", str(scen), "--out", out])
+            assert code in (EXIT_OK, EXIT_SCHEMA, EXIT_FAILED), (mission, line)
+            codes[code] = codes.get(code, 0) + 1
+    assert set(codes) == {EXIT_OK, EXIT_SCHEMA, EXIT_FAILED}
 
 
 def test_print_schema(capsys):

@@ -70,7 +70,10 @@ def test_unfreeze_continuity():
         state.v = delta / PARAMS.m * ((k + 1) * dt)
         est = estimation.update(est, state, HOVER_F, PARAMS, dt)
     before = est.delta_hat
-    est = estimation.unfreeze(estimation.freeze(est), state, PARAMS)
+    held = estimation.freeze(est)
+    est = estimation.EstimatorState.fresh(state, PARAMS, held.K_e,
+                                          held.delta_hat)
+    assert not est.frozen
     assert np.max(np.abs(np.subtract(est.delta_hat, before))) < 1e-9
     # The next update continues smoothly from the held value.
     state.v = delta / PARAMS.m * (501 * dt)
@@ -89,7 +92,7 @@ def test_rebase_restarts_from_zero():
     state.v = np.array([0.3, 0.0, 0.0])
     est = fresh(VehicleState.at_rest([0.0, 0.0, 1.2]))
     est = estimation.update(est, state, np.zeros(3), PARAMS, 0.001)
-    est = estimation.rebase(est, state, PARAMS)
+    est = estimation.EstimatorState.fresh(state, PARAMS, est.K_e)
     assert np.array_equal(est.delta_hat, np.zeros(3))
     est = estimation.update(est, state, HOVER_F, PARAMS, 0.001)
     assert np.allclose(est.delta_hat, 0.0, atol=1e-12)

@@ -262,11 +262,12 @@ def test_estimator_matches_numpy():
     delta = est.K_e * (m * np.array(state.v) - est.p_m0 - acc)
     assert close(out.accumulator, acc) and close(out.delta_hat, delta)
 
-    out = estimation.unfreeze(estimation.freeze(est), state, PARAMS)
+    out = estimation.EstimatorState.fresh(state, PARAMS, est.K_e,
+                                          est.delta_hat)
     assert close(out.p_m0, m * np.array(state.v)
                  - np.array(est.delta_hat) / est.K_e)
     assert out.delta_hat == est.delta_hat and not out.frozen
-    out = estimation.rebase(est, state, PARAMS)
+    out = estimation.EstimatorState.fresh(state, PARAMS, est.K_e)
     assert close(out.p_m0, m * np.array(state.v))
     assert out.delta_hat == out.accumulator == (0.0, 0.0, 0.0)
     assert close(estimation.contact_normal_force(est, WALL),
@@ -276,10 +277,9 @@ def test_estimator_matches_numpy():
 def test_actuators_match_numpy():
     params = replace(DEFAULT_PARAMS, T_max=5.0)
     act = ActuatorState((0.02, 4.99, 3.0, 2.0), (0.1, -0.2, 0.0, 0.3), 0.5)
-    cmd = ActuatorCommand((-3.0, 9.0, 3.5, 2.0), (0.5, -0.2002, -1.0, 0.3),
-                          eta_d=1.0)
+    cmd = ActuatorCommand((-3.0, 9.0, 3.5, 2.0), (0.5, -0.2002, -1.0, 0.3))
     dt = 0.001
-    out = vehicle.step_actuators(act, cmd, dt, params)
+    out = vehicle.step_actuators(act, cmd, 1.0, dt, params)
     a_T, a_nu = np.array(act.thrust), np.array(act.tilt)
     thrust = np.clip(a_T + (np.array(cmd.thrust) - a_T)
                      * (dt / params.tau_rotor), 0.0, params.T_max)
@@ -319,12 +319,11 @@ def test_contact_matches_numpy(name):
     gap, eta, attached, pull = CONTACT_CASES[name]
     state = _at_gap(gap)
     act = ActuatorState((0.0,) * 4, (0.0,) * 4, eta)
-    before = ContactState(attached, 0.0 if attached else gap, 0.0,
-                          anchor_p=state.p if attached else None,
-                          anchor_R=state.R if attached else None)
+    before = ContactState(attached, 0.0 if attached else gap, 0.0)
     n = np.array(WALL.normal)
     applied = PARAMS.m * PARAMS.g * B3 + pull * n + (0.3, -0.4, 0.0)
-    out = vehicle.update_contact(state, act, applied, before, WALL, PARAMS)
+    out, edge = vehicle.update_contact(state, act, applied, before, WALL,
+                                       PARAMS)
 
     g = np_gap(state)
     assert abs(WALL.gap_of(state) - g) < TOL
@@ -332,34 +331,36 @@ def test_contact_matches_numpy(name):
     if attached:
         hold = 1.0 if eta >= 0.95 else eta
         np_pull = float(n @ (applied - PARAMS.m * PARAMS.g * B3))
-        if eta <= 0.05 or np_pull > WALL.F_mag * hold:
-            want = (False, g, 0.0)
+        if eta <= 0.05:
+            want = (False, g, 0.0, "release")
+        elif np_pull > WALL.F_mag * hold:
+            want = (False, g, 0.0, "forcible-detach")
         else:
-            want = (True, 0.0, WALL.F_mag * hold - np_pull)
+            want = (True, 0.0, WALL.F_mag * hold - np_pull, None)
     elif eta >= 0.95 and g <= WALL.eps_attach:
-        want = (True, 0.0, WALL.F_mag)
+        want = (True, 0.0, WALL.F_mag, "attach")
     else:
-        want = (False, g, 0.0)
+        want = (False, g, 0.0, None)
         if eta >= 0.95 and 0.0 < g < WALL.d_mag:
             near = -WALL.F_mag * (1.0 - g / WALL.d_mag) * n
-    assert out.attached is want[0]
-    assert close((out.gap, out.lambda_true), want[1:])
+    assert (out.attached, edge) == (want[0], want[3])
+    assert close((out.gap, out.lambda_true), want[1:3])
     assert close(out.nearfield_force, near)
-    if out.attached:
-        assert (out.anchor_p, out.anchor_R) == (state.p, state.R)
 
 
 def test_contact_cases_reach_every_branch():
     kinds = set()
     for gap, eta, attached, pull in CONTACT_CASES.values():
-        out = vehicle.update_contact(
+        out, edge = vehicle.update_contact(
             _at_gap(gap), ActuatorState((0.0,) * 4, (0.0,) * 4, eta),
             PARAMS.m * PARAMS.g * B3 + np.multiply(pull, WALL.normal),
             ContactState(attached), WALL, PARAMS)
-        kinds.add((attached, out.attached, any(out.nearfield_force)))
-    assert kinds == {(True, True, False), (True, False, False),
-                     (False, True, False), (False, False, True),
-                     (False, False, False)}
+        kinds.add((attached, out.attached, any(out.nearfield_force), edge))
+    assert kinds == {(True, True, False, None),
+                     (True, False, False, "release"),
+                     (True, False, False, "forcible-detach"),
+                     (False, True, False, "attach"),
+                     (False, False, True, None), (False, False, False, None)}
 
 
 def test_plan_segments_match_numpy():

@@ -1,14 +1,18 @@
-"""The free-flight tick against its previous forms, bit for bit.
+"""The tick against its previous forms, bit for bit.
 
 `integrate` runs one copy of the rate equations in a loop over the RK4 stage
 table, `RotationSegment.eval` works on tuples and the harness draws its
-measurement noise in blocks.  Each test keeps the form it replaced as its
-oracle and requires the same floats, bit for bit, or the same exception, for
-+-0.0, subnormals, large rates, NaN and +-inf as well as ordinary values.
+measurement noise in blocks.  `update_contact` reports its own edges and
+keeps no anchor pose, one `EstimatorState.fresh` restarts both estimators,
+and `perch_wrench` has no rho = 0 branch.  Each test keeps the form it
+replaced as its oracle and requires the same floats, bit for bit, or the
+same exception, for +-0.0, subnormals, large rates, NaN and +-inf as well
+as ordinary values.
 """
 
 import math
 import struct
+from dataclasses import astuple, dataclass
 from types import SimpleNamespace
 
 import numpy as np
@@ -16,13 +20,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from perchsim.allocation import Wrench
+from perchsim import estimation
+from perchsim.allocation import Wrench, allocate
+from perchsim.control import perch_wrench
 from perchsim.geometry import EYE, ZERO3, exp_so3, mat_mul, renormalize, \
-    right_jacobian
+    right_jacobian, rot_y
 from perchsim.harness import _noise
 from perchsim.planner import RotationSegment
-from perchsim.vehicle import ContactState, Disturbances, \
-    NumericalDivergenceError, VehicleState, integrate
+from perchsim.scenario import ScenarioConfig
+from perchsim.vehicle import ETA_ENGAGED, ETA_OPEN, ContactState, \
+    Disturbances, NumericalDivergenceError, VehicleState, WallModel, \
+    integrate, update_contact
 
 TAME = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, 1.0,
         -1.0)
@@ -243,3 +251,168 @@ def test_noise_blocks_match_per_tick_draws(seed, n_ticks, sd_p, sd_v):
             .tolist() for _ in range(n_ticks)]
     assert len(got) == n_ticks
     assert [bits(row) for row in got] == [bits(row) for row in want]
+
+
+@dataclass
+class AnchoredContact:
+    """The previous ContactState, which kept the pose it attached at."""
+    attached: bool = False
+    gap: float = float("inf")
+    lambda_true: float = 0.0
+    anchor_p: tuple = None
+    anchor_R: tuple = None
+    nearfield_force: tuple = ZERO3
+
+
+def update_contact_anchored(state, act, applied_world_force, contact, wall,
+                            params):
+    """The previous update_contact, which returned no edge."""
+    gap = wall.gap_of(state)
+    nx, ny, nz = wall.normal
+    if contact.attached:
+        eta_hold = 1.0 if act.eta >= ETA_ENGAGED else act.eta
+        if act.eta <= ETA_OPEN:
+            return AnchoredContact(False, gap, 0.0)
+        fx, fy, fz = applied_world_force
+        pull = nx * fx + ny * fy + nz * (fz - params.m * params.g)
+        if pull > wall.F_mag * eta_hold:
+            return AnchoredContact(False, gap, 0.0)
+        return AnchoredContact(True, 0.0, wall.F_mag * eta_hold - pull,
+                               anchor_p=contact.anchor_p,
+                               anchor_R=contact.anchor_R)
+    if act.eta >= ETA_ENGAGED and gap <= wall.eps_attach:
+        return AnchoredContact(True, 0.0, wall.F_mag,
+                               anchor_p=state.p, anchor_R=state.R)
+    out = AnchoredContact(False, gap, 0.0)
+    if act.eta >= ETA_ENGAGED and 0.0 < gap < wall.d_mag:
+        s = -wall.F_mag * (1.0 - gap / wall.d_mag)
+        out.nearfield_force = (s * nx, s * ny, s * nz)
+    return out
+
+
+def harness_edge(contact, new_contact, act):
+    """The previous harness's contact event, derived from the two states."""
+    if new_contact.attached and not contact.attached:
+        return "attach"
+    if contact.attached and not new_contact.attached:
+        return "release" if act.eta <= ETA_OPEN else "forcible-detach"
+    return None
+
+
+def contact_bits(c):
+    return [c.attached] + bits((c.gap, c.lambda_true) + c.nearfield_force)
+
+
+@settings(max_examples=400)
+@given(st.data())
+def test_contact_edges_match_anchored_form(data):
+    wild = data.draw(st.booleans())
+    eta = data.draw(st.one_of(st.sampled_from(
+        (ETA_OPEN, ETA_ENGAGED, 0.0, -0.0, 1.0, 0.5, math.nan)),
+        st.floats(-0.1, 1.1)))
+    state = VehicleState(numbers(data, wild, 3, 0.9, 1.1), ZERO3,
+                         numbers(data, wild, 9, -1.0, 1.0), ZERO3)
+    wall = WallModel(point=(1.0, 0.0, 1.0),
+                     normal=data.draw(st.sampled_from(
+                         [(-1.0, 0.0, 0.0), (-0.8, 0.5, 0.2), (0.0, 1.0, 0.0)])),
+                     F_mag=number(data, False, 1.0, 60.0),
+                     d_mag=number(data, False, 0.01, 0.2),
+                     eps_attach=number(data, False, 1e-4, 0.05),
+                     c_m=numbers(data, False, 3, -0.1, 0.1))
+    attached = data.draw(st.booleans())
+    # While attached, integrate returns the state unchanged, so the anchor
+    # the previous harness kept is the state's own pose.
+    old_before = AnchoredContact(
+        attached, 0.0 if attached else wall.gap_of(state), 0.0,
+        state.p if attached else None, state.R if attached else None)
+    before = ContactState(*astuple(old_before)[:3])
+    act = SimpleNamespace(eta=eta)
+    params = SimpleNamespace(m=number(data, False, 0.1, 5.0),
+                             g=number(data, False, 0.0, 20.0))
+    applied = numbers(data, wild, 3, -80.0, 80.0)
+
+    new, edge = update_contact(state, act, applied, before, wall, params)
+    old = update_contact_anchored(state, act, applied, old_before, wall,
+                                  params)
+    assert contact_bits(new) == contact_bits(old)
+    assert edge == harness_edge(old_before, old, act)
+    if old.attached:
+        assert (old.anchor_p, old.anchor_R) == (state.p, state.R)
+
+
+def unfreeze(est, state, params):
+    """The previous estimation.unfreeze."""
+    if not est.frozen:
+        return est
+    p_m0 = tuple([mv - d / est.K_e
+                  for mv, d in zip(momentum(state, params), est.delta_hat)])
+    return estimation.EstimatorState(est.delta_hat, ZERO3, p_m0, est.K_e,
+                                     False)
+
+
+def rebase(est, state, params):
+    """The previous estimation.rebase."""
+    return estimation.EstimatorState(ZERO3, ZERO3, momentum(state, params),
+                                     est.K_e, est.frozen)
+
+
+def momentum(state, params):
+    """The previous estimation._momentum."""
+    m = params.m
+    return tuple([m * v for v in state.v])
+
+
+def estimator_bits(est):
+    return bits(est.delta_hat + est.accumulator + est.p_m0 + (est.K_e,)) \
+        + [est.frozen]
+
+
+@settings(max_examples=400)
+@given(st.data())
+def test_fresh_matches_unfreeze_and_rebase(data):
+    wild = data.draw(st.booleans())
+    # build() requires a finite, positive gain and mass.
+    K_e = data.draw(st.one_of(st.sampled_from((5e-324, 1e-300, 20.0, 1e300)),
+                              st.floats(1e-6, 1e6)))
+    params = SimpleNamespace(m=data.draw(st.one_of(
+        st.sampled_from((5e-324, 1.65, 1e300)), st.floats(0.01, 10.0))))
+    state = VehicleState(ZERO3, numbers(data, wild, 3), EYE, ZERO3)
+    est = estimation.EstimatorState(numbers(data, wild, 3),
+                                    numbers(data, wild, 3),
+                                    numbers(data, wild, 3), K_e)
+
+    resumed = estimation.EstimatorState.fresh(state, params, K_e,
+                                              est.delta_hat)
+    assert estimator_bits(resumed) \
+        == estimator_bits(unfreeze(estimation.freeze(est), state, params))
+    restarted = estimation.EstimatorState.fresh(state, params, K_e)
+    assert estimator_bits(restarted) == estimator_bits(
+        rebase(est, state, params))
+
+
+SIGNED_ROTATIONS = (EYE, rot_y(math.pi / 2), rot_y(-math.pi / 2),
+                    rot_y(math.pi), (-0.0, 0.0, -1.0, 0.0, -1.0, -0.0,
+                                     -1.0, -0.0, 0.0))
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_zero_rho_perch_wrench_allocates_as_zero(data):
+    # A rho = 0 wrench is signed zeros; allocate's hypot makes them +0.0
+    # and holds each tilt, as for Wrench.zero().
+    params = ScenarioConfig().build()[0]
+    R = data.draw(st.one_of(
+        st.sampled_from(SIGNED_ROTATIONS),
+        st.tuples(*[st.one_of(st.sampled_from((0.0, -0.0)),
+                              st.floats(-1.0, 1.0))] * 9)))
+    prev = tuple(data.draw(st.floats(allow_nan=True)) for _ in range(4))
+    T_max = data.draw(st.floats(1e-300, 1e300))
+    state = VehicleState((0.5, 0.0, 1.2), ZERO3, R, ZERO3)
+
+    w = perch_wrench(0.0, state, params)
+    got = allocate(w, params.rotors, T_max, prev)
+    want = allocate(Wrench.zero(), params.rotors, T_max, prev)
+    assert bits(got.thrust + got.tilt) == bits(want.thrust + want.tilt)
+    assert got.saturated == want.saturated
+    assert [struct.pack("<d", x) for x in got.tilt] \
+        == [struct.pack("<d", x) for x in prev]

@@ -48,7 +48,7 @@ def test_integrate_hover_balance_one_step():
 def test_step_actuators_thrust_lag():
     act = ActuatorState.at_rest()
     cmd = ActuatorCommand(np.full(4, 4.0), np.zeros(4))
-    out = step_actuators(act, cmd, 0.001, PARAMS)
+    out = step_actuators(act, cmd, 0.0, 0.001, PARAMS)
     # One Euler step of the lag; exact exponential would give 0.0792 N.
     assert np.allclose(out.thrust, 0.0792, atol=1e-3)
 
@@ -56,14 +56,14 @@ def test_step_actuators_thrust_lag():
 def test_step_actuators_tilt_rate_limit():
     act = ActuatorState.at_rest()
     cmd = ActuatorCommand(np.zeros(4), np.full(4, math.pi / 2))
-    out = step_actuators(act, cmd, 0.001, PARAMS)
+    out = step_actuators(act, cmd, 0.0, 0.001, PARAMS)
     assert np.allclose(out.tilt, 0.008, atol=1e-12)
 
 
 def test_step_actuators_fixed_point():
     act = ActuatorState(np.full(4, 2.0), np.full(4, 0.1), 0.5)
-    cmd = ActuatorCommand(act.thrust.copy(), act.tilt.copy(), eta_d=0.5)
-    out = step_actuators(act, cmd, 0.001, PARAMS)
+    cmd = ActuatorCommand(act.thrust.copy(), act.tilt.copy())
+    out = step_actuators(act, cmd, 0.5, 0.001, PARAMS)
     assert np.allclose(out.thrust, act.thrust)
     assert np.allclose(out.tilt, act.tilt)
     assert out.eta == act.eta
@@ -71,11 +71,11 @@ def test_step_actuators_fixed_point():
 
 def test_step_actuators_perch_servo_travel():
     act = ActuatorState.at_rest()
-    cmd = ActuatorCommand(np.zeros(4), np.zeros(4), eta_d=1.0)
-    out = step_actuators(act, cmd, 0.001, PARAMS)
+    cmd = ActuatorCommand(np.zeros(4), np.zeros(4))
+    out = step_actuators(act, cmd, 1.0, 0.001, PARAMS)
     assert abs(out.eta - 0.001 / PARAMS.t_ps) < 1e-12
     for _ in range(1000):
-        out = step_actuators(out, cmd, 0.001, PARAMS)
+        out = step_actuators(out, cmd, 1.0, 0.001, PARAMS)
     assert out.eta == 1.0
 
 
@@ -91,27 +91,27 @@ def _state_at_gap(gap):
 def test_contact_attach_threshold():
     st = _state_at_gap(0.0005)
     act = ActuatorState(np.zeros(4), np.zeros(4), eta=1.0)
-    out = update_contact(st, act, np.zeros(3), detached(), WALL, PARAMS)
-    assert out.attached
+    out, edge = update_contact(st, act, np.zeros(3), detached(), WALL,
+                               PARAMS)
+    assert out.attached and edge == "attach"
     assert out.gap == 0.0
-    assert np.array_equal(out.anchor_p, st.p)
 
 
 def test_contact_no_attach_beyond_tolerance():
     st = _state_at_gap(0.01)
     act = ActuatorState(np.zeros(4), np.zeros(4), eta=1.0)
-    out = update_contact(st, act, np.zeros(3), detached(), WALL, PARAMS)
-    assert not out.attached
+    out, edge = update_contact(st, act, np.zeros(3), detached(), WALL,
+                               PARAMS)
+    assert not out.attached and edge is None
 
 
 def test_contact_lambda_true_gravity_offset():
     st = _state_at_gap(0.0)
     act = ActuatorState(np.zeros(4), np.zeros(4), eta=1.0)
-    anchored = ContactState(attached=True, gap=0.0,
-                            anchor_p=st.p, anchor_R=st.R)
+    anchored = ContactState(attached=True, gap=0.0)
     applied = PARAMS.m * PARAMS.g * B3  # perfect gravity offset
-    out = update_contact(st, act, applied, anchored, WALL, PARAMS)
-    assert out.attached
+    out, edge = update_contact(st, act, applied, anchored, WALL, PARAMS)
+    assert out.attached and edge is None
     # Vertical wall: gravity is tangential, pull = 0, hold at full capacity.
     assert abs(out.lambda_true - WALL.F_mag) < 1e-12
 
@@ -119,40 +119,39 @@ def test_contact_lambda_true_gravity_offset():
 def test_contact_lambda_true_counts_push_and_pull():
     # Pressing into the wall adds to the hold force; pulling takes from it.
     st = _state_at_gap(0.0)
-    anchored = ContactState(attached=True, gap=0.0,
-                            anchor_p=st.p, anchor_R=st.R)
+    anchored = ContactState(attached=True, gap=0.0)
     for eta, pull in ((1.0, -3.0), (1.0, 2.0), (0.5, -3.0), (0.5, 2.0)):
         act = ActuatorState(np.zeros(4), np.zeros(4), eta=eta)
         applied = PARAMS.m * PARAMS.g * B3 + np.multiply(pull, WALL.normal)
-        out = update_contact(st, act, applied, anchored, WALL, PARAMS)
-        assert out.attached
+        out, edge = update_contact(st, act, applied, anchored, WALL, PARAMS)
+        assert out.attached and edge is None
         assert abs(out.lambda_true - (WALL.F_mag * eta - pull)) < 1e-12
 
 
 def test_contact_release_on_unperch_travel():
     st = _state_at_gap(0.0)
     act = ActuatorState(np.zeros(4), np.zeros(4), eta=0.0)
-    anchored = ContactState(attached=True, gap=0.0,
-                            anchor_p=st.p, anchor_R=st.R)
-    out = update_contact(st, act, np.zeros(3), anchored, WALL, PARAMS)
-    assert not out.attached
+    anchored = ContactState(attached=True, gap=0.0)
+    out, edge = update_contact(st, act, np.zeros(3), anchored, WALL, PARAMS)
+    assert not out.attached and edge == "release"
 
 
 def test_contact_forcible_detach_over_capacity():
     st = _state_at_gap(0.0)
     act = ActuatorState(np.zeros(4), np.zeros(4), eta=1.0)
-    anchored = ContactState(attached=True, gap=0.0,
-                            anchor_p=st.p, anchor_R=st.R)
+    anchored = ContactState(attached=True, gap=0.0)
     pull = PARAMS.m * PARAMS.g * B3 \
         + np.multiply(WALL.F_mag + 1.0, WALL.normal)
-    out = update_contact(st, act, pull, anchored, WALL, PARAMS)
-    assert not out.attached
+    out, edge = update_contact(st, act, pull, anchored, WALL, PARAMS)
+    assert not out.attached and edge == "forcible-detach"
 
 
 def test_contact_nearfield_ramp():
     st = _state_at_gap(0.025)
     act = ActuatorState(np.zeros(4), np.zeros(4), eta=1.0)
-    out = update_contact(st, act, np.zeros(3), detached(), WALL, PARAMS)
+    out, edge = update_contact(st, act, np.zeros(3), detached(), WALL,
+                               PARAMS)
+    assert edge is None
     expect = np.multiply(-WALL.F_mag * (1.0 - 0.025 / WALL.d_mag),
                          WALL.normal)
     assert np.allclose(out.nearfield_force, expect, atol=1e-9)
@@ -241,8 +240,7 @@ def test_integrate_matches_numpy_rk4():
 
 def test_integrate_attached_passthrough():
     state = VehicleState.at_rest([1.0, 0.0, 1.2])
-    anchored = ContactState(attached=True, gap=0.0,
-                            anchor_p=state.p, anchor_R=state.R)
+    anchored = ContactState(attached=True, gap=0.0)
     out = integrate(state, rotor_wrench(ActuatorState.at_rest()),
                     Disturbances(), anchored, PARAMS, 0.001)
     assert out is state
