@@ -2,8 +2,8 @@
 
 A desired body wrench is decomposed into per-rotor vertical and lateral
 thrust components, solved by a min-norm pseudo-inverse, and recovered as
-(thrust, tilt angle) pairs.  forward_wrench is the exact inverse map used
-both by the dynamics and as the round-trip test oracle's counterpart.
+(thrust, tilt angle) pairs.  The forward map, from thrusts and tilts back to
+the body wrench, lives with the dynamics in `vehicle.forward_wrench`.
 """
 
 import math
@@ -101,18 +101,3 @@ def allocate(w, geometry, T_max, prev_tilt=None):
         saturated.append(T > T_max)
         tilt.append(prev if T < THRUST_EPS else math.atan2(xl, xv))
     return ActuatorCommand(tuple(thrust), tuple(tilt), tuple(saturated))
-
-
-def forward_wrench(thrust, tilt, geometry):
-    """Exact body wrench produced by the given thrusts and tilt angles."""
-    w0 = w1 = w2 = w3 = w4 = w5 = 0.0
-    for T, nu, (a0, a1, a2, a3, a4, a5), (b0, b1, b2, b3, b4, b5) in zip(
-            thrust, tilt, geometry.columns[0], geometry.columns[1]):
-        u, l = T * math.cos(nu), T * math.sin(nu)
-        w0 += a0 * u + b0 * l
-        w1 += a1 * u + b1 * l
-        w2 += a2 * u + b2 * l
-        w3 += a3 * u + b3 * l
-        w4 += a4 * u + b4 * l
-        w5 += a5 * u + b5 * l
-    return Wrench((w0, w1, w2), (w3, w4, w5))

@@ -9,7 +9,6 @@ from dataclasses import replace
 from .harness import compare, run_scenario
 from .scenario import SCHEMA_DOC, VARIANTS, ScenarioError, default_scenario, \
     load_scenario
-from .vehicle import NumericalDivergenceError
 
 EXIT_OK = 0
 EXIT_SCHEMA = 2
@@ -123,9 +122,6 @@ def main(argv=None):
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
-    except NumericalDivergenceError as exc:
-        print(f"numerical abort: {exc}", file=sys.stderr)
-        return EXIT_FAILED
 
 
 if __name__ == "__main__":

@@ -16,31 +16,30 @@ class EstimatorState:
     delta_hat: tuple                 # estimated world-frame force, N
     accumulator: tuple               # integral of R f - m g b3 + delta_hat
     p_m0: tuple                      # reference momentum, kg m/s
-    K_e: float                       # positive scalar gain, 1/s
     frozen: bool = False
 
     @staticmethod
     def fresh(state, params, K_e, delta_hat=ZERO3):
-        """Start the observer at this momentum with this estimate, so that
-        delta_hat resumes continuously (from zero by default)."""
+        """Start the observer of gain K_e (1/s) at this momentum with this
+        estimate, so that delta_hat resumes continuously (from zero)."""
         m = params.m
         return EstimatorState(delta_hat, ZERO3, tuple(
-            [m * v - d / K_e for v, d in zip(state.v, delta_hat)]), K_e)
+            [m * v - d / K_e for v, d in zip(state.v, delta_hat)]))
 
 
-def update(est, state, f_body, params, dt):
-    """One explicit-Euler estimator step; identity while frozen."""
+def update(est, state, f_body, K_e, params, dt):
+    """One explicit-Euler step of gain K_e (1/s); identity while frozen."""
     if est.frozen:
         return est
     fx, fy, fz = mat_vec(state.R, f_body)
     (ax, ay, az), (dx, dy, dz) = est.accumulator, est.delta_hat
-    m, K_e = params.m, est.K_e
+    m = params.m
     ax, ay, az = (ax + (fx + dx) * dt, ay + (fy + dy) * dt,
                   az + (fz - m * params.g + dz) * dt)
     (vx, vy, vz), (qx, qy, qz) = state.v, est.p_m0
     return EstimatorState((K_e * (m * vx - qx - ax), K_e * (m * vy - qy - ay),
                            K_e * (m * vz - qz - az)),
-                          (ax, ay, az), est.p_m0, K_e, False)
+                          (ax, ay, az), est.p_m0, False)
 
 
 def freeze(est):

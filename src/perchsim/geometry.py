@@ -145,16 +145,6 @@ def right_jacobian(phi, x):
                             (theta - math.sin(theta)) / (theta2 * theta))
 
 
-def right_jacobian_inv(phi, x):
-    """J_r(phi)^-1 x, in closed form."""
-    theta2 = phi[0] * phi[0] + phi[1] * phi[1] + phi[2] * phi[2]
-    if theta2 < _SMALL_ANGLE:
-        return _jacobian_series(phi, x, 0.5, 1.0 / 12.0)
-    theta = math.sqrt(theta2)
-    return _jacobian_series(phi, x, 0.5, 1.0 / theta2 - (1.0 + math.cos(theta))
-                            / (2.0 * theta * math.sin(theta)))
-
-
 def renormalize(R):
     """Project a near-orthonormal 9-tuple onto SO(3): R (1.5 I - 0.5 R^T R)."""
     a, b, c, d, e, f, g, h, i = mat_t_mul(R, R)

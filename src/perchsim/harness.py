@@ -15,7 +15,7 @@ from operator import add, mod
 import numpy as np
 
 from . import estimation
-from .allocation import Wrench, allocate, forward_wrench
+from .allocation import Wrench, allocate
 from .control import Setpoint, nominal_wrench, perch_wrench, rejection_force
 from .geometry import ZERO3, mat_t_vec, mat_vec, pitch_of, quat_of, \
     rotation_error
@@ -24,8 +24,8 @@ from .scenario import ScenarioConfig
 from .supervisor import VARIANTS, Mode, SupervisorState, transition, \
     transition_two_mode
 from .vehicle import ActuatorState, ContactState, Disturbances, \
-    NumericalDivergenceError, VehicleState, integrate, step_actuators, \
-    update_contact
+    NumericalDivergenceError, VehicleState, forward_wrench, integrate, \
+    step_actuators, update_contact
 
 CSV_COLUMNS = [
     "t", "px", "py", "pz", "vx", "vy", "vz", "pitch",
@@ -176,9 +176,9 @@ def run_scenario(cfg):
     contact = ContactState(gap=wall.gap_of(state))
     sup = SupervisorState()
     integ = ZERO3                    # attitude integral of nominal_wrench
-    est_rej = estimation.EstimatorState.fresh(state, params, cfg.estimator_gain)
-    est_con = estimation.EstimatorState.fresh(state, params, cfg.estimator_gain)
-    contact_was_active = False
+    K_e = cfg.estimator_gain
+    est_rej = estimation.EstimatorState.fresh(state, params, K_e)
+    contact_was_active = False       # est_con starts on its first active tick
     lam_c = 0.0
 
     n_ticks = int(round(cfg.duration / cfg.dt))
@@ -250,14 +250,13 @@ def run_scenario(cfg):
         else:
             if est_rej.frozen:       # resume from the held estimate
                 est_rej = estimation.EstimatorState.fresh(
-                    meas, params, est_rej.K_e, est_rej.delta_hat)
-            est_rej = estimation.update(est_rej, meas, w_act.f, params,
+                    meas, params, K_e, est_rej.delta_hat)
+            est_rej = estimation.update(est_rej, meas, w_act.f, K_e, params,
                                         cfg.dt)
         if pol.contact_active:
             if not contact_was_active:
-                est_con = estimation.EstimatorState.fresh(
-                    meas, params, est_con.K_e)
-            est_con = estimation.update(est_con, meas, w_act.f, params,
+                est_con = estimation.EstimatorState.fresh(meas, params, K_e)
+            est_con = estimation.update(est_con, meas, w_act.f, K_e, params,
                                         cfg.dt)
             lam_c = estimation.contact_normal_force(est_con, wall)
         contact_was_active = pol.contact_active

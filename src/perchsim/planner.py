@@ -14,7 +14,7 @@ import numpy as np
 
 from .control import Setpoint
 from .geometry import B3, ZERO3, exp_so3, floats, log_so3, mat_mul, \
-    mat_t_mul, right_jacobian, right_jacobian_inv, rot_y
+    mat_t_mul, right_jacobian, rot_y
 
 
 @dataclass
@@ -91,20 +91,19 @@ class RotationSegment:
         return mat_mul(self.R0, exp_so3(*phi)), right_jacobian(phi, dphi)
 
 
-def min_accel_rotation(R0, Rf, w0, wf, T):
-    """Cubic in exponential coordinates from R0, exact at both endpoints."""
+def min_accel_rotation(R0, Rf, w0, T):
+    """Cubic in exponential coordinates from R0 at rate w0 to Rf at rest."""
     if T <= 0:
         raise ValueError("segment duration must be positive")
     phi_f = log_so3(mat_t_mul(R0, Rf))
     if math.hypot(*phi_f) >= math.pi - 1e-6:
         raise ValueError("rotation endpoints are antipodal or nearly so")
     dphi0 = np.asarray(w0, dtype=float)              # J_r(0) = I
-    dphif = right_jacobian_inv(phi_f, wf)
     coeffs = []
-    # Solve a T^2 + b T^3 = phi_f - dphi0 T ; 2 a T + 3 b T^2 = dphif - dphi0
+    # Solve a T^2 + b T^3 = phi_f - dphi0 T ; 2 a T + 3 b T^2 = 0 - dphi0
     M = np.array([[T ** 2, T ** 3], [2 * T, 3 * T ** 2]])
     for ax in range(3):
-        rhs = np.array([phi_f[ax] - dphi0[ax] * T, dphif[ax] - dphi0[ax]])
+        rhs = np.array([phi_f[ax] - dphi0[ax] * T, 0.0 - dphi0[ax]])
         coeffs.append((float(dphi0[ax]), *np.linalg.solve(M, rhs).tolist()))
     return RotationSegment(floats(R0), tuple(coeffs))
 
@@ -175,9 +174,9 @@ def perch_setpoints(wall, cfg):
 
 
 def connect(sp_from, sp_to, T, start=0.0):
-    """Min-jerk translation + min-accel rotation between two setpoints;
-    `connect(sp, sp, T)` holds a rest setpoint `sp` for T seconds."""
+    """Min-jerk translation + min-accel rotation from `sp_from` to the rest
+    setpoint `sp_to`; `connect(sp, sp, T)` holds a rest `sp` for T seconds."""
     tr = min_jerk_segment(sp_from.p, sp_from.v, sp_from.a,
                           sp_to.p, sp_to.v, sp_to.a, T)
-    rot = min_accel_rotation(sp_from.R, sp_to.R, sp_from.omega, sp_to.omega, T)
+    rot = min_accel_rotation(sp_from.R, sp_to.R, sp_from.omega, T)
     return PlanSegment(tr, rot, start)

@@ -115,8 +115,8 @@ class ScenarioConfig:
         for name in _NONNEGATIVE:
             if getattr(self, name) < 0:
                 raise ScenarioError(f"{name} must not be negative")
-        if math.hypot(*self.wall_normal) < 1e-9:
-            raise ScenarioError("wall_normal must be a nonzero vector")
+        if not 1e-9 <= math.hypot(*self.wall_normal) < math.inf:
+            raise ScenarioError("wall_normal must have finite nonzero length")
         if not self.lambda_f2p > self.lambda_p2f:
             raise ScenarioError("lambda_f2p must exceed lambda_p2f")
         if not 0.0 <= self.rho < 1.0:
@@ -160,7 +160,7 @@ class ScenarioConfig:
                 eps_attach=self.attach_tol, c_m=self.magnet_offset)
             if self.mission == "perch":
                 min_accel_rotation(rot_y(self.hover_pitch),
-                                   perch_orientation(wall), ZERO3, ZERO3, 1.0)
+                                   perch_orientation(wall), ZERO3, 1.0)
         except ValueError as exc:
             raise ScenarioError(str(exc)) from exc
         return params, wall
@@ -263,9 +263,10 @@ must be positive, as must inertia_diag.  lambda_f2p must exceed
 lambda_p2f; duration must last at least one tick of dt and at most
 2000000 ticks (also after --dt); hold_time, t_approach and t_contact lie
 in [dt, 1e4] s; arm_length and k_tau must give a full-rank rotor
-geometry.  wall_normal must be nonzero; on a perch mission it may not be
-vertical, and the hover attitude may not be antipodal to the perch
-attitude (as hover_pitch = pi/2 is to the default wall's pitch of -pi/2).
+geometry.  wall_normal must have finite nonzero length; on a perch
+mission it may not be vertical, and the hover attitude may not be
+antipodal to the perch attitude (as hover_pitch = pi/2 is to the default
+wall's pitch of -pi/2).
 Event times must not be negative, and a disturbance must end after it
 starts.
 

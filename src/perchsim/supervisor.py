@@ -64,10 +64,9 @@ def transition_two_mode(sup, lam_c, s_f2p, s_p2f, cfg):
     pending_p2f = sup.pending_p2f or s_p2f
     mode, eta_d = sup.mode, sup.eta_d
 
-    if mode is Mode.F:
-        if pending_f2p and eta_d < 1.0:
-            eta_d = 1.0
-        if pending_f2p and lam_c > cfg.lambda_f2p:
+    if mode is Mode.F and pending_f2p:
+        eta_d = 1.0
+        if lam_c > cfg.lambda_f2p:
             mode, pending_f2p = Mode.P, False
     elif mode is Mode.P and pending_p2f:
         mode, eta_d, pending_p2f = Mode.F, 0.0, False

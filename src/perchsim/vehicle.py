@@ -11,8 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Unused here, but perfbench's tracer wraps vehicle.forward_wrench by name.
-from .allocation import RotorGeometry, forward_wrench  # noqa: F401
+from .allocation import RotorGeometry, Wrench
 from .geometry import EYE, ZERO3, exp_so3, floats, mat_mul, mat_vec, \
     renormalize
 
@@ -80,12 +79,12 @@ class WallModel:
     c_m: tuple                       # magnet face offset in body frame, m
 
     def __post_init__(self):
-        normal = np.asarray(self.normal, dtype=float)
-        n = np.linalg.norm(normal)
+        normal = floats(self.normal)
+        n = math.hypot(*normal)
         if abs(n - 1.0) > 1e-9:
-            normal = normal / n
+            normal = tuple([x / n for x in normal])
         self.point = floats(self.point)
-        self.normal = floats(normal)
+        self.normal = normal
         self.c_m = floats(self.c_m)
 
     def gap_of(self, state):
@@ -151,6 +150,21 @@ def update_contact(state, act, applied_world_force, contact, wall, params):
         s = -wall.F_mag * (1.0 - gap / wall.d_mag)
         out.nearfield_force = (s * nx, s * ny, s * nz)
     return out, None
+
+
+def forward_wrench(thrust, tilt, geometry):
+    """Exact body wrench produced by the given thrusts and tilt angles."""
+    w0 = w1 = w2 = w3 = w4 = w5 = 0.0
+    for T, nu, (a0, a1, a2, a3, a4, a5), (b0, b1, b2, b3, b4, b5) in zip(
+            thrust, tilt, geometry.columns[0], geometry.columns[1]):
+        u, l = T * math.cos(nu), T * math.sin(nu)
+        w0 += a0 * u + b0 * l
+        w1 += a1 * u + b1 * l
+        w2 += a2 * u + b2 * l
+        w3 += a3 * u + b3 * l
+        w4 += a4 * u + b4 * l
+        w5 += a5 * u + b5 * l
+    return Wrench((w0, w1, w2), (w3, w4, w5))
 
 
 def integrate(state, wrench, dist, contact, params, dt):

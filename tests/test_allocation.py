@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from perchsim.allocation import (THRUST_EPS, AllocationError, RotorGeometry,
-                                 Wrench, allocate, forward_wrench)
+                                 Wrench, allocate)
 from perchsim.scenario import ScenarioConfig
+from perchsim.vehicle import forward_wrench
 
 CFG = ScenarioConfig()
 GEOM = CFG.build()[0].rotors

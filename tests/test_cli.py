@@ -74,7 +74,7 @@ def test_malformed_scenario_exit_code(tmp_path, capsys):
     "t_contact = 0.0005", "duration = 1e300", "duration = 2000.5",
     "mass = -1", "thrust_max = 0", "rotor_tau = 0", "magnet_range = 0",
     "rho = -0.1", "dt = 0", "disturbance = 5 1 3 0 0 0 0 0",
-    "event = -1 s_f2p"])
+    "event = -1 s_f2p", "wall_normal = 1.5e308 1.5e308 1.5e308"])
 def test_invalid_value_exit_code(tmp_path, capsys, line):
     # Unchecked, each of these would run, crash or exit 0.
     scen = tmp_path / "bad.scn"
@@ -173,12 +173,19 @@ def test_event_past_run_end_is_ignored(tmp_path, capsys):
     assert late.events == plain.events and late.modes == plain.modes
 
 
-@pytest.mark.parametrize("line", [
-    "inertia_diag = 1e-308 1e-308 1e-308",
-    "disturbance = 0 1 0 0 0 1e308 0 0"])
-def test_overflowing_body_rate_aborts(tmp_path, capsys, line):
+OVERFLOWS = (
+    ("inertia_diag = 1e-308 1e-308 1e-308", "math domain error"),
+    ("disturbance = 0 1 0 0 0 1e308 0 0", "math domain error"),
+    ("disturbance = 0 1 1e308 0 0 0 0 0",
+     "non-finite state after integration step"))
+
+
+@pytest.mark.parametrize("line, detail", [
+    pytest.param(line, detail, id=line) for line, detail in OVERFLOWS])
+def test_overflowing_body_rate_aborts(tmp_path, capsys, line, detail):
     # The body rate overflows to inf inside an RK4 stage, and exp_so3's
-    # trigonometry raises; the run ends as a numerical abort.
+    # trigonometry raises, or the velocity overflows and integrate raises
+    # NumericalDivergenceError; either way the run ends as a numerical abort.
     scen = tmp_path / "wild.scn"
     scen.write_text(HOVER + "duration = 0.05\n" + line + "\n")
     out = tmp_path / "o"
@@ -186,6 +193,8 @@ def test_overflowing_body_rate_aborts(tmp_path, capsys, line):
         == EXIT_FAILED
     metrics = json.loads((out / "metrics.json").read_text())
     assert metrics["failure"] == "numerical-abort"
+    assert metrics["events"][-1] == {
+        "t": 0.0, "kind": "failure", "detail": "numerical-abort: " + detail}
     assert (out / "log.csv").read_text().startswith("t,px,")
 
 

@@ -11,17 +11,18 @@ from perchsim.vehicle import VehicleState
 
 PARAMS, WALL = ScenarioConfig().build()
 HOVER_F = PARAMS.m * PARAMS.g * B3  # body force balancing gravity at R = I
+K_E = 20.0
 
 
 def fresh(state):
-    return estimation.EstimatorState.fresh(state, PARAMS, 20.0)
+    return estimation.EstimatorState.fresh(state, PARAMS, K_E)
 
 
 def test_balanced_hover_stays_zero():
     state = VehicleState.at_rest([0.0, 0.0, 1.2])
     est = fresh(state)
     for _ in range(1000):
-        est = estimation.update(est, state, HOVER_F, PARAMS, 0.001)
+        est = estimation.update(est, state, HOVER_F, K_E, PARAMS, 0.001)
     assert np.allclose(est.delta_hat, 0.0, atol=1e-12)
 
 
@@ -33,7 +34,7 @@ def test_step_force_first_order_response():
     dt = 0.001
     for k in range(150):
         state.v = delta / PARAMS.m * ((k + 1) * dt)
-        est = estimation.update(est, state, HOVER_F, PARAMS, dt)
+        est = estimation.update(est, state, HOVER_F, K_E, PARAMS, dt)
     expect = -5.0 * (1.0 - math.exp(-3.0))
     assert abs(est.delta_hat[2] - expect) < abs(expect) * 0.01
 
@@ -41,7 +42,7 @@ def test_step_force_first_order_response():
 def test_frozen_update_is_identity():
     state = VehicleState.at_rest([0.0, 0.0, 1.2])
     est = estimation.freeze(fresh(state))
-    out = estimation.update(est, state, np.array([5.0, 5.0, 5.0]),
+    out = estimation.update(est, state, np.array([5.0, 5.0, 5.0]), K_E,
                             PARAMS, 0.001)
     assert out is est
 
@@ -51,13 +52,14 @@ def test_freeze_holds_bitwise_over_updates():
     est = fresh(state)
     for k in range(100):
         state.v = np.array([0.0, 0.0, -0.01 * k])
-        est = estimation.update(est, state, HOVER_F, PARAMS, 0.001)
+        est = estimation.update(est, state, HOVER_F, K_E, PARAMS, 0.001)
     held = est.delta_hat
     est = estimation.freeze(est)
     rng = np.random.default_rng(14)
     for _ in range(1000):
         state.v = rng.normal(size=3)
-        est = estimation.update(est, state, rng.normal(size=3), PARAMS, 0.001)
+        est = estimation.update(est, state, rng.normal(size=3), K_E,
+                                PARAMS, 0.001)
     assert np.array_equal(est.delta_hat, held)
 
 
@@ -68,16 +70,16 @@ def test_unfreeze_continuity():
     dt = 0.001
     for k in range(500):
         state.v = delta / PARAMS.m * ((k + 1) * dt)
-        est = estimation.update(est, state, HOVER_F, PARAMS, dt)
+        est = estimation.update(est, state, HOVER_F, K_E, PARAMS, dt)
     before = est.delta_hat
     held = estimation.freeze(est)
-    est = estimation.EstimatorState.fresh(state, PARAMS, held.K_e,
+    est = estimation.EstimatorState.fresh(state, PARAMS, K_E,
                                           held.delta_hat)
     assert not est.frozen
     assert np.max(np.abs(np.subtract(est.delta_hat, before))) < 1e-9
     # The next update continues smoothly from the held value.
     state.v = delta / PARAMS.m * (501 * dt)
-    est = estimation.update(est, state, HOVER_F, PARAMS, dt)
+    est = estimation.update(est, state, HOVER_F, K_E, PARAMS, dt)
     assert np.max(np.abs(np.subtract(est.delta_hat, before))) < 0.05
 
 
@@ -91,10 +93,10 @@ def test_rebase_restarts_from_zero():
     state = VehicleState.at_rest([0.0, 0.0, 1.2])
     state.v = np.array([0.3, 0.0, 0.0])
     est = fresh(VehicleState.at_rest([0.0, 0.0, 1.2]))
-    est = estimation.update(est, state, np.zeros(3), PARAMS, 0.001)
-    est = estimation.EstimatorState.fresh(state, PARAMS, est.K_e)
+    est = estimation.update(est, state, np.zeros(3), K_E, PARAMS, 0.001)
+    est = fresh(state)
     assert np.array_equal(est.delta_hat, np.zeros(3))
-    est = estimation.update(est, state, HOVER_F, PARAMS, 0.001)
+    est = estimation.update(est, state, HOVER_F, K_E, PARAMS, 0.001)
     assert np.allclose(est.delta_hat, 0.0, atol=1e-12)
 
 
@@ -112,6 +114,6 @@ def test_contact_press_convergence():
     f_body = HOVER_F - np.multiply(2.0, WALL.normal)
     est = fresh(state)
     for _ in range(500):
-        est = estimation.update(est, state, f_body, PARAMS, 0.001)
+        est = estimation.update(est, state, f_body, K_E, PARAMS, 0.001)
     lam = estimation.contact_normal_force(est, WALL)
     assert abs(lam - 2.0) < 0.05

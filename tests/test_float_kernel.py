@@ -22,7 +22,7 @@ from perchsim.allocation import ActuatorCommand, Wrench
 from perchsim.control import Setpoint
 from perchsim.scenario import ScenarioConfig
 from perchsim.vehicle import ActuatorState, ContactState, VehicleState
-from so3 import flat, mat, rot_x, rot_z
+from so3 import flat, mat, right_jacobian_inv, rot_x, rot_z
 
 TOL = 1e-12
 DEFAULT_PARAMS, DEFAULT_WALL = ScenarioConfig().build()
@@ -163,7 +163,8 @@ def test_right_jacobians_match_numpy(scale):
         x = rng.normal(size=3)
         assert close(geometry.right_jacobian(phi, x),
                      np_right_jacobian(phi) @ x)
-        assert close(geometry.right_jacobian_inv(phi, x),
+        # The planner oracle's closed-form inverse (tests/so3.py).
+        assert close(right_jacobian_inv(phi, x),
                      np_right_jacobian(phi, inverse=True) @ x)
 
 
@@ -207,7 +208,7 @@ def test_controllers_match_numpy():
     assert close(w.f, f) and close(w.tau, tau) and close(acc, acc_ref)
 
     est = estimation.EstimatorState((1.5, -0.4, 2.0), (0.0,) * 3,
-                                    (0.0,) * 3, 20.0)
+                                    (0.0,) * 3)
     assert close(control.rejection_force(est, state.R),
                  -(R.T @ est.delta_hat))
     assert control.perch_wrench(0.0, state, PARAMS) == Wrench.zero()
@@ -244,7 +245,7 @@ def test_allocation_matches_numpy():
     assert close(cmd.thrust, thrust) and close(cmd.tilt, tilt)
     assert cmd.saturated == tuple(saturated)
 
-    back = allocation.forward_wrench(cmd.thrust, cmd.tilt, geom)
+    back = vehicle.forward_wrench(cmd.thrust, cmd.tilt, geom)
     ref = A @ np.concatenate([thrust * np.cos(tilt), thrust * np.sin(tilt)])
     assert close(back.f, ref[:3]) and close(back.tau, ref[3:])
 
@@ -254,20 +255,19 @@ def test_estimator_matches_numpy():
     R = mat(state.R)
     m, g = PARAMS.m, PARAMS.g
     est = estimation.EstimatorState((1.5, -0.4, 2.0), (0.2, 0.1, -0.3),
-                                    (0.5, 0.2, 0.1), 20.0)
-    f_body = (0.4, -0.3, 16.5)
-    out = estimation.update(est, state, f_body, PARAMS, 0.002)
+                                    (0.5, 0.2, 0.1))
+    f_body, K_e = (0.4, -0.3, 16.5), 20.0
+    out = estimation.update(est, state, f_body, K_e, PARAMS, 0.002)
     acc = np.array(est.accumulator) + (R @ f_body - m * g * B3
                                        + est.delta_hat) * 0.002
-    delta = est.K_e * (m * np.array(state.v) - est.p_m0 - acc)
+    delta = K_e * (m * np.array(state.v) - est.p_m0 - acc)
     assert close(out.accumulator, acc) and close(out.delta_hat, delta)
 
-    out = estimation.EstimatorState.fresh(state, PARAMS, est.K_e,
-                                          est.delta_hat)
+    out = estimation.EstimatorState.fresh(state, PARAMS, K_e, est.delta_hat)
     assert close(out.p_m0, m * np.array(state.v)
-                 - np.array(est.delta_hat) / est.K_e)
+                 - np.array(est.delta_hat) / K_e)
     assert out.delta_hat == est.delta_hat and not out.frozen
-    out = estimation.EstimatorState.fresh(state, PARAMS, est.K_e)
+    out = estimation.EstimatorState.fresh(state, PARAMS, K_e)
     assert close(out.p_m0, m * np.array(state.v))
     assert out.delta_hat == out.accumulator == (0.0, 0.0, 0.0)
     assert close(estimation.contact_normal_force(est, WALL),
@@ -370,7 +370,7 @@ def test_plan_segments_match_numpy():
     c = np.array(seg.coeffs)
     R0 = ROTATIONS["generic"]
     rot = planner.min_accel_rotation(flat(R0), flat(ROTATIONS["large"]),
-                                     b[0], b[1], 2.5)
+                                     b[0], 2.5)
     cr = np.column_stack([np.zeros(3), rot.coeffs])
     for t in (0.0, 1e-4, 0.7, 2.5):
         ref = (c @ [1.0, t, t ** 2, t ** 3, t ** 4, t ** 5],

@@ -5,9 +5,9 @@ import math
 import numpy as np
 
 from perchsim.geometry import (B3, EYE, cross, exp_so3, log_so3, pitch_of,
-                               renormalize, right_jacobian,
-                               right_jacobian_inv, rot_y, rotation_error)
-from so3 import flat, mat, rot_x, rot_z
+                               renormalize, right_jacobian, rot_y,
+                               rotation_error)
+from so3 import flat, mat, right_jacobian_inv, rot_x, rot_z
 
 
 def exp_matrix(v):

@@ -4,12 +4,14 @@
 table, `RotationSegment.eval` works on tuples and the harness draws its
 measurement noise in blocks.  `update_contact` reports its own edges and
 keeps no anchor pose, one `EstimatorState.fresh` restarts both estimators,
-and `perch_wrench` has no rho = 0 branch.  Each test keeps the form it
-replaced as its oracle and requires the same floats, bit for bit, or the
-same exception, for +-0.0, subnormals, large rates, NaN and +-inf as well
-as ordinary values.
+and `perch_wrench` has no rho = 0 branch.  `min_accel_rotation` ends every
+segment at rest instead of taking an end rate, and `transition_two_mode`
+tests the perch signal once.  Each test keeps the form it replaced as its
+oracle and requires the same floats, bit for bit, or the same exception, for
++-0.0, subnormals, large rates, NaN and +-inf as well as ordinary values.
 """
 
+import itertools
 import math
 import struct
 from dataclasses import astuple, dataclass
@@ -23,14 +25,16 @@ from hypothesis import strategies as st
 from perchsim import estimation
 from perchsim.allocation import Wrench, allocate
 from perchsim.control import perch_wrench
-from perchsim.geometry import EYE, ZERO3, exp_so3, mat_mul, renormalize, \
-    right_jacobian, rot_y
+from perchsim.geometry import EYE, ZERO3, exp_so3, floats, log_so3, \
+    mat_mul, mat_t_mul, renormalize, right_jacobian, rot_y
 from perchsim.harness import _noise
-from perchsim.planner import RotationSegment
+from perchsim.planner import RotationSegment, min_accel_rotation
 from perchsim.scenario import ScenarioConfig
+from perchsim.supervisor import Mode, SupervisorState, transition_two_mode
 from perchsim.vehicle import ETA_ENGAGED, ETA_OPEN, ContactState, \
     Disturbances, NumericalDivergenceError, VehicleState, WallModel, \
     integrate, update_contact
+from so3 import right_jacobian_inv
 
 TAME = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, 1.0,
         -1.0)
@@ -340,20 +344,19 @@ def test_contact_edges_match_anchored_form(data):
         assert (old.anchor_p, old.anchor_R) == (state.p, state.R)
 
 
-def unfreeze(est, state, params):
-    """The previous estimation.unfreeze."""
+def unfreeze(est, state, params, K_e):
+    """The previous estimation.unfreeze, with the gain the state held."""
     if not est.frozen:
         return est
-    p_m0 = tuple([mv - d / est.K_e
+    p_m0 = tuple([mv - d / K_e
                   for mv, d in zip(momentum(state, params), est.delta_hat)])
-    return estimation.EstimatorState(est.delta_hat, ZERO3, p_m0, est.K_e,
-                                     False)
+    return estimation.EstimatorState(est.delta_hat, ZERO3, p_m0, False)
 
 
 def rebase(est, state, params):
     """The previous estimation.rebase."""
     return estimation.EstimatorState(ZERO3, ZERO3, momentum(state, params),
-                                     est.K_e, est.frozen)
+                                     est.frozen)
 
 
 def momentum(state, params):
@@ -363,8 +366,7 @@ def momentum(state, params):
 
 
 def estimator_bits(est):
-    return bits(est.delta_hat + est.accumulator + est.p_m0 + (est.K_e,)) \
-        + [est.frozen]
+    return bits(est.delta_hat + est.accumulator + est.p_m0) + [est.frozen]
 
 
 @settings(max_examples=400)
@@ -379,12 +381,12 @@ def test_fresh_matches_unfreeze_and_rebase(data):
     state = VehicleState(ZERO3, numbers(data, wild, 3), EYE, ZERO3)
     est = estimation.EstimatorState(numbers(data, wild, 3),
                                     numbers(data, wild, 3),
-                                    numbers(data, wild, 3), K_e)
+                                    numbers(data, wild, 3))
 
     resumed = estimation.EstimatorState.fresh(state, params, K_e,
                                               est.delta_hat)
-    assert estimator_bits(resumed) \
-        == estimator_bits(unfreeze(estimation.freeze(est), state, params))
+    assert estimator_bits(resumed) == estimator_bits(
+        unfreeze(estimation.freeze(est), state, params, K_e))
     restarted = estimation.EstimatorState.fresh(state, params, K_e)
     assert estimator_bits(restarted) == estimator_bits(
         rebase(est, state, params))
@@ -416,3 +418,106 @@ def test_zero_rho_perch_wrench_allocates_as_zero(data):
     assert got.saturated == want.saturated
     assert [struct.pack("<d", x) for x in got.tilt] \
         == [struct.pack("<d", x) for x in prev]
+
+
+def min_accel_rotation_to_rate(R0, Rf, w0, wf, T):
+    """The previous planner.min_accel_rotation, which ended at body rate wf
+    through the closed-form inverse right Jacobian."""
+    if T <= 0:
+        raise ValueError("segment duration must be positive")
+    phi_f = log_so3(mat_t_mul(R0, Rf))
+    if math.hypot(*phi_f) >= math.pi - 1e-6:
+        raise ValueError("rotation endpoints are antipodal or nearly so")
+    dphi0 = np.asarray(w0, dtype=float)              # J_r(0) = I
+    dphif = right_jacobian_inv(phi_f, wf)
+    coeffs = []
+    M = np.array([[T ** 2, T ** 3], [2 * T, 3 * T ** 2]])
+    for ax in range(3):
+        rhs = np.array([phi_f[ax] - dphi0[ax] * T, dphif[ax] - dphi0[ax]])
+        coeffs.append((float(dphi0[ax]), *np.linalg.solve(M, rhs).tolist()))
+    return RotationSegment(floats(R0), tuple(coeffs))
+
+
+def segment_outcome(fn, *args):
+    """A rotation segment's R0 and coefficients as bits, or its exception."""
+    try:
+        seg = fn(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return bits(seg.R0 + tuple(c for axis in seg.coeffs for c in axis))
+
+
+LIMIT = math.pi - 1e-6       # min_accel_rotation rejects |phi_f| at or above
+
+
+def rotation_vector(data, angle):
+    """`angle` times a drawn unit axis (or a signed-zero vector at 0)."""
+    axis = data.draw(st.sampled_from(((1.0, 0.0, 0.0), (0.0, -1.0, 0.0),
+                                      (-0.0, 0.0, 1.0), None)))
+    if axis is None:
+        axis = numbers(data, False, 3, -1.0, 1.0)
+        n = math.hypot(*axis)
+        axis = (1.0, 0.0, 0.0) if not 1e-3 < n < math.inf \
+            else tuple(x / n for x in axis)
+    return tuple(angle * x for x in axis)
+
+
+@settings(max_examples=500)
+@given(st.data())
+def test_rest_end_rotation_matches_end_rate_form(data):
+    # Every plan segment ends at rest, so the end rate the planner dropped
+    # was ZERO3; J_r(phi_f)^-1 ZERO3 is +0.0 for any phi_f below the limit.
+    R0 = exp_so3(*rotation_vector(data, data.draw(st.one_of(
+        st.sampled_from((0.0, 1e-9, math.pi)), st.floats(0.0, math.pi)))))
+    angle = data.draw(st.one_of(
+        st.sampled_from((0.0, -0.0, 5e-324, 1e-12, 1e-5, LIMIT,
+                         math.nextafter(LIMIT, 0.0), LIMIT - 1e-9)),
+        st.floats(0.0, 1e-4), st.floats(LIMIT - 1e-7, LIMIT),
+        st.floats(0.0, math.pi)))
+    Rf = mat_mul(R0, exp_so3(*rotation_vector(data, angle)))
+    if data.draw(st.booleans()):
+        Rf = R0                                  # identical ends
+    w0 = numbers(data, False, 3, -10.0, 10.0)
+    T = data.draw(st.one_of(st.sampled_from((1e-3, 0.5, 1.0, 2.0)),
+                            st.floats(1e-3, 1e4)))
+    assert segment_outcome(min_accel_rotation, R0, Rf, w0, T) \
+        == segment_outcome(min_accel_rotation_to_rate, R0, Rf, w0, ZERO3, T)
+
+
+@settings(max_examples=500)
+@given(st.data())
+def test_inverse_jacobian_of_zero_rate_is_positive_zero(data):
+    phi = rotation_vector(data, data.draw(st.one_of(
+        st.sampled_from((0.0, -0.0, 5e-324, 1e-9, LIMIT)),
+        st.floats(-LIMIT, LIMIT))))
+    assert bits(right_jacobian_inv(phi, ZERO3)) == bits(ZERO3)
+
+
+def transition_two_mode_guarded(sup, lam_c, s_f2p, s_p2f, cfg):
+    """The previous transition_two_mode, which tested pending_f2p twice."""
+    pending_f2p = sup.pending_f2p or s_f2p
+    pending_p2f = sup.pending_p2f or s_p2f
+    mode, eta_d = sup.mode, sup.eta_d
+    if mode is Mode.F:
+        if pending_f2p and eta_d < 1.0:
+            eta_d = 1.0
+        if pending_f2p and lam_c > cfg.lambda_f2p:
+            mode, pending_f2p = Mode.P, False
+    elif mode is Mode.P and pending_p2f:
+        mode, eta_d, pending_p2f = Mode.F, 0.0, False
+    return SupervisorState(mode, eta_d, pending_f2p, pending_p2f)
+
+
+def test_two_mode_machine_matches_guarded_form():
+    cfg = ScenarioConfig()
+    lam = cfg.lambda_f2p
+    for mode, eta_d, pend_f, pend_p, s_f, s_p, lam_c in itertools.product(
+            Mode, (0.0, 1.0), *[(False, True)] * 4,
+            (math.nextafter(lam, -math.inf), lam,
+             math.nextafter(lam, math.inf), -math.inf, math.nan)):
+        sup = SupervisorState(mode, eta_d, pend_f, pend_p)
+        new = transition_two_mode(sup, lam_c, s_f, s_p, cfg)
+        old = transition_two_mode_guarded(sup, lam_c, s_f, s_p, cfg)
+        assert (new.mode, bits([new.eta_d]), new.pending_f2p,
+                new.pending_p2f) == (old.mode, bits([old.eta_d]),
+                                     old.pending_f2p, old.pending_p2f)

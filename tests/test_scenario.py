@@ -1,5 +1,6 @@
 """Scenario format tests: parsing, validation, schema documentation."""
 
+import math
 from dataclasses import asdict
 
 import numpy as np
@@ -124,6 +125,10 @@ def test_build_instantiates_params():
     params, wall = default_scenario().build()
     assert params.m == 1.65
     assert np.allclose(wall.normal, [-1.0, 0.0, 0.0])
+    # A huge normal scales to the same unit normal instead of overflowing.
+    huge = ScenarioConfig(wall_normal=(1e308,) * 3).build()[1].normal
+    assert huge == ScenarioConfig(wall_normal=(1, 1, 1)).build()[1].normal
+    assert math.isclose(math.hypot(*huge), 1.0)
 
 
 def test_variant_overrides_rho(monkeypatch):

@@ -5,11 +5,11 @@ from dataclasses import replace
 
 import numpy as np
 
-from perchsim.allocation import ActuatorCommand, Wrench, forward_wrench
+from perchsim.allocation import ActuatorCommand, Wrench
 from perchsim.geometry import B3, EYE, rot_y
 from perchsim.scenario import ScenarioConfig
 from perchsim.vehicle import (ActuatorState, ContactState, Disturbances,
-                              VehicleState, integrate,
+                              VehicleState, forward_wrench, integrate,
                               step_actuators, update_contact)
 from so3 import flat, mat, rot_x, rot_z
 
