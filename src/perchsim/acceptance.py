@@ -358,11 +358,12 @@ def check_12_physics_sanity():
     contact = ContactState(gap=1e6)
     dt = 1e-3
 
-    Jb = np.reshape(params.Jb, (3, 3))
+    (jx, jy, jz), m = params.J, params.m
 
     def energy(s):
-        v, omega = np.array(s.v), np.array(s.omega)
-        return 0.5 * params.m * v @ v + 0.5 * omega @ Jb @ omega
+        (vx, vy, vz), (wx, wy, wz) = s.v, s.omega
+        return 0.5 * m * (vx * vx + vy * vy + vz * vz) \
+            + 0.5 * (jx * wx * wx + jy * wy * wy + jz * wz * wz)
 
     e0 = energy(state)
     worst_e = 0.0

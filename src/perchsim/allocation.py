@@ -2,8 +2,9 @@
 
 A desired body wrench is decomposed into per-rotor vertical and lateral
 thrust components, solved by a min-norm pseudo-inverse, and recovered as
-(thrust, tilt angle) pairs.  The forward map, from thrusts and tilts back to
-the body wrench, lives with the dynamics in `vehicle.forward_wrench`.
+(thrust, tilt angle) pairs, one rotor at a time from its own two rows of
+the pseudo-inverse.  The forward map, from thrusts and tilts back to the body
+wrench, lives with the dynamics in `vehicle.forward_wrench`.
 """
 
 import math
@@ -38,8 +39,8 @@ class RotorGeometry:
 
     Each rotor tilts about its arm.  `A` is the 6x2n map from
     [T cos(nu); T sin(nu)] to [f; tau], checked to have full rank.  The tick
-    reads plain floats: `A_pinv`, its pseudo-inverse as 2n row tuples, and
-    `columns`, A's vertical and lateral columns as one 6-tuple per rotor.
+    reads plain floats, a (vertical, lateral) pair of 6-tuples per rotor:
+    `pinv_rows` from A's pseudo-inverse, `columns` from A.
     """
     positions: np.ndarray        # (4, 3) m
     spin_signs: np.ndarray       # (4,) in {+1, -1}
@@ -65,9 +66,11 @@ class RotorGeometry:
         if np.linalg.matrix_rank(A, tol=1e-9) < 6:
             raise AllocationError("rotor geometry is rank deficient")
         self.A = A
-        self.columns = (tuple(map(tuple, A.T[:n].tolist())),
-                        tuple(map(tuple, A.T[n:].tolist())))
-        self.A_pinv = tuple(map(tuple, np.linalg.pinv(A).tolist()))
+
+        def per_rotor(M):            # rows i and n + i of M for rotor i
+            return tuple(zip(map(tuple, M[:n]), map(tuple, M[n:])))
+        self.columns = per_rotor(A.T.tolist())
+        self.pinv_rows = per_rotor(np.linalg.pinv(A).tolist())
 
     @classmethod
     def x_config(cls, arm_length, k_tau):
@@ -80,24 +83,25 @@ class RotorGeometry:
 
 @dataclass
 class ActuatorCommand:
-    """Commanded thrusts (N), tilt angles (rad), saturation flags."""
+    """Commanded thrusts (N), tilt angles (rad), whether any was clamped."""
     thrust: tuple
     tilt: tuple
-    saturated: tuple = ()            # per rotor, set by allocate
+    saturated: bool = False          # some rotor asked for more than T_max
 
 
 def allocate(w, geometry, T_max, prev_tilt=None):
     """Min-norm actuator command realizing wrench w, clamped to [0, T_max]."""
-    n = geometry.n_rotors
     (f0, f1, f2), (t0, t1, t2) = w.f, w.tau
-    x = [a * f0 + b * f1 + c * f2 + d * t0 + e * t1 + g * t2
-         for a, b, c, d, e, g in geometry.A_pinv]
     if prev_tilt is None:
-        prev_tilt = (0.0,) * n
-    thrust, tilt, saturated = [], [], []
-    for xv, xl, prev in zip(x[:n], x[n:], prev_tilt):
+        prev_tilt = (0.0,) * geometry.n_rotors
+    thrust, tilt, saturated = [], [], False
+    for ((a, b, c, d, e, g), (p, q, r, s, u, v)), prev in zip(
+            geometry.pinv_rows, prev_tilt):
+        xv = a * f0 + b * f1 + c * f2 + d * t0 + e * t1 + g * t2
+        xl = p * f0 + q * f1 + r * f2 + s * t0 + u * t1 + v * t2
         T = math.hypot(xv, xl)
-        thrust.append(T_max if T_max < T else T)        # min(T, T_max)
-        saturated.append(T > T_max)
         tilt.append(prev if T < THRUST_EPS else math.atan2(xl, xv))
-    return ActuatorCommand(tuple(thrust), tuple(tilt), tuple(saturated))
+        if T > T_max:                                   # min(T, T_max)
+            T, saturated = T_max, True
+        thrust.append(T)
+    return ActuatorCommand(tuple(thrust), tuple(tilt), saturated)

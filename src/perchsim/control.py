@@ -44,10 +44,10 @@ def nominal_wrench(state, sp, e_R, cfg, integ, params, dt):
                   lo if lo > iz else iz)
     ix, iy, iz = (hi if hi < ix else ix, hi if hi < iy else iy,
                   hi if hi < iz else iz)
-    K_rp, K_rd, K_ri = cfg.k_rp, cfg.k_rd, cfg.k_ri
-    tau = mat_vec(params.Jb, (K_rp * ex + K_rd * (wdx - wx) + K_ri * ix,
-                              K_rp * ey + K_rd * (wdy - wy) + K_ri * iy,
-                              K_rp * ez + K_rd * (wdz - wz) + K_ri * iz))
+    (jx, jy, jz), K_rp, K_rd, K_ri = params.J, cfg.k_rp, cfg.k_rd, cfg.k_ri
+    tau = (jx * (K_rp * ex + K_rd * (wdx - wx) + K_ri * ix),
+           jy * (K_rp * ey + K_rd * (wdy - wy) + K_ri * iy),
+           jz * (K_rp * ez + K_rd * (wdz - wz) + K_ri * iz))
     return Wrench((m * ux, m * uy, m * uz), tau), (ix, iy, iz)
 
 

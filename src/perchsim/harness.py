@@ -309,7 +309,7 @@ def run_scenario(cfg):
                        *est_rej.delta_hat, lam_c, contact.lambda_true,
                        math.sqrt(ex * ex + ey * ey + ez * ez),
                        math.sqrt(dx * dx + dy * dy + dz * dz),
-                       1.0 if any(cmd.saturated) else 0.0)
+                       1.0 if cmd.saturated else 0.0)
         modes.append(mode_name)
         gaps[k] = contact.gap
 

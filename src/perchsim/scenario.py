@@ -150,7 +150,7 @@ class ScenarioConfig:
             # horizontal and a hover attitude not antipodal to the perch one.
             rotors = RotorGeometry.x_config(self.arm_length, self.k_tau)
             params = VehicleParams(
-                m=self.mass, Jb=np.diag(self.inertia_diag), g=self.gravity,
+                m=self.mass, J=self.inertia_diag, g=self.gravity,
                 rotors=rotors, T_max=self.thrust_max,
                 tau_rotor=self.rotor_tau, tilt_rate_max=self.tilt_rate_max,
                 t_ps=self.perch_servo_time)

@@ -9,8 +9,6 @@ magnet capacity.
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .allocation import RotorGeometry, Wrench
 from .geometry import EYE, ZERO3, exp_so3, floats, mat_mul, mat_vec, \
     renormalize
@@ -25,8 +23,10 @@ class NumericalDivergenceError(RuntimeError):
 
 @dataclass
 class VehicleParams:
+    """Mass properties and actuator limits.  The body axes are principal
+    axes: the inertia is diag(J) and its inverse diag(J_inv), J_inv = 1 / J."""
     m: float                         # kg
-    Jb: tuple                        # kg m^2, row-major 9-tuple
+    J: tuple                         # kg m^2, principal moments (jx, jy, jz)
     g: float                         # m/s^2
     rotors: RotorGeometry
     T_max: float                     # N per rotor
@@ -35,9 +35,8 @@ class VehicleParams:
     t_ps: float                      # s, perch-servo full travel time
 
     def __post_init__(self):
-        J = np.reshape(np.asarray(self.Jb, dtype=float), (3, 3))
-        self.Jb = tuple(J.ravel().tolist())
-        self.Jb_inv = tuple(np.linalg.inv(J).ravel().tolist())
+        jx, jy, jz = self.J = floats(self.J)
+        self.J_inv = (1.0 / jx, 1.0 / jy, 1.0 / jz)
 
 
 @dataclass
@@ -155,8 +154,8 @@ def update_contact(state, act, applied_world_force, contact, wall, params):
 def forward_wrench(thrust, tilt, geometry):
     """Exact body wrench produced by the given thrusts and tilt angles."""
     w0 = w1 = w2 = w3 = w4 = w5 = 0.0
-    for T, nu, (a0, a1, a2, a3, a4, a5), (b0, b1, b2, b3, b4, b5) in zip(
-            thrust, tilt, geometry.columns[0], geometry.columns[1]):
+    for T, nu, ((a0, a1, a2, a3, a4, a5), (b0, b1, b2, b3, b4, b5)) in zip(
+            thrust, tilt, geometry.columns):
         u, l = T * math.cos(nu), T * math.sin(nu)
         w0 += a0 * u + b0 * l
         w1 += a1 * u + b1 * l
@@ -177,8 +176,7 @@ def integrate(state, wrench, dist, contact, params, dt):
     (fx, fy, fz), (tx, ty, tz) = wrench.f, wrench.tau
     (nx, ny, nz), (dx, dy, dz) = contact.nearfield_force, dist.delta_f
     (ex, ey, ez), m, g = dist.delta_r, params.m, params.g
-    j00, j01, j02, j10, j11, j12, j20, j21, j22 = params.Jb
-    i00, i01, i02, i10, i11, i12, i20, i21, i22 = params.Jb_inv
+    (jx, jy, jz), (ix, iy, iz) = params.J, params.J_inv
     R, (v1x, v1y, v1z), (w1x, w1y, w1z) = state.R, state.v, state.omega
     # Stage i is (R_i, v_i, w_i) with rates (a_i, b_i); no stage reads
     # position.  The sums s* of weight * (v, a, w, b) start at -0.0, which
@@ -190,18 +188,14 @@ def integrate(state, wrench, dist, contact, params, dt):
     h = 0.5 * dt
     for weight, c in ((1.0, h), (2.0, h), (2.0, dt), (1.0, None)):
         r00, r01, r02, r10, r11, r12, r20, r21, r22 = r
-        jx = j00 * wx + j01 * wy + j02 * wz
-        jy = j10 * wx + j11 * wy + j12 * wz
-        jz = j20 * wx + j21 * wy + j22 * wz
-        ux = jy * wz - jz * wy + tx
-        uy = jz * wx - jx * wz + ty
-        uz = jx * wy - jy * wx + tz
+        lx, ly, lz = jx * wx, jy * wy, jz * wz      # body angular momentum
+        ux = ly * wz - lz * wy + tx
+        uy = lz * wx - lx * wz + ty
+        uz = lx * wy - ly * wx + tz
         ax = (r00 * fx + r01 * fy + r02 * fz + nx + dx) / m
         ay = (r10 * fx + r11 * fy + r12 * fz + ny + dy) / m
         az = (r20 * fx + r21 * fy + r22 * fz + nz + dz) / m - g
-        bx = i00 * ux + i01 * uy + i02 * uz + ex
-        by = i10 * ux + i11 * uy + i12 * uz + ey
-        bz = i20 * ux + i21 * uy + i22 * uz + ez
+        bx, by, bz = ix * ux + ex, iy * uy + ey, iz * uz + ez
         svx, svy, svz = svx + weight * vx, svy + weight * vy, svz + weight * vz
         sax, say, saz = sax + weight * ax, say + weight * ay, saz + weight * az
         swx, swy, swz = swx + weight * wx, swy + weight * wy, swz + weight * wz

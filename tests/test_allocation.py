@@ -47,7 +47,7 @@ def test_zero_position_rejected():
 def test_allocate_zero_wrench():
     cmd = allocate(Wrench.zero(), GEOM, 8.0)
     assert np.allclose(cmd.thrust, 0.0, atol=1e-12)
-    assert not any(cmd.saturated)
+    assert not cmd.saturated
 
 
 def test_allocate_hover():
@@ -55,7 +55,7 @@ def test_allocate_hover():
     assert np.allclose(cmd.thrust, MG / 4.0, atol=1e-9)
     assert np.allclose(cmd.thrust, 4.05, atol=0.01)
     assert np.allclose(cmd.tilt, 0.0, atol=1e-9)
-    assert not any(cmd.saturated)
+    assert not cmd.saturated
 
 
 def test_allocate_lateral_force_feasible():
@@ -64,7 +64,7 @@ def test_allocate_lateral_force_feasible():
     back = forward_wrench(cmd.thrust, cmd.tilt, GEOM)
     assert np.linalg.norm(vec(back) - vec(w)) < 1e-9
     assert max(cmd.thrust) < 8.0
-    assert not any(cmd.saturated)
+    assert not cmd.saturated
 
 
 def test_forward_wrench_zero():
@@ -92,7 +92,7 @@ def test_roundtrip_random_wrenches():
     for _ in range(1000):
         w = _random_wrench(rng)
         cmd = allocate(w, GEOM, 50.0)
-        assert not any(cmd.saturated)
+        assert not cmd.saturated
         back = forward_wrench(cmd.thrust, cmd.tilt, GEOM)
         worst = max(worst, np.max(np.abs(vec(back) - vec(w))))
     assert worst < 1e-9
@@ -117,8 +117,8 @@ def test_min_norm_against_kkt_oracle():
 def test_saturation_clamp_and_flag():
     cmd = allocate(Wrench(np.array([0.0, 0.0, 100.0]), np.zeros(3)),
                    GEOM, 8.0)
-    assert np.all(np.array(cmd.thrust) <= 8.0)
-    assert all(cmd.saturated)
+    assert cmd.thrust == (8.0,) * 4            # every rotor clamped
+    assert cmd.saturated
 
 
 def test_near_zero_thrust_holds_previous_tilt():
@@ -137,11 +137,13 @@ def test_allocate_matches_per_rotor_loop():
             cmd = allocate(w, GEOM, 8.0, prev_tilt=prev)
             f0, f1, f2, t0, t1, t2 = vec(w).tolist()
             x = [a * f0 + b * f1 + c * f2 + d * t0 + e * t1 + g * t2
-                 for a, b, c, d, e, g in GEOM.A_pinv]
+                 for a, b, c, d, e, g in np.linalg.pinv(GEOM.A).tolist()]
+            saturated = False
             for i in range(4):
                 thrust = math.hypot(x[i], x[4 + i])
                 tilt = prev[i] if thrust < THRUST_EPS \
                     else math.atan2(x[4 + i], x[i])
                 assert cmd.tilt[i] == tilt
                 assert cmd.thrust[i] == min(thrust, 8.0)
-                assert cmd.saturated[i] == (thrust > 8.0)
+                saturated = saturated or thrust > 8.0
+            assert cmd.saturated == saturated

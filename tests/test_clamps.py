@@ -100,15 +100,16 @@ def test_allocate_thrust_clamp_and_flags(data):
     w = Wrench(tuple(value(data) for _ in range(3)),
                tuple(value(data) for _ in range(3)))
     # The unclamped thrusts are the hypotenuses of the min-norm solution.
-    x = [a * w.f[0] + b * w.f[1] + c * w.f[2] + d * w.tau[0] + e * w.tau[1]
-         + g * w.tau[2] for a, b, c, d, e, g in rotors.A_pinv]
-    raw = [math.hypot(xv, xl) for xv, xl in zip(x[:4], x[4:])]
+    (f0, f1, f2), (t0, t1, t2) = w.f, w.tau
+    raw = [math.hypot(*[a * f0 + b * f1 + c * f2 + d * t0 + e * t1 + g * t2
+                        for a, b, c, d, e, g in rows])
+           for rows in rotors.pinv_rows]
     T_max = value(data, *raw)
 
     cmd = allocate(w, rotors, T_max, (0.0,) * 4)
 
     assert bits(cmd.thrust) == bits([min(T, T_max) for T in raw])
-    assert cmd.saturated == tuple([T > T_max for T in raw])
+    assert cmd.saturated is any([T > T_max for T in raw])
 
 
 def _acos_argument(R):

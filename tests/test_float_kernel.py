@@ -3,21 +3,23 @@
 Each stage of the 1 kHz loop runs on float tuples.  Every test here restates
 a stage's formula with numpy arrays, as the stage was written before it moved
 to floats, and requires agreement to 1e-12, on inputs that also reach the
-branches the default mission never takes.  The last test keeps `sum()` out
+branches the default mission never takes.  The last tests keep `sum()` out
 of the tick, so its output does not depend on the interpreter's summation,
-and keeps the tick's clamps in their comparison form.
+keep the tick's clamps in their comparison form, and keep comprehensions
+(a function frame each) out of the stages that run every tick.
 """
 
 import ast
 import inspect
 import math
+import textwrap
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from perchsim import allocation, control, estimation, geometry, harness, \
-    planner, vehicle
+    planner, supervisor, vehicle
 from perchsim.allocation import ActuatorCommand, Wrench
 from perchsim.control import Setpoint
 from perchsim.scenario import ScenarioConfig
@@ -26,8 +28,8 @@ from so3 import flat, mat, right_jacobian_inv, rot_x, rot_z
 
 TOL = 1e-12
 DEFAULT_PARAMS, DEFAULT_WALL = ScenarioConfig().build()
-PARAMS = replace(DEFAULT_PARAMS, Jb=[[9e-3, 4e-4, -3e-4], [4e-4, 8e-3, 2e-4],
-                                     [-3e-4, 2e-4, 1.4e-2]])
+# Three distinct principal moments, so the gyroscopic terms do not cancel.
+PARAMS = replace(DEFAULT_PARAMS, J=(9e-3, 8e-3, 1.4e-2))
 WALL = replace(DEFAULT_WALL, point=(1.0, 0.2, 1.2), normal=(-0.8, 0.5, 0.2))
 B3 = np.array([0.0, 0.0, 1.0])
 
@@ -202,8 +204,8 @@ def test_controllers_match_numpy():
                            + cfg.k_td * e_v + np.array(sp.a)))
     e_w = R.T @ Rd @ sp.omega - np.array(state.omega)
     acc_ref = np.clip(np.add(integ, np.multiply(e_R, 0.01)), -0.05, 0.05)
-    tau = mat(PARAMS.Jb) @ (cfg.k_rp * np.array(e_R) + cfg.k_rd * e_w
-                            + cfg.k_ri * acc_ref)
+    tau = np.diag(PARAMS.J) @ (cfg.k_rp * np.array(e_R) + cfg.k_rd * e_w
+                               + cfg.k_ri * acc_ref)
     assert acc_ref[1] == -0.05          # one component clamps
     assert close(w.f, f) and close(w.tau, tau) and close(acc, acc_ref)
 
@@ -229,12 +231,12 @@ def _idle_and_saturated_wrench(geom):
 
 def test_allocation_matches_numpy():
     geom = DEFAULT_PARAMS.rotors
-    A, A_pinv = geom.A, np.array(geom.A_pinv)
+    A = geom.A
     prev = (0.3, -0.2, 0.1, 0.05)
     w = _idle_and_saturated_wrench(geom)
     cmd = allocation.allocate(w, geom, 8.0, prev)
 
-    x = A_pinv @ np.concatenate([w.f, w.tau])
+    x = np.linalg.pinv(A) @ np.concatenate([w.f, w.tau])
     thrust = np.hypot(x[:4], x[4:])
     tilt = np.arctan2(x[4:], x[:4])
     idle = thrust < allocation.THRUST_EPS
@@ -243,7 +245,7 @@ def test_allocation_matches_numpy():
     thrust[saturated] = 8.0
     assert idle[0] and saturated.any() and not saturated.all()
     assert close(cmd.thrust, thrust) and close(cmd.tilt, tilt)
-    assert cmd.saturated == tuple(saturated)
+    assert cmd.saturated is bool(saturated.any())
 
     back = vehicle.forward_wrench(cmd.thrust, cmd.tilt, geom)
     ref = A @ np.concatenate([thrust * np.cos(tilt), thrust * np.sin(tilt)])
@@ -427,3 +429,97 @@ def test_tick_modules_sum_left_to_right(module):
                     calls.append(f"{outer}({inner}(..)) line {node.lineno}")
     assert not calls, \
         f"sum()/fsum() or a min/max clamp in {module.__name__}: {calls}"
+
+
+# The stages run_scenario calls on every tick, with the transition functions
+# it picks per variant; the guard below also reads everything they call.
+EVERY_TICK = (harness.MissionPlanner.sample, supervisor.transition,
+              supervisor.transition_two_mode, estimation.freeze,
+              estimation.update, estimation.contact_normal_force,
+              geometry.rotation_error, control.perch_wrench,
+              control.nominal_wrench, control.rejection_force,
+              allocation.allocate, vehicle.step_actuators,
+              vehicle.forward_wrench, geometry.mat_vec,
+              vehicle.update_contact, geometry.pitch_of, geometry.quat_of,
+              vehicle.integrate)
+# The loop's other calls run at mode, contact and disturbance-pulse edges.
+ON_EDGES = (harness.MissionPlanner.start_approach,
+            harness.MissionPlanner.start_departure, harness._disturbance_at,
+            estimation.EstimatorState.fresh, vehicle.VehicleState.at_rest)
+# Their comprehensions sit only in branches that run rarely: log_so3's near
+# pi, quat_of's for a rotation with a negative quaternion scalar part.
+RARE_BRANCHES = (geometry.log_so3, geometry.quat_of)
+COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def _methods():
+    """Method name -> the methods of that name in the tick's modules."""
+    found = {}
+    for module in TICK_MODULES + (supervisor,):
+        for cls in vars(module).values():
+            if inspect.isclass(cls) and cls.__module__ == module.__name__:
+                for name, attr in vars(cls).items():
+                    fn = getattr(attr, "__func__", attr)   # staticmethod
+                    if inspect.isfunction(fn):
+                        found.setdefault(name, []).append(fn)
+    return found
+
+
+METHODS = _methods()
+
+
+def _source_tree(fn):
+    return ast.parse(textwrap.dedent(inspect.getsource(fn)))
+
+
+def _callees(tree, namespace):
+    """The perchsim functions called in `tree`: by name or dotted path
+    through `namespace`, or, for a call on an object, every tick-module
+    method of that name."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        f, path = node.func, []
+        while isinstance(f, ast.Attribute):
+            path.insert(0, f.attr)
+            f = f.value
+        target = namespace.get(f.id) if isinstance(f, ast.Name) else None
+        for attr in path:
+            target = getattr(target, attr, None)
+        if target is None and path:
+            found += METHODS.get(path[-1], [])
+        elif inspect.isfunction(target) \
+                and target.__module__.startswith("perchsim"):
+            found.append(target)
+    return found
+
+
+def _reached(roots):
+    seen, todo = [], list(roots)
+    while todo:
+        fn = todo.pop()
+        if fn not in seen:
+            seen.append(fn)
+            todo += _callees(_source_tree(fn), fn.__globals__)
+    return seen
+
+
+def test_every_tick_stage_list_is_complete():
+    loop = next(node for node in ast.walk(_source_tree(harness.run_scenario))
+                if isinstance(node, ast.For) and _calls(node.iter, "range"))
+    known = _reached(EVERY_TICK) + list(ON_EDGES)
+    missing = [fn.__qualname__ for fn in _callees(loop, vars(harness))
+               if fn not in known]
+    assert not missing, f"list {missing} in EVERY_TICK or ON_EDGES"
+
+
+def test_every_tick_stages_build_no_comprehension():
+    # A comprehension runs in a function frame of its own on Python 3.11,
+    # so a stage that runs every tick writes its loop out instead.
+    found = [f"{fn.__qualname__} line "
+             f"{fn.__code__.co_firstlineno + node.lineno - 1}"
+             for fn in _reached(EVERY_TICK) if fn not in RARE_BRANCHES
+             for node in ast.walk(_source_tree(fn))
+             if isinstance(node, COMPREHENSIONS)]
+    assert not found, f"comprehension in an every-tick stage: {found}"

@@ -2,13 +2,16 @@
 
 `integrate` runs one copy of the rate equations in a loop over the RK4 stage
 table, `RotationSegment.eval` works on tuples and the harness draws its
-measurement noise in blocks.  `update_contact` reports its own edges and
+measurement noise in blocks.  The inertia is three principal moments, not a
+3x3 matrix, and `allocate` solves each rotor from its own pair of rows.  `update_contact` reports its own edges and
 keeps no anchor pose, one `EstimatorState.fresh` restarts both estimators,
 and `perch_wrench` has no rho = 0 branch.  `min_accel_rotation` ends every
 segment at rest instead of taking an end rate, and `transition_two_mode`
 tests the perch signal once.  Each test keeps the form it replaced as its
 oracle and requires the same floats, bit for bit, or the same exception, for
 +-0.0, subnormals, large rates, NaN and +-inf as well as ordinary values.
+The principal-moment forms drop terms 0.0 * w, which can only flip the sign
+of an exact zero, so there a zero of either sign matches.
 """
 
 import itertools
@@ -23,17 +26,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from perchsim import estimation
-from perchsim.allocation import Wrench, allocate
-from perchsim.control import perch_wrench
+from perchsim.allocation import THRUST_EPS, RotorGeometry, Wrench, allocate
+from perchsim.control import Setpoint, nominal_wrench, perch_wrench
 from perchsim.geometry import EYE, ZERO3, exp_so3, floats, log_so3, \
-    mat_mul, mat_t_mul, renormalize, right_jacobian, rot_y
+    mat_mul, mat_t_mul, mat_t_vec, mat_vec, renormalize, right_jacobian, \
+    rot_y
 from perchsim.harness import _noise
 from perchsim.planner import RotationSegment, min_accel_rotation
 from perchsim.scenario import ScenarioConfig
 from perchsim.supervisor import Mode, SupervisorState, transition_two_mode
 from perchsim.vehicle import ETA_ENGAGED, ETA_OPEN, ContactState, \
-    Disturbances, NumericalDivergenceError, VehicleState, WallModel, \
-    integrate, update_contact
+    Disturbances, NumericalDivergenceError, VehicleParams, VehicleState, \
+    WallModel, integrate, update_contact
 from so3 import right_jacobian_inv
 
 TAME = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, 1.0,
@@ -82,23 +86,18 @@ def derivative(wrench, nearfield_force, dist, params):
     (fx, fy, fz), (tx, ty, tz) = wrench.f, wrench.tau
     (nx, ny, nz), (dx, dy, dz) = nearfield_force, dist.delta_f
     (ex, ey, ez), m, g = dist.delta_r, params.m, params.g
-    j00, j01, j02, j10, j11, j12, j20, j21, j22 = params.Jb
-    i00, i01, i02, i10, i11, i12, i20, i21, i22 = params.Jb_inv
+    (jx, jy, jz), (ix, iy, iz) = params.J, params.J_inv
 
     def rates(R, wx, wy, wz):
         r00, r01, r02, r10, r11, r12, r20, r21, r22 = R
-        jx = j00 * wx + j01 * wy + j02 * wz
-        jy = j10 * wx + j11 * wy + j12 * wz
-        jz = j20 * wx + j21 * wy + j22 * wz
-        ux = jy * wz - jz * wy + tx
-        uy = jz * wx - jx * wz + ty
-        uz = jx * wy - jy * wx + tz
+        lx, ly, lz = jx * wx, jy * wy, jz * wz
+        ux = ly * wz - lz * wy + tx
+        uy = lz * wx - lx * wz + ty
+        uz = lx * wy - ly * wx + tz
         return ((r00 * fx + r01 * fy + r02 * fz + nx + dx) / m,
                 (r10 * fx + r11 * fy + r12 * fz + ny + dy) / m,
                 (r20 * fx + r21 * fy + r22 * fz + nz + dz) / m - g,
-                i00 * ux + i01 * uy + i02 * uz + ex,
-                i10 * ux + i11 * uy + i12 * uz + ey,
-                i20 * ux + i21 * uy + i22 * uz + ez)
+                ix * ux + ex, iy * uy + ey, iz * uz + ez)
     return rates
 
 
@@ -163,8 +162,8 @@ def test_integrate_matches_unrolled_rk4(data):
     contact = ContactState(nearfield_force=numbers(data, wild, 3))
     params = SimpleNamespace(
         m=number(data, wild, 0.05, 5.0), g=number(data, wild, 0.0, 20.0),
-        Jb=numbers(data, wild, 9, -1.0, 1.0),
-        Jb_inv=numbers(data, wild, 9, -1e3, 1e3))
+        J=numbers(data, wild, 3, -1.0, 1.0),
+        J_inv=numbers(data, wild, 3, -1e3, 1e3))
     # A step of order 1 keeps a last-bit change in a rate out of the
     # rounding of x + s * sum.
     dt = number(data, wild, 0.0, 2.0) if data.draw(st.booleans()) \
@@ -178,13 +177,11 @@ def _case(kind):
         # Every stage's v and a is -0.0, so are their sums; a 0.0 seed
         # would make them +0.0 and flip the sign of p and v.
         z, m = (-0.0,) * 3, SimpleNamespace(
-            m=1.0, g=0.0, Jb=(0.0,) * 9, Jb_inv=(0.0,) * 9)
+            m=1.0, g=0.0, J=(0.0,) * 3, J_inv=(0.0,) * 3)
         return (VehicleState(z, z, EYE, z), Wrench(z, z), Disturbances(z, z),
                 ContactState(nearfield_force=z), m, 0.001)
-    params = SimpleNamespace(m=1.2, g=9.81, Jb=(0.01, 0.0, 0.0, 0.0, 0.012,
-                                                0.0, 0.0, 0.0, 0.02),
-                             Jb_inv=(100.0, 0.0, 0.0, 0.0, 1 / 0.012, 0.0,
-                                     0.0, 0.0, 50.0))
+    params = SimpleNamespace(m=1.2, g=9.81, J=(0.01, 0.012, 0.02),
+                             J_inv=(100.0, 1 / 0.012, 50.0))
     tau = (math.nan, 0.0, 0.0) if kind == "nan-torque" else (0.01, -0.02,
                                                              0.005)
     return (VehicleState((0.1, -0.2, 1.3), (0.4, -0.1, 0.2),
@@ -208,6 +205,213 @@ def test_integrate_oracle_fixed_cases(kind):
         assert isinstance(new, list)
     if kind == "signed-zeros":
         assert new[:6] == bits((-0.0,) * 6)
+
+
+def integrate_full_inertia(state, wrench, dist, contact, params, dt):
+    """The previous integrate, which took the inertia and its inverse as
+    row-major 9-tuples `Jb` and `Jb_inv`."""
+    if contact.attached:
+        return state
+    (fx, fy, fz), (tx, ty, tz) = wrench.f, wrench.tau
+    (nx, ny, nz), (dx, dy, dz) = contact.nearfield_force, dist.delta_f
+    (ex, ey, ez), m, g = dist.delta_r, params.m, params.g
+    j00, j01, j02, j10, j11, j12, j20, j21, j22 = params.Jb
+    i00, i01, i02, i10, i11, i12, i20, i21, i22 = params.Jb_inv
+    R, (v1x, v1y, v1z), (w1x, w1y, w1z) = state.R, state.v, state.omega
+    r, vx, vy, vz, wx, wy, wz = R, v1x, v1y, v1z, w1x, w1y, w1z
+    svx = svy = svz = sax = say = saz = -0.0
+    swx = swy = swz = sbx = sby = sbz = -0.0
+    h = 0.5 * dt
+    for weight, c in ((1.0, h), (2.0, h), (2.0, dt), (1.0, None)):
+        r00, r01, r02, r10, r11, r12, r20, r21, r22 = r
+        jx = j00 * wx + j01 * wy + j02 * wz
+        jy = j10 * wx + j11 * wy + j12 * wz
+        jz = j20 * wx + j21 * wy + j22 * wz
+        ux = jy * wz - jz * wy + tx
+        uy = jz * wx - jx * wz + ty
+        uz = jx * wy - jy * wx + tz
+        ax = (r00 * fx + r01 * fy + r02 * fz + nx + dx) / m
+        ay = (r10 * fx + r11 * fy + r12 * fz + ny + dy) / m
+        az = (r20 * fx + r21 * fy + r22 * fz + nz + dz) / m - g
+        bx = i00 * ux + i01 * uy + i02 * uz + ex
+        by = i10 * ux + i11 * uy + i12 * uz + ey
+        bz = i20 * ux + i21 * uy + i22 * uz + ez
+        svx, svy, svz = svx + weight * vx, svy + weight * vy, svz + weight * vz
+        sax, say, saz = sax + weight * ax, say + weight * ay, saz + weight * az
+        swx, swy, swz = swx + weight * wx, swy + weight * wy, swz + weight * wz
+        sbx, sby, sbz = sbx + weight * bx, sby + weight * by, sbz + weight * bz
+        if c is None:
+            break
+        r = mat_mul(R, exp_so3(c * wx, c * wy, c * wz))
+        vx, vy, vz = v1x + c * ax, v1y + c * ay, v1z + c * az
+        wx, wy, wz = w1x + c * bx, w1y + c * by, w1z + c * bz
+
+    s, (px, py, pz) = dt / 6.0, state.p
+    p_new = (px + s * svx, py + s * svy, pz + s * svz)
+    v_new = (v1x + s * sax, v1y + s * say, v1z + s * saz)
+    R_new = renormalize(mat_mul(R, exp_so3(s * swx, s * swy, s * swz)))
+    w_new = (w1x + s * sbx, w1y + s * sby, w1z + s * sbz)
+
+    if not all(map(math.isfinite, p_new + v_new + R_new + w_new)):
+        raise NumericalDivergenceError(
+            "non-finite state after integration step")
+    return VehicleState(p_new, v_new, R_new, w_new)
+
+
+def nominal_wrench_full_inertia(state, sp, e_R, cfg, integ, params, dt):
+    """The previous nominal_wrench, whose torque was Jb times the
+    commanded angular acceleration."""
+    K_tp, K_td, g, m = cfg.k_tp, cfg.k_td, params.g, params.m
+    (px, py, pz), (vx, vy, vz) = state.p, state.v
+    (dpx, dpy, dpz), (dvx, dvy, dvz), (ax, ay, az) = sp.p, sp.v, sp.a
+    ux, uy, uz = mat_t_vec(state.R, (
+        K_tp * (dpx - px) + K_td * (dvx - vx) + ax,
+        K_tp * (dpy - py) + K_td * (dvy - vy) + ay,
+        g + K_tp * (dpz - pz) + K_td * (dvz - vz) + az))
+    (ex, ey, ez), (ix, iy, iz), (wx, wy, wz) = e_R, integ, state.omega
+    wdx, wdy, wdz = mat_t_vec(state.R, mat_vec(sp.R, sp.omega))
+    lo, hi = -cfg.integral_clamp, cfg.integral_clamp
+    ix, iy, iz = ix + ex * dt, iy + ey * dt, iz + ez * dt
+    ix, iy, iz = (lo if lo > ix else ix, lo if lo > iy else iy,
+                  lo if lo > iz else iz)
+    ix, iy, iz = (hi if hi < ix else ix, hi if hi < iy else iy,
+                  hi if hi < iz else iz)
+    K_rp, K_rd, K_ri = cfg.k_rp, cfg.k_rd, cfg.k_ri
+    tau = mat_vec(params.Jb, (K_rp * ex + K_rd * (wdx - wx) + K_ri * ix,
+                              K_rp * ey + K_rd * (wdy - wy) + K_ri * iy,
+                              K_rp * ez + K_rd * (wdz - wz) + K_ri * iz))
+    return Wrench((m * ux, m * uy, m * uz), tau), (ix, iy, iz)
+
+
+ZERO_BITS = bits((0.0, -0.0))
+
+
+def zero_blind(result):
+    """An outcome with each exact zero's bits read as +0.0's."""
+    if isinstance(result, tuple):                # an exception
+        return result
+    return [ZERO_BITS[0] if b in ZERO_BITS else b for b in result]
+
+
+def principal_params(data):
+    """Both inertia forms of one body: moments J with reciprocals J_inv, and
+    the previous 9-tuples of np.diag(J) and its numpy inverse."""
+    J = tuple(data.draw(st.one_of(st.sampled_from((0.008, 0.014, 1.0)),
+                                  st.floats(1e-4, 10.0))) for _ in range(3))
+    return SimpleNamespace(
+        m=number(data, False, 0.05, 5.0), g=number(data, False, 0.0, 20.0),
+        J=J, J_inv=(1.0 / J[0], 1.0 / J[1], 1.0 / J[2]),
+        Jb=tuple(np.diag(J).ravel().tolist()),
+        Jb_inv=tuple(np.linalg.inv(np.diag(J)).ravel().tolist()))
+
+
+@settings(max_examples=150)
+@given(st.data())
+def test_principal_integrate_matches_full_inertia(data):
+    # Finite inputs whose intermediates stay finite: an inf rate would make
+    # the dropped 0.0 * w terms NaN in the full form only.
+    rate = 1e4 if data.draw(st.booleans()) else 50.0
+    origin = data.draw(st.booleans())
+    state = VehicleState(*((ZERO3, ZERO3) if origin else
+                           (numbers(data, False, 3), numbers(data, False, 3))),
+                         numbers(data, False, 9, -1.0, 1.0),
+                         numbers(data, False, 3, -rate, rate))
+    wrench = Wrench(numbers(data, False, 3), numbers(data, False, 3))
+    dist = Disturbances(numbers(data, False, 3), numbers(data, False, 3))
+    contact = ContactState(nearfield_force=numbers(data, False, 3))
+    dt = number(data, False, 0.0, 2.0) if data.draw(st.booleans()) \
+        else data.draw(st.sampled_from([0.001, 0.004, 1e-6, 0.01]))
+    args = (state, wrench, dist, contact, principal_params(data), dt)
+    assert zero_blind(outcome(integrate, *args)) \
+        == zero_blind(outcome(integrate_full_inertia, *args))
+
+
+def wrench_and_integral(fn):
+    """`fn`, a nominal_wrench, with its outputs as float tuples."""
+    def run(*args):
+        w, integ = fn(*args)
+        return w.f, w.tau, integ
+    return run
+
+
+@settings(max_examples=100)
+@given(st.data())
+def test_principal_torque_matches_full_inertia(data):
+    rate = 1e4 if data.draw(st.booleans()) else 50.0
+    state = VehicleState(numbers(data, False, 3), numbers(data, False, 3),
+                         numbers(data, False, 9, -1.0, 1.0),
+                         numbers(data, False, 3, -rate, rate))
+    sp = Setpoint(*(numbers(data, False, 3) for _ in range(3)),
+                  numbers(data, False, 9, -1.0, 1.0),
+                  numbers(data, False, 3, -rate, rate))
+    e_R, integ = numbers(data, False, 3, -4.0, 4.0), numbers(data, False, 3)
+    cfg = SimpleNamespace(**{k: number(data, False, 0.0, 100.0) for k in (
+        "k_tp", "k_td", "k_rp", "k_rd", "k_ri")},
+        integral_clamp=number(data, False, 0.0, 2.0))
+    args = (state, sp, e_R, cfg, integ, principal_params(data),
+            number(data, False, 0.0, 0.1))
+    assert zero_blind(outcome(wrench_and_integral(nominal_wrench), *args)) \
+        == zero_blind(outcome(
+            wrench_and_integral(nominal_wrench_full_inertia), *args))
+
+
+# Moments from J_MIN up have finite reciprocals.  Below about 5.56e-309,
+# 1.0 / j is inf and numpy's inverse holds NaN besides (its triangular solve
+# forms 0 * inf), so either form ends the first free step of a run in a
+# numerical abort.
+J_MIN = 5.6e-309
+
+
+def test_reciprocal_moments_are_the_numpy_inverse():
+    rng = np.random.default_rng(15)
+    J = np.exp(rng.uniform(math.log(J_MIN), math.log(1.7e308), (30_000, 3)))
+    J[:4] = [(J_MIN, 1e-308, 2.2250738585072014e-308), (1e-300, 1.0, 3.0),
+             (0.008, 0.008, 0.014), (1e300, 1.7976931348623157e308, 0.1)]
+    inverse = np.linalg.inv(J[:, :, None] * np.eye(3))
+    want = np.diagonal(inverse, axis1=1, axis2=2).tolist()
+    params = [VehicleParams(1.0, j, 9.81, None, 1.0, 1.0, 1.0, 1.0)
+              for j in J.tolist()]
+    assert [bits(p.J) for p in params] == [bits(j) for j in J.tolist()]
+    assert [bits(p.J_inv) for p in params] == [bits(row) for row in want]
+
+
+def allocate_comprehension(w, geometry, T_max, prev_tilt):
+    """The previous allocate: all 2n rows of the pseudo-inverse in one list
+    comprehension, sliced into vertical and lateral halves, and one
+    saturation flag per rotor."""
+    n = geometry.n_rotors
+    (f0, f1, f2), (t0, t1, t2) = w.f, w.tau
+    x = [a * f0 + b * f1 + c * f2 + d * t0 + e * t1 + g * t2
+         for a, b, c, d, e, g in np.linalg.pinv(geometry.A).tolist()]
+    thrust, tilt, saturated = [], [], []
+    for xv, xl, prev in zip(x[:n], x[n:], prev_tilt):
+        T = math.hypot(xv, xl)
+        thrust.append(T_max if T_max < T else T)
+        saturated.append(T > T_max)
+        tilt.append(prev if T < THRUST_EPS else math.atan2(xl, xv))
+    return tuple(thrust), tuple(tilt), tuple(saturated)
+
+
+GEOMETRIES = [RotorGeometry.x_config(0.12, 0.016),
+              RotorGeometry.x_config(0.5, 0.0),
+              RotorGeometry([[0.2, 0.1, 0.0], [-0.1, 0.3, 0.05],
+                             [-0.25, -0.2, 0.0], [0.15, -0.3, -0.05]],
+                            [1.0, -1.0, 1.0, -1.0], 0.02)]
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_per_rotor_rows_match_comprehension(data):
+    wild = data.draw(st.booleans())
+    geometry = data.draw(st.sampled_from(GEOMETRIES))
+    w = Wrench(numbers(data, wild, 3), numbers(data, wild, 3))
+    T_max = data.draw(st.one_of(st.sampled_from(
+        (0.0, 5e-324, 1e-7, 8.0, math.inf, math.nan)), st.floats(0.0, 60.0)))
+    prev = numbers(data, wild, 4, -1.0, 1.0)
+    cmd = allocate(w, geometry, T_max, prev)
+    thrust, tilt, saturated = allocate_comprehension(w, geometry, T_max, prev)
+    assert bits(cmd.thrust + cmd.tilt) == bits(thrust + tilt)
+    assert cmd.saturated is any(saturated)
 
 
 def eval_lists(seg, t):

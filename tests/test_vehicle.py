@@ -173,7 +173,7 @@ def test_integrate_free_fall_closed_form():
 
 
 def test_integrate_principal_axis_rotation():
-    params = replace(PARAMS, Jb=0.01 * np.eye(3))
+    params = replace(PARAMS, J=(0.01, 0.01, 0.01))
     state = VehicleState.at_rest([0.0, 0.0, 10.0])
     state.omega = np.array([0.0, 0.0, 1.0])
     act = ActuatorState.at_rest()
@@ -187,11 +187,10 @@ def test_integrate_principal_axis_rotation():
 
 
 def test_integrate_matches_numpy_rk4():
-    # Non-diagonal inertia, near-field pull and disturbances all active.
-    J = np.array([[9e-3, 4e-4, -3e-4],
-                  [4e-4, 8e-3, 2e-4],
-                  [-3e-4, 2e-4, 1.4e-2]])
-    params = replace(PARAMS, Jb=J)
+    # Three distinct moments (gyroscopic coupling), near-field pull and
+    # disturbances all active.
+    J = np.diag([9e-3, 8e-3, 1.4e-2])
+    params = replace(PARAMS, J=np.diag(J))
     state = VehicleState(np.array([0.1, -0.2, 1.3]),
                          np.array([0.4, -0.1, 0.2]),
                          flat(rot_z(0.4) @ mat(rot_y(-0.3)) @ rot_x(0.2)),
