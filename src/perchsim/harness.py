@@ -16,10 +16,10 @@ import numpy as np
 
 from . import estimation
 from .allocation import Wrench, allocate
-from .control import Setpoint, nominal_wrench, perch_wrench, rejection_force
+from .control import nominal_wrench, perch_wrench, rejection_force
 from .geometry import ZERO3, mat_t_vec, mat_vec, pitch_of, quat_of, \
     rotation_error
-from .planner import Plan, connect, hover_setpoint, perch_setpoints
+from .planner import MissionPlanner
 from .scenario import ScenarioConfig
 from .supervisor import VARIANTS, Mode, SupervisorState, transition, \
     transition_two_mode
@@ -95,46 +95,6 @@ class SimResult:
         if fh is None:
             return "".join(lines)
         fh.writelines(lines)
-
-
-class MissionPlanner:
-    """Owns the active plan; rebuilds it on supervisor edges.  Segments last
-    the scenario's hold_time, t_approach (1->2) and t_contact (2->3)."""
-
-    def __init__(self, cfg, wall):
-        self.cfg = cfg
-        self.t0 = 0.0
-        if cfg.mission == "hover":
-            sp = hover_setpoint(cfg)
-            self.setpoints = [sp, sp, sp]
-            self.plan = Plan([connect(sp, sp, 1.0)])
-            return
-        self.setpoints = perch_setpoints(wall, cfg)
-        sp1, sp2, _ = self.setpoints
-        self.plan = Plan([
-            connect(sp1, sp1, cfg.hold_time),
-            connect(sp1, sp2, cfg.t_approach, start=cfg.hold_time),
-        ])
-
-    def sample(self, t):
-        return self.plan.sample(t - self.t0)
-
-    def start_approach(self, t):
-        """Fly from the current setpoint to the behind-surface target (3)."""
-        cur = self.sample(t)
-        self.plan = Plan([connect(cur, self.setpoints[2], self.cfg.t_contact)])
-        self.t0 = t
-
-    def start_departure(self, t, state):
-        """Fly from `state` (the wall pose while attached) to (2), then (1)."""
-        start = Setpoint.hold(state.p, state.R)
-        sp1, sp2, _ = self.setpoints
-        cfg = self.cfg
-        self.plan = Plan([
-            connect(start, sp2, cfg.t_contact),
-            connect(sp2, sp1, cfg.t_approach, start=cfg.t_contact),
-        ])
-        self.t0 = t
 
 
 def _disturbance_at(cfg, t):
@@ -387,12 +347,12 @@ def compute_metrics(result, failure=""):
             if j is not None:
                 m.settle_time_after_release_s = float(t[idx[j]] - t_release)
 
-    for mode in ("F", "F2P", "P", "P2F"):
-        sel = modes == mode
+    for mode in Mode:
+        sel = modes == mode.value
         n = int(sel.sum())
         if n:
-            m.saturation_fraction[mode] = float(sat[sel].sum() / n)
-            m.max_eR_rad[mode] = float(eR[sel].max())
+            m.saturation_fraction[mode.value] = float(sat[sel].sum() / n)
+            m.max_eR_rad[mode.value] = float(eR[sel].max())
     return m
 
 

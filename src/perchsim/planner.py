@@ -1,4 +1,4 @@
-"""Closed-form trajectory primitives and perch setpoint generation.
+"""Closed-form trajectory primitives, perch setpoints and the mission planner.
 
 Translation segments are per-axis quintics (minimum integrated squared jerk
 for the given boundary states); rotation segments are cubic polynomials in
@@ -115,33 +115,6 @@ class PlanSegment:
     start: float                     # plan-relative start time, s
 
 
-class Plan:
-    """Piecewise trajectory; holds the terminal pose beyond the last segment."""
-
-    def __init__(self, segments):
-        self.segments = segments
-        last = segments[-1]
-        T = last.translation.duration
-        self.duration = last.start + T
-        p, _, _ = last.translation.eval(T)
-        R, _ = last.rotation.eval(T)
-        # Shared by every sample past the end; no caller mutates a Setpoint.
-        self.terminal = Setpoint(p, ZERO3, ZERO3, R, ZERO3)
-
-    def sample(self, t):
-        if t < 0:
-            t = 0.0
-        if t >= self.duration:
-            return self.terminal
-        for seg in reversed(self.segments):
-            if t >= seg.start:
-                tau = t - seg.start
-                p, v, a = seg.translation.eval(tau)
-                R, omega = seg.rotation.eval(tau)
-                return Setpoint(p, v, a, R, omega)
-        raise AssertionError("unreachable")
-
-
 def perch_orientation(wall):
     """Body attitude at the wall: bottom (-b3) facing the wall, x axis up."""
     n = np.asarray(wall.normal)
@@ -180,3 +153,58 @@ def connect(sp_from, sp_to, T, start=0.0):
                           sp_to.p, sp_to.v, sp_to.a, T)
     rot = min_accel_rotation(sp_from.R, sp_to.R, sp_from.omega, T)
     return PlanSegment(tr, rot, start)
+
+
+class MissionPlanner:
+    """The active plan, rebuilt on supervisor edges; holds the terminal pose
+    beyond its last segment.  Segments last the scenario's hold_time,
+    t_approach (1->2) and t_contact (2->3)."""
+
+    def __init__(self, cfg, wall):
+        self.cfg = cfg
+        if cfg.mission == "hover":
+            sp = hover_setpoint(cfg)
+            self.setpoints = [sp, sp, sp]
+            self._follow(0.0, connect(sp, sp, 1.0))
+            return
+        self.setpoints = perch_setpoints(wall, cfg)
+        sp1, sp2, _ = self.setpoints
+        self._follow(0.0, connect(sp1, sp1, cfg.hold_time),
+                     connect(sp1, sp2, cfg.t_approach, start=cfg.hold_time))
+
+    def _follow(self, t0, *segments):
+        """Fly `segments` from time t0; the first starts at 0."""
+        self.segments = segments
+        self.t0 = t0
+        last = segments[-1]
+        T = last.translation.duration
+        self.duration = last.start + T
+        p, _, _ = last.translation.eval(T)
+        R, _ = last.rotation.eval(T)
+        # Shared by every sample past the end; no caller mutates a Setpoint.
+        self.terminal = Setpoint(p, ZERO3, ZERO3, R, ZERO3)
+
+    def sample(self, t):
+        """The setpoint at run time t >= t0."""
+        t = t - self.t0
+        if t >= self.duration:
+            return self.terminal
+        for seg in reversed(self.segments):
+            if t >= seg.start:
+                tau = t - seg.start
+                p, v, a = seg.translation.eval(tau)
+                R, omega = seg.rotation.eval(tau)
+                return Setpoint(p, v, a, R, omega)
+
+    def start_approach(self, t):
+        """Fly from the current setpoint to the behind-surface target (3)."""
+        self._follow(t, connect(self.sample(t), self.setpoints[2],
+                                self.cfg.t_contact))
+
+    def start_departure(self, t, state):
+        """Fly from `state` (the wall pose while attached) to (2), then (1)."""
+        start = Setpoint.hold(state.p, state.R)
+        sp1, sp2, _ = self.setpoints
+        cfg = self.cfg
+        self._follow(t, connect(start, sp2, cfg.t_contact),
+                     connect(sp2, sp1, cfg.t_approach, start=cfg.t_contact))

@@ -194,7 +194,8 @@ def _value(lineno, key, raw, default):
 
 
 def parse_scenario(text):
-    """Parse scenario text into a ScenarioConfig; raises ScenarioError."""
+    """Parse scenario text into a ScenarioConfig; raises ScenarioError on
+    malformed text.  The values are checked by `ScenarioConfig.build()`."""
     cfg = ScenarioConfig()
     defaults = {k: v for k, v in asdict(cfg).items()
                 if k not in ("events", "disturbances")}
@@ -228,7 +229,6 @@ def parse_scenario(text):
             raise ScenarioError(f"line {lineno}: unknown key {key!r}")
     if not saw_version:
         raise ScenarioError("missing schema_version header")
-    cfg.build()
     return cfg
 
 

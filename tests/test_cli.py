@@ -84,6 +84,20 @@ def test_invalid_value_exit_code(tmp_path, capsys, line):
     assert "scenario error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line", ["rho = 1", "event = 3 s_warp"])
+@pytest.mark.parametrize("command", ["run", "ablate"])
+def test_build_error_writes_nothing(tmp_path, capsys, command, line):
+    # parse_scenario accepts these; build() rejects them before tick 0, so
+    # no output directory is made.
+    scen = tmp_path / "bad.scn"
+    scen.write_text(HOVER + line + "\n")
+    out = tmp_path / "o"
+    assert main([command, "--scenario", str(scen), "--out", str(out)]) \
+        == EXIT_SCHEMA
+    assert "scenario error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_scenario_exit_code(tmp_path):
     assert main(["run", "--scenario", str(tmp_path / "nope.scn")]) \
         == EXIT_SCHEMA
@@ -140,8 +154,8 @@ def test_ablate_rejects_variant(tmp_path, capsys):
 
 
 def test_rotor_geometry_built_once_per_build(tmp_path, monkeypatch):
-    # ScenarioConfig.build() is the one place that makes the rotor geometry:
-    # run_scenario builds once, `run --scenario` twice (parse, then run).
+    # ScenarioConfig.build() is the one place that makes the rotor geometry,
+    # and run_scenario the one caller: parse_scenario only parses.
     built = []
     post_init = RotorGeometry.__post_init__
 
@@ -157,7 +171,7 @@ def test_rotor_geometry_built_once_per_build(tmp_path, monkeypatch):
     built.clear()
     assert main(["run", "--scenario", str(scen), "--out",
                  str(tmp_path / "o")]) == EXIT_OK
-    assert len(built) == 2
+    assert len(built) == 1
 
 
 def test_event_past_run_end_is_ignored(tmp_path, capsys):

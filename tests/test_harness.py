@@ -330,6 +330,22 @@ def test_mission_metrics_sane():
     assert m.z_drop_m < 0.2
 
 
+@pytest.mark.parametrize("magnet_force, edge, t_end", [
+    (30.0, "release", 15.431), (20.0, "forcible-detach", 15.430)])
+def test_magnet_strength_boundary(magnet_force, edge, t_end):
+    # The hold F_mag * eta falls as the servo opens while the departure plan
+    # already pulls away: at 20 N the pull exceeds the hold before the peel
+    # completes.  A forcible detach still reports completed.
+    cfg = default_scenario()
+    cfg.duration, cfg.magnet_force = 16.0, magnet_force
+    res = run_scenario(cfg)
+    contact = [(t, d) for t, k, d in res.events if k == "contact"]
+    assert [d for _, d in contact] == ["attach", edge]
+    assert contact[1][0] == pytest.approx(t_end, abs=1e-9)
+    assert res.metrics.unperch_achieved is (edge == "release")
+    assert res.metrics.completed is True
+
+
 # SHA-256 of the default-mission CSV of each ablation variant.  Criterion 11
 # pins only the proposed variant, so these guard the VARIANTS table wiring of
 # the other three (two-mode machine, rho override, no-freeze policies).

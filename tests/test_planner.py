@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from perchsim.geometry import EYE, exp_so3, mat_vec, pitch_of, rot_y
-from perchsim.planner import (Plan, connect, min_accel_rotation,
+from perchsim.planner import (MissionPlanner, min_accel_rotation,
                               min_jerk_segment, perch_orientation,
                               perch_setpoints)
 from perchsim.scenario import ScenarioConfig
@@ -144,10 +144,10 @@ def test_min_accel_rejects_antipodal():
 
 
 def _two_segment_plan():
+    # The default perch mission's first plan: hold for 1 s, then 4 s to (2).
     cfg = ScenarioConfig()
     sp1, sp2, _ = perch_setpoints(WALL, cfg)
-    return Plan([connect(sp1, sp1, 1.0),
-                 connect(sp1, sp2, 4.0, start=1.0)]), sp1, sp2
+    return MissionPlanner(cfg, WALL), sp1, sp2
 
 
 def test_plan_sample_start_exact():

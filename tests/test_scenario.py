@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from perchsim import harness
 from perchsim.control import perch_wrench
-from perchsim.harness import MissionPlanner, run_scenario
+from perchsim.harness import run_scenario
+from perchsim.planner import MissionPlanner
 from perchsim.scenario import (MISSIONS, SCHEMA_DOC, VARIANTS, ScenarioConfig,
                                ScenarioError, default_scenario,
                                parse_scenario)
@@ -81,14 +82,15 @@ def test_bad_event():
     with pytest.raises(ScenarioError):
         parse_scenario(MINIMAL + "event = 3.0\n")
     with pytest.raises(ScenarioError):
-        parse_scenario(MINIMAL + "event = 3.0 s_warp\n")
+        parse_scenario(MINIMAL + "event = 3.0 s_warp\n").build()
     with pytest.raises(ScenarioError, match="line 2"):
         parse_scenario(MINIMAL + "event = abc s_f2p\n")
 
 
 def test_unsorted_events():
     with pytest.raises(ScenarioError):
-        parse_scenario(MINIMAL + "event = 8.0 s_p2f\nevent = 3.0 s_f2p\n")
+        parse_scenario(
+            MINIMAL + "event = 8.0 s_p2f\nevent = 3.0 s_f2p\n").build()
 
 
 def test_bad_disturbance_arity():
@@ -189,11 +191,11 @@ _ENTRIES = st.one_of(
 @example(["hold_time = 1e62"])          # T ** 5 overflows
 @example(["t_approach = 3e-279"])       # the quintic solve is singular
 def test_parsed_scenario_builds(lines):
-    # Whatever parse_scenario accepts must also build, and plan: run_scenario
-    # builds the MissionPlanner before its first tick.
+    # Whatever build() accepts must also plan: run_scenario builds the
+    # MissionPlanner before its first tick.
     try:
         cfg = parse_scenario("\n".join(["schema_version = 1", *lines]))
+        _, wall = cfg.build()
     except ScenarioError:
         return
-    params, wall = cfg.build()
     MissionPlanner(cfg, wall)
