@@ -14,7 +14,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import estimation
-from .allocation import Wrench, allocate
+from .allocation import allocate
 from .control import nominal_wrench, rejection_force
 from .estimation import EstimatorState
 from .geometry import EYE, ZERO3, mat_vec, rotation_error
@@ -22,8 +22,7 @@ from .harness import run_scenario, settle_index
 from .planner import min_jerk_segment, perch_setpoints
 from .scenario import ScenarioConfig, default_scenario
 from .supervisor import Mode, SupervisorState, transition
-from .vehicle import ActuatorState, ContactState, Disturbances, \
-    VehicleState, forward_wrench, integrate
+from .vehicle import ContactState, VehicleState, forward_wrench, integrate
 
 # SHA-256 of the default proposed-variant CSV log; regenerated whenever the
 # default configuration or the tick loop changes (see criterion 11).
@@ -124,10 +123,11 @@ def check_3_freeze_semantics():
     cfg = default_scenario()
     params, wall = cfg.build()
     sp3 = perch_setpoints(wall, cfg)[2]
+    _, _, _, R3, _ = sp3
     # Pose-locked on the wall surface, setpoint (3) inside the wall.
     lock = VehicleState.at_rest(
-        np.subtract(wall.point, mat_vec(sp3.R, wall.c_m)), sp3.R)
-    e_R = rotation_error(lock.R, sp3.R)
+        np.subtract(wall.point, mat_vec(R3, wall.c_m)), R3)
+    e_R = rotation_error(lock.R, R3)
     dt = 1e-3
 
     # Frozen estimator: bitwise constant over 10 s of updates.
@@ -135,13 +135,13 @@ def check_3_freeze_semantics():
     est = EstimatorState.fresh(lock, params, K_e)
     integ = ZERO3
     for _ in range(100):
-        w, integ = nominal_wrench(lock, sp3, e_R, cfg, integ, params, dt)
-        est = estimation.update(est, lock, w.f, K_e, params, dt)
+        (f, _), integ = nominal_wrench(lock, sp3, e_R, cfg, integ, params, dt)
+        est = estimation.update(est, lock, f, K_e, params, dt)
     est = estimation.freeze(est)
     snap = np.array(est.delta_hat).tobytes()
     for k in range(10_000):
-        w, integ = nominal_wrench(lock, sp3, e_R, cfg, integ, params, dt)
-        est = estimation.update(est, lock, np.add(w.f, float(k) * 0.001),
+        (f, _), integ = nominal_wrench(lock, sp3, e_R, cfg, integ, params, dt)
+        est = estimation.update(est, lock, np.add(f, float(k) * 0.001),
                                 K_e, params, dt)
     frozen_ok = np.array(est.delta_hat).tobytes() == snap
 
@@ -151,8 +151,8 @@ def check_3_freeze_semantics():
     norms = []
     t_pass = None
     for k in range(int(3.0 / dt)):
-        w, integ = nominal_wrench(lock, sp3, e_R, cfg, integ, params, dt)
-        f = np.add(w.f, rejection_force(est, lock.R))
+        (f, _), integ = nominal_wrench(lock, sp3, e_R, cfg, integ, params, dt)
+        f = np.add(f, rejection_force(est, lock.R))
         est = estimation.update(est, lock, f, K_e, params, dt)
         norms.append(np.linalg.norm(est.delta_hat))
         if t_pass is None and norms[-1] > 5.0:
@@ -182,16 +182,14 @@ def check_4_allocation():
         f *= 10.0 * rng.random() ** (1 / 3) / np.linalg.norm(f)
         tau = rng.normal(size=3)
         tau *= 0.5 * rng.random() ** (1 / 3) / np.linalg.norm(tau)
-        w = Wrench(f, tau)
-        cmd = allocate(w, rotors, T_max=50.0)
-        back = forward_wrench(cmd.thrust, cmd.tilt, rotors)
-        w_vec = np.concatenate([w.f, w.tau])
+        thrust, tilt, _ = allocate((f, tau), rotors, T_max=50.0)
+        w_vec = np.concatenate([f, tau])
         worst_rt = max(worst_rt, np.max(np.abs(np.concatenate(
-            [back.f, back.tau]) - w_vec)))
+            forward_wrench(thrust, tilt, rotors)) - w_vec)))
         rhs = np.concatenate([np.zeros(2 * n), w_vec])
         x_kkt = np.linalg.solve(K, rhs)[:2 * n]
-        x_got = np.concatenate([cmd.thrust * np.cos(cmd.tilt),
-                                cmd.thrust * np.sin(cmd.tilt)])
+        x_got = np.concatenate([thrust * np.cos(tilt),
+                                thrust * np.sin(tilt)])
         worst_mn = max(worst_mn, np.max(np.abs(x_got - x_kkt)))
     ok = worst_rt < 1e-9 and worst_mn < 1e-8
     return CheckResult(4, "allocation round-trip and min-norm", ok,
@@ -352,9 +350,8 @@ def _orthonormality(R):
 def check_12_physics_sanity():
     params = replace(ScenarioConfig().build()[0], g=0.0)
     state = VehicleState(ZERO3, (0.3, -0.2, 0.5), EYE, (2.0, -1.5, 1.0))
-    act = ActuatorState.at_rest()
-    wrench = forward_wrench(act.thrust, act.tilt, params.rotors)
-    dist = Disturbances()
+    wrench = forward_wrench((0.0,) * 4, (0.0,) * 4, params.rotors)
+    dist = ZERO3, ZERO3
     contact = ContactState(gap=1e6)
     dt = 1e-3
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import B3, ZERO3
+from .geometry import B3
 
 # Below this thrust the recovered tilt angle is held at its previous value.
 THRUST_EPS = 1e-6
@@ -20,17 +20,6 @@ THRUST_EPS = 1e-6
 
 class AllocationError(ValueError):
     """Raised for rotor geometries that cannot span a full 6-DOF wrench."""
-
-
-@dataclass
-class Wrench:
-    """Body-frame force (N) and torque (N*m), three floats each."""
-    f: tuple
-    tau: tuple
-
-    @staticmethod
-    def zero():
-        return Wrench(ZERO3, ZERO3)
 
 
 @dataclass
@@ -49,7 +38,12 @@ class RotorGeometry:
     def __post_init__(self):
         self.positions = np.asarray(self.positions, dtype=float)
         self.spin_signs = np.asarray(self.spin_signs, dtype=float)
-        norms = np.linalg.norm(self.positions, axis=1)
+        with np.errstate(over="ignore"):
+            norms = np.linalg.norm(self.positions, axis=1)
+        bad = np.flatnonzero(~np.isfinite(norms)).tolist()
+        if bad:
+            raise AllocationError(
+                f"rotor positions {bad} have non-finite arm lengths")
         if np.any(norms < 1e-9):
             raise AllocationError("rotor positions must be nonzero")
         lateral = np.cross(B3, self.positions / norms[:, None])
@@ -81,17 +75,12 @@ class RotorGeometry:
         return cls(positions, np.array([1.0, -1.0, 1.0, -1.0]), k_tau)
 
 
-@dataclass
-class ActuatorCommand:
-    """Commanded thrusts (N), tilt angles (rad), whether any was clamped."""
-    thrust: tuple
-    tilt: tuple
-    saturated: bool = False          # some rotor asked for more than T_max
-
-
 def allocate(w, geometry, T_max, prev_tilt=None):
-    """Min-norm actuator command realizing wrench w, clamped to [0, T_max]."""
-    (f0, f1, f2), (t0, t1, t2) = w.f, w.tau
+    """Min-norm actuator command realizing the body wrench w = (f, tau),
+    clamped to [0, T_max].  Returns (thrust, tilt, saturated): thrusts (N)
+    and tilt angles (rad), a float per rotor each, and whether some rotor
+    asked for more than T_max."""
+    (f0, f1, f2), (t0, t1, t2) = w
     if prev_tilt is None:
         prev_tilt = (0.0,) * geometry.n_rotors
     thrust, tilt, saturated = [], [], False
@@ -104,4 +93,4 @@ def allocate(w, geometry, T_max, prev_tilt=None):
         if T > T_max:                                   # min(T, T_max)
             T, saturated = T_max, True
         thrust.append(T)
-    return ActuatorCommand(tuple(thrust), tuple(tilt), saturated)
+    return tuple(thrust), tuple(tilt), saturated

@@ -5,38 +5,23 @@ cancels the estimated external force; the perch wrench presses a configurable
 fraction of gravity compensation while the vehicle is rigidly attached.
 """
 
-from dataclasses import dataclass
-
-from .allocation import Wrench
-from .geometry import ZERO3, floats, mat_t_vec, mat_vec
-
-
-@dataclass
-class Setpoint:
-    p: tuple                         # three floats each; R a row-major 9-tuple
-    v: tuple
-    a: tuple
-    R: tuple
-    omega: tuple
-
-    @staticmethod
-    def hold(p, R):
-        return Setpoint(floats(p), ZERO3, ZERO3, floats(R), ZERO3)
+from .geometry import ZERO3, mat_t_vec, mat_vec
 
 
 def nominal_wrench(state, sp, e_R, cfg, integ, params, dt):
-    """PD + feedforward force, PID torque on e_R = Log(R^T R_d)^vee, with the
-    keys k_tp, k_td, k_rp, k_rd, k_ri and integral_clamp of `cfg`; returns
-    the wrench and the updated attitude integral (three floats)."""
+    """PD + feedforward force, PID torque on e_R = Log(R^T R_d)^vee, tracking
+    the setpoint sp = (p, v, a, R_d, omega_d), with the keys k_tp, k_td,
+    k_rp, k_rd, k_ri and integral_clamp of `cfg`.  Returns the body wrench
+    (f, tau), three floats each, and the updated attitude integral."""
     K_tp, K_td, g, m = cfg.k_tp, cfg.k_td, params.g, params.m
     (px, py, pz), (vx, vy, vz) = state.p, state.v
-    (dpx, dpy, dpz), (dvx, dvy, dvz), (ax, ay, az) = sp.p, sp.v, sp.a
+    (dpx, dpy, dpz), (dvx, dvy, dvz), (ax, ay, az), R_d, w_d = sp
     ux, uy, uz = mat_t_vec(state.R, (
         K_tp * (dpx - px) + K_td * (dvx - vx) + ax,
         K_tp * (dpy - py) + K_td * (dvy - vy) + ay,
         g + K_tp * (dpz - pz) + K_td * (dvz - vz) + az))
     (ex, ey, ez), (ix, iy, iz), (wx, wy, wz) = e_R, integ, state.omega
-    wdx, wdy, wdz = mat_t_vec(state.R, mat_vec(sp.R, sp.omega))
+    wdx, wdy, wdz = mat_t_vec(state.R, mat_vec(R_d, w_d))
     # min(max(i + e dt, -c), c) per axis as comparisons: a NaN passes through.
     lo, hi = -cfg.integral_clamp, cfg.integral_clamp
     ix, iy, iz = ix + ex * dt, iy + ey * dt, iz + ez * dt
@@ -48,7 +33,7 @@ def nominal_wrench(state, sp, e_R, cfg, integ, params, dt):
     tau = (jx * (K_rp * ex + K_rd * (wdx - wx) + K_ri * ix),
            jy * (K_rp * ey + K_rd * (wdy - wy) + K_ri * iy),
            jz * (K_rp * ez + K_rd * (wdz - wz) + K_ri * iz))
-    return Wrench((m * ux, m * uy, m * uz), tau), (ix, iy, iz)
+    return ((m * ux, m * uy, m * uz), tau), (ix, iy, iz)
 
 
 def rejection_force(est, R):
@@ -58,7 +43,8 @@ def rejection_force(est, R):
 
 
 def perch_wrench(rho, state, params):
-    """Press wrench while perched: rho * m * g anti-gravity, zero torque."""
+    """Press wrench (f, tau) while perched: rho * m * g anti-gravity, zero
+    torque."""
     s = rho * params.m * params.g
     R = state.R
-    return Wrench((s * R[6], s * R[7], s * R[8]), ZERO3)
+    return (s * R[6], s * R[7], s * R[8]), ZERO3

@@ -15,7 +15,7 @@ from operator import add, mod
 import numpy as np
 
 from . import estimation
-from .allocation import Wrench, allocate
+from .allocation import allocate
 from .control import nominal_wrench, perch_wrench, rejection_force
 from .geometry import ZERO3, mat_t_vec, mat_vec, pitch_of, quat_of, \
     rotation_error
@@ -23,9 +23,8 @@ from .planner import MissionPlanner
 from .scenario import ScenarioConfig
 from .supervisor import VARIANTS, Mode, SupervisorState, transition, \
     transition_two_mode
-from .vehicle import ActuatorState, ContactState, Disturbances, \
-    NumericalDivergenceError, VehicleState, forward_wrench, integrate, \
-    step_actuators, update_contact
+from .vehicle import ContactState, NumericalDivergenceError, VehicleState, \
+    forward_wrench, integrate, step_actuators, update_contact
 
 CSV_COLUMNS = [
     "t", "px", "py", "pz", "vx", "vy", "vz", "pitch",
@@ -98,12 +97,15 @@ class SimResult:
 
 
 def _disturbance_at(cfg, t):
+    """The disturbances (delta_f, delta_r) at time t, summed over the pulses
+    of `cfg`: a world-frame force (N) and a body-frame angular acceleration
+    (rad/s^2), three floats each."""
     fx = fy = fz = rx = ry = rz = 0.0
     for (t0, t1, dfx, dfy, dfz, drx, dry, drz) in cfg.disturbances:
         if t0 <= t < t1:
             fx, fy, fz = fx + dfx, fy + dfy, fz + dfz
             rx, ry, rz = rx + drx, ry + dry, rz + drz
-    return Disturbances((fx, fy, fz), (rx, ry, rz))
+    return (fx, fy, fz), (rx, ry, rz)
 
 
 def _noise(rng, sd_p, sd_v, n_ticks):
@@ -125,14 +127,15 @@ def run_scenario(cfg):
     rho = cfg.rho if variant.rho is None else variant.rho
     planner = MissionPlanner(cfg, wall)
 
-    hover = planner.setpoints[0]
-    state = VehicleState.at_rest(map(add, hover.p, cfg.initial_offset),
-                                 hover.R)
+    hover_p, _, _, hover_R, _ = planner.setpoints[0]
+    state = VehicleState.at_rest(map(add, hover_p, cfg.initial_offset),
+                                 hover_R)
     # Start at hover trim for the initial attitude, not from dead rotors.
-    trim = Wrench(mat_t_vec(state.R, (0.0, 0.0, params.m * params.g)), ZERO3)
-    cmd = allocate(trim, rotors, params.T_max, (0.0,) * rotors.n_rotors)
-    act = ActuatorState(cmd.thrust, cmd.tilt, 0.0)
-    w_act = forward_wrench(act.thrust, act.tilt, rotors)
+    trim = mat_t_vec(state.R, (0.0, 0.0, params.m * params.g)), ZERO3
+    thrust, tilt_cmd, _ = allocate(trim, rotors, params.T_max,
+                                   (0.0,) * rotors.n_rotors)
+    act = thrust, tilt_cmd, 0.0
+    f_act, tau_act = forward_wrench(thrust, tilt_cmd, rotors)
     contact = ContactState(gap=wall.gap_of(state))
     sup = SupervisorState()
     integ = ZERO3                    # attitude integral of nominal_wrench
@@ -211,19 +214,20 @@ def run_scenario(cfg):
             if est_rej.frozen:       # resume from the held estimate
                 est_rej = estimation.EstimatorState.fresh(
                     meas, params, K_e, est_rej.delta_hat)
-            est_rej = estimation.update(est_rej, meas, w_act.f, K_e, params,
+            est_rej = estimation.update(est_rej, meas, f_act, K_e, params,
                                         cfg.dt)
         if pol.contact_active:
             if not contact_was_active:
                 est_con = estimation.EstimatorState.fresh(meas, params, K_e)
-            est_con = estimation.update(est_con, meas, w_act.f, K_e, params,
+            est_con = estimation.update(est_con, meas, f_act, K_e, params,
                                         cfg.dt)
             lam_c = estimation.contact_normal_force(est_con, wall)
         contact_was_active = pol.contact_active
 
         # 4. control (noise and the attach snap leave R alone, so e_R is
         # also the logged attitude error)
-        e_R = rotation_error(state.R, sp.R)
+        sp_p, _, _, R_d, _ = sp
+        e_R = rotation_error(state.R, R_d)
         if pol.wrench == "perch":
             wrench = perch_wrench(rho, meas, params)
         else:
@@ -231,21 +235,24 @@ def run_scenario(cfg):
                                            cfg.dt)
             if pol.wrench == "full":
                 rx, ry, rz = rejection_force(est_rej, meas.R)
-                fx, fy, fz = wrench.f
-                wrench.f = (fx + rx, fy + ry, fz + rz)
+                (fx, fy, fz), tau = wrench
+                wrench = (fx + rx, fy + ry, fz + rz), tau
 
         # 5. allocation
-        cmd = allocate(wrench, rotors, params.T_max, cmd.tilt)
+        cmd = allocate(wrench, rotors, params.T_max, tilt_cmd)
+        thrust_cmd, tilt_cmd, saturated = cmd
 
         # 6. actuators
         act = step_actuators(act, cmd, sup.eta_d, cfg.dt, params)
+        thrust, tilt, eta = act
 
         # 7. contact
         if t >= next_edge:           # a pulse starts or ends: sum again
             dist = _disturbance_at(cfg, t)
+            (dfx, dfy, dfz), _ = dist
             next_edge = next((e for e in edges if e > t), math.inf)
-        w_act = forward_wrench(act.thrust, act.tilt, rotors)
-        (fx, fy, fz), (dfx, dfy, dfz) = mat_vec(state.R, w_act.f), dist.delta_f
+        f_act, tau_act = forward_wrench(thrust, tilt, rotors)
+        fx, fy, fz = mat_vec(state.R, f_act)
         applied_world = (fx + dfx, fy + dfy, fz + dfz)
         contact, edge = update_contact(state, act, applied_world, contact,
                                        wall, params)
@@ -260,22 +267,23 @@ def run_scenario(cfg):
         # log the state the controller acted on, plus this tick's outputs;
         # on the attach tick, the state at rest instead (v = w = 0)
         ex, ey, ez = e_R
-        (px, py, pz), (spx, spy, spz) = state.p, sp.p
+        (px, py, pz), (spx, spy, spz) = state.p, sp_p
         dx, dy, dz = spx - px, spy - py, spz - pz
         _ROW.pack_into(rows, k * _ROW.size, t, *state.p, *state.v,
                        pitch_of(state.R), *quat_of(state.R), *state.omega,
-                       1.0 if contact.attached else 0.0, sup.eta_d, act.eta,
-                       *act.thrust, *cmd.thrust, *act.tilt,
+                       1.0 if contact.attached else 0.0, sup.eta_d, eta,
+                       *thrust, *thrust_cmd, *tilt,
                        *est_rej.delta_hat, lam_c, contact.lambda_true,
                        math.sqrt(ex * ex + ey * ey + ez * ez),
                        math.sqrt(dx * dx + dy * dy + dz * dz),
-                       1.0 if cmd.saturated else 0.0)
+                       1.0 if saturated else 0.0)
         modes.append(mode_name)
         gaps[k] = contact.gap
 
         # 8. integrate (an overflowing body rate fails in exp_so3's math)
         try:
-            state = integrate(state, w_act, dist, contact, params, cfg.dt)
+            state = integrate(state, (f_act, tau_act), dist, contact, params,
+                              cfg.dt)
         except (NumericalDivergenceError, ArithmeticError, ValueError) as exc:
             events.append((t, "failure", f"numerical-abort: {exc}"))
             failure = "numerical-abort"

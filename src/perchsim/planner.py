@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .control import Setpoint
 from .geometry import B3, ZERO3, exp_so3, floats, log_so3, mat_mul, \
     mat_t_mul, right_jacobian, rot_y
 
@@ -126,9 +125,15 @@ def perch_orientation(wall):
     return tuple(np.column_stack([up, np.cross(n, up), n]).ravel().tolist())
 
 
+def hold(p, R):
+    """The setpoint (p, v, a, R, omega) at rest at position p and row-major
+    rotation R: p, v, a and omega three floats each, R nine."""
+    return floats(p), ZERO3, ZERO3, floats(R), ZERO3
+
+
 def hover_setpoint(cfg):
     """Setpoint (1): the scenario's hover_position at rot_y(hover_pitch)."""
-    return Setpoint.hold(cfg.hover_position, rot_y(cfg.hover_pitch))
+    return hold(cfg.hover_position, rot_y(cfg.hover_pitch))
 
 
 def perch_setpoints(wall, cfg):
@@ -139,20 +144,15 @@ def perch_setpoints(wall, cfg):
     offset = np.reshape(R, (3, 3)) @ wall.c_m
     p2 = point + cfg.standoff * n - offset
     p3 = point - cfg.penetration * n - offset
-    return [
-        hover_setpoint(cfg),
-        Setpoint.hold(p2, R),
-        Setpoint.hold(p3, R),
-    ]
+    return [hover_setpoint(cfg), hold(p2, R), hold(p3, R)]
 
 
 def connect(sp_from, sp_to, T, start=0.0):
     """Min-jerk translation + min-accel rotation from `sp_from` to the rest
     setpoint `sp_to`; `connect(sp, sp, T)` holds a rest `sp` for T seconds."""
-    tr = min_jerk_segment(sp_from.p, sp_from.v, sp_from.a,
-                          sp_to.p, sp_to.v, sp_to.a, T)
-    rot = min_accel_rotation(sp_from.R, sp_to.R, sp_from.omega, T)
-    return PlanSegment(tr, rot, start)
+    (p0, v0, a0, R0, w0), (pf, vf, af, Rf, _) = sp_from, sp_to
+    tr = min_jerk_segment(p0, v0, a0, pf, vf, af, T)
+    return PlanSegment(tr, min_accel_rotation(R0, Rf, w0, T), start)
 
 
 class MissionPlanner:
@@ -181,11 +181,11 @@ class MissionPlanner:
         self.duration = last.start + T
         p, _, _ = last.translation.eval(T)
         R, _ = last.rotation.eval(T)
-        # Shared by every sample past the end; no caller mutates a Setpoint.
-        self.terminal = Setpoint(p, ZERO3, ZERO3, R, ZERO3)
+        self.terminal = p, ZERO3, ZERO3, R, ZERO3
 
     def sample(self, t):
-        """The setpoint at run time t >= t0."""
+        """The setpoint (p, v, a, R, omega) at run time t >= t0, laid out as
+        `hold` gives it."""
         t = t - self.t0
         if t >= self.duration:
             return self.terminal
@@ -194,7 +194,7 @@ class MissionPlanner:
                 tau = t - seg.start
                 p, v, a = seg.translation.eval(tau)
                 R, omega = seg.rotation.eval(tau)
-                return Setpoint(p, v, a, R, omega)
+                return p, v, a, R, omega
 
     def start_approach(self, t):
         """Fly from the current setpoint to the behind-surface target (3)."""
@@ -203,8 +203,7 @@ class MissionPlanner:
 
     def start_departure(self, t, state):
         """Fly from `state` (the wall pose while attached) to (2), then (1)."""
-        start = Setpoint.hold(state.p, state.R)
         sp1, sp2, _ = self.setpoints
         cfg = self.cfg
-        self._follow(t, connect(start, sp2, cfg.t_contact),
+        self._follow(t, connect(hold(state.p, state.R), sp2, cfg.t_contact),
                      connect(sp2, sp1, cfg.t_approach, start=cfg.t_contact))

@@ -9,7 +9,7 @@ magnet capacity.
 import math
 from dataclasses import dataclass
 
-from .allocation import RotorGeometry, Wrench
+from .allocation import RotorGeometry
 from .geometry import EYE, ZERO3, exp_so3, floats, mat_mul, mat_vec, \
     renormalize
 
@@ -52,23 +52,6 @@ class VehicleState:
 
 
 @dataclass
-class ActuatorState:
-    thrust: tuple                    # actual thrusts, N
-    tilt: tuple                      # actual tilt angles, rad
-    eta: float = 0.0                 # perch servo, 0 = unperch .. 1 = perch
-
-    @staticmethod
-    def at_rest(n_rotors=4):
-        return ActuatorState((0.0,) * n_rotors, (0.0,) * n_rotors, 0.0)
-
-
-@dataclass
-class Disturbances:
-    delta_f: tuple = ZERO3           # world-frame force, N
-    delta_r: tuple = ZERO3           # body-frame angular acceleration, rad/s^2
-
-
-@dataclass
 class WallModel:
     point: tuple                     # a point on the wall plane, m
     normal: tuple                    # outward unit normal into free space
@@ -103,24 +86,28 @@ class ContactState:
 
 
 def step_actuators(act, cmd, eta_d, dt, params):
-    """First-order thrust lag, tilt rate limit, perch-servo travel to eta_d."""
+    """First-order thrust lag, tilt rate limit, perch-servo travel to eta_d.
+    Takes `allocate`'s command and returns the new actuator state
+    (thrust, tilt, eta): actual thrusts (N) and tilt angles (rad), a float
+    per rotor each, and the perch servo, 0 = unperch .. 1 = perch."""
     k, T_max = dt / params.tau_rotor, params.T_max
     hi = params.tilt_rate_max * dt
     # Each clamp is min/max as comparisons, in the builtins' argument order:
     # thrust and tilt step are min(max(x, lo), hi), so a NaN passes through;
     # the eta step is min(step, max(-step, x)), so a NaN becomes -step.
+    (thrust_a, tilt_a, eta_a), (thrust_c, tilt_c, _) = act, cmd
     thrust, tilt = [], []
-    for a, c, b, d in zip(act.thrust, cmd.thrust, act.tilt, cmd.tilt):
+    for a, c, b, d in zip(thrust_a, thrust_c, tilt_a, tilt_c):
         x, y = a + (c - a) * k, d - b
         x, y = (0.0 if 0.0 > x else x), (-hi if -hi > y else y)
         thrust.append(T_max if T_max < x else x)
         tilt.append(b + (hi if hi < y else y))
     step = dt / params.t_ps
-    x = eta_d - act.eta
+    x = eta_d - eta_a
     x = x if x > -step else -step
-    eta = act.eta + (x if x < step else step)
+    eta = eta_a + (x if x < step else step)
     eta = (eta if eta < 1.0 else 1.0) if eta > 0.0 else 0.0
-    return ActuatorState(tuple(thrust), tuple(tilt), eta)
+    return tuple(thrust), tuple(tilt), eta
 
 
 def update_contact(state, act, applied_world_force, contact, wall, params):
@@ -129,10 +116,10 @@ def update_contact(state, act, applied_world_force, contact, wall, params):
     "attach", "release" (peeled off), "forcible-detach" (pulled off), or
     None.  An attached pose is the state's own, as integrate holds it."""
     gap = wall.gap_of(state)
-    nx, ny, nz = wall.normal
+    (nx, ny, nz), (_, _, eta) = wall.normal, act
     if contact.attached:
-        eta_hold = 1.0 if act.eta >= ETA_ENGAGED else act.eta
-        if act.eta <= ETA_OPEN:
+        eta_hold = 1.0 if eta >= ETA_ENGAGED else eta
+        if eta <= ETA_OPEN:
             # Perch servo finished its unperch travel: tangential peel.
             return ContactState(False, gap, 0.0), "release"
         # Net pull away from the wall; negative when pressing into it.
@@ -142,17 +129,18 @@ def update_contact(state, act, applied_world_force, contact, wall, params):
             return ContactState(False, gap, 0.0), "forcible-detach"
         return ContactState(True, 0.0, wall.F_mag * eta_hold - pull), None
     # Detached.
-    if act.eta >= ETA_ENGAGED and gap <= wall.eps_attach:
+    if eta >= ETA_ENGAGED and gap <= wall.eps_attach:
         return ContactState(True, 0.0, wall.F_mag), "attach"
     out = ContactState(False, gap, 0.0)
-    if act.eta >= ETA_ENGAGED and 0.0 < gap < wall.d_mag:
+    if eta >= ETA_ENGAGED and 0.0 < gap < wall.d_mag:
         s = -wall.F_mag * (1.0 - gap / wall.d_mag)
         out.nearfield_force = (s * nx, s * ny, s * nz)
     return out, None
 
 
 def forward_wrench(thrust, tilt, geometry):
-    """Exact body wrench produced by the given thrusts and tilt angles."""
+    """Exact body wrench (f, tau), three floats each, produced by the given
+    thrusts and tilt angles."""
     w0 = w1 = w2 = w3 = w4 = w5 = 0.0
     for T, nu, ((a0, a1, a2, a3, a4, a5), (b0, b1, b2, b3, b4, b5)) in zip(
             thrust, tilt, geometry.columns):
@@ -163,19 +151,20 @@ def forward_wrench(thrust, tilt, geometry):
         w3 += a3 * u + b3 * l
         w4 += a4 * u + b4 * l
         w5 += a5 * u + b5 * l
-    return Wrench((w0, w1, w2), (w3, w4, w5))
+    return (w0, w1, w2), (w3, w4, w5)
 
 
 def integrate(state, wrench, dist, contact, params, dt):
     """One RK4 step under the body-frame rotor `wrench` (`forward_wrench` of
-    the actuator state); rotation advanced on the exponential map,
+    the actuator state) and the disturbances `dist` (as the harness's
+    `_disturbance_at` gives them); rotation advanced on the exponential map,
     renormalized.  Plain floats throughout, every sum left to right.
     """
     if contact.attached:
         return state
-    (fx, fy, fz), (tx, ty, tz) = wrench.f, wrench.tau
-    (nx, ny, nz), (dx, dy, dz) = contact.nearfield_force, dist.delta_f
-    (ex, ey, ez), m, g = dist.delta_r, params.m, params.g
+    (fx, fy, fz), (tx, ty, tz) = wrench
+    (nx, ny, nz), ((dx, dy, dz), (ex, ey, ez)) = contact.nearfield_force, dist
+    m, g = params.m, params.g
     (jx, jy, jz), (ix, iy, iz) = params.J, params.J_inv
     R, (v1x, v1y, v1z), (w1x, w1y, w1z) = state.R, state.v, state.omega
     # Stage i is (R_i, v_i, w_i) with rates (a_i, b_i); no stage reads

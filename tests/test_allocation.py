@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from perchsim.allocation import (THRUST_EPS, AllocationError, RotorGeometry,
-                                 Wrench, allocate)
+                                 allocate)
+from perchsim.geometry import ZERO3
 from perchsim.scenario import ScenarioConfig
 from perchsim.vehicle import forward_wrench
 
@@ -16,8 +17,8 @@ MG = 1.65 * 9.81
 
 
 def vec(w):
-    """A wrench as the 6-vector [f; tau]."""
-    return np.concatenate([w.f, w.tau])
+    """A wrench (f, tau) as the 6-vector [f; tau]."""
+    return np.concatenate(w)
 
 
 def test_allocation_matrix_rank_six():
@@ -45,26 +46,27 @@ def test_zero_position_rejected():
 
 
 def test_allocate_zero_wrench():
-    cmd = allocate(Wrench.zero(), GEOM, 8.0)
-    assert np.allclose(cmd.thrust, 0.0, atol=1e-12)
-    assert not cmd.saturated
+    thrust, _, saturated = allocate((ZERO3, ZERO3), GEOM, 8.0)
+    assert np.allclose(thrust, 0.0, atol=1e-12)
+    assert not saturated
 
 
 def test_allocate_hover():
-    cmd = allocate(Wrench(np.array([0.0, 0.0, MG]), np.zeros(3)), GEOM, 8.0)
-    assert np.allclose(cmd.thrust, MG / 4.0, atol=1e-9)
-    assert np.allclose(cmd.thrust, 4.05, atol=0.01)
-    assert np.allclose(cmd.tilt, 0.0, atol=1e-9)
-    assert not cmd.saturated
+    thrust, tilt, saturated = allocate(
+        (np.array([0.0, 0.0, MG]), np.zeros(3)), GEOM, 8.0)
+    assert np.allclose(thrust, MG / 4.0, atol=1e-9)
+    assert np.allclose(thrust, 4.05, atol=0.01)
+    assert np.allclose(tilt, 0.0, atol=1e-9)
+    assert not saturated
 
 
 def test_allocate_lateral_force_feasible():
-    w = Wrench(np.array([-MG, 0.0, 0.0]), np.zeros(3))
-    cmd = allocate(w, GEOM, 8.0)
-    back = forward_wrench(cmd.thrust, cmd.tilt, GEOM)
+    w = (np.array([-MG, 0.0, 0.0]), np.zeros(3))
+    thrust, tilt, saturated = allocate(w, GEOM, 8.0)
+    back = forward_wrench(thrust, tilt, GEOM)
     assert np.linalg.norm(vec(back) - vec(w)) < 1e-9
-    assert max(cmd.thrust) < 8.0
-    assert not cmd.saturated
+    assert max(thrust) < 8.0
+    assert not saturated
 
 
 def test_forward_wrench_zero():
@@ -73,9 +75,9 @@ def test_forward_wrench_zero():
 
 
 def test_forward_wrench_hover_sum():
-    w = forward_wrench(np.full(4, MG / 4.0), np.zeros(4), GEOM)
-    assert np.allclose(w.f, [0.0, 0.0, MG], atol=1e-9)
-    assert np.allclose(w.tau, 0.0, atol=1e-9)
+    f, tau = forward_wrench(np.full(4, MG / 4.0), np.zeros(4), GEOM)
+    assert np.allclose(f, [0.0, 0.0, MG], atol=1e-9)
+    assert np.allclose(tau, 0.0, atol=1e-9)
 
 
 def _random_wrench(rng, f_max=10.0, tau_max=0.5):
@@ -83,7 +85,7 @@ def _random_wrench(rng, f_max=10.0, tau_max=0.5):
     f *= f_max * rng.random() ** (1 / 3) / np.linalg.norm(f)
     tau = rng.normal(size=3)
     tau *= tau_max * rng.random() ** (1 / 3) / np.linalg.norm(tau)
-    return Wrench(f, tau)
+    return f, tau
 
 
 def test_roundtrip_random_wrenches():
@@ -91,9 +93,9 @@ def test_roundtrip_random_wrenches():
     worst = 0.0
     for _ in range(1000):
         w = _random_wrench(rng)
-        cmd = allocate(w, GEOM, 50.0)
-        assert not cmd.saturated
-        back = forward_wrench(cmd.thrust, cmd.tilt, GEOM)
+        thrust, tilt, saturated = allocate(w, GEOM, 50.0)
+        assert not saturated
+        back = forward_wrench(thrust, tilt, GEOM)
         worst = max(worst, np.max(np.abs(vec(back) - vec(w))))
     assert worst < 1e-9
 
@@ -104,9 +106,8 @@ def test_min_norm_against_kkt_oracle():
     worst = 0.0
     for _ in range(100):
         w = _random_wrench(rng)
-        cmd = allocate(w, GEOM, 50.0)
-        x = np.concatenate([cmd.thrust * np.cos(cmd.tilt),
-                            cmd.thrust * np.sin(cmd.tilt)])
+        thrust, tilt, _ = allocate(w, GEOM, 50.0)
+        x = np.concatenate([thrust * np.cos(tilt), thrust * np.sin(tilt)])
         # KKT system of min ||x||^2 s.t. A x = w.
         K = np.block([[np.eye(8), A.T], [A, np.zeros((6, 6))]])
         sol = np.linalg.solve(K, np.concatenate([np.zeros(8), vec(w)]))
@@ -115,16 +116,16 @@ def test_min_norm_against_kkt_oracle():
 
 
 def test_saturation_clamp_and_flag():
-    cmd = allocate(Wrench(np.array([0.0, 0.0, 100.0]), np.zeros(3)),
-                   GEOM, 8.0)
-    assert cmd.thrust == (8.0,) * 4            # every rotor clamped
-    assert cmd.saturated
+    thrust, _, saturated = allocate(
+        (np.array([0.0, 0.0, 100.0]), np.zeros(3)), GEOM, 8.0)
+    assert thrust == (8.0,) * 4                # every rotor clamped
+    assert saturated
 
 
 def test_near_zero_thrust_holds_previous_tilt():
     prev = np.array([0.3, -0.2, 0.1, 0.0])
-    cmd = allocate(Wrench.zero(), GEOM, 8.0, prev_tilt=prev)
-    assert np.array_equal(cmd.tilt, prev)
+    _, tilt, _ = allocate((ZERO3, ZERO3), GEOM, 8.0, prev_tilt=prev)
+    assert np.array_equal(tilt, prev)
 
 
 def test_allocate_matches_per_rotor_loop():
@@ -134,7 +135,8 @@ def test_allocate_matches_per_rotor_loop():
     for scale in (0.0, 1e-9, 1.0, 30.0):
         for _ in range(50):
             w = _random_wrench(rng, f_max=scale, tau_max=0.05 * scale)
-            cmd = allocate(w, GEOM, 8.0, prev_tilt=prev)
+            thrust_out, tilt_out, saturated_out = allocate(
+                w, GEOM, 8.0, prev_tilt=prev)
             f0, f1, f2, t0, t1, t2 = vec(w).tolist()
             x = [a * f0 + b * f1 + c * f2 + d * t0 + e * t1 + g * t2
                  for a, b, c, d, e, g in np.linalg.pinv(GEOM.A).tolist()]
@@ -143,7 +145,7 @@ def test_allocate_matches_per_rotor_loop():
                 thrust = math.hypot(x[i], x[4 + i])
                 tilt = prev[i] if thrust < THRUST_EPS \
                     else math.atan2(x[4 + i], x[i])
-                assert cmd.tilt[i] == tilt
-                assert cmd.thrust[i] == min(thrust, 8.0)
+                assert tilt_out[i] == tilt
+                assert thrust_out[i] == min(thrust, 8.0)
                 saturated = saturated or thrust > 8.0
-            assert cmd.saturated == saturated
+            assert saturated_out == saturated

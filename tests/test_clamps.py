@@ -17,10 +17,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from perchsim import geometry
-from perchsim.allocation import ActuatorCommand, Wrench, allocate
-from perchsim.control import Setpoint, nominal_wrench
+from perchsim.allocation import allocate
+from perchsim.control import nominal_wrench
+from perchsim.planner import hold
 from perchsim.scenario import ScenarioConfig
-from perchsim.vehicle import ActuatorState, VehicleState, step_actuators
+from perchsim.vehicle import VehicleState, step_actuators
 
 PARAMS, _ = ScenarioConfig().build()
 SPECIAL = (math.nan, math.inf, -math.inf, 0.0, -0.0, 1.0, -1.0)
@@ -56,23 +57,23 @@ def test_step_actuators_clamps(data):
                  tuple(value(data) for _ in range(4)), value(data))
     else:
         start = ((-0.0,) * 4, (0.0,) * 4, start)
-    act = ActuatorState(*start)
-    cmd = ActuatorCommand(tuple(thrust), tuple(tilt))
+    act, cmd = start, (tuple(thrust), tuple(tilt), False)
     params = replace(PARAMS, T_max=T_max, tau_rotor=tau, tilt_rate_max=rate,
                      t_ps=t_ps)
 
-    out = step_actuators(act, cmd, eta_d, dt, params)
+    out_thrust, out_tilt, out_eta = step_actuators(act, cmd, eta_d, dt,
+                                                   params)
 
-    k, dmax = dt / tau, rate * dt
+    (act_thrust, act_tilt, act_eta), k, dmax = start, dt / tau, rate * dt
     old_thrust = [min(max(a + (c - a) * k, 0.0), T_max)
-                  for a, c in zip(act.thrust, cmd.thrust)]
+                  for a, c in zip(act_thrust, thrust)]
     old_tilt = [a + min(max(c - a, -dmax), dmax)
-                for a, c in zip(act.tilt, cmd.tilt)]
-    eta = act.eta + min(step, max(-step, eta_d - act.eta))
+                for a, c in zip(act_tilt, tilt)]
+    eta = act_eta + min(step, max(-step, eta_d - act_eta))
     old_eta = min(1.0, max(0.0, eta))
-    assert bits(out.thrust) == bits(old_thrust)
-    assert bits(out.tilt) == bits(old_tilt)
-    assert bits([out.eta]) == bits([old_eta])
+    assert bits(out_thrust) == bits(old_thrust)
+    assert bits(out_tilt) == bits(old_tilt)
+    assert bits([out_eta]) == bits([old_eta])
 
 
 @settings(max_examples=300)
@@ -85,7 +86,7 @@ def test_nominal_wrench_integral_clamp(data):
         or (tuple(value(data, clamp) for _ in range(3)), value(data))
     cfg = replace(ScenarioConfig(), integral_clamp=clamp)
     state = VehicleState.at_rest((0.0, 0.0, 1.0))
-    sp = Setpoint.hold((0.1, 0.0, 1.0), geometry.EYE)
+    sp = hold((0.1, 0.0, 1.0), geometry.EYE)
 
     _, acc = nominal_wrench(state, sp, e_R, cfg, integ, PARAMS, dt)
 
@@ -97,19 +98,19 @@ def test_nominal_wrench_integral_clamp(data):
 @given(st.data())
 def test_allocate_thrust_clamp_and_flags(data):
     rotors = PARAMS.rotors
-    w = Wrench(tuple(value(data) for _ in range(3)),
-               tuple(value(data) for _ in range(3)))
+    w = (tuple(value(data) for _ in range(3)),
+         tuple(value(data) for _ in range(3)))
     # The unclamped thrusts are the hypotenuses of the min-norm solution.
-    (f0, f1, f2), (t0, t1, t2) = w.f, w.tau
+    (f0, f1, f2), (t0, t1, t2) = w
     raw = [math.hypot(*[a * f0 + b * f1 + c * f2 + d * t0 + e * t1 + g * t2
                         for a, b, c, d, e, g in rows])
            for rows in rotors.pinv_rows]
     T_max = value(data, *raw)
 
-    cmd = allocate(w, rotors, T_max, (0.0,) * 4)
+    thrust, _, saturated = allocate(w, rotors, T_max, (0.0,) * 4)
 
-    assert bits(cmd.thrust) == bits([min(T, T_max) for T in raw])
-    assert cmd.saturated is any([T > T_max for T in raw])
+    assert bits(thrust) == bits([min(T, T_max) for T in raw])
+    assert saturated is any([T > T_max for T in raw])
 
 
 def _acos_argument(R):

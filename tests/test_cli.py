@@ -1,6 +1,7 @@
 """CLI tests: subcommands, output files, exit codes."""
 
 import json
+import warnings
 from dataclasses import fields
 
 import pytest
@@ -69,6 +70,7 @@ def test_malformed_scenario_exit_code(tmp_path, capsys):
     "disturbance = 0 inf 1 0 0 0 0 0", "event = nan s_f2p",
     "mission = perch\nwall_normal = 0 0 1", "lambda_f2p = -2",
     "duration = 0.0001", "arm_length = 1e-10", "arm_length = 1e300",
+    "arm_length = 1e200",
     "mission = perch\nhover_pitch = 1.5707963267948966",
     "mission = perch\nhold_time = 1e62", "mission = perch\nt_approach = 3e-279",
     "t_contact = 0.0005", "duration = 1e300", "duration = 2000.5",
@@ -76,12 +78,19 @@ def test_malformed_scenario_exit_code(tmp_path, capsys):
     "rho = -0.1", "dt = 0", "disturbance = 5 1 3 0 0 0 0 0",
     "event = -1 s_f2p", "wall_normal = 1.5e308 1.5e308 1.5e308"])
 def test_invalid_value_exit_code(tmp_path, capsys, line):
-    # Unchecked, each of these would run, crash or exit 0.
+    # Unchecked, each of these would run, crash or exit 0.  None may warn.
     scen = tmp_path / "bad.scn"
     scen.write_text(HOVER + line + "\n")
-    assert main(["run", "--scenario", str(scen), "--out",
-                 str(tmp_path / "o")]) == EXIT_SCHEMA
-    assert "scenario error" in capsys.readouterr().err
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", "--scenario", str(scen), "--out",
+                     str(tmp_path / "o")]) == EXIT_SCHEMA
+    err = capsys.readouterr().err
+    assert "scenario error" in err and "Warning" not in err
+    if line in ("arm_length = 1e300", "arm_length = 1e200"):
+        # The arm lengths overflow; the geometry is not rank deficient.
+        assert "rotor positions [0, 1, 2, 3] have non-finite arm lengths" \
+            in err
 
 
 @pytest.mark.parametrize("line", ["rho = 1", "event = 3 s_warp"])

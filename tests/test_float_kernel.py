@@ -20,10 +20,8 @@ import pytest
 
 from perchsim import allocation, control, estimation, geometry, harness, \
     planner, supervisor, vehicle
-from perchsim.allocation import ActuatorCommand, Wrench
-from perchsim.control import Setpoint
-from perchsim.scenario import ScenarioConfig
-from perchsim.vehicle import ActuatorState, ContactState, VehicleState
+from perchsim.scenario import ScenarioConfig, default_scenario
+from perchsim.vehicle import ContactState, VehicleState
 from so3 import flat, mat, right_jacobian_inv, rot_x, rot_z
 
 TOL = 1e-12
@@ -190,33 +188,34 @@ def test_controllers_match_numpy():
     state = _state()
     R = mat(state.R)
     Rd = ROTATIONS["large"]
-    sp = Setpoint((0.3, 0.1, 1.1), (0.2, 0.0, -0.1), (0.5, -0.3, 0.2),
-                  flat(Rd), (0.1, 0.4, -0.2))
+    sp = p_d, v_d, a_d, R_d, w_d = ((0.3, 0.1, 1.1), (0.2, 0.0, -0.1),
+                                    (0.5, -0.3, 0.2), flat(Rd),
+                                    (0.1, 0.4, -0.2))
     cfg = ScenarioConfig(integral_clamp=0.05)
-    e_R = geometry.rotation_error(state.R, sp.R)
+    e_R = geometry.rotation_error(state.R, R_d)
     integ = (0.049, -0.04, 0.0)
-    w, acc = control.nominal_wrench(state, sp, e_R, cfg, integ, PARAMS,
-                                    0.01)
+    (f_out, tau_out), acc = control.nominal_wrench(state, sp, e_R, cfg, integ,
+                                                   PARAMS, 0.01)
 
-    e_p = np.subtract(sp.p, state.p)
-    e_v = np.subtract(sp.v, state.v)
+    e_p = np.subtract(p_d, state.p)
+    e_v = np.subtract(v_d, state.v)
     f = PARAMS.m * (R.T @ (PARAMS.g * B3 + cfg.k_tp * e_p
-                           + cfg.k_td * e_v + np.array(sp.a)))
-    e_w = R.T @ Rd @ sp.omega - np.array(state.omega)
+                           + cfg.k_td * e_v + np.array(a_d)))
+    e_w = R.T @ Rd @ w_d - np.array(state.omega)
     acc_ref = np.clip(np.add(integ, np.multiply(e_R, 0.01)), -0.05, 0.05)
     tau = np.diag(PARAMS.J) @ (cfg.k_rp * np.array(e_R) + cfg.k_rd * e_w
                                + cfg.k_ri * acc_ref)
     assert acc_ref[1] == -0.05          # one component clamps
-    assert close(w.f, f) and close(w.tau, tau) and close(acc, acc_ref)
+    assert close(f_out, f) and close(tau_out, tau) and close(acc, acc_ref)
 
     est = estimation.EstimatorState((1.5, -0.4, 2.0), (0.0,) * 3,
                                     (0.0,) * 3)
     assert close(control.rejection_force(est, state.R),
                  -(R.T @ est.delta_hat))
-    assert control.perch_wrench(0.0, state, PARAMS) == Wrench.zero()
-    pw = control.perch_wrench(0.5, state, PARAMS)
-    assert close(pw.f, 0.5 * PARAMS.m * PARAMS.g * (R.T @ B3))
-    assert pw.tau == (0.0, 0.0, 0.0)
+    assert control.perch_wrench(0.0, state, PARAMS) == (geometry.ZERO3,) * 2
+    pw_f, pw_tau = control.perch_wrench(0.5, state, PARAMS)
+    assert close(pw_f, 0.5 * PARAMS.m * PARAMS.g * (R.T @ B3))
+    assert pw_tau == (0.0, 0.0, 0.0)
 
 
 def _idle_and_saturated_wrench(geom):
@@ -226,7 +225,7 @@ def _idle_and_saturated_wrench(geom):
     null = np.linalg.svd(A[:, [0, 4]].T)[2][2:]
     x = A.T @ null.T @ np.array([1.0, -0.5, 0.3, 0.8])
     x *= 12.0 / np.max(np.hypot(x[:4], x[4:]))
-    return Wrench(*np.split(A @ x, 2))
+    return tuple(np.split(A @ x, 2))
 
 
 def test_allocation_matches_numpy():
@@ -234,9 +233,10 @@ def test_allocation_matches_numpy():
     A = geom.A
     prev = (0.3, -0.2, 0.1, 0.05)
     w = _idle_and_saturated_wrench(geom)
-    cmd = allocation.allocate(w, geom, 8.0, prev)
+    cmd_thrust, cmd_tilt, cmd_saturated = allocation.allocate(w, geom, 8.0,
+                                                              prev)
 
-    x = np.linalg.pinv(A) @ np.concatenate([w.f, w.tau])
+    x = np.linalg.pinv(A) @ np.concatenate(w)
     thrust = np.hypot(x[:4], x[4:])
     tilt = np.arctan2(x[4:], x[:4])
     idle = thrust < allocation.THRUST_EPS
@@ -244,12 +244,12 @@ def test_allocation_matches_numpy():
     saturated = thrust > 8.0
     thrust[saturated] = 8.0
     assert idle[0] and saturated.any() and not saturated.all()
-    assert close(cmd.thrust, thrust) and close(cmd.tilt, tilt)
-    assert cmd.saturated is bool(saturated.any())
+    assert close(cmd_thrust, thrust) and close(cmd_tilt, tilt)
+    assert cmd_saturated is bool(saturated.any())
 
-    back = vehicle.forward_wrench(cmd.thrust, cmd.tilt, geom)
+    back_f, back_tau = vehicle.forward_wrench(cmd_thrust, cmd_tilt, geom)
     ref = A @ np.concatenate([thrust * np.cos(tilt), thrust * np.sin(tilt)])
-    assert close(back.f, ref[:3]) and close(back.tau, ref[3:])
+    assert close(back_f, ref[:3]) and close(back_tau, ref[3:])
 
 
 def test_estimator_matches_numpy():
@@ -278,18 +278,20 @@ def test_estimator_matches_numpy():
 
 def test_actuators_match_numpy():
     params = replace(DEFAULT_PARAMS, T_max=5.0)
-    act = ActuatorState((0.02, 4.99, 3.0, 2.0), (0.1, -0.2, 0.0, 0.3), 0.5)
-    cmd = ActuatorCommand((-3.0, 9.0, 3.5, 2.0), (0.5, -0.2002, -1.0, 0.3))
+    act = act_T, act_nu, act_eta = ((0.02, 4.99, 3.0, 2.0),
+                                    (0.1, -0.2, 0.0, 0.3), 0.5)
+    cmd = cmd_T, cmd_nu, _ = ((-3.0, 9.0, 3.5, 2.0),
+                              (0.5, -0.2002, -1.0, 0.3), False)
     dt = 0.001
-    out = vehicle.step_actuators(act, cmd, 1.0, dt, params)
-    a_T, a_nu = np.array(act.thrust), np.array(act.tilt)
-    thrust = np.clip(a_T + (np.array(cmd.thrust) - a_T)
+    out_T, out_nu, out_eta = vehicle.step_actuators(act, cmd, 1.0, dt, params)
+    a_T, a_nu = np.array(act_T), np.array(act_nu)
+    thrust = np.clip(a_T + (np.array(cmd_T) - a_T)
                      * (dt / params.tau_rotor), 0.0, params.T_max)
     d = params.tilt_rate_max * dt
-    tilt = a_nu + np.clip(np.array(cmd.tilt) - a_nu, -d, d)
+    tilt = a_nu + np.clip(np.array(cmd_nu) - a_nu, -d, d)
     assert thrust[0] == 0.0 and thrust[1] == params.T_max
-    assert close(out.thrust, thrust) and close(out.tilt, tilt)
-    assert out.eta == act.eta + dt / params.t_ps
+    assert close(out_T, thrust) and close(out_nu, tilt)
+    assert out_eta == act_eta + dt / params.t_ps
 
 
 def _at_gap(gap, R=ROTATIONS["generic"]):
@@ -320,7 +322,7 @@ CONTACT_CASES = {
 def test_contact_matches_numpy(name):
     gap, eta, attached, pull = CONTACT_CASES[name]
     state = _at_gap(gap)
-    act = ActuatorState((0.0,) * 4, (0.0,) * 4, eta)
+    act = (0.0,) * 4, (0.0,) * 4, eta
     before = ContactState(attached, 0.0 if attached else gap, 0.0)
     n = np.array(WALL.normal)
     applied = PARAMS.m * PARAMS.g * B3 + pull * n + (0.3, -0.4, 0.0)
@@ -354,7 +356,7 @@ def test_contact_cases_reach_every_branch():
     kinds = set()
     for gap, eta, attached, pull in CONTACT_CASES.values():
         out, edge = vehicle.update_contact(
-            _at_gap(gap), ActuatorState((0.0,) * 4, (0.0,) * 4, eta),
+            _at_gap(gap), ((0.0,) * 4, (0.0,) * 4, eta),
             PARAMS.m * PARAMS.g * B3 + np.multiply(pull, WALL.normal),
             ContactState(attached), WALL, PARAMS)
         kinds.add((attached, out.attached, any(out.nearfield_force), edge))
@@ -397,8 +399,49 @@ def test_disturbance_matches_numpy():
             if t0 <= t < t1:
                 df += vals[:3]
                 dr += vals[3:]
-        out = harness._disturbance_at(cfg, t)
-        assert out.delta_f == tuple(df) and out.delta_r == tuple(dr)
+        assert harness._disturbance_at(cfg, t) == (tuple(df), tuple(dr))
+
+
+# The values passed from stage to stage, as their tuple layout with each
+# leaf's type: a wrench (f, tau), the disturbances (delta_f, delta_r), a
+# command (thrust, tilt, saturated), an actuator state (thrust, tilt, eta)
+# and a setpoint (p, v, a, R, omega).  nominal_wrench also returns the
+# attitude integral.
+VEC3 = (float,) * 3
+WRENCH = (VEC3, VEC3)
+PLAIN_OUTPUTS = {
+    "nominal_wrench": (WRENCH, VEC3), "perch_wrench": WRENCH,
+    "forward_wrench": WRENCH, "_disturbance_at": (VEC3, VEC3),
+    "allocate": ((float,) * 4, (float,) * 4, bool),
+    "step_actuators": ((float,) * 4, (float,) * 4, float),
+    "sample": (VEC3, VEC3, VEC3, (float,) * 9, VEC3)}
+
+
+def layout(x):
+    """x's nesting of exact tuples (a subclass is a leaf), leaves as types."""
+    return tuple(map(layout, x)) if type(x) is tuple else type(x)
+
+
+def test_stage_outputs_are_plain_tuples(monkeypatch):
+    seen = {name: set() for name in PLAIN_OUTPUTS}
+
+    def spy(name, fn):
+        def recorded(*args):
+            out = fn(*args)
+            seen[name].add(layout(out))
+            return out
+        return recorded
+    for name in PLAIN_OUTPUTS:
+        owner = harness.MissionPlanner if name == "sample" else harness
+        monkeypatch.setattr(owner, name, spy(name, getattr(owner, name)))
+    # The default mission, shortened: every mode, and its disturbance pulse.
+    cfg = default_scenario()
+    cfg.events, cfg.duration = [(1.0, "s_f2p"), (4.5, "s_p2f")], 6.0
+    cfg.disturbances = [(0.5, 30.0, 1.5, 0.0, 0.0, 0.0, 0.0, 0.0)]
+    result = harness.run_scenario(cfg)
+    assert set(result.modes) == {"F", "F2P", "P", "P2F"}
+    assert {name: [want] for name, want in PLAIN_OUTPUTS.items()} \
+        == {name: sorted(layouts, key=str) for name, layouts in seen.items()}
 
 
 TICK_MODULES = (allocation, control, estimation, geometry, harness, planner,

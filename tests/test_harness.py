@@ -157,7 +157,7 @@ def test_disturbance_edges_match_full_rescan(pulses, monkeypatch):
     seen = []
 
     def spy(state, w_act, dist, *rest):
-        seen.append((dist.delta_f, dist.delta_r))
+        seen.append(dist)
         return integrate(state, w_act, dist, *rest)
     integrate = harness.integrate
     monkeypatch.setattr(harness, "integrate", spy)
@@ -166,8 +166,7 @@ def test_disturbance_edges_match_full_rescan(pulses, monkeypatch):
     run_scenario(cfg)
     assert len(seen) == 150
     for k, got in enumerate(seen):
-        want = _disturbance_at(cfg, k * DT)
-        assert got == (want.delta_f, want.delta_r), k
+        assert got == _disturbance_at(cfg, k * DT), k
 
 
 def test_determinism_byte_identical_csv():

@@ -26,8 +26,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from perchsim import estimation
-from perchsim.allocation import THRUST_EPS, RotorGeometry, Wrench, allocate
-from perchsim.control import Setpoint, nominal_wrench, perch_wrench
+from perchsim.allocation import THRUST_EPS, RotorGeometry, allocate
+from perchsim.control import nominal_wrench, perch_wrench
 from perchsim.geometry import EYE, ZERO3, exp_so3, floats, log_so3, \
     mat_mul, mat_t_mul, mat_t_vec, mat_vec, renormalize, right_jacobian, \
     rot_y
@@ -36,8 +36,8 @@ from perchsim.planner import RotationSegment, min_accel_rotation
 from perchsim.scenario import ScenarioConfig
 from perchsim.supervisor import Mode, SupervisorState, transition_two_mode
 from perchsim.vehicle import ETA_ENGAGED, ETA_OPEN, ContactState, \
-    Disturbances, NumericalDivergenceError, VehicleParams, VehicleState, \
-    WallModel, integrate, update_contact
+    NumericalDivergenceError, VehicleParams, VehicleState, WallModel, \
+    integrate, update_contact
 from so3 import right_jacobian_inv
 
 TAME = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, 1.0,
@@ -83,9 +83,9 @@ def outcome(fn, *args):
 
 def derivative(wrench, nearfield_force, dist, params):
     """The rates closure of the previous integrate."""
-    (fx, fy, fz), (tx, ty, tz) = wrench.f, wrench.tau
-    (nx, ny, nz), (dx, dy, dz) = nearfield_force, dist.delta_f
-    (ex, ey, ez), m, g = dist.delta_r, params.m, params.g
+    (fx, fy, fz), (tx, ty, tz) = wrench
+    (nx, ny, nz), ((dx, dy, dz), (ex, ey, ez)) = nearfield_force, dist
+    m, g = params.m, params.g
     (jx, jy, jz), (ix, iy, iz) = params.J, params.J_inv
 
     def rates(R, wx, wy, wz):
@@ -157,8 +157,8 @@ def test_integrate_matches_unrolled_rk4(data):
                            (numbers(data, wild, 3), numbers(data, wild, 3))),
                          numbers(data, wild, 9, -1.0, 1.0),
                          numbers(data, wild, 3, -rate, rate))
-    wrench = Wrench(numbers(data, wild, 3), numbers(data, wild, 3))
-    dist = Disturbances(numbers(data, wild, 3), numbers(data, wild, 3))
+    wrench = numbers(data, wild, 3), numbers(data, wild, 3)
+    dist = numbers(data, wild, 3), numbers(data, wild, 3)
     contact = ContactState(nearfield_force=numbers(data, wild, 3))
     params = SimpleNamespace(
         m=number(data, wild, 0.05, 5.0), g=number(data, wild, 0.0, 20.0),
@@ -178,7 +178,7 @@ def _case(kind):
         # would make them +0.0 and flip the sign of p and v.
         z, m = (-0.0,) * 3, SimpleNamespace(
             m=1.0, g=0.0, J=(0.0,) * 3, J_inv=(0.0,) * 3)
-        return (VehicleState(z, z, EYE, z), Wrench(z, z), Disturbances(z, z),
+        return (VehicleState(z, z, EYE, z), (z, z), (z, z),
                 ContactState(nearfield_force=z), m, 0.001)
     params = SimpleNamespace(m=1.2, g=9.81, J=(0.01, 0.012, 0.02),
                              J_inv=(100.0, 1 / 0.012, 50.0))
@@ -186,8 +186,8 @@ def _case(kind):
                                                              0.005)
     return (VehicleState((0.1, -0.2, 1.3), (0.4, -0.1, 0.2),
                          exp_so3(0.2, -0.3, 0.4), (1.5, -2.0, 0.7)),
-            Wrench((0.3, -0.2, 12.0), tau),
-            Disturbances((1.5, -0.5, 0.3), (0.2, -0.1, 0.4)),
+            ((0.3, -0.2, 12.0), tau),
+            ((1.5, -0.5, 0.3), (0.2, -0.1, 0.4)),
             ContactState(nearfield_force=(-16.0, 0.0, 0.0)), params, 0.004)
 
 
@@ -212,9 +212,9 @@ def integrate_full_inertia(state, wrench, dist, contact, params, dt):
     row-major 9-tuples `Jb` and `Jb_inv`."""
     if contact.attached:
         return state
-    (fx, fy, fz), (tx, ty, tz) = wrench.f, wrench.tau
-    (nx, ny, nz), (dx, dy, dz) = contact.nearfield_force, dist.delta_f
-    (ex, ey, ez), m, g = dist.delta_r, params.m, params.g
+    (fx, fy, fz), (tx, ty, tz) = wrench
+    (nx, ny, nz), ((dx, dy, dz), (ex, ey, ez)) = contact.nearfield_force, dist
+    m, g = params.m, params.g
     j00, j01, j02, j10, j11, j12, j20, j21, j22 = params.Jb
     i00, i01, i02, i10, i11, i12, i20, i21, i22 = params.Jb_inv
     R, (v1x, v1y, v1z), (w1x, w1y, w1z) = state.R, state.v, state.omega
@@ -263,13 +263,13 @@ def nominal_wrench_full_inertia(state, sp, e_R, cfg, integ, params, dt):
     commanded angular acceleration."""
     K_tp, K_td, g, m = cfg.k_tp, cfg.k_td, params.g, params.m
     (px, py, pz), (vx, vy, vz) = state.p, state.v
-    (dpx, dpy, dpz), (dvx, dvy, dvz), (ax, ay, az) = sp.p, sp.v, sp.a
+    (dpx, dpy, dpz), (dvx, dvy, dvz), (ax, ay, az), R_d, w_d = sp
     ux, uy, uz = mat_t_vec(state.R, (
         K_tp * (dpx - px) + K_td * (dvx - vx) + ax,
         K_tp * (dpy - py) + K_td * (dvy - vy) + ay,
         g + K_tp * (dpz - pz) + K_td * (dvz - vz) + az))
     (ex, ey, ez), (ix, iy, iz), (wx, wy, wz) = e_R, integ, state.omega
-    wdx, wdy, wdz = mat_t_vec(state.R, mat_vec(sp.R, sp.omega))
+    wdx, wdy, wdz = mat_t_vec(state.R, mat_vec(R_d, w_d))
     lo, hi = -cfg.integral_clamp, cfg.integral_clamp
     ix, iy, iz = ix + ex * dt, iy + ey * dt, iz + ez * dt
     ix, iy, iz = (lo if lo > ix else ix, lo if lo > iy else iy,
@@ -280,7 +280,7 @@ def nominal_wrench_full_inertia(state, sp, e_R, cfg, integ, params, dt):
     tau = mat_vec(params.Jb, (K_rp * ex + K_rd * (wdx - wx) + K_ri * ix,
                               K_rp * ey + K_rd * (wdy - wy) + K_ri * iy,
                               K_rp * ez + K_rd * (wdz - wz) + K_ri * iz))
-    return Wrench((m * ux, m * uy, m * uz), tau), (ix, iy, iz)
+    return ((m * ux, m * uy, m * uz), tau), (ix, iy, iz)
 
 
 ZERO_BITS = bits((0.0, -0.0))
@@ -316,8 +316,8 @@ def test_principal_integrate_matches_full_inertia(data):
                            (numbers(data, False, 3), numbers(data, False, 3))),
                          numbers(data, False, 9, -1.0, 1.0),
                          numbers(data, False, 3, -rate, rate))
-    wrench = Wrench(numbers(data, False, 3), numbers(data, False, 3))
-    dist = Disturbances(numbers(data, False, 3), numbers(data, False, 3))
+    wrench = numbers(data, False, 3), numbers(data, False, 3)
+    dist = numbers(data, False, 3), numbers(data, False, 3)
     contact = ContactState(nearfield_force=numbers(data, False, 3))
     dt = number(data, False, 0.0, 2.0) if data.draw(st.booleans()) \
         else data.draw(st.sampled_from([0.001, 0.004, 1e-6, 0.01]))
@@ -329,8 +329,8 @@ def test_principal_integrate_matches_full_inertia(data):
 def wrench_and_integral(fn):
     """`fn`, a nominal_wrench, with its outputs as float tuples."""
     def run(*args):
-        w, integ = fn(*args)
-        return w.f, w.tau, integ
+        (f, tau), integ = fn(*args)
+        return f, tau, integ
     return run
 
 
@@ -341,8 +341,8 @@ def test_principal_torque_matches_full_inertia(data):
     state = VehicleState(numbers(data, False, 3), numbers(data, False, 3),
                          numbers(data, False, 9, -1.0, 1.0),
                          numbers(data, False, 3, -rate, rate))
-    sp = Setpoint(*(numbers(data, False, 3) for _ in range(3)),
-                  numbers(data, False, 9, -1.0, 1.0),
+    sp = (*(numbers(data, False, 3) for _ in range(3)),
+          numbers(data, False, 9, -1.0, 1.0),
                   numbers(data, False, 3, -rate, rate))
     e_R, integ = numbers(data, False, 3, -4.0, 4.0), numbers(data, False, 3)
     cfg = SimpleNamespace(**{k: number(data, False, 0.0, 100.0) for k in (
@@ -380,7 +380,7 @@ def allocate_comprehension(w, geometry, T_max, prev_tilt):
     comprehension, sliced into vertical and lateral halves, and one
     saturation flag per rotor."""
     n = geometry.n_rotors
-    (f0, f1, f2), (t0, t1, t2) = w.f, w.tau
+    (f0, f1, f2), (t0, t1, t2) = w
     x = [a * f0 + b * f1 + c * f2 + d * t0 + e * t1 + g * t2
          for a, b, c, d, e, g in np.linalg.pinv(geometry.A).tolist()]
     thrust, tilt, saturated = [], [], []
@@ -404,14 +404,14 @@ GEOMETRIES = [RotorGeometry.x_config(0.12, 0.016),
 def test_per_rotor_rows_match_comprehension(data):
     wild = data.draw(st.booleans())
     geometry = data.draw(st.sampled_from(GEOMETRIES))
-    w = Wrench(numbers(data, wild, 3), numbers(data, wild, 3))
+    w = numbers(data, wild, 3), numbers(data, wild, 3)
     T_max = data.draw(st.one_of(st.sampled_from(
         (0.0, 5e-324, 1e-7, 8.0, math.inf, math.nan)), st.floats(0.0, 60.0)))
     prev = numbers(data, wild, 4, -1.0, 1.0)
-    cmd = allocate(w, geometry, T_max, prev)
+    cmd_thrust, cmd_tilt, cmd_saturated = allocate(w, geometry, T_max, prev)
     thrust, tilt, saturated = allocate_comprehension(w, geometry, T_max, prev)
-    assert bits(cmd.thrust + cmd.tilt) == bits(thrust + tilt)
-    assert cmd.saturated is any(saturated)
+    assert bits(cmd_thrust + cmd_tilt) == bits(thrust + tilt)
+    assert cmd_saturated is any(saturated)
 
 
 def eval_lists(seg, t):
@@ -476,10 +476,10 @@ def update_contact_anchored(state, act, applied_world_force, contact, wall,
                             params):
     """The previous update_contact, which returned no edge."""
     gap = wall.gap_of(state)
-    nx, ny, nz = wall.normal
+    (nx, ny, nz), (_, _, eta) = wall.normal, act
     if contact.attached:
-        eta_hold = 1.0 if act.eta >= ETA_ENGAGED else act.eta
-        if act.eta <= ETA_OPEN:
+        eta_hold = 1.0 if eta >= ETA_ENGAGED else eta
+        if eta <= ETA_OPEN:
             return AnchoredContact(False, gap, 0.0)
         fx, fy, fz = applied_world_force
         pull = nx * fx + ny * fy + nz * (fz - params.m * params.g)
@@ -488,11 +488,11 @@ def update_contact_anchored(state, act, applied_world_force, contact, wall,
         return AnchoredContact(True, 0.0, wall.F_mag * eta_hold - pull,
                                anchor_p=contact.anchor_p,
                                anchor_R=contact.anchor_R)
-    if act.eta >= ETA_ENGAGED and gap <= wall.eps_attach:
+    if eta >= ETA_ENGAGED and gap <= wall.eps_attach:
         return AnchoredContact(True, 0.0, wall.F_mag,
                                anchor_p=state.p, anchor_R=state.R)
     out = AnchoredContact(False, gap, 0.0)
-    if act.eta >= ETA_ENGAGED and 0.0 < gap < wall.d_mag:
+    if eta >= ETA_ENGAGED and 0.0 < gap < wall.d_mag:
         s = -wall.F_mag * (1.0 - gap / wall.d_mag)
         out.nearfield_force = (s * nx, s * ny, s * nz)
     return out
@@ -500,10 +500,11 @@ def update_contact_anchored(state, act, applied_world_force, contact, wall,
 
 def harness_edge(contact, new_contact, act):
     """The previous harness's contact event, derived from the two states."""
+    _, _, eta = act
     if new_contact.attached and not contact.attached:
         return "attach"
     if contact.attached and not new_contact.attached:
-        return "release" if act.eta <= ETA_OPEN else "forcible-detach"
+        return "release" if eta <= ETA_OPEN else "forcible-detach"
     return None
 
 
@@ -534,7 +535,7 @@ def test_contact_edges_match_anchored_form(data):
         attached, 0.0 if attached else wall.gap_of(state), 0.0,
         state.p if attached else None, state.R if attached else None)
     before = ContactState(*astuple(old_before)[:3])
-    act = SimpleNamespace(eta=eta)
+    act = (0.0,) * 4, (0.0,) * 4, eta
     params = SimpleNamespace(m=number(data, False, 0.1, 5.0),
                              g=number(data, False, 0.0, 20.0))
     applied = numbers(data, wild, 3, -80.0, 80.0)
@@ -605,7 +606,7 @@ SIGNED_ROTATIONS = (EYE, rot_y(math.pi / 2), rot_y(-math.pi / 2),
 @given(st.data())
 def test_zero_rho_perch_wrench_allocates_as_zero(data):
     # A rho = 0 wrench is signed zeros; allocate's hypot makes them +0.0
-    # and holds each tilt, as for Wrench.zero().
+    # and holds each tilt, as for the zero wrench (ZERO3, ZERO3).
     params = ScenarioConfig().build()[0]
     R = data.draw(st.one_of(
         st.sampled_from(SIGNED_ROTATIONS),
@@ -616,11 +617,13 @@ def test_zero_rho_perch_wrench_allocates_as_zero(data):
     state = VehicleState((0.5, 0.0, 1.2), ZERO3, R, ZERO3)
 
     w = perch_wrench(0.0, state, params)
-    got = allocate(w, params.rotors, T_max, prev)
-    want = allocate(Wrench.zero(), params.rotors, T_max, prev)
-    assert bits(got.thrust + got.tilt) == bits(want.thrust + want.tilt)
-    assert got.saturated == want.saturated
-    assert [struct.pack("<d", x) for x in got.tilt] \
+    got_thrust, got_tilt, got_saturated = allocate(w, params.rotors, T_max,
+                                                   prev)
+    want_thrust, want_tilt, want_saturated = allocate(
+        (ZERO3, ZERO3), params.rotors, T_max, prev)
+    assert bits(got_thrust + got_tilt) == bits(want_thrust + want_tilt)
+    assert got_saturated == want_saturated
+    assert [struct.pack("<d", x) for x in got_tilt] \
         == [struct.pack("<d", x) for x in prev]
 
 

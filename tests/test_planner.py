@@ -21,7 +21,8 @@ def exp_matrix(v):
 
 
 def interface_x(sp):
-    return float((np.add(sp.p, mat_vec(sp.R, WALL.c_m)))[0])
+    p, _, _, R, _ = sp
+    return float((np.add(p, mat_vec(R, WALL.c_m)))[0])
 
 
 def test_setpoint_standoff_interface():
@@ -29,7 +30,8 @@ def test_setpoint_standoff_interface():
     sp1, sp2, sp3 = perch_setpoints(WALL, cfg)
     assert abs(interface_x(sp2) - 0.5) < 1e-12
     assert abs(interface_x(sp3) - 1.1) < 1e-12
-    assert np.allclose(sp1.p, cfg.hover_position)
+    p1, _, _, _, _ = sp1
+    assert np.allclose(p1, cfg.hover_position)
 
 
 def test_setpoint_zero_penetration_on_surface():
@@ -151,45 +153,45 @@ def _two_segment_plan():
 
 
 def test_plan_sample_start_exact():
-    plan, sp1, _ = _two_segment_plan()
-    out = plan.sample(0.0)
-    assert np.array_equal(out.p, sp1.p)
-    assert np.array_equal(out.v, np.zeros(3))
+    plan, (p1, _, _, _, _), _ = _two_segment_plan()
+    p, v, _, _, _ = plan.sample(0.0)
+    assert np.array_equal(p, p1)
+    assert np.array_equal(v, np.zeros(3))
 
 
 def test_plan_terminal_hold():
-    plan, _, sp2 = _two_segment_plan()
-    out = plan.sample(plan.duration + 10.0)
-    assert np.allclose(out.p, sp2.p, atol=1e-9)
-    assert np.array_equal(out.v, np.zeros(3))
-    assert np.array_equal(out.omega, np.zeros(3))
-    assert np.linalg.norm(np.subtract(out.R, sp2.R)) < 1e-9
+    plan, _, (p2, _, _, R2, _) = _two_segment_plan()
+    p, v, _, R, omega = plan.sample(plan.duration + 10.0)
+    assert np.allclose(p, p2, atol=1e-9)
+    assert np.array_equal(v, np.zeros(3))
+    assert np.array_equal(omega, np.zeros(3))
+    assert np.linalg.norm(np.subtract(R, R2)) < 1e-9
 
 
 def test_plan_derivative_consistency():
     plan, _, _ = _two_segment_plan()
     dt = 1e-4
     for t in np.linspace(1.1, 4.9, 25):
-        a = plan.sample(t - dt)
-        b = plan.sample(t + dt)
-        mid = plan.sample(t)
-        fd_v = np.subtract(b.p, a.p) / (2 * dt)
-        assert np.max(np.abs(fd_v - mid.v)) < 1e-5
+        p_a, _, _, R_a, _ = plan.sample(t - dt)
+        p_b, _, _, R_b, _ = plan.sample(t + dt)
+        _, v, _, R, omega = plan.sample(t)
+        fd_v = np.subtract(p_b, p_a) / (2 * dt)
+        assert np.max(np.abs(fd_v - v)) < 1e-5
         # Body rate: R^T dR/dt is the hat of omega.
-        dR = (mat(b.R) - mat(a.R)) / (2 * dt)
-        W = mat(mid.R).T @ dR
+        dR = (mat(R_b) - mat(R_a)) / (2 * dt)
+        W = mat(R).T @ dR
         omega_fd = np.array([W[2, 1], W[0, 2], W[1, 0]])
-        assert np.max(np.abs(omega_fd - mid.omega)) < 1e-5
+        assert np.max(np.abs(omega_fd - omega)) < 1e-5
 
 
 def test_plan_c1_continuity_at_joint():
     plan, _, _ = _two_segment_plan()
     eps = 1e-9
-    a = plan.sample(1.0 - eps)
-    b = plan.sample(1.0 + eps)
-    assert np.max(np.abs(np.subtract(a.p, b.p))) < 1e-6
-    assert np.max(np.abs(np.subtract(a.v, b.v))) < 1e-6
-    assert np.max(np.abs(np.subtract(a.omega, b.omega))) < 1e-6
+    p_a, v_a, _, _, omega_a = plan.sample(1.0 - eps)
+    p_b, v_b, _, _, omega_b = plan.sample(1.0 + eps)
+    assert np.max(np.abs(np.subtract(p_a, p_b))) < 1e-6
+    assert np.max(np.abs(np.subtract(v_a, v_b))) < 1e-6
+    assert np.max(np.abs(np.subtract(omega_a, omega_b))) < 1e-6
 
 
 def test_plan_config_validation():

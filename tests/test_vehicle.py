@@ -5,15 +5,15 @@ from dataclasses import replace
 
 import numpy as np
 
-from perchsim.allocation import ActuatorCommand, Wrench
-from perchsim.geometry import B3, EYE, rot_y
+from perchsim.geometry import B3, EYE, ZERO3, rot_y
 from perchsim.scenario import ScenarioConfig
-from perchsim.vehicle import (ActuatorState, ContactState, Disturbances,
-                              VehicleState, forward_wrench, integrate,
-                              step_actuators, update_contact)
+from perchsim.vehicle import (ContactState, VehicleState, forward_wrench,
+                              integrate, step_actuators, update_contact)
 from so3 import flat, mat, rot_x, rot_z
 
 PARAMS, WALL = ScenarioConfig().build()
+AT_REST = (0.0,) * 4, (0.0,) * 4, 0.0      # thrust, tilt, eta
+NO_DIST = ZERO3, ZERO3                     # delta_f, delta_r
 
 
 def detached(gap=10.0):
@@ -24,13 +24,12 @@ def step_from_rest(wrench, dt=0.001):
     """One integrate step from rest at R = I, with no near-field force or
     disturbance: under a constant force the step is exact to rounding."""
     start = VehicleState.at_rest((0.0, 0.0, 10.0))
-    return start, integrate(start, wrench, Disturbances(), detached(),
-                            PARAMS, dt)
+    return start, integrate(start, wrench, NO_DIST, detached(), PARAMS, dt)
 
 
 def test_integrate_free_fall_one_step():
     dt = 0.001
-    start, out = step_from_rest(Wrench.zero(), dt)
+    start, out = step_from_rest((ZERO3, ZERO3), dt)
     assert np.allclose(out.v, [0.0, 0.0, -9.81 * dt], rtol=0, atol=1e-15)
     assert np.allclose(out.p, [0.0, 0.0, 10.0 - 0.5 * 9.81 * dt * dt],
                        rtol=0, atol=1e-15)
@@ -38,7 +37,7 @@ def test_integrate_free_fall_one_step():
 
 
 def test_integrate_hover_balance_one_step():
-    w = Wrench(PARAMS.m * PARAMS.g * B3, np.zeros(3))
+    w = PARAMS.m * PARAMS.g * B3, np.zeros(3)
     start, out = step_from_rest(w)
     assert np.allclose(out.v, 0.0, rtol=0, atol=1e-15)
     assert np.allclose(out.p, start.p, rtol=0, atol=1e-15)
@@ -46,37 +45,37 @@ def test_integrate_hover_balance_one_step():
 
 
 def test_step_actuators_thrust_lag():
-    act = ActuatorState.at_rest()
-    cmd = ActuatorCommand(np.full(4, 4.0), np.zeros(4))
-    out = step_actuators(act, cmd, 0.0, 0.001, PARAMS)
+    cmd = np.full(4, 4.0), np.zeros(4), False
+    thrust, _, _ = step_actuators(AT_REST, cmd, 0.0, 0.001, PARAMS)
     # One Euler step of the lag; exact exponential would give 0.0792 N.
-    assert np.allclose(out.thrust, 0.0792, atol=1e-3)
+    assert np.allclose(thrust, 0.0792, atol=1e-3)
 
 
 def test_step_actuators_tilt_rate_limit():
-    act = ActuatorState.at_rest()
-    cmd = ActuatorCommand(np.zeros(4), np.full(4, math.pi / 2))
-    out = step_actuators(act, cmd, 0.0, 0.001, PARAMS)
-    assert np.allclose(out.tilt, 0.008, atol=1e-12)
+    cmd = np.zeros(4), np.full(4, math.pi / 2), False
+    _, tilt, _ = step_actuators(AT_REST, cmd, 0.0, 0.001, PARAMS)
+    assert np.allclose(tilt, 0.008, atol=1e-12)
 
 
 def test_step_actuators_fixed_point():
-    act = ActuatorState(np.full(4, 2.0), np.full(4, 0.1), 0.5)
-    cmd = ActuatorCommand(act.thrust.copy(), act.tilt.copy())
-    out = step_actuators(act, cmd, 0.5, 0.001, PARAMS)
-    assert np.allclose(out.thrust, act.thrust)
-    assert np.allclose(out.tilt, act.tilt)
-    assert out.eta == act.eta
+    act = thrust, tilt, eta = np.full(4, 2.0), np.full(4, 0.1), 0.5
+    cmd = thrust.copy(), tilt.copy(), False
+    out_thrust, out_tilt, out_eta = step_actuators(act, cmd, 0.5, 0.001,
+                                                   PARAMS)
+    assert np.allclose(out_thrust, thrust)
+    assert np.allclose(out_tilt, tilt)
+    assert out_eta == eta
 
 
 def test_step_actuators_perch_servo_travel():
-    act = ActuatorState.at_rest()
-    cmd = ActuatorCommand(np.zeros(4), np.zeros(4))
-    out = step_actuators(act, cmd, 1.0, 0.001, PARAMS)
-    assert abs(out.eta - 0.001 / PARAMS.t_ps) < 1e-12
+    cmd = np.zeros(4), np.zeros(4), False
+    out = step_actuators(AT_REST, cmd, 1.0, 0.001, PARAMS)
+    _, _, eta = out
+    assert abs(eta - 0.001 / PARAMS.t_ps) < 1e-12
     for _ in range(1000):
         out = step_actuators(out, cmd, 1.0, 0.001, PARAMS)
-    assert out.eta == 1.0
+    _, _, eta = out
+    assert eta == 1.0
 
 
 def _state_at_gap(gap):
@@ -90,7 +89,7 @@ def _state_at_gap(gap):
 
 def test_contact_attach_threshold():
     st = _state_at_gap(0.0005)
-    act = ActuatorState(np.zeros(4), np.zeros(4), eta=1.0)
+    act = (np.zeros(4), np.zeros(4), 1.0)
     out, edge = update_contact(st, act, np.zeros(3), detached(), WALL,
                                PARAMS)
     assert out.attached and edge == "attach"
@@ -99,7 +98,7 @@ def test_contact_attach_threshold():
 
 def test_contact_no_attach_beyond_tolerance():
     st = _state_at_gap(0.01)
-    act = ActuatorState(np.zeros(4), np.zeros(4), eta=1.0)
+    act = (np.zeros(4), np.zeros(4), 1.0)
     out, edge = update_contact(st, act, np.zeros(3), detached(), WALL,
                                PARAMS)
     assert not out.attached and edge is None
@@ -107,7 +106,7 @@ def test_contact_no_attach_beyond_tolerance():
 
 def test_contact_lambda_true_gravity_offset():
     st = _state_at_gap(0.0)
-    act = ActuatorState(np.zeros(4), np.zeros(4), eta=1.0)
+    act = (np.zeros(4), np.zeros(4), 1.0)
     anchored = ContactState(attached=True, gap=0.0)
     applied = PARAMS.m * PARAMS.g * B3  # perfect gravity offset
     out, edge = update_contact(st, act, applied, anchored, WALL, PARAMS)
@@ -121,7 +120,7 @@ def test_contact_lambda_true_counts_push_and_pull():
     st = _state_at_gap(0.0)
     anchored = ContactState(attached=True, gap=0.0)
     for eta, pull in ((1.0, -3.0), (1.0, 2.0), (0.5, -3.0), (0.5, 2.0)):
-        act = ActuatorState(np.zeros(4), np.zeros(4), eta=eta)
+        act = (np.zeros(4), np.zeros(4), eta)
         applied = PARAMS.m * PARAMS.g * B3 + np.multiply(pull, WALL.normal)
         out, edge = update_contact(st, act, applied, anchored, WALL, PARAMS)
         assert out.attached and edge is None
@@ -130,7 +129,7 @@ def test_contact_lambda_true_counts_push_and_pull():
 
 def test_contact_release_on_unperch_travel():
     st = _state_at_gap(0.0)
-    act = ActuatorState(np.zeros(4), np.zeros(4), eta=0.0)
+    act = (np.zeros(4), np.zeros(4), 0.0)
     anchored = ContactState(attached=True, gap=0.0)
     out, edge = update_contact(st, act, np.zeros(3), anchored, WALL, PARAMS)
     assert not out.attached and edge == "release"
@@ -138,7 +137,7 @@ def test_contact_release_on_unperch_travel():
 
 def test_contact_forcible_detach_over_capacity():
     st = _state_at_gap(0.0)
-    act = ActuatorState(np.zeros(4), np.zeros(4), eta=1.0)
+    act = (np.zeros(4), np.zeros(4), 1.0)
     anchored = ContactState(attached=True, gap=0.0)
     pull = PARAMS.m * PARAMS.g * B3 \
         + np.multiply(WALL.F_mag + 1.0, WALL.normal)
@@ -148,7 +147,7 @@ def test_contact_forcible_detach_over_capacity():
 
 def test_contact_nearfield_ramp():
     st = _state_at_gap(0.025)
-    act = ActuatorState(np.zeros(4), np.zeros(4), eta=1.0)
+    act = (np.zeros(4), np.zeros(4), 1.0)
     out, edge = update_contact(st, act, np.zeros(3), detached(), WALL,
                                PARAMS)
     assert edge is None
@@ -158,16 +157,17 @@ def test_contact_nearfield_ramp():
 
 
 def rotor_wrench(act, params=PARAMS):
-    return forward_wrench(act.thrust, act.tilt, params.rotors)
+    thrust, tilt, _ = act
+    return forward_wrench(thrust, tilt, params.rotors)
 
 
 def test_integrate_free_fall_closed_form():
     state = VehicleState.at_rest([0.0, 0.0, 10.0])
-    act = ActuatorState.at_rest()
+    act = AT_REST
     contact = detached()
     for _ in range(1000):
-        state = integrate(state, rotor_wrench(act), Disturbances(),
-                          contact, PARAMS, 0.001)
+        state = integrate(state, rotor_wrench(act), NO_DIST, contact, PARAMS,
+                          0.001)
     assert abs(state.v[2] + 9.81) < 1e-9
     assert abs((10.0 - state.p[2]) - 4.905) < 1e-6
 
@@ -176,13 +176,13 @@ def test_integrate_principal_axis_rotation():
     params = replace(PARAMS, J=(0.01, 0.01, 0.01))
     state = VehicleState.at_rest([0.0, 0.0, 10.0])
     state.omega = np.array([0.0, 0.0, 1.0])
-    act = ActuatorState.at_rest()
+    act = AT_REST
     contact = detached()
     n = 2000
     dt = (math.pi / 2) / n
     for _ in range(n):
-        state = integrate(state, rotor_wrench(act, params),
-                          Disturbances(), contact, params, dt)
+        state = integrate(state, rotor_wrench(act, params), NO_DIST, contact,
+                          params, dt)
     assert np.linalg.norm(mat(state.R) - rot_z(math.pi / 2)) < 1e-6
 
 
@@ -195,14 +195,14 @@ def test_integrate_matches_numpy_rk4():
                          np.array([0.4, -0.1, 0.2]),
                          flat(rot_z(0.4) @ mat(rot_y(-0.3)) @ rot_x(0.2)),
                          np.array([1.5, -2.0, 0.7]))
-    act = ActuatorState(np.array([3.0, 4.5, 2.0, 5.0]),
-                        np.array([0.1, -0.3, 0.2, 0.05]), 1.0)
-    dist = Disturbances(np.array([1.5, -0.5, 0.3]),
-                        np.array([0.2, -0.1, 0.4]))
+    act = (np.array([3.0, 4.5, 2.0, 5.0]),
+           np.array([0.1, -0.3, 0.2, 0.05]), 1.0)
+    dist = delta_f, delta_r = (np.array([1.5, -0.5, 0.3]),
+                               np.array([0.2, -0.1, 0.4]))
     contact = ContactState(gap=0.02,
                            nearfield_force=np.array([-16.0, 0.0, 0.0]))
     dt = 0.004
-    wrench = rotor_wrench(act, params)
+    wrench = f_rotor, tau_rotor = rotor_wrench(act, params)
     out = integrate(state, wrench, dist, contact, params, dt)
 
     def expm(phi):
@@ -212,10 +212,9 @@ def test_integrate_matches_numpy_rk4():
             + (1.0 - math.cos(theta)) * (K @ K)
 
     def rates(R, w):
-        f = R @ wrench.f + contact.nearfield_force + dist.delta_f
+        f = R @ f_rotor + contact.nearfield_force + delta_f
         dv = f / params.m - np.array([0.0, 0.0, params.g])
-        dw = np.linalg.solve(J, np.cross(J @ w, w) + wrench.tau) \
-            + dist.delta_r
+        dw = np.linalg.solve(J, np.cross(J @ w, w) + tau_rotor) + delta_r
         return dv, dw
 
     R, v1, w1 = mat(state.R), state.v, state.omega
@@ -240,6 +239,6 @@ def test_integrate_matches_numpy_rk4():
 def test_integrate_attached_passthrough():
     state = VehicleState.at_rest([1.0, 0.0, 1.2])
     anchored = ContactState(attached=True, gap=0.0)
-    out = integrate(state, rotor_wrench(ActuatorState.at_rest()),
-                    Disturbances(), anchored, PARAMS, 0.001)
+    out = integrate(state, rotor_wrench(AT_REST), NO_DIST, anchored, PARAMS,
+                    0.001)
     assert out is state
