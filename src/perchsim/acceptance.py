@@ -16,13 +16,12 @@ import numpy as np
 from . import estimation
 from .allocation import allocate
 from .control import nominal_wrench, rejection_force
-from .estimation import EstimatorState
 from .geometry import EYE, ZERO3, mat_vec, rotation_error
 from .harness import run_scenario, settle_index
 from .planner import min_jerk_segment, perch_setpoints
 from .scenario import ScenarioConfig, default_scenario
 from .supervisor import Mode, SupervisorState, transition
-from .vehicle import ContactState, VehicleState, forward_wrench, integrate
+from .vehicle import ContactState, at_rest, forward_wrench, integrate
 
 # SHA-256 of the default proposed-variant CSV log; regenerated whenever the
 # default configuration or the tick loop changes (see criterion 11).
@@ -104,15 +103,16 @@ def check_2_estimator_law():
     params, _ = ScenarioConfig().build()
     dt = 1e-3
     delta = np.array([5.0, 0.0, 0.0])
-    state = VehicleState.at_rest([0.0, 0.0, 0.0])
-    est = EstimatorState.fresh(state, params, 20.0)
+    state = p, _, R, omega = at_rest([0.0, 0.0, 0.0])
+    est = estimation.fresh(state, params, 20.0)
     f_body = params.m * params.g * np.array([0.0, 0.0, 1.0])
     worst = 0.0
     for k in range(1, int(0.3 / dt) + 1):
         t = k * dt
-        state.v = delta * t / params.m    # exact plant under constant force
-        est = estimation.update(est, state, f_body, 20.0, params, dt)
-        err = np.linalg.norm(delta - est.delta_hat)
+        state = p, delta * t / params.m, R, omega    # exact plant
+        delta_hat, _, _, _ = est = estimation.update(est, state, f_body,
+                                                     20.0, params, dt)
+        err = np.linalg.norm(delta - delta_hat)
         worst = max(worst, abs(err - 5.0 * math.exp(-20.0 * t)))
     ok = worst < 0.1                      # 2% of the 5 N step
     return CheckResult(2, "estimator first-order law", ok,
@@ -125,36 +125,38 @@ def check_3_freeze_semantics():
     sp3 = perch_setpoints(wall, cfg)[2]
     _, _, _, R3, _ = sp3
     # Pose-locked on the wall surface, setpoint (3) inside the wall.
-    lock = VehicleState.at_rest(
-        np.subtract(wall.point, mat_vec(R3, wall.c_m)), R3)
-    e_R = rotation_error(lock.R, R3)
+    lock = at_rest(np.subtract(wall.point, mat_vec(R3, wall.c_m)), R3)
+    _, _, R, _ = lock
+    e_R = rotation_error(R, R3)
     dt = 1e-3
 
     # Frozen estimator: bitwise constant over 10 s of updates.
     K_e = cfg.estimator_gain
-    est = EstimatorState.fresh(lock, params, K_e)
+    est = estimation.fresh(lock, params, K_e)
     integ = ZERO3
     for _ in range(100):
         (f, _), integ = nominal_wrench(lock, sp3, e_R, cfg, integ, params, dt)
         est = estimation.update(est, lock, f, K_e, params, dt)
-    est = estimation.freeze(est)
-    snap = np.array(est.delta_hat).tobytes()
+    delta_hat, _, _, _ = est = estimation.freeze(est)
+    snap = np.array(delta_hat).tobytes()
     for k in range(10_000):
         (f, _), integ = nominal_wrench(lock, sp3, e_R, cfg, integ, params, dt)
         est = estimation.update(est, lock, np.add(f, float(k) * 0.001),
                                 K_e, params, dt)
-    frozen_ok = np.array(est.delta_hat).tobytes() == snap
+    delta_hat, _, _, _ = est
+    frozen_ok = np.array(delta_hat).tobytes() == snap
 
     # No-freeze: active estimator on the locked plant winds up monotonically.
-    est = EstimatorState.fresh(lock, params, K_e)
+    delta_hat, _, _, _ = est = estimation.fresh(lock, params, K_e)
     integ = ZERO3
     norms = []
     t_pass = None
     for k in range(int(3.0 / dt)):
         (f, _), integ = nominal_wrench(lock, sp3, e_R, cfg, integ, params, dt)
-        f = np.add(f, rejection_force(est, lock.R))
-        est = estimation.update(est, lock, f, K_e, params, dt)
-        norms.append(np.linalg.norm(est.delta_hat))
+        f = np.add(f, rejection_force(delta_hat, R))
+        delta_hat, _, _, _ = est = estimation.update(est, lock, f, K_e,
+                                                     params, dt)
+        norms.append(np.linalg.norm(delta_hat))
         if t_pass is None and norms[-1] > 5.0:
             t_pass = (k + 1) * dt
     diffs = np.diff(norms)
@@ -342,14 +344,15 @@ def check_11_determinism():
                        f"{'matches' if sha == GOLDEN_SHA256 else sha}")
 
 
-def _orthonormality(R):
+def _orthonormality(state):
+    _, _, R, _ = state
     R = np.reshape(R, (3, 3))
     return np.max(np.abs(R.T @ R - np.eye(3)))
 
 
 def check_12_physics_sanity():
     params = replace(ScenarioConfig().build()[0], g=0.0)
-    state = VehicleState(ZERO3, (0.3, -0.2, 0.5), EYE, (2.0, -1.5, 1.0))
+    state = ZERO3, (0.3, -0.2, 0.5), EYE, (2.0, -1.5, 1.0)
     wrench = forward_wrench((0.0,) * 4, (0.0,) * 4, params.rotors)
     dist = ZERO3, ZERO3
     contact = ContactState(gap=1e6)
@@ -358,7 +361,7 @@ def check_12_physics_sanity():
     (jx, jy, jz), m = params.J, params.m
 
     def energy(s):
-        (vx, vy, vz), (wx, wy, wz) = s.v, s.omega
+        _, (vx, vy, vz), _, (wx, wy, wz) = s
         return 0.5 * m * (vx * vx + vy * vy + vz * vz) \
             + 0.5 * (jx * wx * wx + jy * wy * wy + jz * wz * wz)
 
@@ -370,8 +373,8 @@ def check_12_physics_sanity():
         if k < 10_000:
             worst_e = max(worst_e, abs(energy(state) - e0) / e0)
         if k % 1000 == 999:
-            worst_orth = max(worst_orth, _orthonormality(state.R))
-    worst_orth = max(worst_orth, _orthonormality(state.R))
+            worst_orth = max(worst_orth, _orthonormality(state))
+    worst_orth = max(worst_orth, _orthonormality(state))
     ok = worst_e < 1e-6 and worst_orth < 1e-8
     return CheckResult(12, "physics sanity", ok,
                        f"energy drift {worst_e:.2e} (tol 1e-6), "

@@ -11,7 +11,7 @@ from .scenario import SCHEMA_DOC, VARIANTS, ScenarioError, default_scenario, \
     load_scenario
 
 EXIT_OK = 0
-EXIT_SCHEMA = 2
+EXIT_SCHEMA = 2                   # bad input: scenario, option or --out path
 EXIT_FAILED = 3                   # a run aborted numerically or hit the ground
 
 
@@ -121,6 +121,11 @@ def main(argv=None):
         return args.func(args)
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
+        return EXIT_SCHEMA
+    except OSError as exc:
+        if exc.filename is None:  # not a path, e.g. a closed stdout pipe
+            raise
+        print(f"cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
         return EXIT_SCHEMA
 
 

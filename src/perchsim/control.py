@@ -14,14 +14,14 @@ def nominal_wrench(state, sp, e_R, cfg, integ, params, dt):
     k_rp, k_rd, k_ri and integral_clamp of `cfg`.  Returns the body wrench
     (f, tau), three floats each, and the updated attitude integral."""
     K_tp, K_td, g, m = cfg.k_tp, cfg.k_td, params.g, params.m
-    (px, py, pz), (vx, vy, vz) = state.p, state.v
+    (px, py, pz), (vx, vy, vz), R, (wx, wy, wz) = state
     (dpx, dpy, dpz), (dvx, dvy, dvz), (ax, ay, az), R_d, w_d = sp
-    ux, uy, uz = mat_t_vec(state.R, (
+    ux, uy, uz = mat_t_vec(R, (
         K_tp * (dpx - px) + K_td * (dvx - vx) + ax,
         K_tp * (dpy - py) + K_td * (dvy - vy) + ay,
         g + K_tp * (dpz - pz) + K_td * (dvz - vz) + az))
-    (ex, ey, ez), (ix, iy, iz), (wx, wy, wz) = e_R, integ, state.omega
-    wdx, wdy, wdz = mat_t_vec(state.R, mat_vec(R_d, w_d))
+    (ex, ey, ez), (ix, iy, iz) = e_R, integ
+    wdx, wdy, wdz = mat_t_vec(R, mat_vec(R_d, w_d))
     # min(max(i + e dt, -c), c) per axis as comparisons: a NaN passes through.
     lo, hi = -cfg.integral_clamp, cfg.integral_clamp
     ix, iy, iz = ix + ex * dt, iy + ey * dt, iz + ez * dt
@@ -36,15 +36,14 @@ def nominal_wrench(state, sp, e_R, cfg, integ, params, dt):
     return ((m * ux, m * uy, m * uz), tau), (ix, iy, iz)
 
 
-def rejection_force(est, R):
+def rejection_force(delta_hat, R):
     """Body-frame force canceling the estimated world-frame external force."""
-    x, y, z = mat_t_vec(R, est.delta_hat)
+    x, y, z = mat_t_vec(R, delta_hat)
     return -x, -y, -z
 
 
-def perch_wrench(rho, state, params):
-    """Press wrench (f, tau) while perched: rho * m * g anti-gravity, zero
-    torque."""
+def perch_wrench(rho, R, params):
+    """Press wrench (f, tau) while perched at rotation R: rho * m * g
+    anti-gravity, zero torque."""
     s = rho * params.m * params.g
-    R = state.R
     return (s * R[6], s * R[7], s * R[8]), ZERO3

@@ -23,7 +23,7 @@ from .planner import MissionPlanner
 from .scenario import ScenarioConfig
 from .supervisor import VARIANTS, Mode, SupervisorState, transition, \
     transition_two_mode
-from .vehicle import ContactState, NumericalDivergenceError, VehicleState, \
+from .vehicle import ContactState, NumericalDivergenceError, at_rest, \
     forward_wrench, integrate, step_actuators, update_contact
 
 CSV_COLUMNS = [
@@ -128,10 +128,10 @@ def run_scenario(cfg):
     planner = MissionPlanner(cfg, wall)
 
     hover_p, _, _, hover_R, _ = planner.setpoints[0]
-    state = VehicleState.at_rest(map(add, hover_p, cfg.initial_offset),
-                                 hover_R)
+    state = (px, py, pz), v, R, omega = at_rest(
+        map(add, hover_p, cfg.initial_offset), hover_R)
     # Start at hover trim for the initial attitude, not from dead rotors.
-    trim = mat_t_vec(state.R, (0.0, 0.0, params.m * params.g)), ZERO3
+    trim = mat_t_vec(R, (0.0, 0.0, params.m * params.g)), ZERO3
     thrust, tilt_cmd, _ = allocate(trim, rotors, params.T_max,
                                    (0.0,) * rotors.n_rotors)
     act = thrust, tilt_cmd, 0.0
@@ -140,7 +140,7 @@ def run_scenario(cfg):
     sup = SupervisorState()
     integ = ZERO3                    # attitude integral of nominal_wrench
     K_e = cfg.estimator_gain
-    est_rej = estimation.EstimatorState.fresh(state, params, K_e)
+    est_rej = estimation.fresh(state, params, K_e)
     contact_was_active = False       # est_con starts on its first active tick
     lam_c = 0.0
 
@@ -168,10 +168,9 @@ def run_scenario(cfg):
 
         if noise is not None:
             z0, z1, z2, z3, z4, z5 = next(noise)
-            (px, py, pz), (vx, vy, vz) = state.p, state.v
-            meas = VehicleState((px + z0, py + z1, pz + z2),
-                                (vx + z3, vy + z4, vz + z5), state.R,
-                                state.omega)
+            vx, vy, vz = v
+            meas = ((px + z0, py + z1, pz + z2), (vx + z3, vy + z4, vz + z5),
+                    R, omega)
         else:
             meas = state
 
@@ -211,30 +210,31 @@ def run_scenario(cfg):
             # so the hold extends until the wall actually lets go.
             est_rej = estimation.freeze(est_rej)
         else:
-            if est_rej.frozen:       # resume from the held estimate
-                est_rej = estimation.EstimatorState.fresh(
-                    meas, params, K_e, est_rej.delta_hat)
+            delta_hat, _, _, frozen = est_rej
+            if frozen:               # resume from the held estimate
+                est_rej = estimation.fresh(meas, params, K_e, delta_hat)
             est_rej = estimation.update(est_rej, meas, f_act, K_e, params,
                                         cfg.dt)
+        delta_hat, _, _, _ = est_rej
         if pol.contact_active:
             if not contact_was_active:
-                est_con = estimation.EstimatorState.fresh(meas, params, K_e)
-            est_con = estimation.update(est_con, meas, f_act, K_e, params,
-                                        cfg.dt)
-            lam_c = estimation.contact_normal_force(est_con, wall)
+                est_con = estimation.fresh(meas, params, K_e)
+            con_hat, _, _, _ = est_con = estimation.update(
+                est_con, meas, f_act, K_e, params, cfg.dt)
+            lam_c = estimation.contact_normal_force(con_hat, wall)
         contact_was_active = pol.contact_active
 
         # 4. control (noise and the attach snap leave R alone, so e_R is
         # also the logged attitude error)
         sp_p, _, _, R_d, _ = sp
-        e_R = rotation_error(state.R, R_d)
-        if pol.wrench == "perch":
-            wrench = perch_wrench(rho, meas, params)
+        e_R = rotation_error(R, R_d)
+        if pol.perch:
+            wrench = perch_wrench(rho, R, params)
         else:
             wrench, integ = nominal_wrench(meas, sp, e_R, cfg, integ, params,
                                            cfg.dt)
-            if pol.wrench == "full":
-                rx, ry, rz = rejection_force(est_rej, meas.R)
+            if not pol.rejection_frozen:
+                rx, ry, rz = rejection_force(delta_hat, R)
                 (fx, fy, fz), tau = wrench
                 wrench = (fx + rx, fy + ry, fz + rz), tau
 
@@ -252,7 +252,7 @@ def run_scenario(cfg):
             (dfx, dfy, dfz), _ = dist
             next_edge = next((e for e in edges if e > t), math.inf)
         f_act, tau_act = forward_wrench(thrust, tilt, rotors)
-        fx, fy, fz = mat_vec(state.R, f_act)
+        fx, fy, fz = mat_vec(R, f_act)
         applied_world = (fx + dfx, fy + dfy, fz + dfz)
         contact, edge = update_contact(state, act, applied_world, contact,
                                        wall, params)
@@ -262,18 +262,18 @@ def run_scenario(cfg):
             # Rigid inelastic lock: the impact velocity is absorbed by the
             # wall, so the state comes to rest at its current pose, which
             # integrate then holds until the magnets let go.
-            state = VehicleState.at_rest(state.p, state.R)
+            state = (px, py, pz), v, R, omega = at_rest((px, py, pz), R)
 
         # log the state the controller acted on, plus this tick's outputs;
         # on the attach tick, the state at rest instead (v = w = 0)
         ex, ey, ez = e_R
-        (px, py, pz), (spx, spy, spz) = state.p, sp_p
+        spx, spy, spz = sp_p
         dx, dy, dz = spx - px, spy - py, spz - pz
-        _ROW.pack_into(rows, k * _ROW.size, t, *state.p, *state.v,
-                       pitch_of(state.R), *quat_of(state.R), *state.omega,
+        _ROW.pack_into(rows, k * _ROW.size, t, px, py, pz, *v, pitch_of(R),
+                       *quat_of(R), *omega,
                        1.0 if contact.attached else 0.0, sup.eta_d, eta,
                        *thrust, *thrust_cmd, *tilt,
-                       *est_rej.delta_hat, lam_c, contact.lambda_true,
+                       *delta_hat, lam_c, contact.lambda_true,
                        math.sqrt(ex * ex + ey * ey + ez * ez),
                        math.sqrt(dx * dx + dy * dy + dz * dz),
                        1.0 if saturated else 0.0)
@@ -288,7 +288,8 @@ def run_scenario(cfg):
             events.append((t, "failure", f"numerical-abort: {exc}"))
             failure = "numerical-abort"
             break
-        if state.p[2] <= 0.0:
+        (px, py, pz), v, R, omega = state
+        if pz <= 0.0:
             events.append((t, "failure", "ground-contact"))
             failure = "ground-contact"
             break

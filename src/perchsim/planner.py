@@ -202,8 +202,9 @@ class MissionPlanner:
                                 self.cfg.t_contact))
 
     def start_departure(self, t, state):
-        """Fly from `state` (the wall pose while attached) to (2), then (1)."""
+        """Fly from `state`'s (wall) pose to (2), then (1)."""
+        p, _, R, _ = state
         sp1, sp2, _ = self.setpoints
         cfg = self.cfg
-        self._follow(t, connect(hold(state.p, state.R), sp2, cfg.t_contact),
+        self._follow(t, connect(hold(p, R), sp2, cfg.t_contact),
                      connect(sp2, sp1, cfg.t_approach, start=cfg.t_contact))

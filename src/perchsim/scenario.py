@@ -295,6 +295,7 @@ Repeatable:
   disturbance = <start_s> <end_s> <fx> <fy> <fz> <rx> <ry> <rz>
                 (world-frame force N, body-frame angular accel rad/s^2)
 
-Exit codes of the CLI: 0 ok, 2 scenario/schema error,
-3 run failed (numerical abort or ground contact).
+Exit codes of the CLI: 0 ok, 2 scenario/schema error or an --out path
+that cannot be written, 3 run failed (numerical abort or ground contact);
+verify exits 1 when an acceptance criterion fails.
 """

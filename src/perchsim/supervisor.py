@@ -30,8 +30,8 @@ class SupervisorState:
 @dataclass(frozen=True)
 class PolicyDescriptor:
     """Per-mode wiring of controller and estimators."""
-    wrench: str                      # "full" | "nominal" | "perch"
-    rejection_frozen: bool
+    perch: bool                      # perch_wrench, else nominal_wrench
+    rejection_frozen: bool           # else nominal_wrench + rejection force
     contact_active: bool
 
 
@@ -83,25 +83,26 @@ class Variant:
     freeze_while_attached: bool = False
 
 
+# Each row: PolicyDescriptor(perch, rejection_frozen, contact_active).
 _FOUR_MODE_POLICIES = {
-    Mode.F: PolicyDescriptor("full", False, False),
-    Mode.F2P: PolicyDescriptor("nominal", True, True),
-    Mode.P: PolicyDescriptor("perch", True, True),
-    Mode.P2F: PolicyDescriptor("nominal", True, True),
+    Mode.F: PolicyDescriptor(False, False, False),
+    Mode.F2P: PolicyDescriptor(False, True, True),
+    Mode.P: PolicyDescriptor(True, True, True),
+    Mode.P2F: PolicyDescriptor(False, True, True),
 }
 
 _TWO_MODE_POLICIES = {
-    Mode.F: PolicyDescriptor("full", False, True),
-    Mode.P: PolicyDescriptor("perch", False, True),
+    Mode.F: PolicyDescriptor(False, False, True),
+    Mode.P: PolicyDescriptor(True, False, True),
 }
 
 # Never freezes estimation and keeps motion control active while perched
 # (saturation ablation).
 _NO_FREEZE_POLICIES = {
-    Mode.F: PolicyDescriptor("full", False, False),
-    Mode.F2P: PolicyDescriptor("full", False, True),
-    Mode.P: PolicyDescriptor("full", False, True),
-    Mode.P2F: PolicyDescriptor("full", False, True),
+    Mode.F: PolicyDescriptor(False, False, False),
+    Mode.F2P: PolicyDescriptor(False, False, True),
+    Mode.P: PolicyDescriptor(False, False, True),
+    Mode.P2F: PolicyDescriptor(False, False, True),
 }
 
 VARIANTS = {

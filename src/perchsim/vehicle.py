@@ -39,16 +39,10 @@ class VehicleParams:
         self.J_inv = (1.0 / jx, 1.0 / jy, 1.0 / jz)
 
 
-@dataclass
-class VehicleState:
-    p: tuple                         # world position, m
-    v: tuple                         # world velocity, m/s
-    R: tuple                         # body-to-world rotation, row-major
-    omega: tuple                     # body angular velocity, rad/s
-
-    @staticmethod
-    def at_rest(p, R=EYE):
-        return VehicleState(floats(p), ZERO3, floats(R), ZERO3)
+def at_rest(p, R=EYE):
+    """The vehicle state (p, v, R, omega) at rest at p with attitude R: world
+    p (m) and v (m/s), row-major body-to-world R, body rate omega (rad/s)."""
+    return floats(p), ZERO3, floats(R), ZERO3
 
 
 @dataclass
@@ -71,9 +65,9 @@ class WallModel:
 
     def gap_of(self, state):
         """Signed magnet-face-to-plane distance (positive in free space)."""
-        (px, py, pz), (qx, qy, qz), (nx, ny, nz) = \
-            state.p, self.point, self.normal
-        fx, fy, fz = mat_vec(state.R, self.c_m)
+        (px, py, pz), _, R, _ = state
+        (qx, qy, qz), (nx, ny, nz) = self.point, self.normal
+        fx, fy, fz = mat_vec(R, self.c_m)
         return nx * (px + fx - qx) + ny * (py + fy - qy) + nz * (pz + fz - qz)
 
 
@@ -158,15 +152,15 @@ def integrate(state, wrench, dist, contact, params, dt):
     """One RK4 step under the body-frame rotor `wrench` (`forward_wrench` of
     the actuator state) and the disturbances `dist` (as the harness's
     `_disturbance_at` gives them); rotation advanced on the exponential map,
-    renormalized.  Plain floats throughout, every sum left to right.
-    """
+    renormalized.  Plain floats throughout, every sum left to right; the
+    new state is laid out as `at_rest` gives it."""
     if contact.attached:
         return state
     (fx, fy, fz), (tx, ty, tz) = wrench
     (nx, ny, nz), ((dx, dy, dz), (ex, ey, ez)) = contact.nearfield_force, dist
     m, g = params.m, params.g
     (jx, jy, jz), (ix, iy, iz) = params.J, params.J_inv
-    R, (v1x, v1y, v1z), (w1x, w1y, w1z) = state.R, state.v, state.omega
+    (px, py, pz), (v1x, v1y, v1z), R, (w1x, w1y, w1z) = state
     # Stage i is (R_i, v_i, w_i) with rates (a_i, b_i); no stage reads
     # position.  The sums s* of weight * (v, a, w, b) start at -0.0, which
     # adds to any float exactly, so they are k1 + 2 k2 + 2 k3 + k4 left to
@@ -195,7 +189,7 @@ def integrate(state, wrench, dist, contact, params, dt):
         vx, vy, vz = v1x + c * ax, v1y + c * ay, v1z + c * az
         wx, wy, wz = w1x + c * bx, w1y + c * by, w1z + c * bz
 
-    s, (px, py, pz) = dt / 6.0, state.p
+    s = dt / 6.0
     p_new = (px + s * svx, py + s * svy, pz + s * svz)
     v_new = (v1x + s * sax, v1y + s * say, v1z + s * saz)
     R_new = renormalize(mat_mul(R, exp_so3(s * swx, s * swy, s * swz)))
@@ -204,4 +198,4 @@ def integrate(state, wrench, dist, contact, params, dt):
     if not all(map(math.isfinite, p_new + v_new + R_new + w_new)):
         raise NumericalDivergenceError(
             "non-finite state after integration step")
-    return VehicleState(p_new, v_new, R_new, w_new)
+    return p_new, v_new, R_new, w_new

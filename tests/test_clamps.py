@@ -21,7 +21,7 @@ from perchsim.allocation import allocate
 from perchsim.control import nominal_wrench
 from perchsim.planner import hold
 from perchsim.scenario import ScenarioConfig
-from perchsim.vehicle import VehicleState, step_actuators
+from perchsim.vehicle import at_rest, step_actuators
 
 PARAMS, _ = ScenarioConfig().build()
 SPECIAL = (math.nan, math.inf, -math.inf, 0.0, -0.0, 1.0, -1.0)
@@ -85,7 +85,7 @@ def test_nominal_wrench_integral_clamp(data):
     integ, dt = data.draw(st.sampled_from([((-0.0,) * 3, 1.0), None])) \
         or (tuple(value(data, clamp) for _ in range(3)), value(data))
     cfg = replace(ScenarioConfig(), integral_clamp=clamp)
-    state = VehicleState.at_rest((0.0, 0.0, 1.0))
+    state = at_rest((0.0, 0.0, 1.0))
     sp = hold((0.1, 0.0, 1.0), geometry.EYE)
 
     _, acc = nominal_wrench(state, sp, e_R, cfg, integ, PARAMS, dt)

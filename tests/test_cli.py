@@ -107,6 +107,20 @@ def test_build_error_writes_nothing(tmp_path, capsys, command, line):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["run", "ablate"])
+def test_unwritable_out_exit_code(tmp_path, capsys, command):
+    # An --out that is an existing file: one line, no traceback, exit 2.
+    scen = tmp_path / "hover.scn"
+    scen.write_text(HOVER)
+    out = tmp_path / "taken"
+    out.write_text("")
+    assert main([command, "--scenario", str(scen), "--out", str(out)]) \
+        == EXIT_SCHEMA
+    err = capsys.readouterr().err
+    assert err.startswith(f"cannot write {out}") and err.count("\n") == 1
+    assert out.read_text() == ""
+
+
 def test_missing_scenario_exit_code(tmp_path):
     assert main(["run", "--scenario", str(tmp_path / "nope.scn")]) \
         == EXIT_SCHEMA

@@ -21,7 +21,7 @@ import pytest
 from perchsim import allocation, control, estimation, geometry, harness, \
     planner, supervisor, vehicle
 from perchsim.scenario import ScenarioConfig, default_scenario
-from perchsim.vehicle import ContactState, VehicleState
+from perchsim.vehicle import ContactState
 from so3 import flat, mat, right_jacobian_inv, rot_x, rot_z
 
 TOL = 1e-12
@@ -180,40 +180,39 @@ def test_matrix_helpers_match_numpy():
 
 
 def _state(R=ROTATIONS["generic"]):
-    return VehicleState((0.1, -0.2, 1.3), (0.4, -0.1, 0.2), flat(R),
-                        (1.5, -2.0, 0.7))
+    return (0.1, -0.2, 1.3), (0.4, -0.1, 0.2), flat(R), (1.5, -2.0, 0.7)
 
 
 def test_controllers_match_numpy():
-    state = _state()
-    R = mat(state.R)
+    state = p, v, R_flat, omega = _state()
+    R = mat(R_flat)
     Rd = ROTATIONS["large"]
     sp = p_d, v_d, a_d, R_d, w_d = ((0.3, 0.1, 1.1), (0.2, 0.0, -0.1),
                                     (0.5, -0.3, 0.2), flat(Rd),
                                     (0.1, 0.4, -0.2))
     cfg = ScenarioConfig(integral_clamp=0.05)
-    e_R = geometry.rotation_error(state.R, R_d)
+    e_R = geometry.rotation_error(R_flat, R_d)
     integ = (0.049, -0.04, 0.0)
     (f_out, tau_out), acc = control.nominal_wrench(state, sp, e_R, cfg, integ,
                                                    PARAMS, 0.01)
 
-    e_p = np.subtract(p_d, state.p)
-    e_v = np.subtract(v_d, state.v)
+    e_p = np.subtract(p_d, p)
+    e_v = np.subtract(v_d, v)
     f = PARAMS.m * (R.T @ (PARAMS.g * B3 + cfg.k_tp * e_p
                            + cfg.k_td * e_v + np.array(a_d)))
-    e_w = R.T @ Rd @ w_d - np.array(state.omega)
+    e_w = R.T @ Rd @ w_d - np.array(omega)
     acc_ref = np.clip(np.add(integ, np.multiply(e_R, 0.01)), -0.05, 0.05)
     tau = np.diag(PARAMS.J) @ (cfg.k_rp * np.array(e_R) + cfg.k_rd * e_w
                                + cfg.k_ri * acc_ref)
     assert acc_ref[1] == -0.05          # one component clamps
     assert close(f_out, f) and close(tau_out, tau) and close(acc, acc_ref)
 
-    est = estimation.EstimatorState((1.5, -0.4, 2.0), (0.0,) * 3,
-                                    (0.0,) * 3)
-    assert close(control.rejection_force(est, state.R),
-                 -(R.T @ est.delta_hat))
-    assert control.perch_wrench(0.0, state, PARAMS) == (geometry.ZERO3,) * 2
-    pw_f, pw_tau = control.perch_wrench(0.5, state, PARAMS)
+    delta_hat = (1.5, -0.4, 2.0)
+    assert close(control.rejection_force(delta_hat, R_flat),
+                 -(R.T @ delta_hat))
+    assert control.perch_wrench(0.0, R_flat, PARAMS) \
+        == (geometry.ZERO3,) * 2
+    pw_f, pw_tau = control.perch_wrench(0.5, R_flat, PARAMS)
     assert close(pw_f, 0.5 * PARAMS.m * PARAMS.g * (R.T @ B3))
     assert pw_tau == (0.0, 0.0, 0.0)
 
@@ -253,27 +252,28 @@ def test_allocation_matches_numpy():
 
 
 def test_estimator_matches_numpy():
-    state = _state()
-    R = mat(state.R)
+    state = _, v, R_flat, _ = _state()
+    R = mat(R_flat)
     m, g = PARAMS.m, PARAMS.g
-    est = estimation.EstimatorState((1.5, -0.4, 2.0), (0.2, 0.1, -0.3),
-                                    (0.5, 0.2, 0.1))
+    est = delta_hat, accumulator, p_m0, _ = \
+        (1.5, -0.4, 2.0), (0.2, 0.1, -0.3), (0.5, 0.2, 0.1), False
     f_body, K_e = (0.4, -0.3, 16.5), 20.0
-    out = estimation.update(est, state, f_body, K_e, PARAMS, 0.002)
-    acc = np.array(est.accumulator) + (R @ f_body - m * g * B3
-                                       + est.delta_hat) * 0.002
-    delta = K_e * (m * np.array(state.v) - est.p_m0 - acc)
-    assert close(out.accumulator, acc) and close(out.delta_hat, delta)
+    out_hat, out_acc, _, _ = estimation.update(est, state, f_body, K_e,
+                                               PARAMS, 0.002)
+    acc = np.array(accumulator) + (R @ f_body - m * g * B3
+                                   + delta_hat) * 0.002
+    delta = K_e * (m * np.array(v) - p_m0 - acc)
+    assert close(out_acc, acc) and close(out_hat, delta)
 
-    out = estimation.EstimatorState.fresh(state, PARAMS, K_e, est.delta_hat)
-    assert close(out.p_m0, m * np.array(state.v)
-                 - np.array(est.delta_hat) / K_e)
-    assert out.delta_hat == est.delta_hat and not out.frozen
-    out = estimation.EstimatorState.fresh(state, PARAMS, K_e)
-    assert close(out.p_m0, m * np.array(state.v))
-    assert out.delta_hat == out.accumulator == (0.0, 0.0, 0.0)
-    assert close(estimation.contact_normal_force(est, WALL),
-                 np.dot(WALL.normal, est.delta_hat))
+    out_hat, _, out_p_m0, out_frozen = estimation.fresh(state, PARAMS, K_e,
+                                                        delta_hat)
+    assert close(out_p_m0, m * np.array(v) - np.array(delta_hat) / K_e)
+    assert out_hat == delta_hat and not out_frozen
+    out_hat, out_acc, out_p_m0, _ = estimation.fresh(state, PARAMS, K_e)
+    assert close(out_p_m0, m * np.array(v))
+    assert out_hat == out_acc == (0.0, 0.0, 0.0)
+    assert close(estimation.contact_normal_force(delta_hat, WALL),
+                 np.dot(WALL.normal, delta_hat))
 
 
 def test_actuators_match_numpy():
@@ -297,11 +297,12 @@ def test_actuators_match_numpy():
 def _at_gap(gap, R=ROTATIONS["generic"]):
     """A state whose magnet face sits `gap` in front of WALL."""
     p = np.array(WALL.point) + gap * np.array(WALL.normal) - R @ WALL.c_m
-    return VehicleState(flat(p), (0.1, 0.0, 0.0), flat(R), (0.0,) * 3)
+    return flat(p), (0.1, 0.0, 0.0), flat(R), (0.0,) * 3
 
 
 def np_gap(state):
-    face = np.array(state.p) + mat(state.R) @ WALL.c_m
+    p, _, R, _ = state
+    face = np.array(p) + mat(R) @ WALL.c_m
     return float(np.dot(WALL.normal, face - WALL.point))
 
 
@@ -404,17 +405,24 @@ def test_disturbance_matches_numpy():
 
 # The values passed from stage to stage, as their tuple layout with each
 # leaf's type: a wrench (f, tau), the disturbances (delta_f, delta_r), a
-# command (thrust, tilt, saturated), an actuator state (thrust, tilt, eta)
-# and a setpoint (p, v, a, R, omega).  nominal_wrench also returns the
-# attitude integral.
+# command (thrust, tilt, saturated), an actuator state (thrust, tilt, eta),
+# a setpoint (p, v, a, R, omega), a vehicle state (p, v, R, omega) and an
+# estimator state (delta_hat, accumulator, p_m0, frozen).  nominal_wrench
+# also returns the attitude integral.
 VEC3 = (float,) * 3
 WRENCH = (VEC3, VEC3)
+ESTIMATOR = (VEC3, VEC3, VEC3, bool)
 PLAIN_OUTPUTS = {
     "nominal_wrench": (WRENCH, VEC3), "perch_wrench": WRENCH,
     "forward_wrench": WRENCH, "_disturbance_at": (VEC3, VEC3),
     "allocate": ((float,) * 4, (float,) * 4, bool),
     "step_actuators": ((float,) * 4, (float,) * 4, float),
-    "sample": (VEC3, VEC3, VEC3, (float,) * 9, VEC3)}
+    "sample": (VEC3, VEC3, VEC3, (float,) * 9, VEC3),
+    "integrate": (VEC3, VEC3, (float,) * 9, VEC3),
+    "fresh": ESTIMATOR, "update": ESTIMATOR, "freeze": ESTIMATOR}
+# Where run_scenario looks each stage up, if not in the harness's globals.
+OWNERS = {"sample": harness.MissionPlanner, "fresh": estimation,
+          "update": estimation, "freeze": estimation}
 
 
 def layout(x):
@@ -432,7 +440,7 @@ def test_stage_outputs_are_plain_tuples(monkeypatch):
             return out
         return recorded
     for name in PLAIN_OUTPUTS:
-        owner = harness.MissionPlanner if name == "sample" else harness
+        owner = OWNERS.get(name, harness)
         monkeypatch.setattr(owner, name, spy(name, getattr(owner, name)))
     # The default mission, shortened: every mode, and its disturbance pulse.
     cfg = default_scenario()
@@ -488,7 +496,7 @@ EVERY_TICK = (harness.MissionPlanner.sample, supervisor.transition,
 # The loop's other calls run at mode, contact and disturbance-pulse edges.
 ON_EDGES = (harness.MissionPlanner.start_approach,
             harness.MissionPlanner.start_departure, harness._disturbance_at,
-            estimation.EstimatorState.fresh, vehicle.VehicleState.at_rest)
+            estimation.fresh, vehicle.at_rest)
 # Their comprehensions sit only in branches that run rarely: log_so3's near
 # pi, quat_of's for a rotation with a negative quaternion scalar part.
 RARE_BRANCHES = (geometry.log_so3, geometry.quat_of)

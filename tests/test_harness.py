@@ -345,6 +345,35 @@ def test_magnet_strength_boundary(magnet_force, edge, t_end):
     assert res.metrics.completed is True
 
 
+def _unbiased_noisy_mission(seed):
+    """The default mission without its wall-ward disturbance, with p/v
+    measurement noise, cut at 8 s."""
+    cfg = default_scenario()
+    cfg.disturbances, cfg.duration, cfg.seed = [], 8.0, seed
+    cfg.noise_std_pos, cfg.noise_std_vel = 0.002, 0.01
+    return run_scenario(cfg)
+
+
+def test_unbiased_noise_switches_to_perch_before_contact():
+    # The measured boundary of the one-tick contact-force switch.  Without
+    # the bias the contact estimate's white noise (about 0.33 N) crosses
+    # lambda_f2p = 1 N in mid-air: F2P -> P fires with no attach, and the
+    # perch wrench flies the vehicle into the ground.  Seeds 3-7 fall too.
+    # A switch that needs the force on several ticks in a row flips this.
+    res = _unbiased_noisy_mission(2)
+    events = [(round(t, 3), k, d) for t, k, d in res.events
+              if k in ("mode", "contact", "failure")]
+    assert events == [(6.0, "mode", "F->F2P"), (6.379, "mode", "F2P->P"),
+                      (7.125, "failure", "ground-contact")]
+    assert not res.metrics.completed
+    # Seed 1 survives, but its switch also fires before the attach.
+    res = _unbiased_noisy_mission(1)
+    events = [(round(t, 3), d) for t, k, d in res.events
+              if k in ("mode", "contact")]
+    assert events == [(6.0, "F->F2P"), (7.412, "F2P->P"), (7.984, "attach")]
+    assert res.metrics.completed
+
+
 # SHA-256 of the default-mission CSV of each ablation variant.  Criterion 11
 # pins only the proposed variant, so these guard the VARIANTS table wiring of
 # the other three (two-mode machine, rho override, no-freeze policies).

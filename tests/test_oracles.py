@@ -4,7 +4,7 @@
 table, `RotationSegment.eval` works on tuples and the harness draws its
 measurement noise in blocks.  The inertia is three principal moments, not a
 3x3 matrix, and `allocate` solves each rotor from its own pair of rows.  `update_contact` reports its own edges and
-keeps no anchor pose, one `EstimatorState.fresh` restarts both estimators,
+keeps no anchor pose, one `estimation.fresh` restarts both estimators,
 and `perch_wrench` has no rho = 0 branch.  `min_accel_rotation` ends every
 segment at rest instead of taking an end rate, and `transition_two_mode`
 tests the perch signal once.  Each test keeps the form it replaced as its
@@ -36,8 +36,8 @@ from perchsim.planner import RotationSegment, min_accel_rotation
 from perchsim.scenario import ScenarioConfig
 from perchsim.supervisor import Mode, SupervisorState, transition_two_mode
 from perchsim.vehicle import ETA_ENGAGED, ETA_OPEN, ContactState, \
-    NumericalDivergenceError, VehicleParams, VehicleState, WallModel, \
-    integrate, update_contact
+    NumericalDivergenceError, VehicleParams, WallModel, integrate, \
+    update_contact
 from so3 import right_jacobian_inv
 
 TAME = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, 1.0,
@@ -76,8 +76,6 @@ def outcome(fn, *args):
         out = fn(*args)
     except (NumericalDivergenceError, ArithmeticError, ValueError) as exc:
         return type(exc), str(exc)
-    if isinstance(out, VehicleState):
-        out = out.p, out.v, out.R, out.omega
     return bits(x for part in out for x in part)
 
 
@@ -106,7 +104,7 @@ def integrate_unrolled(state, wrench, dist, contact, params, dt):
     if contact.attached:
         return state
     rates = derivative(wrench, contact.nearfield_force, dist, params)
-    R, (v1x, v1y, v1z), (w1x, w1y, w1z) = state.R, state.v, state.omega
+    (px, py, pz), (v1x, v1y, v1z), R, (w1x, w1y, w1z) = state
     h = 0.5 * dt
     a1x, a1y, a1z, b1x, b1y, b1z = rates(R, w1x, w1y, w1z)
     v2x, v2y, v2z = v1x + h * a1x, v1y + h * a1y, v1z + h * a1z
@@ -122,7 +120,7 @@ def integrate_unrolled(state, wrench, dist, contact, params, dt):
     a4x, a4y, a4z, b4x, b4y, b4z = rates(
         mat_mul(R, exp_so3(dt * w3x, dt * w3y, dt * w3z)), w4x, w4y, w4z)
 
-    s, (px, py, pz) = dt / 6.0, state.p
+    s = dt / 6.0
     p_new = (px + s * (v1x + 2.0 * v2x + 2.0 * v3x + v4x),
              py + s * (v1y + 2.0 * v2y + 2.0 * v3y + v4y),
              pz + s * (v1z + 2.0 * v2z + 2.0 * v3z + v4z))
@@ -140,7 +138,7 @@ def integrate_unrolled(state, wrench, dist, contact, params, dt):
     if not all(map(math.isfinite, p_new + v_new + R_new + w_new)):
         raise NumericalDivergenceError(
             "non-finite state after integration step")
-    return VehicleState(p_new, v_new, R_new, w_new)
+    return p_new, v_new, R_new, w_new
 
 
 @settings(max_examples=300)
@@ -153,10 +151,10 @@ def test_integrate_matches_unrolled_rk4(data):
     # At p = v = 0, p + s * sum is s * sum, so a last-bit change in a sum
     # shows in the result.
     origin = data.draw(st.booleans())
-    state = VehicleState(*((ZERO3, ZERO3) if origin else
-                           (numbers(data, wild, 3), numbers(data, wild, 3))),
-                         numbers(data, wild, 9, -1.0, 1.0),
-                         numbers(data, wild, 3, -rate, rate))
+    state = (*((ZERO3, ZERO3) if origin else
+               (numbers(data, wild, 3), numbers(data, wild, 3))),
+             numbers(data, wild, 9, -1.0, 1.0),
+             numbers(data, wild, 3, -rate, rate))
     wrench = numbers(data, wild, 3), numbers(data, wild, 3)
     dist = numbers(data, wild, 3), numbers(data, wild, 3)
     contact = ContactState(nearfield_force=numbers(data, wild, 3))
@@ -178,14 +176,14 @@ def _case(kind):
         # would make them +0.0 and flip the sign of p and v.
         z, m = (-0.0,) * 3, SimpleNamespace(
             m=1.0, g=0.0, J=(0.0,) * 3, J_inv=(0.0,) * 3)
-        return (VehicleState(z, z, EYE, z), (z, z), (z, z),
+        return ((z, z, EYE, z), (z, z), (z, z),
                 ContactState(nearfield_force=z), m, 0.001)
     params = SimpleNamespace(m=1.2, g=9.81, J=(0.01, 0.012, 0.02),
                              J_inv=(100.0, 1 / 0.012, 50.0))
     tau = (math.nan, 0.0, 0.0) if kind == "nan-torque" else (0.01, -0.02,
                                                              0.005)
-    return (VehicleState((0.1, -0.2, 1.3), (0.4, -0.1, 0.2),
-                         exp_so3(0.2, -0.3, 0.4), (1.5, -2.0, 0.7)),
+    return (((0.1, -0.2, 1.3), (0.4, -0.1, 0.2), exp_so3(0.2, -0.3, 0.4),
+             (1.5, -2.0, 0.7)),
             ((0.3, -0.2, 12.0), tau),
             ((1.5, -0.5, 0.3), (0.2, -0.1, 0.4)),
             ContactState(nearfield_force=(-16.0, 0.0, 0.0)), params, 0.004)
@@ -217,7 +215,7 @@ def integrate_full_inertia(state, wrench, dist, contact, params, dt):
     m, g = params.m, params.g
     j00, j01, j02, j10, j11, j12, j20, j21, j22 = params.Jb
     i00, i01, i02, i10, i11, i12, i20, i21, i22 = params.Jb_inv
-    R, (v1x, v1y, v1z), (w1x, w1y, w1z) = state.R, state.v, state.omega
+    (px, py, pz), (v1x, v1y, v1z), R, (w1x, w1y, w1z) = state
     r, vx, vy, vz, wx, wy, wz = R, v1x, v1y, v1z, w1x, w1y, w1z
     svx = svy = svz = sax = say = saz = -0.0
     swx = swy = swz = sbx = sby = sbz = -0.0
@@ -246,7 +244,7 @@ def integrate_full_inertia(state, wrench, dist, contact, params, dt):
         vx, vy, vz = v1x + c * ax, v1y + c * ay, v1z + c * az
         wx, wy, wz = w1x + c * bx, w1y + c * by, w1z + c * bz
 
-    s, (px, py, pz) = dt / 6.0, state.p
+    s = dt / 6.0
     p_new = (px + s * svx, py + s * svy, pz + s * svz)
     v_new = (v1x + s * sax, v1y + s * say, v1z + s * saz)
     R_new = renormalize(mat_mul(R, exp_so3(s * swx, s * swy, s * swz)))
@@ -255,21 +253,21 @@ def integrate_full_inertia(state, wrench, dist, contact, params, dt):
     if not all(map(math.isfinite, p_new + v_new + R_new + w_new)):
         raise NumericalDivergenceError(
             "non-finite state after integration step")
-    return VehicleState(p_new, v_new, R_new, w_new)
+    return p_new, v_new, R_new, w_new
 
 
 def nominal_wrench_full_inertia(state, sp, e_R, cfg, integ, params, dt):
     """The previous nominal_wrench, whose torque was Jb times the
     commanded angular acceleration."""
     K_tp, K_td, g, m = cfg.k_tp, cfg.k_td, params.g, params.m
-    (px, py, pz), (vx, vy, vz) = state.p, state.v
+    (px, py, pz), (vx, vy, vz), R, (wx, wy, wz) = state
     (dpx, dpy, dpz), (dvx, dvy, dvz), (ax, ay, az), R_d, w_d = sp
-    ux, uy, uz = mat_t_vec(state.R, (
+    ux, uy, uz = mat_t_vec(R, (
         K_tp * (dpx - px) + K_td * (dvx - vx) + ax,
         K_tp * (dpy - py) + K_td * (dvy - vy) + ay,
         g + K_tp * (dpz - pz) + K_td * (dvz - vz) + az))
-    (ex, ey, ez), (ix, iy, iz), (wx, wy, wz) = e_R, integ, state.omega
-    wdx, wdy, wdz = mat_t_vec(state.R, mat_vec(R_d, w_d))
+    (ex, ey, ez), (ix, iy, iz) = e_R, integ
+    wdx, wdy, wdz = mat_t_vec(R, mat_vec(R_d, w_d))
     lo, hi = -cfg.integral_clamp, cfg.integral_clamp
     ix, iy, iz = ix + ex * dt, iy + ey * dt, iz + ez * dt
     ix, iy, iz = (lo if lo > ix else ix, lo if lo > iy else iy,
@@ -312,10 +310,10 @@ def test_principal_integrate_matches_full_inertia(data):
     # the dropped 0.0 * w terms NaN in the full form only.
     rate = 1e4 if data.draw(st.booleans()) else 50.0
     origin = data.draw(st.booleans())
-    state = VehicleState(*((ZERO3, ZERO3) if origin else
-                           (numbers(data, False, 3), numbers(data, False, 3))),
-                         numbers(data, False, 9, -1.0, 1.0),
-                         numbers(data, False, 3, -rate, rate))
+    state = (*((ZERO3, ZERO3) if origin else
+               (numbers(data, False, 3), numbers(data, False, 3))),
+             numbers(data, False, 9, -1.0, 1.0),
+             numbers(data, False, 3, -rate, rate))
     wrench = numbers(data, False, 3), numbers(data, False, 3)
     dist = numbers(data, False, 3), numbers(data, False, 3)
     contact = ContactState(nearfield_force=numbers(data, False, 3))
@@ -338,9 +336,9 @@ def wrench_and_integral(fn):
 @given(st.data())
 def test_principal_torque_matches_full_inertia(data):
     rate = 1e4 if data.draw(st.booleans()) else 50.0
-    state = VehicleState(numbers(data, False, 3), numbers(data, False, 3),
-                         numbers(data, False, 9, -1.0, 1.0),
-                         numbers(data, False, 3, -rate, rate))
+    state = (numbers(data, False, 3), numbers(data, False, 3),
+             numbers(data, False, 9, -1.0, 1.0),
+             numbers(data, False, 3, -rate, rate))
     sp = (*(numbers(data, False, 3) for _ in range(3)),
           numbers(data, False, 9, -1.0, 1.0),
                   numbers(data, False, 3, -rate, rate))
@@ -475,6 +473,7 @@ class AnchoredContact:
 def update_contact_anchored(state, act, applied_world_force, contact, wall,
                             params):
     """The previous update_contact, which returned no edge."""
+    p, _, R, _ = state
     gap = wall.gap_of(state)
     (nx, ny, nz), (_, _, eta) = wall.normal, act
     if contact.attached:
@@ -489,8 +488,7 @@ def update_contact_anchored(state, act, applied_world_force, contact, wall,
                                anchor_p=contact.anchor_p,
                                anchor_R=contact.anchor_R)
     if eta >= ETA_ENGAGED and gap <= wall.eps_attach:
-        return AnchoredContact(True, 0.0, wall.F_mag,
-                               anchor_p=state.p, anchor_R=state.R)
+        return AnchoredContact(True, 0.0, wall.F_mag, anchor_p=p, anchor_R=R)
     out = AnchoredContact(False, gap, 0.0)
     if eta >= ETA_ENGAGED and 0.0 < gap < wall.d_mag:
         s = -wall.F_mag * (1.0 - gap / wall.d_mag)
@@ -519,8 +517,8 @@ def test_contact_edges_match_anchored_form(data):
     eta = data.draw(st.one_of(st.sampled_from(
         (ETA_OPEN, ETA_ENGAGED, 0.0, -0.0, 1.0, 0.5, math.nan)),
         st.floats(-0.1, 1.1)))
-    state = VehicleState(numbers(data, wild, 3, 0.9, 1.1), ZERO3,
-                         numbers(data, wild, 9, -1.0, 1.0), ZERO3)
+    state = p, _, R, _ = (numbers(data, wild, 3, 0.9, 1.1), ZERO3,
+                          numbers(data, wild, 9, -1.0, 1.0), ZERO3)
     wall = WallModel(point=(1.0, 0.0, 1.0),
                      normal=data.draw(st.sampled_from(
                          [(-1.0, 0.0, 0.0), (-0.8, 0.5, 0.2), (0.0, 1.0, 0.0)])),
@@ -533,7 +531,7 @@ def test_contact_edges_match_anchored_form(data):
     # the previous harness kept is the state's own pose.
     old_before = AnchoredContact(
         attached, 0.0 if attached else wall.gap_of(state), 0.0,
-        state.p if attached else None, state.R if attached else None)
+        p if attached else None, R if attached else None)
     before = ContactState(*astuple(old_before)[:3])
     act = (0.0,) * 4, (0.0,) * 4, eta
     params = SimpleNamespace(m=number(data, False, 0.1, 5.0),
@@ -546,32 +544,35 @@ def test_contact_edges_match_anchored_form(data):
     assert contact_bits(new) == contact_bits(old)
     assert edge == harness_edge(old_before, old, act)
     if old.attached:
-        assert (old.anchor_p, old.anchor_R) == (state.p, state.R)
+        assert (old.anchor_p, old.anchor_R) == (p, R)
 
 
 def unfreeze(est, state, params, K_e):
     """The previous estimation.unfreeze, with the gain the state held."""
-    if not est.frozen:
+    delta_hat, _, _, frozen = est
+    if not frozen:
         return est
     p_m0 = tuple([mv - d / K_e
-                  for mv, d in zip(momentum(state, params), est.delta_hat)])
-    return estimation.EstimatorState(est.delta_hat, ZERO3, p_m0, False)
+                  for mv, d in zip(momentum(state, params), delta_hat)])
+    return delta_hat, ZERO3, p_m0, False
 
 
 def rebase(est, state, params):
     """The previous estimation.rebase."""
-    return estimation.EstimatorState(ZERO3, ZERO3, momentum(state, params),
-                                     est.frozen)
+    _, _, _, frozen = est
+    return ZERO3, ZERO3, momentum(state, params), frozen
 
 
 def momentum(state, params):
     """The previous estimation._momentum."""
+    _, v, _, _ = state
     m = params.m
-    return tuple([m * v for v in state.v])
+    return tuple([m * x for x in v])
 
 
 def estimator_bits(est):
-    return bits(est.delta_hat + est.accumulator + est.p_m0) + [est.frozen]
+    delta_hat, accumulator, p_m0, frozen = est
+    return bits(delta_hat + accumulator + p_m0) + [frozen]
 
 
 @settings(max_examples=400)
@@ -583,16 +584,15 @@ def test_fresh_matches_unfreeze_and_rebase(data):
                               st.floats(1e-6, 1e6)))
     params = SimpleNamespace(m=data.draw(st.one_of(
         st.sampled_from((5e-324, 1.65, 1e300)), st.floats(0.01, 10.0))))
-    state = VehicleState(ZERO3, numbers(data, wild, 3), EYE, ZERO3)
-    est = estimation.EstimatorState(numbers(data, wild, 3),
-                                    numbers(data, wild, 3),
-                                    numbers(data, wild, 3))
+    state = ZERO3, numbers(data, wild, 3), EYE, ZERO3
+    est = delta_hat, _, _, _ = (numbers(data, wild, 3),
+                                numbers(data, wild, 3),
+                                numbers(data, wild, 3), False)
 
-    resumed = estimation.EstimatorState.fresh(state, params, K_e,
-                                              est.delta_hat)
+    resumed = estimation.fresh(state, params, K_e, delta_hat)
     assert estimator_bits(resumed) == estimator_bits(
         unfreeze(estimation.freeze(est), state, params, K_e))
-    restarted = estimation.EstimatorState.fresh(state, params, K_e)
+    restarted = estimation.fresh(state, params, K_e)
     assert estimator_bits(restarted) == estimator_bits(
         rebase(est, state, params))
 
@@ -614,9 +614,7 @@ def test_zero_rho_perch_wrench_allocates_as_zero(data):
                               st.floats(-1.0, 1.0))] * 9)))
     prev = tuple(data.draw(st.floats(allow_nan=True)) for _ in range(4))
     T_max = data.draw(st.floats(1e-300, 1e300))
-    state = VehicleState((0.5, 0.0, 1.2), ZERO3, R, ZERO3)
-
-    w = perch_wrench(0.0, state, params)
+    w = perch_wrench(0.0, R, params)
     got_thrust, got_tilt, got_saturated = allocate(w, params.rotors, T_max,
                                                    prev)
     want_thrust, want_tilt, want_saturated = allocate(

@@ -138,9 +138,9 @@ def test_variant_overrides_rho(monkeypatch):
     # scenario's; no-freeze flies its full controller in P and never presses.
     pressed = []
 
-    def spy(rho, state, params):
+    def spy(rho, R, params):
         pressed.append(rho)
-        return perch_wrench(rho, state, params)
+        return perch_wrench(rho, R, params)
 
     monkeypatch.setattr(harness, "perch_wrench", spy)
     cfg = default_scenario()

@@ -89,15 +89,15 @@ def test_eta_d_only_on_specified_edges():
 def test_mode_policies():
     policies = VARIANTS["proposed"].policies
     pol = policies[Mode.F]
-    assert pol.wrench == "full" and not pol.rejection_frozen
+    assert not pol.perch and not pol.rejection_frozen
     assert not pol.contact_active
     pol = policies[Mode.F2P]
-    assert pol.wrench == "nominal" and pol.rejection_frozen
+    assert not pol.perch and pol.rejection_frozen
     assert pol.contact_active
     pol = policies[Mode.P]
-    assert pol.wrench == "perch" and pol.rejection_frozen
+    assert pol.perch and pol.rejection_frozen
     pol = policies[Mode.P2F]
-    assert pol.wrench == "nominal" and pol.rejection_frozen
+    assert not pol.perch and pol.rejection_frozen
 
 
 def test_two_mode_arms_then_attaches():
@@ -124,15 +124,16 @@ def test_two_mode_self_loop():
 def test_no_transition_policies():
     for name in ("no-transitions-rho0", "no-transitions-rho0.5"):
         policies = VARIANTS[name].policies
-        assert policies[Mode.F].wrench == "full"
-        assert policies[Mode.P].wrench == "perch"
+        assert not policies[Mode.F].perch
+        assert not policies[Mode.F].rejection_frozen
+        assert policies[Mode.P].perch
         assert not policies[Mode.P].rejection_frozen
 
 
 def test_no_freeze_policies_never_freeze():
     for mode in Mode:
         pol = VARIANTS["no-freeze"].policies[mode]
-        assert pol.wrench == "full"
+        assert not pol.perch
         assert not pol.rejection_frozen
 
 
