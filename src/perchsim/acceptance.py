@@ -20,7 +20,7 @@ from .geometry import EYE, ZERO3, mat_vec, rotation_error
 from .harness import run_scenario, settle_index
 from .planner import min_jerk_segment, perch_setpoints
 from .scenario import ScenarioConfig, default_scenario
-from .supervisor import Mode, SupervisorState, transition
+from .supervisor import FOUR_MODE, Mode, SupervisorState, transition
 from .vehicle import ContactState, at_rest, forward_wrench, integrate
 
 # SHA-256 of the default proposed-variant CSV log; regenerated whenever the
@@ -80,7 +80,7 @@ def check_1_mode_machine():
                 for band, lam in bands.items():
                     eta0 = 0.0 if mode is Mode.F else 1.0
                     sup = SupervisorState(mode=mode, eta_d=eta0)
-                    out = transition(sup, lam, s_f2p, s_p2f, cfg)
+                    out = transition(sup, lam, s_f2p, s_p2f, cfg, FOUR_MODE)
                     want_mode, want_eta = _expected_transition(
                         mode, s_f2p, s_p2f, lam, cfg)
                     if out.mode is not want_mode or out.eta_d != want_eta:

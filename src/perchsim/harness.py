@@ -21,8 +21,7 @@ from .geometry import ZERO3, mat_t_vec, mat_vec, pitch_of, quat_of, \
     rotation_error
 from .planner import MissionPlanner
 from .scenario import ScenarioConfig
-from .supervisor import VARIANTS, Mode, SupervisorState, transition, \
-    transition_two_mode
+from .supervisor import VARIANTS, Mode, SupervisorState, transition
 from .vehicle import ContactState, NumericalDivergenceError, at_rest, \
     forward_wrench, integrate, step_actuators, update_contact
 
@@ -44,6 +43,8 @@ _ROW = struct.Struct("%dd" % len(_NUM_COLUMNS))
 _MODE_POS = CSV_COLUMNS.index("mode")
 _CSV_LINE = {m.value: "%.12g," * _MODE_POS + m.value
              + ",%.12g" * (len(_NUM_COLUMNS) - _MODE_POS) + "\n" for m in Mode}
+# perfbench/tracer.py still wraps this name; ROADMAP item 7 step 2 removes it.
+transition_two_mode = transition
 # Ticks of measurement noise drawn per numpy call; small, so the block's
 # floats stay a few kB.
 _NOISE_BLOCK = 64
@@ -123,7 +124,6 @@ def run_scenario(cfg):
     params, wall = cfg.build()
     rotors = params.rotors
     variant = VARIANTS[cfg.variant]
-    transition_fn = transition_two_mode if variant.two_mode else transition
     rho = cfg.rho if variant.rho is None else variant.rho
     planner = MissionPlanner(cfg, wall)
 
@@ -183,7 +183,7 @@ def run_scenario(cfg):
         s_p2f = "s_p2f" in kinds
         for kind in kinds:
             events.append((t, "operator", kind))
-        new_sup = transition_fn(sup, lam_c, s_f2p, s_p2f, cfg)
+        new_sup = transition(sup, lam_c, s_f2p, s_p2f, cfg, variant.edges)
         # The approach starts when eta_d rises (F -> F2P with four modes),
         # the departure on entering P2F.  Two-mode P -> F keeps the stale
         # approach plan, so no inputs for detaching are generated in advance.

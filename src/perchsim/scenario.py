@@ -19,6 +19,7 @@ from .vehicle import VehicleParams, WallModel
 SCHEMA_VERSION = 1
 
 MISSIONS = ("perch", "hover")
+_NAMES = {"variant": VARIANTS, "mission": MISSIONS}   # key -> allowed names
 
 # Fields that must be > 0 and >= 0; every number must also be finite.
 _POSITIVE = ("duration", "mass", "inertia_diag", "gravity", "arm_length",
@@ -131,10 +132,7 @@ class ScenarioConfig:
             if not self.dt <= getattr(self, name) <= MAX_SEGMENT_S:
                 raise ScenarioError(
                     f"{name} must lie in [dt, {MAX_SEGMENT_S:g}] s")
-        if self.variant not in VARIANTS:
-            raise ScenarioError(f"unknown variant {self.variant!r}")
-        if self.mission not in MISSIONS:
-            raise ScenarioError(f"unknown mission {self.mission!r}")
+        _check_names(self)
         if sorted(t for t, _ in self.events) != [t for t, _ in self.events]:
             raise ScenarioError("events must be time-sorted")
         for t, kind in self.events:
@@ -166,6 +164,13 @@ class ScenarioConfig:
         return params, wall
 
 
+def _check_names(cfg):
+    """Raise ScenarioError for a `variant` or `mission` not in its set."""
+    for key, allowed in _NAMES.items():
+        if getattr(cfg, key) not in allowed:
+            raise ScenarioError(f"unknown {key} {getattr(cfg, key)!r}")
+
+
 def _numbers(lineno, key, raw, n):
     """The `n` whitespace-separated floats of `raw`, as a tuple."""
     parts = raw.split()
@@ -195,7 +200,8 @@ def _value(lineno, key, raw, default):
 
 def parse_scenario(text):
     """Parse scenario text into a ScenarioConfig; raises ScenarioError on
-    malformed text.  The values are checked by `ScenarioConfig.build()`."""
+    malformed text or an unknown name.  `ScenarioConfig.build()` checks the
+    other values, after any command-line overrides."""
     cfg = ScenarioConfig()
     defaults = {k: v for k, v in asdict(cfg).items()
                 if k not in ("events", "disturbances")}
@@ -229,6 +235,7 @@ def parse_scenario(text):
             raise ScenarioError(f"line {lineno}: unknown key {key!r}")
     if not saw_version:
         raise ScenarioError("missing schema_version header")
+    _check_names(cfg)
     return cfg
 
 

@@ -1,11 +1,12 @@
 """Four-mode switching supervisor (F, F2P, P, P2F) and its two-mode ablation.
 
-Operator signals are latched until their edge consumes them.  The perch-servo
-target eta_d toggles only on the F->F2P edge (engage) and the P2F->F edge
-(disengage).  The two-mode machine used by the no-transition ablations skips
-both transition modes and collapses the eta_d edges onto its single switches.
-VARIANTS maps each controller variant's name to its machine, per-mode
-policies and overrides.
+A machine is a tuple of edges (from, perch, unperch, force, to, eta_d).  The
+first edge out of the current mode whose needs hold fires: the perch signal
+if `perch`, the unperch signal if `unperch`, the Force test `force` (a NaN
+estimate fails both) unless None.  It enters `to`, sets the servo target to
+`eta_d` unless None, and, if it changes the mode, consumes the signals it
+needed; they stay latched until then.  VARIANTS maps each variant's name to
+its machine, per-mode policies and overrides.
 """
 
 import enum
@@ -35,49 +36,47 @@ class PolicyDescriptor:
     contact_active: bool
 
 
-def transition(sup, lam_c, s_f2p, s_p2f, cfg):
-    """One tick of the four-mode machine; reads cfg.lambda_f2p, lambda_p2f."""
+class Force(enum.Enum):
+    COMPRESSION = enum.auto()        # lam_c > lambda_f2p: attached
+    TENSION = enum.auto()            # lam_c < lambda_p2f: released
+
+
+def transition(sup, lam_c, s_f2p, s_p2f, cfg, edges):
+    """One tick of the machine `edges` (FOUR_MODE or TWO_MODE) from `sup`."""
     pending_f2p = sup.pending_f2p or s_f2p
     pending_p2f = sup.pending_p2f or s_p2f
-    mode, eta_d = sup.mode, sup.eta_d
+    for src, perch, unperch, force, dst, eta_d in edges:
+        if src is not sup.mode or perch and not pending_f2p \
+                or unperch and not pending_p2f \
+                or force is Force.COMPRESSION and not lam_c > cfg.lambda_f2p \
+                or force is Force.TENSION and not lam_c < cfg.lambda_p2f:
+            continue
+        if dst is not sup.mode:
+            pending_f2p = pending_f2p and not perch
+            pending_p2f = pending_p2f and not unperch
+        return SupervisorState(dst, sup.eta_d if eta_d is None else eta_d,
+                               pending_f2p, pending_p2f)
+    return SupervisorState(sup.mode, sup.eta_d, pending_f2p, pending_p2f)
 
-    if mode is Mode.F and pending_f2p:
-        mode, eta_d, pending_f2p = Mode.F2P, 1.0, False
-    elif mode is Mode.F2P and lam_c > cfg.lambda_f2p:
-        mode = Mode.P
-    elif mode is Mode.P and pending_p2f:
-        mode, pending_p2f = Mode.P2F, False
-    elif mode is Mode.P2F and lam_c < cfg.lambda_p2f:
-        mode, eta_d = Mode.F, 0.0
 
-    return SupervisorState(mode, eta_d, pending_f2p, pending_p2f)
+FOUR_MODE = (
+    (Mode.F, True, False, None, Mode.F2P, 1.0),
+    (Mode.F2P, False, False, Force.COMPRESSION, Mode.P, None),
+    (Mode.P, False, True, None, Mode.P2F, None),
+    (Mode.P2F, False, False, Force.TENSION, Mode.F, 0.0),
+)
 
-
-def transition_two_mode(sup, lam_c, s_f2p, s_p2f, cfg):
-    """Ablation machine without transition modes: F <-> P directly.
-
-    The perch signal arms the servo immediately (eta_d <- 1); the switch to P
-    fires once armed and the contact force confirms attachment.  The unperch
-    signal drops straight back to F in one step.  Reads lambda_f2p (N).
-    """
-    pending_f2p = sup.pending_f2p or s_f2p
-    pending_p2f = sup.pending_p2f or s_p2f
-    mode, eta_d = sup.mode, sup.eta_d
-
-    if mode is Mode.F and pending_f2p:
-        eta_d = 1.0
-        if lam_c > cfg.lambda_f2p:
-            mode, pending_f2p = Mode.P, False
-    elif mode is Mode.P and pending_p2f:
-        mode, eta_d, pending_p2f = Mode.F, 0.0, False
-
-    return SupervisorState(mode, eta_d, pending_f2p, pending_p2f)
+TWO_MODE = (
+    (Mode.F, True, False, Force.COMPRESSION, Mode.P, 1.0),
+    (Mode.F, True, False, None, Mode.F, 1.0),    # arm the servo, stay in F
+    (Mode.P, False, True, None, Mode.F, 0.0),
+)
 
 
 @dataclass(frozen=True)
 class Variant:
     """Everything that sets one controller variant apart in the tick loop."""
-    two_mode: bool                   # transition_two_mode; replan on eta_d edge
+    edges: tuple                     # FOUR_MODE or TWO_MODE
     policies: dict                   # Mode -> PolicyDescriptor
     rho: float = None                # perch wrench fraction; None: scenario's
     freeze_while_attached: bool = False
@@ -106,9 +105,9 @@ _NO_FREEZE_POLICIES = {
 }
 
 VARIANTS = {
-    "proposed": Variant(False, _FOUR_MODE_POLICIES,
+    "proposed": Variant(FOUR_MODE, _FOUR_MODE_POLICIES,
                         freeze_while_attached=True),
-    "no-transitions-rho0": Variant(True, _TWO_MODE_POLICIES, rho=0.0),
-    "no-transitions-rho0.5": Variant(True, _TWO_MODE_POLICIES, rho=0.5),
-    "no-freeze": Variant(False, _NO_FREEZE_POLICIES),
+    "no-transitions-rho0": Variant(TWO_MODE, _TWO_MODE_POLICIES, rho=0.0),
+    "no-transitions-rho0.5": Variant(TWO_MODE, _TWO_MODE_POLICIES, rho=0.5),
+    "no-freeze": Variant(FOUR_MODE, _NO_FREEZE_POLICIES),
 }

@@ -22,6 +22,7 @@ from perchsim.control import nominal_wrench
 from perchsim.planner import hold
 from perchsim.scenario import ScenarioConfig
 from perchsim.vehicle import at_rest, step_actuators
+from test_oracles import bits as bits_one_nan
 
 PARAMS, _ = ScenarioConfig().build()
 SPECIAL = (math.nan, math.inf, -math.inf, 0.0, -0.0, 1.0, -1.0)
@@ -91,7 +92,9 @@ def test_nominal_wrench_integral_clamp(data):
     _, acc = nominal_wrench(state, sp, e_R, cfg, integ, PARAMS, dt)
 
     old = [min(max(i + e * dt, -clamp), clamp) for i, e in zip(integ, e_R)]
-    assert bits(acc) == bits(old)
+    # i + e * dt makes its own NaN, whose sign depends on the interpreter's
+    # specialisation of the addition, so any NaN matches here.
+    assert bits_one_nan(acc) == bits_one_nan(old)
 
 
 @settings(max_examples=300)

@@ -93,16 +93,19 @@ def test_invalid_value_exit_code(tmp_path, capsys, line):
             in err
 
 
-@pytest.mark.parametrize("line", ["rho = 1", "event = 3 s_warp"])
-@pytest.mark.parametrize("command", ["run", "ablate"])
+@pytest.mark.parametrize("line", ["rho = 1", "event = 3 s_warp",
+                                  "variant = bogus", "mission = bogus"])
+@pytest.mark.parametrize("command", ["run", "run --variant proposed",
+                                     "ablate"])
 def test_build_error_writes_nothing(tmp_path, capsys, command, line):
-    # parse_scenario accepts these; build() rejects them before tick 0, so
-    # no output directory is made.
+    # parse_scenario rejects an unknown name, build() the other values, both
+    # before tick 0, so no output directory is made.  The name is checked
+    # even where an override (--variant, or ablate's loop) replaces it.
     scen = tmp_path / "bad.scn"
     scen.write_text(HOVER + line + "\n")
     out = tmp_path / "o"
-    assert main([command, "--scenario", str(scen), "--out", str(out)]) \
-        == EXIT_SCHEMA
+    assert main(command.split() + ["--scenario", str(scen),
+                                   "--out", str(out)]) == EXIT_SCHEMA
     assert "scenario error" in capsys.readouterr().err
     assert not out.exists()
 

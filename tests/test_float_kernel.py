@@ -482,15 +482,14 @@ def test_tick_modules_sum_left_to_right(module):
         f"sum()/fsum() or a min/max clamp in {module.__name__}: {calls}"
 
 
-# The stages run_scenario calls on every tick, with the transition functions
-# it picks per variant; the guard below also reads everything they call.
+# The stages run_scenario calls on every tick; the guard below also reads
+# everything they call.
 EVERY_TICK = (harness.MissionPlanner.sample, supervisor.transition,
-              supervisor.transition_two_mode, estimation.freeze,
-              estimation.update, estimation.contact_normal_force,
-              geometry.rotation_error, control.perch_wrench,
-              control.nominal_wrench, control.rejection_force,
-              allocation.allocate, vehicle.step_actuators,
-              vehicle.forward_wrench, geometry.mat_vec,
+              estimation.freeze, estimation.update,
+              estimation.contact_normal_force, geometry.rotation_error,
+              control.perch_wrench, control.nominal_wrench,
+              control.rejection_force, allocation.allocate,
+              vehicle.step_actuators, vehicle.forward_wrench, geometry.mat_vec,
               vehicle.update_contact, geometry.pitch_of, geometry.quat_of,
               vehicle.integrate)
 # The loop's other calls run at mode, contact and disturbance-pulse edges.

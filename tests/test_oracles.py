@@ -6,10 +6,11 @@ measurement noise in blocks.  The inertia is three principal moments, not a
 3x3 matrix, and `allocate` solves each rotor from its own pair of rows.  `update_contact` reports its own edges and
 keeps no anchor pose, one `estimation.fresh` restarts both estimators,
 and `perch_wrench` has no rho = 0 branch.  `min_accel_rotation` ends every
-segment at rest instead of taking an end rate, and `transition_two_mode`
-tests the perch signal once.  Each test keeps the form it replaced as its
-oracle and requires the same floats, bit for bit, or the same exception, for
-+-0.0, subnormals, large rates, NaN and +-inf as well as ordinary values.
+segment at rest instead of taking an end rate, and both supervisor machines
+are edge tables run by one `transition`.  Each test keeps the form it
+replaced as its oracle and requires the same floats, bit for bit, or the
+same exception, for +-0.0, subnormals, large rates, NaN and +-inf as well
+as ordinary values.
 The principal-moment forms drop terms 0.0 * w, which can only flip the sign
 of an exact zero, so there a zero of either sign matches.
 """
@@ -34,7 +35,8 @@ from perchsim.geometry import EYE, ZERO3, exp_so3, floats, log_so3, \
 from perchsim.harness import _noise
 from perchsim.planner import RotationSegment, min_accel_rotation
 from perchsim.scenario import ScenarioConfig
-from perchsim.supervisor import Mode, SupervisorState, transition_two_mode
+from perchsim.supervisor import FOUR_MODE, TWO_MODE, Mode, SupervisorState, \
+    transition
 from perchsim.vehicle import ETA_ENGAGED, ETA_OPEN, ContactState, \
     NumericalDivergenceError, VehicleParams, WallModel, integrate, \
     update_contact
@@ -698,6 +700,24 @@ def test_inverse_jacobian_of_zero_rate_is_positive_zero(data):
     assert bits(right_jacobian_inv(phi, ZERO3)) == bits(ZERO3)
 
 
+def transition_four_mode_chain(sup, lam_c, s_f2p, s_p2f, cfg):
+    """One tick of the four-mode machine; reads cfg.lambda_f2p, lambda_p2f."""
+    pending_f2p = sup.pending_f2p or s_f2p
+    pending_p2f = sup.pending_p2f or s_p2f
+    mode, eta_d = sup.mode, sup.eta_d
+
+    if mode is Mode.F and pending_f2p:
+        mode, eta_d, pending_f2p = Mode.F2P, 1.0, False
+    elif mode is Mode.F2P and lam_c > cfg.lambda_f2p:
+        mode = Mode.P
+    elif mode is Mode.P and pending_p2f:
+        mode, pending_p2f = Mode.P2F, False
+    elif mode is Mode.P2F and lam_c < cfg.lambda_p2f:
+        mode, eta_d = Mode.F, 0.0
+
+    return SupervisorState(mode, eta_d, pending_f2p, pending_p2f)
+
+
 def transition_two_mode_guarded(sup, lam_c, s_f2p, s_p2f, cfg):
     """The previous transition_two_mode, which tested pending_f2p twice."""
     pending_f2p = sup.pending_f2p or s_f2p
@@ -713,16 +733,22 @@ def transition_two_mode_guarded(sup, lam_c, s_f2p, s_p2f, cfg):
     return SupervisorState(mode, eta_d, pending_f2p, pending_p2f)
 
 
-def test_two_mode_machine_matches_guarded_form():
+@pytest.mark.parametrize("edges, previous", [
+    (TWO_MODE, transition_two_mode_guarded),
+    (FOUR_MODE, transition_four_mode_chain)], ids=["two-mode", "four-mode"])
+def test_edge_table_matches_elif_chain(edges, previous):
+    # The elif chains each machine was written as before its edge table.
     cfg = ScenarioConfig()
-    lam = cfg.lambda_f2p
+    lam = []
+    for threshold in (cfg.lambda_f2p, cfg.lambda_p2f):
+        lam += [math.nextafter(threshold, -math.inf), threshold,
+                math.nextafter(threshold, math.inf)]
     for mode, eta_d, pend_f, pend_p, s_f, s_p, lam_c in itertools.product(
-            Mode, (0.0, 1.0), *[(False, True)] * 4,
-            (math.nextafter(lam, -math.inf), lam,
-             math.nextafter(lam, math.inf), -math.inf, math.nan)):
+            Mode, (0.0, -0.0, 1.0), *[(False, True)] * 4,
+            lam + [0.0, -math.inf, math.inf, math.nan]):
         sup = SupervisorState(mode, eta_d, pend_f, pend_p)
-        new = transition_two_mode(sup, lam_c, s_f, s_p, cfg)
-        old = transition_two_mode_guarded(sup, lam_c, s_f, s_p, cfg)
+        new = transition(sup, lam_c, s_f, s_p, cfg, edges)
+        old = previous(sup, lam_c, s_f, s_p, cfg)
         assert (new.mode, bits([new.eta_d]), new.pending_f2p,
                 new.pending_p2f) == (old.mode, bits([old.eta_d]),
                                      old.pending_f2p, old.pending_p2f)

@@ -105,6 +105,19 @@ def test_missing_equals():
         parse_scenario(MINIMAL + "just some words\n")
 
 
+@pytest.mark.parametrize("line", ["variant = bogus", "mission = swim"])
+def test_unknown_name_fails_to_parse(line):
+    # Checked before any override can replace it, by the rule build()
+    # applies.  The free-form `name` is not checked.
+    with pytest.raises(ScenarioError) as parsed:
+        parse_scenario(MINIMAL + line + "\n")
+    key, value = line.split(" = ")
+    with pytest.raises(ScenarioError) as built:
+        ScenarioConfig(**{key: value}).build()
+    assert str(parsed.value) == str(built.value) == f"unknown {key} {value!r}"
+    assert parse_scenario(MINIMAL + "name = bogus\n").name == "bogus"
+
+
 def test_validate_ranges():
     with pytest.raises(ScenarioError):
         ScenarioConfig(dt=0.05).build()
