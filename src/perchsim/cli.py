@@ -1,6 +1,7 @@
 """Command-line interface: run scenarios, ablation sweeps, verification."""
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -27,6 +28,16 @@ def _load(args):
     return cfg
 
 
+def _check_out(path):
+    """Fail before the run, creating nothing, where os.makedirs(path) would
+    meet a file at `path` or above it."""
+    head = path
+    while head and not os.path.lexists(head):
+        head = os.path.dirname(head)
+    if head and not os.path.isdir(head):
+        raise NotADirectoryError(errno.ENOTDIR, "Not a directory", path)
+
+
 def _write_run(result, out_dir):
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "log.csv"), "w", encoding="utf-8") as fh:
@@ -45,6 +56,7 @@ def cmd_run(args):
     cfg = _load(args)
     if args.variant is not None:
         cfg.variant = args.variant
+    _check_out(args.out)
     result = run_scenario(cfg)
     _write_run(result, args.out)
     print(json.dumps(result.metrics.to_dict(), indent=2))
@@ -54,6 +66,8 @@ def cmd_run(args):
 def cmd_ablate(args):
     cfg = _load(args)
     metrics = {}
+    for variant in VARIANTS:
+        _check_out(os.path.join(args.out, variant))
     for variant in VARIANTS:
         result = run_scenario(replace(cfg, variant=variant))
         _write_run(result, os.path.join(args.out, variant))

@@ -1,6 +1,6 @@
 """Deterministic fixed-step simulation loop, telemetry, and outcome metrics.
 
-Tick order is fixed: planner -> supervisor -> estimation -> control ->
+Tick order is fixed: supervisor -> planner -> estimation -> control ->
 allocation -> actuators -> contact -> integrate.  Reordering is a breaking
 change (guarded by a golden-file test).  One log record is emitted per tick;
 identical configuration and seed produce byte-identical CSV output.
@@ -123,8 +123,8 @@ def run_scenario(cfg):
     """Run one scenario to completion; deterministic for a given config+seed."""
     params, wall = cfg.build()
     rotors = params.rotors
-    variant = VARIANTS[cfg.variant]
-    rho = cfg.rho if variant.rho is None else variant.rho
+    machine, policies, rho, freeze_while_attached = VARIANTS[cfg.variant]
+    rho = cfg.rho if rho is None else rho
     planner = MissionPlanner(cfg, wall)
 
     hover_p, _, _, hover_R, _ = planner.setpoints[0]
@@ -160,8 +160,8 @@ def run_scenario(cfg):
     modes = []
     gaps = np.empty(n_ticks)
     events = []
-    failure = ""
-    pol, mode_name = variant.policies[sup.mode], sup.mode.value
+    perch, rejection_frozen, contact_active = policies[sup.mode]
+    mode_name = sup.mode.value
 
     for k in range(n_ticks):
         t = k * cfg.dt
@@ -174,38 +174,35 @@ def run_scenario(cfg):
         else:
             meas = state
 
-        # 1. planner
-        sp = planner.sample(t)
-
-        # 2. supervisor
+        # 1. supervisor
         kinds = event_ticks.get(k, ())
         s_f2p = "s_f2p" in kinds
         s_p2f = "s_p2f" in kinds
         for kind in kinds:
             events.append((t, "operator", kind))
-        new_sup = transition(sup, lam_c, s_f2p, s_p2f, cfg, variant.edges)
+        new_sup = transition(sup, lam_c, s_f2p, s_p2f, cfg, machine)
         # The approach starts when eta_d rises (F -> F2P with four modes),
         # the departure on entering P2F.  Two-mode P -> F keeps the stale
         # approach plan, so no inputs for detaching are generated in advance.
         if new_sup.mode is not sup.mode:
-            pol = variant.policies[new_sup.mode]
+            perch, rejection_frozen, contact_active = policies[new_sup.mode]
             events.append((t, "mode", f"{mode_name}->{new_sup.mode.value}"))
             mode_name = new_sup.mode.value
             integ = ZERO3
             if new_sup.mode is Mode.P2F:
                 planner.start_departure(t, state)
-                sp = planner.sample(t)
         if new_sup.eta_d != sup.eta_d:
             events.append((t, "eta_d",
                            "perch" if new_sup.eta_d else "unperch"))
             if new_sup.eta_d == 1.0:
                 planner.start_approach(t)
-                sp = planner.sample(t)
         sup = new_sup
 
+        # 2. planner
+        sp = planner.sample(t)
+
         # 3. estimation (consumes the wrench applied over the last interval)
-        if pol.rejection_frozen or (variant.freeze_while_attached
-                                    and contact.attached):
+        if rejection_frozen or freeze_while_attached and contact.attached:
             # While attached the estimate would absorb the constraint force,
             # so the hold extends until the wall actually lets go.
             est_rej = estimation.freeze(est_rej)
@@ -216,24 +213,24 @@ def run_scenario(cfg):
             est_rej = estimation.update(est_rej, meas, f_act, K_e, params,
                                         cfg.dt)
         delta_hat, _, _, _ = est_rej
-        if pol.contact_active:
+        if contact_active:
             if not contact_was_active:
                 est_con = estimation.fresh(meas, params, K_e)
             con_hat, _, _, _ = est_con = estimation.update(
                 est_con, meas, f_act, K_e, params, cfg.dt)
             lam_c = estimation.contact_normal_force(con_hat, wall)
-        contact_was_active = pol.contact_active
+        contact_was_active = contact_active
 
         # 4. control (noise and the attach snap leave R alone, so e_R is
         # also the logged attitude error)
         sp_p, _, _, R_d, _ = sp
         e_R = rotation_error(R, R_d)
-        if pol.perch:
+        if perch:
             wrench = perch_wrench(rho, R, params)
         else:
             wrench, integ = nominal_wrench(meas, sp, e_R, cfg, integ, params,
                                            cfg.dt)
-            if not pol.rejection_frozen:
+            if not rejection_frozen:
                 rx, ry, rz = rejection_force(delta_hat, R)
                 (fx, fy, fz), tau = wrench
                 wrench = (fx + rx, fy + ry, fz + rz), tau
@@ -286,17 +283,15 @@ def run_scenario(cfg):
                               cfg.dt)
         except (NumericalDivergenceError, ArithmeticError, ValueError) as exc:
             events.append((t, "failure", f"numerical-abort: {exc}"))
-            failure = "numerical-abort"
             break
         (px, py, pz), v, R, omega = state
         if pz <= 0.0:
             events.append((t, "failure", "ground-contact"))
-            failure = "ground-contact"
             break
 
     n = len(modes)
     result = SimResult(cfg, rows[:n], modes, gaps[:n], events)
-    result.metrics = compute_metrics(result, failure)
+    result.metrics = compute_metrics(result)
     return result
 
 
@@ -307,8 +302,8 @@ def settle_index(ok):
     return int(j) if j < len(ok) else None
 
 
-def compute_metrics(result, failure=""):
-    """Outcome measures of a run; `failure` names why it stopped early."""
+def compute_metrics(result):
+    """Outcome measures of a run, read from its log and its events."""
     if len(result.modes) == 0:
         raise ValueError("cannot compute metrics from an empty log")
     cfg = result.cfg
@@ -320,19 +315,20 @@ def compute_metrics(result, failure=""):
     sat = result.column("sat_any") > 0.5
     modes = np.array(result.modes)
 
+    first = {}                       # (kind, detail up to ":") -> time
+    for te, kind, detail in result.events:
+        first.setdefault((kind, detail.partition(":")[0]), te)
+    failure = next((d for k, d in first if k == "failure"), "")
     m = Metrics(completed=not failure, failure=failure)
 
-    t_signal = next((te for te, kind, detail in result.events
-                     if kind == "operator" and detail == "s_f2p"), None)
-    t_attach = next((te for te, kind, detail in result.events
-                     if kind == "contact" and detail == "attach"), None)
+    t_signal = first.get(("operator", "s_f2p"))
+    t_attach = first.get(("contact", "attach"))
     if t_attach is not None:
         m.perch_achieved = True
         m.perch_time_s = t_attach
         if t_signal is not None:
             m.time_to_perch_s = t_attach - t_signal
-    t_release = next((te for te, kind, detail in result.events
-                      if kind == "contact" and detail == "release"), None)
+    t_release = first.get(("contact", "release"))
     if t_release is not None:
         m.unperch_achieved = True
         m.release_time_s = t_release

@@ -5,8 +5,14 @@ first edge out of the current mode whose needs hold fires: the perch signal
 if `perch`, the unperch signal if `unperch`, the Force test `force` (a NaN
 estimate fails both) unless None.  It enters `to`, sets the servo target to
 `eta_d` unless None, and, if it changes the mode, consumes the signals it
-needed; they stay latched until then.  VARIANTS maps each variant's name to
-its machine, per-mode policies and overrides.
+needed; they stay latched until then.
+
+VARIANTS maps each variant's name to a row (edges, policies, rho,
+freeze_while_attached): rho None takes the scenario's perch wrench fraction,
+and rejection also stays frozen while attached if freeze_while_attached.
+policies maps each mode the machine reaches to (perch, rejection_frozen,
+contact_active): perch_wrench, else nominal_wrench plus the rejection force
+unless rejection_frozen; contact_active runs the contact estimator.
 """
 
 import enum
@@ -26,14 +32,6 @@ class SupervisorState:
     eta_d: float = 0.0
     pending_f2p: bool = False
     pending_p2f: bool = False
-
-
-@dataclass(frozen=True)
-class PolicyDescriptor:
-    """Per-mode wiring of controller and estimators."""
-    perch: bool                      # perch_wrench, else nominal_wrench
-    rejection_frozen: bool           # else nominal_wrench + rejection force
-    contact_active: bool
 
 
 class Force(enum.Enum):
@@ -73,41 +71,30 @@ TWO_MODE = (
 )
 
 
-@dataclass(frozen=True)
-class Variant:
-    """Everything that sets one controller variant apart in the tick loop."""
-    edges: tuple                     # FOUR_MODE or TWO_MODE
-    policies: dict                   # Mode -> PolicyDescriptor
-    rho: float = None                # perch wrench fraction; None: scenario's
-    freeze_while_attached: bool = False
-
-
-# Each row: PolicyDescriptor(perch, rejection_frozen, contact_active).
 _FOUR_MODE_POLICIES = {
-    Mode.F: PolicyDescriptor(False, False, False),
-    Mode.F2P: PolicyDescriptor(False, True, True),
-    Mode.P: PolicyDescriptor(True, True, True),
-    Mode.P2F: PolicyDescriptor(False, True, True),
+    Mode.F: (False, False, False),
+    Mode.F2P: (False, True, True),
+    Mode.P: (True, True, True),
+    Mode.P2F: (False, True, True),
 }
 
 _TWO_MODE_POLICIES = {
-    Mode.F: PolicyDescriptor(False, False, True),
-    Mode.P: PolicyDescriptor(True, False, True),
+    Mode.F: (False, False, True),
+    Mode.P: (True, False, True),
 }
 
 # Never freezes estimation and keeps motion control active while perched
 # (saturation ablation).
 _NO_FREEZE_POLICIES = {
-    Mode.F: PolicyDescriptor(False, False, False),
-    Mode.F2P: PolicyDescriptor(False, False, True),
-    Mode.P: PolicyDescriptor(False, False, True),
-    Mode.P2F: PolicyDescriptor(False, False, True),
+    Mode.F: (False, False, False),
+    Mode.F2P: (False, False, True),
+    Mode.P: (False, False, True),
+    Mode.P2F: (False, False, True),
 }
 
 VARIANTS = {
-    "proposed": Variant(FOUR_MODE, _FOUR_MODE_POLICIES,
-                        freeze_while_attached=True),
-    "no-transitions-rho0": Variant(TWO_MODE, _TWO_MODE_POLICIES, rho=0.0),
-    "no-transitions-rho0.5": Variant(TWO_MODE, _TWO_MODE_POLICIES, rho=0.5),
-    "no-freeze": Variant(FOUR_MODE, _NO_FREEZE_POLICIES),
+    "proposed": (FOUR_MODE, _FOUR_MODE_POLICIES, None, True),
+    "no-transitions-rho0": (TWO_MODE, _TWO_MODE_POLICIES, 0.0, False),
+    "no-transitions-rho0.5": (TWO_MODE, _TWO_MODE_POLICIES, 0.5, False),
+    "no-freeze": (FOUR_MODE, _NO_FREEZE_POLICIES, None, False),
 }

@@ -6,6 +6,7 @@ from dataclasses import fields
 
 import pytest
 
+from perchsim import cli
 from perchsim.allocation import RotorGeometry
 from perchsim.cli import EXIT_FAILED, EXIT_OK, EXIT_SCHEMA, main
 from perchsim.harness import run_scenario
@@ -110,18 +111,26 @@ def test_build_error_writes_nothing(tmp_path, capsys, command, line):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["run", "ablate"])
-def test_unwritable_out_exit_code(tmp_path, capsys, command):
-    # An --out that is an existing file: one line, no traceback, exit 2.
+@pytest.mark.parametrize(
+    "command, sub", [("run", ""), ("ablate", ""), ("run", "sub"),
+                     ("ablate", "sub")],
+    ids=["run", "ablate", "run-sub", "ablate-sub"])
+def test_unwritable_out_exit_code(tmp_path, capsys, monkeypatch, command,
+                                  sub):
+    # An --out that is, or lies under, an existing file: one line, no
+    # traceback, exit 2, and no run is flown to find that out.
+    monkeypatch.setattr(cli, "run_scenario",
+                        lambda cfg: pytest.fail("run_scenario was called"))
     scen = tmp_path / "hover.scn"
     scen.write_text(HOVER)
-    out = tmp_path / "taken"
-    out.write_text("")
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    out = taken / sub
     assert main([command, "--scenario", str(scen), "--out", str(out)]) \
         == EXIT_SCHEMA
     err = capsys.readouterr().err
     assert err.startswith(f"cannot write {out}") and err.count("\n") == 1
-    assert out.read_text() == ""
+    assert taken.read_text() == ""
 
 
 def test_missing_scenario_exit_code(tmp_path):

@@ -84,6 +84,21 @@ def test_metrics_penetration_counts_as_recontact():
     assert m.min_clearance_m == -0.05
 
 
+@pytest.mark.parametrize("failure, kind", [
+    ([(8.0, "failure", "numerical-abort: math domain error")],
+     "numerical-abort"),
+    ([(8.0, "failure", "ground-contact")], "ground-contact"),
+    ([], "")])
+def test_metrics_outcome_from_failure_event(failure, kind):
+    res = synthetic_result(
+        z_after=[1.2] * 7, gaps_after=[0.3] * 7, ep_after=[0.0] * 7,
+        sat_p=[])
+    res.events += failure
+    m = compute_metrics(res)
+    assert m.completed is (kind == "") and m.failure == kind
+    assert m.perch_achieved and m.unperch_achieved
+
+
 def test_settle_index_matches_brute_force():
     def brute(ok):
         return next((j for j in range(len(ok)) if ok[j:].all()), None)
@@ -461,9 +476,12 @@ def test_tick_calls_kernels_through_module_globals(monkeypatch):
     """perfbench's tracer replaces module attributes, so it sees a kernel
     only if the tick calls it through its module global: 4 exp_so3 calls
     per free integrate step (3 stages, 1 update) and none while attached,
-    and one forward_wrench per tick plus the initial trim."""
+    and one forward_wrench per tick plus the initial trim.  The plan is
+    sampled once per tick, after any replan, plus once inside
+    start_approach."""
     from perchsim import vehicle
-    calls = {"exp_so3": 0, "forward_wrench": 0, "free": 0, "attached": 0}
+    calls = {"exp_so3": 0, "forward_wrench": 0, "sample": 0, "free": 0,
+             "attached": 0}
 
     def spy(name, fn):
         def counted(*args):
@@ -484,6 +502,8 @@ def test_tick_calls_kernels_through_module_globals(monkeypatch):
     monkeypatch.setattr(harness, "forward_wrench",
                         spy("forward_wrench", harness.forward_wrench))
     monkeypatch.setattr(harness, "integrate", integrate_spy)
+    monkeypatch.setattr(harness.MissionPlanner, "sample",
+                        spy("sample", harness.MissionPlanner.sample))
     cfg = default_scenario()
     cfg.events, cfg.duration = [(1.0, "s_f2p"), (3.5, "s_p2f")], 5.0
     result = run_scenario(cfg)
@@ -493,6 +513,7 @@ def test_tick_calls_kernels_through_module_globals(monkeypatch):
     assert calls["free"] + calls["attached"] == ticks
     assert calls["exp_so3"] == 4 * calls["free"]
     assert calls["forward_wrench"] == ticks + 1
+    assert calls["sample"] == ticks + 1
 
 
 def _make_reference():

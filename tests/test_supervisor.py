@@ -89,18 +89,29 @@ def test_eta_d_only_on_specified_edges():
     assert toggles == [(Mode.F, Mode.F2P, 1.0), (Mode.P2F, Mode.F, 0.0)]
 
 
+def test_variant_rows():
+    # Each row is (edges, policies, rho, freeze_while_attached) and each
+    # policy (perch, rejection_frozen, contact_active), exactly.
+    for name, row in VARIANTS.items():
+        assert type(row) is tuple and len(row) == 4, name
+        _, policies, _, _ = row
+        for mode, pol in policies.items():
+            assert type(pol) is tuple and len(pol) == 3, (name, mode)
+            assert all(type(flag) is bool for flag in pol), (name, mode)
+
+
 def test_mode_policies():
-    policies = VARIANTS["proposed"].policies
-    pol = policies[Mode.F]
-    assert not pol.perch and not pol.rejection_frozen
-    assert not pol.contact_active
-    pol = policies[Mode.F2P]
-    assert not pol.perch and pol.rejection_frozen
-    assert pol.contact_active
-    pol = policies[Mode.P]
-    assert pol.perch and pol.rejection_frozen
-    pol = policies[Mode.P2F]
-    assert not pol.perch and pol.rejection_frozen
+    _, policies, _, _ = VARIANTS["proposed"]
+    perch, rejection_frozen, contact_active = policies[Mode.F]
+    assert not perch and not rejection_frozen
+    assert not contact_active
+    perch, rejection_frozen, contact_active = policies[Mode.F2P]
+    assert not perch and rejection_frozen
+    assert contact_active
+    perch, rejection_frozen, _ = policies[Mode.P]
+    assert perch and rejection_frozen
+    perch, rejection_frozen, _ = policies[Mode.P2F]
+    assert not perch and rejection_frozen
 
 
 def test_two_mode_arms_then_attaches():
@@ -126,18 +137,21 @@ def test_two_mode_self_loop():
 
 def test_no_transition_policies():
     for name in ("no-transitions-rho0", "no-transitions-rho0.5"):
-        policies = VARIANTS[name].policies
-        assert not policies[Mode.F].perch
-        assert not policies[Mode.F].rejection_frozen
-        assert policies[Mode.P].perch
-        assert not policies[Mode.P].rejection_frozen
+        _, policies, _, _ = VARIANTS[name]
+        perch, rejection_frozen, _ = policies[Mode.F]
+        assert not perch
+        assert not rejection_frozen
+        perch, rejection_frozen, _ = policies[Mode.P]
+        assert perch
+        assert not rejection_frozen
 
 
 def test_no_freeze_policies_never_freeze():
     for mode in Mode:
-        pol = VARIANTS["no-freeze"].policies[mode]
-        assert not pol.perch
-        assert not pol.rejection_frozen
+        _, policies, _, _ = VARIANTS["no-freeze"]
+        perch, rejection_frozen, _ = policies[mode]
+        assert not perch
+        assert not rejection_frozen
 
 
 def _reachable(edges):
@@ -157,8 +171,8 @@ def _reachable(edges):
 def test_variant_policies_cover_reachable_modes():
     assert _reachable(FOUR_MODE) == set(Mode)
     assert _reachable(TWO_MODE) == {Mode.F, Mode.P}
-    for name, variant in VARIANTS.items():
-        assert _reachable(variant.edges) <= set(variant.policies), name
+    for name, (edges, policies, _, _) in VARIANTS.items():
+        assert _reachable(edges) <= set(policies), name
 
 
 def test_switch_config_validation():
