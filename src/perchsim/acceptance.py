@@ -18,7 +18,7 @@ from .allocation import allocate
 from .control import nominal_wrench, rejection_force
 from .geometry import EYE, ZERO3, mat_vec, rotation_error
 from .harness import run_scenario, settle_index
-from .planner import min_jerk_segment, perch_setpoints
+from .planner import jerk_cost, min_jerk_segment, perch_setpoints, quintic
 from .scenario import ScenarioConfig, default_scenario
 from .supervisor import FOUR_MODE, Mode, SupervisorState, transition
 from .vehicle import ContactState, at_rest, forward_wrench, integrate
@@ -249,9 +249,9 @@ def check_6_trajectory_optimality():
         p0, v0, a0 = rng.normal(size=3), rng.normal(size=3), rng.normal(size=3)
         pf, vf, af = rng.normal(size=3), rng.normal(size=3), rng.normal(size=3)
         T = 1.0 + 3.0 * rng.random()
-        seg = min_jerk_segment(p0, v0, a0, pf, vf, af, T)
+        coeffs = min_jerk_segment(p0, v0, a0, pf, vf, af, T)
         for t_b, want in ((0.0, (p0, v0, a0)), (T, (pf, vf, af))):
-            got = np.array(seg.eval(t_b))
+            got = np.array(quintic(coeffs, t_b))
             for g, w in zip(got, want):
                 worst_bc = max(worst_bc, np.max(np.abs(g - w)))
         oracle = sum(
@@ -259,12 +259,12 @@ def check_6_trajectory_optimality():
                                    pf[ax], vf[ax], af[ax], T)
             for ax in range(3))
         if oracle > 1e-12:
-            worst_ratio = max(worst_ratio, seg.jerk_cost() / oracle)
+            worst_ratio = max(worst_ratio, jerk_cost(coeffs, T) / oracle)
         dh = 1e-4
         for tq in (0.3 * T, 0.7 * T):
-            pp, vp, ap = np.array(seg.eval(tq + dh))
-            pm, vm, am = np.array(seg.eval(tq - dh))
-            _, v, a = np.array(seg.eval(tq))
+            pp, vp, ap = np.array(quintic(coeffs, tq + dh))
+            pm, vm, am = np.array(quintic(coeffs, tq - dh))
+            _, v, a = np.array(quintic(coeffs, tq))
             worst_fd = max(worst_fd, np.max(np.abs((pp - pm) / (2 * dh) - v)),
                            np.max(np.abs((vp - vm) / (2 * dh) - a)))
     ok = worst_ratio <= 1.01 and worst_bc < 1e-9 and worst_fd < 1e-5

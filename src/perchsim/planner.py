@@ -8,7 +8,6 @@ analytic derivative of the parameterization.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,43 +15,40 @@ from .geometry import B3, ZERO3, exp_so3, floats, log_so3, mat_mul, \
     mat_t_mul, right_jacobian, rot_y
 
 
-@dataclass
-class TranslationSegment:
-    coeffs: tuple                    # per axis, ascending quintic coefficients
-    duration: float
+def quintic(coeffs, t):
+    """Position, velocity and acceleration at t of the per-axis ascending
+    quintic coefficients `coeffs`, each by Horner's rule."""
+    (a0, a1, a2, a3, a4, a5), (b0, b1, b2, b3, b4, b5), \
+        (c0, c1, c2, c3, c4, c5) = coeffs
+    t5 = t * 5.0
+    p = (a0 + t * (a1 + t * (a2 + t * (a3 + t * (a4 + t * a5)))),
+         b0 + t * (b1 + t * (b2 + t * (b3 + t * (b4 + t * b5)))),
+         c0 + t * (c1 + t * (c2 + t * (c3 + t * (c4 + t * c5)))))
+    v = (a1 + t * (2.0 * a2 + t * (3.0 * a3 + t * (4.0 * a4 + t5 * a5))),
+         b1 + t * (2.0 * b2 + t * (3.0 * b3 + t * (4.0 * b4 + t5 * b5))),
+         c1 + t * (2.0 * c2 + t * (3.0 * c3 + t * (4.0 * c4 + t5 * c5))))
+    a = (2.0 * a2 + t * (6.0 * a3 + t * (12.0 * a4 + t * 20.0 * a5)),
+         2.0 * b2 + t * (6.0 * b3 + t * (12.0 * b4 + t * 20.0 * b5)),
+         2.0 * c2 + t * (6.0 * c3 + t * (12.0 * c4 + t * 20.0 * c5)))
+    return p, v, a
 
-    def eval(self, t):
-        """Position, velocity and acceleration at t, each by Horner's rule."""
-        (a0, a1, a2, a3, a4, a5), (b0, b1, b2, b3, b4, b5), \
-            (c0, c1, c2, c3, c4, c5) = self.coeffs
-        t5 = t * 5.0
-        p = (a0 + t * (a1 + t * (a2 + t * (a3 + t * (a4 + t * a5)))),
-             b0 + t * (b1 + t * (b2 + t * (b3 + t * (b4 + t * b5)))),
-             c0 + t * (c1 + t * (c2 + t * (c3 + t * (c4 + t * c5)))))
-        v = (a1 + t * (2.0 * a2 + t * (3.0 * a3 + t * (4.0 * a4 + t5 * a5))),
-             b1 + t * (2.0 * b2 + t * (3.0 * b3 + t * (4.0 * b4 + t5 * b5))),
-             c1 + t * (2.0 * c2 + t * (3.0 * c3 + t * (4.0 * c4 + t5 * c5))))
-        a = (2.0 * a2 + t * (6.0 * a3 + t * (12.0 * a4 + t * 20.0 * a5)),
-             2.0 * b2 + t * (6.0 * b3 + t * (12.0 * b4 + t * 20.0 * b5)),
-             2.0 * c2 + t * (6.0 * c3 + t * (12.0 * c4 + t * 20.0 * c5)))
-        return p, v, a
 
-    def jerk_cost(self):
-        """Exact integral of squared jerk over the segment."""
-        T = self.duration
-        total = 0.0
-        for ax in range(3):
-            c3, c4, c5 = self.coeffs[ax][3:6]
-            # jerk = 6 c3 + 24 c4 t + 60 c5 t^2
-            j0, j1, j2 = 6.0 * c3, 24.0 * c4, 60.0 * c5
-            total += (j0 * j0 * T + j0 * j1 * T ** 2
-                      + (j1 * j1 / 3.0 + 2.0 * j0 * j2 / 3.0) * T ** 3
-                      + j1 * j2 / 2.0 * T ** 4 + j2 * j2 / 5.0 * T ** 5)
-        return total
+def jerk_cost(coeffs, T):
+    """Exact integral of squared jerk of the quintic `coeffs` over [0, T]."""
+    total = 0.0
+    for ax in range(3):
+        c3, c4, c5 = coeffs[ax][3:6]
+        # jerk = 6 c3 + 24 c4 t + 60 c5 t^2
+        j0, j1, j2 = 6.0 * c3, 24.0 * c4, 60.0 * c5
+        total += (j0 * j0 * T + j0 * j1 * T ** 2
+                  + (j1 * j1 / 3.0 + 2.0 * j0 * j2 / 3.0) * T ** 3
+                  + j1 * j2 / 2.0 * T ** 4 + j2 * j2 / 5.0 * T ** 5)
+    return total
 
 
 def min_jerk_segment(p0, v0, a0, pf, vf, af, T):
-    """Unique quintic matching both full boundary states."""
+    """The unique quintic matching both full boundary states, as three
+    6-tuples of ascending coefficients, one per axis."""
     if T <= 0:
         raise ValueError("segment duration must be positive")
     p0, v0, a0 = (np.asarray(x, float) for x in (p0, v0, a0))
@@ -72,26 +68,24 @@ def min_jerk_segment(p0, v0, a0, pf, vf, af, T):
         ])
         c345 = np.linalg.solve(M, rhs)
         coeffs[ax] = [c0, c1, c2, *c345]
-    return TranslationSegment(tuple(map(tuple, coeffs.tolist())), float(T))
+    return tuple(map(tuple, coeffs.tolist()))
 
 
-@dataclass
-class RotationSegment:
-    R0: tuple                        # row-major 9-tuple
-    coeffs: tuple                    # per axis, (c1, c2, c3) of phi(t)
-
-    def eval(self, t):
-        (a1, a2, a3), (b1, b2, b3), (c1, c2, c3) = self.coeffs
-        phi = (t * (a1 + t * (a2 + t * a3)), t * (b1 + t * (b2 + t * b3)),
-               t * (c1 + t * (c2 + t * c3)))
-        dphi = (a1 + t * (2.0 * a2 + t * 3.0 * a3),
-                b1 + t * (2.0 * b2 + t * 3.0 * b3),
-                c1 + t * (2.0 * c2 + t * 3.0 * c3))
-        return mat_mul(self.R0, exp_so3(*phi)), right_jacobian(phi, dphi)
+def rotation_at(R0, coeffs, t):
+    """Rotation and body rate at t of the cubic `coeffs` in exponential
+    coordinates anchored at the row-major rotation R0."""
+    (a1, a2, a3), (b1, b2, b3), (c1, c2, c3) = coeffs
+    phi = (t * (a1 + t * (a2 + t * a3)), t * (b1 + t * (b2 + t * b3)),
+           t * (c1 + t * (c2 + t * c3)))
+    dphi = (a1 + t * (2.0 * a2 + t * 3.0 * a3),
+            b1 + t * (2.0 * b2 + t * 3.0 * b3),
+            c1 + t * (2.0 * c2 + t * 3.0 * c3))
+    return mat_mul(R0, exp_so3(*phi)), right_jacobian(phi, dphi)
 
 
 def min_accel_rotation(R0, Rf, w0, T):
-    """Cubic in exponential coordinates from R0 at rate w0 to Rf at rest."""
+    """Cubic in exponential coordinates from R0 at rate w0 to Rf at rest, as
+    three (c1, c2, c3) tuples of phi(t), one per axis."""
     if T <= 0:
         raise ValueError("segment duration must be positive")
     phi_f = log_so3(mat_t_mul(R0, Rf))
@@ -104,14 +98,7 @@ def min_accel_rotation(R0, Rf, w0, T):
     for ax in range(3):
         rhs = np.array([phi_f[ax] - dphi0[ax] * T, 0.0 - dphi0[ax]])
         coeffs.append((float(dphi0[ax]), *np.linalg.solve(M, rhs).tolist()))
-    return RotationSegment(floats(R0), tuple(coeffs))
-
-
-@dataclass
-class PlanSegment:
-    translation: TranslationSegment
-    rotation: RotationSegment
-    start: float                     # plan-relative start time, s
+    return tuple(coeffs)
 
 
 def perch_orientation(wall):
@@ -149,10 +136,15 @@ def perch_setpoints(wall, cfg):
 
 def connect(sp_from, sp_to, T, start=0.0):
     """Min-jerk translation + min-accel rotation from `sp_from` to the rest
-    setpoint `sp_to`; `connect(sp, sp, T)` holds a rest `sp` for T seconds."""
+    setpoint `sp_to`; `connect(sp, sp, T)` holds a rest `sp` for T seconds.
+
+    The segment is the tuple (start, T, translation, R0, rotation): its
+    plan-relative start time, its duration, the `min_jerk_segment`
+    coefficients that `quintic` reads, and the row-major start rotation and
+    `min_accel_rotation` coefficients that `rotation_at` reads."""
     (p0, v0, a0, R0, w0), (pf, vf, af, Rf, _) = sp_from, sp_to
     tr = min_jerk_segment(p0, v0, a0, pf, vf, af, T)
-    return PlanSegment(tr, min_accel_rotation(R0, Rf, w0, T), start)
+    return start, float(T), tr, floats(R0), min_accel_rotation(R0, Rf, w0, T)
 
 
 class MissionPlanner:
@@ -176,11 +168,10 @@ class MissionPlanner:
         """Fly `segments` from time t0; the first starts at 0."""
         self.segments = segments
         self.t0 = t0
-        last = segments[-1]
-        T = last.translation.duration
-        self.duration = last.start + T
-        p, _, _ = last.translation.eval(T)
-        R, _ = last.rotation.eval(T)
+        start, T, tr, R0, rot = segments[-1]
+        self.duration = start + T
+        p, _, _ = quintic(tr, T)
+        R, _ = rotation_at(R0, rot, T)
         self.terminal = p, ZERO3, ZERO3, R, ZERO3
 
     def sample(self, t):
@@ -189,11 +180,11 @@ class MissionPlanner:
         t = t - self.t0
         if t >= self.duration:
             return self.terminal
-        for seg in reversed(self.segments):
-            if t >= seg.start:
-                tau = t - seg.start
-                p, v, a = seg.translation.eval(tau)
-                R, omega = seg.rotation.eval(tau)
+        for start, _, tr, R0, rot in reversed(self.segments):
+            if t >= start:
+                tau = t - start
+                p, v, a = quintic(tr, tau)
+                R, omega = rotation_at(R0, rot, tau)
                 return p, v, a, R, omega
 
     def start_approach(self, t):

@@ -371,20 +371,21 @@ def test_contact_cases_reach_every_branch():
 def test_plan_segments_match_numpy():
     rng = np.random.default_rng(33)
     b = rng.normal(size=(6, 3))
-    seg = planner.min_jerk_segment(*b, 2.5)
-    c = np.array(seg.coeffs)
+    coeffs = planner.min_jerk_segment(*b, 2.5)
+    c = np.array(coeffs)
     R0 = ROTATIONS["generic"]
     rot = planner.min_accel_rotation(flat(R0), flat(ROTATIONS["large"]),
                                      b[0], 2.5)
-    cr = np.column_stack([np.zeros(3), rot.coeffs])
+    cr = np.column_stack([np.zeros(3), rot])
     for t in (0.0, 1e-4, 0.7, 2.5):
         ref = (c @ [1.0, t, t ** 2, t ** 3, t ** 4, t ** 5],
                c @ [0.0, 1.0, 2 * t, 3 * t ** 2, 4 * t ** 3, 5 * t ** 4],
                c @ [0.0, 0.0, 2.0, 6 * t, 12 * t ** 2, 20 * t ** 3])
-        assert all(close(x, y) for x, y in zip(seg.eval(t), ref))
+        assert all(close(x, y) for x, y in zip(planner.quintic(coeffs, t),
+                                               ref))
         phi = cr[:, 1] * t + cr[:, 2] * t ** 2 + cr[:, 3] * t ** 3
         dphi = cr[:, 1] + 2 * cr[:, 2] * t + 3 * cr[:, 3] * t ** 2
-        R, omega = rot.eval(t)
+        R, omega = planner.rotation_at(flat(R0), rot, t)
         assert close(R, flat(R0 @ mat(geometry.exp_so3(*phi))))
         assert close(omega, np_right_jacobian(phi) @ dphi)
 
@@ -406,9 +407,10 @@ def test_disturbance_matches_numpy():
 # The values passed from stage to stage, as their tuple layout with each
 # leaf's type: a wrench (f, tau), the disturbances (delta_f, delta_r), a
 # command (thrust, tilt, saturated), an actuator state (thrust, tilt, eta),
-# a setpoint (p, v, a, R, omega), a vehicle state (p, v, R, omega) and an
-# estimator state (delta_hat, accumulator, p_m0, frozen).  nominal_wrench
-# also returns the attitude integral.
+# a setpoint (p, v, a, R, omega), a vehicle state (p, v, R, omega), an
+# estimator state (delta_hat, accumulator, p_m0, frozen) and a plan segment
+# (start, T, translation, R0, rotation).  nominal_wrench also returns the
+# attitude integral.
 VEC3 = (float,) * 3
 WRENCH = (VEC3, VEC3)
 ESTIMATOR = (VEC3, VEC3, VEC3, bool)
@@ -419,10 +421,11 @@ PLAIN_OUTPUTS = {
     "step_actuators": ((float,) * 4, (float,) * 4, float),
     "sample": (VEC3, VEC3, VEC3, (float,) * 9, VEC3),
     "integrate": (VEC3, VEC3, (float,) * 9, VEC3),
-    "fresh": ESTIMATOR, "update": ESTIMATOR, "freeze": ESTIMATOR}
-# Where run_scenario looks each stage up, if not in the harness's globals.
+    "fresh": ESTIMATOR, "update": ESTIMATOR, "freeze": ESTIMATOR,
+    "connect": (float, float, ((float,) * 6,) * 3, (float,) * 9, (VEC3,) * 3)}
+# Where the run looks each stage up, if not in the harness's globals.
 OWNERS = {"sample": harness.MissionPlanner, "fresh": estimation,
-          "update": estimation, "freeze": estimation}
+          "update": estimation, "freeze": estimation, "connect": planner}
 
 
 def layout(x):
@@ -434,8 +437,8 @@ def test_stage_outputs_are_plain_tuples(monkeypatch):
     seen = {name: set() for name in PLAIN_OUTPUTS}
 
     def spy(name, fn):
-        def recorded(*args):
-            out = fn(*args)
+        def recorded(*args, **kwargs):
+            out = fn(*args, **kwargs)
             seen[name].add(layout(out))
             return out
         return recorded

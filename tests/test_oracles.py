@@ -1,7 +1,8 @@
 """The tick against its previous forms, bit for bit.
 
 `integrate` runs one copy of the rate equations in a loop over the RK4 stage
-table, `RotationSegment.eval` works on tuples and the harness draws its
+table, `rotation_at` works on tuples, `quintic` reads plain coefficient
+tuples where a translation segment record did, and the harness draws its
 measurement noise in blocks.  The inertia is three principal moments, not a
 3x3 matrix, and `allocate` solves each rotor from its own pair of rows.  `update_contact` reports its own edges and
 keeps no anchor pose, one `estimation.fresh` restarts both estimators,
@@ -29,11 +30,10 @@ from hypothesis import strategies as st
 from perchsim import estimation
 from perchsim.allocation import THRUST_EPS, RotorGeometry, allocate
 from perchsim.control import nominal_wrench, perch_wrench
-from perchsim.geometry import EYE, ZERO3, exp_so3, floats, log_so3, \
-    mat_mul, mat_t_mul, mat_t_vec, mat_vec, renormalize, right_jacobian, \
-    rot_y
+from perchsim.geometry import EYE, ZERO3, exp_so3, log_so3, mat_mul, \
+    mat_t_mul, mat_t_vec, mat_vec, renormalize, right_jacobian, rot_y
 from perchsim.harness import _noise
-from perchsim.planner import RotationSegment, min_accel_rotation
+from perchsim.planner import min_accel_rotation, quintic, rotation_at
 from perchsim.scenario import ScenarioConfig
 from perchsim.supervisor import FOUR_MODE, TWO_MODE, Mode, SupervisorState, \
     transition
@@ -414,13 +414,13 @@ def test_per_rotor_rows_match_comprehension(data):
     assert cmd_saturated is any(saturated)
 
 
-def eval_lists(seg, t):
-    """The previous RotationSegment.eval, built with lists and appends."""
+def eval_lists(R0, coeffs, t):
+    """The previous rotation evaluator, built with lists and appends."""
     phi, dphi = [], []
-    for c1, c2, c3 in seg.coeffs:
+    for c1, c2, c3 in coeffs:
         phi.append(t * (c1 + t * (c2 + t * c3)))
         dphi.append(c1 + t * (2.0 * c2 + t * 3.0 * c3))
-    return (mat_mul(seg.R0, exp_so3(*phi)),
+    return (mat_mul(R0, exp_so3(*phi)),
             right_jacobian(phi, dphi))
 
 
@@ -428,11 +428,38 @@ def eval_lists(seg, t):
 @given(st.data())
 def test_rotation_eval_matches_list_form(data):
     wild = data.draw(st.booleans())
-    seg = RotationSegment(numbers(data, wild, 9, -1.0, 1.0),
-                          tuple(numbers(data, wild, 3, -5.0, 5.0)
-                                for _ in range(3)))
+    R0 = numbers(data, wild, 9, -1.0, 1.0)
+    coeffs = tuple(numbers(data, wild, 3, -5.0, 5.0) for _ in range(3))
     t = number(data, wild, 0.0, 5.0)
-    assert outcome(seg.eval, t) == outcome(eval_lists, seg, t)
+    assert outcome(rotation_at, R0, coeffs, t) \
+        == outcome(eval_lists, R0, coeffs, t)
+
+
+def translation_segment_eval(coeffs, t):
+    """The previous TranslationSegment.eval, on its `coeffs`."""
+    (a0, a1, a2, a3, a4, a5), (b0, b1, b2, b3, b4, b5), \
+        (c0, c1, c2, c3, c4, c5) = coeffs
+    t5 = t * 5.0
+    p = (a0 + t * (a1 + t * (a2 + t * (a3 + t * (a4 + t * a5)))),
+         b0 + t * (b1 + t * (b2 + t * (b3 + t * (b4 + t * b5)))),
+         c0 + t * (c1 + t * (c2 + t * (c3 + t * (c4 + t * c5)))))
+    v = (a1 + t * (2.0 * a2 + t * (3.0 * a3 + t * (4.0 * a4 + t5 * a5))),
+         b1 + t * (2.0 * b2 + t * (3.0 * b3 + t * (4.0 * b4 + t5 * b5))),
+         c1 + t * (2.0 * c2 + t * (3.0 * c3 + t * (4.0 * c4 + t5 * c5))))
+    a = (2.0 * a2 + t * (6.0 * a3 + t * (12.0 * a4 + t * 20.0 * a5)),
+         2.0 * b2 + t * (6.0 * b3 + t * (12.0 * b4 + t * 20.0 * b5)),
+         2.0 * c2 + t * (6.0 * c3 + t * (12.0 * c4 + t * 20.0 * c5)))
+    return p, v, a
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_quintic_matches_segment_form(data):
+    wild = data.draw(st.booleans())
+    coeffs = tuple(numbers(data, wild, 6, -5.0, 5.0) for _ in range(3))
+    t = number(data, wild, 0.0, 5.0)
+    assert outcome(quintic, coeffs, t) \
+        == outcome(translation_segment_eval, coeffs, t)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -642,16 +669,16 @@ def min_accel_rotation_to_rate(R0, Rf, w0, wf, T):
     for ax in range(3):
         rhs = np.array([phi_f[ax] - dphi0[ax] * T, dphif[ax] - dphi0[ax]])
         coeffs.append((float(dphi0[ax]), *np.linalg.solve(M, rhs).tolist()))
-    return RotationSegment(floats(R0), tuple(coeffs))
+    return tuple(coeffs)
 
 
 def segment_outcome(fn, *args):
-    """A rotation segment's R0 and coefficients as bits, or its exception."""
+    """A rotation segment's coefficients as bits, or its exception."""
     try:
-        seg = fn(*args)
+        coeffs = fn(*args)
     except ValueError as exc:
         return type(exc), str(exc)
-    return bits(seg.R0 + tuple(c for axis in seg.coeffs for c in axis))
+    return bits(c for axis in coeffs for c in axis)
 
 
 LIMIT = math.pi - 1e-6       # min_accel_rotation rejects |phi_f| at or above
