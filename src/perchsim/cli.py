@@ -5,6 +5,7 @@ import errno
 import json
 import os
 import sys
+from contextlib import closing
 from dataclasses import replace
 
 from .harness import compare, run_scenario
@@ -38,10 +39,29 @@ def _check_out(path):
         raise NotADirectoryError(errno.ENOTDIR, "Not a directory", path)
 
 
+class _LogFile:
+    """`out_dir/log.csv` as a text sink that makes the directory and opens
+    the file on its first write.  run_scenario checks the scenario before
+    it writes, so a scenario error creates nothing."""
+
+    def __init__(self, out_dir):
+        self.out_dir = out_dir
+        self.fh = None
+
+    def writelines(self, lines):
+        if self.fh is None:
+            os.makedirs(self.out_dir, exist_ok=True)
+            self.fh = open(os.path.join(self.out_dir, "log.csv"), "w",
+                           encoding="utf-8")
+        self.fh.writelines(lines)
+
+    def close(self):
+        if self.fh is not None:
+            self.fh.close()
+
+
 def _write_run(result, out_dir):
-    os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "log.csv"), "w", encoding="utf-8") as fh:
-        result.to_csv(fh)
+    """Write the run's metrics.json into `out_dir`, which exists."""
     payload = result.metrics.to_dict()
     payload["events"] = [
         {"t": t, "kind": kind, "detail": detail}
@@ -52,13 +72,21 @@ def _write_run(result, out_dir):
         fh.write("\n")
 
 
+def _stream_run(cfg, out_dir):
+    """Fly `cfg` with its log.csv streamed into `out_dir`, then write its
+    metrics.json there; the result keeps only the columns metrics read."""
+    with closing(_LogFile(out_dir)) as log:
+        result = run_scenario(cfg, log)
+    _write_run(result, out_dir)
+    return result
+
+
 def cmd_run(args):
     cfg = _load(args)
     if args.variant is not None:
         cfg.variant = args.variant
     _check_out(args.out)
-    result = run_scenario(cfg)
-    _write_run(result, args.out)
+    result = _stream_run(cfg, args.out)
     print(json.dumps(result.metrics.to_dict(), indent=2))
     return EXIT_OK if result.metrics.completed else EXIT_FAILED
 
@@ -69,10 +97,8 @@ def cmd_ablate(args):
     for variant in VARIANTS:
         _check_out(os.path.join(args.out, variant))
     for variant in VARIANTS:
-        result = run_scenario(replace(cfg, variant=variant))
-        _write_run(result, os.path.join(args.out, variant))
-        metrics[variant] = result.metrics
-        del result                # free this log before the next run starts
+        metrics[variant] = _stream_run(replace(cfg, variant=variant),
+                                       os.path.join(args.out, variant)).metrics
     report = {"comparisons": [
         compare("proposed", metrics["proposed"], v, metrics[v])
         for v in VARIANTS if v != "proposed"]}

@@ -36,13 +36,20 @@ CSV_COLUMNS = [
 ]
 
 # Numeric columns in row order (mode is interleaved only at CSV render time).
-_NUM_COLUMNS = [c for c in CSV_COLUMNS if c != "mode"]
+_NUM_COLUMNS = tuple(c for c in CSV_COLUMNS if c != "mode")
 _COL = {name: i for i, name in enumerate(_NUM_COLUMNS)}
 # A row is one float64 record; its CSV line is _CSV_LINE[mode] % row.
 _ROW = struct.Struct("%dd" % len(_NUM_COLUMNS))
 _MODE_POS = CSV_COLUMNS.index("mode")
 _CSV_LINE = {m.value: "%.12g," * _MODE_POS + m.value
              + ",%.12g" * (len(_NUM_COLUMNS) - _MODE_POS) + "\n" for m in Mode}
+_HEADER = ",".join(CSV_COLUMNS) + "\n"
+# A run streamed to a text file packs its rows into a block of _BLOCK rows
+# (311 kB of floats), writes each block a CSV line at a time, and keeps only
+# the columns compute_metrics and perfbench's tick counter read.
+_BLOCK = 1024
+_KEPT = ("t", "pz", "attached", "eR_norm", "ep_norm", "sat_any")
+_KEPT_INDEX = [_COL[c] for c in _KEPT]
 # perfbench/tracer.py still wraps this name; ROADMAP item 7 step 2 removes it.
 transition_two_mode = transition
 # Ticks of measurement noise drawn per numpy call; small, so the block's
@@ -72,29 +79,47 @@ class Metrics:
                 for k, v in asdict(self).items()}
 
 
+def _csv_lines(rows, modes):
+    """The CSV line of each row, a C-order float64 record, and its mode."""
+    return map(mod, map(_CSV_LINE.__getitem__, modes), _ROW.iter_unpack(rows))
+
+
 @dataclass
 class SimResult:
     cfg: ScenarioConfig
-    rows: np.ndarray                 # (n, len(_NUM_COLUMNS))
+    rows: np.ndarray                 # (n, len(columns)), one row per tick
     modes: list                      # mode name per tick
     gaps: np.ndarray                 # magnet-face gap per tick (not in CSV)
     events: list                     # (t, kind, detail)
     metrics: Metrics = None
+    columns: tuple = _NUM_COLUMNS    # _KEPT for a streamed run
 
     def column(self, name):
-        return self.rows[:, _COL[name]]
+        return self.rows[:, self.columns.index(name)]
 
     def to_csv(self, fh=None):
         """The log as CSV text, or, given a text file `fh`, written to it a
-        line at a time: at most one row is held as floats and text."""
+        line at a time: at most one row is held as floats and text.  A run
+        streamed to a file keeps only some columns, and raises ValueError."""
+        if self.columns != _NUM_COLUMNS:
+            raise ValueError("a run streamed to a file keeps only the "
+                             f"columns {', '.join(self.columns)}")
         rows = np.ascontiguousarray(self.rows, dtype=np.float64)
         if rows.shape != (len(self.modes), len(_NUM_COLUMNS)):
             raise ValueError(f"{rows.shape} rows for {len(self.modes)} modes")
-        lines = chain((",".join(CSV_COLUMNS) + "\n",), map(mod, map(
-            _CSV_LINE.__getitem__, self.modes), _ROW.iter_unpack(rows)))
+        lines = chain((_HEADER,), _csv_lines(rows, self.modes))
         if fh is None:
             return "".join(lines)
         fh.writelines(lines)
+
+
+def _flush_block(log, block, n, kept, modes):
+    """Write the first `n` rows of `block`, the last `n` ticks of `modes`,
+    to the text file `log` as CSV lines, and copy their _KEPT columns to
+    `kept`."""
+    k0 = len(modes) - n
+    kept[k0:k0 + n] = block[:n, _KEPT_INDEX]
+    log.writelines(_csv_lines(block[:n], modes[k0:]))
 
 
 def _disturbance_at(cfg, t):
@@ -119,8 +144,13 @@ def _noise(rng, sd_p, sd_v, n_ticks):
         yield from (0.0 + scale * z).tolist()
 
 
-def run_scenario(cfg):
-    """Run one scenario to completion; deterministic for a given config+seed."""
+def run_scenario(cfg, log=None):
+    """Run one scenario to completion; deterministic for a given config+seed.
+
+    The result holds every log row.  Given a text file `log` (anything with
+    `writelines`), the CSV is written there while the run goes, a block of
+    _BLOCK rows at a time, and the result keeps only the _KEPT columns.
+    """
     params, wall = cfg.build()
     rotors = params.rotors
     machine, policies, rho, freeze_while_attached = VARIANTS[cfg.variant]
@@ -156,7 +186,15 @@ def run_scenario(cfg):
         if t_ev < cfg.duration:      # a later event could never fire
             event_ticks.setdefault(int(round(t_ev / cfg.dt)), []).append(kind)
 
-    rows = np.empty((n_ticks, len(_NUM_COLUMNS)))
+    if log is None:                  # one block: the whole log
+        rows = block = np.empty((n_ticks, len(_NUM_COLUMNS)))
+        columns, block_len = _NUM_COLUMNS, n_ticks
+    else:
+        log.writelines((_HEADER,))
+        block = np.empty((min(_BLOCK, n_ticks), len(_NUM_COLUMNS)))
+        rows = np.empty((n_ticks, len(_KEPT)))
+        columns, block_len = _KEPT, _BLOCK
+    block_end = block_len - 1
     modes = []
     gaps = np.empty(n_ticks)
     events = []
@@ -266,7 +304,8 @@ def run_scenario(cfg):
         ex, ey, ez = e_R
         spx, spy, spz = sp_p
         dx, dy, dz = spx - px, spy - py, spz - pz
-        _ROW.pack_into(rows, k * _ROW.size, t, px, py, pz, *v, pitch_of(R),
+        j = k % block_len
+        _ROW.pack_into(block, j * _ROW.size, t, px, py, pz, *v, pitch_of(R),
                        *quat_of(R), *omega,
                        1.0 if contact.attached else 0.0, sup.eta_d, eta,
                        *thrust, *thrust_cmd, *tilt,
@@ -276,6 +315,8 @@ def run_scenario(cfg):
                        1.0 if saturated else 0.0)
         modes.append(mode_name)
         gaps[k] = contact.gap
+        if j == block_end and log is not None:
+            _flush_block(log, block, block_len, rows, modes)
 
         # 8. integrate (an overflowing body rate fails in exp_so3's math)
         try:
@@ -290,7 +331,10 @@ def run_scenario(cfg):
             break
 
     n = len(modes)
-    result = SimResult(cfg, rows[:n], modes, gaps[:n], events)
+    if log is not None and n % block_len:
+        _flush_block(log, block, n % block_len, rows, modes)
+    result = SimResult(cfg, rows[:n], modes, gaps[:n], events,
+                       columns=columns)
     result.metrics = compute_metrics(result)
     return result
 
@@ -309,7 +353,6 @@ def compute_metrics(result):
     cfg = result.cfg
     t = result.column("t")
     z = result.column("pz")
-    attached = result.column("attached") > 0.5
     ep = result.column("ep_norm")
     eR = result.column("eR_norm")
     sat = result.column("sat_any") > 0.5

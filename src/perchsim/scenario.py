@@ -34,7 +34,9 @@ _NONNEGATIVE = ("seed", "k_tau", "k_tp", "k_td", "k_rp", "k_rd", "k_ri",
 _SEGMENTS = ("hold_time", "t_approach", "t_contact")
 MAX_SEGMENT_S = 1e4
 MIN_DT_S = 1e-6
-MAX_TICKS = 2_000_000             # the preallocated log stays near 600 MB
+# A library run holds 320 bytes a tick (38 logged floats, the gap and the
+# mode), near 640 MB; a CLI run streams its log and holds 64, near 130 MB.
+MAX_TICKS = 2_000_000
 
 
 class ScenarioError(ValueError):

@@ -9,7 +9,7 @@ import pytest
 from perchsim import cli
 from perchsim.allocation import RotorGeometry
 from perchsim.cli import EXIT_FAILED, EXIT_OK, EXIT_SCHEMA, main
-from perchsim.harness import run_scenario
+from perchsim.harness import _BLOCK, run_scenario
 from perchsim.scenario import ScenarioConfig, parse_scenario
 
 HOVER = """\
@@ -54,6 +54,20 @@ def test_ground_contact_exit_code(tmp_path, capsys):
     assert code == EXIT_FAILED
     printed = json.loads(capsys.readouterr().out)
     assert printed["failure"] == "ground-contact"
+
+
+def test_ground_contact_mid_block_writes_partial_log(tmp_path, capsys):
+    # Weak rotors land the hover 1346 ticks in, past one full block of the
+    # streamed log and part-way through the next: both are written.
+    scen = tmp_path / "weak.scn"
+    scen.write_text(HOVER + "duration = 5\nthrust_max = 3.5\n")
+    out = tmp_path / "o"
+    assert main(["run", "--scenario", str(scen), "--out", str(out)]) \
+        == EXIT_FAILED
+    full = run_scenario(parse_scenario(scen.read_text()))
+    assert full.metrics.failure == "ground-contact"
+    assert _BLOCK < len(full.modes) < 2 * _BLOCK
+    assert (out / "log.csv").read_text() == full.to_csv()
 
 
 def test_malformed_scenario_exit_code(tmp_path, capsys):

@@ -495,10 +495,11 @@ EVERY_TICK = (harness.MissionPlanner.sample, supervisor.transition,
               vehicle.step_actuators, vehicle.forward_wrench, geometry.mat_vec,
               vehicle.update_contact, geometry.pitch_of, geometry.quat_of,
               vehicle.integrate)
-# The loop's other calls run at mode, contact and disturbance-pulse edges.
+# The loop's other calls run at mode, contact and disturbance-pulse edges,
+# and, when the log streams to a file, once per block of _BLOCK rows.
 ON_EDGES = (harness.MissionPlanner.start_approach,
             harness.MissionPlanner.start_departure, harness._disturbance_at,
-            estimation.fresh, vehicle.at_rest)
+            estimation.fresh, vehicle.at_rest, harness._flush_block)
 # Their comprehensions sit only in branches that run rarely: log_so3's near
 # pi, quat_of's for a rotation with a negative quaternion scalar part.
 RARE_BRANCHES = (geometry.log_so3, geometry.quat_of)

@@ -5,6 +5,9 @@ import importlib.util
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -14,9 +17,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from perchsim.acceptance import GOLDEN_SHA256, run_variant
-from perchsim.cli import _write_run
+from perchsim.cli import EXIT_OK, _write_run, main
 from perchsim import harness
-from perchsim.harness import (CSV_COLUMNS, _COL, _NUM_COLUMNS, _ROW, Metrics,
+from perchsim.harness import (CSV_COLUMNS, _COL, _NUM_COLUMNS, _ROW,
                               SimResult, _disturbance_at, compare,
                               compute_metrics, run_scenario, settle_index)
 from perchsim.scenario import ScenarioConfig, default_scenario, \
@@ -304,19 +307,53 @@ def test_csv_stream_memory_bounded():
         assert sink.chars > 500 * n
 
 
-def test_write_run_memory_bounded(tmp_path):
-    # `perchsim run` writes log.csv through the file's own buffer: a 30 000
-    # tick log (a 17 MB CSV) peaks at about 24 KB traced.
-    res = random_log(30000)
-    res.metrics = Metrics()
-    tracemalloc.start()
-    try:
-        _write_run(res, tmp_path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20
-    assert (tmp_path / "log.csv").stat().st_size > 500 * 30000
+# Peak RSS growth of `perchsim run` on the 30 000-tick default mission over
+# a warmed-up 1 000-tick run, in a fresh interpreter.  tracemalloc would
+# make the mission about 30 times slower, so this reads the kernel's peak
+# resident set instead.
+STREAMED_RUN_GROWTH = """\
+import contextlib, io, os, resource, sys
+from perchsim import cli
+out = sys.argv[1]
+with open(os.path.join(out, "short.scn"), "w") as fh:
+    fh.write("schema_version = 1\\nduration = 1.0\\n")
+with contextlib.redirect_stdout(io.StringIO()):
+    cli.main(["run", "--scenario", fh.name, "--out", os.path.join(out, "w")])
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    cli.main(["run", "--out", os.path.join(out, "o")])
+print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) * 1024)
+"""
+
+
+def test_streamed_run_memory_bounded(tmp_path):
+    # The run keeps one block of rows and six columns, not its 9.1 MB float
+    # log: it grows about 2.8 MB (10.2 MB when the whole log was kept).
+    src = Path(harness.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-c", STREAMED_RUN_GROWTH,
+                           str(tmp_path)], env=env, capture_output=True,
+                          text=True, check=True, timeout=120)
+    assert int(done.stdout) < 3.5e6
+    assert (tmp_path / "o" / "log.csv").stat().st_size > 400 * 30000
+
+
+@pytest.mark.parametrize("ticks", [1, harness._BLOCK - 1, harness._BLOCK,
+                                   harness._BLOCK + 1, 2 * harness._BLOCK + 1])
+def test_streamed_log_across_block_edges(ticks):
+    # A log streamed from the tick loop is the CSV to_csv renders from the
+    # full rows, with the same metrics from the columns it keeps.
+    cfg = ScenarioConfig(mission="hover", duration=ticks * 0.001)
+    full = run_scenario(cfg)
+    sink = io.StringIO()
+    streamed = run_scenario(cfg, sink)
+    assert len(streamed.modes) == ticks
+    assert sink.getvalue() == full.to_csv()
+    assert streamed.metrics.to_dict() == full.metrics.to_dict()
+    assert streamed.columns == harness._KEPT
+    for name in harness._KEPT:
+        assert streamed.column(name).tobytes() == full.column(name).tobytes()
+    with pytest.raises(ValueError):
+        streamed.to_csv()
 
 
 def test_mission_chain_events():
@@ -411,7 +448,7 @@ def test_ablation_csv_pinned(variant):
 # SHA-256 of each default-mission variant's metrics.json as `perchsim run`
 # writes it: every metric key in order, null for an unmeasured one, and the
 # event log.  The CSV pins above hash `to_csv()`; the test below also holds
-# the streamed log.csv that `perchsim run` writes to them.
+# the log.csv that `perchsim run` streams from the tick loop to them.
 METRICS_JSON_SHA256 = {
     "proposed":
         "0743dc7459b12f92abd74b7c13df944e619fb97d27dbc0bfdf9852708070c9f7",
@@ -425,11 +462,16 @@ METRICS_JSON_SHA256 = {
 
 
 @pytest.mark.parametrize("variant", sorted(METRICS_JSON_SHA256))
-def test_metrics_json_pinned(variant, tmp_path):
+def test_metrics_json_pinned(variant, tmp_path, capsys):
+    # Both from the full rows of a library run and from the kept columns
+    # of a streamed CLI run.
     _write_run(run_variant(variant), tmp_path)
-    data = (tmp_path / "metrics.json").read_bytes()
-    assert hashlib.sha256(data).hexdigest() == METRICS_JSON_SHA256[variant]
-    csv = (tmp_path / "log.csv").read_bytes()
+    out = tmp_path / "cli"
+    assert main(["run", "--variant", variant, "--out", str(out)]) == EXIT_OK
+    for data in ((tmp_path / "metrics.json").read_bytes(),
+                 (out / "metrics.json").read_bytes()):
+        assert hashlib.sha256(data).hexdigest() == METRICS_JSON_SHA256[variant]
+    csv = (out / "log.csv").read_bytes()
     assert hashlib.sha256(csv).hexdigest() == (
         GOLDEN_SHA256 if variant == "proposed" else ABLATION_SHA256[variant])
 
