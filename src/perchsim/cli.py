@@ -15,6 +15,7 @@ from .scenario import SCHEMA_DOC, VARIANTS, ScenarioError, default_scenario, \
 EXIT_OK = 0
 EXIT_SCHEMA = 2                   # bad input: scenario, option or --out path
 EXIT_FAILED = 3                   # a run aborted numerically or hit the ground
+RUN_FILES = ("log.csv", "metrics.json")     # what a run writes in its --out
 
 
 def _load(args):
@@ -29,14 +30,19 @@ def _load(args):
     return cfg
 
 
-def _check_out(path):
+def _check_out(path, files):
     """Fail before the run, creating nothing, where os.makedirs(path) would
-    meet a file at `path` or above it."""
+    meet a file at `path` or above it, or where one of the `files` to be
+    written in `path` is a directory."""
     head = path
     while head and not os.path.lexists(head):
         head = os.path.dirname(head)
     if head and not os.path.isdir(head):
         raise NotADirectoryError(errno.ENOTDIR, "Not a directory", path)
+    for name in files:
+        file = os.path.join(path, name)
+        if os.path.isdir(file):
+            raise IsADirectoryError(errno.EISDIR, "Is a directory", file)
 
 
 class _LogFile:
@@ -85,7 +91,7 @@ def cmd_run(args):
     cfg = _load(args)
     if args.variant is not None:
         cfg.variant = args.variant
-    _check_out(args.out)
+    _check_out(args.out, RUN_FILES)
     result = _stream_run(cfg, args.out)
     print(json.dumps(result.metrics.to_dict(), indent=2))
     return EXIT_OK if result.metrics.completed else EXIT_FAILED
@@ -94,8 +100,9 @@ def cmd_run(args):
 def cmd_ablate(args):
     cfg = _load(args)
     metrics = {}
+    _check_out(args.out, ("comparison.json",))
     for variant in VARIANTS:
-        _check_out(os.path.join(args.out, variant))
+        _check_out(os.path.join(args.out, variant), RUN_FILES)
     for variant in VARIANTS:
         metrics[variant] = _stream_run(replace(cfg, variant=variant),
                                        os.path.join(args.out, variant)).metrics

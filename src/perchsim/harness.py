@@ -9,7 +9,7 @@ identical configuration and seed produce byte-identical CSV output.
 import math
 import struct
 from dataclasses import asdict, dataclass, field
-from itertools import chain
+from itertools import chain, groupby
 from operator import add, mod
 
 import numpy as np
@@ -45,11 +45,14 @@ _CSV_LINE = {m.value: "%.12g," * _MODE_POS + m.value
              + ",%.12g" * (len(_NUM_COLUMNS) - _MODE_POS) + "\n" for m in Mode}
 _HEADER = ",".join(CSV_COLUMNS) + "\n"
 # A run streamed to a text file packs its rows into a block of _BLOCK rows
-# (311 kB of floats), writes each block a CSV line at a time, and keeps only
-# the columns compute_metrics and perfbench's tick counter read.
+# (311 kB of floats), writes each block a CSV line at a time, folds it into
+# its outcome metrics, and keeps only the column perfbench's tick counter
+# reads.
 _BLOCK = 1024
-_KEPT = ("t", "pz", "attached", "eR_norm", "ep_norm", "sat_any")
+_KEPT = ("attached",)
 _KEPT_INDEX = [_COL[c] for c in _KEPT]
+_T, _PZ, _ER, _EP, _SAT = (_COL[c] for c in
+                           ("t", "pz", "eR_norm", "ep_norm", "sat_any"))
 # perfbench/tracer.py still wraps this name; ROADMAP item 7 step 2 removes it.
 transition_two_mode = transition
 # Ticks of measurement noise drawn per numpy call; small, so the block's
@@ -89,7 +92,8 @@ class SimResult:
     cfg: ScenarioConfig
     rows: np.ndarray                 # (n, len(columns)), one row per tick
     modes: list                      # mode name per tick
-    gaps: np.ndarray                 # magnet-face gap per tick (not in CSV)
+    gaps: np.ndarray                 # magnet-face gap per tick (not in CSV);
+                                     # None for a streamed run
     events: list                     # (t, kind, detail)
     metrics: Metrics = None
     columns: tuple = _NUM_COLUMNS    # _KEPT for a streamed run
@@ -113,12 +117,13 @@ class SimResult:
         fh.writelines(lines)
 
 
-def _flush_block(log, block, n, kept, modes):
+def _flush_block(log, fold, block, gaps, n, kept, modes):
     """Write the first `n` rows of `block`, the last `n` ticks of `modes`,
-    to the text file `log` as CSV lines, and copy their _KEPT columns to
-    `kept`."""
+    to the text file `log` as CSV lines, feed them and their `gaps` to
+    `fold`, and copy their _KEPT columns to `kept`."""
     k0 = len(modes) - n
     kept[k0:k0 + n] = block[:n, _KEPT_INDEX]
+    fold.feed(block[:n], modes[k0:], gaps[:n])
     log.writelines(_csv_lines(block[:n], modes[k0:]))
 
 
@@ -149,7 +154,8 @@ def run_scenario(cfg, log=None):
 
     The result holds every log row.  Given a text file `log` (anything with
     `writelines`), the CSV is written there while the run goes, a block of
-    _BLOCK rows at a time, and the result keeps only the _KEPT columns.
+    _BLOCK rows at a time, each block is folded into the outcome metrics,
+    and the result keeps only the _KEPT columns and the modes.
     """
     params, wall = cfg.build()
     rotors = params.rotors
@@ -186,18 +192,19 @@ def run_scenario(cfg, log=None):
         if t_ev < cfg.duration:      # a later event could never fire
             event_ticks.setdefault(int(round(t_ev / cfg.dt)), []).append(kind)
 
+    events = []
     if log is None:                  # one block: the whole log
         rows = block = np.empty((n_ticks, len(_NUM_COLUMNS)))
-        columns, block_len = _NUM_COLUMNS, n_ticks
+        columns, block_len, fold = _NUM_COLUMNS, n_ticks, None
     else:
         log.writelines((_HEADER,))
         block = np.empty((min(_BLOCK, n_ticks), len(_NUM_COLUMNS)))
         rows = np.empty((n_ticks, len(_KEPT)))
         columns, block_len = _KEPT, _BLOCK
+        fold = MetricsFold(cfg, events)
     block_end = block_len - 1
     modes = []
-    gaps = np.empty(n_ticks)
-    events = []
+    gaps = np.empty(len(block))
     perch, rejection_frozen, contact_active = policies[sup.mode]
     mode_name = sup.mode.value
 
@@ -314,9 +321,9 @@ def run_scenario(cfg, log=None):
                        math.sqrt(dx * dx + dy * dy + dz * dz),
                        1.0 if saturated else 0.0)
         modes.append(mode_name)
-        gaps[k] = contact.gap
+        gaps[j] = contact.gap
         if j == block_end and log is not None:
-            _flush_block(log, block, block_len, rows, modes)
+            _flush_block(log, fold, block, gaps, block_len, rows, modes)
 
         # 8. integrate (an overflowing body rate fails in exp_so3's math)
         try:
@@ -332,10 +339,11 @@ def run_scenario(cfg, log=None):
 
     n = len(modes)
     if log is not None and n % block_len:
-        _flush_block(log, block, n % block_len, rows, modes)
-    result = SimResult(cfg, rows[:n], modes, gaps[:n], events,
+        _flush_block(log, fold, block, gaps, n % block_len, rows, modes)
+    result = SimResult(cfg, rows[:n], modes,
+                       gaps[:n] if log is None else None, events,
                        columns=columns)
-    result.metrics = compute_metrics(result)
+    result.metrics = compute_metrics(result, fold)
     return result
 
 
@@ -346,17 +354,89 @@ def settle_index(ok):
     return int(j) if j < len(ok) else None
 
 
-def compute_metrics(result):
-    """Outcome measures of a run, read from its log and its events."""
+def _nan_max(a, b):
+    """The larger float, or NaN if either is NaN, as np.max has it."""
+    return a if a >= b or a != a else b
+
+
+def _nan_min(a, b):
+    """The smaller float, or NaN if either is NaN, as np.min has it."""
+    return a if a <= b or a != a else b
+
+
+class MetricsFold:
+    """The log's part of the outcome metrics, folded a block of rows at a
+    time.  Blocks come in tick order, and when one is fed, `events` holds
+    every event up to its last tick; the release time is that of a logged
+    tick."""
+
+    def __init__(self, cfg, events):
+        self.cfg, self.events = cfg, events
+        self.by_mode = {}            # mode -> (ticks, saturated, max eR_norm)
+        self.t_release = None
+        self.z_rel = None            # pz at the release tick
+        self.after = 0               # ticks after release
+        self.z_drop = -math.inf      # max of z_rel - pz after release
+        self.gap_min = math.inf      # min gap after release
+        self.gap_armed = None        # min gap from the first armed tick
+        self.t_settle = None         # t of the final settled run's first tick
+
+    def feed(self, rows, modes, gaps):
+        """Fold in `rows`, a block of the log's float rows, with the mode
+        and magnet-face gap of each."""
+        i = 0
+        for mode, run in groupby(modes):
+            j = i + len(list(run))
+            ticks, sat, eR = self.by_mode.get(mode, (0, 0, -math.inf))
+            self.by_mode[mode] = (
+                ticks + j - i,
+                sat + int(np.count_nonzero(rows[i:j, _SAT] > 0.5)),
+                _nan_max(eR, float(rows[i:j, _ER].max())))
+            i = j
+        if self.t_release is None:
+            self.t_release = next((te for te, kind, detail in self.events
+                                   if kind == "contact"
+                                   and detail.partition(":")[0] == "release"),
+                                  None)
+            if self.t_release is None:
+                return
+        t = rows[:, _T]
+        a = int(np.searchsorted(t, self.t_release, side="right"))
+        if a:
+            self.z_rel = float(rows[a - 1, _PZ])
+        if a == len(t):
+            return
+        self.after += len(t) - a
+        self.z_drop = _nan_max(self.z_drop,
+                               float(np.max(self.z_rel - rows[a:, _PZ])))
+        g = gaps[a:]
+        g_min = float(g.min())
+        self.gap_min = _nan_min(self.gap_min, g_min)
+        if self.gap_armed is not None:
+            self.gap_armed = _nan_min(self.gap_armed, g_min)
+        else:
+            armed = g >= self.cfg.clearance_arm
+            first = int(armed.argmax())
+            if armed[first]:
+                self.gap_armed = float(g[first:].min())
+        j = settle_index(rows[a:, _EP] < self.cfg.settle_tol)
+        if j is None:
+            self.t_settle = None
+        elif j or self.t_settle is None:
+            self.t_settle = float(t[a + j])
+
+
+def compute_metrics(result, fold=None):
+    """Outcome measures of a run, read from its events and its log, which
+    `fold` has read already for a run streamed to a file."""
     if len(result.modes) == 0:
         raise ValueError("cannot compute metrics from an empty log")
-    cfg = result.cfg
-    t = result.column("t")
-    z = result.column("pz")
-    ep = result.column("ep_norm")
-    eR = result.column("eR_norm")
-    sat = result.column("sat_any") > 0.5
-    modes = np.array(result.modes)
+    if fold is None:                 # the whole log as one block
+        if result.gaps is None:
+            raise ValueError("a run streamed to a file folds its metrics "
+                             "while it runs and keeps no log to read")
+        fold = MetricsFold(result.cfg, result.events)
+        fold.feed(result.rows, result.modes, result.gaps)
 
     first = {}                       # (kind, detail up to ":") -> time
     for te, kind, detail in result.events:
@@ -375,32 +455,25 @@ def compute_metrics(result):
     if t_release is not None:
         m.unperch_achieved = True
         m.release_time_s = t_release
-        after = t > t_release
-        if after.any():
-            z_rel = float(z[np.searchsorted(t, t_release, side="right") - 1])
-            m.z_drop_m = float(np.max(z_rel - z[after]))
-            g_after = result.gaps[after]
-            armed = np.nonzero(g_after >= cfg.clearance_arm)[0]
-            if g_after.min() < 0.0:
+        if fold.after:
+            m.z_drop_m = fold.z_drop
+            if fold.gap_min < 0.0:
                 # Wall penetration after release is re-contact regardless of
                 # how far the vehicle got first.
-                m.min_clearance_m = float(g_after.min())
-            elif len(armed):
-                m.min_clearance_m = float(np.min(g_after[armed[0]:]))
+                m.min_clearance_m = fold.gap_min
+            elif fold.gap_armed is not None:
+                m.min_clearance_m = fold.gap_armed
             else:
-                m.min_clearance_m = float(np.min(g_after))
+                m.min_clearance_m = fold.gap_min
             # settling: first time ep stays below tolerance for good
-            idx = np.nonzero(after)[0]
-            j = settle_index(ep[idx] < cfg.settle_tol)
-            if j is not None:
-                m.settle_time_after_release_s = float(t[idx[j]] - t_release)
+            if fold.t_settle is not None:
+                m.settle_time_after_release_s = fold.t_settle - t_release
 
     for mode in Mode:
-        sel = modes == mode.value
-        n = int(sel.sum())
-        if n:
-            m.saturation_fraction[mode.value] = float(sat[sel].sum() / n)
-            m.max_eR_rad[mode.value] = float(eR[sel].max())
+        if mode.value in fold.by_mode:
+            ticks, sat, eR = fold.by_mode[mode.value]
+            m.saturation_fraction[mode.value] = sat / ticks
+            m.max_eR_rad[mode.value] = eR
     return m
 
 

@@ -35,7 +35,8 @@ _SEGMENTS = ("hold_time", "t_approach", "t_contact")
 MAX_SEGMENT_S = 1e4
 MIN_DT_S = 1e-6
 # A library run holds 320 bytes a tick (38 logged floats, the gap and the
-# mode), near 640 MB; a CLI run streams its log and holds 64, near 130 MB.
+# mode), near 640 MB; a CLI run streams its log and holds 16 (the attached
+# flag and the mode), near 32 MB.
 MAX_TICKS = 2_000_000
 
 

@@ -125,26 +125,46 @@ def test_build_error_writes_nothing(tmp_path, capsys, command, line):
     assert not out.exists()
 
 
-@pytest.mark.parametrize(
-    "command, sub", [("run", ""), ("ablate", ""), ("run", "sub"),
-                     ("ablate", "sub")],
-    ids=["run", "ablate", "run-sub", "ablate-sub"])
+# (command, --out, the path in the way): a file at or above --out, or a
+# directory where the run would write one of its files.
+UNWRITABLE = {
+    "run": ("run", "taken", "taken"),
+    "ablate": ("ablate", "taken", "taken"),
+    "run-sub": ("run", "taken/sub", "taken"),
+    "ablate-sub": ("ablate", "taken/sub", "taken"),
+    "run-metrics-dir": ("run", "o", "o/metrics.json"),
+    "run-log-dir": ("run", "o", "o/log.csv"),
+    "ablate-comparison-dir": ("ablate", "o", "o/comparison.json"),
+    "ablate-metrics-dir": ("ablate", "o", "o/no-freeze/metrics.json"),
+    "ablate-log-dir": ("ablate", "o", "o/proposed/log.csv"),
+}
+
+
+@pytest.mark.parametrize("command, out, blocked", UNWRITABLE.values(),
+                         ids=UNWRITABLE)
 def test_unwritable_out_exit_code(tmp_path, capsys, monkeypatch, command,
-                                  sub):
-    # An --out that is, or lies under, an existing file: one line, no
-    # traceback, exit 2, and no run is flown to find that out.
+                                  out, blocked):
+    # An --out that is, or lies under, an existing file, or that holds a
+    # directory named as an output file: one line, no traceback, exit 2,
+    # and no run is flown and nothing written to find that out.
     monkeypatch.setattr(cli, "run_scenario",
-                        lambda cfg: pytest.fail("run_scenario was called"))
+                        lambda *args: pytest.fail("run_scenario was called"))
     scen = tmp_path / "hover.scn"
     scen.write_text(HOVER)
-    taken = tmp_path / "taken"
-    taken.write_text("")
-    out = taken / sub
+    out, blocked = tmp_path / out, tmp_path / blocked
+    if blocked.suffix:
+        blocked.mkdir(parents=True)
+        named = blocked
+    else:
+        blocked.write_text("")
+        named = out
+    before = sorted(tmp_path.rglob("*"))
     assert main([command, "--scenario", str(scen), "--out", str(out)]) \
         == EXIT_SCHEMA
     err = capsys.readouterr().err
-    assert err.startswith(f"cannot write {out}") and err.count("\n") == 1
-    assert taken.read_text() == ""
+    assert err.startswith(f"cannot write {named}") and err.count("\n") == 1
+    assert sorted(tmp_path.rglob("*")) == before
+    assert blocked.is_dir() or blocked.read_text() == ""
 
 
 def test_missing_scenario_exit_code(tmp_path):

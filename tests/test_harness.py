@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from perchsim.acceptance import GOLDEN_SHA256, run_variant
-from perchsim.cli import EXIT_OK, _write_run, main
+from perchsim.cli import EXIT_OK, _stream_run, _write_run, main
 from perchsim import harness
 from perchsim.harness import (CSV_COLUMNS, _COL, _NUM_COLUMNS, _ROW,
                               SimResult, _disturbance_at, compare,
@@ -326,14 +326,15 @@ print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) * 1024)
 
 
 def test_streamed_run_memory_bounded(tmp_path):
-    # The run keeps one block of rows and six columns, not its 9.1 MB float
-    # log: it grows about 2.8 MB (10.2 MB when the whole log was kept).
+    # The run keeps one block of rows, the attached column and the modes,
+    # not its 9.1 MB float log: it grows about 0.5 MB (2.6 MB with six kept
+    # columns and the gaps, 10.2 MB when the whole log was kept).
     src = Path(harness.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
     done = subprocess.run([sys.executable, "-c", STREAMED_RUN_GROWTH,
                            str(tmp_path)], env=env, capture_output=True,
                           text=True, check=True, timeout=120)
-    assert int(done.stdout) < 3.5e6
+    assert int(done.stdout) < 1.2e6
     assert (tmp_path / "o" / "log.csv").stat().st_size > 400 * 30000
 
 
@@ -341,7 +342,7 @@ def test_streamed_run_memory_bounded(tmp_path):
                                    harness._BLOCK + 1, 2 * harness._BLOCK + 1])
 def test_streamed_log_across_block_edges(ticks):
     # A log streamed from the tick loop is the CSV to_csv renders from the
-    # full rows, with the same metrics from the columns it keeps.
+    # full rows, with the same metrics, folded block by block.
     cfg = ScenarioConfig(mission="hover", duration=ticks * 0.001)
     full = run_scenario(cfg)
     sink = io.StringIO()
@@ -354,6 +355,8 @@ def test_streamed_log_across_block_edges(ticks):
         assert streamed.column(name).tobytes() == full.column(name).tobytes()
     with pytest.raises(ValueError):
         streamed.to_csv()
+    with pytest.raises(ValueError):
+        compute_metrics(streamed)
 
 
 def test_mission_chain_events():
@@ -474,6 +477,26 @@ def test_metrics_json_pinned(variant, tmp_path, capsys):
     csv = (out / "log.csv").read_bytes()
     assert hashlib.sha256(csv).hexdigest() == (
         GOLDEN_SHA256 if variant == "proposed" else ABLATION_SHA256[variant])
+
+
+@pytest.mark.parametrize("block", [7, 4093])
+def test_streamed_mission_across_block_sizes(block, monkeypatch, tmp_path):
+    # Blocks of 7 rows put a block edge near every window the metrics fold
+    # over: the release, the clearance arm and the settle run.  Blocks of
+    # 4093 rows end mid-mission, between the 1024-row edges.  Both stream
+    # the pinned log.csv and metrics.json of the default mission.
+    monkeypatch.setattr(harness, "_BLOCK", block)
+    streamed = _stream_run(default_scenario(), str(tmp_path))
+    for name, sha in (("log.csv", GOLDEN_SHA256),
+                      ("metrics.json", METRICS_JSON_SHA256["proposed"])):
+        data = (tmp_path / name).read_bytes()
+        assert hashlib.sha256(data).hexdigest() == sha, name
+    # It keeps what perfbench's tick counter reads, as a library run has it.
+    full = run_variant("proposed")
+    assert len(streamed.modes) == len(full.modes) == 30000
+    assert streamed.columns == ("attached",) and streamed.gaps is None
+    assert streamed.column("attached").tobytes() \
+        == full.column("attached").tobytes()
 
 
 # SHA-256 of a short noisy, disturbed, pitched hover CSV.  The default

@@ -8,7 +8,8 @@ measurement noise in blocks.  The inertia is three principal moments, not a
 keeps no anchor pose, one `estimation.fresh` restarts both estimators,
 and `perch_wrench` has no rho = 0 branch.  `min_accel_rotation` ends every
 segment at rest instead of taking an end rate, and both supervisor machines
-are edge tables run by one `transition`.  Each test keeps the form it
+are edge tables run by one `transition`, and `compute_metrics` folds the log
+a block at a time where it read whole-log arrays.  Each test keeps the form it
 replaced as its oracle and requires the same floats, bit for bit, or the
 same exception, for +-0.0, subnormals, large rates, NaN and +-inf as well
 as ordinary values.
@@ -32,7 +33,8 @@ from perchsim.allocation import THRUST_EPS, RotorGeometry, allocate
 from perchsim.control import nominal_wrench, perch_wrench
 from perchsim.geometry import EYE, ZERO3, exp_so3, log_so3, mat_mul, \
     mat_t_mul, mat_t_vec, mat_vec, renormalize, right_jacobian, rot_y
-from perchsim.harness import _noise
+from perchsim.harness import _COL, _NUM_COLUMNS, Metrics, MetricsFold, \
+    SimResult, _noise, compute_metrics, settle_index
 from perchsim.planner import min_accel_rotation, quintic, rotation_at
 from perchsim.scenario import ScenarioConfig
 from perchsim.supervisor import FOUR_MODE, TWO_MODE, Mode, SupervisorState, \
@@ -779,3 +781,136 @@ def test_edge_table_matches_elif_chain(edges, previous):
         assert (new.mode, bits([new.eta_d]), new.pending_f2p,
                 new.pending_p2f) == (old.mode, bits([old.eta_d]),
                                      old.pending_f2p, old.pending_p2f)
+
+
+def compute_metrics_arrays(result):
+    """compute_metrics as a pass of whole-log arrays, before the fold."""
+    cfg = result.cfg
+    t = result.column("t")
+    z = result.column("pz")
+    ep = result.column("ep_norm")
+    eR = result.column("eR_norm")
+    sat = result.column("sat_any") > 0.5
+    modes = np.array(result.modes)
+
+    first = {}
+    for te, kind, detail in result.events:
+        first.setdefault((kind, detail.partition(":")[0]), te)
+    failure = next((d for k, d in first if k == "failure"), "")
+    m = Metrics(completed=not failure, failure=failure)
+
+    t_signal = first.get(("operator", "s_f2p"))
+    t_attach = first.get(("contact", "attach"))
+    if t_attach is not None:
+        m.perch_achieved = True
+        m.perch_time_s = t_attach
+        if t_signal is not None:
+            m.time_to_perch_s = t_attach - t_signal
+    t_release = first.get(("contact", "release"))
+    if t_release is not None:
+        m.unperch_achieved = True
+        m.release_time_s = t_release
+        after = t > t_release
+        if after.any():
+            z_rel = float(z[np.searchsorted(t, t_release, side="right") - 1])
+            m.z_drop_m = float(np.max(z_rel - z[after]))
+            g_after = result.gaps[after]
+            armed = np.nonzero(g_after >= cfg.clearance_arm)[0]
+            if g_after.min() < 0.0:
+                m.min_clearance_m = float(g_after.min())
+            elif len(armed):
+                m.min_clearance_m = float(np.min(g_after[armed[0]:]))
+            else:
+                m.min_clearance_m = float(np.min(g_after))
+            idx = np.nonzero(after)[0]
+            j = settle_index(ep[idx] < cfg.settle_tol)
+            if j is not None:
+                m.settle_time_after_release_s = float(t[idx[j]] - t_release)
+
+    for mode in Mode:
+        sel = modes == mode.value
+        n = int(sel.sum())
+        if n:
+            m.saturation_fraction[mode.value] = float(sat[sel].sum() / n)
+            m.max_eR_rad[mode.value] = float(eR[sel].max())
+    return m
+
+
+def metrics_bits(m):
+    """A Metrics with each float as its bits, every NaN as one NaN."""
+    return {k: bits([v]) if isinstance(v, float) else
+            {mode: bits([x]) for mode, x in v.items()} if isinstance(v, dict)
+            else v for k, v in vars(m).items()}
+
+
+METRICS_CFG = ScenarioConfig()
+ARM, TOL = METRICS_CFG.clearance_arm, METRICS_CFG.settle_tol
+
+
+def log_values(data, n, values, special):
+    """n floats from `values`, often one of `special`.  No -0.0 is drawn:
+    which of two zeros of opposite sign np.max or np.min returns depends on
+    where they fall in its SIMD lanes, so no split could match it."""
+    return [data.draw(st.one_of(values, st.sampled_from(special)))
+            for _ in range(n)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_metrics_fold_matches_whole_log_arrays(data):
+    # A synthetic log in runs of equal mode, cut into blocks at random,
+    # with a release (if any) at a logged tick chosen against the cuts.
+    modes = []
+    while len(modes) < 2 or data.draw(st.booleans()):
+        modes += [data.draw(st.sampled_from(Mode)).value] \
+            * data.draw(st.integers(1, 12))
+    n = len(modes)
+    cuts = sorted(set(data.draw(st.lists(st.integers(1, n - 1), max_size=6))))
+    edges = [0] + cuts + [n]
+
+    rows = np.zeros((n, len(_NUM_COLUMNS)))
+    t = rows[:, _COL["t"]] = np.arange(n) * 0.001
+    positive = st.floats(1e-3, 3.0)
+    rows[:, _COL["pz"]] = log_values(data, n, positive, [1.2, math.nan])
+    rows[:, _COL["eR_norm"]] = log_values(
+        data, n, st.floats(0.0, 1.0), [0.0, math.nan, math.inf, -math.inf])
+    rows[:, _COL["sat_any"]] = log_values(data, n, st.sampled_from([0.0, 1.0]),
+                                          [0.5, math.nan])
+    # ep_norm settles (stays below TOL) from a drawn tick on.
+    settle = data.draw(st.integers(0, n))
+    ep = st.floats(0.0, 2 * TOL)
+    rows[:, _COL["ep_norm"]] = \
+        log_values(data, settle, ep, [TOL, math.nan]) \
+        + log_values(data, n - settle, st.floats(0.0, TOL, exclude_max=True),
+                     [0.0])
+    # Gaps that may never reach the clearance arm, go negative or be NaN.
+    top = data.draw(st.sampled_from([ARM / 2, 2 * ARM]))
+    gaps = np.array(log_values(data, n, st.floats(-0.1, top).filter(
+        lambda g: g != 0.0 or math.copysign(1.0, g) > 0.0),
+        [ARM, -0.05, math.nan]))
+
+    release = data.draw(st.sampled_from(
+        ["none", "first", "mid", "block-end", "final"]))
+    events = [(0.0, "operator", "s_f2p")]
+    if release != "none":
+        k = {"first": 0, "final": n - 1,
+             "mid": data.draw(st.integers(0, n - 1)),
+             "block-end": data.draw(st.sampled_from(edges[1:])) - 1}[release]
+        events += [(float(t[max(k - 1, 0)]), "contact", "attach"),
+                   (float(t[k]), "contact", "release")]
+    if data.draw(st.booleans()):
+        events.append((float(t[-1]), "failure", "ground-contact"))
+    result = SimResult(METRICS_CFG, rows, modes, gaps, events)
+    want = metrics_bits(compute_metrics_arrays(result))
+    assert metrics_bits(compute_metrics(result)) == want
+
+    # Block by block, with every event known from the start, and as a
+    # streamed run feeds it, with the events up to each block's last tick.
+    for live in (False, True):
+        so_far = [] if live else events
+        fold = MetricsFold(METRICS_CFG, so_far)
+        for a, b in zip(edges, edges[1:]):
+            if live:
+                so_far[:] = [e for e in events if e[0] <= t[b - 1]]
+            fold.feed(rows[a:b], modes[a:b], gaps[a:b])
+        assert metrics_bits(compute_metrics(result, fold)) == want, live
