@@ -1,12 +1,9 @@
-"""Scenario configuration: declarative experiment description and file format.
-
-Scenario files are flat ``key = value`` text with ``#`` comments.  Vector
-values are whitespace-separated numbers; ``event`` and ``disturbance`` keys
-may repeat.  The first non-comment line must set ``schema_version = 1``.
-"""
+"""Scenario configuration: the `ScenarioConfig` keys and their file format."""
 
 import math
-from dataclasses import asdict, dataclass, field, fields
+import operator
+import textwrap
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -19,19 +16,8 @@ from .vehicle import VehicleParams, WallModel
 SCHEMA_VERSION = 1
 
 MISSIONS = ("perch", "hover")
-_NAMES = {"variant": VARIANTS, "mission": MISSIONS}   # key -> allowed names
-
-# Fields that must be > 0 and >= 0; every number must also be finite.
-_POSITIVE = ("duration", "mass", "inertia_diag", "gravity", "arm_length",
-             "thrust_max", "rotor_tau", "tilt_rate_max", "perch_servo_time",
-             "magnet_force", "magnet_range", "attach_tol", "integral_clamp",
-             "estimator_gain", "standoff", "t_approach", "t_contact",
-             "hold_time", "clearance_arm", "settle_tol")
-_NONNEGATIVE = ("seed", "k_tau", "k_tp", "k_td", "k_rp", "k_rd", "k_ri",
-                "penetration", "noise_std_pos", "noise_std_vel")
 # Plan segments last [dt, MAX_SEGMENT_S] and dt >= MIN_DT_S, so T ** 5 in
 # the quintic solve neither overflows nor underflows.
-_SEGMENTS = ("hold_time", "t_approach", "t_contact")
 MAX_SEGMENT_S = 1e4
 MIN_DT_S = 1e-6
 # A library run holds 320 bytes a tick (38 logged floats, the gap and the
@@ -44,58 +30,64 @@ class ScenarioError(ValueError):
     """Malformed scenario file or invalid configuration value."""
 
 
+def _key(default, unit="", rule=None):
+    """A key's field.  Its rule is "> 0" or ">= 0" (of each number), a tuple
+    of allowed names, or None: any value, or a check of its own in build()."""
+    return field(default=default, metadata={"unit": unit, "rule": rule})
+
+
 @dataclass
 class ScenarioConfig:
-    name: str = "default"
-    variant: str = "proposed"
-    mission: str = "perch"
-    dt: float = 0.001
-    duration: float = 30.0
-    seed: int = 0
+    name: str = _key("default")
+    variant: str = _key("proposed", rule=tuple(VARIANTS))
+    mission: str = _key("perch", rule=MISSIONS)
+    dt: float = _key(0.001, "s")
+    duration: float = _key(30.0, "s", "> 0")
+    seed: int = _key(0, rule=">= 0")
     # vehicle
-    mass: float = 1.65
-    inertia_diag: tuple = (0.008, 0.008, 0.014)
-    gravity: float = 9.81
-    arm_length: float = 0.13
-    k_tau: float = 0.016
-    thrust_max: float = 8.0
-    rotor_tau: float = 0.05
-    tilt_rate_max: float = 8.0
-    perch_servo_time: float = 0.05
+    mass: float = _key(1.65, "kg", "> 0")
+    inertia_diag: tuple = _key((0.008, 0.008, 0.014), "kg m^2", "> 0")
+    gravity: float = _key(9.81, "m/s^2", "> 0")
+    arm_length: float = _key(0.13, "m", "> 0")
+    k_tau: float = _key(0.016, "m", ">= 0")
+    thrust_max: float = _key(8.0, "N", "> 0")
+    rotor_tau: float = _key(0.05, "s", "> 0")
+    tilt_rate_max: float = _key(8.0, "rad/s", "> 0")
+    perch_servo_time: float = _key(0.05, "s", "> 0")
     # wall
-    wall_point: tuple = (1.0, 0.0, 1.2)
-    wall_normal: tuple = (-1.0, 0.0, 0.0)
-    magnet_force: float = 40.0
-    magnet_range: float = 0.05
-    attach_tol: float = 0.001
-    magnet_offset: tuple = (0.0, 0.0, -0.05)
-    # gains
-    k_tp: float = 10.0
-    k_td: float = 6.0
-    k_rp: float = 60.0
-    k_rd: float = 15.0
-    k_ri: float = 3.0
-    integral_clamp: float = 0.5
-    estimator_gain: float = 20.0
+    wall_point: tuple = _key((1.0, 0.0, 1.2), "m")
+    wall_normal: tuple = _key((-1.0, 0.0, 0.0))
+    magnet_force: float = _key(40.0, "N", "> 0")
+    magnet_range: float = _key(0.05, "m", "> 0")
+    attach_tol: float = _key(0.001, "m", "> 0")
+    magnet_offset: tuple = _key((0.0, 0.0, -0.05), "m, body frame")
+    # gains, per unit mass (k_tp, k_td) and per unit inertia (k_rp .. k_ri)
+    k_tp: float = _key(10.0, "1/s^2", ">= 0")
+    k_td: float = _key(6.0, "1/s", ">= 0")
+    k_rp: float = _key(60.0, "1/s^2", ">= 0")
+    k_rd: float = _key(15.0, "1/s", ">= 0")
+    k_ri: float = _key(3.0, "1/s^3", ">= 0")
+    integral_clamp: float = _key(0.5, "rad s", "> 0")
+    estimator_gain: float = _key(20.0, "1/s", "> 0")
     # switching
-    lambda_f2p: float = 1.0
-    lambda_p2f: float = -1.0
-    rho: float = 0.5
+    lambda_f2p: float = _key(1.0, "N")
+    lambda_p2f: float = _key(-1.0, "N")
+    rho: float = _key(0.5)
     # planning
-    hover_position: tuple = (0.0, 0.0, 1.2)
-    hover_pitch: float = 0.0
-    standoff: float = 0.5
-    penetration: float = 0.1
-    t_approach: float = 4.0
-    t_contact: float = 3.0
-    hold_time: float = 1.0
-    initial_offset: tuple = (0.0, 0.0, 0.0)
+    hover_position: tuple = _key((0.0, 0.0, 1.2), "m")
+    hover_pitch: float = _key(0.0, "rad")
+    standoff: float = _key(0.5, "m", "> 0")
+    penetration: float = _key(0.1, "m", ">= 0")
+    t_approach: float = _key(4.0, "s", "> 0")
+    t_contact: float = _key(3.0, "s", "> 0")
+    hold_time: float = _key(1.0, "s", "> 0")
+    initial_offset: tuple = _key((0.0, 0.0, 0.0), "m")
     # metrics
-    clearance_arm: float = 0.05
-    settle_tol: float = 0.02
+    clearance_arm: float = _key(0.05, "m", "> 0")
+    settle_tol: float = _key(0.02, "m", "> 0")
     # noise (off by default; acceptance runs are noise-free)
-    noise_std_pos: float = 0.0
-    noise_std_vel: float = 0.0
+    noise_std_pos: float = _key(0.0, "m", ">= 0")
+    noise_std_vel: float = _key(0.0, "m/s", ">= 0")
     # schedules
     events: list = field(default_factory=list)        # (time, "s_f2p"|"s_p2f")
     disturbances: list = field(default_factory=list)  # (t0, t1, fx..rz)
@@ -113,12 +105,12 @@ class ScenarioConfig:
             if not isinstance(value, str) \
                     and not np.isfinite(np.asarray(value, float)).all():
                 raise ScenarioError(f"{f.name} must be finite")
-        for name in _POSITIVE:
-            if np.min(getattr(self, name)) <= 0:
-                raise ScenarioError(f"{name} must be positive")
-        for name in _NONNEGATIVE:
-            if getattr(self, name) < 0:
-                raise ScenarioError(f"{name} must not be negative")
+        for rule, holds, says in (("> 0", operator.gt, "be positive"),
+                                  (">= 0", operator.ge, "not be negative")):
+            for f in fields(self):
+                if f.metadata.get("rule") == rule \
+                        and not holds(np.min(getattr(self, f.name)), 0):
+                    raise ScenarioError(f"{f.name} must {says}")
         if not 1e-9 <= math.hypot(*self.wall_normal) < math.inf:
             raise ScenarioError("wall_normal must have finite nonzero length")
         if not self.lambda_f2p > self.lambda_p2f:
@@ -131,7 +123,7 @@ class ScenarioConfig:
         if not 0.5 < ticks <= MAX_TICKS:
             raise ScenarioError("duration must last at least one tick (dt) "
                                 f"and at most {MAX_TICKS} ticks")
-        for name in _SEGMENTS:
+        for name in ("hold_time", "t_approach", "t_contact"):
             if not self.dt <= getattr(self, name) <= MAX_SEGMENT_S:
                 raise ScenarioError(
                     f"{name} must lie in [dt, {MAX_SEGMENT_S:g}] s")
@@ -168,10 +160,11 @@ class ScenarioConfig:
 
 
 def _check_names(cfg):
-    """Raise ScenarioError for a `variant` or `mission` not in its set."""
-    for key, allowed in _NAMES.items():
-        if getattr(cfg, key) not in allowed:
-            raise ScenarioError(f"unknown {key} {getattr(cfg, key)!r}")
+    """Raise ScenarioError for a name that its key's rule does not allow."""
+    for f in fields(cfg):
+        allowed = f.metadata.get("rule")
+        if isinstance(allowed, tuple) and getattr(cfg, f.name) not in allowed:
+            raise ScenarioError(f"unknown {f.name} {getattr(cfg, f.name)!r}")
 
 
 def _numbers(lineno, key, raw, n):
@@ -206,8 +199,8 @@ def parse_scenario(text):
     malformed text or an unknown name.  `ScenarioConfig.build()` checks the
     other values, after any command-line overrides."""
     cfg = ScenarioConfig()
-    defaults = {k: v for k, v in asdict(cfg).items()
-                if k not in ("events", "disturbances")}
+    defaults = {f.name: f.default for f in fields(cfg)
+                if f.default is not MISSING}     # not events, disturbances
     saw_version = False
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
@@ -260,50 +253,46 @@ def default_scenario():
     return cfg
 
 
-SCHEMA_DOC = """\
-Scenario file schema (version 1)
+def _schema_row(f):
+    """`key = default  # unit, rule` of field `f`, wrapped to 79 columns."""
+    value, rule = f.default, f.metadata["rule"]
+    if isinstance(value, tuple):
+        value = " ".join(map(str, value))
+    if isinstance(rule, tuple):
+        rule = "one of " + ", ".join(rule)
+    head = f"  {f.name} = {value}"
+    note = ", ".join(s for s in (f.metadata["unit"], rule) if s)
+    return textwrap.fill(note, 79, initial_indent=head.ljust(36) + "# ",
+                         subsequent_indent=" " * 36 + "#   ",
+                         break_on_hyphens=False) or head
+
+
+SCHEMA_DOC = f"""\
+Scenario file schema (version {SCHEMA_VERSION})
 ================================
 Flat text, one `key = value` per line, `#` starts a comment.
-The first entry must be `schema_version = 1`.
+The first entry must be `schema_version = {SCHEMA_VERSION}`.
 
-Every number must be finite.  Of the scalars, lambda_f2p, lambda_p2f and
-hover_pitch take any sign, rho lies in [0, 1), the gains, k_tau,
-penetration, noise levels and seed must not be negative, and all others
-must be positive, as must inertia_diag.  lambda_f2p must exceed
-lambda_p2f; duration must last at least one tick of dt and at most
-2000000 ticks (also after --dt); hold_time, t_approach and t_contact lie
-in [dt, 1e4] s; arm_length and k_tau must give a full-rank rotor
-geometry.  wall_normal must have finite nonzero length; on a perch
-mission it may not be vertical, and the hover attitude may not be
-antipodal to the perch attitude (as hover_pitch = pi/2 is to the default
-wall's pitch of -pi/2).
-Event times must not be negative, and a disturbance must end after it
-starts.
-
-Scalars (floats unless noted):
-  name, variant, mission           strings; variant in {proposed,
-                                   no-transitions-rho0, no-transitions-rho0.5,
-                                   no-freeze}; mission in {perch, hover}
-  dt (s, in [1e-6, 0.01]), duration (s), seed (int)
-  mass (kg), gravity (m/s^2), arm_length (m), k_tau (m), thrust_max (N),
-  rotor_tau (s), tilt_rate_max (rad/s), perch_servo_time (s)
-  magnet_force (N), magnet_range (m), attach_tol (m)
-  k_tp, k_td, k_rp, k_rd, k_ri     scalar controller gains
-  integral_clamp (rad s), estimator_gain (1/s)
-  lambda_f2p (N), lambda_p2f (N), rho
-  hover_pitch (rad), standoff (m), penetration (m),
-  t_approach (s), t_contact (s), hold_time (s)
-  clearance_arm (m), settle_tol (m)
-  noise_std_pos (m), noise_std_vel (m/s)
-
-Vectors (three numbers):
-  inertia_diag (kg m^2), wall_point (m), wall_normal,
-  magnet_offset (m, body frame), hover_position (m), initial_offset (m)
+Keys, each shown as the line that sets its default, with its unit and its
+rule ("> 0" and ">= 0" hold for every number of a vector):
+""" + "\n".join(_schema_row(f) for f in fields(ScenarioConfig)
+                if f.default is not MISSING) + f"""
 
 Repeatable:
   event = <time_s> <s_f2p|s_p2f>
   disturbance = <start_s> <end_s> <fx> <fy> <fz> <rx> <ry> <rz>
                 (world-frame force N, body-frame angular accel rad/s^2)
+
+Every number must be finite; seed is an integer.  A key with no rule takes
+any value but for these: dt lies in [{MIN_DT_S:g}, 0.01] s and rho in [0, 1);
+lambda_f2p must exceed lambda_p2f; duration must last at least one tick of
+dt and at most {MAX_TICKS} ticks (also after --dt); hold_time, t_approach
+and t_contact lie in [dt, {MAX_SEGMENT_S:g}] s; arm_length and k_tau must
+give a full-rank rotor geometry.  wall_normal must have finite nonzero
+length; on a perch mission it may not be vertical, and the hover attitude
+may not be antipodal to the perch attitude (as hover_pitch = pi/2 is to the
+default wall's pitch of -pi/2).  Event times must not be negative, and a
+disturbance must end after it starts.
 
 Exit codes of the CLI: 0 ok, 2 scenario/schema error or an --out path
 that cannot be written, 3 run failed (numerical abort or ground contact);

@@ -77,35 +77,78 @@ def test_malformed_scenario_exit_code(tmp_path, capsys):
     assert "scenario error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("line", [
-    "estimator_gain = 0", "estimator_gain = -1", "duration = inf",
-    "magnet_force = -1", "mass = nan", "wall_normal = 0 0 0",
-    "thrust_max = inf", "inertia_diag = 0.008 0 0.014", "rho = 1",
-    "hold_time = 0", "seed = -1", "noise_std_vel = -0.1",
-    "disturbance = 0 inf 1 0 0 0 0 0", "event = nan s_f2p",
-    "mission = perch\nwall_normal = 0 0 1", "lambda_f2p = -2",
-    "duration = 0.0001", "arm_length = 1e-10", "arm_length = 1e300",
-    "arm_length = 1e200",
-    "mission = perch\nhover_pitch = 1.5707963267948966",
-    "mission = perch\nhold_time = 1e62", "mission = perch\nt_approach = 3e-279",
-    "t_contact = 0.0005", "duration = 1e300", "duration = 2000.5",
-    "mass = -1", "thrust_max = 0", "rotor_tau = 0", "magnet_range = 0",
-    "rho = -0.1", "dt = 0", "disturbance = 5 1 3 0 0 0 0 0",
-    "event = -1 s_f2p", "wall_normal = 1.5e308 1.5e308 1.5e308"])
-def test_invalid_value_exit_code(tmp_path, capsys, line):
-    # Unchecked, each of these would run, crash or exit 0.  None may warn.
+# (scenario line, the one stderr message it must give); unchecked, each of
+# these would run, crash or exit 0.
+INVALID = [
+    ("estimator_gain = 0", "estimator_gain must be positive"),
+    ("estimator_gain = -1", "estimator_gain must be positive"),
+    ("duration = inf", "duration must be finite"),
+    ("magnet_force = -1", "magnet_force must be positive"),
+    ("mass = nan", "mass must be finite"),
+    ("wall_normal = 0 0 0", "wall_normal must have finite nonzero length"),
+    ("thrust_max = inf", "thrust_max must be finite"),
+    ("inertia_diag = 0.008 0 0.014", "inertia_diag must be positive"),
+    ("rho = 1", "rho must lie in [0, 1)"),
+    ("hold_time = 0", "hold_time must be positive"),
+    ("seed = -1", "seed must not be negative"),
+    ("noise_std_vel = -0.1", "noise_std_vel must not be negative"),
+    ("disturbance = 0 inf 1 0 0 0 0 0", "disturbances must be finite"),
+    ("event = nan s_f2p", "events must be finite"),
+    ("mission = perch\nwall_normal = 0 0 1",
+     "wall normal may not be vertical"),
+    ("lambda_f2p = -2", "lambda_f2p must exceed lambda_p2f"),
+    ("duration = 0.0001", "duration must last at least one tick (dt) and "
+     "at most 2000000 ticks"),
+    ("arm_length = 1e-10", "rotor positions must be nonzero"),
+    # The arm lengths overflow; the geometry is not rank deficient.
+    ("arm_length = 1e300",
+     "rotor positions [0, 1, 2, 3] have non-finite arm lengths"),
+    ("arm_length = 1e200",
+     "rotor positions [0, 1, 2, 3] have non-finite arm lengths"),
+    ("mission = perch\nhover_pitch = 1.5707963267948966",
+     "rotation endpoints are antipodal or nearly so"),
+    ("mission = perch\nhold_time = 1e62",
+     "hold_time must lie in [dt, 10000] s"),
+    ("mission = perch\nt_approach = 3e-279",
+     "t_approach must lie in [dt, 10000] s"),
+    ("t_contact = 0.0005", "t_contact must lie in [dt, 10000] s"),
+    ("duration = 1e300", "duration must last at least one tick (dt) and "
+     "at most 2000000 ticks"),
+    ("duration = 2000.5", "duration must last at least one tick (dt) and "
+     "at most 2000000 ticks"),
+    ("mass = -1", "mass must be positive"),
+    ("thrust_max = 0", "thrust_max must be positive"),
+    ("rotor_tau = 0", "rotor_tau must be positive"),
+    ("magnet_range = 0", "magnet_range must be positive"),
+    ("rho = -0.1", "rho must lie in [0, 1)"),
+    ("dt = 0", "dt must lie in [1e-06, 0.01]"),
+    ("disturbance = 5 1 3 0 0 0 0 0",
+     "a disturbance must end after it starts"),
+    ("event = -1 s_f2p", "event times must not be negative"),
+    ("wall_normal = 1.5e308 1.5e308 1.5e308",
+     "wall_normal must have finite nonzero length"),
+    # Two faults: the first message is set by the order of build()'s checks
+    # (finite, then > 0, then >= 0, each in field order, then its own) and
+    # by names being checked when the file is parsed.
+    ("seed = -1\nmass = -1", "mass must be positive"),
+    ("duration = inf\nmass = -1", "duration must be finite"),
+    ("k_tp = -1\nestimator_gain = 0", "estimator_gain must be positive"),
+    ("hold_time = 0\nt_contact = 1e5", "hold_time must be positive"),
+    ("variant = bogus\nrho = 2", "unknown variant 'bogus'"),
+]
+
+
+@pytest.mark.parametrize("line, message", INVALID,
+                         ids=[line for line, _ in INVALID])
+def test_invalid_value_exit_code(tmp_path, capsys, line, message):
+    # Exit 2 with exactly this one line on stderr; none may warn.
     scen = tmp_path / "bad.scn"
     scen.write_text(HOVER + line + "\n")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(["run", "--scenario", str(scen), "--out",
                      str(tmp_path / "o")]) == EXIT_SCHEMA
-    err = capsys.readouterr().err
-    assert "scenario error" in err and "Warning" not in err
-    if line in ("arm_length = 1e300", "arm_length = 1e200"):
-        # The arm lengths overflow; the geometry is not rank deficient.
-        assert "rotor positions [0, 1, 2, 3] have non-finite arm lengths" \
-            in err
+    assert capsys.readouterr().err == f"scenario error: {message}\n"
 
 
 @pytest.mark.parametrize("line", ["rho = 1", "event = 3 s_warp",

@@ -1,7 +1,9 @@
 """Scenario format tests: parsing, validation, schema documentation."""
 
 import math
-from dataclasses import asdict
+import re
+from dataclasses import asdict, fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -170,6 +172,63 @@ def test_variant_overrides_rho(monkeypatch):
 def test_schema_doc_mentions_exit_codes():
     assert "schema_version" in SCHEMA_DOC
     assert "0 ok" in SCHEMA_DOC and "2" in SCHEMA_DOC and "3" in SCHEMA_DOC
+
+
+# The keys that must be positive, and that must not be negative, as two
+# hand-written tuples held them before each key declared its own rule.
+POSITIVE = {"duration", "mass", "inertia_diag", "gravity", "arm_length",
+            "thrust_max", "rotor_tau", "tilt_rate_max", "perch_servo_time",
+            "magnet_force", "magnet_range", "attach_tol", "integral_clamp",
+            "estimator_gain", "standoff", "t_approach", "t_contact",
+            "hold_time", "clearance_arm", "settle_tol"}
+NONNEGATIVE = {"seed", "k_tau", "k_tp", "k_td", "k_rp", "k_rd", "k_ri",
+               "penetration", "noise_std_pos", "noise_std_vel"}
+KEYS = [f for f in fields(ScenarioConfig)
+        if f.name not in ("events", "disturbances")]
+
+
+def test_every_key_declares_unit_and_rule():
+    assert len(fields(ScenarioConfig)) == 45
+    for f in KEYS:
+        assert set(f.metadata) == {"unit", "rule"}, f.name
+    rules = {f.name: f.metadata["rule"] for f in KEYS}
+    assert {k for k, rule in rules.items() if rule == "> 0"} == POSITIVE
+    assert {k for k, rule in rules.items() if rule == ">= 0"} == NONNEGATIVE
+    assert rules["variant"] == tuple(VARIANTS)
+    assert rules["mission"] == MISSIONS
+    assert {k for k, rule in rules.items() if rule is None} == {
+        "name", "dt", "wall_point", "wall_normal", "magnet_offset",
+        "lambda_f2p", "lambda_p2f", "rho", "hover_position", "hover_pitch",
+        "initial_offset"}
+
+
+def test_schema_doc_rows_read_back_as_defaults():
+    # print-schema shows each key as the file line that sets its default,
+    # and names every repeatable key, variant and mission.
+    rows = [row for row in SCHEMA_DOC.split("Repeatable:")[0].splitlines()
+            if re.match(r"  \w+ = ", row)]
+    assert [row.split("=")[0].strip() for row in rows] == \
+        [f.name for f in KEYS]
+    cfg = parse_scenario("schema_version = 1\n" + "\n".join(rows))
+    for f in KEYS:
+        value = getattr(cfg, f.name)
+        assert value == f.default and type(value) is type(f.default), f.name
+    assert "\n  event = " in SCHEMA_DOC and "\n  disturbance = " in SCHEMA_DOC
+    words = set(re.split(r"[\s,]+", SCHEMA_DOC))
+    for name in (*VARIANTS, *MISSIONS):
+        assert name in words, name
+
+
+def test_readme_scenario_example_builds():
+    # The example under "## Scenario files" in README.md parses and builds,
+    # so a renamed key or variant fails here rather than in the docs.
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split(
+        "\n## Scenario files\n", 1)[1]
+    example = section.split("```")[1]
+    cfg = parse_scenario(example)
+    assert cfg.name == "demo" and cfg.events and cfg.disturbances
+    cfg.build()
 
 
 _NUMBER = st.floats() | st.integers(-3, 3)
