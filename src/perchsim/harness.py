@@ -44,10 +44,10 @@ _MODE_POS = CSV_COLUMNS.index("mode")
 _CSV_LINE = {m.value: "%.12g," * _MODE_POS + m.value
              + ",%.12g" * (len(_NUM_COLUMNS) - _MODE_POS) + "\n" for m in Mode}
 _HEADER = ",".join(CSV_COLUMNS) + "\n"
-# A run streamed to a text file packs its rows into a block of _BLOCK rows
-# (311 kB of floats), writes each block a CSV line at a time, folds it into
-# its outcome metrics, and keeps only the column perfbench's tick counter
-# reads.
+# A run folds each block of its rows into its outcome metrics.  A library
+# run's one block is its whole log; a run streamed to a text file packs its
+# rows into a block of _BLOCK rows (311 kB of floats), writes each a CSV line
+# at a time, and keeps only the column perfbench's tick counter reads.
 _BLOCK = 1024
 _KEPT = ("attached",)
 _KEPT_INDEX = [_COL[c] for c in _KEPT]
@@ -92,8 +92,6 @@ class SimResult:
     cfg: ScenarioConfig
     rows: np.ndarray                 # (n, len(columns)), one row per tick
     modes: list                      # mode name per tick
-    gaps: np.ndarray                 # magnet-face gap per tick (not in CSV);
-                                     # None for a streamed run
     events: list                     # (t, kind, detail)
     metrics: Metrics = None
     columns: tuple = _NUM_COLUMNS    # _KEPT for a streamed run
@@ -118,13 +116,15 @@ class SimResult:
 
 
 def _flush_block(log, fold, block, gaps, n, kept, modes):
-    """Write the first `n` rows of `block`, the last `n` ticks of `modes`,
-    to the text file `log` as CSV lines, feed them and their `gaps` to
-    `fold`, and copy their _KEPT columns to `kept`."""
+    """Feed the first `n` rows of `block`, the last `n` ticks of `modes`,
+    and their `gaps` to `fold`; given a text file `log`, also write them to
+    it as CSV lines and copy their _KEPT columns to `kept`."""
     k0 = len(modes) - n
-    kept[k0:k0 + n] = block[:n, _KEPT_INDEX]
-    fold.feed(block[:n], modes[k0:], gaps[:n])
-    log.writelines(_csv_lines(block[:n], modes[k0:]))
+    tail = modes[k0:] if k0 else modes    # a whole log is fed uncopied
+    fold.feed(block[:n], tail, gaps[:n])
+    if log is not None:
+        kept[k0:k0 + n] = block[:n, _KEPT_INDEX]
+        log.writelines(_csv_lines(block[:n], tail))
 
 
 def _disturbance_at(cfg, t):
@@ -152,10 +152,10 @@ def _noise(rng, sd_p, sd_v, n_ticks):
 def run_scenario(cfg, log=None):
     """Run one scenario to completion; deterministic for a given config+seed.
 
-    The result holds every log row.  Given a text file `log` (anything with
-    `writelines`), the CSV is written there while the run goes, a block of
-    _BLOCK rows at a time, each block is folded into the outcome metrics,
-    and the result keeps only the _KEPT columns and the modes.
+    The result holds every log row, folded into the outcome metrics as one
+    block.  Given a text file `log` (anything with `writelines`), the CSV
+    is written there and folded while the run goes, a block of _BLOCK rows
+    at a time, and the result keeps only the _KEPT columns and the modes.
     """
     params, wall = cfg.build()
     rotors = params.rotors
@@ -193,15 +193,15 @@ def run_scenario(cfg, log=None):
             event_ticks.setdefault(int(round(t_ev / cfg.dt)), []).append(kind)
 
     events = []
+    fold = MetricsFold(cfg, events)
     if log is None:                  # one block: the whole log
         rows = block = np.empty((n_ticks, len(_NUM_COLUMNS)))
-        columns, block_len, fold = _NUM_COLUMNS, n_ticks, None
+        columns, block_len = _NUM_COLUMNS, n_ticks
     else:
         log.writelines((_HEADER,))
         block = np.empty((min(_BLOCK, n_ticks), len(_NUM_COLUMNS)))
         rows = np.empty((n_ticks, len(_KEPT)))
         columns, block_len = _KEPT, _BLOCK
-        fold = MetricsFold(cfg, events)
     block_end = block_len - 1
     modes = []
     gaps = np.empty(len(block))
@@ -322,7 +322,7 @@ def run_scenario(cfg, log=None):
                        1.0 if saturated else 0.0)
         modes.append(mode_name)
         gaps[j] = contact.gap
-        if j == block_end and log is not None:
+        if j == block_end:
             _flush_block(log, fold, block, gaps, block_len, rows, modes)
 
         # 8. integrate (an overflowing body rate fails in exp_so3's math)
@@ -338,12 +338,10 @@ def run_scenario(cfg, log=None):
             break
 
     n = len(modes)
-    if log is not None and n % block_len:
+    if n % block_len:
         _flush_block(log, fold, block, gaps, n % block_len, rows, modes)
-    result = SimResult(cfg, rows[:n], modes,
-                       gaps[:n] if log is None else None, events,
-                       columns=columns)
-    result.metrics = compute_metrics(result, fold)
+    result = SimResult(cfg, rows[:n], modes, events, columns=columns)
+    result.metrics = compute_metrics(fold)
     return result
 
 
@@ -426,20 +424,13 @@ class MetricsFold:
             self.t_settle = float(t[a + j])
 
 
-def compute_metrics(result, fold=None):
-    """Outcome measures of a run, read from its events and its log, which
-    `fold` has read already for a run streamed to a file."""
-    if len(result.modes) == 0:
+def compute_metrics(fold):
+    """Outcome measures of a run, read from its events and from `fold`,
+    which has been fed its whole log."""
+    if not fold.by_mode:
         raise ValueError("cannot compute metrics from an empty log")
-    if fold is None:                 # the whole log as one block
-        if result.gaps is None:
-            raise ValueError("a run streamed to a file folds its metrics "
-                             "while it runs and keeps no log to read")
-        fold = MetricsFold(result.cfg, result.events)
-        fold.feed(result.rows, result.modes, result.gaps)
-
     first = {}                       # (kind, detail up to ":") -> time
-    for te, kind, detail in result.events:
+    for te, kind, detail in fold.events:
         first.setdefault((kind, detail.partition(":")[0]), te)
     failure = next((d for k, d in first if k == "failure"), "")
     m = Metrics(completed=not failure, failure=failure)

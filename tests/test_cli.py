@@ -58,7 +58,9 @@ def test_ground_contact_exit_code(tmp_path, capsys):
 
 def test_ground_contact_mid_block_writes_partial_log(tmp_path, capsys):
     # Weak rotors land the hover 1346 ticks in, past one full block of the
-    # streamed log and part-way through the next: both are written.
+    # streamed log and part-way through the next: both are written and
+    # folded.  The library run folds its log as one partial block, cut
+    # short of its 5000 ticks, into the same metrics.
     scen = tmp_path / "weak.scn"
     scen.write_text(HOVER + "duration = 5\nthrust_max = 3.5\n")
     out = tmp_path / "o"
@@ -68,6 +70,7 @@ def test_ground_contact_mid_block_writes_partial_log(tmp_path, capsys):
     assert full.metrics.failure == "ground-contact"
     assert _BLOCK < len(full.modes) < 2 * _BLOCK
     assert (out / "log.csv").read_text() == full.to_csv()
+    assert json.loads(capsys.readouterr().out) == full.metrics.to_dict()
 
 
 def test_malformed_scenario_exit_code(tmp_path, capsys):

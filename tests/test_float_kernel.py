@@ -496,7 +496,8 @@ EVERY_TICK = (harness.MissionPlanner.sample, supervisor.transition,
               vehicle.update_contact, geometry.pitch_of, geometry.quat_of,
               vehicle.integrate)
 # The loop's other calls run at mode, contact and disturbance-pulse edges,
-# and, when the log streams to a file, once per block of _BLOCK rows.
+# and once per block of the log: the whole log for a library run, _BLOCK
+# rows when the log streams to a file.
 ON_EDGES = (harness.MissionPlanner.start_approach,
             harness.MissionPlanner.start_departure, harness._disturbance_at,
             estimation.fresh, vehicle.at_rest, harness._flush_block)

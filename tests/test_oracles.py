@@ -783,8 +783,9 @@ def test_edge_table_matches_elif_chain(edges, previous):
                                      old.pending_f2p, old.pending_p2f)
 
 
-def compute_metrics_arrays(result):
-    """compute_metrics as a pass of whole-log arrays, before the fold."""
+def compute_metrics_arrays(result, gaps):
+    """compute_metrics as a pass of whole-log arrays, before the fold, with
+    the magnet-face gap of each tick."""
     cfg = result.cfg
     t = result.column("t")
     z = result.column("pz")
@@ -814,7 +815,7 @@ def compute_metrics_arrays(result):
         if after.any():
             z_rel = float(z[np.searchsorted(t, t_release, side="right") - 1])
             m.z_drop_m = float(np.max(z_rel - z[after]))
-            g_after = result.gaps[after]
+            g_after = gaps[after]
             armed = np.nonzero(g_after >= cfg.clearance_arm)[0]
             if g_after.min() < 0.0:
                 m.min_clearance_m = float(g_after.min())
@@ -900,17 +901,17 @@ def test_metrics_fold_matches_whole_log_arrays(data):
                    (float(t[k]), "contact", "release")]
     if data.draw(st.booleans()):
         events.append((float(t[-1]), "failure", "ground-contact"))
-    result = SimResult(METRICS_CFG, rows, modes, gaps, events)
-    want = metrics_bits(compute_metrics_arrays(result))
-    assert metrics_bits(compute_metrics(result)) == want
+    result = SimResult(METRICS_CFG, rows, modes, events)
+    want = metrics_bits(compute_metrics_arrays(result, gaps))
 
-    # Block by block, with every event known from the start, and as a
-    # streamed run feeds it, with the events up to each block's last tick.
-    for live in (False, True):
+    # As one block, as a library run feeds it, and block by block; with
+    # every event known from the start, and as a run feeds it, with the
+    # events up to each block's last tick.
+    for split, live in itertools.product(([0, n], edges), (False, True)):
         so_far = [] if live else events
         fold = MetricsFold(METRICS_CFG, so_far)
-        for a, b in zip(edges, edges[1:]):
+        for a, b in zip(split, split[1:]):
             if live:
                 so_far[:] = [e for e in events if e[0] <= t[b - 1]]
             fold.feed(rows[a:b], modes[a:b], gaps[a:b])
-        assert metrics_bits(compute_metrics(result, fold)) == want, live
+        assert metrics_bits(compute_metrics(fold)) == want, (split, live)
