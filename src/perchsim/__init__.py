@@ -2,7 +2,8 @@
 
 from .scenario import ScenarioConfig, default_scenario, load_scenario, \
     parse_scenario, ScenarioError
-from .harness import run_scenario, compute_metrics, compare
+from .harness import run_scenario
+from .metrics import compute_metrics, compare
 
 __all__ = [
     "ScenarioConfig", "default_scenario", "load_scenario", "parse_scenario",

@@ -17,7 +17,8 @@ from . import estimation
 from .allocation import allocate
 from .control import nominal_wrench, rejection_force
 from .geometry import EYE, ZERO3, mat_vec, rotation_error
-from .harness import run_scenario, settle_index
+from .harness import run_scenario
+from .metrics import settle_index
 from .planner import jerk_cost, min_jerk_segment, perch_setpoints, quintic
 from .scenario import ScenarioConfig, default_scenario
 from .supervisor import FOUR_MODE, Mode, SupervisorState, transition

@@ -8,7 +8,8 @@ import sys
 from contextlib import closing
 from dataclasses import replace
 
-from .harness import compare, run_scenario
+from .harness import run_scenario
+from .metrics import compare
 from .scenario import SCHEMA_DOC, VARIANTS, ScenarioError, default_scenario, \
     load_scenario
 

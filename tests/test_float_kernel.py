@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from perchsim import allocation, control, estimation, geometry, harness, \
-    planner, supervisor, vehicle
+    metrics, planner, supervisor, vehicle
 from perchsim.scenario import ScenarioConfig, default_scenario
 from perchsim.vehicle import ContactState
 from so3 import flat, mat, right_jacobian_inv, rot_x, rot_z
@@ -455,8 +455,8 @@ def test_stage_outputs_are_plain_tuples(monkeypatch):
         == {name: sorted(layouts, key=str) for name, layouts in seen.items()}
 
 
-TICK_MODULES = (allocation, control, estimation, geometry, harness, planner,
-                vehicle)
+TICK_MODULES = (allocation, control, estimation, geometry, harness, metrics,
+                planner, vehicle)
 
 
 def _calls(node, name):
@@ -496,8 +496,9 @@ EVERY_TICK = (harness.MissionPlanner.sample, supervisor.transition,
               vehicle.update_contact, geometry.pitch_of, geometry.quat_of,
               vehicle.integrate)
 # The loop's other calls run at mode, contact and disturbance-pulse edges,
-# and once per block of the log: the whole log for a library run, _BLOCK
-# rows when the log streams to a file.
+# and once per block of the log (_flush_block, which feeds the block to
+# metrics.MetricsFold): the whole log for a library run, _BLOCK rows when the
+# log streams to a file.
 ON_EDGES = (harness.MissionPlanner.start_approach,
             harness.MissionPlanner.start_departure, harness._disturbance_at,
             estimation.fresh, vehicle.at_rest, harness._flush_block)

@@ -19,10 +19,9 @@ from hypothesis import strategies as st
 from perchsim.acceptance import GOLDEN_SHA256, run_variant
 from perchsim.cli import EXIT_OK, _stream_run, _write_run, main
 from perchsim import harness
-from perchsim.harness import (CSV_COLUMNS, _COL, _NUM_COLUMNS, _ROW,
-                              MetricsFold, SimResult, _disturbance_at,
-                              compare, compute_metrics, run_scenario,
-                              settle_index)
+from perchsim.harness import _ROW, SimResult, _disturbance_at, run_scenario
+from perchsim.metrics import (CSV_COLUMNS, _COL, _NUM_COLUMNS, MetricsFold,
+                              compare, compute_metrics, settle_index)
 from perchsim.scenario import ScenarioConfig, default_scenario, \
     parse_scenario
 from perchsim.supervisor import Mode

@@ -1,4 +1,5 @@
-"""Every name a perchsim module imports is used in that module.
+"""Every name a perchsim module imports is used in that module, and the
+outcome metrics stay in `metrics.py`, apart from the tick loop.
 
 No linter ships with the project, so this reads each module's syntax tree:
 an imported name counts as used where it appears as a name in the code, or
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import perchsim
+from perchsim import harness, metrics
 
 MODULES = sorted(Path(perchsim.__file__).parent.glob("*.py"))
 
@@ -43,3 +45,27 @@ def test_guard_finds_unused_imports():
 def test_module_uses_every_import(path):
     unused = unused_imports(path.read_text())
     assert not unused, f"{path.name} imports {unused} and never uses them"
+
+
+METRIC_NAMES = ("Metrics", "MetricsFold", "compute_metrics", "compare",
+                "settle_index", "_nan_max", "_nan_min")
+
+
+def test_metrics_live_in_their_own_module():
+    # metrics.py imports only the supervisor from perchsim, so the loop
+    # module can import the log schema from it without a cycle.
+    for name in METRIC_NAMES:
+        assert getattr(metrics, name).__module__ == "perchsim.metrics"
+    tree = ast.parse(Path(metrics.__file__).read_text())
+    assert {node.module for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level} \
+        == {"supervisor"}
+    loop = ast.parse(Path(harness.__file__).read_text())
+    assert not {node.name for node in loop.body
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef))} \
+        & set(METRIC_NAMES)
+    # One schema, and the fold's indices are read from it by name.
+    assert harness.CSV_COLUMNS is metrics.CSV_COLUMNS
+    for index, name in (("_T", "t"), ("_PZ", "pz"), ("_ER", "eR_norm"),
+                        ("_EP", "ep_norm"), ("_SAT", "sat_any")):
+        assert getattr(metrics, index) == metrics._NUM_COLUMNS.index(name)

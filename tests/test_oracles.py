@@ -33,8 +33,9 @@ from perchsim.allocation import THRUST_EPS, RotorGeometry, allocate
 from perchsim.control import nominal_wrench, perch_wrench
 from perchsim.geometry import EYE, ZERO3, exp_so3, log_so3, mat_mul, \
     mat_t_mul, mat_t_vec, mat_vec, renormalize, right_jacobian, rot_y
-from perchsim.harness import _COL, _NUM_COLUMNS, Metrics, MetricsFold, \
-    SimResult, _noise, compute_metrics, settle_index
+from perchsim.harness import SimResult, _noise
+from perchsim.metrics import _COL, _NUM_COLUMNS, Metrics, MetricsFold, \
+    compute_metrics, settle_index
 from perchsim.planner import min_accel_rotation, quintic, rotation_at
 from perchsim.scenario import ScenarioConfig
 from perchsim.supervisor import FOUR_MODE, TWO_MODE, Mode, SupervisorState, \
