@@ -136,7 +136,7 @@ def perch_setpoints(wall, cfg):
 
 def connect(sp_from, sp_to, T, start=0.0):
     """Min-jerk translation + min-accel rotation from `sp_from` to the rest
-    setpoint `sp_to`; `connect(sp, sp, T)` holds a rest `sp` for T seconds.
+    setpoint `sp_to`.
 
     The segment is the tuple (start, T, translation, R0, rotation): its
     plan-relative start time, its duration, the `min_jerk_segment`
@@ -148,31 +148,30 @@ def connect(sp_from, sp_to, T, start=0.0):
 
 
 class MissionPlanner:
-    """The active plan, rebuilt on supervisor edges; holds the terminal pose
-    beyond its last segment.  Segments last the scenario's hold_time,
-    t_approach (1->2) and t_contact (2->3)."""
+    """The active plan, rebuilt on supervisor edges: a rest at setpoints[0]
+    until its first segment starts, its segments (none when hovering), then
+    a terminal rest at the last one's end pose."""
 
     def __init__(self, cfg, wall):
         self.cfg = cfg
         if cfg.mission == "hover":
-            sp = hover_setpoint(cfg)
-            self.setpoints = [sp, sp, sp]
-            self._follow(0.0, connect(sp, sp, 1.0))
-            return
-        self.setpoints = perch_setpoints(wall, cfg)
-        sp1, sp2, _ = self.setpoints
-        self._follow(0.0, connect(sp1, sp1, cfg.hold_time),
-                     connect(sp1, sp2, cfg.t_approach, start=cfg.hold_time))
+            self.setpoints = [hover_setpoint(cfg)] * 3
+            self._follow(0.0)
+        else:
+            sp1, sp2, _ = self.setpoints = perch_setpoints(wall, cfg)
+            self._follow(0.0, connect(sp1, sp2, cfg.t_approach,
+                                      start=cfg.hold_time))
 
     def _follow(self, t0, *segments):
-        """Fly `segments` from time t0; the first starts at 0."""
-        self.segments = segments
-        self.t0 = t0
-        start, T, tr, R0, rot = segments[-1]
-        self.duration = start + T
-        p, _, _ = quintic(tr, T)
-        R, _ = rotation_at(R0, rot, T)
-        self.terminal = p, ZERO3, ZERO3, R, ZERO3
+        """Fly `segments` from time t0, each from t0 plus its start."""
+        self.segments, self.t0 = segments, t0
+        self.duration, self.terminal = 0.0, self.setpoints[0]
+        if segments:
+            start, T, tr, R0, rot = segments[-1]
+            self.duration = start + T
+            p, _, _ = quintic(tr, T)
+            R, _ = rotation_at(R0, rot, T)
+            self.terminal = p, ZERO3, ZERO3, R, ZERO3
 
     def sample(self, t):
         """The setpoint (p, v, a, R, omega) at run time t >= t0, laid out as
@@ -186,6 +185,7 @@ class MissionPlanner:
                 p, v, a = quintic(tr, tau)
                 R, omega = rotation_at(R0, rot, tau)
                 return p, v, a, R, omega
+        return self.setpoints[0]
 
     def start_approach(self, t):
         """Fly from the current setpoint to the behind-surface target (3)."""

@@ -6,11 +6,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from perchsim import planner
 from perchsim.geometry import EYE, exp_so3, mat_vec, pitch_of, rot_y
-from perchsim.planner import (MissionPlanner, jerk_cost, min_accel_rotation,
-                              min_jerk_segment, perch_orientation,
-                              perch_setpoints, quintic, rotation_at)
-from perchsim.scenario import ScenarioConfig
+from perchsim.harness import run_scenario
+from perchsim.planner import (MissionPlanner, connect, jerk_cost,
+                              min_accel_rotation, min_jerk_segment,
+                              perch_orientation, perch_setpoints, quintic,
+                              rotation_at)
+from perchsim.scenario import ScenarioConfig, default_scenario
 from so3 import flat, mat
 
 _, WALL = ScenarioConfig().build()
@@ -145,22 +148,23 @@ def test_min_accel_rejects_antipodal():
                            np.zeros(3), 1.0)
 
 
-def _two_segment_plan():
-    # The default perch mission's first plan: hold for 1 s, then 4 s to (2).
+def _rest_and_approach_plan():
+    # The default perch mission's first plan: a rest at (1) for 1 s, then
+    # one segment of 4 s to (2).
     cfg = ScenarioConfig()
     sp1, sp2, _ = perch_setpoints(WALL, cfg)
     return MissionPlanner(cfg, WALL), sp1, sp2
 
 
 def test_plan_sample_start_exact():
-    plan, (p1, _, _, _, _), _ = _two_segment_plan()
+    plan, (p1, _, _, _, _), _ = _rest_and_approach_plan()
     p, v, _, _, _ = plan.sample(0.0)
     assert np.array_equal(p, p1)
     assert np.array_equal(v, np.zeros(3))
 
 
 def test_plan_terminal_hold():
-    plan, _, (p2, _, _, R2, _) = _two_segment_plan()
+    plan, _, (p2, _, _, R2, _) = _rest_and_approach_plan()
     p, v, _, R, omega = plan.sample(plan.duration + 10.0)
     assert np.allclose(p, p2, atol=1e-9)
     assert np.array_equal(v, np.zeros(3))
@@ -169,7 +173,7 @@ def test_plan_terminal_hold():
 
 
 def test_plan_derivative_consistency():
-    plan, _, _ = _two_segment_plan()
+    plan, _, _ = _rest_and_approach_plan()
     dt = 1e-4
     for t in np.linspace(1.1, 4.9, 25):
         p_a, _, _, R_a, _ = plan.sample(t - dt)
@@ -185,13 +189,68 @@ def test_plan_derivative_consistency():
 
 
 def test_plan_c1_continuity_at_joint():
-    plan, _, _ = _two_segment_plan()
+    plan, _, _ = _rest_and_approach_plan()
     eps = 1e-9
     p_a, v_a, _, _, omega_a = plan.sample(1.0 - eps)
     p_b, v_b, _, _, omega_b = plan.sample(1.0 + eps)
     assert np.max(np.abs(np.subtract(p_a, p_b))) < 1e-6
     assert np.max(np.abs(np.subtract(v_a, v_b))) < 1e-6
     assert np.max(np.abs(np.subtract(omega_a, omega_b))) < 1e-6
+
+
+def _bits(sp):
+    """The setpoint's bytes: equal exactly when every float, signed zeros
+    included, is the same."""
+    return b"".join(np.asarray(x, dtype=float).tobytes() for x in sp)
+
+
+def test_plan_rests_without_evaluating_segments(monkeypatch):
+    calls = []
+
+    def counted(fn):
+        def call(*args):
+            calls.append(fn.__name__)
+            return fn(*args)
+        return call
+
+    hover_cfg, cfg = ScenarioConfig(mission="hover"), ScenarioConfig()
+    hover, perch = MissionPlanner(hover_cfg, WALL), MissionPlanner(cfg, WALL)
+    monkeypatch.setattr(planner, "quintic", counted(quintic))
+    monkeypatch.setattr(planner, "rotation_at", counted(rotation_at))
+
+    # A hover plan has no segments: every tick of a 2.5 s run is its rest.
+    assert hover.segments == ()
+    rest = _bits(hover.setpoints[0])
+    for k in range(int(round(2.5 / hover_cfg.dt))):
+        assert _bits(hover.sample(k * hover_cfg.dt)) == rest
+
+    # The perch plan rests at (1) until its one segment starts at hold_time.
+    (start, *_), = perch.segments
+    assert start == cfg.hold_time
+    rest, ticks = _bits(perch.setpoints[0]), 0
+    while ticks * cfg.dt < start:
+        assert _bits(perch.sample(ticks * cfg.dt)) == rest
+        ticks += 1
+    assert ticks == 1000 and calls == []
+
+
+def test_signal_during_initial_rest_approaches_from_hover(monkeypatch):
+    cfg = default_scenario()
+    cfg.events[0] = (0.5, "s_f2p")
+    cfg.duration = 1.0
+    built = []
+
+    def spy(sp_from, sp_to, T, start=0.0):
+        built.append((sp_from, sp_to))
+        return connect(sp_from, sp_to, T, start)
+
+    monkeypatch.setattr(planner, "connect", spy)
+    result = run_scenario(cfg)
+    assert (0.5, "mode", "F->F2P") in result.events
+    sp1, _, sp3 = perch_setpoints(WALL, cfg)
+    approach_from, approach_to = built[-1]
+    assert _bits(approach_from) == _bits(sp1)
+    assert _bits(approach_to) == _bits(sp3)
 
 
 def test_plan_config_validation():

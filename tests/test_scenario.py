@@ -260,7 +260,7 @@ _ENTRIES = st.one_of(
 
 @settings(derandomize=True, max_examples=200, deadline=None, database=None)
 @given(st.lists(_ENTRIES, max_size=6))
-@example(["hold_time = 1e62"])          # T ** 5 overflows
+@example(["hold_time = 1e62"])          # far beyond MAX_SEGMENT_S
 @example(["t_approach = 3e-279"])       # the quintic solve is singular
 def test_parsed_scenario_builds(lines):
     # Whatever build() accepts must also plan: run_scenario builds the
