@@ -67,16 +67,18 @@ class _LogFile:
             self.fh.close()
 
 
+def _write_json(path, payload):
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2)
+        fh.write("\n")
+
+
 def _write_run(result, out_dir):
     """Write the run's metrics.json into `out_dir`, which exists."""
     payload = result.metrics.to_dict()
-    payload["events"] = [
-        {"t": t, "kind": kind, "detail": detail}
-        for t, kind, detail in result.events]
-    with open(os.path.join(out_dir, "metrics.json"), "w",
-              encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    payload["events"] = [{"t": t, "kind": kind, "detail": detail}
+                         for t, kind, detail in result.events]
+    _write_json(os.path.join(out_dir, "metrics.json"), payload)
 
 
 def _stream_run(cfg, out_dir):
@@ -111,10 +113,7 @@ def cmd_ablate(args):
         compare("proposed", metrics["proposed"], v, metrics[v])
         for v in VARIANTS if v != "proposed"]}
     report["metrics"] = {v: m.to_dict() for v, m in metrics.items()}
-    path = os.path.join(args.out, "comparison.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
+    _write_json(os.path.join(args.out, "comparison.json"), report)
     print(json.dumps(report["comparisons"], indent=2))
     ok = all(m.completed for m in metrics.values())
     return EXIT_OK if ok else EXIT_FAILED

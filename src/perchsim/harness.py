@@ -19,23 +19,24 @@ from .allocation import allocate
 from .control import nominal_wrench, perch_wrench, rejection_force
 from .geometry import ZERO3, mat_t_vec, mat_vec, pitch_of, quat_of, \
     rotation_error
-from .metrics import CSV_COLUMNS, _COL, _NUM_COLUMNS, Metrics, MetricsFold, \
-    compute_metrics
+from .metrics import CSV_COLUMNS, _COL, _NUM_COLUMNS, _RECORD, Metrics, \
+    MetricsFold, compute_metrics
 from .planner import MissionPlanner
 from .scenario import ScenarioConfig
 from .supervisor import VARIANTS, Mode, SupervisorState, transition
 from .vehicle import ContactState, NumericalDivergenceError, at_rest, \
     forward_wrench, integrate, step_actuators, update_contact
 
-# A row is one float64 record; its CSV line is _CSV_LINE[mode] % row.
-_ROW = struct.Struct("%dd" % len(_NUM_COLUMNS))
+# A row packs one _RECORD of float64s; _PRINTED unpacks all but the gap.
+_ROW = struct.Struct("%dd" % len(_RECORD))
+_PRINTED = struct.Struct("%dd8x" % len(_NUM_COLUMNS))
 _MODE_POS = CSV_COLUMNS.index("mode")
 _CSV_LINE = {m.value: "%.12g," * _MODE_POS + m.value
              + ",%.12g" * (len(_NUM_COLUMNS) - _MODE_POS) + "\n" for m in Mode}
 _HEADER = ",".join(CSV_COLUMNS) + "\n"
 # A run folds each block of its rows into its outcome metrics.  A library
 # run's one block is its whole log; a run streamed to a text file packs its
-# rows into a block of _BLOCK rows (311 kB of floats), writes each a CSV line
+# rows into a block of _BLOCK rows (319 kB of floats), writes each a CSV line
 # at a time, and keeps only the column perfbench's tick counter reads.
 _BLOCK = 1024
 _KEPT = ("attached",)
@@ -49,7 +50,8 @@ _NOISE_BLOCK = 64
 
 def _csv_lines(rows, modes):
     """The CSV line of each row, a C-order float64 record, and its mode."""
-    return map(mod, map(_CSV_LINE.__getitem__, modes), _ROW.iter_unpack(rows))
+    return map(mod, map(_CSV_LINE.__getitem__, modes),
+               _PRINTED.iter_unpack(rows))
 
 
 @dataclass
@@ -59,7 +61,7 @@ class SimResult:
     modes: list                      # mode name per tick
     events: list                     # (t, kind, detail)
     metrics: Metrics = None
-    columns: tuple = _NUM_COLUMNS    # _KEPT for a streamed run
+    columns: tuple = _RECORD         # _KEPT for a streamed run
 
     def column(self, name):
         return self.rows[:, self.columns.index(name)]
@@ -68,11 +70,11 @@ class SimResult:
         """The log as CSV text, or, given a text file `fh`, written to it a
         line at a time: at most one row is held as floats and text.  A run
         streamed to a file keeps only some columns, and raises ValueError."""
-        if self.columns != _NUM_COLUMNS:
+        if self.columns != _RECORD:
             raise ValueError("a run streamed to a file keeps only the "
                              f"columns {', '.join(self.columns)}")
         rows = np.ascontiguousarray(self.rows, dtype=np.float64)
-        if rows.shape != (len(self.modes), len(_NUM_COLUMNS)):
+        if rows.shape != (len(self.modes), len(_RECORD)):
             raise ValueError(f"{rows.shape} rows for {len(self.modes)} modes")
         lines = chain((_HEADER,), _csv_lines(rows, self.modes))
         if fh is None:
@@ -80,13 +82,13 @@ class SimResult:
         fh.writelines(lines)
 
 
-def _flush_block(log, fold, block, gaps, n, kept, modes):
-    """Feed the first `n` rows of `block`, the last `n` ticks of `modes`,
-    and their `gaps` to `fold`; given a text file `log`, also write them to
-    it as CSV lines and copy their _KEPT columns to `kept`."""
+def _flush_block(log, fold, block, n, kept, modes):
+    """Feed the first `n` rows of `block` and the last `n` ticks of `modes`
+    to `fold`; given a text file `log`, also write them to it as CSV lines
+    and copy their _KEPT columns to `kept`."""
     k0 = len(modes) - n
     tail = modes[k0:] if k0 else modes    # a whole log is fed uncopied
-    fold.feed(block[:n], tail, gaps[:n])
+    fold.feed(block[:n], tail)
     if log is not None:
         kept[k0:k0 + n] = block[:n, _KEPT_INDEX]
         log.writelines(_csv_lines(block[:n], tail))
@@ -137,7 +139,7 @@ def run_scenario(cfg, log=None):
                                    (0.0,) * rotors.n_rotors)
     act = thrust, tilt_cmd, 0.0
     f_act, tau_act = forward_wrench(thrust, tilt_cmd, rotors)
-    contact = ContactState(gap=wall.gap_of(state))
+    contact = ContactState()
     sup = SupervisorState()
     integ = ZERO3                    # attitude integral of nominal_wrench
     K_e = cfg.estimator_gain
@@ -160,16 +162,15 @@ def run_scenario(cfg, log=None):
     events = []
     fold = MetricsFold(cfg, events)
     if log is None:                  # one block: the whole log
-        rows = block = np.empty((n_ticks, len(_NUM_COLUMNS)))
-        columns, block_len = _NUM_COLUMNS, n_ticks
+        rows = block = np.empty((n_ticks, len(_RECORD)))
+        columns, block_len = _RECORD, n_ticks
     else:
         log.writelines((_HEADER,))
-        block = np.empty((min(_BLOCK, n_ticks), len(_NUM_COLUMNS)))
+        block = np.empty((min(_BLOCK, n_ticks), len(_RECORD)))
         rows = np.empty((n_ticks, len(_KEPT)))
         columns, block_len = _KEPT, _BLOCK
     block_end = block_len - 1
     modes = []
-    gaps = np.empty(len(block))
     perch, rejection_frozen, contact_active = policies[sup.mode]
     mode_name = sup.mode.value
 
@@ -284,11 +285,10 @@ def run_scenario(cfg, log=None):
                        *delta_hat, lam_c, contact.lambda_true,
                        math.sqrt(ex * ex + ey * ey + ez * ez),
                        math.sqrt(dx * dx + dy * dy + dz * dz),
-                       1.0 if saturated else 0.0)
+                       1.0 if saturated else 0.0, contact.gap)
         modes.append(mode_name)
-        gaps[j] = contact.gap
         if j == block_end:
-            _flush_block(log, fold, block, gaps, block_len, rows, modes)
+            _flush_block(log, fold, block, block_len, rows, modes)
 
         # 8. integrate (an overflowing body rate fails in exp_so3's math)
         try:
@@ -304,7 +304,7 @@ def run_scenario(cfg, log=None):
 
     n = len(modes)
     if n % block_len:
-        _flush_block(log, fold, block, gaps, n % block_len, rows, modes)
+        _flush_block(log, fold, block, n % block_len, rows, modes)
     result = SimResult(cfg, rows[:n], modes, events, columns=columns)
     result.metrics = compute_metrics(fold)
     return result

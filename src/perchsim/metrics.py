@@ -18,11 +18,13 @@ CSV_COLUMNS = [
     "eR_norm", "ep_norm", "sat_any",
 ]
 
-# Numeric columns in row order (mode is interleaved only at CSV render time).
+# A log row is one float64 record: the CSV's numbers in column order (mode
+# is put in only when a line is rendered), then the unprinted magnet gap.
 _NUM_COLUMNS = tuple(c for c in CSV_COLUMNS if c != "mode")
-_COL = {name: i for i, name in enumerate(_NUM_COLUMNS)}
-_T, _PZ, _ER, _EP, _SAT = (_COL[c] for c in
-                           ("t", "pz", "eR_norm", "ep_norm", "sat_any"))
+_RECORD = _NUM_COLUMNS + ("gap",)
+_COL = {name: i for i, name in enumerate(_RECORD)}
+_T, _PZ, _ER, _EP, _SAT, _GAP = (
+    _COL[c] for c in ("t", "pz", "eR_norm", "ep_norm", "sat_any", "gap"))
 
 
 @dataclass
@@ -81,9 +83,8 @@ class MetricsFold:
         self.gap_armed = None        # min gap from the first armed tick
         self.t_settle = None         # t of the final settled run's first tick
 
-    def feed(self, rows, modes, gaps):
-        """Fold in `rows`, a block of the log's float rows, with the mode
-        and magnet-face gap of each."""
+    def feed(self, rows, modes):
+        """Fold in `rows`, a block of log records, with the mode of each."""
         i = 0
         for mode, run in groupby(modes):
             j = i + len(list(run))
@@ -109,7 +110,7 @@ class MetricsFold:
         self.after += len(t) - a
         self.z_drop = _nan_max(self.z_drop,
                                float(np.max(self.z_rel - rows[a:, _PZ])))
-        g = gaps[a:]
+        g = rows[a:, _GAP]
         g_min = float(g.min())
         self.gap_min = _nan_min(self.gap_min, g_min)
         if self.gap_armed is not None:

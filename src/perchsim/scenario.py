@@ -20,9 +20,9 @@ MISSIONS = ("perch", "hover")
 # the quintic solve neither overflows nor underflows.
 MAX_SEGMENT_S = 1e4
 MIN_DT_S = 1e-6
-# A library run holds 320 bytes a tick (38 logged floats, the gap and the
-# mode), near 640 MB; a CLI run streams its log and holds 16 (the attached
-# flag and the mode), near 32 MB.
+# A library run holds 320 bytes a tick (its record, 38 printed floats and
+# the gap, and its mode), near 640 MB; a CLI run streams its log and holds
+# 16 (the attached flag and the mode), near 32 MB.
 MAX_TICKS = 2_000_000
 
 
@@ -291,8 +291,8 @@ and t_contact lie in [dt, {MAX_SEGMENT_S:g}] s; arm_length and k_tau must
 give a full-rank rotor geometry.  wall_normal must have finite nonzero
 length; on a perch mission it may not be vertical, and the hover attitude
 may not be antipodal to the perch attitude (as hover_pitch = pi/2 is to the
-default wall's pitch of -pi/2).  Event times must not be negative, and a
-disturbance must end after it starts.
+default wall's pitch of -pi/2).  Event lines must be time-sorted, their
+times not negative, and a disturbance must end after it starts.
 
 Exit codes of the CLI: 0 ok, 2 scenario/schema error or an --out path
 that cannot be written, 3 run failed (numerical abort or ground contact);

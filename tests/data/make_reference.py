@@ -6,7 +6,8 @@ Run from the repository root:
 
 It writes `reference_traces.npz` next to this file.  For each of the four
 default-mission variants it keeps every 100th row of the 38 numeric CSV
-columns; for `NOISY_HOVER` of `tests/test_harness.py` it keeps every row.
+columns (the printed part of each record, without the gap); for
+`NOISY_HOVER` of `tests/test_harness.py` it keeps every row.
 Each case also keeps its per-tick mode sequence (run-length encoded), its
 events, its tick count and `metrics.to_dict()`.
 
@@ -24,6 +25,8 @@ from pathlib import Path
 
 import numpy as np
 
+from perchsim.metrics import _COL, _NUM_COLUMNS
+
 HERE = Path(__file__).resolve().parent
 OUT = HERE / "reference_traces.npz"
 MISSION_STRIDE = 100
@@ -37,7 +40,7 @@ def summary(result, stride):
     starts = [i for i in range(len(modes))
               if i == 0 or modes[i] != modes[i - 1]]
     return {
-        "rows": result.rows[::stride],
+        "rows": result.rows[::stride, [_COL[c] for c in _NUM_COLUMNS]],
         "stride": np.array(stride),
         "mode_names": np.array([modes[i] for i in starts]),
         "mode_runs": np.diff(starts + [len(modes)]),

@@ -5,15 +5,23 @@ definition counts as read where its name is loaded anywhere in the package,
 as a name or an attribute, or imported by name; or where it is named in an
 attribute path of `perfbench/tracer.py`'s LAYERS, which wraps it from
 outside.  Dunders such as `__all__` are exempt.
+
+The last test guards the test tooling itself: under pyproject.toml's warning
+filters, a failing `hypothesis` test is reported as failed and the session
+goes on.
 """
 
 import ast
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import perchsim
 
 SRC = Path(perchsim.__file__).parent
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 def defined(tree):
@@ -81,3 +89,31 @@ def test_every_definition_is_read():
     sources = {path.name: path.read_text() for path in SRC.glob("*.py")}
     unused = unused_definitions(sources, TRACER.read_text())
     assert not unused, f"defined and never read: {unused}"
+
+
+def test_failing_property_test_is_reported(tmp_path):
+    # Hypothesis renders a failure's report with libcst, whose import warns
+    # (a DeprecationWarning from mypy_extensions).  Under "error" alone that
+    # warning ends the session with INTERNALERROR, losing every later test.
+    path = tmp_path / "test_two.py"
+    path.write_text(textwrap.dedent("""\
+        from hypothesis import given, settings, strategies as st
+
+
+        @settings(database=None)
+        @given(st.integers())
+        def test_fails(x):
+            assert x < 0
+
+
+        def test_passes():
+            pass
+        """))
+    out = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(ROOT / "pyproject.toml"),
+         "-p", "no:cacheprovider", "-q", str(path)],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    text = out.stdout + out.stderr
+    assert out.returncode == 1, text
+    assert "1 failed, 1 passed" in out.stdout, text
+    assert "INTERNALERROR" not in text

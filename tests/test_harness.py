@@ -20,7 +20,7 @@ from perchsim.acceptance import GOLDEN_SHA256, run_variant
 from perchsim.cli import EXIT_OK, _stream_run, _write_run, main
 from perchsim import harness
 from perchsim.harness import _ROW, SimResult, _disturbance_at, run_scenario
-from perchsim.metrics import (CSV_COLUMNS, _COL, _NUM_COLUMNS, MetricsFold,
+from perchsim.metrics import (CSV_COLUMNS, _COL, _RECORD, MetricsFold,
                               compare, compute_metrics, settle_index)
 from perchsim.scenario import ScenarioConfig, default_scenario, \
     parse_scenario
@@ -31,7 +31,7 @@ def synthetic_result(z_after, gaps_after, ep_after, sat_p):
     """A fold fed a ten-tick log at 1 s spacing with a release event at
     t = 2."""
     n = 10
-    rows = np.zeros((n, len(_NUM_COLUMNS)))
+    rows = np.zeros((n, len(_RECORD)))
     rows[:, _COL["t"]] = np.arange(n, dtype=float)
     z = np.array([1.2, 1.2, 1.2] + list(z_after))
     rows[:, _COL["pz"]] = z
@@ -41,11 +41,11 @@ def synthetic_result(z_after, gaps_after, ep_after, sat_p):
     for i in sat_p:
         sat[i] = 1.0
     rows[:, _COL["sat_any"]] = sat
-    gaps = np.array([0.3, 0.0, 0.0] + list(gaps_after))
+    rows[:, _COL["gap"]] = np.array([0.3, 0.0, 0.0] + list(gaps_after))
     events = [(0.0, "operator", "s_f2p"), (1.0, "contact", "attach"),
               (2.0, "contact", "release")]
     fold = MetricsFold(default_scenario(), events)
-    fold.feed(rows, modes, gaps)
+    fold.feed(rows, modes)
     return fold
 
 
@@ -107,7 +107,7 @@ def test_metrics_outcome_from_failure_event(failure, kind):
 
 def test_metrics_of_a_fold_fed_no_rows_raise():
     fold = MetricsFold(default_scenario(), [])
-    fold.feed(np.zeros((0, len(_NUM_COLUMNS))), [], np.zeros(0))
+    fold.feed(np.zeros((0, len(_RECORD))), [])
     with pytest.raises(ValueError, match="empty log"):
         compute_metrics(fold)
 
@@ -213,20 +213,49 @@ def test_csv_header_and_shape():
     assert lines[1].split(",")[mode_pos] == "F"
 
 
+def test_record_carries_each_ticks_gap(monkeypatch):
+    """The magnet gap rides as the record's last float: a library run's
+    `gap` column is, bit for bit, what each tick's update_contact returned
+    (0.0 while attached), and the CSV still prints CSV_COLUMNS only."""
+    gaps = []
+
+    def spy(*args):
+        out = update_contact(*args)      # (contact, edge)
+        gaps.append(out[0].gap)
+        return out
+
+    update_contact = harness.update_contact
+    monkeypatch.setattr(harness, "update_contact", spy)
+    cfg = default_scenario()
+    cfg.events, cfg.duration = [(1.0, "s_f2p"), (3.5, "s_p2f")], 5.0
+    result = run_scenario(cfg)
+    assert set(result.modes) == {"F", "F2P", "P", "P2F"}
+    assert result.metrics.unperch_achieved
+    gap = result.column("gap")
+    assert gap.tobytes() == np.array(gaps).tobytes()
+    attached = result.column("attached") > 0.5
+    assert attached.any()
+    assert gap[attached].tobytes() == bytes(8 * int(attached.sum()))
+    lines = result.to_csv().splitlines()
+    assert lines[0] == ",".join(CSV_COLUMNS)
+    assert len(lines) == len(result.modes) + 1
+    assert all(len(line.split(",")) == len(CSV_COLUMNS) for line in lines)
+
+
 def random_log(n):
     """An n-tick SimResult of random values and modes; no simulation."""
     rng = np.random.default_rng(n)
-    rows = rng.normal(size=(n, len(_NUM_COLUMNS)))
+    rows = rng.normal(size=(n, len(_RECORD)))
     modes = rng.choice(["F", "F2P", "P", "P2F"], n).tolist()
     return SimResult(default_scenario(), rows, modes, [])
 
 
 def reference_csv(rows, modes):
-    """The CSV with each value formatted on its own, one line per tick."""
-    pos = CSV_COLUMNS.index("mode")
+    """The CSV with each value formatted on its own, one line per tick: each
+    column of CSV_COLUMNS read from the record by name."""
     lines = [",".join(CSV_COLUMNS)] + [
-        ",".join(["%.12g" % v for v in vals[:pos]] + [mode]
-                 + ["%.12g" % v for v in vals[pos:]])
+        ",".join(mode if c == "mode" else "%.12g" % vals[_COL[c]]
+                 for c in CSV_COLUMNS)
         for vals, mode in zip(rows, modes)]
     return "\n".join(lines) + "\n"
 
@@ -267,17 +296,17 @@ _ROW_VALUES = st.lists(
     st.floats(width=64) | st.sampled_from(
         [-0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
          2.2250738585072014e-308, 1.7e308, -1.7e308]),
-    min_size=len(_NUM_COLUMNS), max_size=len(_NUM_COLUMNS))
+    min_size=len(_RECORD), max_size=len(_RECORD))
 
 
 @settings(derandomize=True, max_examples=200, deadline=None, database=None)
 @given(st.lists(st.tuples(_ROW_VALUES, st.sampled_from(Mode)), max_size=4))
 @example([(([-0.0, math.inf, -math.inf, math.nan, 5e-324, 1.7e308,
-             -1.7e308] * 6)[:len(_NUM_COLUMNS)], Mode.P2F)])
+             -1.7e308] * 6)[:len(_RECORD)], Mode.P2F)])
 def test_csv_packed_rows_match_reference(ticks):
     n = len(ticks)
-    packed = np.empty((n, len(_NUM_COLUMNS)))
-    assigned = np.empty((n, len(_NUM_COLUMNS)))
+    packed = np.empty((n, len(_RECORD)))
+    assigned = np.empty((n, len(_RECORD)))
     for k, (vals, _) in enumerate(ticks):
         _ROW.pack_into(packed, k * _ROW.size, *vals)
         assigned[k] = tuple(vals)

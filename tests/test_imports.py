@@ -67,5 +67,8 @@ def test_metrics_live_in_their_own_module():
     # One schema, and the fold's indices are read from it by name.
     assert harness.CSV_COLUMNS is metrics.CSV_COLUMNS
     for index, name in (("_T", "t"), ("_PZ", "pz"), ("_ER", "eR_norm"),
-                        ("_EP", "ep_norm"), ("_SAT", "sat_any")):
-        assert getattr(metrics, index) == metrics._NUM_COLUMNS.index(name)
+                        ("_EP", "ep_norm"), ("_SAT", "sat_any"),
+                        ("_GAP", "gap")):
+        assert getattr(metrics, index) == metrics._RECORD.index(name)
+    # The record is the printed numbers, then the gap the CSV leaves out.
+    assert metrics._RECORD == metrics._NUM_COLUMNS + ("gap",)

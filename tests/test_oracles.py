@@ -34,7 +34,7 @@ from perchsim.control import nominal_wrench, perch_wrench
 from perchsim.geometry import EYE, ZERO3, exp_so3, log_so3, mat_mul, \
     mat_t_mul, mat_t_vec, mat_vec, renormalize, right_jacobian, rot_y
 from perchsim.harness import SimResult, _noise
-from perchsim.metrics import _COL, _NUM_COLUMNS, Metrics, MetricsFold, \
+from perchsim.metrics import _COL, _RECORD, Metrics, MetricsFold, \
     compute_metrics, settle_index
 from perchsim.planner import min_accel_rotation, quintic, rotation_at
 from perchsim.scenario import ScenarioConfig
@@ -784,10 +784,10 @@ def test_edge_table_matches_elif_chain(edges, previous):
                                      old.pending_f2p, old.pending_p2f)
 
 
-def compute_metrics_arrays(result, gaps):
-    """compute_metrics as a pass of whole-log arrays, before the fold, with
-    the magnet-face gap of each tick."""
+def compute_metrics_arrays(result):
+    """compute_metrics as a pass of whole-log arrays, before the fold."""
     cfg = result.cfg
+    gaps = result.column("gap")
     t = result.column("t")
     z = result.column("pz")
     ep = result.column("ep_norm")
@@ -870,7 +870,7 @@ def test_metrics_fold_matches_whole_log_arrays(data):
     cuts = sorted(set(data.draw(st.lists(st.integers(1, n - 1), max_size=6))))
     edges = [0] + cuts + [n]
 
-    rows = np.zeros((n, len(_NUM_COLUMNS)))
+    rows = np.zeros((n, len(_RECORD)))
     t = rows[:, _COL["t"]] = np.arange(n) * 0.001
     positive = st.floats(1e-3, 3.0)
     rows[:, _COL["pz"]] = log_values(data, n, positive, [1.2, math.nan])
@@ -887,9 +887,9 @@ def test_metrics_fold_matches_whole_log_arrays(data):
                      [0.0])
     # Gaps that may never reach the clearance arm, go negative or be NaN.
     top = data.draw(st.sampled_from([ARM / 2, 2 * ARM]))
-    gaps = np.array(log_values(data, n, st.floats(-0.1, top).filter(
+    rows[:, _COL["gap"]] = log_values(data, n, st.floats(-0.1, top).filter(
         lambda g: g != 0.0 or math.copysign(1.0, g) > 0.0),
-        [ARM, -0.05, math.nan]))
+        [ARM, -0.05, math.nan])
 
     release = data.draw(st.sampled_from(
         ["none", "first", "mid", "block-end", "final"]))
@@ -903,7 +903,7 @@ def test_metrics_fold_matches_whole_log_arrays(data):
     if data.draw(st.booleans()):
         events.append((float(t[-1]), "failure", "ground-contact"))
     result = SimResult(METRICS_CFG, rows, modes, events)
-    want = metrics_bits(compute_metrics_arrays(result, gaps))
+    want = metrics_bits(compute_metrics_arrays(result))
 
     # As one block, as a library run feeds it, and block by block; with
     # every event known from the start, and as a run feeds it, with the
@@ -914,5 +914,5 @@ def test_metrics_fold_matches_whole_log_arrays(data):
         for a, b in zip(split, split[1:]):
             if live:
                 so_far[:] = [e for e in events if e[0] <= t[b - 1]]
-            fold.feed(rows[a:b], modes[a:b], gaps[a:b])
+            fold.feed(rows[a:b], modes[a:b])
         assert metrics_bits(compute_metrics(fold)) == want, (split, live)

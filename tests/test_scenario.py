@@ -90,9 +90,16 @@ def test_bad_event():
 
 
 def test_unsorted_events():
-    with pytest.raises(ScenarioError):
+    with pytest.raises(ScenarioError, match="time-sorted"):
         parse_scenario(
             MINIMAL + "event = 8.0 s_p2f\nevent = 3.0 s_f2p\n").build()
+    # print-schema and the README's scenario section both state the rule.
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split(
+        "\n## Scenario files\n", 1)[1].split("\n## ", 1)[0]
+    for doc in (SCHEMA_DOC, section):
+        words = " ".join(doc.split()).lower()
+        assert "event lines must be time-sorted" in words
 
 
 def test_bad_disturbance_arity():
