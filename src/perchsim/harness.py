@@ -113,7 +113,9 @@ def _noise(rng, sd_p, sd_v, n_ticks):
     scale = (sd_p, sd_p, sd_p, sd_v, sd_v, sd_v)
     for k in range(0, n_ticks, _NOISE_BLOCK):
         z = rng.standard_normal((min(_NOISE_BLOCK, n_ticks - k), 6))
-        yield from (0.0 + scale * z).tolist()
+        with np.errstate(over="ignore"):  # inf: a numerical abort follows
+            block = (0.0 + scale * z).tolist()
+        yield from block
 
 
 def run_scenario(cfg, log=None):
@@ -262,15 +264,11 @@ def run_scenario(cfg, log=None):
         f_act, tau_act = forward_wrench(thrust, tilt, rotors)
         fx, fy, fz = mat_vec(R, f_act)
         applied_world = (fx + dfx, fy + dfy, fz + dfz)
-        contact, edge = update_contact(state, act, applied_world, contact,
-                                       wall, params)
+        contact, edge, state = update_contact(state, act, applied_world,
+                                              contact, wall, params)
         if edge is not None:
             events.append((t, "contact", edge))
-        if edge == "attach":
-            # Rigid inelastic lock: the impact velocity is absorbed by the
-            # wall, so the state comes to rest at its current pose, which
-            # integrate then holds until the magnets let go.
-            state = (px, py, pz), v, R, omega = at_rest((px, py, pz), R)
+            (px, py, pz), v, R, omega = state
 
         # log the state the controller acted on, plus this tick's outputs;
         # on the attach tick, the state at rest instead (v = w = 0)

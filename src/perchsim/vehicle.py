@@ -1,9 +1,9 @@
 """Rigid-body tiltrotor dynamics with actuator lag and magnetic wall contact.
 
-The vehicle is a fully actuated rigid body.  While attached to the wall the
-pose is rigidly locked (integrate returns the state unchanged) until the
-perch servo peels the magnets off tangentially or the normal pull exceeds the
-magnet capacity.
+The vehicle is a fully actuated rigid body.  Contact maps a state to a state:
+attaching brings it to rest, and the pose stays rigidly locked (integrate
+returns the state unchanged) until the perch servo peels the magnets off
+tangentially or the normal pull exceeds the magnet capacity.
 """
 
 import math
@@ -106,30 +106,34 @@ def step_actuators(act, cmd, eta_d, dt, params):
 
 def update_contact(state, act, applied_world_force, contact, wall, params):
     """Attach/release logic, ground-truth contact force, near-field magnet
-    pull.  Returns the new ContactState and the edge this tick crossed:
-    "attach", "release" (peeled off), "forcible-detach" (pulled off), or
-    None.  An attached pose is the state's own, as integrate holds it."""
+    pull.  Returns the new ContactState, the edge this tick crossed
+    ("attach", "release" (peeled off), "forcible-detach" (pulled off) or
+    None) and the state: at rest at its pose on "attach", else `state`."""
     gap = wall.gap_of(state)
     (nx, ny, nz), (_, _, eta) = wall.normal, act
     if contact.attached:
-        eta_hold = 1.0 if eta >= ETA_ENGAGED else eta
+        hold = wall.F_mag * (1.0 if eta >= ETA_ENGAGED else eta)
         if eta <= ETA_OPEN:
             # Perch servo finished its unperch travel: tangential peel.
-            return ContactState(False, gap, 0.0), "release"
+            return ContactState(False, gap, 0.0), "release", state
         # Net pull away from the wall; negative when pressing into it.
         fx, fy, fz = applied_world_force
         pull = nx * fx + ny * fy + nz * (fz - params.m * params.g)
-        if pull > wall.F_mag * eta_hold:
-            return ContactState(False, gap, 0.0), "forcible-detach"
-        return ContactState(True, 0.0, wall.F_mag * eta_hold - pull), None
+        if pull > hold:
+            return ContactState(False, gap, 0.0), "forcible-detach", state
+        return ContactState(True, 0.0, hold - pull), None, state
     # Detached.
     if eta >= ETA_ENGAGED and gap <= wall.eps_attach:
-        return ContactState(True, 0.0, wall.F_mag), "attach"
+        # Rigid inelastic lock: the impact velocity is absorbed by the
+        # wall, so the state comes to rest at its current pose, which
+        # integrate then holds until the magnets let go.
+        p, _, R, _ = state
+        return ContactState(True, 0.0, wall.F_mag), "attach", at_rest(p, R)
     out = ContactState(False, gap, 0.0)
     if eta >= ETA_ENGAGED and 0.0 < gap < wall.d_mag:
         s = -wall.F_mag * (1.0 - gap / wall.d_mag)
         out.nearfield_force = (s * nx, s * ny, s * nz)
-    return out, None
+    return out, None, state
 
 
 def forward_wrench(thrust, tilt, geometry):

@@ -306,14 +306,17 @@ OVERFLOWS = (
     ("inertia_diag = 1e-308 1e-308 1e-308", "math domain error"),
     ("disturbance = 0 1 0 0 0 1e308 0 0", "math domain error"),
     ("disturbance = 0 1 1e308 0 0 0 0 0",
-     "non-finite state after integration step"))
+     "non-finite state after integration step"),
+    ("noise_std_pos = 1e308", "non-finite state after integration step"),
+    ("noise_std_vel = 1e308", "non-finite state after integration step"))
 
 
 @pytest.mark.parametrize("line, detail", [
     pytest.param(line, detail, id=line) for line, detail in OVERFLOWS])
 def test_overflowing_body_rate_aborts(tmp_path, capsys, line, detail):
     # The body rate overflows to inf inside an RK4 stage, and exp_so3's
-    # trigonometry raises, or the velocity overflows and integrate raises
+    # trigonometry raises, or the velocity overflows, or the sensor noise
+    # overflows and the controller acts on it, and integrate raises
     # NumericalDivergenceError; either way the run ends as a numerical abort.
     scen = tmp_path / "wild.scn"
     scen.write_text(HOVER + "duration = 0.05\n" + line + "\n")
@@ -330,7 +333,6 @@ def test_overflowing_body_rate_aborts(tmp_path, capsys, line, detail):
 EXTREMES = ("1e308", "-1e308", "1e-308", "5e-324")
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_input_contract_sweep(tmp_path, capsys):
     # Every numeric key at each extreme value, on short perch and hover
     # missions: the CLI accepts (0), rejects (2) or reports a failed run

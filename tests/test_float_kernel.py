@@ -327,8 +327,8 @@ def test_contact_matches_numpy(name):
     before = ContactState(attached, 0.0 if attached else gap, 0.0)
     n = np.array(WALL.normal)
     applied = PARAMS.m * PARAMS.g * B3 + pull * n + (0.3, -0.4, 0.0)
-    out, edge = vehicle.update_contact(state, act, applied, before, WALL,
-                                       PARAMS)
+    out, edge, _ = vehicle.update_contact(state, act, applied, before, WALL,
+                                          PARAMS)
 
     g = np_gap(state)
     assert abs(WALL.gap_of(state) - g) < TOL
@@ -354,13 +354,22 @@ def test_contact_matches_numpy(name):
 
 
 def test_contact_cases_reach_every_branch():
+    # The state comes back as given, except that attaching snaps it to rest
+    # at its pose, bit for bit what at_rest gives.
     kinds = set()
     for gap, eta, attached, pull in CONTACT_CASES.values():
-        out, edge = vehicle.update_contact(
-            _at_gap(gap), ((0.0,) * 4, (0.0,) * 4, eta),
+        state = p, _, R, _ = _at_gap(gap)
+        out, edge, after = vehicle.update_contact(
+            state, ((0.0,) * 4, (0.0,) * 4, eta),
             PARAMS.m * PARAMS.g * B3 + np.multiply(pull, WALL.normal),
             ContactState(attached), WALL, PARAMS)
         kinds.add((attached, out.attached, any(out.nearfield_force), edge))
+        if edge == "attach":
+            rest = vehicle.at_rest(p, R)
+            assert [np.array(x).tobytes() for x in after] \
+                == [np.array(x).tobytes() for x in rest]
+        else:
+            assert after is state
     assert kinds == {(True, True, False, None),
                      (True, False, False, "release"),
                      (True, False, False, "forcible-detach"),
@@ -501,7 +510,7 @@ EVERY_TICK = (harness.MissionPlanner.sample, supervisor.transition,
 # log streams to a file.
 ON_EDGES = (harness.MissionPlanner.start_approach,
             harness.MissionPlanner.start_departure, harness._disturbance_at,
-            estimation.fresh, vehicle.at_rest, harness._flush_block)
+            estimation.fresh, harness._flush_block)
 # Their comprehensions sit only in branches that run rarely: log_so3's near
 # pi, quat_of's for a rotation with a negative quaternion scalar part.
 RARE_BRANCHES = (geometry.log_so3, geometry.quat_of)

@@ -220,7 +220,7 @@ def test_record_carries_each_ticks_gap(monkeypatch):
     gaps = []
 
     def spy(*args):
-        out = update_contact(*args)      # (contact, edge)
+        out = update_contact(*args)      # (contact, edge, state)
         gaps.append(out[0].gap)
         return out
 

@@ -4,12 +4,14 @@
 table, `rotation_at` works on tuples, `quintic` reads plain coefficient
 tuples where a translation segment record did, and the harness draws its
 measurement noise in blocks.  The inertia is three principal moments, not a
-3x3 matrix, and `allocate` solves each rotor from its own pair of rows.  `update_contact` reports its own edges and
-keeps no anchor pose, one `estimation.fresh` restarts both estimators,
-and `perch_wrench` has no rho = 0 branch.  `min_accel_rotation` ends every
-segment at rest instead of taking an end rate, and both supervisor machines
-are edge tables run by one `transition`, and `compute_metrics` folds the log
-a block at a time where it read whole-log arrays.  Each test keeps the form it
+3x3 matrix, and `allocate` solves each rotor from its own pair of rows.
+`update_contact` reports its own edges, returns the state snapped to rest on
+attaching and keeps no anchor pose, one `estimation.fresh` restarts both
+estimators, and `perch_wrench` has no rho = 0 branch.
+`min_accel_rotation` ends every segment at rest instead of taking an end
+rate, and both supervisor machines are edge tables run by one `transition`,
+and `compute_metrics` folds the log a block at a time where it read
+whole-log arrays.  Each test keeps the form it
 replaced as its oracle and requires the same floats, bit for bit, or the
 same exception, for +-0.0, subnormals, large rates, NaN and +-inf as well
 as ordinary values.
@@ -41,7 +43,7 @@ from perchsim.scenario import ScenarioConfig
 from perchsim.supervisor import FOUR_MODE, TWO_MODE, Mode, SupervisorState, \
     transition
 from perchsim.vehicle import ETA_ENGAGED, ETA_OPEN, ContactState, \
-    NumericalDivergenceError, VehicleParams, WallModel, integrate, \
+    NumericalDivergenceError, VehicleParams, WallModel, at_rest, integrate, \
     update_contact
 from so3 import right_jacobian_inv
 
@@ -570,13 +572,21 @@ def test_contact_edges_match_anchored_form(data):
                              g=number(data, False, 0.0, 20.0))
     applied = numbers(data, wild, 3, -80.0, 80.0)
 
-    new, edge = update_contact(state, act, applied, before, wall, params)
+    new, edge, after = update_contact(state, act, applied, before, wall,
+                                      params)
     old = update_contact_anchored(state, act, applied, old_before, wall,
                                   params)
     assert contact_bits(new) == contact_bits(old)
     assert edge == harness_edge(old_before, old, act)
     if old.attached:
         assert (old.anchor_p, old.anchor_R) == (p, R)
+    # The previous harness snapped the state to rest on the attach edge.
+    if edge == "attach":
+        rest = at_rest(p, R)
+        assert bits(x for part in after for x in part) \
+            == bits(x for part in rest for x in part)
+    else:
+        assert after is state
 
 
 def unfreeze(est, state, params, K_e):

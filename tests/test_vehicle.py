@@ -88,20 +88,23 @@ def _state_at_gap(gap):
 
 
 def test_contact_attach_threshold():
-    st = _state_at_gap(0.0005)
+    # Attaching absorbs the impact: the state comes to rest at its pose.
+    p, _, R, _ = _state_at_gap(0.0005)
+    st = p, (0.1, 0.0, -0.2), R, (0.0, 0.3, 0.0)
     act = (np.zeros(4), np.zeros(4), 1.0)
-    out, edge = update_contact(st, act, np.zeros(3), detached(), WALL,
-                               PARAMS)
+    out, edge, after = update_contact(st, act, np.zeros(3), detached(),
+                                      WALL, PARAMS)
     assert out.attached and edge == "attach"
     assert out.gap == 0.0
+    assert after == at_rest(p, R)
 
 
 def test_contact_no_attach_beyond_tolerance():
     st = _state_at_gap(0.01)
     act = (np.zeros(4), np.zeros(4), 1.0)
-    out, edge = update_contact(st, act, np.zeros(3), detached(), WALL,
-                               PARAMS)
-    assert not out.attached and edge is None
+    out, edge, after = update_contact(st, act, np.zeros(3), detached(),
+                                      WALL, PARAMS)
+    assert not out.attached and edge is None and after is st
 
 
 def test_contact_lambda_true_gravity_offset():
@@ -109,8 +112,9 @@ def test_contact_lambda_true_gravity_offset():
     act = (np.zeros(4), np.zeros(4), 1.0)
     anchored = ContactState(attached=True, gap=0.0)
     applied = PARAMS.m * PARAMS.g * B3  # perfect gravity offset
-    out, edge = update_contact(st, act, applied, anchored, WALL, PARAMS)
-    assert out.attached and edge is None
+    out, edge, after = update_contact(st, act, applied, anchored, WALL,
+                                      PARAMS)
+    assert out.attached and edge is None and after is st
     # Vertical wall: gravity is tangential, pull = 0, hold at full capacity.
     assert abs(out.lambda_true - WALL.F_mag) < 1e-12
 
@@ -122,8 +126,9 @@ def test_contact_lambda_true_counts_push_and_pull():
     for eta, pull in ((1.0, -3.0), (1.0, 2.0), (0.5, -3.0), (0.5, 2.0)):
         act = (np.zeros(4), np.zeros(4), eta)
         applied = PARAMS.m * PARAMS.g * B3 + np.multiply(pull, WALL.normal)
-        out, edge = update_contact(st, act, applied, anchored, WALL, PARAMS)
-        assert out.attached and edge is None
+        out, edge, after = update_contact(st, act, applied, anchored, WALL,
+                                          PARAMS)
+        assert out.attached and edge is None and after is st
         assert abs(out.lambda_true - (WALL.F_mag * eta - pull)) < 1e-12
 
 
@@ -131,8 +136,9 @@ def test_contact_release_on_unperch_travel():
     st = _state_at_gap(0.0)
     act = (np.zeros(4), np.zeros(4), 0.0)
     anchored = ContactState(attached=True, gap=0.0)
-    out, edge = update_contact(st, act, np.zeros(3), anchored, WALL, PARAMS)
-    assert not out.attached and edge == "release"
+    out, edge, after = update_contact(st, act, np.zeros(3), anchored, WALL,
+                                      PARAMS)
+    assert not out.attached and edge == "release" and after is st
 
 
 def test_contact_forcible_detach_over_capacity():
@@ -141,16 +147,17 @@ def test_contact_forcible_detach_over_capacity():
     anchored = ContactState(attached=True, gap=0.0)
     pull = PARAMS.m * PARAMS.g * B3 \
         + np.multiply(WALL.F_mag + 1.0, WALL.normal)
-    out, edge = update_contact(st, act, pull, anchored, WALL, PARAMS)
-    assert not out.attached and edge == "forcible-detach"
+    out, edge, after = update_contact(st, act, pull, anchored, WALL,
+                                      PARAMS)
+    assert not out.attached and edge == "forcible-detach" and after is st
 
 
 def test_contact_nearfield_ramp():
     st = _state_at_gap(0.025)
     act = (np.zeros(4), np.zeros(4), 1.0)
-    out, edge = update_contact(st, act, np.zeros(3), detached(), WALL,
-                               PARAMS)
-    assert edge is None
+    out, edge, after = update_contact(st, act, np.zeros(3), detached(),
+                                      WALL, PARAMS)
+    assert edge is None and after is st
     expect = np.multiply(-WALL.F_mag * (1.0 - 0.025 / WALL.d_mag),
                          WALL.normal)
     assert np.allclose(out.nearfield_force, expect, atol=1e-9)
