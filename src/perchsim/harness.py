@@ -20,27 +20,27 @@ from .control import nominal_wrench, perch_wrench, rejection_force
 from .geometry import ZERO3, mat_t_vec, mat_vec, pitch_of, quat_of, \
     rotation_error
 from .metrics import CSV_COLUMNS, _COL, _NUM_COLUMNS, _RECORD, Metrics, \
-    MetricsFold, compute_metrics
+    MetricsFold, StreamedResult, compute_metrics
 from .planner import MissionPlanner
 from .scenario import ScenarioConfig
 from .supervisor import VARIANTS, Mode, SupervisorState, transition
 from .vehicle import ContactState, NumericalDivergenceError, at_rest, \
     forward_wrench, integrate, step_actuators, update_contact
 
-# A row packs one _RECORD of float64s; _PRINTED unpacks all but the gap.
+# A row packs one _RECORD of float64s; _PRINTED unpacks its printed numbers
+# and skips the unprinted names after them.
 _ROW = struct.Struct("%dd" % len(_RECORD))
-_PRINTED = struct.Struct("%dd8x" % len(_NUM_COLUMNS))
+_PRINTED = struct.Struct("%dd%dx" % (len(_NUM_COLUMNS),
+                                     8 * (len(_RECORD) - len(_NUM_COLUMNS))))
 _MODE_POS = CSV_COLUMNS.index("mode")
 _CSV_LINE = {m.value: "%.12g," * _MODE_POS + m.value
              + ",%.12g" * (len(_NUM_COLUMNS) - _MODE_POS) + "\n" for m in Mode}
 _HEADER = ",".join(CSV_COLUMNS) + "\n"
 # A run folds each block of its rows into its outcome metrics.  A library
 # run's one block is its whole log; a run streamed to a text file packs its
-# rows into a block of _BLOCK rows (319 kB of floats), writes each a CSV line
-# at a time, and keeps only the column perfbench's tick counter reads.
+# rows into a block of _BLOCK rows (319 kB of floats) and their modes, writes
+# each a CSV line at a time, and keeps nothing of a block once it is written.
 _BLOCK = 1024
-_KEPT = ("attached",)
-_KEPT_INDEX = [_COL[c] for c in _KEPT]
 # perfbench/tracer.py still wraps this name; ROADMAP item 7 step 2 removes it.
 transition_two_mode = transition
 # Ticks of measurement noise drawn per numpy call; small, so the block's
@@ -57,22 +57,17 @@ def _csv_lines(rows, modes):
 @dataclass
 class SimResult:
     cfg: ScenarioConfig
-    rows: np.ndarray                 # (n, len(columns)), one row per tick
+    rows: np.ndarray                 # (n, len(_RECORD)), one row per tick
     modes: list                      # mode name per tick
     events: list                     # (t, kind, detail)
     metrics: Metrics = None
-    columns: tuple = _RECORD         # _KEPT for a streamed run
 
     def column(self, name):
-        return self.rows[:, self.columns.index(name)]
+        return self.rows[:, _COL[name]]
 
     def to_csv(self, fh=None):
         """The log as CSV text, or, given a text file `fh`, written to it a
-        line at a time: at most one row is held as floats and text.  A run
-        streamed to a file keeps only some columns, and raises ValueError."""
-        if self.columns != _RECORD:
-            raise ValueError("a run streamed to a file keeps only the "
-                             f"columns {', '.join(self.columns)}")
+        line at a time: at most one row is held as floats and text."""
         rows = np.ascontiguousarray(self.rows, dtype=np.float64)
         if rows.shape != (len(self.modes), len(_RECORD)):
             raise ValueError(f"{rows.shape} rows for {len(self.modes)} modes")
@@ -82,16 +77,15 @@ class SimResult:
         fh.writelines(lines)
 
 
-def _flush_block(log, fold, block, n, kept, modes):
-    """Feed the first `n` rows of `block` and the last `n` ticks of `modes`
-    to `fold`; given a text file `log`, also write them to it as CSV lines
-    and copy their _KEPT columns to `kept`."""
-    k0 = len(modes) - n
-    tail = modes[k0:] if k0 else modes    # a whole log is fed uncopied
-    fold.feed(block[:n], tail)
+def _flush_block(log, fold, block, modes):
+    """Feed the first len(modes) rows of `block`, with `modes`, to `fold`;
+    given a text file `log`, also write them to it as CSV lines and clear
+    `modes` for the next block."""
+    rows = block[:len(modes)]
+    fold.feed(rows, modes)
     if log is not None:
-        kept[k0:k0 + n] = block[:n, _KEPT_INDEX]
-        log.writelines(_csv_lines(block[:n], tail))
+        log.writelines(_csv_lines(rows, modes))
+        modes.clear()
 
 
 def _disturbance_at(cfg, t):
@@ -121,10 +115,10 @@ def _noise(rng, sd_p, sd_v, n_ticks):
 def run_scenario(cfg, log=None):
     """Run one scenario to completion; deterministic for a given config+seed.
 
-    The result holds every log row, folded into the outcome metrics as one
-    block.  Given a text file `log` (anything with `writelines`), the CSV
-    is written there and folded while the run goes, a block of _BLOCK rows
-    at a time, and the result keeps only the _KEPT columns and the modes.
+    The SimResult holds every log row, folded into the outcome metrics as
+    one block.  Given a text file `log` (anything with `writelines`), the
+    CSV is written there and folded while the run goes, a block of _BLOCK
+    rows at a time, and the StreamedResult keeps no rows.
     """
     params, wall = cfg.build()
     rotors = params.rotors
@@ -164,15 +158,13 @@ def run_scenario(cfg, log=None):
     events = []
     fold = MetricsFold(cfg, events)
     if log is None:                  # one block: the whole log
-        rows = block = np.empty((n_ticks, len(_RECORD)))
-        columns, block_len = _RECORD, n_ticks
+        block_len = n_ticks
     else:
         log.writelines((_HEADER,))
-        block = np.empty((min(_BLOCK, n_ticks), len(_RECORD)))
-        rows = np.empty((n_ticks, len(_KEPT)))
-        columns, block_len = _KEPT, _BLOCK
+        block_len = _BLOCK
+    block = np.empty((min(block_len, n_ticks), len(_RECORD)))
     block_end = block_len - 1
-    modes = []
+    modes = []                       # the mode of each tick of the block
     perch, rejection_frozen, contact_active = policies[sup.mode]
     mode_name = sup.mode.value
 
@@ -286,7 +278,7 @@ def run_scenario(cfg, log=None):
                        1.0 if saturated else 0.0, contact.gap)
         modes.append(mode_name)
         if j == block_end:
-            _flush_block(log, fold, block, block_len, rows, modes)
+            _flush_block(log, fold, block, modes)
 
         # 8. integrate (an overflowing body rate fails in exp_so3's math)
         try:
@@ -300,9 +292,10 @@ def run_scenario(cfg, log=None):
             events.append((t, "failure", "ground-contact"))
             break
 
-    n = len(modes)
-    if n % block_len:
-        _flush_block(log, fold, block, n % block_len, rows, modes)
-    result = SimResult(cfg, rows[:n], modes, events, columns=columns)
-    result.metrics = compute_metrics(fold)
-    return result
+    if len(modes) % block_len:       # a last block not yet flushed
+        _flush_block(log, fold, block, modes)
+    if log is None:
+        return SimResult(cfg, block[:len(modes)], modes, events,
+                         compute_metrics(fold))
+    # The last tick run, k, is logged, also when it failed.
+    return StreamedResult(cfg, events, compute_metrics(fold), k + 1)

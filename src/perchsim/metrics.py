@@ -6,7 +6,7 @@ from itertools import groupby
 
 import numpy as np
 
-from .supervisor import Mode
+from .supervisor import Mode, SupervisorState
 
 CSV_COLUMNS = [
     "t", "px", "py", "pz", "vx", "vy", "vz", "pitch",
@@ -169,6 +169,44 @@ def compute_metrics(fold):
             m.saturation_fraction[mode.value] = sat / ticks
             m.max_eR_rad[mode.value] = eR
     return m
+
+
+class StreamedResult:
+    """What a run streamed to a text file keeps of its log: no rows, only its
+    events, metrics and tick count.  Its modes and `attached` flags are read
+    back from its "mode" and "contact" events when asked for; its other
+    columns and its CSV raise ValueError."""
+
+    def __init__(self, cfg, events, metrics, n_ticks):
+        self.cfg, self.events = cfg, events
+        self.metrics, self.n_ticks = metrics, n_ticks
+
+    def _steps(self, kind, first, value_of):
+        """Each tick's value of a signal that is `first` from tick 0 and
+        `value_of(detail)` from the tick of each `kind` event on."""
+        values, ticks = [first], [0]
+        for t, k, detail in self.events:
+            if k == kind:
+                values.append(value_of(detail))
+                ticks.append(round(t / self.cfg.dt))
+        ticks.append(self.n_ticks)
+        return np.repeat(values, np.diff(ticks))
+
+    @property
+    def modes(self):
+        """The mode name of each tick."""
+        return self._steps("mode", SupervisorState().mode.value,
+                           lambda d: d.partition("->")[2]).tolist()
+
+    def column(self, name):
+        """The `attached` flag of each tick, 1.0 or 0.0, as float64."""
+        if name != "attached":
+            raise ValueError(f"a run streamed to a file keeps no {name!r} "
+                             "column, only 'attached' from its events")
+        return self._steps("contact", 0.0, lambda d: float(d == "attach"))
+
+    def to_csv(self, fh=None):
+        raise ValueError("a run streamed to a file keeps no rows")
 
 
 def compare(variant_a, metrics_a, variant_b, metrics_b):

@@ -22,7 +22,7 @@ MAX_SEGMENT_S = 1e4
 MIN_DT_S = 1e-6
 # A library run holds 320 bytes a tick (its record, 38 printed floats and
 # the gap, and its mode), near 640 MB; a CLI run streams its log and holds
-# 16 (the attached flag and the mode), near 32 MB.
+# one block of it at any length.
 MAX_TICKS = 2_000_000
 
 

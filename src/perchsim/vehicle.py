@@ -129,11 +129,11 @@ def update_contact(state, act, applied_world_force, contact, wall, params):
         # integrate then holds until the magnets let go.
         p, _, R, _ = state
         return ContactState(True, 0.0, wall.F_mag), "attach", at_rest(p, R)
-    out = ContactState(False, gap, 0.0)
+    nearfield = ZERO3
     if eta >= ETA_ENGAGED and 0.0 < gap < wall.d_mag:
         s = -wall.F_mag * (1.0 - gap / wall.d_mag)
-        out.nearfield_force = (s * nx, s * ny, s * nz)
-    return out, None, state
+        nearfield = (s * nx, s * ny, s * nz)
+    return ContactState(False, gap, 0.0, nearfield), None, state
 
 
 def forward_wrench(thrust, tilt, geometry):

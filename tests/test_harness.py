@@ -346,35 +346,76 @@ def test_csv_stream_memory_bounded():
         assert sink.chars > 500 * n
 
 
+# A fresh interpreter's own peak resident set, in bytes.  Its ru_maxrss
+# would start at the peak of the process that spawned it (Linux keeps it
+# across exec), so a child of a large pytest process would show no growth.
+PEAK_RSS = """\
+def peak_rss():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) * 1024 for line in fh
+                    if line.startswith("VmHWM:"))
+"""
+
+
+def _child_output(code, *args):
+    """What `code` prints, run in a fresh interpreter on this perchsim with
+    `peak_rss()` defined."""
+    src = Path(harness.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    return subprocess.run([sys.executable, "-c", PEAK_RSS + code, *args],
+                          env=env, capture_output=True, text=True,
+                          check=True, timeout=300).stdout
+
+
 # Peak RSS growth of `perchsim run` on the 30 000-tick default mission over
 # a warmed-up 1 000-tick run, in a fresh interpreter.  tracemalloc would
 # make the mission about 30 times slower, so this reads the kernel's peak
 # resident set instead.
 STREAMED_RUN_GROWTH = """\
-import contextlib, io, os, resource, sys
+import contextlib, io, os, sys
 from perchsim import cli
 out = sys.argv[1]
 with open(os.path.join(out, "short.scn"), "w") as fh:
     fh.write("schema_version = 1\\nduration = 1.0\\n")
 with contextlib.redirect_stdout(io.StringIO()):
     cli.main(["run", "--scenario", fh.name, "--out", os.path.join(out, "w")])
-    before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    before = peak_rss()
     cli.main(["run", "--out", os.path.join(out, "o")])
-print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) * 1024)
+print(peak_rss() - before)
 """
 
 
 def test_streamed_run_memory_bounded(tmp_path):
-    # The run keeps one block of rows, the attached column and the modes,
-    # not its 9.1 MB float log: it grows about 0.5 MB (2.6 MB with six kept
-    # columns and the gaps, 10.2 MB when the whole log was kept).
-    src = Path(harness.__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=str(src))
-    done = subprocess.run([sys.executable, "-c", STREAMED_RUN_GROWTH,
-                           str(tmp_path)], env=env, capture_output=True,
-                          text=True, check=True, timeout=120)
-    assert int(done.stdout) < 1.2e6
+    # The run keeps one block of rows and of modes, not its 9.4 MB float
+    # log: it grows about 0.19 MB (0.48 MB when it kept the attached column
+    # and the modes, 2.6 MB with six kept columns and the gaps, 10.2 MB
+    # when the whole log was kept).
+    assert int(_child_output(STREAMED_RUN_GROWTH, str(tmp_path))) < 1.2e6
     assert (tmp_path / "o" / "log.csv").stat().st_size > 400 * 30000
+
+
+# Peak RSS growth of a 120 s hover streamed to a sink that renders and drops
+# its lines, over the same hover for 30 s, in a fresh interpreter.
+LONG_RUN_GROWTH = """\
+import collections
+from types import SimpleNamespace
+from perchsim.harness import run_scenario
+from perchsim.scenario import ScenarioConfig
+sink = SimpleNamespace(writelines=collections.deque(maxlen=0).extend)
+for duration in (30.0, 120.0):
+    result = run_scenario(ScenarioConfig(mission="hover", duration=duration),
+                          sink)
+    assert result.n_ticks == 1000 * duration and result.metrics.completed
+    if duration == 30.0:
+        before = peak_rss()
+print(peak_rss() - before)
+"""
+
+
+def test_streamed_run_memory_flat_in_length():
+    # 90 000 more ticks hold no more (4 kB measured): 16.7 B a tick of kept
+    # attached flags and modes grew 1.95 MB.
+    assert int(_child_output(LONG_RUN_GROWTH)) < 0.3e6
 
 
 @pytest.mark.parametrize("ticks", [1, harness._BLOCK - 1, harness._BLOCK,
@@ -389,9 +430,11 @@ def test_streamed_log_across_block_edges(ticks):
     assert len(streamed.modes) == ticks
     assert sink.getvalue() == full.to_csv()
     assert streamed.metrics.to_dict() == full.metrics.to_dict()
-    assert streamed.columns == harness._KEPT
-    for name in harness._KEPT:
-        assert streamed.column(name).tobytes() == full.column(name).tobytes()
+    assert streamed.modes == full.modes
+    assert streamed.column("attached").tobytes() \
+        == full.column("attached").tobytes()
+    with pytest.raises(ValueError):
+        streamed.column("pz")
     with pytest.raises(ValueError):
         streamed.to_csv()
 
@@ -521,19 +564,41 @@ def test_streamed_mission_across_block_sizes(block, monkeypatch, tmp_path):
     # Blocks of 7 rows put a block edge near every window the metrics fold
     # over: the release, the clearance arm and the settle run.  Blocks of
     # 4093 rows end mid-mission, between the 1024-row edges.  Both stream
-    # the pinned log.csv and metrics.json of the default mission.
+    # the pinned log.csv and metrics.json of each default-mission variant.
+    full = {v: run_variant(v) for v in METRICS_JSON_SHA256}
     monkeypatch.setattr(harness, "_BLOCK", block)
-    streamed = _stream_run(default_scenario(), str(tmp_path))
-    for name, sha in (("log.csv", GOLDEN_SHA256),
-                      ("metrics.json", METRICS_JSON_SHA256["proposed"])):
-        data = (tmp_path / name).read_bytes()
-        assert hashlib.sha256(data).hexdigest() == sha, name
-    # It keeps what perfbench's tick counter reads, as a library run has it.
-    full = run_variant("proposed")
-    assert len(streamed.modes) == len(full.modes) == 30000
-    assert streamed.columns == ("attached",)
-    assert streamed.column("attached").tobytes() \
-        == full.column("attached").tobytes()
+    flushed = []
+
+    def flush(log, fold, block, modes):
+        assert 0 < len(modes) <= harness._BLOCK
+        flushed.append(modes)
+        return flush_block(log, fold, block, modes)
+
+    flush_block = harness._flush_block
+    monkeypatch.setattr(harness, "_flush_block", flush)
+    for variant, pin in METRICS_JSON_SHA256.items():
+        flushed.clear()
+        cfg = default_scenario()
+        cfg.variant = variant
+        out = tmp_path / variant
+        streamed = _stream_run(cfg, str(out))
+        csv_pin = GOLDEN_SHA256 if variant == "proposed" \
+            else ABLATION_SHA256[variant]
+        for name, sha in (("log.csv", csv_pin), ("metrics.json", pin)):
+            data = (out / name).read_bytes()
+            assert hashlib.sha256(data).hexdigest() == sha, (variant, name)
+        # Each block's modes are dropped once it is written, and the result
+        # holds no per-tick container...
+        assert len(flushed) == -(-30000 // block), variant
+        assert not any(flushed), variant
+        assert sorted(vars(streamed)) \
+            == ["cfg", "events", "metrics", "n_ticks"]
+        # ...yet reads the modes and attached flags back from its events,
+        # as a library run has them.
+        assert streamed.n_ticks == len(full[variant].modes) == 30000
+        assert streamed.modes == full[variant].modes, variant
+        assert streamed.column("attached").tobytes() \
+            == full[variant].column("attached").tobytes(), variant
 
 
 # SHA-256 of a short noisy, disturbed, pitched hover CSV.  The default

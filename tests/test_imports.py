@@ -70,5 +70,7 @@ def test_metrics_live_in_their_own_module():
                         ("_EP", "ep_norm"), ("_SAT", "sat_any"),
                         ("_GAP", "gap")):
         assert getattr(metrics, index) == metrics._RECORD.index(name)
-    # The record is the printed numbers, then the gap the CSV leaves out.
+    # The record is the printed numbers, then the gap the CSV leaves out,
+    # and a CSV line is rendered from the whole of each packed row.
     assert metrics._RECORD == metrics._NUM_COLUMNS + ("gap",)
+    assert harness._PRINTED.size == harness._ROW.size
