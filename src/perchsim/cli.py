@@ -83,7 +83,7 @@ def _write_run(result, out_dir):
 
 def _stream_run(cfg, out_dir):
     """Fly `cfg` with its log.csv streamed into `out_dir`, then write its
-    metrics.json there; the result keeps only the columns metrics read."""
+    metrics.json there; the result keeps events and metrics, not rows."""
     with closing(_LogFile(out_dir)) as log:
         result = run_scenario(cfg, log)
     _write_run(result, out_dir)

@@ -8,9 +8,8 @@ identical configuration and seed produce byte-identical CSV output.
 
 import math
 import struct
-from dataclasses import dataclass
 from itertools import chain
-from operator import add, mod
+from operator import add
 
 import numpy as np
 
@@ -19,10 +18,9 @@ from .allocation import allocate
 from .control import nominal_wrench, perch_wrench, rejection_force
 from .geometry import ZERO3, mat_t_vec, mat_vec, pitch_of, quat_of, \
     rotation_error
-from .metrics import CSV_COLUMNS, _COL, _NUM_COLUMNS, _RECORD, Metrics, \
-    MetricsFold, StreamedResult, compute_metrics
+from .metrics import CSV_COLUMNS, _COL, _NUM_COLUMNS, _RECORD, \
+    MetricsFold, StreamedResult, compute_metrics, tick_runs
 from .planner import MissionPlanner
-from .scenario import ScenarioConfig
 from .supervisor import VARIANTS, Mode, SupervisorState, transition
 from .vehicle import ContactState, NumericalDivergenceError, at_rest, \
     forward_wrench, integrate, step_actuators, update_contact
@@ -37,9 +35,8 @@ _CSV_LINE = {m.value: "%.12g," * _MODE_POS + m.value
              + ",%.12g" * (len(_NUM_COLUMNS) - _MODE_POS) + "\n" for m in Mode}
 _HEADER = ",".join(CSV_COLUMNS) + "\n"
 # A run folds each block of its rows into its outcome metrics.  A library
-# run's one block is its whole log; a run streamed to a text file packs its
-# rows into a block of _BLOCK rows (319 kB of floats) and their modes, writes
-# each a CSV line at a time, and keeps nothing of a block once it is written.
+# run's one block is its whole log; a streamed run writes each block of
+# _BLOCK rows (319 kB of floats) as CSV and keeps none of it once written.
 _BLOCK = 1024
 # perfbench/tracer.py still wraps this name; ROADMAP item 7 step 2 removes it.
 transition_two_mode = transition
@@ -48,19 +45,18 @@ transition_two_mode = transition
 _NOISE_BLOCK = 64
 
 
-def _csv_lines(rows, modes):
-    """The CSV line of each row, a C-order float64 record, and its mode."""
-    return map(mod, map(_CSV_LINE.__getitem__, modes),
-               _PRINTED.iter_unpack(rows))
+def _csv_lines(rows, runs):
+    """The CSV line of each row, a C-order float64 record, in the mode of
+    its run (mode, i, j) of rows[i:j]."""
+    return chain.from_iterable(
+        map(_CSV_LINE[mode].__mod__, _PRINTED.iter_unpack(rows[i:j]))
+        for mode, i, j in runs)
 
 
-@dataclass
-class SimResult:
-    cfg: ScenarioConfig
-    rows: np.ndarray                 # (n, len(_RECORD)), one row per tick
-    modes: list                      # mode name per tick
-    events: list                     # (t, kind, detail)
-    metrics: Metrics = None
+class SimResult(StreamedResult):
+    def __init__(self, cfg, rows, events, metrics=None):
+        super().__init__(cfg, events, metrics, len(rows))
+        self.rows = rows             # (n, len(_RECORD)), one row per tick
 
     def column(self, name):
         return self.rows[:, _COL[name]]
@@ -69,23 +65,19 @@ class SimResult:
         """The log as CSV text, or, given a text file `fh`, written to it a
         line at a time: at most one row is held as floats and text."""
         rows = np.ascontiguousarray(self.rows, dtype=np.float64)
-        if rows.shape != (len(self.modes), len(_RECORD)):
-            raise ValueError(f"{rows.shape} rows for {len(self.modes)} modes")
-        lines = chain((_HEADER,), _csv_lines(rows, self.modes))
+        lines = chain((_HEADER,), _csv_lines(rows, self._runs("mode")))
         if fh is None:
             return "".join(lines)
         fh.writelines(lines)
 
 
-def _flush_block(log, fold, block, modes):
-    """Feed the first len(modes) rows of `block`, with `modes`, to `fold`;
-    given a text file `log`, also write them to it as CSV lines and clear
-    `modes` for the next block."""
-    rows = block[:len(modes)]
-    fold.feed(rows, modes)
+def _flush_block(log, fold, rows, start):
+    """Feed `rows`, the records of the ticks from `start` on, and their mode
+    runs to `fold`; given a text file `log`, also write them there as CSV."""
+    runs = list(tick_runs(fold.events, fold.cfg.dt, "mode", start, len(rows)))
+    fold.feed(rows, runs)
     if log is not None:
-        log.writelines(_csv_lines(rows, modes))
-        modes.clear()
+        log.writelines(_csv_lines(rows, runs))
 
 
 def _disturbance_at(cfg, t):
@@ -164,9 +156,7 @@ def run_scenario(cfg, log=None):
         block_len = _BLOCK
     block = np.empty((min(block_len, n_ticks), len(_RECORD)))
     block_end = block_len - 1
-    modes = []                       # the mode of each tick of the block
     perch, rejection_frozen, contact_active = policies[sup.mode]
-    mode_name = sup.mode.value
 
     for k in range(n_ticks):
         t = k * cfg.dt
@@ -191,8 +181,8 @@ def run_scenario(cfg, log=None):
         # approach plan, so no inputs for detaching are generated in advance.
         if new_sup.mode is not sup.mode:
             perch, rejection_frozen, contact_active = policies[new_sup.mode]
-            events.append((t, "mode", f"{mode_name}->{new_sup.mode.value}"))
-            mode_name = new_sup.mode.value
+            events.append((t, "mode",
+                           f"{sup.mode.value}->{new_sup.mode.value}"))
             integ = ZERO3
             if new_sup.mode is Mode.P2F:
                 planner.start_departure(t, state)
@@ -276,9 +266,8 @@ def run_scenario(cfg, log=None):
                        math.sqrt(ex * ex + ey * ey + ez * ez),
                        math.sqrt(dx * dx + dy * dy + dz * dz),
                        1.0 if saturated else 0.0, contact.gap)
-        modes.append(mode_name)
         if j == block_end:
-            _flush_block(log, fold, block, modes)
+            _flush_block(log, fold, block, k - j)
 
         # 8. integrate (an overflowing body rate fails in exp_so3's math)
         try:
@@ -292,10 +281,9 @@ def run_scenario(cfg, log=None):
             events.append((t, "failure", "ground-contact"))
             break
 
-    if len(modes) % block_len:       # a last block not yet flushed
-        _flush_block(log, fold, block, modes)
+    n = k + 1                        # tick k is logged, also when it failed
+    if n % block_len:                # a last block not yet flushed
+        _flush_block(log, fold, block[:n % block_len], n - n % block_len)
     if log is None:
-        return SimResult(cfg, block[:len(modes)], modes, events,
-                         compute_metrics(fold))
-    # The last tick run, k, is logged, also when it failed.
-    return StreamedResult(cfg, events, compute_metrics(fold), k + 1)
+        return SimResult(cfg, block[:n], events, compute_metrics(fold))
+    return StreamedResult(cfg, events, compute_metrics(fold), n)

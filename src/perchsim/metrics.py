@@ -2,7 +2,6 @@
 
 import math
 from dataclasses import asdict, dataclass, field
-from itertools import groupby
 
 import numpy as np
 
@@ -66,6 +65,31 @@ def _nan_min(a, b):
     return a if a <= b or a != a else b
 
 
+# Per signal: its value from tick 0, and the value each of its events sets.
+_SIGNALS = {"mode": (SupervisorState().mode.value,
+                     lambda detail: detail.partition("->")[2]),
+            "contact": (0.0, lambda detail: float(detail == "attach"))}
+
+
+def tick_runs(events, dt, kind, start, n):
+    """The runs (value, i, j), in order, over which the signal `kind` holds
+    one value on ticks start + i .. start + j - 1, covering [start, start +
+    n), from `events` in time order, each at tick round(t / dt)."""
+    value, of = _SIGNALS[kind]
+    a = 0                            # the run of `value` starts at start + a
+    for t, k, detail in events:
+        if k == kind:
+            b = round(t / dt) - start
+            if b >= n:
+                break
+            if b > a:
+                yield value, a, b
+                a = b
+            value = of(detail)
+    if a < n:
+        yield value, a, n
+
+
 class MetricsFold:
     """The log's part of the outcome metrics, folded a block of rows at a
     time.  Blocks come in tick order, and when one is fed, `events` holds
@@ -83,17 +107,14 @@ class MetricsFold:
         self.gap_armed = None        # min gap from the first armed tick
         self.t_settle = None         # t of the final settled run's first tick
 
-    def feed(self, rows, modes):
-        """Fold in `rows`, a block of log records, with the mode of each."""
-        i = 0
-        for mode, run in groupby(modes):
-            j = i + len(list(run))
+    def feed(self, rows, runs):
+        """Fold in `rows`, a block of log records, and their mode runs."""
+        for mode, i, j in runs:
             ticks, sat, eR = self.by_mode.get(mode, (0, 0, -math.inf))
             self.by_mode[mode] = (
                 ticks + j - i,
                 sat + int(np.count_nonzero(rows[i:j, _SAT] > 0.5)),
                 _nan_max(eR, float(rows[i:j, _ER].max())))
-            i = j
         if self.t_release is None:
             self.t_release = next((te for te, kind, detail in self.events
                                    if kind == "contact"
@@ -181,29 +202,21 @@ class StreamedResult:
         self.cfg, self.events = cfg, events
         self.metrics, self.n_ticks = metrics, n_ticks
 
-    def _steps(self, kind, first, value_of):
-        """Each tick's value of a signal that is `first` from tick 0 and
-        `value_of(detail)` from the tick of each `kind` event on."""
-        values, ticks = [first], [0]
-        for t, k, detail in self.events:
-            if k == kind:
-                values.append(value_of(detail))
-                ticks.append(round(t / self.cfg.dt))
-        ticks.append(self.n_ticks)
-        return np.repeat(values, np.diff(ticks))
+    def _runs(self, kind):
+        return tick_runs(self.events, self.cfg.dt, kind, 0, self.n_ticks)
 
     @property
     def modes(self):
         """The mode name of each tick."""
-        return self._steps("mode", SupervisorState().mode.value,
-                           lambda d: d.partition("->")[2]).tolist()
+        return [mode for mode, i, j in self._runs("mode") for _ in range(i, j)]
 
     def column(self, name):
         """The `attached` flag of each tick, 1.0 or 0.0, as float64."""
         if name != "attached":
             raise ValueError(f"a run streamed to a file keeps no {name!r} "
                              "column, only 'attached' from its events")
-        return self._steps("contact", 0.0, lambda d: float(d == "attach"))
+        return np.array([f for f, i, j in self._runs("contact")
+                         for _ in range(i, j)], dtype=np.float64)
 
     def to_csv(self, fh=None):
         raise ValueError("a run streamed to a file keeps no rows")

@@ -20,9 +20,8 @@ MISSIONS = ("perch", "hover")
 # the quintic solve neither overflows nor underflows.
 MAX_SEGMENT_S = 1e4
 MIN_DT_S = 1e-6
-# A library run holds 320 bytes a tick (its record, 38 printed floats and
-# the gap, and its mode), near 640 MB; a CLI run streams its log and holds
-# one block of it at any length.
+# A library run holds 312 bytes a tick (its record: 38 printed floats and
+# the gap), near 624 MB; a CLI run streams its log and holds one block.
 MAX_TICKS = 2_000_000
 
 

@@ -1,13 +1,17 @@
 """Harness tests: metrics arithmetic, determinism, regulation, comparisons."""
 
+import ast
 import hashlib
 import importlib.util
+import inspect
 import io
+import itertools
 import json
 import math
 import os
 import subprocess
 import sys
+import textwrap
 import tracemalloc
 from pathlib import Path
 
@@ -21,31 +25,45 @@ from perchsim.cli import EXIT_OK, _stream_run, _write_run, main
 from perchsim import harness
 from perchsim.harness import _ROW, SimResult, _disturbance_at, run_scenario
 from perchsim.metrics import (CSV_COLUMNS, _COL, _RECORD, MetricsFold,
-                              compare, compute_metrics, settle_index)
+                              compare, compute_metrics, settle_index,
+                              tick_runs)
 from perchsim.scenario import ScenarioConfig, default_scenario, \
     parse_scenario
-from perchsim.supervisor import Mode
+from perchsim.supervisor import Mode, SupervisorState
+
+FIRST_MODE = SupervisorState().mode.value
+
+
+def mode_events(modes, dt):
+    """The "mode" events of a log whose ticks, dt apart, are in `modes`: one
+    on each tick whose mode differs from the tick before (tick 0's, from
+    the supervisor's first mode)."""
+    return [(k * dt, "mode", f"{a}->{b}")
+            for k, (a, b) in enumerate(zip([FIRST_MODE] + modes, modes))
+            if a != b]
 
 
 def synthetic_result(z_after, gaps_after, ep_after, sat_p):
     """A fold fed a ten-tick log at 1 s spacing with a release event at
-    t = 2."""
+    t = 2, and mode events F -> F2P -> P -> F at t = 1, 2 and 7."""
     n = 10
     rows = np.zeros((n, len(_RECORD)))
     rows[:, _COL["t"]] = np.arange(n, dtype=float)
     z = np.array([1.2, 1.2, 1.2] + list(z_after))
     rows[:, _COL["pz"]] = z
     rows[:, _COL["ep_norm"]] = np.array([0.0, 0.0, 0.0] + list(ep_after))
-    modes = ["F", "F2P", "P", "P", "P", "P", "P", "F", "F", "F"]
     sat = np.zeros(n)
     for i in sat_p:
         sat[i] = 1.0
     rows[:, _COL["sat_any"]] = sat
     rows[:, _COL["gap"]] = np.array([0.3, 0.0, 0.0] + list(gaps_after))
-    events = [(0.0, "operator", "s_f2p"), (1.0, "contact", "attach"),
-              (2.0, "contact", "release")]
-    fold = MetricsFold(default_scenario(), events)
-    fold.feed(rows, modes)
+    events = [(0.0, "operator", "s_f2p"), (1.0, "mode", "F->F2P"),
+              (1.0, "contact", "attach"), (2.0, "mode", "F2P->P"),
+              (2.0, "contact", "release"), (7.0, "mode", "P->F")]
+    cfg = default_scenario()
+    cfg.dt = 1.0
+    fold = MetricsFold(cfg, events)
+    harness._flush_block(None, fold, rows, 0)
     return fold
 
 
@@ -243,11 +261,16 @@ def test_record_carries_each_ticks_gap(monkeypatch):
 
 
 def random_log(n):
-    """An n-tick SimResult of random values and modes; no simulation."""
+    """An n-tick SimResult of random values, no simulation, and its random
+    modes as a list: every tick after the first changes mode, and each
+    change is a mode event."""
     rng = np.random.default_rng(n)
     rows = rng.normal(size=(n, len(_RECORD)))
-    modes = rng.choice(["F", "F2P", "P", "P2F"], n).tolist()
-    return SimResult(default_scenario(), rows, modes, [])
+    steps = rng.integers(1, len(Mode), n)      # to one of the other modes
+    steps[:1] = rng.integers(len(Mode))        # tick 0: any mode
+    modes = [list(Mode)[c].value for c in np.cumsum(steps) % len(Mode)]
+    cfg = default_scenario()
+    return SimResult(cfg, rows, mode_events(modes, cfg.dt)), modes
 
 
 def reference_csv(rows, modes):
@@ -262,33 +285,84 @@ def reference_csv(rows, modes):
 
 @pytest.mark.parametrize("n", [0, 1, 2, 4099])
 def test_csv_streamed_across_block_boundaries(n):
-    res = random_log(n)
+    res, modes = random_log(n)
+    assert res.modes == modes
     sink = io.StringIO()
     assert res.to_csv(sink) is None
     text = sink.getvalue()
-    assert text == res.to_csv() == reference_csv(res.rows.tolist(), res.modes)
+    assert text == res.to_csv() == reference_csv(res.rows.tolist(), modes)
     assert text.count("\n") == n + 1
 
 
 def test_csv_renders_any_float_layout():
     # A Fortran-order or float32 array built by hand renders as its float64
     # C-order copy would.
-    res = random_log(5)
+    res, modes = random_log(5)
     want = res.to_csv()
     res.rows = np.asfortranarray(res.rows)
     assert res.to_csv() == want
     res.rows = res.rows.astype(np.float32)
     assert res.to_csv() == reference_csv(
-        res.rows.astype(np.float64).tolist(), res.modes)
+        res.rows.astype(np.float64).tolist(), modes)
 
 
-def test_csv_rejects_rows_modes_mismatch():
-    res = random_log(5)
-    res.modes = res.modes[:4]
-    with pytest.raises(ValueError):
-        res.to_csv()
-    with pytest.raises(ValueError):
-        res.to_csv(io.StringIO())
+def expected_value(events, kind, k):
+    """The value the signal `kind` has on tick k: that set by the last of
+    its events on or before tick k, else its value from tick 0."""
+    first, of = {"mode": (FIRST_MODE, lambda d: d.partition("->")[2]),
+                 "contact": (0.0, lambda d: float(d == "attach"))}[kind]
+    ticks = [(round(t / DT), detail) for t, k_, detail in events
+             if k_ == kind and round(t / DT) <= k]
+    return of(ticks[-1][1]) if ticks else first
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_tick_runs_match_per_tick_expansion(data):
+    # A random chain of mode events and contact events, some on one tick,
+    # among other events, read over a window whose first or last tick may
+    # be an edge, with edges outside it; given every event, as a library
+    # run has them, or those up to its last tick, as a streamed block has.
+    events, mode = [], FIRST_MODE
+    for tick in sorted(data.draw(st.lists(st.integers(0, 40), max_size=12))):
+        kind = data.draw(st.sampled_from(["mode", "contact", "operator"]))
+        if kind == "mode":
+            new = data.draw(st.sampled_from(
+                [m.value for m in Mode if m.value != mode]))
+            detail, mode = f"{mode}->{new}", new
+        else:
+            detail = data.draw(st.sampled_from(
+                ["attach", "release", "forcible-detach", "s_f2p"]))
+        events.append((tick * DT, kind, detail))
+    edges = [round(t / DT) for t, _, _ in events]
+    anchor = st.integers(0, 42) | st.sampled_from(edges or [0])
+    start, last = sorted((data.draw(anchor), data.draw(anchor)))
+    n = last - start + data.draw(st.sampled_from([0, 1]))
+    for known in (events, [e for e in events if round(e[0] / DT) < start + n]):
+        for kind in ("mode", "contact"):
+            runs = list(tick_runs(known, DT, kind, start, n))
+            assert all(i < j for _, i, j in runs), runs
+            # Contiguous, from 0 to n: each run ends where the next starts.
+            assert [0] + [j for _, _, j in runs] \
+                == [i for _, i, _ in runs] + [n], runs
+            assert [v for v, i, j in runs for _ in range(i, j)] \
+                == [expected_value(events, kind, k)
+                    for k in range(start, start + n)], (kind, runs)
+
+
+def test_tick_loop_grows_only_its_event_list():
+    # A tick's record is its packed row: the loop keeps nothing per tick
+    # beside it, such as a list of each tick's mode, only an event at an
+    # edge.
+    tree = ast.parse(textwrap.dedent(inspect.getsource(run_scenario)))
+    loop, = [node for node in ast.walk(tree) if isinstance(node, ast.For)
+             and ast.unparse(node.target) == "k"
+             and ast.unparse(node.iter) == "range(n_ticks)"]
+    grown = [ast.unparse(node.func.value) for node in ast.walk(loop)
+             if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute)
+             and node.func.attr in ("append", "extend")]
+    assert grown and set(grown) == {"events"}, grown
 
 
 # Every float64 class: signed zeros, infinities, nan, subnormals, extremes.
@@ -312,7 +386,9 @@ def test_csv_packed_rows_match_reference(ticks):
         assigned[k] = tuple(vals)
     assert packed.tobytes() == assigned.tobytes()
     modes = [mode.value for _, mode in ticks]
-    res = SimResult(default_scenario(), packed, modes, [])
+    cfg = default_scenario()
+    res = SimResult(cfg, packed, mode_events(modes, cfg.dt))
+    assert res.modes == modes
     want = reference_csv([vals for vals, _ in ticks], modes)
     sink = io.StringIO()
     res.to_csv(sink)
@@ -332,9 +408,10 @@ class CharCounter(io.TextIOBase):
 
 def test_csv_stream_memory_bounded():
     # Streamed a line at a time, the traced peak is one row's floats and
-    # text (about 2 KB measured) at any length; these CSVs are 12 and 24 MB.
+    # text (about 2 KB measured) at any length, also with a mode change, and
+    # so a run of one row, on every tick; these CSVs are 12 and 24 MB.
     for n in (20480, 40960):
-        res = random_log(n)
+        res, _ = random_log(n)
         sink = CharCounter()
         tracemalloc.start()
         try:
@@ -386,10 +463,10 @@ print(peak_rss() - before)
 
 
 def test_streamed_run_memory_bounded(tmp_path):
-    # The run keeps one block of rows and of modes, not its 9.4 MB float
-    # log: it grows about 0.19 MB (0.48 MB when it kept the attached column
-    # and the modes, 2.6 MB with six kept columns and the gaps, 10.2 MB
-    # when the whole log was kept).
+    # The run keeps one block of rows, not its 9.4 MB float log: it grows
+    # about 0.19 MB (0.48 MB when it kept the attached column and the
+    # modes, 2.6 MB with six kept columns and the gaps, 10.2 MB when the
+    # whole log was kept).
     assert int(_child_output(STREAMED_RUN_GROWTH, str(tmp_path))) < 1.2e6
     assert (tmp_path / "o" / "log.csv").stat().st_size > 400 * 30000
 
@@ -569,10 +646,10 @@ def test_streamed_mission_across_block_sizes(block, monkeypatch, tmp_path):
     monkeypatch.setattr(harness, "_BLOCK", block)
     flushed = []
 
-    def flush(log, fold, block, modes):
-        assert 0 < len(modes) <= harness._BLOCK
-        flushed.append(modes)
-        return flush_block(log, fold, block, modes)
+    def flush(log, fold, rows, start):
+        assert 0 < len(rows) <= harness._BLOCK
+        flushed.append((start, len(rows)))
+        return flush_block(log, fold, rows, start)
 
     flush_block = harness._flush_block
     monkeypatch.setattr(harness, "_flush_block", flush)
@@ -587,10 +664,12 @@ def test_streamed_mission_across_block_sizes(block, monkeypatch, tmp_path):
         for name, sha in (("log.csv", csv_pin), ("metrics.json", pin)):
             data = (out / name).read_bytes()
             assert hashlib.sha256(data).hexdigest() == sha, (variant, name)
-        # Each block's modes are dropped once it is written, and the result
-        # holds no per-tick container...
+        # The blocks cover the run's ticks in order, each once, and the
+        # result holds no per-tick container...
         assert len(flushed) == -(-30000 // block), variant
-        assert not any(flushed), variant
+        ends = [start + n for start, n in flushed]
+        assert [start for start, _ in flushed] == [0] + ends[:-1], variant
+        assert ends[-1] == 30000, variant
         assert sorted(vars(streamed)) \
             == ["cfg", "events", "metrics", "n_ticks"]
         # ...yet reads the modes and attached flags back from its events,
@@ -599,6 +678,41 @@ def test_streamed_mission_across_block_sizes(block, monkeypatch, tmp_path):
         assert streamed.modes == full[variant].modes, variant
         assert streamed.column("attached").tobytes() \
             == full[variant].column("attached").tobytes(), variant
+
+
+def _two_cycle_mission():
+    """The default mission flown twice in 60 s: perch at 6 and 30 s, unperch
+    at 15 and 40 s, under the wall-ward bias from 4 s on."""
+    cfg = default_scenario()
+    cfg.duration = 60.0
+    cfg.events = [(6.0, "s_f2p"), (15.0, "s_p2f"), (30.0, "s_f2p"),
+                  (40.0, "s_p2f")]
+    cfg.disturbances = [(4.0, 60.0, 1.5, 0.0, 0.0, 0.0, 0.0, 0.0)]
+    return run_scenario(cfg)
+
+
+LIBRARY_RUNS = {
+    **{v: lambda v=v: run_variant(v) for v in METRICS_JSON_SHA256},
+    "two-cycle": _two_cycle_mission,
+    "noisy-ground-contact": lambda: _unbiased_noisy_mission(2),
+}
+
+
+@pytest.mark.parametrize("name", LIBRARY_RUNS)
+def test_library_result_reads_its_modes_from_its_events(name):
+    # A library run keeps its rows and no per-tick mode container: its mode
+    # events chain from the first mode, each from the mode the one before
+    # entered, and its modes are that chain, tick by tick.
+    result = LIBRARY_RUNS[name]()
+    assert sorted(vars(result)) \
+        == ["cfg", "events", "metrics", "n_ticks", "rows"]
+    assert result.n_ticks == len(result.rows) == len(result.modes)
+    edges = [detail.split("->") for _, kind, detail in result.events
+             if kind == "mode"]
+    assert edges, name
+    assert [a for a, _ in edges] == [FIRST_MODE] + [b for _, b in edges][:-1]
+    assert [m for m, _ in itertools.groupby(result.modes)] \
+        == [FIRST_MODE] + [b for _, b in edges]
 
 
 # SHA-256 of a short noisy, disturbed, pitched hover CSV.  The default

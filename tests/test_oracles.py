@@ -35,7 +35,7 @@ from perchsim.allocation import THRUST_EPS, RotorGeometry, allocate
 from perchsim.control import nominal_wrench, perch_wrench
 from perchsim.geometry import EYE, ZERO3, exp_so3, log_so3, mat_mul, \
     mat_t_mul, mat_t_vec, mat_vec, renormalize, right_jacobian, rot_y
-from perchsim.harness import SimResult, _noise
+from perchsim.harness import SimResult, _flush_block, _noise
 from perchsim.metrics import _COL, _RECORD, Metrics, MetricsFold, \
     compute_metrics, settle_index
 from perchsim.planner import min_accel_rotation, quintic, rotation_at
@@ -870,12 +870,16 @@ def log_values(data, n, values, special):
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_metrics_fold_matches_whole_log_arrays(data):
-    # A synthetic log in runs of equal mode, cut into blocks at random,
-    # with a release (if any) at a logged tick chosen against the cuts.
-    modes = []
+    # A synthetic log in runs of equal mode, each change of mode a mode
+    # event, cut into blocks at random, with a release (if any) at a logged
+    # tick chosen against the cuts.
+    modes, mode_events, mode = [], [], SupervisorState().mode.value
     while len(modes) < 2 or data.draw(st.booleans()):
-        modes += [data.draw(st.sampled_from(Mode)).value] \
-            * data.draw(st.integers(1, 12))
+        new = data.draw(st.sampled_from(Mode)).value
+        if new != mode:
+            mode_events.append((len(modes) * 0.001, "mode", f"{mode}->{new}"))
+        mode = new
+        modes += [mode] * data.draw(st.integers(1, 12))
     n = len(modes)
     cuts = sorted(set(data.draw(st.lists(st.integers(1, n - 1), max_size=6))))
     edges = [0] + cuts + [n]
@@ -912,7 +916,9 @@ def test_metrics_fold_matches_whole_log_arrays(data):
                    (float(t[k]), "contact", "release")]
     if data.draw(st.booleans()):
         events.append((float(t[-1]), "failure", "ground-contact"))
-    result = SimResult(METRICS_CFG, rows, modes, events)
+    events = sorted(mode_events + events, key=lambda e: e[0])
+    result = SimResult(METRICS_CFG, rows, events)
+    assert result.modes == modes
     want = metrics_bits(compute_metrics_arrays(result))
 
     # As one block, as a library run feeds it, and block by block; with
@@ -924,5 +930,5 @@ def test_metrics_fold_matches_whole_log_arrays(data):
         for a, b in zip(split, split[1:]):
             if live:
                 so_far[:] = [e for e in events if e[0] <= t[b - 1]]
-            fold.feed(rows[a:b], modes[a:b])
+            _flush_block(None, fold, rows[a:b], a)
         assert metrics_bits(compute_metrics(fold)) == want, (split, live)
