@@ -1,14 +1,13 @@
-"""Deterministic fixed-step simulation loop and telemetry.
+"""Deterministic fixed-step simulation loop.
 
 Tick order is fixed: supervisor -> planner -> estimation -> control ->
 allocation -> actuators -> contact -> integrate.  Reordering is a breaking
-change (guarded by a golden-file test).  One log record is emitted per tick;
-identical configuration and seed produce byte-identical CSV output.
+change (guarded by a golden-file test).  One log record, in the format of
+`metrics`, is packed per tick; identical configuration and seed produce
+byte-identical CSV output.
 """
 
 import math
-import struct
-from itertools import chain
 from operator import add
 
 import numpy as np
@@ -18,22 +17,13 @@ from .allocation import allocate
 from .control import nominal_wrench, perch_wrench, rejection_force
 from .geometry import ZERO3, mat_t_vec, mat_vec, pitch_of, quat_of, \
     rotation_error
-from .metrics import CSV_COLUMNS, _COL, _NUM_COLUMNS, _RECORD, \
-    MetricsFold, StreamedResult, compute_metrics, tick_runs
+from .metrics import _HEADER, _RECORD, _ROW, MetricsFold, SimResult, \
+    _csv_lines, compute_metrics, tick_runs
 from .planner import MissionPlanner
 from .supervisor import VARIANTS, Mode, SupervisorState, transition
 from .vehicle import ContactState, NumericalDivergenceError, at_rest, \
     forward_wrench, integrate, step_actuators, update_contact
 
-# A row packs one _RECORD of float64s; _PRINTED unpacks its printed numbers
-# and skips the unprinted names after them.
-_ROW = struct.Struct("%dd" % len(_RECORD))
-_PRINTED = struct.Struct("%dd%dx" % (len(_NUM_COLUMNS),
-                                     8 * (len(_RECORD) - len(_NUM_COLUMNS))))
-_MODE_POS = CSV_COLUMNS.index("mode")
-_CSV_LINE = {m.value: "%.12g," * _MODE_POS + m.value
-             + ",%.12g" * (len(_NUM_COLUMNS) - _MODE_POS) + "\n" for m in Mode}
-_HEADER = ",".join(CSV_COLUMNS) + "\n"
 # A run folds each block of its rows into its outcome metrics.  A library
 # run's one block is its whole log; a streamed run writes each block of
 # _BLOCK rows (319 kB of floats) as CSV and keeps none of it once written.
@@ -43,32 +33,6 @@ transition_two_mode = transition
 # Ticks of measurement noise drawn per numpy call; small, so the block's
 # floats stay a few kB.
 _NOISE_BLOCK = 64
-
-
-def _csv_lines(rows, runs):
-    """The CSV line of each row, a C-order float64 record, in the mode of
-    its run (mode, i, j) of rows[i:j]."""
-    return chain.from_iterable(
-        map(_CSV_LINE[mode].__mod__, _PRINTED.iter_unpack(rows[i:j]))
-        for mode, i, j in runs)
-
-
-class SimResult(StreamedResult):
-    def __init__(self, cfg, rows, events, metrics=None):
-        super().__init__(cfg, events, metrics, len(rows))
-        self.rows = rows             # (n, len(_RECORD)), one row per tick
-
-    def column(self, name):
-        return self.rows[:, _COL[name]]
-
-    def to_csv(self, fh=None):
-        """The log as CSV text, or, given a text file `fh`, written to it a
-        line at a time: at most one row is held as floats and text."""
-        rows = np.ascontiguousarray(self.rows, dtype=np.float64)
-        lines = chain((_HEADER,), _csv_lines(rows, self._runs("mode")))
-        if fh is None:
-            return "".join(lines)
-        fh.writelines(lines)
 
 
 def _flush_block(log, fold, rows, start):
@@ -110,7 +74,7 @@ def run_scenario(cfg, log=None):
     The SimResult holds every log row, folded into the outcome metrics as
     one block.  Given a text file `log` (anything with `writelines`), the
     CSV is written there and folded while the run goes, a block of _BLOCK
-    rows at a time, and the StreamedResult keeps no rows.
+    rows at a time, and the SimResult's rows are None.
     """
     params, wall = cfg.build()
     rotors = params.rotors
@@ -284,6 +248,5 @@ def run_scenario(cfg, log=None):
     n = k + 1                        # tick k is logged, also when it failed
     if n % block_len:                # a last block not yet flushed
         _flush_block(log, fold, block[:n % block_len], n - n % block_len)
-    if log is None:
-        return SimResult(cfg, block[:n], events, compute_metrics(fold))
-    return StreamedResult(cfg, events, compute_metrics(fold), n)
+    return SimResult(cfg, events, compute_metrics(fold), n,
+                     block[:n] if log is None else None)

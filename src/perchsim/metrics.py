@@ -1,7 +1,10 @@
-"""The log's column schema, and the outcome metrics folded from a run's log."""
+"""The log's format (schema, packed record, CSV, the result a run returns)
+and the outcome metrics folded from a run's log."""
 
 import math
+import struct
 from dataclasses import asdict, dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -24,6 +27,15 @@ _RECORD = _NUM_COLUMNS + ("gap",)
 _COL = {name: i for i, name in enumerate(_RECORD)}
 _T, _PZ, _ER, _EP, _SAT, _GAP = (
     _COL[c] for c in ("t", "pz", "eR_norm", "ep_norm", "sat_any", "gap"))
+# A row packs one _RECORD of float64s; _PRINTED unpacks its printed numbers
+# and skips the unprinted names after them.
+_ROW = struct.Struct("%dd" % len(_RECORD))
+_PRINTED = struct.Struct("%dd%dx" % (len(_NUM_COLUMNS),
+                                     8 * (len(_RECORD) - len(_NUM_COLUMNS))))
+_MODE_POS = CSV_COLUMNS.index("mode")
+_CSV_LINE = {m.value: "%.12g," * _MODE_POS + m.value
+             + ",%.12g" * (len(_NUM_COLUMNS) - _MODE_POS) + "\n" for m in Mode}
+_HEADER = ",".join(CSV_COLUMNS) + "\n"
 
 
 @dataclass
@@ -192,15 +204,24 @@ def compute_metrics(fold):
     return m
 
 
-class StreamedResult:
-    """What a run streamed to a text file keeps of its log: no rows, only its
-    events, metrics and tick count.  Its modes and `attached` flags are read
-    back from its "mode" and "contact" events when asked for; its other
-    columns and its CSV raise ValueError."""
+def _csv_lines(rows, runs):
+    """The CSV line of each row, a C-order float64 record, in the mode of
+    its run (mode, i, j) of rows[i:j]."""
+    return chain.from_iterable(
+        map(_CSV_LINE[mode].__mod__, _PRINTED.iter_unpack(rows[i:j]))
+        for mode, i, j in runs)
 
-    def __init__(self, cfg, events, metrics, n_ticks):
+
+class SimResult:
+    """A finished run: its events, metrics, tick count and, unless it was
+    streamed to a text file, its rows, (n_ticks, len(_RECORD)), one a tick.
+    Its modes, and a streamed run's `attached` flags, are read back from its
+    "mode" and "contact" events; a streamed run's other columns and its CSV
+    raise ValueError."""
+
+    def __init__(self, cfg, events, metrics, n_ticks, rows=None):
         self.cfg, self.events = cfg, events
-        self.metrics, self.n_ticks = metrics, n_ticks
+        self.metrics, self.n_ticks, self.rows = metrics, n_ticks, rows
 
     def _runs(self, kind):
         return tick_runs(self.events, self.cfg.dt, kind, 0, self.n_ticks)
@@ -211,7 +232,9 @@ class StreamedResult:
         return [mode for mode, i, j in self._runs("mode") for _ in range(i, j)]
 
     def column(self, name):
-        """The `attached` flag of each tick, 1.0 or 0.0, as float64."""
+        """The column `name` of _RECORD, one float64 a tick."""
+        if self.rows is not None:
+            return self.rows[:, _COL[name]]
         if name != "attached":
             raise ValueError(f"a run streamed to a file keeps no {name!r} "
                              "column, only 'attached' from its events")
@@ -219,7 +242,15 @@ class StreamedResult:
                          for _ in range(i, j)], dtype=np.float64)
 
     def to_csv(self, fh=None):
-        raise ValueError("a run streamed to a file keeps no rows")
+        """The log as CSV text, or, given a text file `fh`, written to it a
+        line at a time: at most one row is held as floats and text."""
+        if self.rows is None:
+            raise ValueError("a run streamed to a file keeps no rows")
+        rows = np.ascontiguousarray(self.rows, dtype=np.float64)
+        lines = chain((_HEADER,), _csv_lines(rows, self._runs("mode")))
+        if fh is None:
+            return "".join(lines)
+        fh.writelines(lines)
 
 
 def compare(variant_a, metrics_a, variant_b, metrics_b):

@@ -8,8 +8,7 @@ from dataclasses import MISSING, dataclass, field, fields
 import numpy as np
 
 from .allocation import RotorGeometry
-from .geometry import ZERO3, rot_y
-from .planner import min_accel_rotation, perch_orientation
+from .planner import connect, perch_setpoints
 from .supervisor import VARIANTS
 from .vehicle import VehicleParams, WallModel
 
@@ -139,7 +138,7 @@ class ScenarioConfig:
                 raise ScenarioError("a disturbance must end after it starts")
         try:
             # Full-rank rotors; on a perch mission, a wall that is not
-            # horizontal and a hover attitude not antipodal to the perch one.
+            # horizontal, attitudes not antipodal and a plan that is finite.
             rotors = RotorGeometry.x_config(self.arm_length, self.k_tau)
             params = VehicleParams(
                 m=self.mass, J=self.inertia_diag, g=self.gravity,
@@ -151,8 +150,13 @@ class ScenarioConfig:
                 F_mag=self.magnet_force, d_mag=self.magnet_range,
                 eps_attach=self.attach_tol, c_m=self.magnet_offset)
             if self.mission == "perch":
-                min_accel_rotation(rot_y(self.hover_pitch),
-                                   perch_orientation(wall), ZERO3, 1.0)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    sp1, sp2, sp3 = perch_setpoints(wall, self)
+                    _, _, tr, _, _ = connect(sp1, sp2, self.t_approach)
+                if not np.isfinite((sp2[0] + sp3[0], *tr)).all():
+                    raise ValueError("wall_point, magnet_offset, standoff, "
+                                     "penetration and hover_position must "
+                                     "give a finite perch plan")
         except ValueError as exc:
             raise ScenarioError(str(exc)) from exc
         return params, wall
@@ -290,8 +294,10 @@ and t_contact lie in [dt, {MAX_SEGMENT_S:g}] s; arm_length and k_tau must
 give a full-rank rotor geometry.  wall_normal must have finite nonzero
 length; on a perch mission it may not be vertical, and the hover attitude
 may not be antipodal to the perch attitude (as hover_pitch = pi/2 is to the
-default wall's pitch of -pi/2).  Event lines must be time-sorted, their
-times not negative, and a disturbance must end after it starts.
+default wall's pitch of -pi/2), and wall_point, magnet_offset, standoff,
+penetration and hover_position must give finite perch setpoints and a
+finite approach.  Event lines must be time-sorted, their times not
+negative, and a disturbance must end after it starts.
 
 Exit codes of the CLI: 0 ok, 2 scenario/schema error or an --out path
 that cannot be written, 3 run failed (numerical abort or ground contact);

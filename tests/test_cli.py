@@ -138,6 +138,22 @@ INVALID = [
     ("k_tp = -1\nestimator_gain = 0", "estimator_gain must be positive"),
     ("hold_time = 0\nt_contact = 1e5", "hold_time must be positive"),
     ("variant = bogus\nrho = 2", "unknown variant 'bogus'"),
+] + [
+    # Two keys at extremes, each finite, whose perch setpoints or approach
+    # overflow while they are built.
+    ("mission = perch\n" + pair, "wall_point, magnet_offset, standoff, "
+     "penetration and hover_position must give a finite perch plan")
+    for pair in (
+        "wall_point = 1e308 1e308 1e308\nmagnet_offset = 1e308 1e308 1e308",
+        "wall_point = 1e308 1e308 1e308\npenetration = 1e308",
+        "wall_point = -1e308 -1e308 -1e308\nstandoff = 1e308",
+        "wall_point = 1e308 1e308 1e308\n"
+        "hover_position = -1e308 -1e308 -1e308",
+        "magnet_offset = 1e308 1e308 1e308\npenetration = 1e308",
+        "magnet_offset = -1e308 -1e308 -1e308\nstandoff = 1e308",
+        "magnet_offset = 1e308 1e308 1e308\n"
+        "hover_position = 1e308 1e308 1e308",
+        "hover_position = 1e308 1e308 1e308\nstandoff = 1e308")
 ]
 
 

@@ -23,10 +23,10 @@ from hypothesis import strategies as st
 from perchsim.acceptance import GOLDEN_SHA256, run_variant
 from perchsim.cli import EXIT_OK, _stream_run, _write_run, main
 from perchsim import harness
-from perchsim.harness import _ROW, SimResult, _disturbance_at, run_scenario
-from perchsim.metrics import (CSV_COLUMNS, _COL, _RECORD, MetricsFold,
-                              compare, compute_metrics, settle_index,
-                              tick_runs)
+from perchsim.harness import _disturbance_at, run_scenario
+from perchsim.metrics import (CSV_COLUMNS, _COL, _RECORD, _ROW, MetricsFold,
+                              SimResult, compare, compute_metrics,
+                              settle_index, tick_runs)
 from perchsim.scenario import ScenarioConfig, default_scenario, \
     parse_scenario
 from perchsim.supervisor import Mode, SupervisorState
@@ -270,7 +270,7 @@ def random_log(n):
     steps[:1] = rng.integers(len(Mode))        # tick 0: any mode
     modes = [list(Mode)[c].value for c in np.cumsum(steps) % len(Mode)]
     cfg = default_scenario()
-    return SimResult(cfg, rows, mode_events(modes, cfg.dt)), modes
+    return SimResult(cfg, mode_events(modes, cfg.dt), None, n, rows), modes
 
 
 def reference_csv(rows, modes):
@@ -387,7 +387,7 @@ def test_csv_packed_rows_match_reference(ticks):
     assert packed.tobytes() == assigned.tobytes()
     modes = [mode.value for _, mode in ticks]
     cfg = default_scenario()
-    res = SimResult(cfg, packed, mode_events(modes, cfg.dt))
+    res = SimResult(cfg, mode_events(modes, cfg.dt), None, n, packed)
     assert res.modes == modes
     want = reference_csv([vals for vals, _ in ticks], modes)
     sink = io.StringIO()
@@ -514,6 +514,13 @@ def test_streamed_log_across_block_edges(ticks):
         streamed.column("pz")
     with pytest.raises(ValueError):
         streamed.to_csv()
+
+
+def test_library_and_streamed_runs_share_one_result_type():
+    cfg = ScenarioConfig(mission="hover", duration=0.01)
+    full, streamed = run_scenario(cfg), run_scenario(cfg, io.StringIO())
+    assert type(full) is type(streamed)
+    assert full.rows.shape == (10, len(_RECORD)) and streamed.rows is None
 
 
 def test_mission_chain_events():
@@ -671,7 +678,8 @@ def test_streamed_mission_across_block_sizes(block, monkeypatch, tmp_path):
         assert [start for start, _ in flushed] == [0] + ends[:-1], variant
         assert ends[-1] == 30000, variant
         assert sorted(vars(streamed)) \
-            == ["cfg", "events", "metrics", "n_ticks"]
+            == ["cfg", "events", "metrics", "n_ticks", "rows"]
+        assert streamed.rows is None
         # ...yet reads the modes and attached flags back from its events,
         # as a library run has them.
         assert streamed.n_ticks == len(full[variant].modes) == 30000

@@ -1,5 +1,6 @@
 """Every name a perchsim module imports is used in that module, and the
-outcome metrics stay in `metrics.py`, apart from the tick loop.
+outcome metrics and the log's format stay in `metrics.py`, apart from the
+tick loop.
 
 No linter ships with the project, so this reads each module's syntax tree:
 an imported name counts as used where it appears as a name in the code, or
@@ -64,8 +65,7 @@ def test_metrics_live_in_their_own_module():
     assert not {node.name for node in loop.body
                 if isinstance(node, (ast.FunctionDef, ast.ClassDef))} \
         & set(METRIC_NAMES)
-    # One schema, and the fold's indices are read from it by name.
-    assert harness.CSV_COLUMNS is metrics.CSV_COLUMNS
+    # The fold's indices are read from the schema by name.
     for index, name in (("_T", "t"), ("_PZ", "pz"), ("_ER", "eR_norm"),
                         ("_EP", "ep_norm"), ("_SAT", "sat_any"),
                         ("_GAP", "gap")):
@@ -73,4 +73,27 @@ def test_metrics_live_in_their_own_module():
     # The record is the printed numbers, then the gap the CSV leaves out,
     # and a CSV line is rendered from the whole of each packed row.
     assert metrics._RECORD == metrics._NUM_COLUMNS + ("gap",)
-    assert harness._PRINTED.size == harness._ROW.size
+    assert metrics._PRINTED.size == metrics._ROW.size
+
+
+LOG_FORMAT = ("_ROW", "_PRINTED", "_MODE_POS", "_CSV_LINE", "_HEADER",
+              "_csv_lines")
+
+
+def test_log_format_lives_in_metrics():
+    # harness.py is the tick loop: it defines no class and no name of the
+    # log's format, and packs, renders and returns its log with the names
+    # metrics.py defines.
+    loop = ast.parse(Path(harness.__file__).read_text())
+    assert not [node.name for node in ast.walk(loop)
+                if isinstance(node, ast.ClassDef)]
+    defined = {node.name for node in loop.body
+               if isinstance(node, ast.FunctionDef)}
+    defined.update(target.id for node in loop.body
+                   if isinstance(node, ast.Assign) for top in node.targets
+                   for target in ast.walk(top) if isinstance(target, ast.Name))
+    assert not defined & set(LOG_FORMAT), defined & set(LOG_FORMAT)
+    for name in LOG_FORMAT + ("SimResult",):
+        if hasattr(harness, name):
+            assert getattr(harness, name) is getattr(metrics, name), name
+    assert harness.SimResult.__module__ == "perchsim.metrics"

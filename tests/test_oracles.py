@@ -35,9 +35,9 @@ from perchsim.allocation import THRUST_EPS, RotorGeometry, allocate
 from perchsim.control import nominal_wrench, perch_wrench
 from perchsim.geometry import EYE, ZERO3, exp_so3, log_so3, mat_mul, \
     mat_t_mul, mat_t_vec, mat_vec, renormalize, right_jacobian, rot_y
-from perchsim.harness import SimResult, _flush_block, _noise
+from perchsim.harness import _flush_block, _noise
 from perchsim.metrics import _COL, _RECORD, Metrics, MetricsFold, \
-    compute_metrics, settle_index
+    SimResult, compute_metrics, settle_index
 from perchsim.planner import min_accel_rotation, quintic, rotation_at
 from perchsim.scenario import ScenarioConfig
 from perchsim.supervisor import FOUR_MODE, TWO_MODE, Mode, SupervisorState, \
@@ -917,7 +917,7 @@ def test_metrics_fold_matches_whole_log_arrays(data):
     if data.draw(st.booleans()):
         events.append((float(t[-1]), "failure", "ground-contact"))
     events = sorted(mode_events + events, key=lambda e: e[0])
-    result = SimResult(METRICS_CFG, rows, events)
+    result = SimResult(METRICS_CFG, events, None, n, rows)
     assert result.modes == modes
     want = metrics_bits(compute_metrics_arrays(result))
 
