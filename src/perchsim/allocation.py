@@ -18,10 +18,6 @@ from .geometry import B3
 THRUST_EPS = 1e-6
 
 
-class AllocationError(ValueError):
-    """Raised for rotor geometries that cannot span a full 6-DOF wrench."""
-
-
 @dataclass
 class RotorGeometry:
     """Rotor positions, spin signs, and drag-to-thrust ratio.
@@ -29,7 +25,8 @@ class RotorGeometry:
     Each rotor tilts about its arm.  `A` is the 6x2n map from
     [T cos(nu); T sin(nu)] to [f; tau], checked to have full rank.  The tick
     reads plain floats, a (vertical, lateral) pair of 6-tuples per rotor:
-    `pinv_rows` from A's pseudo-inverse, `columns` from A.
+    `pinv_rows` from A's pseudo-inverse, `columns` from A.  A geometry that
+    cannot span a full 6-DOF wrench raises ValueError.
     """
     positions: np.ndarray        # (4, 3) m
     spin_signs: np.ndarray       # (4,) in {+1, -1}
@@ -42,10 +39,10 @@ class RotorGeometry:
             norms = np.linalg.norm(self.positions, axis=1)
         bad = np.flatnonzero(~np.isfinite(norms)).tolist()
         if bad:
-            raise AllocationError(
+            raise ValueError(
                 f"rotor positions {bad} have non-finite arm lengths")
         if np.any(norms < 1e-9):
-            raise AllocationError("rotor positions must be nonzero")
+            raise ValueError("rotor positions must be nonzero")
         lateral = np.cross(B3, self.positions / norms[:, None])
         n = self.n_rotors = len(self.positions)
         A = np.zeros((6, 2 * n))
@@ -58,7 +55,7 @@ class RotorGeometry:
             A[:3, n + i] = t
             A[3:, n + i] = np.cross(r, t) + sk * t
         if np.linalg.matrix_rank(A, tol=1e-9) < 6:
-            raise AllocationError("rotor geometry is rank deficient")
+            raise ValueError("rotor geometry is rank deficient")
         self.A = A
 
         def per_rotor(M):            # rows i and n + i of M for rotor i

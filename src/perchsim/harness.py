@@ -15,14 +15,13 @@ import numpy as np
 from . import estimation
 from .allocation import allocate
 from .control import nominal_wrench, perch_wrench, rejection_force
-from .geometry import ZERO3, mat_t_vec, mat_vec, pitch_of, quat_of, \
-    rotation_error
+from .geometry import ZERO3, mat_t_vec, pitch_of, quat_of, rotation_error
 from .metrics import _HEADER, _RECORD, _ROW, MetricsFold, SimResult, \
     _csv_lines, compute_metrics, tick_runs
 from .planner import MissionPlanner
 from .supervisor import VARIANTS, Mode, SupervisorState, transition
-from .vehicle import ContactState, NumericalDivergenceError, at_rest, \
-    forward_wrench, integrate, step_actuators, update_contact
+from .vehicle import ContactState, at_rest, forward_wrench, integrate, \
+    step_actuators, update_contact
 
 # A run folds each block of its rows into its outcome metrics.  A library
 # run's one block is its whole log; a streamed run writes each block of
@@ -90,7 +89,7 @@ def run_scenario(cfg, log=None):
     thrust, tilt_cmd, _ = allocate(trim, rotors, params.T_max,
                                    (0.0,) * rotors.n_rotors)
     act = thrust, tilt_cmd, 0.0
-    f_act, tau_act = forward_wrench(thrust, tilt_cmd, rotors)
+    f_act, _ = forward_wrench(thrust, tilt_cmd, rotors)
     contact = ContactState()
     sup = SupervisorState()
     integ = ZERO3                    # attitude integral of nominal_wrench
@@ -205,12 +204,9 @@ def run_scenario(cfg, log=None):
         # 7. contact
         if t >= next_edge:           # a pulse starts or ends: sum again
             dist = _disturbance_at(cfg, t)
-            (dfx, dfy, dfz), _ = dist
             next_edge = next((e for e in edges if e > t), math.inf)
-        f_act, tau_act = forward_wrench(thrust, tilt, rotors)
-        fx, fy, fz = mat_vec(R, f_act)
-        applied_world = (fx + dfx, fy + dfy, fz + dfz)
-        contact, edge, state = update_contact(state, act, applied_world,
+        f_act, _ = rotor_wrench = forward_wrench(thrust, tilt, rotors)
+        contact, edge, state = update_contact(state, act, rotor_wrench, dist,
                                               contact, wall, params)
         if edge is not None:
             events.append((t, "contact", edge))
@@ -235,9 +231,9 @@ def run_scenario(cfg, log=None):
 
         # 8. integrate (an overflowing body rate fails in exp_so3's math)
         try:
-            state = integrate(state, (f_act, tau_act), dist, contact, params,
+            state = integrate(state, rotor_wrench, dist, contact, params,
                               cfg.dt)
-        except (NumericalDivergenceError, ArithmeticError, ValueError) as exc:
+        except (ArithmeticError, ValueError) as exc:
             events.append((t, "failure", f"numerical-abort: {exc}"))
             break
         (px, py, pz), v, R, omega = state

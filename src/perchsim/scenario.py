@@ -150,13 +150,19 @@ class ScenarioConfig:
                 F_mag=self.magnet_force, d_mag=self.magnet_range,
                 eps_attach=self.attach_tol, c_m=self.magnet_offset)
             if self.mission == "perch":
+                # The approach and contact legs; departure flies them back.
                 with np.errstate(over="ignore", invalid="ignore"):
                     sp1, sp2, sp3 = perch_setpoints(wall, self)
-                    _, _, tr, _, _ = connect(sp1, sp2, self.t_approach)
-                if not np.isfinite((sp2[0] + sp3[0], *tr)).all():
+                    rows = [sp2[0] + sp3[0]]
+                    for a, b, T in ((sp1, sp2, self.t_approach),
+                                    (sp1, sp3, self.t_contact),
+                                    (sp2, sp3, self.t_contact)):
+                        rows += connect(a, b, T)[2]
+                if not np.isfinite(rows).all():
                     raise ValueError("wall_point, magnet_offset, standoff, "
-                                     "penetration and hover_position must "
-                                     "give a finite perch plan")
+                                     "penetration, hover_position, t_approach "
+                                     "and t_contact must give a finite perch "
+                                     "plan")
         except ValueError as exc:
             raise ScenarioError(str(exc)) from exc
         return params, wall

@@ -17,10 +17,6 @@ ETA_ENGAGED = 0.95       # perch servo at or above: magnets hold, may attach
 ETA_OPEN = 0.05          # perch servo at or below: magnets peeled off
 
 
-class NumericalDivergenceError(RuntimeError):
-    """Raised when the integrator produces a non-finite state."""
-
-
 @dataclass
 class VehicleParams:
     """Mass properties and actuator limits.  The body axes are principal
@@ -104,9 +100,10 @@ def step_actuators(act, cmd, eta_d, dt, params):
     return tuple(thrust), tuple(tilt), eta
 
 
-def update_contact(state, act, applied_world_force, contact, wall, params):
+def update_contact(state, act, wrench, dist, contact, wall, params):
     """Attach/release logic, ground-truth contact force, near-field magnet
-    pull.  Returns the new ContactState, the edge this tick crossed
+    pull, under `integrate`'s body-frame rotor `wrench` and disturbances
+    `dist`.  Returns the new ContactState, the edge this tick crossed
     ("attach", "release" (peeled off), "forcible-detach" (pulled off) or
     None) and the state: at rest at its pose on "attach", else `state`."""
     gap = wall.gap_of(state)
@@ -117,8 +114,9 @@ def update_contact(state, act, applied_world_force, contact, wall, params):
             # Perch servo finished its unperch travel: tangential peel.
             return ContactState(False, gap, 0.0), "release", state
         # Net pull away from the wall; negative when pressing into it.
-        fx, fy, fz = applied_world_force
-        pull = nx * fx + ny * fy + nz * (fz - params.m * params.g)
+        (fx, fy, fz), ((dx, dy, dz), _) = mat_vec(state[2], wrench[0]), dist
+        pull = nx * (fx + dx) + ny * (fy + dy) \
+            + nz * (fz + dz - params.m * params.g)
         if pull > hold:
             return ContactState(False, gap, 0.0), "forcible-detach", state
         return ContactState(True, 0.0, hold - pull), None, state
@@ -155,9 +153,10 @@ def forward_wrench(thrust, tilt, geometry):
 def integrate(state, wrench, dist, contact, params, dt):
     """One RK4 step under the body-frame rotor `wrench` (`forward_wrench` of
     the actuator state) and the disturbances `dist` (as the harness's
-    `_disturbance_at` gives them); rotation advanced on the exponential map,
-    renormalized.  Plain floats throughout, every sum left to right; the
-    new state is laid out as `at_rest` gives it."""
+    `_disturbance_at` gives them), as `update_contact` reads them; rotation
+    advanced on the exponential map, renormalized.  Plain floats throughout,
+    every sum left to right; the new state is laid out as `at_rest` gives
+    it, and a non-finite one raises FloatingPointError."""
     if contact.attached:
         return state
     (fx, fy, fz), (tx, ty, tz) = wrench
@@ -200,6 +199,5 @@ def integrate(state, wrench, dist, contact, params, dt):
     w_new = (w1x + s * sbx, w1y + s * sby, w1z + s * sbz)
 
     if not all(map(math.isfinite, p_new + v_new + R_new + w_new)):
-        raise NumericalDivergenceError(
-            "non-finite state after integration step")
+        raise FloatingPointError("non-finite state after integration step")
     return p_new, v_new, R_new, w_new

@@ -5,8 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from perchsim.allocation import (THRUST_EPS, AllocationError, RotorGeometry,
-                                 allocate)
+from perchsim.allocation import THRUST_EPS, RotorGeometry, allocate
 from perchsim.geometry import ZERO3
 from perchsim.scenario import ScenarioConfig
 from perchsim.vehicle import forward_wrench
@@ -36,12 +35,12 @@ def test_zero_drag_ratio_yaw_row():
 
 def test_degenerate_geometry_rejected():
     pos = np.tile([0.1, 0.0, 0.0], (4, 1))
-    with pytest.raises(AllocationError):
+    with pytest.raises(ValueError, match="rotor geometry is rank deficient"):
         RotorGeometry(pos, np.array([1.0, -1.0, 1.0, -1.0]), 0.016)
 
 
 def test_zero_position_rejected():
-    with pytest.raises(AllocationError):
+    with pytest.raises(ValueError, match="rotor positions must be nonzero"):
         RotorGeometry(np.zeros((4, 3)), np.ones(4), 0.016)
 
 

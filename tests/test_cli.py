@@ -82,6 +82,9 @@ def test_malformed_scenario_exit_code(tmp_path, capsys):
 
 # (scenario line, the one stderr message it must give); unchecked, each of
 # these would run, crash or exit 0.
+PLAN_OVERFLOWS = ("wall_point, magnet_offset, standoff, penetration, "
+                  "hover_position, t_approach and t_contact must give a "
+                  "finite perch plan")
 INVALID = [
     ("estimator_gain = 0", "estimator_gain must be positive"),
     ("estimator_gain = -1", "estimator_gain must be positive"),
@@ -141,8 +144,7 @@ INVALID = [
 ] + [
     # Two keys at extremes, each finite, whose perch setpoints or approach
     # overflow while they are built.
-    ("mission = perch\n" + pair, "wall_point, magnet_offset, standoff, "
-     "penetration and hover_position must give a finite perch plan")
+    ("mission = perch\n" + pair, PLAN_OVERFLOWS)
     for pair in (
         "wall_point = 1e308 1e308 1e308\nmagnet_offset = 1e308 1e308 1e308",
         "wall_point = 1e308 1e308 1e308\npenetration = 1e308",
@@ -154,6 +156,11 @@ INVALID = [
         "magnet_offset = 1e308 1e308 1e308\n"
         "hover_position = 1e308 1e308 1e308",
         "hover_position = 1e308 1e308 1e308\nstandoff = 1e308")
+] + [
+    # A finite approach whose contact leg, flown at the perch signal,
+    # overflows in its short t_contact.
+    ("mission = perch\npenetration = 1e300\nt_contact = 0.001\n"
+     "hold_time = 0.5\nduration = 2\nevent = 1.0 s_f2p", PLAN_OVERFLOWS),
 ]
 
 
@@ -168,6 +175,7 @@ def test_invalid_value_exit_code(tmp_path, capsys, line, message):
         assert main(["run", "--scenario", str(scen), "--out",
                      str(tmp_path / "o")]) == EXIT_SCHEMA
     assert capsys.readouterr().err == f"scenario error: {message}\n"
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("line", ["rho = 1", "event = 3 s_warp",
@@ -333,7 +341,7 @@ def test_overflowing_body_rate_aborts(tmp_path, capsys, line, detail):
     # The body rate overflows to inf inside an RK4 stage, and exp_so3's
     # trigonometry raises, or the velocity overflows, or the sensor noise
     # overflows and the controller acts on it, and integrate raises
-    # NumericalDivergenceError; either way the run ends as a numerical abort.
+    # FloatingPointError; either way the run ends as a numerical abort.
     scen = tmp_path / "wild.scn"
     scen.write_text(HOVER + "duration = 0.05\n" + line + "\n")
     out = tmp_path / "o"

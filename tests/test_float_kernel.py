@@ -21,6 +21,7 @@ import pytest
 from perchsim import allocation, control, estimation, geometry, harness, \
     metrics, planner, supervisor, vehicle
 from perchsim.scenario import ScenarioConfig, default_scenario
+from perchsim.geometry import ZERO3
 from perchsim.vehicle import ContactState
 from so3 import flat, mat, right_jacobian_inv, rot_x, rot_z
 
@@ -327,7 +328,8 @@ def test_contact_matches_numpy(name):
     before = ContactState(attached, 0.0 if attached else gap, 0.0)
     n = np.array(WALL.normal)
     applied = PARAMS.m * PARAMS.g * B3 + pull * n + (0.3, -0.4, 0.0)
-    out, edge, _ = vehicle.update_contact(state, act, applied, before, WALL,
+    out, edge, _ = vehicle.update_contact(state, act, (ZERO3, ZERO3),
+                                          (applied, ZERO3), before, WALL,
                                           PARAMS)
 
     g = np_gap(state)
@@ -360,8 +362,8 @@ def test_contact_cases_reach_every_branch():
     for gap, eta, attached, pull in CONTACT_CASES.values():
         state = p, _, R, _ = _at_gap(gap)
         out, edge, after = vehicle.update_contact(
-            state, ((0.0,) * 4, (0.0,) * 4, eta),
-            PARAMS.m * PARAMS.g * B3 + np.multiply(pull, WALL.normal),
+            state, ((0.0,) * 4, (0.0,) * 4, eta), (ZERO3, ZERO3),
+            (PARAMS.m * PARAMS.g * B3 + np.multiply(pull, WALL.normal), ZERO3),
             ContactState(attached), WALL, PARAMS)
         kinds.add((attached, out.attached, any(out.nearfield_force), edge))
         if edge == "attach":

@@ -260,6 +260,36 @@ def test_record_carries_each_ticks_gap(monkeypatch):
     assert all(len(line.split(",")) == len(CSV_COLUMNS) for line in lines)
 
 
+def test_contact_and_integrate_read_the_same_forces(monkeypatch):
+    """Contact checks the forces the dynamics integrate: on every tick of
+    a mission through all four modes, with one disturbance pulse while it
+    perches, update_contact is given the rotor wrench and the disturbances
+    that integrate is given next."""
+    seen = {"update_contact": [], "integrate": []}
+
+    def spy(name, fn, at):
+        def call(*args):
+            seen[name].append((args[at], args[at + 1], args[at + 2].attached))
+            return fn(*args)
+        monkeypatch.setattr(harness, name, call)
+
+    spy("update_contact", harness.update_contact, 2)  # wrench, dist, contact
+    spy("integrate", harness.integrate, 1)
+    cfg = default_scenario()
+    cfg.events, cfg.duration = [(1.0, "s_f2p"), (3.5, "s_p2f")], 5.0
+    cfg.disturbances = [(0.5, 3.5, 1.5, -0.5, 0.2, 0.1, 0.0, 0.0)]
+    result = run_scenario(cfg)
+    assert set(result.modes) == {"F", "F2P", "P", "P2F"}
+    contact, dynamics = seen["update_contact"], seen["integrate"]
+    assert len(contact) == len(dynamics) == len(result.modes)
+    assert [c[:2] for c in contact] == [d[:2] for d in dynamics]
+    # Both branches of update_contact saw the pulse and saw it end.
+    pushed = {(attached, dist != ((0.0,) * 3,) * 2)
+              for _, dist, attached in contact}
+    assert pushed == {(False, False), (False, True), (True, False),
+                      (True, True)}
+
+
 def random_log(n):
     """An n-tick SimResult of random values, no simulation, and its random
     modes as a list: every tick after the first changes mode, and each

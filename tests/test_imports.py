@@ -1,6 +1,6 @@
-"""Every name a perchsim module imports is used in that module, and the
+"""Every name a perchsim module imports is used in that module, the
 outcome metrics and the log's format stay in `metrics.py`, apart from the
-tick loop.
+tick loop, and `ScenarioError` is the one exception type perchsim defines.
 
 No linter ships with the project, so this reads each module's syntax tree:
 an imported name counts as used where it appears as a name in the code, or
@@ -8,6 +8,8 @@ as a string in the module's `__all__`.
 """
 
 import ast
+import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -97,3 +99,17 @@ def test_log_format_lives_in_metrics():
         if hasattr(harness, name):
             assert getattr(harness, name) is getattr(metrics, name), name
     assert harness.SimResult.__module__ == "perchsim.metrics"
+
+
+def test_scenario_error_is_the_one_exception_type():
+    # A malformed scenario is the CLI's exit 2; every other failure is a
+    # builtin exception (a numerical abort is an ArithmeticError or a
+    # ValueError raised while the tick runs).
+    names = (f"perchsim.{path.stem}".removesuffix(".__init__")
+             for path in MODULES)
+    defined = {f"{module.__name__}.{name}"
+               for module in map(importlib.import_module, names)
+               for name, cls in inspect.getmembers(module, inspect.isclass)
+               if cls.__module__ == module.__name__
+               and issubclass(cls, BaseException)}
+    assert defined == {"perchsim.scenario.ScenarioError"}

@@ -1,11 +1,12 @@
 """Dynamics tests: actuator stepping, contact logic, integrator."""
 
 import math
+import struct
 from dataclasses import replace
 
 import numpy as np
 
-from perchsim.geometry import B3, EYE, ZERO3, rot_y
+from perchsim.geometry import B3, EYE, ZERO3, mat_vec, rot_y
 from perchsim.scenario import ScenarioConfig
 from perchsim.vehicle import (ContactState, at_rest, forward_wrench,
                               integrate, step_actuators, update_contact)
@@ -14,6 +15,7 @@ from so3 import flat, mat, rot_x, rot_z
 PARAMS, WALL = ScenarioConfig().build()
 AT_REST = (0.0,) * 4, (0.0,) * 4, 0.0      # thrust, tilt, eta
 NO_DIST = ZERO3, ZERO3                     # delta_f, delta_r
+NO_WRENCH = ZERO3, ZERO3                   # rotor f, tau
 
 
 def detached(gap=10.0):
@@ -92,8 +94,8 @@ def test_contact_attach_threshold():
     p, _, R, _ = _state_at_gap(0.0005)
     st = p, (0.1, 0.0, -0.2), R, (0.0, 0.3, 0.0)
     act = (np.zeros(4), np.zeros(4), 1.0)
-    out, edge, after = update_contact(st, act, np.zeros(3), detached(),
-                                      WALL, PARAMS)
+    out, edge, after = update_contact(
+        st, act, NO_WRENCH, (np.zeros(3), ZERO3), detached(), WALL, PARAMS)
     assert out.attached and edge == "attach"
     assert out.gap == 0.0
     assert after == at_rest(p, R)
@@ -102,8 +104,8 @@ def test_contact_attach_threshold():
 def test_contact_no_attach_beyond_tolerance():
     st = _state_at_gap(0.01)
     act = (np.zeros(4), np.zeros(4), 1.0)
-    out, edge, after = update_contact(st, act, np.zeros(3), detached(),
-                                      WALL, PARAMS)
+    out, edge, after = update_contact(
+        st, act, NO_WRENCH, (np.zeros(3), ZERO3), detached(), WALL, PARAMS)
     assert not out.attached and edge is None and after is st
 
 
@@ -112,8 +114,8 @@ def test_contact_lambda_true_gravity_offset():
     act = (np.zeros(4), np.zeros(4), 1.0)
     anchored = ContactState(attached=True, gap=0.0)
     applied = PARAMS.m * PARAMS.g * B3  # perfect gravity offset
-    out, edge, after = update_contact(st, act, applied, anchored, WALL,
-                                      PARAMS)
+    out, edge, after = update_contact(st, act, NO_WRENCH, (applied, ZERO3),
+                                      anchored, WALL, PARAMS)
     assert out.attached and edge is None and after is st
     # Vertical wall: gravity is tangential, pull = 0, hold at full capacity.
     assert abs(out.lambda_true - WALL.F_mag) < 1e-12
@@ -126,8 +128,8 @@ def test_contact_lambda_true_counts_push_and_pull():
     for eta, pull in ((1.0, -3.0), (1.0, 2.0), (0.5, -3.0), (0.5, 2.0)):
         act = (np.zeros(4), np.zeros(4), eta)
         applied = PARAMS.m * PARAMS.g * B3 + np.multiply(pull, WALL.normal)
-        out, edge, after = update_contact(st, act, applied, anchored, WALL,
-                                          PARAMS)
+        out, edge, after = update_contact(
+            st, act, NO_WRENCH, (applied, ZERO3), anchored, WALL, PARAMS)
         assert out.attached and edge is None and after is st
         assert abs(out.lambda_true - (WALL.F_mag * eta - pull)) < 1e-12
 
@@ -136,8 +138,8 @@ def test_contact_release_on_unperch_travel():
     st = _state_at_gap(0.0)
     act = (np.zeros(4), np.zeros(4), 0.0)
     anchored = ContactState(attached=True, gap=0.0)
-    out, edge, after = update_contact(st, act, np.zeros(3), anchored, WALL,
-                                      PARAMS)
+    out, edge, after = update_contact(
+        st, act, NO_WRENCH, (np.zeros(3), ZERO3), anchored, WALL, PARAMS)
     assert not out.attached and edge == "release" and after is st
 
 
@@ -147,16 +149,38 @@ def test_contact_forcible_detach_over_capacity():
     anchored = ContactState(attached=True, gap=0.0)
     pull = PARAMS.m * PARAMS.g * B3 \
         + np.multiply(WALL.F_mag + 1.0, WALL.normal)
-    out, edge, after = update_contact(st, act, pull, anchored, WALL,
-                                      PARAMS)
+    out, edge, after = update_contact(st, act, NO_WRENCH, (pull, ZERO3),
+                                      anchored, WALL, PARAMS)
     assert not out.attached and edge == "forcible-detach" and after is st
+
+
+def test_contact_reads_rotor_force_as_its_world_rotation():
+    # At the perch attitude (pitch -90 deg, b3 along the wall normal) the
+    # body-frame rotor force f decides the edge and lambda_true exactly as
+    # its world-frame rotation R f given as the disturbance does.
+    p, _, _, _ = _state_at_gap(0.0)
+    st = at_rest(p, rot_y(-math.pi / 2))
+    _, _, R, _ = st
+    act = (np.zeros(4), np.zeros(4), 1.0)
+    anchored = ContactState(attached=True, gap=0.0)
+    for thrust, edge in ((30.0, None), (WALL.F_mag + 5.0, "forcible-detach")):
+        f = (0.7, -0.4, thrust)
+        by_wrench = update_contact(st, act, (f, (0.01, -0.02, 0.03)), NO_DIST,
+                                   anchored, WALL, PARAMS)
+        by_dist = update_contact(st, act, NO_WRENCH, (mat_vec(R, f), ZERO3),
+                                 anchored, WALL, PARAMS)
+        assert by_wrench[1] == by_dist[1] == edge
+        assert by_wrench[0] == by_dist[0]
+        assert struct.pack("<d", by_wrench[0].lambda_true) \
+            == struct.pack("<d", by_dist[0].lambda_true)
+        assert by_wrench[0].attached is (edge is None)
 
 
 def test_contact_nearfield_ramp():
     st = _state_at_gap(0.025)
     act = (np.zeros(4), np.zeros(4), 1.0)
-    out, edge, after = update_contact(st, act, np.zeros(3), detached(),
-                                      WALL, PARAMS)
+    out, edge, after = update_contact(
+        st, act, NO_WRENCH, (np.zeros(3), ZERO3), detached(), WALL, PARAMS)
     assert edge is None and after is st
     expect = np.multiply(-WALL.F_mag * (1.0 - 0.025 / WALL.d_mag),
                          WALL.normal)
