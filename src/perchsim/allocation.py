@@ -35,12 +35,7 @@ class RotorGeometry:
     def __post_init__(self):
         self.positions = np.asarray(self.positions, dtype=float)
         self.spin_signs = np.asarray(self.spin_signs, dtype=float)
-        with np.errstate(over="ignore"):
-            norms = np.linalg.norm(self.positions, axis=1)
-        bad = np.flatnonzero(~np.isfinite(norms)).tolist()
-        if bad:
-            raise ValueError(
-                f"rotor positions {bad} have non-finite arm lengths")
+        norms = np.linalg.norm(self.positions, axis=1)
         if np.any(norms < 1e-9):
             raise ValueError("rotor positions must be nonzero")
         lateral = np.cross(B3, self.positions / norms[:, None])

@@ -83,14 +83,21 @@ def rotation_at(R0, coeffs, t):
     return mat_mul(R0, exp_so3(*phi)), right_jacobian(phi, dphi)
 
 
+def rotation_between(R0, Rf):
+    """Exponential coordinates of R0^T Rf; raises ValueError when the two
+    rotations are antipodal or nearly so."""
+    phi_f = log_so3(mat_t_mul(R0, Rf))
+    if math.hypot(*phi_f) >= math.pi - 1e-6:
+        raise ValueError("rotation endpoints are antipodal or nearly so")
+    return phi_f
+
+
 def min_accel_rotation(R0, Rf, w0, T):
     """Cubic in exponential coordinates from R0 at rate w0 to Rf at rest, as
     three (c1, c2, c3) tuples of phi(t), one per axis."""
     if T <= 0:
         raise ValueError("segment duration must be positive")
-    phi_f = log_so3(mat_t_mul(R0, Rf))
-    if math.hypot(*phi_f) >= math.pi - 1e-6:
-        raise ValueError("rotation endpoints are antipodal or nearly so")
+    phi_f = rotation_between(R0, Rf)
     dphi0 = np.asarray(w0, dtype=float)              # J_r(0) = I
     coeffs = []
     # Solve a T^2 + b T^3 = phi_f - dphi0 T ; 2 a T + 3 b T^2 = 0 - dphi0

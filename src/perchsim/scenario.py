@@ -8,20 +8,19 @@ from dataclasses import MISSING, dataclass, field, fields
 import numpy as np
 
 from .allocation import RotorGeometry
-from .planner import connect, perch_setpoints
+from .geometry import rot_y
+from .planner import perch_orientation, rotation_between
 from .supervisor import VARIANTS
 from .vehicle import VehicleParams, WallModel
 
 SCHEMA_VERSION = 1
 
 MISSIONS = ("perch", "hover")
-# Plan segments last [dt, MAX_SEGMENT_S] and dt >= MIN_DT_S, so T ** 5 in
-# the quintic solve neither overflows nor underflows.
-MAX_SEGMENT_S = 1e4
-MIN_DT_S = 1e-6
 # A library run holds 312 bytes a tick (its record: 38 printed floats and
 # the gap), near 624 MB; a CLI run streams its log and holds one block.
 MAX_TICKS = 2_000_000
+# Two intervals as an error message words them.
+_SAYS = {"(0, inf)": "be positive", "[0, inf)": "not be negative"}
 
 
 class ScenarioError(ValueError):
@@ -29,63 +28,89 @@ class ScenarioError(ValueError):
 
 
 def _key(default, unit="", rule=None):
-    """A key's field.  Its rule is "> 0" or ">= 0" (of each number), a tuple
-    of allowed names, or None: any value, or a check of its own in build()."""
+    """A key's field.  Its rule is a tuple of allowed names, an interval that
+    holds each of its numbers, as "(lo, hi]" with a parenthesis for an open
+    end and a bracket for a closed one, or None: any finite value."""
     return field(default=default, metadata={"unit": unit, "rule": rule})
+
+
+def _within(rule, value):
+    """Whether every number of `value` lies in the interval `rule`."""
+    lo, hi = (float(x) for x in rule[1:-1].split(","))
+    above = operator.gt if rule[0] == "(" else operator.ge
+    below = operator.lt if rule[-1] == ")" else operator.le
+    return all(above(x, lo) and below(x, hi) for x in np.ravel(value))
+
+
+def _check_rules(cfg, ranges=True):
+    """Raise ScenarioError for the first key, in field order, whose value
+    breaks its rule: its names, and also its interval if `ranges`."""
+    for f in fields(cfg):
+        rule, value = f.metadata.get("rule"), getattr(cfg, f.name)
+        if isinstance(rule, tuple) and value not in rule:
+            raise ScenarioError(f"unknown {f.name} {value!r}")
+        if isinstance(rule, str) and ranges and not _within(rule, value):
+            raise ScenarioError(
+                f"{f.name} must " + _SAYS.get(rule, f"lie in {rule}"))
 
 
 @dataclass
 class ScenarioConfig:
+    # Each length lies within 1e3 m and each segment time in [dt, 1e4] s,
+    # with dt >= 1e-6 s, so every quintic coefficient of a leg stays finite,
+    # also of one started from a moving approach sample: about 2.4e34 with
+    # every length at 1e3 m and both legs at 1e-6 s.
     name: str = _key("default")
     variant: str = _key("proposed", rule=tuple(VARIANTS))
     mission: str = _key("perch", rule=MISSIONS)
-    dt: float = _key(0.001, "s")
-    duration: float = _key(30.0, "s", "> 0")
-    seed: int = _key(0, rule=">= 0")
+    dt: float = _key(0.001, "s", "[1e-6, 0.01]")
+    duration: float = _key(30.0, "s", "(0, inf)")
+    seed: int = _key(0, rule="[0, inf)")
     # vehicle
-    mass: float = _key(1.65, "kg", "> 0")
-    inertia_diag: tuple = _key((0.008, 0.008, 0.014), "kg m^2", "> 0")
-    gravity: float = _key(9.81, "m/s^2", "> 0")
-    arm_length: float = _key(0.13, "m", "> 0")
-    k_tau: float = _key(0.016, "m", ">= 0")
-    thrust_max: float = _key(8.0, "N", "> 0")
-    rotor_tau: float = _key(0.05, "s", "> 0")
-    tilt_rate_max: float = _key(8.0, "rad/s", "> 0")
-    perch_servo_time: float = _key(0.05, "s", "> 0")
+    mass: float = _key(1.65, "kg", "(0, inf)")
+    inertia_diag: tuple = _key((0.008, 0.008, 0.014), "kg m^2", "(0, inf)")
+    gravity: float = _key(9.81, "m/s^2", "(0, inf)")
+    arm_length: float = _key(0.13, "m", "(0, 1e3]")
+    k_tau: float = _key(0.016, "m", "[0, inf)")
+    thrust_max: float = _key(8.0, "N", "(0, inf)")
+    rotor_tau: float = _key(0.05, "s", "(0, inf)")
+    tilt_rate_max: float = _key(8.0, "rad/s", "(0, inf)")
+    perch_servo_time: float = _key(0.05, "s", "(0, inf)")
     # wall
-    wall_point: tuple = _key((1.0, 0.0, 1.2), "m")
+    wall_point: tuple = _key((1.0, 0.0, 1.2), "m", "[-1e3, 1e3]")
     wall_normal: tuple = _key((-1.0, 0.0, 0.0))
-    magnet_force: float = _key(40.0, "N", "> 0")
-    magnet_range: float = _key(0.05, "m", "> 0")
-    attach_tol: float = _key(0.001, "m", "> 0")
-    magnet_offset: tuple = _key((0.0, 0.0, -0.05), "m, body frame")
+    magnet_force: float = _key(40.0, "N", "(0, inf)")
+    magnet_range: float = _key(0.05, "m", "(0, 1e3]")
+    attach_tol: float = _key(0.001, "m", "(0, 1e3]")
+    magnet_offset: tuple = _key((0.0, 0.0, -0.05), "m, body frame",
+                                "[-1e3, 1e3]")
     # gains, per unit mass (k_tp, k_td) and per unit inertia (k_rp .. k_ri)
-    k_tp: float = _key(10.0, "1/s^2", ">= 0")
-    k_td: float = _key(6.0, "1/s", ">= 0")
-    k_rp: float = _key(60.0, "1/s^2", ">= 0")
-    k_rd: float = _key(15.0, "1/s", ">= 0")
-    k_ri: float = _key(3.0, "1/s^3", ">= 0")
-    integral_clamp: float = _key(0.5, "rad s", "> 0")
-    estimator_gain: float = _key(20.0, "1/s", "> 0")
+    k_tp: float = _key(10.0, "1/s^2", "[0, inf)")
+    k_td: float = _key(6.0, "1/s", "[0, inf)")
+    k_rp: float = _key(60.0, "1/s^2", "[0, inf)")
+    k_rd: float = _key(15.0, "1/s", "[0, inf)")
+    k_ri: float = _key(3.0, "1/s^3", "[0, inf)")
+    integral_clamp: float = _key(0.5, "rad s", "(0, inf)")
+    estimator_gain: float = _key(20.0, "1/s", "(0, inf)")
     # switching
     lambda_f2p: float = _key(1.0, "N")
     lambda_p2f: float = _key(-1.0, "N")
-    rho: float = _key(0.5)
+    rho: float = _key(0.5, rule="[0, 1)")
     # planning
-    hover_position: tuple = _key((0.0, 0.0, 1.2), "m")
+    hover_position: tuple = _key((0.0, 0.0, 1.2), "m", "[-1e3, 1e3]")
     hover_pitch: float = _key(0.0, "rad")
-    standoff: float = _key(0.5, "m", "> 0")
-    penetration: float = _key(0.1, "m", ">= 0")
-    t_approach: float = _key(4.0, "s", "> 0")
-    t_contact: float = _key(3.0, "s", "> 0")
-    hold_time: float = _key(1.0, "s", "> 0")
-    initial_offset: tuple = _key((0.0, 0.0, 0.0), "m")
+    standoff: float = _key(0.5, "m", "(0, 1e3]")
+    penetration: float = _key(0.1, "m", "[0, 1e3]")
+    t_approach: float = _key(4.0, "s", "(0, 1e4]")
+    t_contact: float = _key(3.0, "s", "(0, 1e4]")
+    hold_time: float = _key(1.0, "s", "(0, 1e4]")
+    initial_offset: tuple = _key((0.0, 0.0, 0.0), "m", "[-1e3, 1e3]")
     # metrics
-    clearance_arm: float = _key(0.05, "m", "> 0")
-    settle_tol: float = _key(0.02, "m", "> 0")
+    clearance_arm: float = _key(0.05, "m", "(0, inf)")
+    settle_tol: float = _key(0.02, "m", "(0, inf)")
     # noise (off by default; acceptance runs are noise-free)
-    noise_std_pos: float = _key(0.0, "m", ">= 0")
-    noise_std_vel: float = _key(0.0, "m/s", ">= 0")
+    noise_std_pos: float = _key(0.0, "m", "[0, inf)")
+    noise_std_vel: float = _key(0.0, "m/s", "[0, inf)")
     # schedules
     events: list = field(default_factory=list)        # (time, "s_f2p"|"s_p2f")
     disturbances: list = field(default_factory=list)  # (t0, t1, fx..rz)
@@ -103,29 +128,18 @@ class ScenarioConfig:
             if not isinstance(value, str) \
                     and not np.isfinite(np.asarray(value, float)).all():
                 raise ScenarioError(f"{f.name} must be finite")
-        for rule, holds, says in (("> 0", operator.gt, "be positive"),
-                                  (">= 0", operator.ge, "not be negative")):
-            for f in fields(self):
-                if f.metadata.get("rule") == rule \
-                        and not holds(np.min(getattr(self, f.name)), 0):
-                    raise ScenarioError(f"{f.name} must {says}")
+        _check_rules(self)
         if not 1e-9 <= math.hypot(*self.wall_normal) < math.inf:
             raise ScenarioError("wall_normal must have finite nonzero length")
         if not self.lambda_f2p > self.lambda_p2f:
             raise ScenarioError("lambda_f2p must exceed lambda_p2f")
-        if not 0.0 <= self.rho < 1.0:
-            raise ScenarioError("rho must lie in [0, 1)")
-        if not MIN_DT_S <= self.dt <= 0.01:
-            raise ScenarioError(f"dt must lie in [{MIN_DT_S:g}, 0.01]")
         ticks = self.duration / self.dt           # round(ticks) are run
         if not 0.5 < ticks <= MAX_TICKS:
             raise ScenarioError("duration must last at least one tick (dt) "
                                 f"and at most {MAX_TICKS} ticks")
         for name in ("hold_time", "t_approach", "t_contact"):
-            if not self.dt <= getattr(self, name) <= MAX_SEGMENT_S:
-                raise ScenarioError(
-                    f"{name} must lie in [dt, {MAX_SEGMENT_S:g}] s")
-        _check_names(self)
+            if not self.dt <= getattr(self, name):
+                raise ScenarioError(f"{name} must last at least dt")
         if sorted(t for t, _ in self.events) != [t for t, _ in self.events]:
             raise ScenarioError("events must be time-sorted")
         for t, kind in self.events:
@@ -138,7 +152,7 @@ class ScenarioConfig:
                 raise ScenarioError("a disturbance must end after it starts")
         try:
             # Full-rank rotors; on a perch mission, a wall that is not
-            # horizontal, attitudes not antipodal and a plan that is finite.
+            # horizontal and attitudes not antipodal.
             rotors = RotorGeometry.x_config(self.arm_length, self.k_tau)
             params = VehicleParams(
                 m=self.mass, J=self.inertia_diag, g=self.gravity,
@@ -150,30 +164,11 @@ class ScenarioConfig:
                 F_mag=self.magnet_force, d_mag=self.magnet_range,
                 eps_attach=self.attach_tol, c_m=self.magnet_offset)
             if self.mission == "perch":
-                # The approach and contact legs; departure flies them back.
-                with np.errstate(over="ignore", invalid="ignore"):
-                    sp1, sp2, sp3 = perch_setpoints(wall, self)
-                    rows = [sp2[0] + sp3[0]]
-                    for a, b, T in ((sp1, sp2, self.t_approach),
-                                    (sp1, sp3, self.t_contact),
-                                    (sp2, sp3, self.t_contact)):
-                        rows += connect(a, b, T)[2]
-                if not np.isfinite(rows).all():
-                    raise ValueError("wall_point, magnet_offset, standoff, "
-                                     "penetration, hover_position, t_approach "
-                                     "and t_contact must give a finite perch "
-                                     "plan")
+                rotation_between(rot_y(self.hover_pitch),
+                                 perch_orientation(wall))
         except ValueError as exc:
             raise ScenarioError(str(exc)) from exc
         return params, wall
-
-
-def _check_names(cfg):
-    """Raise ScenarioError for a name that its key's rule does not allow."""
-    for f in fields(cfg):
-        allowed = f.metadata.get("rule")
-        if isinstance(allowed, tuple) and getattr(cfg, f.name) not in allowed:
-            raise ScenarioError(f"unknown {f.name} {getattr(cfg, f.name)!r}")
 
 
 def _numbers(lineno, key, raw, n):
@@ -240,7 +235,7 @@ def parse_scenario(text):
             raise ScenarioError(f"line {lineno}: unknown key {key!r}")
     if not saw_version:
         raise ScenarioError("missing schema_version header")
-    _check_names(cfg)
+    _check_rules(cfg, ranges=False)
     return cfg
 
 
@@ -269,6 +264,8 @@ def _schema_row(f):
         value = " ".join(map(str, value))
     if isinstance(rule, tuple):
         rule = "one of " + ", ".join(rule)
+    elif rule:
+        rule = "in " + rule
     head = f"  {f.name} = {value}"
     note = ", ".join(s for s in (f.metadata["unit"], rule) if s)
     return textwrap.fill(note, 79, initial_indent=head.ljust(36) + "# ",
@@ -283,7 +280,9 @@ Flat text, one `key = value` per line, `#` starts a comment.
 The first entry must be `schema_version = {SCHEMA_VERSION}`.
 
 Keys, each shown as the line that sets its default, with its unit and its
-rule ("> 0" and ">= 0" hold for every number of a vector):
+rule: the allowed names, or an interval that holds every number of the key,
+"(" and ")" marking open ends and "[" and "]" closed ones.  A length lies
+within 1e3 m, so that every planned leg stays finite:
 """ + "\n".join(_schema_row(f) for f in fields(ScenarioConfig)
                 if f.default is not MISSING) + f"""
 
@@ -292,17 +291,14 @@ Repeatable:
   disturbance = <start_s> <end_s> <fx> <fy> <fz> <rx> <ry> <rz>
                 (world-frame force N, body-frame angular accel rad/s^2)
 
-Every number must be finite; seed is an integer.  A key with no rule takes
-any value but for these: dt lies in [{MIN_DT_S:g}, 0.01] s and rho in [0, 1);
+Every number must be finite; seed is an integer.  Rules that span keys:
 lambda_f2p must exceed lambda_p2f; duration must last at least one tick of
 dt and at most {MAX_TICKS} ticks (also after --dt); hold_time, t_approach
-and t_contact lie in [dt, {MAX_SEGMENT_S:g}] s; arm_length and k_tau must
-give a full-rank rotor geometry.  wall_normal must have finite nonzero
-length; on a perch mission it may not be vertical, and the hover attitude
-may not be antipodal to the perch attitude (as hover_pitch = pi/2 is to the
-default wall's pitch of -pi/2), and wall_point, magnet_offset, standoff,
-penetration and hover_position must give finite perch setpoints and a
-finite approach.  Event lines must be time-sorted, their times not
+and t_contact must last at least dt; arm_length and k_tau must give a
+full-rank rotor geometry.  wall_normal must have finite nonzero length; on
+a perch mission it may not be vertical, and the hover attitude may not be
+antipodal to the perch attitude (as hover_pitch = pi/2 is to the default
+wall's pitch of -pi/2).  Event lines must be time-sorted, their times not
 negative, and a disturbance must end after it starts.
 
 Exit codes of the CLI: 0 ok, 2 scenario/schema error or an --out path

@@ -1,8 +1,12 @@
 """CLI tests: subcommands, output files, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -82,9 +86,9 @@ def test_malformed_scenario_exit_code(tmp_path, capsys):
 
 # (scenario line, the one stderr message it must give); unchecked, each of
 # these would run, crash or exit 0.
-PLAN_OVERFLOWS = ("wall_point, magnet_offset, standoff, penetration, "
-                  "hover_position, t_approach and t_contact must give a "
-                  "finite perch plan")
+MID_APPROACH = ("mission = perch\nstandoff = 1e300\nt_approach = 1\n"
+                "t_contact = 10000\nhold_time = 0.5\nduration = 2\n"
+                "event = 0.6 s_f2p")
 INVALID = [
     ("estimator_gain = 0", "estimator_gain must be positive"),
     ("estimator_gain = -1", "estimator_gain must be positive"),
@@ -95,7 +99,7 @@ INVALID = [
     ("thrust_max = inf", "thrust_max must be finite"),
     ("inertia_diag = 0.008 0 0.014", "inertia_diag must be positive"),
     ("rho = 1", "rho must lie in [0, 1)"),
-    ("hold_time = 0", "hold_time must be positive"),
+    ("hold_time = 0", "hold_time must lie in (0, 1e4]"),
     ("seed = -1", "seed must not be negative"),
     ("noise_std_vel = -0.1", "noise_std_vel must not be negative"),
     ("disturbance = 0 inf 1 0 0 0 0 0", "disturbances must be finite"),
@@ -106,18 +110,14 @@ INVALID = [
     ("duration = 0.0001", "duration must last at least one tick (dt) and "
      "at most 2000000 ticks"),
     ("arm_length = 1e-10", "rotor positions must be nonzero"),
-    # The arm lengths overflow; the geometry is not rank deficient.
-    ("arm_length = 1e300",
-     "rotor positions [0, 1, 2, 3] have non-finite arm lengths"),
-    ("arm_length = 1e200",
-     "rotor positions [0, 1, 2, 3] have non-finite arm lengths"),
+    ("arm_length = 1e300", "arm_length must lie in (0, 1e3]"),
+    ("arm_length = 1e200", "arm_length must lie in (0, 1e3]"),
     ("mission = perch\nhover_pitch = 1.5707963267948966",
      "rotation endpoints are antipodal or nearly so"),
-    ("mission = perch\nhold_time = 1e62",
-     "hold_time must lie in [dt, 10000] s"),
+    ("mission = perch\nhold_time = 1e62", "hold_time must lie in (0, 1e4]"),
     ("mission = perch\nt_approach = 3e-279",
-     "t_approach must lie in [dt, 10000] s"),
-    ("t_contact = 0.0005", "t_contact must lie in [dt, 10000] s"),
+     "t_approach must last at least dt"),
+    ("t_contact = 0.0005", "t_contact must last at least dt"),
     ("duration = 1e300", "duration must last at least one tick (dt) and "
      "at most 2000000 ticks"),
     ("duration = 2000.5", "duration must last at least one tick (dt) and "
@@ -125,42 +125,51 @@ INVALID = [
     ("mass = -1", "mass must be positive"),
     ("thrust_max = 0", "thrust_max must be positive"),
     ("rotor_tau = 0", "rotor_tau must be positive"),
-    ("magnet_range = 0", "magnet_range must be positive"),
+    ("magnet_range = 0", "magnet_range must lie in (0, 1e3]"),
     ("rho = -0.1", "rho must lie in [0, 1)"),
-    ("dt = 0", "dt must lie in [1e-06, 0.01]"),
+    ("dt = 0", "dt must lie in [1e-6, 0.01]"),
     ("disturbance = 5 1 3 0 0 0 0 0",
      "a disturbance must end after it starts"),
     ("event = -1 s_f2p", "event times must not be negative"),
     ("wall_normal = 1.5e308 1.5e308 1.5e308",
      "wall_normal must have finite nonzero length"),
     # Two faults: the first message is set by the order of build()'s checks
-    # (finite, then > 0, then >= 0, each in field order, then its own) and
-    # by names being checked when the file is parsed.
-    ("seed = -1\nmass = -1", "mass must be positive"),
+    # (finite, then each key's rule, each in field order, then the rules
+    # that span keys) and by names being checked when the file is parsed.
+    ("seed = -1\nmass = -1", "seed must not be negative"),
     ("duration = inf\nmass = -1", "duration must be finite"),
-    ("k_tp = -1\nestimator_gain = 0", "estimator_gain must be positive"),
-    ("hold_time = 0\nt_contact = 1e5", "hold_time must be positive"),
+    ("k_tp = -1\nestimator_gain = 0", "k_tp must not be negative"),
+    ("hold_time = 0\nt_contact = 1e5", "t_contact must lie in (0, 1e4]"),
     ("variant = bogus\nrho = 2", "unknown variant 'bogus'"),
-] + [
     # Two keys at extremes, each finite, whose perch setpoints or approach
-    # overflow while they are built.
-    ("mission = perch\n" + pair, PLAN_OVERFLOWS)
-    for pair in (
-        "wall_point = 1e308 1e308 1e308\nmagnet_offset = 1e308 1e308 1e308",
-        "wall_point = 1e308 1e308 1e308\npenetration = 1e308",
-        "wall_point = -1e308 -1e308 -1e308\nstandoff = 1e308",
-        "wall_point = 1e308 1e308 1e308\n"
-        "hover_position = -1e308 -1e308 -1e308",
-        "magnet_offset = 1e308 1e308 1e308\npenetration = 1e308",
-        "magnet_offset = -1e308 -1e308 -1e308\nstandoff = 1e308",
-        "magnet_offset = 1e308 1e308 1e308\n"
-        "hover_position = 1e308 1e308 1e308",
-        "hover_position = 1e308 1e308 1e308\nstandoff = 1e308")
-] + [
-    # A finite approach whose contact leg, flown at the perch signal,
-    # overflows in its short t_contact.
+    # would overflow: the first out of range in field order is named.
+    ("mission = perch\nwall_point = 1e308 1e308 1e308\n"
+     "magnet_offset = 1e308 1e308 1e308",
+     "wall_point must lie in [-1e3, 1e3]"),
+    ("mission = perch\nwall_point = 1e308 1e308 1e308\npenetration = 1e308",
+     "wall_point must lie in [-1e3, 1e3]"),
+    ("mission = perch\nwall_point = -1e308 -1e308 -1e308\nstandoff = 1e308",
+     "wall_point must lie in [-1e3, 1e3]"),
+    ("mission = perch\nwall_point = 1e308 1e308 1e308\n"
+     "hover_position = -1e308 -1e308 -1e308",
+     "wall_point must lie in [-1e3, 1e3]"),
+    ("mission = perch\nmagnet_offset = 1e308 1e308 1e308\npenetration = 1e308",
+     "magnet_offset must lie in [-1e3, 1e3]"),
+    ("mission = perch\nmagnet_offset = -1e308 -1e308 -1e308\n"
+     "standoff = 1e308", "magnet_offset must lie in [-1e3, 1e3]"),
+    ("mission = perch\nmagnet_offset = 1e308 1e308 1e308\n"
+     "hover_position = 1e308 1e308 1e308",
+     "magnet_offset must lie in [-1e3, 1e3]"),
+    ("mission = perch\nhover_position = 1e308 1e308 1e308\nstandoff = 1e308",
+     "hover_position must lie in [-1e3, 1e3]"),
+    # A finite approach whose contact leg, flown at the perch signal, would
+    # overflow in its short t_contact.
     ("mission = perch\npenetration = 1e300\nt_contact = 0.001\n"
-     "hold_time = 0.5\nduration = 2\nevent = 1.0 s_f2p", PLAN_OVERFLOWS),
+     "hold_time = 0.5\nduration = 2\nevent = 1.0 s_f2p",
+     "penetration must lie in [0, 1e3]"),
+    # A perch signal mid-approach, whose contact leg would start from a
+    # moving sample and overflow.
+    (MID_APPROACH, "standoff must lie in (0, 1e3]"),
 ]
 
 
@@ -175,6 +184,21 @@ def test_invalid_value_exit_code(tmp_path, capsys, line, message):
         assert main(["run", "--scenario", str(scen), "--out",
                      str(tmp_path / "o")]) == EXIT_SCHEMA
     assert capsys.readouterr().err == f"scenario error: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_mid_approach_overflow_exits_2_under_warnings_as_errors(tmp_path):
+    # In a fresh `python -W error` too: one line, no traceback, no output.
+    scen = tmp_path / "bad.scn"
+    scen.write_text(HOVER + MID_APPROACH + "\n")
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "perchsim.cli", "run",
+         "--scenario", str(scen), "--out", str(tmp_path / "o")],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+        text=True, timeout=120)
+    assert proc.returncode == EXIT_SCHEMA
+    assert proc.stderr == "scenario error: standoff must lie in (0, 1e3]\n"
     assert not (tmp_path / "o").exists()
 
 

@@ -2,6 +2,7 @@
 
 import math
 import re
+import warnings
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from perchsim import harness
 from perchsim.control import perch_wrench
+from perchsim.geometry import ZERO3
 from perchsim.harness import run_scenario
 from perchsim.planner import MissionPlanner
 from perchsim.scenario import (MISSIONS, SCHEMA_DOC, VARIANTS, ScenarioConfig,
@@ -181,15 +183,25 @@ def test_schema_doc_mentions_exit_codes():
     assert "0 ok" in SCHEMA_DOC and "2" in SCHEMA_DOC and "3" in SCHEMA_DOC
 
 
-# The keys that must be positive, and that must not be negative, as two
-# hand-written tuples held them before each key declared its own rule.
-POSITIVE = {"duration", "mass", "inertia_diag", "gravity", "arm_length",
-            "thrust_max", "rotor_tau", "tilt_rate_max", "perch_servo_time",
-            "magnet_force", "magnet_range", "attach_tol", "integral_clamp",
-            "estimator_gain", "standoff", "t_approach", "t_contact",
-            "hold_time", "clearance_arm", "settle_tol"}
+# Each key's interval, grouped by rule: the sign rules that two hand-written
+# tuples held before each key declared its own, now closed at 1e3 m for a
+# length and at 1e4 s for a segment time.
+POSITIVE = {"duration", "mass", "inertia_diag", "gravity", "thrust_max",
+            "rotor_tau", "tilt_rate_max", "perch_servo_time", "magnet_force",
+            "integral_clamp", "estimator_gain", "clearance_arm",
+            "settle_tol"}
 NONNEGATIVE = {"seed", "k_tau", "k_tp", "k_td", "k_rp", "k_rd", "k_ri",
-               "penetration", "noise_std_pos", "noise_std_vel"}
+               "noise_std_pos", "noise_std_vel"}
+INTERVALS = {
+    "(0, inf)": POSITIVE,
+    "[0, inf)": NONNEGATIVE,
+    "(0, 1e3]": {"arm_length", "magnet_range", "attach_tol", "standoff"},
+    "[0, 1e3]": {"penetration"},
+    "[-1e3, 1e3]": {"wall_point", "magnet_offset", "hover_position",
+                    "initial_offset"},
+    "(0, 1e4]": {"t_approach", "t_contact", "hold_time"},
+    "[1e-6, 0.01]": {"dt"},
+    "[0, 1)": {"rho"}}
 KEYS = [f for f in fields(ScenarioConfig)
         if f.name not in ("events", "disturbances")]
 
@@ -199,14 +211,39 @@ def test_every_key_declares_unit_and_rule():
     for f in KEYS:
         assert set(f.metadata) == {"unit", "rule"}, f.name
     rules = {f.name: f.metadata["rule"] for f in KEYS}
-    assert {k for k, rule in rules.items() if rule == "> 0"} == POSITIVE
-    assert {k for k, rule in rules.items() if rule == ">= 0"} == NONNEGATIVE
+    for interval, keys in INTERVALS.items():
+        assert {k for k, rule in rules.items() if rule == interval} == keys
     assert rules["variant"] == tuple(VARIANTS)
     assert rules["mission"] == MISSIONS
     assert {k for k, rule in rules.items() if rule is None} == {
-        "name", "dt", "wall_point", "wall_normal", "magnet_offset",
-        "lambda_f2p", "lambda_p2f", "rho", "hover_position", "hover_pitch",
-        "initial_offset"}
+        "name", "wall_normal", "lambda_f2p", "lambda_p2f", "hover_pitch"}
+
+
+@pytest.mark.parametrize("interval, keys", INTERVALS.items(),
+                         ids=list(INTERVALS))
+def test_interval_rules_hold_at_their_ends(interval, keys):
+    # Each key takes its interval's closed ends and refuses its open ends
+    # and the numbers just beyond them, with the same message.
+    lo, hi = (float(x) for x in interval[1:-1].split(","))
+    for key in keys:
+        default = getattr(ScenarioConfig(), key)
+        for x, inside in ((lo, interval[0] == "["), (hi, interval[-1] == "]"),
+                          (np.nextafter(lo, -math.inf), False),
+                          (np.nextafter(hi, math.inf), False)):
+            if not math.isfinite(x):
+                continue
+            value = (x,) * 3 if isinstance(default, tuple) else x
+            cfg = ScenarioConfig(mission="hover", **{key: value})
+            if key == "dt":
+                cfg.duration = 1e3 * x
+            try:
+                cfg.build()
+            except ScenarioError as exc:
+                assert not inside and str(exc) in (
+                    f"{key} must be positive", f"{key} must not be negative",
+                    f"{key} must lie in {interval}"), (key, x, exc)
+            else:
+                assert inside, (key, x)
 
 
 def test_schema_doc_rows_read_back_as_defaults():
@@ -267,7 +304,7 @@ _ENTRIES = st.one_of(
 
 @settings(derandomize=True, max_examples=200, deadline=None, database=None)
 @given(st.lists(_ENTRIES, max_size=6))
-@example(["hold_time = 1e62"])          # far beyond MAX_SEGMENT_S
+@example(["hold_time = 1e62"])          # far beyond its 1e4 s bound
 @example(["t_approach = 3e-279"])       # the quintic solve is singular
 def test_parsed_scenario_builds(lines):
     # Whatever build() accepts must also plan: run_scenario builds the
@@ -278,3 +315,59 @@ def test_parsed_scenario_builds(lines):
     except ScenarioError:
         return
     MissionPlanner(cfg, wall)
+
+
+# The length keys and the segment times, each drawn within its rule: the
+# bounds that keep every leg of a perch plan finite.
+_POINTS = sorted(INTERVALS["[-1e3, 1e3]"])
+_SIZES = sorted(INTERVALS["(0, 1e3]"] | INTERVALS["[0, 1e3]"])
+_POINT = st.floats(-1e3, 1e3) | st.sampled_from([-1e3, 1e3])
+_SIZE = st.floats(0.0, 1e3, exclude_min=True) | st.just(1e3)
+_TIME = st.floats(1e-6, 1e4) | st.sampled_from([1e-6, 1e4])
+_PERCH = st.fixed_dictionaries({
+    **{k: st.tuples(_POINT, _POINT, _POINT) for k in _POINTS},
+    **{k: _SIZE for k in _SIZES},
+    "dt": st.floats(1e-6, 0.01) | st.just(1e-6),
+    "t_approach": _TIME, "t_contact": _TIME, "hold_time": _TIME,
+    "wall_normal": st.tuples(*[st.floats(-1.0, 1.0)] * 3),
+    "hover_pitch": st.floats(-4.0, 4.0)})
+# The corner: every length 1e3 m in size, the shortest dt and legs.
+_CORNER = {**{k: (1e3, 1e3, 1e3) for k in _POINTS},
+           **{k: 1e3 for k in _SIZES},
+           "hover_position": (-1e3, -1e3, -1e3), "dt": 1e-6,
+           "t_approach": 1e-6, "t_contact": 1e-6, "hold_time": 1e4,
+           "wall_normal": (-1.0, 0.0, 0.0), "hover_pitch": 0.0}
+
+
+def _leg_numbers(planner):
+    """Every number of the planner's legs and of its terminal setpoint."""
+    return np.concatenate([np.ravel(x) for leg in planner.segments
+                           for x in leg] +
+                          [np.ravel(x) for x in planner.terminal])
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(_PERCH)
+@example(_CORNER)
+def test_perch_legs_stay_finite(keys):
+    # Any perch scenario that builds flies finite legs, with no warning,
+    # whenever its perch signal comes during the approach: the contact leg
+    # starts from the approach's moving sample, and a departure from a pose
+    # on that leg.
+    cfg = ScenarioConfig(mission="perch", duration=keys["dt"], **keys)
+    try:
+        _, wall = cfg.build()
+    except ScenarioError:
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for f in (0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0):
+            t = cfg.hold_time + f * cfg.t_approach
+            for g in (0.5, 1.0):
+                planner = MissionPlanner(cfg, wall)
+                planner.start_approach(t)
+                assert np.isfinite(_leg_numbers(planner)).all(), (f, g)
+                t_dep = t + g * cfg.t_contact
+                p, _, _, R, _ = planner.sample(t_dep)
+                planner.start_departure(t_dep, (p, ZERO3, R, ZERO3))
+                assert np.isfinite(_leg_numbers(planner)).all(), (f, g)
