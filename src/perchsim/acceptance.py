@@ -1,8 +1,9 @@
 """Acceptance suite: twelve property and ablation-ordering checks.
 
-Each check returns a CheckResult; run_all executes them in order and prints
-one pass/fail line per criterion.  Full-scenario runs are memoized so the
-pipeline, ablation, and determinism checks share work.
+CHECKS lists them in order, the one list that `perchsim verify` and the
+tests run; each returns a CheckResult with one pass/fail line.  Full-scenario
+runs are memoized so the pipeline, ablation, and determinism checks share
+work.
 """
 
 import hashlib
@@ -398,13 +399,3 @@ CHECKS = [
     check_11_determinism,
     check_12_physics_sanity,
 ]
-
-
-def run_all(verbose=False):
-    results = []
-    for check in CHECKS:
-        res = check()
-        results.append(res)
-        if verbose:
-            print(res.line())
-    return results

@@ -120,9 +120,13 @@ def cmd_ablate(args):
 
 
 def cmd_verify(args):
-    from .acceptance import run_all
-    results = run_all(verbose=True)
-    return EXIT_OK if all(r.passed for r in results) else 1
+    from .acceptance import CHECKS
+    passed = True
+    for check in CHECKS:
+        result = check()
+        print(result.line())
+        passed = passed and result.passed
+    return EXIT_OK if passed else 1
 
 
 def cmd_print_schema(args):

@@ -2,6 +2,7 @@
 and the outcome metrics folded from a run's log."""
 
 import math
+import operator
 import struct
 from dataclasses import asdict, dataclass, field
 from itertools import chain
@@ -130,8 +131,7 @@ class MetricsFold:
         if self.t_release is None:
             self.t_release = next((te for te, kind, detail in self.events
                                    if kind == "contact"
-                                   and detail.partition(":")[0] == "release"),
-                                  None)
+                                   and detail == "release"), None)
             if self.t_release is None:
                 return
         t = rows[:, _T]
@@ -253,26 +253,24 @@ class SimResult:
         fh.writelines(lines)
 
 
+# compare's metric deltas, other minus base, and its ordering checks, each
+# (key, holds(other, base), check); a key either run left unmeasured (None)
+# is in neither.
+_DELTA_KEYS = ("z_drop_m", "min_clearance_m", "time_to_perch_s",
+               "settle_time_after_release_s")
+_ORDERINGS = (("z_drop_m", operator.ge, "other z_drop >= base z_drop"),
+              ("min_clearance_m", operator.le,
+               "other min_clearance <= base min_clearance"))
+
+
 def compare(variant_a, metrics_a, variant_b, metrics_b):
     """Side-by-side metric deltas and ablation-ordering checks, as JSON."""
     ma, mb = metrics_a.to_dict(), metrics_b.to_dict()
-    deltas = {}
-    for key in ("z_drop_m", "min_clearance_m", "time_to_perch_s",
-                "settle_time_after_release_s"):
-        if isinstance(ma.get(key), (int, float)) \
-                and isinstance(mb.get(key), (int, float)):
-            deltas[key] = mb[key] - ma[key]
-    orderings = []
-    if ma.get("z_drop_m") is not None and mb.get("z_drop_m") is not None:
-        orderings.append(("other z_drop >= base z_drop",
-                          mb["z_drop_m"] >= ma["z_drop_m"]))
-    if ma.get("min_clearance_m") is not None \
-            and mb.get("min_clearance_m") is not None:
-        orderings.append(("other min_clearance <= base min_clearance",
-                          mb["min_clearance_m"] <= ma["min_clearance_m"]))
+    both = [k for k in _DELTA_KEYS if ma[k] is not None and mb[k] is not None]
     return {
         "base_variant": variant_a,
         "other_variant": variant_b,
-        "metric_deltas": deltas,
-        "orderings": [{"check": desc, "holds": ok} for desc, ok in orderings],
+        "metric_deltas": {k: mb[k] - ma[k] for k in both},
+        "orderings": [{"check": check, "holds": holds(mb[k], ma[k])}
+                      for k, holds, check in _ORDERINGS if k in both],
     }

@@ -1,62 +1,19 @@
-"""Acceptance suite: one test per criterion, each printing its pass/fail line.
+"""Acceptance suite: one case per entry of acceptance.CHECKS, in its order,
+each printing its pass/fail line.  `-k "not check_12"` skips the soak.
 
 Scenario runs are memoized inside perchsim.acceptance, so the four default
 mission variants execute once per session no matter how many criteria
 consume them.
 """
 
+import pytest
+
 from perchsim import acceptance
 
 
-def _run(check):
+@pytest.mark.parametrize("check", acceptance.CHECKS,
+                         ids=[c.__name__ for c in acceptance.CHECKS])
+def test_criterion(check):
     res = check()
     print(res.line())
     assert res.passed, res.line()
-
-
-def test_criterion_01_mode_machine():
-    _run(acceptance.check_1_mode_machine)
-
-
-def test_criterion_02_estimator_law():
-    _run(acceptance.check_2_estimator_law)
-
-
-def test_criterion_03_freeze_semantics():
-    _run(acceptance.check_3_freeze_semantics)
-
-
-def test_criterion_04_allocation():
-    _run(acceptance.check_4_allocation)
-
-
-def test_criterion_05_pitch90_hover():
-    _run(acceptance.check_5_pitch90_hover)
-
-
-def test_criterion_06_trajectory_optimality():
-    _run(acceptance.check_6_trajectory_optimality)
-
-
-def test_criterion_07_full_pipeline():
-    _run(acceptance.check_7_full_pipeline)
-
-
-def test_criterion_08_ablation_drop():
-    _run(acceptance.check_8_ablation_drop)
-
-
-def test_criterion_09_ablation_recontact():
-    _run(acceptance.check_9_ablation_recontact)
-
-
-def test_criterion_10_saturation_ablation():
-    _run(acceptance.check_10_saturation_ablation)
-
-
-def test_criterion_11_determinism():
-    _run(acceptance.check_11_determinism)
-
-
-def test_criterion_12_physics_sanity():
-    _run(acceptance.check_12_physics_sanity)

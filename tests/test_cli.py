@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from perchsim import cli
+from perchsim import acceptance, cli
 from perchsim.allocation import RotorGeometry
 from perchsim.cli import EXIT_FAILED, EXIT_OK, EXIT_SCHEMA, main
 from perchsim.harness import _BLOCK, run_scenario
@@ -412,3 +412,32 @@ def test_print_schema(capsys):
     out = capsys.readouterr().out
     assert "schema_version" in out
     assert "event = " in out
+
+
+def _fake_check(number, passed):
+    return lambda: acceptance.CheckResult(number, "fake", passed, "detail")
+
+
+@pytest.mark.parametrize("first_passes", [True, False])
+def test_verify_runs_every_check(monkeypatch, capsys, first_passes):
+    # verify runs acceptance.CHECKS in order and prints each one's line; a
+    # failed check makes it exit 1 after the checks behind it have run.
+    monkeypatch.setattr(acceptance, "CHECKS",
+                        [_fake_check(1, first_passes), _fake_check(2, True)])
+    assert main(["verify"]) == (EXIT_OK if first_passes else 1)
+    first = "PASS" if first_passes else "FAIL"
+    assert capsys.readouterr().out \
+        == (f"{first} criterion  1 (fake): detail\n"
+            "PASS criterion  2 (fake): detail\n")
+
+
+def test_run_path_does_not_import_acceptance():
+    # Only `verify` imports the acceptance suite (about 1.3 MB compiled), so
+    # `run` and `ablate` never pay for it.
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, perchsim.cli; "
+         "print('perchsim.acceptance' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+        text=True, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")

@@ -578,6 +578,21 @@ def test_mission_metrics_sane():
     assert m.z_drop_m < 0.2
 
 
+def test_thin_thrust_margin_keeps_proposed_and_breaks_rho0():
+    # At thrust_max = 6 N (default 8 N) the proposed controller still perches
+    # and releases with no P-mode saturation and a drop under 1 mm, while
+    # rho0's drop grows from 0.129 m at the default to over 0.5 m.
+    metrics = {}
+    for variant in ("proposed", "no-transitions-rho0"):
+        cfg = default_scenario()
+        cfg.thrust_max, cfg.variant = 6.0, variant
+        metrics[variant] = run_scenario(cfg).metrics
+    m = metrics["proposed"]
+    assert m.completed and m.unperch_achieved
+    assert m.saturation_fraction["P"] == 0.0 and m.z_drop_m < 1e-3
+    assert metrics["no-transitions-rho0"].z_drop_m > 0.5
+
+
 @pytest.mark.parametrize("magnet_force, edge, t_end", [
     (30.0, "release", 15.431), (20.0, "forcible-detach", 15.430)])
 def test_magnet_strength_boundary(magnet_force, edge, t_end):
@@ -751,6 +766,15 @@ def test_library_result_reads_its_modes_from_its_events(name):
     assert [a for a, _ in edges] == [FIRST_MODE] + [b for _, b in edges][:-1]
     assert [m for m, _ in itertools.groupby(result.modes)] \
         == [FIRST_MODE] + [b for _, b in edges]
+
+
+def test_two_cycle_contact_event_times():
+    # Both cycles perch and release.  Only the event times are pinned: the
+    # run's clearance and drop are read across the second perch too.
+    events = [(round(t, 3), detail) for t, kind, detail
+              in _two_cycle_mission().events if kind == "contact"]
+    assert events == [(7.748, "attach"), (15.431, "release"),
+                      (32.037, "attach"), (40.429, "release")]
 
 
 # SHA-256 of a short noisy, disturbed, pitched hover CSV.  The default
