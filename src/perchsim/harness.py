@@ -89,11 +89,12 @@ def run_scenario(cfg, log=None):
     thrust, tilt_cmd, _ = allocate(trim, rotors, params.T_max,
                                    (0.0,) * rotors.n_rotors)
     act = thrust, tilt_cmd, 0.0
-    f_act, _ = forward_wrench(thrust, tilt_cmd, rotors)
+    rotor_wrench = forward_wrench(thrust, tilt_cmd, rotors)
     contact = ContactState()
     sup = SupervisorState()
     integ = ZERO3                    # attitude integral of nominal_wrench
     K_e = cfg.estimator_gain
+    k_f = 1.0 + cfg.thrust_model_error   # observed over true rotor force
     est_rej = estimation.fresh(state, params, K_e)
     contact_was_active = False       # est_con starts on its first active tick
     lam_c = 0.0
@@ -159,7 +160,10 @@ def run_scenario(cfg, log=None):
         # 2. planner
         sp = planner.sample(t)
 
-        # 3. estimation (consumes the wrench applied over the last interval)
+        # 3. estimation (consumes the wrench applied over the last interval,
+        # its rotor force as the observers' thrust model has it)
+        (fx, fy, fz), _ = rotor_wrench
+        f_act = k_f * fx, k_f * fy, k_f * fz
         if rejection_frozen or freeze_while_attached and contact.attached:
             # While attached the estimate would absorb the constraint force,
             # so the hold extends until the wall actually lets go.
@@ -205,7 +209,7 @@ def run_scenario(cfg, log=None):
         if t >= next_edge:           # a pulse starts or ends: sum again
             dist = _disturbance_at(cfg, t)
             next_edge = next((e for e in edges if e > t), math.inf)
-        f_act, _ = rotor_wrench = forward_wrench(thrust, tilt, rotors)
+        rotor_wrench = forward_wrench(thrust, tilt, rotors)
         contact, edge, state = update_contact(state, act, rotor_wrench, dist,
                                               contact, wall, params)
         if edge is not None:

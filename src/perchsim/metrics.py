@@ -78,10 +78,16 @@ def _nan_min(a, b):
     return a if a <= b or a != a else b
 
 
-# Per signal: its value from tick 0, and the value each of its events sets.
+# Per signal: its value from tick 0, and a map of an event's (kind, detail)
+# to the value it sets, or to None off its edges.  "released" ends at the
+# next perch command executed, which any attach follows (servo engaged).
 _SIGNALS = {"mode": (SupervisorState().mode.value,
-                     lambda detail: detail.partition("->")[2]),
-            "contact": (0.0, lambda detail: float(detail == "attach"))}
+                     lambda e: e[1].partition("->")[2]
+                     if e[0] == "mode" else None),
+            "contact": (0.0, lambda e: float(e[1] == "attach")
+                        if e[0] == "contact" else None),
+            "released": (False, {("contact", "release"): True,
+                                 ("eta_d", "perch"): False}.get)}
 
 
 def tick_runs(events, dt, kind, start, n):
@@ -91,14 +97,15 @@ def tick_runs(events, dt, kind, start, n):
     value, of = _SIGNALS[kind]
     a = 0                            # the run of `value` starts at start + a
     for t, k, detail in events:
-        if k == kind:
+        new = of((k, detail))
+        if new is not None:
             b = round(t / dt) - start
             if b >= n:
                 break
             if b > a:
                 yield value, a, b
                 a = b
-            value = of(detail)
+            value = new
     if a < n:
         yield value, a, n
 
@@ -106,18 +113,18 @@ def tick_runs(events, dt, kind, start, n):
 class MetricsFold:
     """The log's part of the outcome metrics, folded a block of rows at a
     time.  Blocks come in tick order, and when one is fed, `events` holds
-    every event up to its last tick; the release time is that of a logged
-    tick."""
+    every event up to its last tick.  The window after release is the first
+    run of the "released" signal, from the tick after the release on."""
 
     def __init__(self, cfg, events):
         self.cfg, self.events = cfg, events
         self.by_mode = {}            # mode -> (ticks, saturated, max eR_norm)
-        self.t_release = None
+        self.ticks = 0               # ticks fed
         self.z_rel = None            # pz at the release tick
-        self.after = 0               # ticks after release
-        self.z_drop = -math.inf      # max of z_rel - pz after release
-        self.gap_min = math.inf      # min gap after release
-        self.gap_armed = None        # min gap from the first armed tick
+        self.after = 0               # ticks in the window after release
+        self.z_drop = -math.inf      # max of z_rel - pz in the window
+        self.gap_min = math.inf      # min gap in the window
+        self.gap_armed = None        # min gap from the window's armed tick
         self.t_settle = None         # t of the final settled run's first tick
 
     def feed(self, rows, runs):
@@ -128,22 +135,20 @@ class MetricsFold:
                 ticks + j - i,
                 sat + int(np.count_nonzero(rows[i:j, _SAT] > 0.5)),
                 _nan_max(eR, float(rows[i:j, _ER].max())))
-        if self.t_release is None:
-            self.t_release = next((te for te, kind, detail in self.events
-                                   if kind == "contact"
-                                   and detail == "release"), None)
-            if self.t_release is None:
-                return
-        t = rows[:, _T]
-        a = int(np.searchsorted(t, self.t_release, side="right"))
-        if a:
-            self.z_rel = float(rows[a - 1, _PZ])
-        if a == len(t):
+        start = self.ticks
+        self.ticks += len(rows)
+        k_rel, k_end = next(((i, j) for on, i, j in tick_runs(
+            self.events, self.cfg.dt, "released", 0, self.ticks) if on),
+            (self.ticks, self.ticks))
+        if start <= k_rel < self.ticks:
+            self.z_rel = float(rows[k_rel - start, _PZ])
+        a, b = max(k_rel + 1 - start, 0), k_end - start
+        if a >= b:
             return
-        self.after += len(t) - a
+        self.after += b - a
         self.z_drop = _nan_max(self.z_drop,
-                               float(np.max(self.z_rel - rows[a:, _PZ])))
-        g = rows[a:, _GAP]
+                               float(np.max(self.z_rel - rows[a:b, _PZ])))
+        g = rows[a:b, _GAP]
         g_min = float(g.min())
         self.gap_min = _nan_min(self.gap_min, g_min)
         if self.gap_armed is not None:
@@ -153,11 +158,11 @@ class MetricsFold:
             first = int(armed.argmax())
             if armed[first]:
                 self.gap_armed = float(g[first:].min())
-        j = settle_index(rows[a:, _EP] < self.cfg.settle_tol)
+        j = settle_index(rows[a:b, _EP] < self.cfg.settle_tol)
         if j is None:
             self.t_settle = None
         elif j or self.t_settle is None:
-            self.t_settle = float(t[a + j])
+            self.t_settle = float(rows[a + j, _T])
 
 
 def compute_metrics(fold):

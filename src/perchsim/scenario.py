@@ -108,9 +108,11 @@ class ScenarioConfig:
     # metrics
     clearance_arm: float = _key(0.05, "m", "(0, inf)")
     settle_tol: float = _key(0.02, "m", "(0, inf)")
-    # noise (off by default; acceptance runs are noise-free)
+    # noise and the observers' thrust error, a fraction (off by default;
+    # acceptance runs are noise-free and know their thrust exactly)
     noise_std_pos: float = _key(0.0, "m", "[0, inf)")
     noise_std_vel: float = _key(0.0, "m/s", "[0, inf)")
+    thrust_model_error: float = _key(0.0, "", "(-0.5, 0.5)")
     # schedules
     events: list = field(default_factory=list)        # (time, "s_f2p"|"s_p2f")
     disturbances: list = field(default_factory=list)  # (t0, t1, fx..rz)

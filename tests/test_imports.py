@@ -1,6 +1,7 @@
 """Every name a perchsim module imports is used in that module, the
 outcome metrics and the log's format stay in `metrics.py`, apart from the
-tick loop, and `ScenarioError` is the one exception type perchsim defines.
+tick loop, the metrics fold reads the run's events only through
+`tick_runs`, and `ScenarioError` is the one exception type perchsim defines.
 
 No linter ships with the project, so this reads each module's syntax tree:
 an imported name counts as used where it appears as a name in the code, or
@@ -10,6 +11,7 @@ as a string in the module's `__all__`.
 import ast
 import importlib
 import inspect
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -99,6 +101,43 @@ def test_log_format_lives_in_metrics():
         if hasattr(harness, name):
             assert getattr(harness, name) is getattr(metrics, name), name
     assert harness.SimResult.__module__ == "perchsim.metrics"
+
+
+def event_reads(source):
+    """How `source` reads a run's events, one name a read, sorted: "loop"
+    for a loop or comprehension over `self.events`, and "tick_runs" or
+    "searchsorted" for a call of that name."""
+    reads = []
+    for node in ast.walk(ast.parse(textwrap.dedent(source))):
+        if isinstance(node, (ast.For, ast.comprehension)) \
+                and ast.unparse(node.iter) == "self.events":
+            reads.append("loop")
+        elif isinstance(node, ast.Call):
+            name = ast.unparse(node.func).rpartition(".")[2]
+            if name in ("tick_runs", "searchsorted"):
+                reads.append(name)
+    return sorted(reads)
+
+
+def test_guard_finds_event_reads():
+    source = """\
+        def feed(self, t):
+            first = next(te for te, kind, _ in self.events if kind == "x")
+            for event in self.events:
+                pass
+            a = np.searchsorted(t, first) + t.searchsorted(first)
+            return list(tick_runs(self.events, 0.1, "mode", 0, a))
+        """
+    assert event_reads(source) == ["loop", "loop", "searchsorted",
+                                   "searchsorted", "tick_runs"]
+
+
+def test_fold_reads_its_window_through_tick_runs():
+    # The window after release is the "released" signal of `tick_runs`, the
+    # one reader of a signal the events record by its edges: the fold
+    # neither scans its events nor searches the `t` column for a time.
+    assert event_reads(inspect.getsource(metrics.MetricsFold)) \
+        == ["tick_runs"]
 
 
 def test_scenario_error_is_the_one_exception_type():

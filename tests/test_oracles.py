@@ -797,7 +797,8 @@ def test_edge_table_matches_elif_chain(edges, previous):
 
 
 def compute_metrics_arrays(result):
-    """compute_metrics as a pass of whole-log arrays, before the fold."""
+    """compute_metrics as a pass of whole-log arrays, before the fold; its
+    window after release ends at the next perch command."""
     cfg = result.cfg
     gaps = result.column("gap")
     t = result.column("t")
@@ -824,7 +825,10 @@ def compute_metrics_arrays(result):
     if t_release is not None:
         m.unperch_achieved = True
         m.release_time_s = t_release
-        after = t > t_release
+        t_perch = next((te for te, kind, detail in result.events
+                        if (kind, detail) == ("eta_d", "perch")
+                        and te > t_release), math.inf)
+        after = (t > t_release) & (t < t_perch)
         if after.any():
             z_rel = float(z[np.searchsorted(t, t_release, side="right") - 1])
             m.z_drop_m = float(np.max(z_rel - z[after]))
@@ -874,7 +878,7 @@ def log_values(data, n, values, special):
 def test_metrics_fold_matches_whole_log_arrays(data):
     # A synthetic log in runs of equal mode, each change of mode a mode
     # event, cut into blocks at random, with a release (if any) at a logged
-    # tick chosen against the cuts.
+    # tick chosen against the cuts, and perhaps a second perch after it.
     modes, mode_events, mode = [], [], SupervisorState().mode.value
     while len(modes) < 2 or data.draw(st.booleans()):
         new = data.draw(st.sampled_from(Mode)).value
@@ -918,6 +922,16 @@ def test_metrics_fold_matches_whole_log_arrays(data):
                    (float(t[k]), "contact", "release")]
     if data.draw(st.booleans()):
         events.append((float(t[-1]), "failure", "ground-contact"))
+    # A perch command after the release closes the window after it, and a
+    # second attach and release may follow.
+    if release != "none" and k < n - 1 and data.draw(st.booleans()):
+        p = data.draw(st.integers(k + 1, n - 1))
+        events.append((float(t[p]), "eta_d", "perch"))
+        if data.draw(st.booleans()):
+            i = data.draw(st.integers(p, n - 1))
+            j = data.draw(st.integers(i, n - 1))
+            events += [(float(t[i]), "contact", "attach"),
+                       (float(t[j]), "contact", "release")]
     events = sorted(mode_events + events, key=lambda e: e[0])
     result = SimResult(METRICS_CFG, events, None, n, rows)
     assert result.modes == modes

@@ -201,13 +201,14 @@ INTERVALS = {
                     "initial_offset"},
     "(0, 1e4]": {"t_approach", "t_contact", "hold_time"},
     "[1e-6, 0.01]": {"dt"},
-    "[0, 1)": {"rho"}}
+    "[0, 1)": {"rho"},
+    "(-0.5, 0.5)": {"thrust_model_error"}}
 KEYS = [f for f in fields(ScenarioConfig)
         if f.name not in ("events", "disturbances")]
 
 
 def test_every_key_declares_unit_and_rule():
-    assert len(fields(ScenarioConfig)) == 45
+    assert len(fields(ScenarioConfig)) == 46
     for f in KEYS:
         assert set(f.metadata) == {"unit", "rule"}, f.name
     rules = {f.name: f.metadata["rule"] for f in KEYS}
