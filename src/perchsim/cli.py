@@ -32,9 +32,12 @@ def _load(args):
 
 
 def _check_out(path, files):
-    """Fail before the run, creating nothing, where os.makedirs(path) would
-    meet a file at `path` or above it, or where one of the `files` to be
-    written in `path` is a directory."""
+    """Fail before the run, creating nothing, where `path` is empty, where
+    os.makedirs(path) would meet a file at `path` or above it, or where one
+    of the `files` to be written in `path` is a directory."""
+    if not path:
+        raise FileNotFoundError(errno.ENOENT, "No such file or directory",
+                                path)
     head = path
     while head and not os.path.lexists(head):
         head = os.path.dirname(head)

@@ -16,8 +16,7 @@ from . import estimation
 from .allocation import allocate
 from .control import nominal_wrench, perch_wrench, rejection_force
 from .geometry import ZERO3, mat_t_vec, pitch_of, quat_of, rotation_error
-from .metrics import _HEADER, _RECORD, _ROW, MetricsFold, SimResult, \
-    _csv_lines, compute_metrics, tick_runs
+from .metrics import _RECORD, _ROW, MetricsFold, SimResult, compute_metrics
 from .planner import MissionPlanner
 from .supervisor import VARIANTS, Mode, SupervisorState, transition
 from .vehicle import ContactState, at_rest, forward_wrench, integrate, \
@@ -32,15 +31,6 @@ transition_two_mode = transition
 # Ticks of measurement noise drawn per numpy call; small, so the block's
 # floats stay a few kB.
 _NOISE_BLOCK = 64
-
-
-def _flush_block(log, fold, rows, start):
-    """Feed `rows`, the records of the ticks from `start` on, and their mode
-    runs to `fold`; given a text file `log`, also write them there as CSV."""
-    runs = list(tick_runs(fold.events, fold.cfg.dt, "mode", start, len(rows)))
-    fold.feed(rows, runs)
-    if log is not None:
-        log.writelines(_csv_lines(rows, runs))
 
 
 def _disturbance_at(cfg, t):
@@ -112,12 +102,8 @@ def run_scenario(cfg, log=None):
             event_ticks.setdefault(int(round(t_ev / cfg.dt)), []).append(kind)
 
     events = []
-    fold = MetricsFold(cfg, events)
-    if log is None:                  # one block: the whole log
-        block_len = n_ticks
-    else:
-        log.writelines((_HEADER,))
-        block_len = _BLOCK
+    fold = MetricsFold(cfg, events, log)
+    block_len = n_ticks if log is None else _BLOCK
     block = np.empty((min(block_len, n_ticks), len(_RECORD)))
     block_end = block_len - 1
     perch, rejection_frozen, contact_active = policies[sup.mode]
@@ -231,7 +217,7 @@ def run_scenario(cfg, log=None):
                        math.sqrt(dx * dx + dy * dy + dz * dz),
                        1.0 if saturated else 0.0, contact.gap)
         if j == block_end:
-            _flush_block(log, fold, block, k - j)
+            fold.feed(block)
 
         # 8. integrate (an overflowing body rate fails in exp_so3's math)
         try:
@@ -246,7 +232,7 @@ def run_scenario(cfg, log=None):
             break
 
     n = k + 1                        # tick k is logged, also when it failed
-    if n % block_len:                # a last block not yet flushed
-        _flush_block(log, fold, block[:n % block_len], n - n % block_len)
+    if n % block_len:                # a last block not yet fed
+        fold.feed(block[:n % block_len])
     return SimResult(cfg, events, compute_metrics(fold), n,
                      block[:n] if log is None else None)

@@ -111,13 +111,14 @@ def tick_runs(events, dt, kind, start, n):
 
 
 class MetricsFold:
-    """The log's part of the outcome metrics, folded a block of rows at a
-    time.  Blocks come in tick order, and when one is fed, `events` holds
-    every event up to its last tick.  The window after release is the first
-    run of the "released" signal, from the tick after the release on."""
+    """The log stage: it folds the log's part of the outcome metrics and,
+    given a text file `log`, writes the log there as CSV, header first, a
+    block of rows at a time.  Blocks come in tick order, and when one is
+    fed, `events` holds every event up to its last tick.  The window after
+    release is the first "released" run, from the tick after the release."""
 
-    def __init__(self, cfg, events):
-        self.cfg, self.events = cfg, events
+    def __init__(self, cfg, events, log=None):
+        self.cfg, self.events, self.log = cfg, events, log
         self.by_mode = {}            # mode -> (ticks, saturated, max eR_norm)
         self.ticks = 0               # ticks fed
         self.z_rel = None            # pz at the release tick
@@ -126,17 +127,23 @@ class MetricsFold:
         self.gap_min = math.inf      # min gap in the window
         self.gap_armed = None        # min gap from the window's armed tick
         self.t_settle = None         # t of the final settled run's first tick
+        if log is not None:
+            log.writelines((_HEADER,))
 
-    def feed(self, rows, runs):
-        """Fold in `rows`, a block of log records, and their mode runs."""
+    def feed(self, rows):
+        """Fold in `rows`, the records of the next ticks, and log them."""
+        start = self.ticks
+        self.ticks += len(rows)
+        runs = list(tick_runs(self.events, self.cfg.dt, "mode", start,
+                              len(rows)))
         for mode, i, j in runs:
             ticks, sat, eR = self.by_mode.get(mode, (0, 0, -math.inf))
             self.by_mode[mode] = (
                 ticks + j - i,
                 sat + int(np.count_nonzero(rows[i:j, _SAT] > 0.5)),
                 _nan_max(eR, float(rows[i:j, _ER].max())))
-        start = self.ticks
-        self.ticks += len(rows)
+        if self.log is not None:
+            self.log.writelines(_csv_lines(rows, runs))
         k_rel, k_end = next(((i, j) for on, i, j in tick_runs(
             self.events, self.cfg.dt, "released", 0, self.ticks) if on),
             (self.ticks, self.ticks))

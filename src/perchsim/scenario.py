@@ -127,6 +127,10 @@ class ScenarioConfig:
             value = getattr(self, f.name)
             if f.name == "events":
                 value = [t for t, _ in value]
+            if isinstance(f.default, int) and not (isinstance(
+                    value, (int, np.integer)) and abs(value) < 2 ** 53):
+                raise ScenarioError(f"{f.name} must be an integer of "
+                                    "magnitude below 2**53")
             if not isinstance(value, str) \
                     and not np.isfinite(np.asarray(value, float)).all():
                 raise ScenarioError(f"{f.name} must be finite")
@@ -293,7 +297,8 @@ Repeatable:
   disturbance = <start_s> <end_s> <fx> <fy> <fz> <rx> <ry> <rz>
                 (world-frame force N, body-frame angular accel rad/s^2)
 
-Every number must be finite; seed is an integer.  Rules that span keys:
+Every number must be finite; seed is an integer of magnitude below 2**53.
+Rules that span keys:
 lambda_f2p must exceed lambda_p2f; duration must last at least one tick of
 dt and at most {MAX_TICKS} ticks (also after --dt); hold_time, t_approach
 and t_contact must last at least dt; arm_length and k_tau must give a

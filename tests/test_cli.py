@@ -101,6 +101,15 @@ INVALID = [
     ("rho = 1", "rho must lie in [0, 1)"),
     ("hold_time = 0", "hold_time must lie in (0, 1e4]"),
     ("seed = -1", "seed must not be negative"),
+    # An integer key holds an integer that a float64 holds exactly: the
+    # file's 2**53 + 1 reads as 2**53 and is refused, not run as 2**53.
+    ("seed = 2.5", "line 5: seed expects an integer"),
+    ("seed = inf", "line 5: seed expects an integer"),
+    ("seed = 1e300", "seed must be an integer of magnitude below 2**53"),
+    ("seed = 9007199254740993",
+     "seed must be an integer of magnitude below 2**53"),
+    ("seed = 9007199254740994",
+     "seed must be an integer of magnitude below 2**53"),
     ("noise_std_vel = -0.1", "noise_std_vel must not be negative"),
     ("disturbance = 0 inf 1 0 0 0 0 0", "disturbances must be finite"),
     ("event = nan s_f2p", "events must be finite"),
@@ -200,6 +209,38 @@ def test_mid_approach_overflow_exits_2_under_warnings_as_errors(tmp_path):
     assert proc.returncode == EXIT_SCHEMA
     assert proc.stderr == "scenario error: standoff must lie in (0, 1e3]\n"
     assert not (tmp_path / "o").exists()
+
+
+def test_huge_seed_exits_2_under_warnings_as_errors(tmp_path):
+    # --seed takes any integer; one that no float64 holds is refused before
+    # the run, also in a fresh `python -W error`.
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "perchsim.cli", "run",
+         "--seed", "1" + "0" * 400, "--out", str(tmp_path / "o")],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+        text=True, timeout=120)
+    assert proc.returncode == EXIT_SCHEMA
+    assert proc.stderr \
+        == "scenario error: seed must be an integer of magnitude below " \
+        "2**53\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "ablate"])
+def test_empty_out_exit_code(tmp_path, capsys, monkeypatch, command):
+    # An empty --out names no directory: both commands refuse it before any
+    # run, and write nothing in the working directory.
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "run_scenario",
+                        lambda *args: pytest.fail("run_scenario was called"))
+    scen = tmp_path / "hover.scn"
+    scen.write_text(HOVER)
+    assert main([command, "--scenario", str(scen), "--out", ""]) \
+        == EXIT_SCHEMA
+    assert capsys.readouterr().err \
+        == "cannot write : No such file or directory\n"
+    assert list(tmp_path.iterdir()) == [scen]
 
 
 @pytest.mark.parametrize("line", ["rho = 1", "event = 3 s_warp",

@@ -507,12 +507,12 @@ EVERY_TICK = (harness.MissionPlanner.sample, supervisor.transition,
               vehicle.update_contact, geometry.pitch_of, geometry.quat_of,
               vehicle.integrate)
 # The loop's other calls run at mode, contact and disturbance-pulse edges,
-# and once per block of the log (_flush_block, which feeds the block to
-# metrics.MetricsFold): the whole log for a library run, _BLOCK rows when the
-# log streams to a file.
+# and once per block of the log (metrics.MetricsFold.feed, which folds the
+# block and writes it to the log file, if any): the whole log for a library
+# run, _BLOCK rows when the log streams to a file.
 ON_EDGES = (harness.MissionPlanner.start_approach,
             harness.MissionPlanner.start_departure, harness._disturbance_at,
-            estimation.fresh, harness._flush_block)
+            estimation.fresh, metrics.MetricsFold.feed)
 # Their comprehensions sit only in branches that run rarely: log_so3's near
 # pi, quat_of's for a rotation with a negative quaternion scalar part.
 RARE_BRANCHES = (geometry.log_so3, geometry.quat_of)

@@ -65,7 +65,7 @@ def synthetic_result(z_after, gaps_after, ep_after, sat_p):
     cfg = default_scenario()
     cfg.dt = 1.0
     fold = MetricsFold(cfg, events)
-    harness._flush_block(None, fold, rows, 0)
+    fold.feed(rows)
     return fold
 
 
@@ -127,7 +127,7 @@ def test_metrics_outcome_from_failure_event(failure, kind):
 
 def test_metrics_of_a_fold_fed_no_rows_raise():
     fold = MetricsFold(default_scenario(), [])
-    fold.feed(np.zeros((0, len(_RECORD))), [])
+    fold.feed(np.zeros((0, len(_RECORD))))
     with pytest.raises(ValueError, match="empty log"):
         compute_metrics(fold)
 
@@ -783,17 +783,17 @@ def test_streamed_mission_across_block_sizes(block, monkeypatch, tmp_path):
     full = {v: run_variant(v) for v in METRICS_JSON_SHA256}
     full["two-cycle"] = run_scenario(cfgs["two-cycle"])
     monkeypatch.setattr(harness, "_BLOCK", block)
-    flushed = []
+    fed = []
 
-    def flush(log, fold, rows, start):
+    def spy(fold, rows):
         assert 0 < len(rows) <= harness._BLOCK
-        flushed.append((start, len(rows)))
-        return flush_block(log, fold, rows, start)
+        fed.append(rows.copy())
+        return feed(fold, rows)
 
-    flush_block = harness._flush_block
-    monkeypatch.setattr(harness, "_flush_block", flush)
+    feed = MetricsFold.feed
+    monkeypatch.setattr(MetricsFold, "feed", spy)
     for variant, cfg in cfgs.items():
-        flushed.clear()
+        fed.clear()
         out = tmp_path / variant
         streamed = _stream_run(cfg, str(out))
         if variant == "two-cycle":
@@ -807,13 +807,12 @@ def test_streamed_mission_across_block_sizes(block, monkeypatch, tmp_path):
                               ("metrics.json", METRICS_JSON_SHA256[variant])):
                 data = (out / name).read_bytes()
                 assert hashlib.sha256(data).hexdigest() == sha, (variant, name)
-        # The blocks cover the run's ticks in order, each once, and the
-        # result holds no per-tick container...
+        # The blocks hold the library run's rows in tick order, each once,
+        # and the result holds no per-tick container...
         n_ticks = full[variant].n_ticks
-        assert len(flushed) == -(-n_ticks // block), variant
-        ends = [start + n for start, n in flushed]
-        assert [start for start, _ in flushed] == [0] + ends[:-1], variant
-        assert ends[-1] == n_ticks, variant
+        assert len(fed) == -(-n_ticks // block), variant
+        assert np.concatenate(fed).tobytes() \
+            == full[variant].rows.tobytes(), variant
         assert sorted(vars(streamed)) \
             == ["cfg", "events", "metrics", "n_ticks", "rows"]
         assert streamed.rows is None

@@ -85,9 +85,11 @@ LOG_FORMAT = ("_ROW", "_PRINTED", "_MODE_POS", "_CSV_LINE", "_HEADER",
 
 
 def test_log_format_lives_in_metrics():
-    # harness.py is the tick loop: it defines no class and no name of the
-    # log's format, and packs, renders and returns its log with the names
-    # metrics.py defines.
+    # harness.py is the tick loop: it defines no class, no name of the log's
+    # format and no log stage of its own.  It packs each tick's record and
+    # hands the blocks to the fold, which counts them, derives their mode
+    # runs and writes their CSV; so it imports from metrics.py only the
+    # record, the fold and the result.
     loop = ast.parse(Path(harness.__file__).read_text())
     assert not [node.name for node in ast.walk(loop)
                 if isinstance(node, ast.ClassDef)]
@@ -97,6 +99,11 @@ def test_log_format_lives_in_metrics():
                    if isinstance(node, ast.Assign) for top in node.targets
                    for target in ast.walk(top) if isinstance(target, ast.Name))
     assert not defined & set(LOG_FORMAT), defined & set(LOG_FORMAT)
+    assert "_flush_block" not in defined
+    assert {alias.name for node in loop.body
+            if isinstance(node, ast.ImportFrom) and node.module == "metrics"
+            for alias in node.names} \
+        == {"_RECORD", "_ROW", "MetricsFold", "SimResult", "compute_metrics"}
     for name in LOG_FORMAT + ("SimResult",):
         if hasattr(harness, name):
             assert getattr(harness, name) is getattr(metrics, name), name
@@ -133,11 +140,12 @@ def test_guard_finds_event_reads():
 
 
 def test_fold_reads_its_window_through_tick_runs():
-    # The window after release is the "released" signal of `tick_runs`, the
-    # one reader of a signal the events record by its edges: the fold
-    # neither scans its events nor searches the `t` column for a time.
+    # A block's mode runs and the window after release are the "mode" and
+    # "released" signals of `tick_runs`, the one reader of a signal the
+    # events record by its edges: the fold neither scans its events nor
+    # searches the `t` column for a time.
     assert event_reads(inspect.getsource(metrics.MetricsFold)) \
-        == ["tick_runs"]
+        == ["tick_runs", "tick_runs"]
 
 
 def test_scenario_error_is_the_one_exception_type():

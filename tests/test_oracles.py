@@ -35,7 +35,7 @@ from perchsim.allocation import THRUST_EPS, RotorGeometry, allocate
 from perchsim.control import nominal_wrench, perch_wrench
 from perchsim.geometry import EYE, ZERO3, exp_so3, log_so3, mat_mul, \
     mat_t_mul, mat_t_vec, mat_vec, renormalize, right_jacobian, rot_y
-from perchsim.harness import _flush_block, _noise
+from perchsim.harness import _noise
 from perchsim.metrics import _COL, _RECORD, Metrics, MetricsFold, \
     SimResult, compute_metrics, settle_index
 from perchsim.planner import min_accel_rotation, quintic, rotation_at
@@ -946,5 +946,5 @@ def test_metrics_fold_matches_whole_log_arrays(data):
         for a, b in zip(split, split[1:]):
             if live:
                 so_far[:] = [e for e in events if e[0] <= t[b - 1]]
-            _flush_block(None, fold, rows[a:b], a)
+            fold.feed(rows[a:b])
         assert metrics_bits(compute_metrics(fold)) == want, (split, live)

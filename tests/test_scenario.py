@@ -224,16 +224,21 @@ def test_every_key_declares_unit_and_rule():
                          ids=list(INTERVALS))
 def test_interval_rules_hold_at_their_ends(interval, keys):
     # Each key takes its interval's closed ends and refuses its open ends
-    # and the numbers just beyond them, with the same message.
+    # and the numbers just beyond them, with the same message; beyond an
+    # end of an integer key's interval lies the next integer.
     lo, hi = (float(x) for x in interval[1:-1].split(","))
     for key in keys:
         default = getattr(ScenarioConfig(), key)
+        integer = isinstance(default, int)
         for x, inside in ((lo, interval[0] == "["), (hi, interval[-1] == "]"),
-                          (np.nextafter(lo, -math.inf), False),
-                          (np.nextafter(hi, math.inf), False)):
+                          (lo - 1 if integer else np.nextafter(lo, -math.inf),
+                           False),
+                          (hi + 1 if integer else np.nextafter(hi, math.inf),
+                           False)):
             if not math.isfinite(x):
                 continue
-            value = (x,) * 3 if isinstance(default, tuple) else x
+            value = (x,) * 3 if isinstance(default, tuple) \
+                else int(x) if integer else x
             cfg = ScenarioConfig(mission="hover", **{key: value})
             if key == "dt":
                 cfg.duration = 1e3 * x
@@ -245,6 +250,27 @@ def test_interval_rules_hold_at_their_ends(interval, keys):
                     f"{key} must lie in {interval}"), (key, x, exc)
             else:
                 assert inside, (key, x)
+
+
+@pytest.mark.parametrize("value", [
+    2.5, 10 ** 400, -2 ** 60, 2 ** 53, -2 ** 53, "3", 2.0, 2.0 ** 60, None],
+    ids=["2.5", "10**400", "-2**60", "2**53", "-2**53", "str", "2.0",
+         "2.0**60", "None"])
+def test_integer_keys_take_only_integers(value):
+    # A library config is not parsed, so build() checks an integer key's
+    # type: seed 2.5 would fail in default_rng once the run started, and
+    # 10**400 overflow in the finite check.  2**53 is refused too: a file's
+    # 2**53 + 1 reads as the float 2**53.
+    cfg = ScenarioConfig(mission="hover", noise_std_pos=0.001, seed=value)
+    with pytest.raises(ScenarioError) as exc:
+        cfg.build()
+    assert str(exc.value) == "seed must be an integer of magnitude below 2**53"
+
+
+def test_integer_keys_take_numpy_integers():
+    cfg = ScenarioConfig(mission="hover", duration=0.01,
+                         noise_std_pos=0.001, seed=np.uint64(2 ** 53 - 1))
+    assert run_scenario(cfg).metrics.completed
 
 
 def test_schema_doc_rows_read_back_as_defaults():
