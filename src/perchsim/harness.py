@@ -24,8 +24,8 @@ from .vehicle import ContactState, at_rest, forward_wrench, integrate, \
 
 # A run folds each block of its rows into its outcome metrics.  A library
 # run's one block is its whole log; a streamed run writes each block of
-# _BLOCK rows (319 kB of floats) as CSV and keeps none of it once written.
-_BLOCK = 1024
+# _BLOCK rows (80 kB of floats) as CSV and keeps none of it once written.
+_BLOCK = 256
 # perfbench/tracer.py still wraps this name; ROADMAP item 7 step 2 removes it.
 transition_two_mode = transition
 # Ticks of measurement noise drawn per numpy call; small, so the block's

@@ -1,6 +1,7 @@
 """Scenario configuration: the `ScenarioConfig` keys and their file format."""
 
 import math
+import numbers
 import operator
 import textwrap
 from dataclasses import MISSING, dataclass, field, fields
@@ -40,6 +41,14 @@ def _within(rule, value):
     above = operator.gt if rule[0] == "(" else operator.ge
     below = operator.lt if rule[-1] == ")" else operator.le
     return all(above(x, lo) and below(x, hi) for x in np.ravel(value))
+
+
+def _is_numbers(value, n=None):
+    """Whether `value` is a real number (n None) or a sequence of `n` ones."""
+    if n is None:
+        return isinstance(value, numbers.Real)
+    return isinstance(value, (tuple, list, np.ndarray)) and len(value) == n \
+        and all(map(_is_numbers, value))
 
 
 def _check_rules(cfg, ranges=True):
@@ -126,11 +135,25 @@ class ScenarioConfig:
         for f in fields(self):
             value = getattr(self, f.name)
             if f.name == "events":
+                if not isinstance(value, (tuple, list)) or not all(
+                        isinstance(e, (tuple, list)) and len(e) == 2
+                        and _is_numbers(e[0]) for e in value):
+                    raise ScenarioError("events must be (time, kind) pairs")
                 value = [t for t, _ in value]
-            if isinstance(f.default, int) and not (isinstance(
-                    value, (int, np.integer)) and abs(value) < 2 ** 53):
-                raise ScenarioError(f"{f.name} must be an integer of "
-                                    "magnitude below 2**53")
+            elif f.name == "disturbances":
+                if not isinstance(value, (tuple, list)) or not all(
+                        _is_numbers(d, 8) for d in value):
+                    raise ScenarioError("each disturbance must be 8 numbers")
+            elif isinstance(f.default, int):
+                if not (isinstance(value, (int, np.integer))
+                        and abs(value) < 2 ** 53):
+                    raise ScenarioError(f"{f.name} must be an integer of "
+                                        "magnitude below 2**53")
+            elif not isinstance(f.default, str):
+                n = len(f.default) if isinstance(f.default, tuple) else None
+                if not _is_numbers(value, n):
+                    raise ScenarioError(f"{f.name} must be " + (
+                        "a number" if n is None else f"{n} numbers"))
             if not isinstance(value, str) \
                     and not np.isfinite(np.asarray(value, float)).all():
                 raise ScenarioError(f"{f.name} must be finite")

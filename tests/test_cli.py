@@ -61,10 +61,11 @@ def test_ground_contact_exit_code(tmp_path, capsys):
 
 
 def test_ground_contact_mid_block_writes_partial_log(tmp_path, capsys):
-    # Weak rotors land the hover 1346 ticks in, past one full block of the
-    # streamed log and part-way through the next: both are written and
-    # folded.  The library run folds its log as one partial block, cut
-    # short of its 5000 ticks, into the same metrics.
+    # Weak rotors land the hover 1346 ticks in, past at least one full
+    # block of the streamed log and part-way through another: the full
+    # blocks and the partial last one are written and folded.  The library
+    # run folds its log as one partial block, cut short of its 5000 ticks,
+    # into the same metrics.
     scen = tmp_path / "weak.scn"
     scen.write_text(HOVER + "duration = 5\nthrust_max = 3.5\n")
     out = tmp_path / "o"
@@ -72,7 +73,7 @@ def test_ground_contact_mid_block_writes_partial_log(tmp_path, capsys):
         == EXIT_FAILED
     full = run_scenario(parse_scenario(scen.read_text()))
     assert full.metrics.failure == "ground-contact"
-    assert _BLOCK < len(full.modes) < 2 * _BLOCK
+    assert len(full.modes) > _BLOCK and len(full.modes) % _BLOCK
     assert (out / "log.csv").read_text() == full.to_csv()
     assert json.loads(capsys.readouterr().out) == full.metrics.to_dict()
 

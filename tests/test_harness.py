@@ -466,6 +466,24 @@ def test_csv_stream_memory_bounded():
         assert sink.chars > 500 * n
 
 
+def test_streamed_run_holds_one_small_block():
+    # A streamed run's largest allocation is its block of _BLOCK rows: 80 kB
+    # of floats in 256 rows, 94 kB traced in all for this 1100-tick hover
+    # (334 kB with 1024-row blocks, which 1100 ticks fill).
+    run_scenario(ScenarioConfig(mission="hover", duration=0.01), CharCounter())
+    sink = CharCounter()
+    tracemalloc.start()
+    try:
+        result = run_scenario(ScenarioConfig(mission="hover", duration=1.1),
+                              sink)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.n_ticks == 1100 and result.metrics.completed
+    assert sink.chars > 400 * 1100
+    assert peak < 160e3
+
+
 # A fresh interpreter's own peak resident set, in bytes.  Its ru_maxrss
 # would start at the peak of the process that spawned it (Linux keeps it
 # across exec), so a child of a large pytest process would show no growth.
@@ -507,9 +525,10 @@ print(peak_rss() - before)
 
 def test_streamed_run_memory_bounded(tmp_path):
     # The run keeps one block of rows, not its 9.4 MB float log: it grows
-    # about 0.19 MB (0.48 MB when it kept the attached column and the
-    # modes, 2.6 MB with six kept columns and the gaps, 10.2 MB when the
-    # whole log was kept).
+    # about 0.1 MB (0.05-0.18 MB with 1024-row blocks, which its 1000-tick
+    # warm-up run nearly filled; 0.48 MB when it kept the attached column
+    # and the modes, 2.6 MB with six kept columns and the gaps, 10.2 MB
+    # when the whole log was kept).
     assert int(_child_output(STREAMED_RUN_GROWTH, str(tmp_path))) < 1.2e6
     assert (tmp_path / "o" / "log.csv").stat().st_size > 400 * 30000
 
@@ -538,11 +557,13 @@ def test_streamed_run_memory_flat_in_length():
     assert int(_child_output(LONG_RUN_GROWTH)) < 0.3e6
 
 
-@pytest.mark.parametrize("ticks", [1, harness._BLOCK - 1, harness._BLOCK,
-                                   harness._BLOCK + 1, 2 * harness._BLOCK + 1])
+@pytest.mark.parametrize("ticks", [1, 4 * harness._BLOCK - 1,
+                                   4 * harness._BLOCK, 4 * harness._BLOCK + 1,
+                                   8 * harness._BLOCK + 1])
 def test_streamed_log_across_block_edges(ticks):
     # A log streamed from the tick loop is the CSV to_csv renders from the
-    # full rows, with the same metrics, folded block by block.
+    # full rows, with the same metrics, folded block by block: one tick, and
+    # several full blocks then a tick before, on and after a block edge.
     cfg = ScenarioConfig(mission="hover", duration=ticks * 0.001)
     full = run_scenario(cfg)
     sink = io.StringIO()
@@ -772,7 +793,7 @@ def release_metrics(result):
 def test_streamed_mission_across_block_sizes(block, monkeypatch, tmp_path):
     # Blocks of 7 rows put a block edge near every window the metrics fold
     # over: the release, the clearance arm and the settle run.  Blocks of
-    # 4093 rows end mid-mission, between the 1024-row edges.  Both stream
+    # 4093 rows end mid-mission, off the default 256-row edges.  Both stream
     # the pinned log.csv and metrics.json of each default-mission variant,
     # and the two-cycle mission's first-cycle metrics.
     cfgs = {}

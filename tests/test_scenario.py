@@ -273,6 +273,48 @@ def test_integer_keys_take_numpy_integers():
     assert run_scenario(cfg).metrics.completed
 
 
+# (key, library value, the one message build() gives); the file parser fixes
+# every length and type, but unchecked, each of these would build and then
+# fail to unpack in the run, or raise TypeError or ValueError from build().
+MISSHAPEN = [
+    ("wall_point", (1.0, 2.0), "wall_point must be 3 numbers"),
+    ("hover_position", (0.0, 0.0, 1.2, 1.0),
+     "hover_position must be 3 numbers"),
+    ("inertia_diag", (0.008, 0.008, "0.014"),
+     "inertia_diag must be 3 numbers"),
+    ("mass", "abc", "mass must be a number"),
+    ("mass", "1.65", "mass must be a number"),
+    ("mass", None, "mass must be a number"),
+    ("mass", [1.65], "mass must be a number"),
+    ("events", [(1.0,)], "events must be (time, kind) pairs"),
+    ("events", [(1.0, "s_f2p", 2.0)], "events must be (time, kind) pairs"),
+    ("events", [("1.0", "s_f2p")], "events must be (time, kind) pairs"),
+    ("events", ["ab"], "events must be (time, kind) pairs"),
+    ("disturbances", [(0, 1, 2)], "each disturbance must be 8 numbers"),
+    ("disturbances", [(0, 1, 0, 0, 0, 0, 0, 0, 0)],
+     "each disturbance must be 8 numbers"),
+    ("disturbances", [(0, 1, "2", 0, 0, 0, 0, 0)],
+     "each disturbance must be 8 numbers"),
+]
+
+
+@pytest.mark.parametrize("key, value, message", MISSHAPEN,
+                         ids=[f"{k}={v!r}" for k, v, _ in MISSHAPEN])
+def test_library_values_keep_their_shape(key, value, message):
+    cfg = ScenarioConfig(mission="hover", **{key: value})
+    with pytest.raises(ScenarioError) as exc:
+        cfg.build()
+    assert str(exc.value) == message
+
+
+def test_library_values_may_be_lists_and_numpy_numbers():
+    cfg = ScenarioConfig(
+        mission="hover", duration=0.01, mass=np.float32(1.65), gravity=10,
+        wall_point=np.array([1.0, 0.0, 1.2]), hover_position=[0.0, 0, 1.2],
+        events=[[0.005, "s_f2p"]], disturbances=[np.arange(8.0) / 1e3])
+    assert run_scenario(cfg).metrics.completed
+
+
 def test_schema_doc_rows_read_back_as_defaults():
     # print-schema shows each key as the file line that sets its default,
     # and names every repeatable key, variant and mission.
