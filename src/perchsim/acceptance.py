@@ -15,7 +15,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import estimation
-from .allocation import allocate
+from .allocation import allocate, x_config
 from .control import nominal_wrench, rejection_force
 from .geometry import EYE, ZERO3, mat_vec, rotation_error
 from .harness import run_scenario
@@ -169,12 +169,13 @@ def check_3_freeze_semantics():
 
 
 def check_4_allocation():
-    rotors = ScenarioConfig().build()[0].rotors
-    A = rotors.A
+    cfg = ScenarioConfig()
+    rows, columns = cfg.build()[0].rotors
+    A = x_config(cfg.arm_length, cfg.k_tau)
     rng = np.random.default_rng(4)
     worst_rt = 0.0
     worst_mn = 0.0
-    n = rotors.n_rotors
+    n = len(rows)
     # KKT oracle for the min-norm solution of A x = w.
     K = np.zeros((2 * n + 6, 2 * n + 6))
     K[:2 * n, :2 * n] = 2.0 * np.eye(2 * n)
@@ -185,10 +186,10 @@ def check_4_allocation():
         f *= 10.0 * rng.random() ** (1 / 3) / np.linalg.norm(f)
         tau = rng.normal(size=3)
         tau *= 0.5 * rng.random() ** (1 / 3) / np.linalg.norm(tau)
-        thrust, tilt, _ = allocate((f, tau), rotors, T_max=50.0)
+        thrust, tilt, _ = allocate((f, tau), rows, 50.0, (0.0,) * n)
         w_vec = np.concatenate([f, tau])
         worst_rt = max(worst_rt, np.max(np.abs(np.concatenate(
-            forward_wrench(thrust, tilt, rotors)) - w_vec)))
+            forward_wrench(thrust, tilt, columns)) - w_vec)))
         rhs = np.concatenate([np.zeros(2 * n), w_vec])
         x_kkt = np.linalg.solve(K, rhs)[:2 * n]
         x_got = np.concatenate([thrust * np.cos(tilt),
@@ -357,7 +358,7 @@ def _orthonormality(state):
 def check_12_physics_sanity():
     params = replace(ScenarioConfig().build()[0], g=0.0)
     state = ZERO3, (0.3, -0.2, 0.5), EYE, (2.0, -1.5, 1.0)
-    wrench = forward_wrench((0.0,) * 4, (0.0,) * 4, params.rotors)
+    wrench = forward_wrench((0.0,) * 4, (0.0,) * 4, params.rotors[1])
     dist = ZERO3, ZERO3
     contact = ContactState(gap=1e6)
     dt = 1e-3

@@ -66,7 +66,7 @@ def run_scenario(cfg, log=None):
     rows at a time, and the SimResult's rows are None.
     """
     params, wall = cfg.build()
-    rotors = params.rotors
+    rows, columns = params.rotors
     machine, policies, rho, freeze_while_attached = VARIANTS[cfg.variant]
     rho = cfg.rho if rho is None else rho
     planner = MissionPlanner(cfg, wall)
@@ -76,10 +76,10 @@ def run_scenario(cfg, log=None):
         map(add, hover_p, cfg.initial_offset), hover_R)
     # Start at hover trim for the initial attitude, not from dead rotors.
     trim = mat_t_vec(R, (0.0, 0.0, params.m * params.g)), ZERO3
-    thrust, tilt_cmd, _ = allocate(trim, rotors, params.T_max,
-                                   (0.0,) * rotors.n_rotors)
+    thrust, tilt_cmd, _ = allocate(trim, rows, params.T_max,
+                                   (0.0,) * len(rows))
     act = thrust, tilt_cmd, 0.0
-    rotor_wrench = forward_wrench(thrust, tilt_cmd, rotors)
+    rotor_wrench = forward_wrench(thrust, tilt_cmd, columns)
     contact = ContactState()
     sup = SupervisorState()
     integ = ZERO3                    # attitude integral of nominal_wrench
@@ -184,7 +184,7 @@ def run_scenario(cfg, log=None):
                 wrench = (fx + rx, fy + ry, fz + rz), tau
 
         # 5. allocation
-        cmd = allocate(wrench, rotors, params.T_max, tilt_cmd)
+        cmd = allocate(wrench, rows, params.T_max, tilt_cmd)
         thrust_cmd, tilt_cmd, saturated = cmd
 
         # 6. actuators
@@ -195,7 +195,7 @@ def run_scenario(cfg, log=None):
         if t >= next_edge:           # a pulse starts or ends: sum again
             dist = _disturbance_at(cfg, t)
             next_edge = next((e for e in edges if e > t), math.inf)
-        rotor_wrench = forward_wrench(thrust, tilt, rotors)
+        rotor_wrench = forward_wrench(thrust, tilt, columns)
         contact, edge, state = update_contact(state, act, rotor_wrench, dist,
                                               contact, wall, params)
         if edge is not None:

@@ -8,7 +8,7 @@ from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
-from .allocation import RotorGeometry
+from .allocation import rotor_rows, x_config
 from .geometry import rot_y
 from .planner import perch_orientation, rotation_between
 from .supervisor import VARIANTS
@@ -182,12 +182,11 @@ class ScenarioConfig:
         try:
             # Full-rank rotors; on a perch mission, a wall that is not
             # horizontal and attitudes not antipodal.
-            rotors = RotorGeometry.x_config(self.arm_length, self.k_tau)
             params = VehicleParams(
                 m=self.mass, J=self.inertia_diag, g=self.gravity,
-                rotors=rotors, T_max=self.thrust_max,
-                tau_rotor=self.rotor_tau, tilt_rate_max=self.tilt_rate_max,
-                t_ps=self.perch_servo_time)
+                rotors=rotor_rows(x_config(self.arm_length, self.k_tau)),
+                T_max=self.thrust_max, tau_rotor=self.rotor_tau,
+                tilt_rate_max=self.tilt_rate_max, t_ps=self.perch_servo_time)
             wall = WallModel(
                 point=self.wall_point, normal=self.wall_normal,
                 F_mag=self.magnet_force, d_mag=self.magnet_range,

@@ -9,7 +9,6 @@ tangentially or the normal pull exceeds the magnet capacity.
 import math
 from dataclasses import dataclass
 
-from .allocation import RotorGeometry
 from .geometry import EYE, ZERO3, exp_so3, floats, mat_mul, mat_vec, \
     renormalize
 
@@ -19,12 +18,14 @@ ETA_OPEN = 0.05          # perch servo at or below: magnets peeled off
 
 @dataclass
 class VehicleParams:
-    """Mass properties and actuator limits.  The body axes are principal
-    axes: the inertia is diag(J) and its inverse diag(J_inv), J_inv = 1 / J."""
+    """Mass properties, rotors and actuator limits.  The body axes are
+    principal axes: the inertia is diag(J) and its inverse diag(J_inv),
+    J_inv = 1 / J.  `rotors` is the pair of plain tuples that
+    `allocation.rotor_rows` gives, read by `allocate` and `forward_wrench`."""
     m: float                         # kg
     J: tuple                         # kg m^2, principal moments (jx, jy, jz)
     g: float                         # m/s^2
-    rotors: RotorGeometry
+    rotors: tuple                    # (pinv_rows, columns)
     T_max: float                     # N per rotor
     tau_rotor: float                 # s, thrust first-order lag
     tilt_rate_max: float             # rad/s
@@ -134,12 +135,13 @@ def update_contact(state, act, wrench, dist, contact, wall, params):
     return ContactState(False, gap, 0.0, nearfield), None, state
 
 
-def forward_wrench(thrust, tilt, geometry):
+def forward_wrench(thrust, tilt, columns):
     """Exact body wrench (f, tau), three floats each, produced by the given
-    thrusts and tilt angles."""
+    thrusts and tilt angles through the rotors' `columns` of A
+    (`allocation.rotor_rows`)."""
     w0 = w1 = w2 = w3 = w4 = w5 = 0.0
     for T, nu, ((a0, a1, a2, a3, a4, a5), (b0, b1, b2, b3, b4, b5)) in zip(
-            thrust, tilt, geometry.columns):
+            thrust, tilt, columns):
         u, l = T * math.cos(nu), T * math.sin(nu)
         w0 += a0 * u + b0 * l
         w1 += a1 * u + b1 * l

@@ -5,13 +5,16 @@ import math
 import numpy as np
 import pytest
 
-from perchsim.allocation import THRUST_EPS, RotorGeometry, allocate
+from perchsim.allocation import THRUST_EPS, allocate, allocation_matrix, \
+    x_config
 from perchsim.geometry import ZERO3
 from perchsim.scenario import ScenarioConfig
 from perchsim.vehicle import forward_wrench
 
 CFG = ScenarioConfig()
-GEOM = CFG.build()[0].rotors
+A_X = x_config(CFG.arm_length, CFG.k_tau)
+ROWS, COLUMNS = CFG.build()[0].rotors
+ZERO_TILT = (0.0,) * 4
 MG = 1.65 * 9.81
 
 
@@ -21,13 +24,13 @@ def vec(w):
 
 
 def test_allocation_matrix_rank_six():
-    A = GEOM.A
+    A = A_X
     assert A.shape == (6, 8)
     assert np.linalg.matrix_rank(A, tol=1e-9) == 6
 
 
 def test_zero_drag_ratio_yaw_row():
-    A = RotorGeometry.x_config(CFG.arm_length, 0.0).A
+    A = x_config(CFG.arm_length, 0.0)
     # Planar rotor arms: vertical components produce no yaw without drag.
     assert np.allclose(A[5, :4], 0.0, atol=1e-15)
     assert np.linalg.norm(A[5, 4:]) > 0.0
@@ -36,23 +39,23 @@ def test_zero_drag_ratio_yaw_row():
 def test_degenerate_geometry_rejected():
     pos = np.tile([0.1, 0.0, 0.0], (4, 1))
     with pytest.raises(ValueError, match="rotor geometry is rank deficient"):
-        RotorGeometry(pos, np.array([1.0, -1.0, 1.0, -1.0]), 0.016)
+        allocation_matrix(pos, np.array([1.0, -1.0, 1.0, -1.0]), 0.016)
 
 
 def test_zero_position_rejected():
     with pytest.raises(ValueError, match="rotor positions must be nonzero"):
-        RotorGeometry(np.zeros((4, 3)), np.ones(4), 0.016)
+        allocation_matrix(np.zeros((4, 3)), np.ones(4), 0.016)
 
 
 def test_allocate_zero_wrench():
-    thrust, _, saturated = allocate((ZERO3, ZERO3), GEOM, 8.0)
+    thrust, _, saturated = allocate((ZERO3, ZERO3), ROWS, 8.0, ZERO_TILT)
     assert np.allclose(thrust, 0.0, atol=1e-12)
     assert not saturated
 
 
 def test_allocate_hover():
     thrust, tilt, saturated = allocate(
-        (np.array([0.0, 0.0, MG]), np.zeros(3)), GEOM, 8.0)
+        (np.array([0.0, 0.0, MG]), np.zeros(3)), ROWS, 8.0, ZERO_TILT)
     assert np.allclose(thrust, MG / 4.0, atol=1e-9)
     assert np.allclose(thrust, 4.05, atol=0.01)
     assert np.allclose(tilt, 0.0, atol=1e-9)
@@ -61,20 +64,20 @@ def test_allocate_hover():
 
 def test_allocate_lateral_force_feasible():
     w = (np.array([-MG, 0.0, 0.0]), np.zeros(3))
-    thrust, tilt, saturated = allocate(w, GEOM, 8.0)
-    back = forward_wrench(thrust, tilt, GEOM)
+    thrust, tilt, saturated = allocate(w, ROWS, 8.0, ZERO_TILT)
+    back = forward_wrench(thrust, tilt, COLUMNS)
     assert np.linalg.norm(vec(back) - vec(w)) < 1e-9
     assert max(thrust) < 8.0
     assert not saturated
 
 
 def test_forward_wrench_zero():
-    w = forward_wrench(np.zeros(4), np.zeros(4), GEOM)
+    w = forward_wrench(np.zeros(4), np.zeros(4), COLUMNS)
     assert np.allclose(vec(w), 0.0, atol=1e-15)
 
 
 def test_forward_wrench_hover_sum():
-    f, tau = forward_wrench(np.full(4, MG / 4.0), np.zeros(4), GEOM)
+    f, tau = forward_wrench(np.full(4, MG / 4.0), np.zeros(4), COLUMNS)
     assert np.allclose(f, [0.0, 0.0, MG], atol=1e-9)
     assert np.allclose(tau, 0.0, atol=1e-9)
 
@@ -92,20 +95,20 @@ def test_roundtrip_random_wrenches():
     worst = 0.0
     for _ in range(1000):
         w = _random_wrench(rng)
-        thrust, tilt, saturated = allocate(w, GEOM, 50.0)
+        thrust, tilt, saturated = allocate(w, ROWS, 50.0, ZERO_TILT)
         assert not saturated
-        back = forward_wrench(thrust, tilt, GEOM)
+        back = forward_wrench(thrust, tilt, COLUMNS)
         worst = max(worst, np.max(np.abs(vec(back) - vec(w))))
     assert worst < 1e-9
 
 
 def test_min_norm_against_kkt_oracle():
-    A = GEOM.A
+    A = A_X
     rng = np.random.default_rng(13)
     worst = 0.0
     for _ in range(100):
         w = _random_wrench(rng)
-        thrust, tilt, _ = allocate(w, GEOM, 50.0)
+        thrust, tilt, _ = allocate(w, ROWS, 50.0, ZERO_TILT)
         x = np.concatenate([thrust * np.cos(tilt), thrust * np.sin(tilt)])
         # KKT system of min ||x||^2 s.t. A x = w.
         K = np.block([[np.eye(8), A.T], [A, np.zeros((6, 6))]])
@@ -116,14 +119,14 @@ def test_min_norm_against_kkt_oracle():
 
 def test_saturation_clamp_and_flag():
     thrust, _, saturated = allocate(
-        (np.array([0.0, 0.0, 100.0]), np.zeros(3)), GEOM, 8.0)
+        (np.array([0.0, 0.0, 100.0]), np.zeros(3)), ROWS, 8.0, ZERO_TILT)
     assert thrust == (8.0,) * 4                # every rotor clamped
     assert saturated
 
 
 def test_near_zero_thrust_holds_previous_tilt():
     prev = np.array([0.3, -0.2, 0.1, 0.0])
-    _, tilt, _ = allocate((ZERO3, ZERO3), GEOM, 8.0, prev_tilt=prev)
+    _, tilt, _ = allocate((ZERO3, ZERO3), ROWS, 8.0, prev_tilt=prev)
     assert np.array_equal(tilt, prev)
 
 
@@ -135,10 +138,10 @@ def test_allocate_matches_per_rotor_loop():
         for _ in range(50):
             w = _random_wrench(rng, f_max=scale, tau_max=0.05 * scale)
             thrust_out, tilt_out, saturated_out = allocate(
-                w, GEOM, 8.0, prev_tilt=prev)
+                w, ROWS, 8.0, prev_tilt=prev)
             f0, f1, f2, t0, t1, t2 = vec(w).tolist()
             x = [a * f0 + b * f1 + c * f2 + d * t0 + e * t1 + g * t2
-                 for a, b, c, d, e, g in np.linalg.pinv(GEOM.A).tolist()]
+                 for a, b, c, d, e, g in np.linalg.pinv(A_X).tolist()]
             saturated = False
             for i in range(4):
                 thrust = math.hypot(x[i], x[4 + i])

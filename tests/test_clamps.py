@@ -100,17 +100,17 @@ def test_nominal_wrench_integral_clamp(data):
 @settings(max_examples=300)
 @given(st.data())
 def test_allocate_thrust_clamp_and_flags(data):
-    rotors = PARAMS.rotors
+    rows, _ = PARAMS.rotors
     w = (tuple(value(data) for _ in range(3)),
          tuple(value(data) for _ in range(3)))
     # The unclamped thrusts are the hypotenuses of the min-norm solution.
     (f0, f1, f2), (t0, t1, t2) = w
     raw = [math.hypot(*[a * f0 + b * f1 + c * f2 + d * t0 + e * t1 + g * t2
-                        for a, b, c, d, e, g in rows])
-           for rows in rotors.pinv_rows]
+                        for a, b, c, d, e, g in rotor])
+           for rotor in rows]
     T_max = value(data, *raw)
 
-    thrust, _, saturated = allocate(w, rotors, T_max, (0.0,) * 4)
+    thrust, _, saturated = allocate(w, rows, T_max, (0.0,) * 4)
 
     assert bits(thrust) == bits([min(T, T_max) for T in raw])
     assert saturated is any([T > T_max for T in raw])

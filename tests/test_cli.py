@@ -10,8 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from perchsim import acceptance, cli
-from perchsim.allocation import RotorGeometry
+from perchsim import acceptance, allocation, cli
 from perchsim.cli import EXIT_FAILED, EXIT_OK, EXIT_SCHEMA, main
 from perchsim.harness import _BLOCK, run_scenario
 from perchsim.scenario import ScenarioConfig, parse_scenario
@@ -362,13 +361,13 @@ def test_rotor_geometry_built_once_per_build(tmp_path, monkeypatch):
     # ScenarioConfig.build() is the one place that makes the rotor geometry,
     # and run_scenario the one caller: parse_scenario only parses.
     built = []
-    post_init = RotorGeometry.__post_init__
+    allocation_matrix = allocation.allocation_matrix
 
-    def spy(self):
-        built.append(self)
-        post_init(self)
+    def spy(*args):
+        built.append(args)
+        return allocation_matrix(*args)
 
-    monkeypatch.setattr(RotorGeometry, "__post_init__", spy)
+    monkeypatch.setattr(allocation, "allocation_matrix", spy)
     run_scenario(ScenarioConfig(mission="hover", duration=0.01))
     assert len(built) == 1
     scen = tmp_path / "hover.scn"

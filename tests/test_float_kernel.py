@@ -218,9 +218,8 @@ def test_controllers_match_numpy():
     assert pw_tau == (0.0, 0.0, 0.0)
 
 
-def _idle_and_saturated_wrench(geom):
+def _idle_and_saturated_wrench(A):
     """A wrench whose min-norm solution idles rotor 0 and saturates one."""
-    A = geom.A
     # Row-space vectors A^T y with both of rotor 0's components zero.
     null = np.linalg.svd(A[:, [0, 4]].T)[2][2:]
     x = A.T @ null.T @ np.array([1.0, -0.5, 0.3, 0.8])
@@ -229,11 +228,12 @@ def _idle_and_saturated_wrench(geom):
 
 
 def test_allocation_matches_numpy():
-    geom = DEFAULT_PARAMS.rotors
-    A = geom.A
+    rows, columns = DEFAULT_PARAMS.rotors
+    cfg = ScenarioConfig()
+    A = allocation.x_config(cfg.arm_length, cfg.k_tau)
     prev = (0.3, -0.2, 0.1, 0.05)
-    w = _idle_and_saturated_wrench(geom)
-    cmd_thrust, cmd_tilt, cmd_saturated = allocation.allocate(w, geom, 8.0,
+    w = _idle_and_saturated_wrench(A)
+    cmd_thrust, cmd_tilt, cmd_saturated = allocation.allocate(w, rows, 8.0,
                                                               prev)
 
     x = np.linalg.pinv(A) @ np.concatenate(w)
@@ -247,7 +247,7 @@ def test_allocation_matches_numpy():
     assert close(cmd_thrust, thrust) and close(cmd_tilt, tilt)
     assert cmd_saturated is bool(saturated.any())
 
-    back_f, back_tau = vehicle.forward_wrench(cmd_thrust, cmd_tilt, geom)
+    back_f, back_tau = vehicle.forward_wrench(cmd_thrust, cmd_tilt, columns)
     ref = A @ np.concatenate([thrust * np.cos(tilt), thrust * np.sin(tilt)])
     assert close(back_f, ref[:3]) and close(back_tau, ref[3:])
 

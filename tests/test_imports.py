@@ -1,7 +1,9 @@
 """Every name a perchsim module imports is used in that module, the
 outcome metrics and the log's format stay in `metrics.py`, apart from the
 tick loop, the metrics fold reads the run's events only through
-`tick_runs`, and `ScenarioError` is the one exception type perchsim defines.
+`tick_runs`, the vehicle holds its rotors as plain tuples without importing
+the allocation module, and `ScenarioError` is the one exception type
+perchsim defines.
 
 No linter ships with the project, so this reads each module's syntax tree:
 an imported name counts as used where it appears as a name in the code, or
@@ -17,7 +19,9 @@ from pathlib import Path
 import pytest
 
 import perchsim
-from perchsim import harness, metrics
+from perchsim import harness, metrics, vehicle
+from perchsim.scenario import default_scenario
+from test_float_kernel import layout
 
 MODULES = sorted(Path(perchsim.__file__).parent.glob("*.py"))
 
@@ -146,6 +150,18 @@ def test_fold_reads_its_window_through_tick_runs():
     # searches the `t` column for a time.
     assert event_reads(inspect.getsource(metrics.MetricsFold)) \
         == ["tick_runs", "tick_runs"]
+
+
+def test_vehicle_holds_its_rotors_as_plain_tuples():
+    # `build()` hands the tick the rotors as (pinv_rows, columns): per
+    # rotor a (vertical, lateral) pair of six floats each, so vehicle.py
+    # needs no type from allocation.py.
+    pair = ((float,) * 6,) * 2
+    assert layout(default_scenario().build()[0].rotors) == ((pair,) * 4,) * 2
+    tree = ast.parse(Path(vehicle.__file__).read_text())
+    assert not [node for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level
+                and node.module == "allocation"]
 
 
 def test_scenario_error_is_the_one_exception_type():

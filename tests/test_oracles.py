@@ -31,7 +31,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from perchsim import estimation
-from perchsim.allocation import THRUST_EPS, RotorGeometry, allocate
+from perchsim.allocation import THRUST_EPS, allocate, allocation_matrix, \
+    rotor_rows, x_config
 from perchsim.control import nominal_wrench, perch_wrench
 from perchsim.geometry import EYE, ZERO3, exp_so3, log_so3, mat_mul, \
     mat_t_mul, mat_t_vec, mat_vec, renormalize, right_jacobian, rot_y
@@ -377,14 +378,17 @@ def test_reciprocal_moments_are_the_numpy_inverse():
     assert [bits(p.J_inv) for p in params] == [bits(row) for row in want]
 
 
-def allocate_comprehension(w, geometry, T_max, prev_tilt):
-    """The previous allocate: all 2n rows of the pseudo-inverse in one list
-    comprehension, sliced into vertical and lateral halves, and one
-    saturation flag per rotor."""
-    n = geometry.n_rotors
+def allocate_comprehension(w, rotors, T_max, prev_tilt):
+    """The previous allocate: all 2n rows of the pseudo-inverse, taken again
+    from A as the rotors' columns hold it, in one list comprehension,
+    sliced into vertical and lateral halves, and one saturation flag per
+    rotor."""
+    _, columns = rotors
+    n = len(columns)
+    A = np.array([v for v, _ in columns] + [lat for _, lat in columns]).T
     (f0, f1, f2), (t0, t1, t2) = w
     x = [a * f0 + b * f1 + c * f2 + d * t0 + e * t1 + g * t2
-         for a, b, c, d, e, g in np.linalg.pinv(geometry.A).tolist()]
+         for a, b, c, d, e, g in np.linalg.pinv(A).tolist()]
     thrust, tilt, saturated = [], [], []
     for xv, xl, prev in zip(x[:n], x[n:], prev_tilt):
         T = math.hypot(xv, xl)
@@ -394,24 +398,25 @@ def allocate_comprehension(w, geometry, T_max, prev_tilt):
     return tuple(thrust), tuple(tilt), tuple(saturated)
 
 
-GEOMETRIES = [RotorGeometry.x_config(0.12, 0.016),
-              RotorGeometry.x_config(0.5, 0.0),
-              RotorGeometry([[0.2, 0.1, 0.0], [-0.1, 0.3, 0.05],
-                             [-0.25, -0.2, 0.0], [0.15, -0.3, -0.05]],
-                            [1.0, -1.0, 1.0, -1.0], 0.02)]
+GEOMETRIES = [rotor_rows(x_config(0.12, 0.016)),
+              rotor_rows(x_config(0.5, 0.0)),
+              rotor_rows(allocation_matrix(
+                  [[0.2, 0.1, 0.0], [-0.1, 0.3, 0.05],
+                   [-0.25, -0.2, 0.0], [0.15, -0.3, -0.05]],
+                  [1.0, -1.0, 1.0, -1.0], 0.02))]
 
 
 @settings(max_examples=300)
 @given(st.data())
 def test_per_rotor_rows_match_comprehension(data):
     wild = data.draw(st.booleans())
-    geometry = data.draw(st.sampled_from(GEOMETRIES))
+    rotors = data.draw(st.sampled_from(GEOMETRIES))
     w = numbers(data, wild, 3), numbers(data, wild, 3)
     T_max = data.draw(st.one_of(st.sampled_from(
         (0.0, 5e-324, 1e-7, 8.0, math.inf, math.nan)), st.floats(0.0, 60.0)))
     prev = numbers(data, wild, 4, -1.0, 1.0)
-    cmd_thrust, cmd_tilt, cmd_saturated = allocate(w, geometry, T_max, prev)
-    thrust, tilt, saturated = allocate_comprehension(w, geometry, T_max, prev)
+    cmd_thrust, cmd_tilt, cmd_saturated = allocate(w, rotors[0], T_max, prev)
+    thrust, tilt, saturated = allocate_comprehension(w, rotors, T_max, prev)
     assert bits(cmd_thrust + cmd_tilt) == bits(thrust + tilt)
     assert cmd_saturated is any(saturated)
 
@@ -659,10 +664,10 @@ def test_zero_rho_perch_wrench_allocates_as_zero(data):
     prev = tuple(data.draw(st.floats(allow_nan=True)) for _ in range(4))
     T_max = data.draw(st.floats(1e-300, 1e300))
     w = perch_wrench(0.0, R, params)
-    got_thrust, got_tilt, got_saturated = allocate(w, params.rotors, T_max,
-                                                   prev)
+    rows, _ = params.rotors
+    got_thrust, got_tilt, got_saturated = allocate(w, rows, T_max, prev)
     want_thrust, want_tilt, want_saturated = allocate(
-        (ZERO3, ZERO3), params.rotors, T_max, prev)
+        (ZERO3, ZERO3), rows, T_max, prev)
     assert bits(got_thrust + got_tilt) == bits(want_thrust + want_tilt)
     assert got_saturated == want_saturated
     assert [struct.pack("<d", x) for x in got_tilt] \

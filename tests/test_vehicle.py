@@ -189,7 +189,7 @@ def test_contact_nearfield_ramp():
 
 def rotor_wrench(act, params=PARAMS):
     thrust, tilt, _ = act
-    return forward_wrench(thrust, tilt, params.rotors)
+    return forward_wrench(thrust, tilt, params.rotors[1])
 
 
 def test_integrate_free_fall_closed_form():
