@@ -7,6 +7,7 @@ work.
 """
 
 import hashlib
+import itertools
 import math
 import time
 from dataclasses import dataclass, replace
@@ -56,11 +57,11 @@ def run_variant(variant):
     return _RUNS[variant][0]
 
 
-def _expected_transition(mode, s_f2p, s_p2f, lam, cfg):
+def _expected_transition(mode, s_f2p, s_p2f, lam, gap, cfg):
     """Independent statement of the transition table of the four-mode machine."""
     if mode is Mode.F and s_f2p:
         return Mode.F2P, 1.0
-    if mode is Mode.F2P and lam > cfg.lambda_f2p:
+    if mode is Mode.F2P and lam > cfg.lambda_f2p and gap <= cfg.magnet_range:
         return Mode.P, 1.0
     if mode is Mode.P and s_p2f:
         return Mode.P2F, 1.0
@@ -73,31 +74,31 @@ def _expected_transition(mode, s_f2p, s_p2f, lam, cfg):
 def check_1_mode_machine():
     cfg = ScenarioConfig(lambda_f2p=1.0, lambda_p2f=-1.0)
     bands = {"tension": -2.0, "neutral": 0.0, "compression": 2.0}
+    # The magnet-face gap: at the edge of magnet_range, and just beyond it.
+    gaps = {"near": cfg.magnet_range,
+            "far": math.nextafter(cfg.magnet_range, math.inf)}
     t0 = time.perf_counter()
     bad = []
-    for mode in Mode:
-        for s_f2p in (False, True):
-            for s_p2f in (False, True):
-                for band, lam in bands.items():
-                    eta0 = 0.0 if mode is Mode.F else 1.0
-                    sup = SupervisorState(mode=mode, eta_d=eta0)
-                    out = transition(sup, lam, s_f2p, s_p2f, cfg, FOUR_MODE)
-                    want_mode, want_eta = _expected_transition(
-                        mode, s_f2p, s_p2f, lam, cfg)
-                    if out.mode is not want_mode or out.eta_d != want_eta:
-                        bad.append((mode.value, s_f2p, s_p2f, band,
-                                    out.mode.value, out.eta_d))
-                    # eta_d edges only on F->F2P and P2F->F
-                    edge = out.eta_d != eta0
-                    legal = (mode is Mode.F and out.mode is Mode.F2P) or \
-                            (mode is Mode.P2F and out.mode is Mode.F)
-                    if edge and not legal:
-                        bad.append(("eta edge", mode.value, s_f2p, s_p2f,
-                                    band))
+    for mode, s_f2p, s_p2f, (band, lam), (reach, gap) in itertools.product(
+            Mode, (False, True), (False, True), bands.items(), gaps.items()):
+        eta0 = 0.0 if mode is Mode.F else 1.0
+        sup = SupervisorState(mode=mode, eta_d=eta0)
+        out = transition(sup, lam, gap, s_f2p, s_p2f, cfg, FOUR_MODE)
+        want_mode, want_eta = _expected_transition(
+            mode, s_f2p, s_p2f, lam, gap, cfg)
+        if out.mode is not want_mode or out.eta_d != want_eta:
+            bad.append((mode.value, s_f2p, s_p2f, band, reach,
+                        out.mode.value, out.eta_d))
+        # eta_d edges only on F->F2P and P2F->F
+        edge = out.eta_d != eta0
+        legal = (mode is Mode.F and out.mode is Mode.F2P) or \
+                (mode is Mode.P2F and out.mode is Mode.F)
+        if edge and not legal:
+            bad.append(("eta edge", mode.value, s_f2p, s_p2f, band, reach))
     elapsed = time.perf_counter() - t0
     ok = not bad and elapsed < 1.0
     return CheckResult(1, "mode machine table", ok,
-                       f"48 cases, {len(bad)} mismatches, {elapsed:.3f} s")
+                       f"96 cases, {len(bad)} mismatches, {elapsed:.3f} s")
 
 
 def check_2_estimator_law():

@@ -125,7 +125,9 @@ def run_scenario(cfg, log=None):
         s_p2f = "s_p2f" in kinds
         for kind in kinds:
             events.append((t, "operator", kind))
-        new_sup = transition(sup, lam_c, s_f2p, s_p2f, cfg, machine)
+        # the believed gap, read only when the force test can pass
+        gap = wall.gap_of(meas) if lam_c > cfg.lambda_f2p else math.inf
+        new_sup = transition(sup, lam_c, gap, s_f2p, s_p2f, cfg, machine)
         # The approach starts when eta_d rises (F -> F2P with four modes),
         # the departure on entering P2F.  Two-mode P -> F keeps the stale
         # approach plan, so no inputs for detaching are generated in advance.

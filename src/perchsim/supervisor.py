@@ -35,18 +35,21 @@ class SupervisorState:
 
 
 class Force(enum.Enum):
-    COMPRESSION = enum.auto()        # lam_c > lambda_f2p: attached
+    COMPRESSION = enum.auto()        # lam_c > lambda_f2p, near the wall
     TENSION = enum.auto()            # lam_c < lambda_p2f: released
 
 
-def transition(sup, lam_c, s_f2p, s_p2f, cfg, edges):
-    """One tick of the machine `edges` (FOUR_MODE or TWO_MODE) from `sup`."""
+def transition(sup, lam_c, gap, s_f2p, s_p2f, cfg, edges):
+    """One tick of the machine `edges` (FOUR_MODE or TWO_MODE) from `sup`;
+    compression counts only while the believed magnet-face `gap` (m) is at
+    most `magnet_range`."""
     pending_f2p = sup.pending_f2p or s_f2p
     pending_p2f = sup.pending_p2f or s_p2f
     for src, perch, unperch, force, dst, eta_d in edges:
         if src is not sup.mode or perch and not pending_f2p \
                 or unperch and not pending_p2f \
-                or force is Force.COMPRESSION and not lam_c > cfg.lambda_f2p \
+                or force is Force.COMPRESSION and not (
+                    lam_c > cfg.lambda_f2p and gap <= cfg.magnet_range) \
                 or force is Force.TENSION and not lam_c < cfg.lambda_p2f:
             continue
         if dst is not sup.mode:

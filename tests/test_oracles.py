@@ -794,7 +794,7 @@ def test_edge_table_matches_elif_chain(edges, previous):
             Mode, (0.0, -0.0, 1.0), *[(False, True)] * 4,
             lam + [0.0, -math.inf, math.inf, math.nan]):
         sup = SupervisorState(mode, eta_d, pend_f, pend_p)
-        new = transition(sup, lam_c, s_f, s_p, cfg, edges)
+        new = transition(sup, lam_c, 0.0, s_f, s_p, cfg, edges)
         old = previous(sup, lam_c, s_f, s_p, cfg)
         assert (new.mode, bits([new.eta_d]), new.pending_f2p,
                 new.pending_p2f) == (old.mode, bits([old.eta_d]),

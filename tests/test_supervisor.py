@@ -1,6 +1,7 @@
 """Supervisor tests: transition edges, eta_d discipline, per-mode policies."""
 
 import itertools
+import math
 from dataclasses import astuple
 
 import numpy as np
@@ -14,34 +15,49 @@ CFG = ScenarioConfig()
 
 
 def test_f_to_f2p_on_signal():
-    out = transition(SupervisorState(), 0.0, True, False, CFG, FOUR_MODE)
+    out = transition(SupervisorState(), 0.0, 0.0, True, False, CFG,
+                     FOUR_MODE)
     assert out.mode is Mode.F2P
     assert out.eta_d == 1.0
 
 
 def test_f2p_to_p_on_compression():
     sup = SupervisorState(mode=Mode.F2P, eta_d=1.0)
-    out = transition(sup, 2.0, False, False, CFG, FOUR_MODE)
+    out = transition(sup, 2.0, 0.0, False, False, CFG, FOUR_MODE)
     assert out.mode is Mode.P
     assert out.eta_d == 1.0
 
 
 def test_f2p_holds_below_threshold():
     sup = SupervisorState(mode=Mode.F2P, eta_d=1.0)
-    assert transition(sup, 1.0, False, False, CFG, FOUR_MODE).mode is Mode.F2P
-    assert transition(sup, -5.0, False, False, CFG, FOUR_MODE).mode is Mode.F2P
+    for lam in (1.0, -5.0):
+        out = transition(sup, lam, 0.0, False, False, CFG, FOUR_MODE)
+        assert out.mode is Mode.F2P
+
+
+@pytest.mark.parametrize("edges, src", [(FOUR_MODE, Mode.F2P),
+                                        (TWO_MODE, Mode.F)])
+def test_compression_counts_only_near_the_wall(edges, src):
+    # Both machines enter P on compression only while the believed
+    # magnet-face gap is at most magnet_range.
+    sup = SupervisorState(mode=src, eta_d=1.0, pending_f2p=True)
+    near = transition(sup, 2.0, CFG.magnet_range, False, False, CFG, edges)
+    far = transition(sup, 2.0, math.nextafter(CFG.magnet_range, math.inf),
+                     False, False, CFG, edges)
+    assert near.mode is Mode.P
+    assert far.mode is src and far.eta_d == 1.0
 
 
 def test_p_to_p2f_on_signal():
     sup = SupervisorState(mode=Mode.P, eta_d=1.0)
-    out = transition(sup, 10.0, False, True, CFG, FOUR_MODE)
+    out = transition(sup, 10.0, 0.0, False, True, CFG, FOUR_MODE)
     assert out.mode is Mode.P2F
     assert out.eta_d == 1.0
 
 
 def test_p2f_to_f_on_tension():
     sup = SupervisorState(mode=Mode.P2F, eta_d=1.0)
-    out = transition(sup, -1.5, False, False, CFG, FOUR_MODE)
+    out = transition(sup, -1.5, 0.0, False, False, CFG, FOUR_MODE)
     assert out.mode is Mode.F
     assert out.eta_d == 0.0
 
@@ -49,7 +65,7 @@ def test_p2f_to_f_on_tension():
 def test_self_loops_without_triggers():
     for mode in Mode:
         sup = SupervisorState(mode=mode)
-        out = transition(sup, 0.0, False, False, CFG, FOUR_MODE)
+        out = transition(sup, 0.0, 0.0, False, False, CFG, FOUR_MODE)
         assert out.mode is mode
         assert out.eta_d == sup.eta_d
 
@@ -57,22 +73,22 @@ def test_self_loops_without_triggers():
 def test_signals_latch_until_consumed():
     sup = SupervisorState(mode=Mode.F2P, eta_d=1.0)
     # signal arrives early
-    sup = transition(sup, 0.0, False, True, CFG, FOUR_MODE)
+    sup = transition(sup, 0.0, 0.0, False, True, CFG, FOUR_MODE)
     assert sup.mode is Mode.F2P and sup.pending_p2f
     # attach confirmed
-    sup = transition(sup, 2.0, False, False, CFG, FOUR_MODE)
+    sup = transition(sup, 2.0, 0.0, False, False, CFG, FOUR_MODE)
     assert sup.mode is Mode.P
     # latched signal fires
-    sup = transition(sup, 2.0, False, False, CFG, FOUR_MODE)
+    sup = transition(sup, 2.0, 0.0, False, False, CFG, FOUR_MODE)
     assert sup.mode is Mode.P2F and not sup.pending_p2f
 
 
 def test_full_cycle():
     sup = SupervisorState()
-    sup = transition(sup, 0.0, True, False, CFG, FOUR_MODE)
-    sup = transition(sup, 2.0, False, False, CFG, FOUR_MODE)
-    sup = transition(sup, 2.0, False, True, CFG, FOUR_MODE)
-    sup = transition(sup, -2.0, False, False, CFG, FOUR_MODE)
+    sup = transition(sup, 0.0, 0.0, True, False, CFG, FOUR_MODE)
+    sup = transition(sup, 2.0, 0.0, False, False, CFG, FOUR_MODE)
+    sup = transition(sup, 2.0, 0.0, False, True, CFG, FOUR_MODE)
+    sup = transition(sup, -2.0, 0.0, False, False, CFG, FOUR_MODE)
     assert sup.mode is Mode.F
     assert sup.eta_d == 0.0
 
@@ -82,7 +98,7 @@ def test_eta_d_only_on_specified_edges():
     sup = SupervisorState()
     toggles = []
     for lam, sf, spf in [(0, 1, 0), (2, 0, 0), (2, 0, 1), (-2, 0, 0)]:
-        new = transition(sup, lam, bool(sf), bool(spf), CFG, FOUR_MODE)
+        new = transition(sup, lam, 0.0, bool(sf), bool(spf), CFG, FOUR_MODE)
         if new.eta_d != sup.eta_d:
             toggles.append((sup.mode, new.mode, new.eta_d))
         sup = new
@@ -116,22 +132,22 @@ def test_mode_policies():
 
 def test_two_mode_arms_then_attaches():
     sup = SupervisorState()
-    sup = transition(sup, 0.0, True, False, CFG, TWO_MODE)
+    sup = transition(sup, 0.0, 0.0, True, False, CFG, TWO_MODE)
     assert sup.mode is Mode.F and sup.eta_d == 1.0
-    sup = transition(sup, 2.0, False, False, CFG, TWO_MODE)
+    sup = transition(sup, 2.0, 0.0, False, False, CFG, TWO_MODE)
     assert sup.mode is Mode.P
 
 
 def test_two_mode_p_to_f_in_one_step():
     sup = SupervisorState(mode=Mode.P, eta_d=1.0)
-    out = transition(sup, 10.0, False, True, CFG, TWO_MODE)
+    out = transition(sup, 10.0, 0.0, False, True, CFG, TWO_MODE)
     assert out.mode is Mode.F
     assert out.eta_d == 0.0
 
 
 def test_two_mode_self_loop():
     sup = SupervisorState()
-    out = transition(sup, 0.0, False, False, CFG, TWO_MODE)
+    out = transition(sup, 0.0, 0.0, False, False, CFG, TWO_MODE)
     assert out.mode is Mode.F and out.eta_d == 0.0
 
 
@@ -164,7 +180,8 @@ def _reachable(edges):
         seen.add(astuple(sup))
         for lam, s_f2p, s_p2f in itertools.product(
                 (-2.0, 0.0, 2.0), (False, True), (False, True)):
-            frontier.append(transition(sup, lam, s_f2p, s_p2f, CFG, edges))
+            frontier.append(
+                transition(sup, lam, 0.0, s_f2p, s_p2f, CFG, edges))
     return {mode for mode, *_ in seen}
 
 
