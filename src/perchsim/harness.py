@@ -67,8 +67,9 @@ def run_scenario(cfg, log=None):
     """
     params, wall = cfg.build()
     rows, columns = params.rotors
-    machine, policies, rho, freeze_while_attached = VARIANTS[cfg.variant]
+    machine, policies, rho = VARIANTS[cfg.variant]
     rho = cfg.rho if rho is None else rho
+    _, hold_attached, _ = policies[Mode.P]
     planner = MissionPlanner(cfg, wall)
 
     hover_p, _, _, hover_R, _ = planner.setpoints[0]
@@ -125,9 +126,8 @@ def run_scenario(cfg, log=None):
         s_p2f = "s_p2f" in kinds
         for kind in kinds:
             events.append((t, "operator", kind))
-        # the believed gap, read only when the force test can pass
-        gap = wall.gap_of(meas) if lam_c > cfg.lambda_f2p else math.inf
-        new_sup = transition(sup, lam_c, gap, s_f2p, s_p2f, cfg, machine)
+        new_sup = transition(sup, lam_c, wall.gap_of(meas), s_f2p, s_p2f,
+                             cfg, machine)
         # The approach starts when eta_d rises (F -> F2P with four modes),
         # the departure on entering P2F.  Two-mode P -> F keeps the stale
         # approach plan, so no inputs for detaching are generated in advance.
@@ -152,9 +152,9 @@ def run_scenario(cfg, log=None):
         # its rotor force as the observers' thrust model has it)
         (fx, fy, fz), _ = rotor_wrench
         f_act = k_f * fx, k_f * fy, k_f * fz
-        if rejection_frozen or freeze_while_attached and contact.attached:
+        if rejection_frozen or hold_attached and contact.attached:
             # While attached the estimate would absorb the constraint force,
-            # so the hold extends until the wall actually lets go.
+            # so a variant freezing it in P holds it until the wall lets go.
             est_rej = estimation.freeze(est_rej)
         else:
             delta_hat, _, _, frozen = est_rej

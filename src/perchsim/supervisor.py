@@ -7,12 +7,12 @@ estimate fails both) unless None.  It enters `to`, sets the servo target to
 `eta_d` unless None, and, if it changes the mode, consumes the signals it
 needed; they stay latched until then.
 
-VARIANTS maps each variant's name to a row (edges, policies, rho,
-freeze_while_attached): rho None takes the scenario's perch wrench fraction,
-and rejection also stays frozen while attached if freeze_while_attached.
-policies maps each mode the machine reaches to (perch, rejection_frozen,
-contact_active): perch_wrench, else nominal_wrench plus the rejection force
-unless rejection_frozen; contact_active runs the contact estimator.
+VARIANTS maps each variant's name to a row (edges, policies, rho): rho None
+takes the scenario's perch wrench fraction.  policies maps each mode the
+machine reaches to (perch, rejection_frozen, contact_active): perch_wrench,
+else nominal_wrench plus the rejection force unless rejection_frozen;
+contact_active runs the contact estimator.  A variant whose P policy freezes
+rejection also holds it while attached, until the wall lets go.
 """
 
 import enum
@@ -86,18 +86,15 @@ _TWO_MODE_POLICIES = {
     Mode.P: (True, False, True),
 }
 
-# Never freezes estimation and keeps motion control active while perched
-# (saturation ablation).
-_NO_FREEZE_POLICIES = {
-    Mode.F: (False, False, False),
-    Mode.F2P: (False, False, True),
-    Mode.P: (False, False, True),
-    Mode.P2F: (False, False, True),
-}
+# The saturation ablation: the proposed machine with no perch wrench and no
+# freeze, so motion control stays active while perched.
+_NO_FREEZE_POLICIES = {mode: (False, False, contact_active)
+                       for mode, (_, _, contact_active)
+                       in _FOUR_MODE_POLICIES.items()}
 
 VARIANTS = {
-    "proposed": (FOUR_MODE, _FOUR_MODE_POLICIES, None, True),
-    "no-transitions-rho0": (TWO_MODE, _TWO_MODE_POLICIES, 0.0, False),
-    "no-transitions-rho0.5": (TWO_MODE, _TWO_MODE_POLICIES, 0.5, False),
-    "no-freeze": (FOUR_MODE, _NO_FREEZE_POLICIES, None, False),
+    "proposed": (FOUR_MODE, _FOUR_MODE_POLICIES, None),
+    "no-transitions-rho0": (TWO_MODE, _TWO_MODE_POLICIES, 0.0),
+    "no-transitions-rho0.5": (TWO_MODE, _TWO_MODE_POLICIES, 0.5),
+    "no-freeze": (FOUR_MODE, _NO_FREEZE_POLICIES, None),
 }

@@ -31,7 +31,7 @@ from perchsim.metrics import (CSV_COLUMNS, _COL, _RECORD, _ROW, MetricsFold,
                               settle_index, tick_runs)
 from perchsim.scenario import ScenarioConfig, default_scenario, \
     parse_scenario
-from perchsim.supervisor import Mode, SupervisorState
+from perchsim.supervisor import VARIANTS, Mode, SupervisorState
 
 FIRST_MODE = SupervisorState().mode.value
 
@@ -524,11 +524,10 @@ print(peak_rss() - before)
 
 
 def test_streamed_run_memory_bounded(tmp_path):
-    # The run keeps one block of rows, not its 9.4 MB float log: it grows
-    # about 0.1 MB (0.05-0.18 MB with 1024-row blocks, which its 1000-tick
-    # warm-up run nearly filled; 0.48 MB when it kept the attached column
-    # and the modes, 2.6 MB with six kept columns and the gaps, 10.2 MB
-    # when the whole log was kept).
+    # A streamed mission keeps no whole log: it grows less than 1.2 MB over
+    # the warm-up run, where its 9.4 MB float log would show.  The warm-up
+    # run has already allocated a block, so this does not see the block's
+    # size; test_streamed_run_holds_one_small_block guards that.
     assert int(_child_output(STREAMED_RUN_GROWTH, str(tmp_path))) < 1.2e6
     assert (tmp_path / "o" / "log.csv").stat().st_size > 400 * 30000
 
@@ -768,6 +767,35 @@ def test_ablation_csv_pinned(variant):
     assert hashlib.sha256(csv.encode()).hexdigest() == ABLATION_SHA256[variant]
 
 
+# The default mission's ticks attached in mode F (count, first and last t)
+# and whether its P policy freezes rejection.  Only such a variant holds the
+# estimate there, until the wall lets go: the proposed one after P2F -> F,
+# not the two-mode ones around their P, nor no-freeze after its detach.
+ATTACHED_IN_F = {
+    "proposed": (47, 15.384, 15.43, True),
+    "no-transitions-rho0": (49, 8.022, 15.046, False),
+    "no-transitions-rho0.5": (49, 8.022, 15.046, False),
+    "no-freeze": (42, 16.255, 16.296, False),
+}
+
+
+@pytest.mark.parametrize("variant", ATTACHED_IN_F)
+def test_rejection_held_while_attached_when_frozen_in_p(variant):
+    n, t_first, t_last, held = ATTACHED_IN_F[variant]
+    _, policies, _ = VARIANTS[variant]
+    _, rejection_frozen, _ = policies[Mode.P]
+    assert rejection_frozen is held
+    result = run_variant(variant)
+    ticks = (result.column("attached") == 1.0) \
+        & (np.array(result.modes) == Mode.F.value)
+    t = result.column("t")[ticks]
+    assert (len(t), round(t[0], 3), round(t[-1], 3)) == (n, t_first, t_last)
+    d_hat = np.stack([result.column(c) for c in ("dhatx", "dhaty", "dhatz")],
+                     axis=1)[ticks]
+    # Held: one value, bit for bit.  Else a new estimate every tick.
+    assert len({row.tobytes() for row in d_hat}) == (1 if held else n)
+
+
 # SHA-256 of each default-mission variant's metrics.json as `perchsim run`
 # writes it: every metric key in order, null for an unmeasured one, and the
 # event log.  The CSV pins above hash `to_csv()`; the test below also holds
@@ -909,6 +937,25 @@ def test_library_result_reads_its_modes_from_its_events(name):
     assert [a for a, _ in edges] == [FIRST_MODE] + [b for _, b in edges][:-1]
     assert [m for m, _ in itertools.groupby(result.modes)] \
         == [FIRST_MODE] + [b for _, b in edges]
+
+
+def test_forcible_detach_chatters_known_defect():
+    # Known defect, pinned so that ROADMAP items 4 and 8 (an honest attach,
+    # a finite lock) change it on purpose.  Right after a forcible detach
+    # the gap is still within attach_tol with the servo engaged, so the next
+    # tick attaches again and at_rest zeroes the velocity the pull built:
+    # the vehicle chatters on and off the wall for 24 ms, then falls.
+    result = LIBRARY_RUNS["noisy-ground-contact"]()
+    events = _contact_events(result)
+    assert events[:3] == [(6.0, "mode", "F->F2P"),
+                          (8.013, "contact", "attach"),
+                          (8.015, "mode", "F2P->P")]
+    assert events[3:-1] == [
+        (round(10.0 + 0.001 * k, 3), "contact",
+         "attach" if k % 2 else "forcible-detach") for k in range(25)]
+    assert events[-1] == (10.723, "failure", "ground-contact")
+    details = [detail for _, kind, detail in events if kind == "contact"]
+    assert details.count("forcible-detach") == details.count("attach") == 13
 
 
 def test_two_cycle_contact_event_times():

@@ -2,8 +2,9 @@
 outcome metrics and the log's format stay in `metrics.py`, apart from the
 tick loop, the metrics fold reads the run's events only through
 `tick_runs`, the vehicle holds its rotors as plain tuples without importing
-the allocation module, and `ScenarioError` is the one exception type
-perchsim defines.
+the allocation module, `ScenarioError` is the one exception type perchsim
+defines, and only the supervisor, the scenario and criterion 1's reference
+read the switching thresholds.
 
 No linter ships with the project, so this reads each module's syntax tree:
 an imported name counts as used where it appears as a name in the code, or
@@ -176,3 +177,30 @@ def test_scenario_error_is_the_one_exception_type():
                if cls.__module__ == module.__name__
                and issubclass(cls, BaseException)}
     assert defined == {"perchsim.scenario.ScenarioError"}
+
+
+SWITCHING_THRESHOLDS = ("lambda_f2p", "lambda_p2f", "magnet_range")
+
+
+def threshold_reads(source):
+    """The switching thresholds `source` reads as an attribute, sorted."""
+    return sorted({node.attr for node in ast.walk(ast.parse(source))
+                   if isinstance(node, ast.Attribute)
+                   and isinstance(node.ctx, ast.Load)
+                   and node.attr in SWITCHING_THRESHOLDS})
+
+
+def test_guard_finds_threshold_reads():
+    source = ("gap = wall.gap_of(meas) if lam > cfg.lambda_f2p else inf\n"
+              "cfg.magnet_range = 0.05\nScenarioConfig(lambda_p2f=-1.0)\n"
+              "lambda_p2f = self.lambda_p2f\n")
+    assert threshold_reads(source) == ["lambda_f2p", "lambda_p2f"]
+
+
+def test_only_the_switching_modules_read_its_thresholds():
+    # `transition` is the one statement of the force tests, `build()` checks
+    # the thresholds and builds the wall's range from them, and criterion 1
+    # restates the table independently; the tick loop reads none of them.
+    readers = {path.name for path in MODULES
+               if threshold_reads(path.read_text())}
+    assert readers == {"supervisor.py", "scenario.py", "acceptance.py"}

@@ -106,18 +106,18 @@ def test_eta_d_only_on_specified_edges():
 
 
 def test_variant_rows():
-    # Each row is (edges, policies, rho, freeze_while_attached) and each
-    # policy (perch, rejection_frozen, contact_active), exactly.
+    # Each row is (edges, policies, rho) and each policy (perch,
+    # rejection_frozen, contact_active), exactly.
     for name, row in VARIANTS.items():
-        assert type(row) is tuple and len(row) == 4, name
-        _, policies, _, _ = row
+        assert type(row) is tuple and len(row) == 3, name
+        _, policies, _ = row
         for mode, pol in policies.items():
             assert type(pol) is tuple and len(pol) == 3, (name, mode)
             assert all(type(flag) is bool for flag in pol), (name, mode)
 
 
 def test_mode_policies():
-    _, policies, _, _ = VARIANTS["proposed"]
+    _, policies, _ = VARIANTS["proposed"]
     perch, rejection_frozen, contact_active = policies[Mode.F]
     assert not perch and not rejection_frozen
     assert not contact_active
@@ -153,7 +153,7 @@ def test_two_mode_self_loop():
 
 def test_no_transition_policies():
     for name in ("no-transitions-rho0", "no-transitions-rho0.5"):
-        _, policies, _, _ = VARIANTS[name]
+        _, policies, _ = VARIANTS[name]
         perch, rejection_frozen, _ = policies[Mode.F]
         assert not perch
         assert not rejection_frozen
@@ -163,11 +163,18 @@ def test_no_transition_policies():
 
 
 def test_no_freeze_policies_never_freeze():
+    # The ablation is the proposed machine with the perch wrench and every
+    # freeze removed, and nothing else.
+    edges, policies, rho = VARIANTS["no-freeze"]
+    proposed_edges, proposed, proposed_rho = VARIANTS["proposed"]
+    assert edges is proposed_edges and rho is proposed_rho is None
+    assert set(policies) == set(proposed) == set(Mode)
     for mode in Mode:
-        _, policies, _, _ = VARIANTS["no-freeze"]
         perch, rejection_frozen, _ = policies[mode]
         assert not perch
         assert not rejection_frozen
+        _, _, contact_active = proposed[mode]
+        assert policies[mode] == (False, False, contact_active), mode
 
 
 def _reachable(edges):
@@ -188,7 +195,7 @@ def _reachable(edges):
 def test_variant_policies_cover_reachable_modes():
     assert _reachable(FOUR_MODE) == set(Mode)
     assert _reachable(TWO_MODE) == {Mode.F, Mode.P}
-    for name, (edges, policies, _, _) in VARIANTS.items():
+    for name, (edges, policies, _) in VARIANTS.items():
         assert _reachable(edges) <= set(policies), name
 
 
