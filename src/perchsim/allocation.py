@@ -1,17 +1,20 @@
 """Control allocation for a four-rotor tiltrotor.
 
 A desired body wrench is decomposed into per-rotor vertical and lateral
-thrust components, solved by a min-norm pseudo-inverse, and recovered as
+thrust components, solved by a min-norm right inverse, and recovered as
 (thrust, tilt angle) pairs, one rotor at a time from its own two rows of
-the pseudo-inverse.  The forward map, from thrusts and tilts back to the body
-wrench, lives with the dynamics in `vehicle.forward_wrench`.
+the right inverse.  The forward map, from thrusts and tilts back to the body
+wrench, lives with the dynamics in `vehicle.forward_wrench`.  The right inverse
+P = Q^T L^-1 is plain-float set-up, no LAPACK: Gram-Schmidt run twice gives
+A = L Q, Q's rows orthonormal.  A counts as full rank when max|A P - I| is at
+most 1e-9 in any summation order, its rounding bound added.
 """
 
 import math
 
 import numpy as np
 
-from .geometry import B3
+from .geometry import B3, cross, floats
 
 # Below this thrust the recovered tilt angle is held at its previous value.
 THRUST_EPS = 1e-6
@@ -20,43 +23,67 @@ THRUST_EPS = 1e-6
 def allocation_matrix(positions, spin_signs, k_tau):
     """The 6x2n map A from [T cos(nu); T sin(nu)] to [f; tau] of n rotors
     at `positions` (m, body frame), each tilting about its arm, with spin
-    signs +-1 and drag-to-thrust ratio `k_tau` (m).  A geometry that cannot
-    span a full 6-DOF wrench raises ValueError."""
-    positions = np.asarray(positions, dtype=float)
-    norms = np.linalg.norm(positions, axis=1)
-    if np.any(norms < 1e-9):
-        raise ValueError("rotor positions must be nonzero")
-    lateral = np.cross(B3, positions / norms[:, None])
-    n = len(positions)
-    A = np.zeros((6, 2 * n))
-    for i, (r, t, sign) in enumerate(zip(positions, lateral, spin_signs)):
-        sk = sign * k_tau
-        A[:3, i] = B3
-        A[3:, i] = np.cross(r, B3) + sk * B3
-        A[:3, n + i] = t
-        A[3:, n + i] = np.cross(r, t) + sk * t
-    if np.linalg.matrix_rank(A, tol=1e-9) < 6:
-        raise ValueError("rotor geometry is rank deficient")
-    return A
+    signs +-1 and drag-to-thrust ratio `k_tau` (m).  A zero rotor position
+    raises ValueError; `right_inverse` checks the rank."""
+    vertical, lateral = [], []
+    for r, sign in zip(map(floats, positions), spin_signs):
+        norm, sk = math.hypot(*r), sign * k_tau
+        if norm < 1e-9:
+            raise ValueError("rotor positions must be nonzero")
+        t = cross(B3, [x / norm for x in r])
+        vertical.append(B3 + tuple(a + sk * b
+                                   for a, b in zip(cross(r, B3), B3)))
+        lateral.append(t + tuple(a + sk * b for a, b in zip(cross(r, t), t)))
+    return np.array(vertical + lateral).T
 
 
 def x_config(arm_length, k_tau):
     """A of the symmetric X configuration with alternating spin signs."""
-    angles = np.deg2rad([45.0, 135.0, 225.0, 315.0])
-    positions = arm_length * np.stack(
-        [np.cos(angles), np.sin(angles), np.zeros(4)], axis=1)
+    positions = [(arm_length * math.cos(a), arm_length * math.sin(a), 0.0)
+                 for a in map(math.radians, (45.0, 135.0, 225.0, 315.0))]
     return allocation_matrix(positions, (1.0, -1.0, 1.0, -1.0), k_tau)
+
+
+def _dot(u, v):
+    s = 0.0                                     # summed left to right
+    for x, y in zip(u, v):
+        s += x * y
+    return s
+
+
+def right_inverse(A):
+    """The 2n rows of A's min-norm right inverse P = Q^T M: Gram-Schmidt, run
+    twice on A's rows beside I's, gives Q = M A and M = L^-1.  Raises
+    ValueError, A being rank deficient, unless max|A P - I| <= 1e-9 holds."""
+    rows, two_n, W = A.tolist(), A.shape[1], []
+    for k, a in enumerate(rows):
+        v = a + [float(i == k) for i in range(len(rows))]     # [a_k | e_k]
+        for _ in range(2):
+            for w in W:
+                c = _dot(w[:two_n], v)
+                v = [x - c * y for x, y in zip(v, w)]
+        norm = math.hypot(*v[:two_n]) or math.nan     # zero fails the check
+        W.append([x / norm for x in v])                       # [q_k | m_k]
+    cols = list(zip(*W))
+    P = [tuple(_dot(q, m) for m in cols[two_n:]) for q in cols[:two_n]]
+    # Each residual, plus a bound on its own rounding, is at most 1e-9, so
+    # any summation order finds max|A P - I| <= 1e-9.
+    if not all(abs(_dot(a, p) - (i == j))
+               + 4e-15 * _dot(map(abs, a), map(abs, p)) <= 1e-9
+               for i, a in enumerate(rows) for j, p in enumerate(zip(*P))):
+        raise ValueError("rotor geometry is rank deficient")
+    return P
 
 
 def rotor_rows(A):
     """The rotors as the tick reads them, `(pinv_rows, columns)`: rotor i's
     (vertical, lateral) pair of 6-tuples, rows i and n + i of A's
-    pseudo-inverse and of A's transpose."""
+    `right_inverse` and of A's transpose.  Raises ValueError unless the
+    inverse meets max|A P - I| <= 1e-9, checked in plain floats with its
+    rounding bound added, so that any summation order meets it too."""
     n = A.shape[1] // 2
-
-    def per_rotor(M):
-        return tuple(zip(map(tuple, M[:n]), map(tuple, M[n:])))
-    return per_rotor(np.linalg.pinv(A).tolist()), per_rotor(A.T.tolist())
+    return tuple(tuple(zip(M[:n], M[n:]))
+                 for M in (right_inverse(A), tuple(map(tuple, A.T.tolist()))))
 
 
 def allocate(w, rows, T_max, prev_tilt):

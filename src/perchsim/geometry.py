@@ -7,9 +7,7 @@ are the one statement of R x and R^T x.  Everything here is stateless.
 
 import math
 
-import numpy as np
-
-B3 = np.array([0.0, 0.0, 1.0])       # world up, for numpy set-up code
+B3 = (0.0, 0.0, 1.0)                 # world up, and the rotors' thrust axis
 ZERO3 = (0.0, 0.0, 0.0)
 EYE = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)
 

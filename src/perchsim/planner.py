@@ -9,10 +9,8 @@ analytic derivative of the parameterization.
 
 import math
 
-import numpy as np
-
-from .geometry import B3, ZERO3, exp_so3, floats, log_so3, mat_mul, \
-    mat_t_mul, right_jacobian, rot_y
+from .geometry import B3, ZERO3, cross, exp_so3, floats, log_so3, mat_mul, \
+    mat_t_mul, mat_vec, right_jacobian, rot_y
 
 
 def quintic(coeffs, t):
@@ -48,27 +46,19 @@ def jerk_cost(coeffs, T):
 
 def min_jerk_segment(p0, v0, a0, pf, vf, af, T):
     """The unique quintic matching both full boundary states, as three
-    6-tuples of ascending coefficients, one per axis."""
+    6-tuples of ascending coefficients, one per axis; c3..c5 in closed form."""
     if T <= 0:
         raise ValueError("segment duration must be positive")
-    p0, v0, a0 = (np.asarray(x, float) for x in (p0, v0, a0))
-    pf, vf, af = (np.asarray(x, float) for x in (pf, vf, af))
-    coeffs = np.zeros((3, 6))
-    M = np.array([
-        [T ** 3, T ** 4, T ** 5],
-        [3 * T ** 2, 4 * T ** 3, 5 * T ** 4],
-        [6 * T, 12 * T ** 2, 20 * T ** 3],
-    ])
-    for ax in range(3):
-        c0, c1, c2 = p0[ax], v0[ax], 0.5 * a0[ax]
-        rhs = np.array([
-            pf[ax] - (c0 + c1 * T + c2 * T ** 2),
-            vf[ax] - (c1 + 2 * c2 * T),
-            af[ax] - 2 * c2,
-        ])
-        c345 = np.linalg.solve(M, rhs)
-        coeffs[ax] = [c0, c1, c2, *c345]
-    return tuple(map(tuple, coeffs.tolist()))
+    coeffs = []
+    for c0, c1, a, p, v, acc in zip(*map(floats, (p0, v0, a0, pf, vf, af))):
+        c2 = 0.5 * a
+        dp = p - (c0 + c1 * T + c2 * T ** 2)
+        dv, da = v - (c1 + 2 * c2 * T), acc - 2 * c2
+        coeffs.append((c0, c1, c2,
+                       (10 * dp - 4 * dv * T + da * T ** 2 / 2) / T ** 3,
+                       (-15 * dp + 7 * dv * T - da * T ** 2) / T ** 4,
+                       (6 * dp - 3 * dv * T + da * T ** 2 / 2) / T ** 5))
+    return tuple(coeffs)
 
 
 def rotation_at(R0, coeffs, t):
@@ -94,29 +84,25 @@ def rotation_between(R0, Rf):
 
 def min_accel_rotation(R0, Rf, w0, T):
     """Cubic in exponential coordinates from R0 at rate w0 to Rf at rest, as
-    three (c1, c2, c3) tuples of phi(t), one per axis."""
+    three (c1, c2, c3) tuples of phi(t), one per axis, in closed form."""
     if T <= 0:
         raise ValueError("segment duration must be positive")
-    phi_f = rotation_between(R0, Rf)
-    dphi0 = np.asarray(w0, dtype=float)              # J_r(0) = I
     coeffs = []
-    # Solve a T^2 + b T^3 = phi_f - dphi0 T ; 2 a T + 3 b T^2 = 0 - dphi0
-    M = np.array([[T ** 2, T ** 3], [2 * T, 3 * T ** 2]])
-    for ax in range(3):
-        rhs = np.array([phi_f[ax] - dphi0[ax] * T, 0.0 - dphi0[ax]])
-        coeffs.append((float(dphi0[ax]), *np.linalg.solve(M, rhs).tolist()))
+    for phi, w in zip(rotation_between(R0, Rf), floats(w0)):
+        e, g = phi - w * T, 0.0 - w             # c1 = w0: J_r(0) = I
+        coeffs.append((w, (3 * e - g * T) / T ** 2, (g * T - 2 * e) / T ** 3))
     return tuple(coeffs)
 
 
 def perch_orientation(wall):
     """Body attitude at the wall: bottom (-b3) facing the wall, x axis up."""
-    n = np.asarray(wall.normal)
-    up = B3 - (B3 @ n) * n
-    nu = np.linalg.norm(up)
+    n = wall.normal
+    up = [b - n[2] * x for b, x in zip(B3, n)]           # b3 - (b3 . n) n
+    nu = math.hypot(*up)
     if nu < 1e-9:
         raise ValueError("wall normal may not be vertical")
-    up = up / nu
-    return tuple(np.column_stack([up, np.cross(n, up), n]).ravel().tolist())
+    up = [x / nu for x in up]
+    return tuple(x for row in zip(up, cross(n, up), n) for x in row)
 
 
 def hold(p, R):
@@ -134,10 +120,9 @@ def perch_setpoints(wall, cfg):
     """Hover (1), standoff (2), and behind-surface (3) pose setpoints; reads
     the keys hover_position, hover_pitch, standoff and penetration of `cfg`."""
     R = perch_orientation(wall)
-    n, point = np.asarray(wall.normal), np.asarray(wall.point)
-    offset = np.reshape(R, (3, 3)) @ wall.c_m
-    p2 = point + cfg.standoff * n - offset
-    p3 = point - cfg.penetration * n - offset
+    sides = zip(wall.point, wall.normal, mat_vec(R, wall.c_m))
+    p2, p3 = zip(*[(q + cfg.standoff * n - c, q - cfg.penetration * n - c)
+                   for q, n, c in sides])
     return [hover_setpoint(cfg), hold(p2, R), hold(p3, R)]
 
 

@@ -1,12 +1,15 @@
-"""Allocation tests: matrix construction, min-norm recovery, round trips."""
+"""Allocation tests: matrix construction, min-norm recovery, round trips,
+and the plain-float right inverse against LAPACK's pseudo-inverse."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, note, settings
+from hypothesis import strategies as st
 
 from perchsim.allocation import THRUST_EPS, allocate, allocation_matrix, \
-    x_config
+    right_inverse, rotor_rows, x_config
 from perchsim.geometry import ZERO3
 from perchsim.scenario import ScenarioConfig
 from perchsim.vehicle import forward_wrench
@@ -39,7 +42,8 @@ def test_zero_drag_ratio_yaw_row():
 def test_degenerate_geometry_rejected():
     pos = np.tile([0.1, 0.0, 0.0], (4, 1))
     with pytest.raises(ValueError, match="rotor geometry is rank deficient"):
-        allocation_matrix(pos, np.array([1.0, -1.0, 1.0, -1.0]), 0.016)
+        rotor_rows(allocation_matrix(pos, np.array([1.0, -1.0, 1.0, -1.0]),
+                                     0.016))
 
 
 def test_zero_position_rejected():
@@ -141,7 +145,7 @@ def test_allocate_matches_per_rotor_loop():
                 w, ROWS, 8.0, prev_tilt=prev)
             f0, f1, f2, t0, t1, t2 = vec(w).tolist()
             x = [a * f0 + b * f1 + c * f2 + d * t0 + e * t1 + g * t2
-                 for a, b, c, d, e, g in np.linalg.pinv(A_X).tolist()]
+                 for a, b, c, d, e, g in right_inverse(A_X)]
             saturated = False
             for i in range(4):
                 thrust = math.hypot(x[i], x[4 + i])
@@ -151,3 +155,67 @@ def test_allocate_matches_per_rotor_loop():
                 assert thrust_out[i] == min(thrust, 8.0)
                 saturated = saturated or thrust > 8.0
             assert saturated_out == saturated
+
+
+# The non-planar layout of tests/test_oracles.py, at an arm length of 1 m.
+NON_PLANAR = ((0.2, 0.1, 0.0), (-0.1, 0.3, 0.05), (-0.25, -0.2, 0.0),
+              (0.15, -0.3, -0.05))
+
+
+def log_uniform(lo, hi):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+@settings(max_examples=400, deadline=None)
+@given(arm=log_uniform(1e-9, 1e3),
+       k_tau=st.one_of(st.just(0.0), log_uniform(1e-6, 1e4)),
+       planar=st.booleans())
+@example(arm=CFG.arm_length, k_tau=CFG.k_tau, planar=True)
+@example(arm=1e3, k_tau=CFG.k_tau, planar=True)
+@example(arm=CFG.arm_length, k_tau=0.0, planar=True)
+def test_right_inverse_against_lapack(arm, k_tau, planar):
+    # Whatever the plain-float inverse accepts inverts A to 1e-9, recomputed
+    # here with numpy; where A is well conditioned it is LAPACK's
+    # pseudo-inverse to 1e-12 of its largest entry, and it is never refused.
+    try:
+        A = x_config(arm, k_tau) if planar else allocation_matrix(
+            np.multiply(NON_PLANAR, arm), (1.0, -1.0, 1.0, -1.0), k_tau)
+    except ValueError as exc:                  # a rotor within 1e-9 m of 0
+        assert str(exc) == "rotor positions must be nonzero"
+        return
+    cond = np.linalg.cond(A)
+    note(f"cond(A) = {cond:.3g}")
+    try:
+        P = np.array(right_inverse(A))
+    except ValueError as exc:
+        assert str(exc) == "rotor geometry is rank deficient"
+        assert cond > 1e3
+        return
+    assert np.abs(A @ P - np.eye(6)).max() <= 1e-9
+    if cond <= 1e3:
+        want = np.linalg.pinv(A)
+        assert np.abs(P - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("arm, k_tau", [(CFG.arm_length, CFG.k_tau),
+                                        (1e3, CFG.k_tau),
+                                        (CFG.arm_length, 0.0)])
+def test_interval_ends_have_full_rank(arm, k_tau):
+    # build() accepts arm_length's closed end and k_tau's, and the default.
+    pinv_rows, columns = rotor_rows(x_config(arm, k_tau))
+    assert len(pinv_rows) == len(columns) == 4
+
+
+@pytest.mark.parametrize("positions", [
+    np.tile([0.1, 0.0, 0.0], (4, 1)),
+    ((0.1, 0.0, 0.0), (0.0, 0.1, 0.0), (0.1, 0.0, 0.0), (0.0, 0.1, 0.0)),
+    ((1.0, 0.0, 0.0), (-1.0, 0.0, 0.0), (2e-9, 0.0, 0.0), (1.0, 1e-300, 0.0))],
+    ids=["coincident", "two-pairs", "collinear"])
+@pytest.mark.parametrize("k_tau", [0.0, 0.016, 1e300])
+def test_vanishing_residual_is_rank_deficient(positions, k_tau):
+    # A row that Gram-Schmidt reduces to zero, or to rounding, is refused
+    # with the one message, and no division by zero (or warning, which the
+    # suite's settings make an error).
+    A = allocation_matrix(positions, (1.0, -1.0, 1.0, -1.0), k_tau)
+    with pytest.raises(ValueError, match="^rotor geometry is rank deficient$"):
+        right_inverse(A)

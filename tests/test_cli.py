@@ -121,6 +121,10 @@ INVALID = [
     ("arm_length = 1e-10", "rotor positions must be nonzero"),
     ("arm_length = 1e300", "arm_length must lie in (0, 1e3]"),
     ("arm_length = 1e200", "arm_length must lie in (0, 1e3]"),
+    # Drag ratios whose A is numerically rank deficient (cond(A) about 1e13
+    # and 1e17): the rotors' right inverse misses A P = I by more than 1e-9.
+    ("k_tau = 1e8", "rotor geometry is rank deficient"),
+    ("k_tau = 1e6", "rotor geometry is rank deficient"),
     ("mission = perch\nhover_pitch = 1.5707963267948966",
      "rotation endpoints are antipodal or nearly so"),
     ("mission = perch\nhold_time = 1e62", "hold_time must lie in (0, 1e4]"),

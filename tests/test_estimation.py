@@ -5,10 +5,10 @@ import math
 import numpy as np
 
 from perchsim import estimation
-from perchsim.geometry import B3
 from perchsim.scenario import ScenarioConfig
 from perchsim.vehicle import at_rest
 
+B3 = np.array([0.0, 0.0, 1.0])
 PARAMS, WALL = ScenarioConfig().build()
 HOVER_F = PARAMS.m * PARAMS.g * B3  # body force balancing gravity at R = I
 K_E = 20.0

@@ -532,6 +532,31 @@ def test_streamed_run_memory_bounded(tmp_path):
     assert (tmp_path / "o" / "log.csv").stat().st_size > 400 * 30000
 
 
+# Peak RSS growth of a run's set-up, the default scenario's build() and its
+# first plan, in a fresh interpreter that has imported the CLI and made one
+# small matrix product, so that BLAS is paged in, as in a run by then.
+SETUP_GROWTH = """\
+import numpy as np
+import perchsim.cli
+from perchsim.planner import MissionPlanner
+from perchsim.scenario import default_scenario
+np.ones((3, 3)) @ np.ones((3, 3))
+before = peak_rss()
+cfg = default_scenario()
+_, wall = cfg.build()
+MissionPlanner(cfg, wall)
+print(peak_rss() - before)
+"""
+
+
+def test_setup_pages_in_no_lapack():
+    # With LAPACK's pinv, matrix_rank and solve on their first call, this
+    # read 1.88-1.99 MB; the plain-float right inverse, the closed-form plan
+    # legs and plain-float setpoints leave numpy's first elementwise calls,
+    # 0.33-0.40 MB.
+    assert int(_child_output(SETUP_GROWTH)) < 0.5e6
+
+
 # Peak RSS growth of a 120 s hover streamed to a sink that renders and drops
 # its lines, over the same hover for 30 s, in a fresh interpreter.
 LONG_RUN_GROWTH = """\
@@ -753,11 +778,11 @@ def test_outward_load_is_not_contact(variant, events):
 # the other three (two-mode machine, rho override, no-freeze policies).
 ABLATION_SHA256 = {
     "no-transitions-rho0":
-        "147ff198701fc866da28e56e99f38eccd22223b5dc24907b5343c5a63fc0cca1",
+        "6e001329069cba61305be70c8d58d66a91f43c8c104d6faec4af8be4fefcdddf",
     "no-transitions-rho0.5":
-        "54f4d97f891a9d3d0e201fe77988e52a6efe6efdb7d2bc9ff2d5f60864f12b9b",
+        "1868e705ccc04d4f9af1698d806ca31f982e5fe1a69413ffc89f4006acc1871a",
     "no-freeze":
-        "41e38b56374543b9afa520b935a8d9166ce45bd6d340b91cdad9fe7570478176",
+        "5cf83e43d5161bfcf0459a7c0c2b080eac30daaf6ed21c07bbab4e9d7b21acba",
 }
 
 
@@ -802,13 +827,13 @@ def test_rejection_held_while_attached_when_frozen_in_p(variant):
 # the log.csv that `perchsim run` streams from the tick loop to them.
 METRICS_JSON_SHA256 = {
     "proposed":
-        "0743dc7459b12f92abd74b7c13df944e619fb97d27dbc0bfdf9852708070c9f7",
+        "aa578f3f55982e9b7af9f8bfec8c9b373e90bd0d4287d1d1a927da67272ed577",
     "no-transitions-rho0":
-        "8f0ada614de8f406e2e70b55fa183c5a455a8a2b6a248855c021de8ba0a2572e",
+        "35eec537abfcc2d65ea1192656e117f5991a7c05196e00ee17b475f4f57eb3f0",
     "no-transitions-rho0.5":
-        "50a87eddba47ffdae5a38a17845d670959a740f4d02ee7f396e064690ce5129f",
+        "fb548bad00ae8d4b29553e32b473fd147c663092df7c6a96fe754202b11e5f8b",
     "no-freeze":
-        "a625aa4d9f1bbd51b3d19fec1c80944f1168da6d45768b9b821fc9f736beb296",
+        "6cf4fa018eef8f744cd34d9359a5d431f5b3d49e6206c4e2d956a64d47330a05",
 }
 
 
@@ -831,7 +856,7 @@ def test_metrics_json_pinned(variant, tmp_path, capsys):
 # two-cycle mission also reads, bit for bit: its window closes at the second
 # perch command, so the second perch does not reach it.
 RELEASE_METRICS = {"z_drop_m": 7.943131049392704e-05,
-                   "min_clearance_m": 0.05009595302419523,
+                   "min_clearance_m": 0.05009595302419512,
                    "settle_time_after_release_s": 0.0009999999999994458}
 
 
@@ -990,7 +1015,7 @@ initial_offset = 0.02 -0.01 0.03
 disturbance = 0.1 0.3 0.8 -0.5 0.3 0.2 -0.1 0.3
 """
 NOISY_HOVER_SHA256 = \
-    "d53cf85373145947b4b65ff80384fbc64b4f24b3772a0326b15d676550919efd"
+    "997bc0f9568c4de5a3b8032dc2bad1fd495877f013a5186866e90e15da24f524"
 
 
 def test_noisy_hover_pinned():
@@ -1003,7 +1028,7 @@ def test_noisy_hover_pinned():
 # this run crosses 35 block edges and ends 60 ticks into a block.
 NOISY_HOVER_LONG = NOISY_HOVER.replace("duration = 0.5", "duration = 2.3")
 NOISY_HOVER_LONG_SHA256 = \
-    "075782b1c77d64bb3d5cbf95069b605a631edb3578643e6b789efc76e2a0b938"
+    "7b030351e108f66081879c472177d552cc9c42ae9c0cd0d39db315a2f3d53afe"
 
 
 def test_long_noisy_hover_pinned():

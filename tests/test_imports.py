@@ -3,8 +3,9 @@ outcome metrics and the log's format stay in `metrics.py`, apart from the
 tick loop, the metrics fold reads the run's events only through
 `tick_runs`, the vehicle holds its rotors as plain tuples without importing
 the allocation module, `ScenarioError` is the one exception type perchsim
-defines, and only the supervisor, the scenario and criterion 1's reference
-read the switching thresholds.
+defines, only the supervisor, the scenario and criterion 1's reference
+read the switching thresholds, and only the acceptance checks call
+`numpy.linalg`.
 
 No linter ships with the project, so this reads each module's syntax tree:
 an imported name counts as used where it appears as a name in the code, or
@@ -204,3 +205,39 @@ def test_only_the_switching_modules_read_its_thresholds():
     readers = {path.name for path in MODULES
                if threshold_reads(path.read_text())}
     assert readers == {"supervisor.py", "scenario.py", "acceptance.py"}
+
+
+def linalg_reads(source):
+    """Where `source` reaches numpy's LAPACK wrappers, sorted: each read of
+    an attribute named `linalg`, and each import of `numpy.linalg`."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr == "linalg":
+            found.append(ast.unparse(node))
+        elif isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names
+                      if alias.name.startswith("numpy.linalg")]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            found += [f"{node.module}.{alias.name}" for alias in node.names
+                      if node.module.startswith("numpy.linalg")
+                      or (node.module, alias.name) == ("numpy", "linalg")]
+    return sorted(found)
+
+
+def test_guard_finds_linalg_reads():
+    source = ("import numpy as np\nimport numpy.linalg\n"
+              "from numpy import linalg\nfrom numpy.linalg import pinv\n"
+              "P = np.linalg.pinv(A)\nr = numpy.linalg.matrix_rank(A)\n"
+              "x = np.cross(a, b) @ A\nlinalg = 1\n")
+    assert linalg_reads(source) == ["np.linalg", "numpy.linalg",
+                                    "numpy.linalg", "numpy.linalg",
+                                    "numpy.linalg.pinv"]
+
+
+def test_only_the_acceptance_checks_call_lapack():
+    # The run path takes no LAPACK call: the rotors' right inverse is plain
+    # floats and the plan legs are closed forms.  The acceptance checks'
+    # independent oracles (a KKT solve, criterion 4) may use it.
+    readers = {path.name: linalg_reads(path.read_text()) for path in MODULES}
+    assert {name for name, reads in readers.items() if reads} \
+        == {"acceptance.py"}, readers

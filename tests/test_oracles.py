@@ -32,7 +32,7 @@ from hypothesis import strategies as st
 
 from perchsim import estimation
 from perchsim.allocation import THRUST_EPS, allocate, allocation_matrix, \
-    rotor_rows, x_config
+    right_inverse, rotor_rows, x_config
 from perchsim.control import nominal_wrench, perch_wrench
 from perchsim.geometry import EYE, ZERO3, exp_so3, log_so3, mat_mul, \
     mat_t_mul, mat_t_vec, mat_vec, renormalize, right_jacobian, rot_y
@@ -379,8 +379,8 @@ def test_reciprocal_moments_are_the_numpy_inverse():
 
 
 def allocate_comprehension(w, rotors, T_max, prev_tilt):
-    """The previous allocate: all 2n rows of the pseudo-inverse, taken again
-    from A as the rotors' columns hold it, in one list comprehension,
+    """The previous allocate: all 2n rows of the right inverse, computed
+    again from A as the rotors' columns hold it, in one list comprehension,
     sliced into vertical and lateral halves, and one saturation flag per
     rotor."""
     _, columns = rotors
@@ -388,7 +388,7 @@ def allocate_comprehension(w, rotors, T_max, prev_tilt):
     A = np.array([v for v, _ in columns] + [lat for _, lat in columns]).T
     (f0, f1, f2), (t0, t1, t2) = w
     x = [a * f0 + b * f1 + c * f2 + d * t0 + e * t1 + g * t2
-         for a, b, c, d, e, g in np.linalg.pinv(A).tolist()]
+         for a, b, c, d, e, g in right_inverse(A)]
     thrust, tilt, saturated = [], [], []
     for xv, xl, prev in zip(x[:n], x[n:], prev_tilt):
         T = math.hypot(xv, xl)
@@ -676,19 +676,20 @@ def test_zero_rho_perch_wrench_allocates_as_zero(data):
 
 def min_accel_rotation_to_rate(R0, Rf, w0, wf, T):
     """The previous planner.min_accel_rotation, which ended at body rate wf
-    through the closed-form inverse right Jacobian."""
+    through the closed-form inverse right Jacobian (its cubic solved in
+    closed form, as the planner's is)."""
     if T <= 0:
         raise ValueError("segment duration must be positive")
     phi_f = log_so3(mat_t_mul(R0, Rf))
     if math.hypot(*phi_f) >= math.pi - 1e-6:
         raise ValueError("rotation endpoints are antipodal or nearly so")
-    dphi0 = np.asarray(w0, dtype=float)              # J_r(0) = I
     dphif = right_jacobian_inv(phi_f, wf)
     coeffs = []
-    M = np.array([[T ** 2, T ** 3], [2 * T, 3 * T ** 2]])
+    # The cubic's closed form: a T^2 + b T^3 = e and 2 a T + 3 b T^2 = g.
     for ax in range(3):
-        rhs = np.array([phi_f[ax] - dphi0[ax] * T, dphif[ax] - dphi0[ax]])
-        coeffs.append((float(dphi0[ax]), *np.linalg.solve(M, rhs).tolist()))
+        w = float(w0[ax])                            # J_r(0) = I
+        e, g = phi_f[ax] - w * T, dphif[ax] - w
+        coeffs.append((w, (3 * e - g * T) / T ** 2, (g * T - 2 * e) / T ** 3))
     return tuple(coeffs)
 
 

@@ -5,14 +5,17 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from perchsim import planner
-from perchsim.geometry import EYE, exp_so3, mat_vec, pitch_of, rot_y
+from perchsim.geometry import EYE, exp_so3, mat_mul, mat_vec, pitch_of, \
+    rot_y
 from perchsim.harness import run_scenario
 from perchsim.planner import (MissionPlanner, connect, jerk_cost,
                               min_accel_rotation, min_jerk_segment,
                               perch_orientation, perch_setpoints, quintic,
-                              rotation_at)
+                              rotation_at, rotation_between)
 from perchsim.scenario import ScenarioConfig, default_scenario
 from so3 import flat, mat
 
@@ -265,3 +268,70 @@ def test_press_force_sizing_rule():
     cfg = ScenarioConfig()
     press = 1.65 * 10.0 * cfg.penetration
     assert press > 1.0
+
+
+def solved_quintic(p0, v0, a0, pf, vf, af, T):
+    """The quintic's c3..c5 from `np.linalg.solve`, as the planner took them
+    before its closed form."""
+    M = np.array([[T ** 3, T ** 4, T ** 5],
+                  [3 * T ** 2, 4 * T ** 3, 5 * T ** 4],
+                  [6 * T, 12 * T ** 2, 20 * T ** 3]])
+    coeffs = []
+    for c0, c1, a, p, v, acc in zip(p0, v0, a0, pf, vf, af):
+        c2 = 0.5 * a
+        rhs = [p - (c0 + c1 * T + c2 * T ** 2), v - (c1 + 2 * c2 * T),
+               acc - 2 * c2]
+        coeffs.append((c0, c1, c2, *np.linalg.solve(M, rhs).tolist()))
+    return tuple(coeffs)
+
+
+def solved_rotation(R0, Rf, w0, T):
+    """The rotation cubic's c2, c3 from `np.linalg.solve`, likewise."""
+    M = np.array([[T ** 2, T ** 3], [2 * T, 3 * T ** 2]])
+    return tuple((w, *np.linalg.solve(M, [phi - w * T, 0.0 - w]).tolist())
+                 for phi, w in zip(rotation_between(R0, Rf), w0))
+
+
+DURATIONS = st.floats(math.log(1e-6), math.log(1e4)).map(math.exp)
+VALUES = st.tuples(*[st.floats(-1e3, 1e3)] * 3)
+TINY = 1e-290
+
+
+@settings(max_examples=300, deadline=None)
+@given(T=DURATIONS, ends=st.tuples(*[VALUES] * 6))
+def test_closed_form_quintic_meets_its_ends(T, ends):
+    # Both ends' position, velocity and acceleration, each within 1e-12 of
+    # the segment's scale (the largest of |p|, T |v| and T^2 |a| at either
+    # end), for T from 1e-6 to 1e4 s; LAPACK's coefficients meet the same.
+    # TINY stands in for a scale so small that floats lose relative
+    # precision (subnormal ends).
+    p0, v0, a0, pf, vf, af = np.array(ends)
+    scale = max(np.abs([p0, pf]).max(), T * np.abs([v0, vf]).max(),
+                T * T * np.abs([a0, af]).max(), TINY)
+    for coeffs in (min_jerk_segment(*ends, T), solved_quintic(*ends, T)):
+        for t, (p, v, a) in ((0.0, (p0, v0, a0)), (T, (pf, vf, af))):
+            got_p, got_v, got_a = quintic(coeffs, t)
+            assert np.abs(got_p - p).max() <= 1e-12 * scale
+            assert T * np.abs(got_v - v).max() <= 1e-12 * scale
+            assert T * T * np.abs(got_a - a).max() <= 1e-12 * scale
+
+
+@settings(max_examples=300, deadline=None)
+@given(T=DURATIONS, angle=st.floats(0.0, 3.0),
+       axis=st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
+           lambda v: math.hypot(*v) > 1e-3),
+       w0=st.tuples(*[st.floats(-10.0, 10.0)] * 3), tilt=st.floats(0.0, 3.0))
+def test_closed_form_rotation_meets_its_ends(T, angle, axis, w0, tilt):
+    # phi(T) = phi_f and phi'(T) = 0, each within 1e-12 of the segment's
+    # scale (the largest of |phi_f| and T |w0|), as LAPACK's meet too.
+    R0 = rot_y(tilt)
+    n = math.hypot(*axis)
+    Rf = mat_mul(R0, exp_so3(*(angle * x / n for x in axis)))
+    phi_f = rotation_between(R0, Rf)
+    scale = max(*map(abs, phi_f), *(T * abs(w) for w in w0), TINY)
+    for coeffs in (min_accel_rotation(R0, Rf, w0, T),
+                   solved_rotation(R0, Rf, w0, T)):
+        for (c1, c2, c3), phi, w in zip(coeffs, phi_f, w0):
+            assert c1 == w
+            assert abs(T * (c1 + T * (c2 + T * c3)) - phi) <= 1e-12 * scale
+            assert T * abs(c1 + T * (2 * c2 + 3 * T * c3)) <= 1e-12 * scale

@@ -6,12 +6,13 @@ from dataclasses import replace
 
 import numpy as np
 
-from perchsim.geometry import B3, EYE, ZERO3, mat_vec, rot_y
+from perchsim.geometry import EYE, ZERO3, mat_vec, rot_y
 from perchsim.scenario import ScenarioConfig
 from perchsim.vehicle import (ContactState, at_rest, forward_wrench,
                               integrate, step_actuators, update_contact)
 from so3 import flat, mat, rot_x, rot_z
 
+B3 = np.array([0.0, 0.0, 1.0])
 PARAMS, WALL = ScenarioConfig().build()
 AT_REST = (0.0,) * 4, (0.0,) * 4, 0.0      # thrust, tilt, eta
 NO_DIST = ZERO3, ZERO3                     # delta_f, delta_r
