@@ -5,7 +5,6 @@ import errno
 import json
 import os
 import sys
-from contextlib import closing
 from dataclasses import replace
 
 from .harness import run_scenario
@@ -49,27 +48,6 @@ def _check_out(path, files):
             raise IsADirectoryError(errno.EISDIR, "Is a directory", file)
 
 
-class _LogFile:
-    """`out_dir/log.csv` as a text sink that makes the directory and opens
-    the file on its first write.  run_scenario checks the scenario before
-    it writes, so a scenario error creates nothing."""
-
-    def __init__(self, out_dir):
-        self.out_dir = out_dir
-        self.fh = None
-
-    def writelines(self, lines):
-        if self.fh is None:
-            os.makedirs(self.out_dir, exist_ok=True)
-            self.fh = open(os.path.join(self.out_dir, "log.csv"), "w",
-                           encoding="utf-8")
-        self.fh.writelines(lines)
-
-    def close(self):
-        if self.fh is not None:
-            self.fh.close()
-
-
 def _write_json(path, payload):
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2)
@@ -85,9 +63,12 @@ def _write_run(result, out_dir):
 
 
 def _stream_run(cfg, out_dir):
-    """Fly `cfg` with its log.csv streamed into `out_dir`, then write its
-    metrics.json there; the result keeps events and metrics, not rows."""
-    with closing(_LogFile(out_dir)) as log:
+    """Check `cfg`, then make `out_dir`, fly `cfg` with its log.csv streamed
+    there and write its metrics.json; a scenario error creates nothing.  The
+    result keeps events and metrics, not rows."""
+    cfg.build()
+    os.makedirs(out_dir, exist_ok=True)
+    with open(os.path.join(out_dir, "log.csv"), "w", encoding="utf-8") as log:
         result = run_scenario(cfg, log)
     _write_run(result, out_dir)
     return result

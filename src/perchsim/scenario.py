@@ -144,18 +144,21 @@ class ScenarioConfig:
                 if not isinstance(value, (tuple, list)) or not all(
                         _is_numbers(d, 8) for d in value):
                     raise ScenarioError("each disturbance must be 8 numbers")
+            elif isinstance(f.default, str):
+                if not isinstance(value, str):
+                    raise ScenarioError(f"{f.name} must be a string")
+                continue
             elif isinstance(f.default, int):
                 if not (isinstance(value, (int, np.integer))
                         and abs(value) < 2 ** 53):
                     raise ScenarioError(f"{f.name} must be an integer of "
                                         "magnitude below 2**53")
-            elif not isinstance(f.default, str):
+            else:
                 n = len(f.default) if isinstance(f.default, tuple) else None
                 if not _is_numbers(value, n):
                     raise ScenarioError(f"{f.name} must be " + (
                         "a number" if n is None else f"{n} numbers"))
-            if not isinstance(value, str) \
-                    and not np.isfinite(np.asarray(value, float)).all():
+            if not np.isfinite(np.asarray(value, float)).all():
                 raise ScenarioError(f"{f.name} must be finite")
         _check_rules(self)
         if not 1e-9 <= math.hypot(*self.wall_normal) < math.inf:

@@ -251,10 +251,14 @@ def test_empty_out_exit_code(tmp_path, capsys, monkeypatch, command):
                                   "variant = bogus", "mission = bogus"])
 @pytest.mark.parametrize("command", ["run", "run --variant proposed",
                                      "ablate"])
-def test_build_error_writes_nothing(tmp_path, capsys, command, line):
+def test_build_error_writes_nothing(tmp_path, capsys, monkeypatch, command,
+                                    line):
     # parse_scenario rejects an unknown name, build() the other values, both
-    # before tick 0, so no output directory is made.  The name is checked
-    # even where an override (--variant, or ablate's loop) replaces it.
+    # before the run is started, so no output directory is made.  The name
+    # is checked even where an override (--variant, or ablate's loop)
+    # replaces it.
+    monkeypatch.setattr(cli, "run_scenario",
+                        lambda *args: pytest.fail("run_scenario was called"))
     scen = tmp_path / "bad.scn"
     scen.write_text(HOVER + line + "\n")
     out = tmp_path / "o"
@@ -362,8 +366,9 @@ def test_ablate_rejects_variant(tmp_path, capsys):
 
 
 def test_rotor_geometry_built_once_per_build(tmp_path, monkeypatch):
-    # ScenarioConfig.build() is the one place that makes the rotor geometry,
-    # and run_scenario the one caller: parse_scenario only parses.
+    # ScenarioConfig.build() is the one place that makes the rotor geometry:
+    # parse_scenario only parses, run_scenario builds once, and the CLI
+    # builds once more to check the scenario before it creates --out.
     built = []
     allocation_matrix = allocation.allocation_matrix
 
@@ -377,9 +382,11 @@ def test_rotor_geometry_built_once_per_build(tmp_path, monkeypatch):
     scen = tmp_path / "hover.scn"
     scen.write_text(HOVER)
     built.clear()
+    parse_scenario(HOVER)
+    assert built == []
     assert main(["run", "--scenario", str(scen), "--out",
                  str(tmp_path / "o")]) == EXIT_OK
-    assert len(built) == 1
+    assert len(built) == 2
 
 
 def test_event_past_run_end_is_ignored(tmp_path, capsys):

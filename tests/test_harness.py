@@ -983,6 +983,28 @@ def test_forcible_detach_chatters_known_defect():
     assert details.count("forcible-detach") == details.count("attach") == 13
 
 
+def test_large_drag_ratio_tumbles_known_defect():
+    # Known defect, pinned so that a physical bound on k_tau changes it on
+    # purpose.  k_tau's rule admits any drag ratio the rotor inverse can
+    # take, yet a 2 s hover holds its attitude at 2 m, completes (exit 0)
+    # while tumbling at 5 m, and hits the ground at 10 m.
+    def hover(k_tau):
+        return run_scenario(ScenarioConfig(mission="hover", duration=2.0,
+                                           k_tau=k_tau))
+
+    steady = hover(2.0).metrics
+    assert steady.completed and steady.saturation_fraction == {"F": 0.0}
+    assert steady.max_eR_rad["F"] < 1e-12
+    tumbling = hover(5.0).metrics
+    assert tumbling.completed and tumbling.failure == ""
+    assert tumbling.max_eR_rad["F"] == pytest.approx(3.137, abs=1e-3)
+    assert tumbling.saturation_fraction["F"] == pytest.approx(0.146, abs=1e-3)
+    falling = hover(10.0)
+    assert not falling.metrics.completed
+    assert [(round(t, 3), kind, detail) for t, kind, detail
+            in falling.events] == [(1.55, "failure", "ground-contact")]
+
+
 def test_two_cycle_contact_event_times():
     # Both cycles perch and release.
     events = [(round(t, 3), detail) for t, kind, detail

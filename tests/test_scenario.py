@@ -295,13 +295,18 @@ MISSHAPEN = [
      "each disturbance must be 8 numbers"),
     ("disturbances", [(0, 1, "2", 0, 0, 0, 0, 0)],
      "each disturbance must be 8 numbers"),
+    ("name", ["a"], "name must be a string"),
+    ("name", None, "name must be a string"),
+    ("name", 5, "name must be a string"),
+    ("variant", ["x"], "variant must be a string"),
+    ("mission", ["hover"], "mission must be a string"),
 ]
 
 
 @pytest.mark.parametrize("key, value, message", MISSHAPEN,
                          ids=[f"{k}={v!r}" for k, v, _ in MISSHAPEN])
 def test_library_values_keep_their_shape(key, value, message):
-    cfg = ScenarioConfig(mission="hover", **{key: value})
+    cfg = ScenarioConfig(**{"mission": "hover", key: value})
     with pytest.raises(ScenarioError) as exc:
         cfg.build()
     assert str(exc.value) == message
