@@ -172,7 +172,7 @@ def check_3_freeze_semantics():
 def check_4_allocation():
     cfg = ScenarioConfig()
     rows, columns = cfg.build()[0].rotors
-    A = x_config(cfg.arm_length, cfg.k_tau)
+    A = np.array(x_config(cfg.arm_length, cfg.k_tau))
     rng = np.random.default_rng(4)
     worst_rt = 0.0
     worst_mn = 0.0

@@ -12,8 +12,6 @@ most 1e-9 in any summation order, its rounding bound added.
 
 import math
 
-import numpy as np
-
 from .geometry import B3, cross, floats
 
 # Below this thrust the recovered tilt angle is held at its previous value.
@@ -21,10 +19,10 @@ THRUST_EPS = 1e-6
 
 
 def allocation_matrix(positions, spin_signs, k_tau):
-    """The 6x2n map A from [T cos(nu); T sin(nu)] to [f; tau] of n rotors
-    at `positions` (m, body frame), each tilting about its arm, with spin
-    signs +-1 and drag-to-thrust ratio `k_tau` (m).  A zero rotor position
-    raises ValueError; `right_inverse` checks the rank."""
+    """The 6x2n map A (six rows of floats) from [T cos(nu); T sin(nu)] to
+    [f; tau] of n rotors at `positions` (m, body frame), each tilting about
+    its arm, with spin signs +-1 and drag-to-thrust ratio `k_tau` (m).  A
+    zero rotor position raises ValueError; `right_inverse` checks rank."""
     vertical, lateral = [], []
     for r, sign in zip(map(floats, positions), spin_signs):
         norm, sk = math.hypot(*r), sign * k_tau
@@ -34,7 +32,7 @@ def allocation_matrix(positions, spin_signs, k_tau):
         vertical.append(B3 + tuple(a + sk * b
                                    for a, b in zip(cross(r, B3), B3)))
         lateral.append(t + tuple(a + sk * b for a, b in zip(cross(r, t), t)))
-    return np.array(vertical + lateral).T
+    return tuple(map(floats, zip(*(vertical + lateral))))
 
 
 def x_config(arm_length, k_tau):
@@ -55,9 +53,9 @@ def right_inverse(A):
     """The 2n rows of A's min-norm right inverse P = Q^T M: Gram-Schmidt, run
     twice on A's rows beside I's, gives Q = M A and M = L^-1.  Raises
     ValueError, A being rank deficient, unless max|A P - I| <= 1e-9 holds."""
-    rows, two_n, W = A.tolist(), A.shape[1], []
-    for k, a in enumerate(rows):
-        v = a + [float(i == k) for i in range(len(rows))]     # [a_k | e_k]
+    two_n, W = len(A[0]), []
+    for k, a in enumerate(A):
+        v = list(a) + [float(i == k) for i in range(len(A))]  # [a_k | e_k]
         for _ in range(2):
             for w in W:
                 c = _dot(w[:two_n], v)
@@ -70,7 +68,7 @@ def right_inverse(A):
     # any summation order finds max|A P - I| <= 1e-9.
     if not all(abs(_dot(a, p) - (i == j))
                + 4e-15 * _dot(map(abs, a), map(abs, p)) <= 1e-9
-               for i, a in enumerate(rows) for j, p in enumerate(zip(*P))):
+               for i, a in enumerate(A) for j, p in enumerate(zip(*P))):
         raise ValueError("rotor geometry is rank deficient")
     return P
 
@@ -81,9 +79,9 @@ def rotor_rows(A):
     `right_inverse` and of A's transpose.  Raises ValueError unless the
     inverse meets max|A P - I| <= 1e-9, checked in plain floats with its
     rounding bound added, so that any summation order meets it too."""
-    n = A.shape[1] // 2
+    n = len(A[0]) // 2
     return tuple(tuple(zip(M[:n], M[n:]))
-                 for M in (right_inverse(A), tuple(map(tuple, A.T.tolist()))))
+                 for M in (right_inverse(A), tuple(zip(*A))))
 
 
 def allocate(w, rows, T_max, prev_tilt):

@@ -5,6 +5,7 @@ import math
 import operator
 import struct
 from dataclasses import asdict, dataclass, field
+from functools import reduce
 from itertools import chain
 
 import numpy as np
@@ -62,10 +63,11 @@ class Metrics:
 
 
 def settle_index(ok):
-    """First index from which `ok` stays true to the end, or None."""
-    bad = np.flatnonzero(~ok)
-    j = bad[-1] + 1 if len(bad) else 0
-    return int(j) if j < len(ok) else None
+    """First index from which the sequence `ok` stays true, or None."""
+    j = len(ok)
+    while j and ok[j - 1]:
+        j -= 1
+    return j if j < len(ok) else None
 
 
 def _nan_max(a, b):
@@ -132,44 +134,50 @@ class MetricsFold:
 
     def feed(self, rows):
         """Fold in `rows`, the records of the next ticks, and log them."""
+        if not len(rows):      # nothing to fold; an empty view will not cast
+            return
         start = self.ticks
         self.ticks += len(rows)
         runs = list(tick_runs(self.events, self.cfg.dt, "mode", start,
                               len(rows)))
+        # The block's columns, strided views of its float64s, read as floats.
+        flat = memoryview(rows).cast("B").cast("d")
+        t, pz, eR_norm, ep, sat_any, gap = (
+            flat[c::len(_RECORD)] for c in (_T, _PZ, _ER, _EP, _SAT, _GAP))
         for mode, i, j in runs:
             ticks, sat, eR = self.by_mode.get(mode, (0, 0, -math.inf))
             self.by_mode[mode] = (
                 ticks + j - i,
-                sat + int(np.count_nonzero(rows[i:j, _SAT] > 0.5)),
-                _nan_max(eR, float(rows[i:j, _ER].max())))
+                sat + operator.countOf(map((0.5).__lt__, sat_any[i:j]), True),
+                reduce(_nan_max, eR_norm[i:j], eR))
         if self.log is not None:
             self.log.writelines(_csv_lines(rows, runs))
         k_rel, k_end = next(((i, j) for on, i, j in tick_runs(
             self.events, self.cfg.dt, "released", 0, self.ticks) if on),
             (self.ticks, self.ticks))
         if start <= k_rel < self.ticks:
-            self.z_rel = float(rows[k_rel - start, _PZ])
+            self.z_rel = pz[k_rel - start]
         a, b = max(k_rel + 1 - start, 0), k_end - start
         if a >= b:
             return
         self.after += b - a
-        self.z_drop = _nan_max(self.z_drop,
-                               float(np.max(self.z_rel - rows[a:b, _PZ])))
-        g = rows[a:b, _GAP]
-        g_min = float(g.min())
+        self.z_drop = reduce(_nan_max, map(self.z_rel.__sub__, pz[a:b]),
+                             self.z_drop)
+        g = gap[a:b]
+        g_min = reduce(_nan_min, g)
         self.gap_min = _nan_min(self.gap_min, g_min)
         if self.gap_armed is not None:
             self.gap_armed = _nan_min(self.gap_armed, g_min)
         else:
-            armed = g >= self.cfg.clearance_arm
-            first = int(armed.argmax())
-            if armed[first]:
-                self.gap_armed = float(g[first:].min())
-        j = settle_index(rows[a:b, _EP] < self.cfg.settle_tol)
+            arm = self.cfg.clearance_arm
+            first = next((k for k, x in enumerate(g) if x >= arm), None)
+            if first is not None:
+                self.gap_armed = reduce(_nan_min, g[first:])
+        j = settle_index([x < self.cfg.settle_tol for x in ep[a:b]])
         if j is None:
             self.t_settle = None
         elif j or self.t_settle is None:
-            self.t_settle = float(rows[a + j, _T])
+            self.t_settle = t[a + j]
 
 
 def compute_metrics(fold):

@@ -35,12 +35,19 @@ def _key(default, unit="", rule=None):
     return field(default=default, metadata={"unit": unit, "rule": rule})
 
 
+def _flat(value):
+    """The numbers in a number, a sequence of them or a sequence of those."""
+    if isinstance(value, numbers.Real):
+        return [value]
+    return [x for v in value for x in _flat(v)]
+
+
 def _within(rule, value):
     """Whether every number of `value` lies in the interval `rule`."""
     lo, hi = (float(x) for x in rule[1:-1].split(","))
     above = operator.gt if rule[0] == "(" else operator.ge
     below = operator.lt if rule[-1] == ")" else operator.le
-    return all(above(x, lo) and below(x, hi) for x in np.ravel(value))
+    return all(above(x, lo) and below(x, hi) for x in _flat(value))
 
 
 def _is_numbers(value, n=None):
@@ -158,7 +165,11 @@ class ScenarioConfig:
                 if not _is_numbers(value, n):
                     raise ScenarioError(f"{f.name} must be " + (
                         "a number" if n is None else f"{n} numbers"))
-            if not np.isfinite(np.asarray(value, float)).all():
+            try:
+                finite = all(map(math.isfinite, _flat(value)))
+            except OverflowError:                 # an int no float holds
+                finite = False
+            if not finite:
                 raise ScenarioError(f"{f.name} must be finite")
         _check_rules(self)
         if not 1e-9 <= math.hypot(*self.wall_normal) < math.inf:

@@ -27,13 +27,15 @@ def vec(w):
 
 
 def test_allocation_matrix_rank_six():
-    A = A_X
+    # A is six plain row tuples of floats; numpy checks its rank.
+    assert [tuple(map(type, row)) for row in A_X] == [(float,) * 8] * 6
+    A = np.array(A_X)
     assert A.shape == (6, 8)
     assert np.linalg.matrix_rank(A, tol=1e-9) == 6
 
 
 def test_zero_drag_ratio_yaw_row():
-    A = x_config(CFG.arm_length, 0.0)
+    A = np.array(x_config(CFG.arm_length, 0.0))
     # Planar rotor arms: vertical components produce no yaw without drag.
     assert np.allclose(A[5, :4], 0.0, atol=1e-15)
     assert np.linalg.norm(A[5, 4:]) > 0.0
@@ -107,7 +109,7 @@ def test_roundtrip_random_wrenches():
 
 
 def test_min_norm_against_kkt_oracle():
-    A = A_X
+    A = np.array(A_X)
     rng = np.random.default_rng(13)
     worst = 0.0
     for _ in range(100):
@@ -183,7 +185,7 @@ def test_right_inverse_against_lapack(arm, k_tau, planar):
     except ValueError as exc:                  # a rotor within 1e-9 m of 0
         assert str(exc) == "rotor positions must be nonzero"
         return
-    cond = np.linalg.cond(A)
+    cond = np.linalg.cond(np.array(A))
     note(f"cond(A) = {cond:.3g}")
     try:
         P = np.array(right_inverse(A))
@@ -191,6 +193,7 @@ def test_right_inverse_against_lapack(arm, k_tau, planar):
         assert str(exc) == "rotor geometry is rank deficient"
         assert cond > 1e3
         return
+    A = np.array(A)
     assert np.abs(A @ P - np.eye(6)).max() <= 1e-9
     if cond <= 1e3:
         want = np.linalg.pinv(A)

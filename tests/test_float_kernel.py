@@ -230,7 +230,7 @@ def _idle_and_saturated_wrench(A):
 def test_allocation_matches_numpy():
     rows, columns = DEFAULT_PARAMS.rotors
     cfg = ScenarioConfig()
-    A = allocation.x_config(cfg.arm_length, cfg.k_tau)
+    A = np.array(allocation.x_config(cfg.arm_length, cfg.k_tau))
     prev = (0.3, -0.2, 0.1, 0.05)
     w = _idle_and_saturated_wrench(A)
     cmd_thrust, cmd_tilt, cmd_saturated = allocation.allocate(w, rows, 8.0,

@@ -134,15 +134,16 @@ def test_metrics_of_a_fold_fed_no_rows_raise():
 
 def test_settle_index_matches_brute_force():
     def brute(ok):
-        return next((j for j in range(len(ok)) if ok[j:].all()), None)
+        return next((j for j in range(len(ok)) if all(ok[j:])), None)
 
     rng = np.random.default_rng(5)
     cases = [np.ones(6, bool), np.zeros(6, bool), np.zeros(0, bool),
              np.array([True, True, False])]
     cases += [rng.random(rng.integers(1, 40)) < p
               for p in (0.5, 0.9, 0.99) for _ in range(100)]
+    # As the fold passes them, plain lists, and as numpy arrays.
     for ok in cases:
-        assert settle_index(ok) == brute(ok)
+        assert settle_index(ok) == settle_index(ok.tolist()) == brute(ok)
 
 
 def test_compare_identical_runs():
@@ -551,10 +552,10 @@ print(peak_rss() - before)
 
 def test_setup_pages_in_no_lapack():
     # With LAPACK's pinv, matrix_rank and solve on their first call, this
-    # read 1.88-1.99 MB; the plain-float right inverse, the closed-form plan
-    # legs and plain-float setpoints leave numpy's first elementwise calls,
-    # 0.33-0.40 MB.
-    assert int(_child_output(SETUP_GROWTH)) < 0.5e6
+    # read 1.88-1.99 MB; with plain-float rotors and plan legs but numpy's
+    # finite checks and A, 0.33-0.39 MB.  build() now calls no numpy
+    # function: 0.07-0.19 MB.
+    assert int(_child_output(SETUP_GROWTH)) < 0.25e6
 
 
 # Peak RSS growth of a 120 s hover streamed to a sink that renders and drops

@@ -4,8 +4,9 @@ tick loop, the metrics fold reads the run's events only through
 `tick_runs`, the vehicle holds its rotors as plain tuples without importing
 the allocation module, `ScenarioError` is the one exception type perchsim
 defines, only the supervisor, the scenario and criterion 1's reference
-read the switching thresholds, and only the acceptance checks call
-`numpy.linalg`.
+read the switching thresholds, only the acceptance checks call
+`numpy.linalg`, and a run's set-up checks, rotor matrix and metrics fold
+call no numpy function.
 
 No linter ships with the project, so this reads each module's syntax tree:
 an imported name counts as used where it appears as a name in the code, or
@@ -21,7 +22,7 @@ from pathlib import Path
 import pytest
 
 import perchsim
-from perchsim import harness, metrics, vehicle
+from perchsim import allocation, harness, metrics, scenario, vehicle
 from perchsim.scenario import default_scenario
 from test_float_kernel import layout
 
@@ -241,3 +242,45 @@ def test_only_the_acceptance_checks_call_lapack():
     readers = {path.name: linalg_reads(path.read_text()) for path in MODULES}
     assert {name for name, reads in readers.items() if reads} \
         == {"acceptance.py"}, readers
+
+
+def numpy_calls(source):
+    """The numpy functions `source` calls by a dotted name from `np` or
+    `numpy`, sorted; a method called on an array is not one."""
+    found = []
+    for node in ast.walk(ast.parse(textwrap.dedent(source))):
+        if isinstance(node, ast.Call):
+            f = node.func
+            while isinstance(f, ast.Attribute):
+                f = f.value
+            if f is not node.func and isinstance(f, ast.Name) \
+                    and f.id in ("np", "numpy"):
+                found.append(ast.unparse(node.func))
+    return sorted(found)
+
+
+def test_guard_finds_numpy_calls():
+    source = ("ok = np.isfinite(np.asarray(x, float)).all()\n"
+              "y = numpy.ravel(x)\nisinstance(x, np.ndarray)\n"
+              "z = y.max() + max(x)\n")
+    assert numpy_calls(source) == ["np.asarray", "np.isfinite",
+                                   "numpy.ravel"]
+
+
+def test_setup_and_fold_call_no_numpy():
+    # A noise-free run needs numpy only for its log block: build() checks
+    # its numbers and builds the rotor matrix A in plain floats, and the
+    # fold reads each block's columns as floats, so neither pages in
+    # numpy's elementwise code.
+    calls = {fn.__qualname__: numpy_calls(inspect.getsource(fn))
+             for fn in (scenario.ScenarioConfig.build, scenario._flat,
+                        scenario._within, metrics.MetricsFold.feed,
+                        metrics.settle_index)}
+    assert not any(calls.values()), calls
+    tree = ast.parse(Path(allocation.__file__).read_text())
+    imported = [alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.Import) for alias in node.names]
+    imported += [node.module for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.module]
+    assert not [name for name in imported
+                if name.partition(".")[0] == "numpy"], imported

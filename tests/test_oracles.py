@@ -385,7 +385,7 @@ def allocate_comprehension(w, rotors, T_max, prev_tilt):
     rotor."""
     _, columns = rotors
     n = len(columns)
-    A = np.array([v for v, _ in columns] + [lat for _, lat in columns]).T
+    A = tuple(zip(*[v for v, _ in columns], *[lat for _, lat in columns]))
     (f0, f1, f2), (t0, t1, t2) = w
     x = [a * f0 + b * f1 + c * f2 + d * t0 + e * t1 + g * t2
          for a, b, c, d, e, g in right_inverse(A)]

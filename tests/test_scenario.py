@@ -276,6 +276,8 @@ def test_integer_keys_take_numpy_integers():
 # (key, library value, the one message build() gives); the file parser fixes
 # every length and type, but unchecked, each of these would build and then
 # fail to unpack in the run, or raise TypeError or ValueError from build().
+# An int no float holds: a finite number that build() cannot run with.
+HUGE = 10 ** 400
 MISSHAPEN = [
     ("wall_point", (1.0, 2.0), "wall_point must be 3 numbers"),
     ("hover_position", (0.0, 0.0, 1.2, 1.0),
@@ -300,11 +302,17 @@ MISSHAPEN = [
     ("name", 5, "name must be a string"),
     ("variant", ["x"], "variant must be a string"),
     ("mission", ["hover"], "mission must be a string"),
+    ("mass", HUGE, "mass must be finite"),
+    ("wall_point", (HUGE, 0.0, 1.2), "wall_point must be finite"),
+    ("disturbances", [(0, 1, HUGE, 0, 0, 0, 0, 0)],
+     "disturbances must be finite"),
+    ("events", [(HUGE, "s_f2p")], "events must be finite"),
 ]
 
 
-@pytest.mark.parametrize("key, value, message", MISSHAPEN,
-                         ids=[f"{k}={v!r}" for k, v, _ in MISSHAPEN])
+@pytest.mark.parametrize(
+    "key, value, message", MISSHAPEN,
+    ids=[f"{k}={v!r}".replace(str(HUGE), "HUGE") for k, v, _ in MISSHAPEN])
 def test_library_values_keep_their_shape(key, value, message):
     cfg = ScenarioConfig(**{"mission": "hover", key: value})
     with pytest.raises(ScenarioError) as exc:
