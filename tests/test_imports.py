@@ -268,10 +268,10 @@ def test_guard_finds_numpy_calls():
 
 
 def test_setup_and_fold_call_no_numpy():
-    # A noise-free run needs numpy only for its log block: build() checks
-    # its numbers and builds the rotor matrix A in plain floats, and the
-    # fold reads each block's columns as floats, so neither pages in
-    # numpy's elementwise code.
+    # build() checks its numbers and builds the rotor matrix A in plain
+    # floats, and the fold reads each block's columns as floats, so a
+    # noise-free run pages in no numpy elementwise code for either; numpy
+    # holds its log block.
     calls = {fn.__qualname__: numpy_calls(inspect.getsource(fn))
              for fn in (scenario.ScenarioConfig.build, scenario._flat,
                         scenario._within, metrics.MetricsFold.feed,
